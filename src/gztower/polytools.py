@@ -6,6 +6,7 @@ numpy.roots convention).  Matrix indices here are 0-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,39 +21,32 @@ class TrackingError(RuntimeError):
     """Root tracking between nearby configurations is ambiguous."""
 
 
-def _polyadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.astype(complex).copy()
-    out[len(a) - len(b):] += b
-    return out
-
-
 def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
     """Coefficients of det of the (lam*Id - u) submatrix on rows x cols.
 
-    lam sits only at positions whose global row and column indices agree.
+    lam sits where the global row and column agree: the minor is
+    det(lam*P - S), P[i, j] = [rows[i] == cols[j]], S = u[rows, cols], of
+    degree <= d = P.sum().  One batched det evaluates it at r*w**j, j = 0..d,
+    w = exp(2*pi*i/(d+1)), and an FFT interpolates.  r follows the roots as
+    u scales: it is the spectral radius of S11 - S12 S22^+ S21 (S11 carries
+    lam, S22 does not, ^+ is the pseudo-inverse), or 1.0 if that is 0.
+    Always returns exactly d+1 coefficients, highest first; the leading one
+    is 0 (up to round-off) when the degree drops below d.
     """
-    k = len(rows)
-    assert len(cols) == k and k >= 1
-
-    def entry(r: int, c: int) -> np.ndarray:
-        if r == c:
-            return np.array([1.0, -u[r, c]], dtype=complex)
-        return np.array([-u[r, c]], dtype=complex)
-
-    def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> np.ndarray:
-        if len(rs) == 1:
-            return entry(rs[0], cs[0])
-        total = np.zeros(1, dtype=complex)
-        r = rs[0]
-        for pos, c in enumerate(cs):
-            sub = det(rs[1:], cs[:pos] + cs[pos + 1:])
-            term = np.polymul(entry(r, c), sub)
-            total = _polyadd(total, term if pos % 2 == 0 else -term)
-        return total
-
-    return det(tuple(rows), tuple(cols))
+    assert len(cols) == len(rows) >= 1
+    sub = np.asarray(u, dtype=complex)[np.ix_(rows, cols)]
+    P = np.equal.outer(rows, cols)
+    d = int(P.sum())
+    i, j = np.nonzero(P)
+    blk = sub[np.ix_(i, j)]
+    if d < len(rows):
+        ro, co = ~P.any(axis=1), ~P.any(axis=0)
+        blk = blk - sub[np.ix_(i, co)] @ np.linalg.lstsq(
+            sub[np.ix_(ro, co)], sub[np.ix_(ro, j)])[0]
+    r = float(np.max(np.abs(np.linalg.eigvals(blk)), initial=0.0)) or 1.0
+    lam = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    vals = np.linalg.det(lam[:, None, None] * P - sub)
+    return (np.fft.fft(vals) / (d + 1) / r ** np.arange(d + 1))[::-1]
 
 
 def principal_charpoly(u: np.ndarray, k: int) -> np.ndarray:
@@ -88,12 +82,22 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     return min(abs(a - b) for a, b in itertools.combinations(points, 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _permutation_table(k: int) -> np.ndarray:
+    """Every permutation of range(k) as a column, in itertools order."""
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.intp).T
+    table.setflags(write=False)
+    return table
+
+
 def match_points(base: np.ndarray, new: np.ndarray,
                  collision_dist: float | None = None) -> np.ndarray:
     """Reorder `new` to follow `base` by minimal-total-distance assignment.
 
-    Brute-force over permutations (sizes here are <= 4).  If requested,
-    raise TrackingError when two candidates approach within collision_dist.
+    Exact: the costs of all k! permutations come from one numpy reduction
+    over a cached permutation table, summed in index order, and the first
+    minimal permutation in itertools order wins.  If requested, raise
+    TrackingError when two candidates approach within collision_dist.
     """
     base = np.asarray(base)
     new = np.asarray(new)
@@ -104,11 +108,6 @@ def match_points(base: np.ndarray, new: np.ndarray,
     k = len(base)
     if k <= 1:
         return new.copy()
-    best = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(k)):
-        cost = sum(abs(base[i] - new[perm[i]]) for i in range(k))
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    return new[list(best)]
+    table = _permutation_table(k)
+    cost = np.abs(base[:, None] - new[table]).sum(axis=0)
+    return new[table[:, np.argmin(cost)]]

@@ -87,7 +87,9 @@ def test_top_level_gamma_equals_spectrum():
                          - np.sort_complex(pt.spectrum))) < 1e-9
 
 
-@pytest.mark.parametrize("n,seed", [(2, 1), (3, 2), (4, 3)])
+# N=8 takes well under a second with polynomial-time minors and root
+# matching, and tens of seconds with factorial ones
+@pytest.mark.parametrize("n,seed", [(2, 1), (3, 2), (4, 3), (8, 8)])
 def test_chart_residuals_random_orbits(n, seed):
     rng = np.random.default_rng(seed)
     pt = sample_orbit(random_spectrum(n, rng), seed=rng)

@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gztower.orbits import sample_orbit
+from gztower.orbits import (
+    MinorConvention,
+    OrbitPoint,
+    lowering_minor_coeffs,
+    sample_orbit,
+)
 from gztower.polytools import principal_charpoly
 from gztower.tower import (
     PathThroughPunctureError,
     RegularityLostError,
+    TowerError,
     action_angle_bracket_table,
     angle_variables,
     build_tower,
@@ -190,6 +196,27 @@ def test_tower_n3_structure():
     for n, section in tower.zero_section.items():
         assert len(section) == n
         assert all(np.isfinite([z.real, z.imag]).all() for z in section)
+
+
+@pytest.mark.parametrize("rows_variant", [True, False])
+def test_lowering_minor_has_one_coefficient_per_degree(rows_variant):
+    pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5j], seed=5)
+    for n in range(1, 4):
+        assert len(lowering_minor_coeffs(pt.u, n, MinorConvention(rows_variant))) == n
+
+
+def test_degenerate_lowering_minor_is_rejected():
+    # u[3,2] = 0 kills the lam^2 coefficient of C_3 (rows {0,1,3} x cols
+    # {0,1,2}) but not the lam^1 one, which a trimmed coefficient array
+    # would pass off as the leading coefficient
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    u[3, 2] = u[3, 0] = 0
+    pt = OrbitPoint.create(u)
+    coeffs = lowering_minor_coeffs(pt.u, 3)
+    assert len(coeffs) == 3 and abs(coeffs[0]) < 1e-12 and abs(coeffs[1]) > 1e-3
+    with pytest.raises(TowerError, match="level 3: lowering minor degenerates"):
+        build_tower(pt)
 
 
 def test_tower_json():
