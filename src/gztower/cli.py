@@ -125,7 +125,15 @@ def _parse_spectrum(text: str, n: int) -> list[complex]:
         raise ConfigError(f"cannot parse spectrum {text!r}") from exc
     if len(values) != n:
         raise ConfigError(f"spectrum has {len(values)} entries, expected {n}")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"spectrum {text!r} has entries that are not finite")
     return values
+
+
+def _at_least_one(name: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"--{name} must be >= 1, got {value}")
+    return value
 
 
 def _parse_shift(text: str, n: int, rng: np.random.Generator):
@@ -382,17 +390,17 @@ def _config_from_args(args) -> RunConfig:
         config.family = args.family
         config.side = args.side
         config.shift_matrix = args.shift_matrix
-        config.points = args.points
+        config.points = _at_least_one("points", args.points)
     elif args.command == "verify-quantum":
         config.allow_large = args.allow_large
-        config.trials = args.trials
+        config.trials = _at_least_one("trials", args.trials)
     elif args.command in ("orbit", "flow"):
         config.spectrum = _parse_spectrum(args.spectrum, args.n)
         if args.lam0 is not None:
             config.lam0 = complex(args.lam0.replace("i", "j"))
         if args.command == "orbit":
             config.checks = args.check
-            config.pairs = args.pairs
+            config.pairs = _at_least_one("pairs", args.pairs)
         else:
             try:
                 nk = [int(x) for x in args.hamiltonian.split(",")]
@@ -402,8 +410,10 @@ def _config_from_args(args) -> RunConfig:
             if not (1 <= config.hamiltonian[0] <= args.n
                     and 1 <= config.hamiltonian[1] <= config.hamiltonian[0]):
                 raise ConfigError(f"no action h[{args.hamiltonian}] at N={args.n}")
+            if args.t_final == 0 or not np.isfinite(args.t_final):
+                raise ConfigError(f"--t must be finite and nonzero, got {args.t_final}")
             config.t_final = args.t_final
-            config.steps = args.steps
+            config.steps = _at_least_one("steps", args.steps)
             config.trajectory = args.trajectory
     return config
 

@@ -1,6 +1,10 @@
 import json
+import math
 import re
 
+import pytest
+
+from gztower import orbits, tower
 from gztower.cli import main
 
 
@@ -147,6 +151,55 @@ def test_flow_bad_selector(capsys):
     code, _, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "0.5,-1",
                          "--hamiltonian", "5,1")
     assert code == 2
+
+
+def test_flow_few_steps_conserves_actions(tmp_path, capsys):
+    # a 10-step fixed-step integrator drifts by ~1e-7 here; the exact flow may not
+    code, out, _ = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
+                           "--hamiltonian", "2,1", "--steps", "10",
+                           "--trajectory", str(tmp_path / "t.jsonl"))
+    assert code == 0
+    report = parse_report(out)
+    assert report["conservation"]["status"] == "ok"
+    assert report["conservation"]["max_h_drift"] < 1e-12
+
+
+def test_flow_out_of_floating_point_range_is_regularity_loss(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
+                           "--hamiltonian", "2,1", "--t", "1e4",
+                           "--trajectory", str(tmp_path / "t.jsonl"))
+    assert code == 1
+    report = parse_report(out)
+    assert report["status"] == "violation"
+    assert report["error"]["kind"] == "regularity-lost"
+    assert 0.0 < report["error"]["time"] < 1e4
+
+
+def test_linearization_with_nan_slopes_is_a_violation():
+    # a zero-length window gives 0/0 slopes, and a NaN slope must fail
+    pt = orbits.sample_orbit([1.0, 2.0, 3.0], seed=0)
+    with pytest.warns(RuntimeWarning):
+        rep = tower.linearization_check(pt, (2, 1), t_final=0.0)
+    assert any(math.isnan(s.real) for s in rep.slopes.values())
+    assert rep.status == "violation"
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "0"),
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "nan"),
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "inf"),
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--steps", "0"),
+    ("orbit", "--n", "3", "--spectrum", "1,2,nan"),
+    ("verify-classical", "--n", "2", "--points", "0"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--pairs", "0", "--check", "residue-form"),
+    ("verify-quantum", "--n", "2", "--trials", "0"),
+], ids=["t-zero", "t-nan", "t-inf", "steps-zero", "spectrum-nan", "points-zero",
+        "pairs-zero", "trials-zero"])
+def test_bad_values_are_config_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "configuration error" in err
 
 
 # ---------------------------------------------------------------------------

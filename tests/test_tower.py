@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gztower.families import char_minor
 from gztower.orbits import (
     MinorConvention,
     OrbitPoint,
     lowering_minor_coeffs,
     sample_orbit,
 )
+from gztower.poisson import U, evaluate_at
 from gztower.polytools import principal_charpoly
 from gztower.tower import (
     PathThroughPunctureError,
     RegularityLostError,
     TowerError,
     action_angle_bracket_table,
+    action_gradient,
     angle_variables,
     build_tower,
     default_base_point,
@@ -229,6 +232,82 @@ def test_tower_json():
 # ---------------------------------------------------------------------------
 # flows
 # ---------------------------------------------------------------------------
+
+def _gradient_polys(N, selector):
+    """Oracle: symbolic partials of h[n,k] with respect to every u entry."""
+    n, k = selector
+    hpoly = char_minor(N, n, side="left").coefficient_of_lambda(n - k)
+    return {(i, j): hpoly.differentiate((U, i, j))
+            for i in range(1, N + 1) for j in range(1, N + 1)}
+
+
+def _gradient_matrix(grads, u):
+    """(grad h)[i,j] = dh/du[j,i] from the symbolic partials."""
+    out = np.zeros(u.shape, dtype=complex)
+    for (i, j), poly in grads.items():
+        out[j - 1, i - 1] = evaluate_at(poly, u=u)
+    return out
+
+
+def _rk4_points(u, selector, t_final, steps, sample_every):
+    """Oracle: fixed-step RK4 of u' = [grad h, u], with the symbolic gradient
+    re-evaluated at every stage."""
+    grads = _gradient_polys(u.shape[0], selector)
+    dt = t_final / steps
+
+    def rhs(v):
+        x = _gradient_matrix(grads, v)
+        return x @ v - v @ x
+
+    points = [u]
+    for step_idx in range(1, steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step_idx % sample_every == 0:
+            points.append(u)
+    return points
+
+
+_SPECTRA = {1: [0.7 + 0.2j], 2: [0.5, -1.0 + 0.5j], 3: [1.0, 2.0 + 0.5j, -1.0],
+            4: [1.0, 2.0 + 0.5j, -1.0, 0.5j], 5: [1.0, 2.0 + 0.5j, -1.0, 0.5j, -0.8 - 0.9j]}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_action_gradient_matches_symbolic(N):
+    pt = sample_orbit(_SPECTRA[N], seed=N)
+    for n in range(1, N + 1):
+        for k in range(1, n + 1):
+            want = _gradient_matrix(_gradient_polys(N, (n, k)), pt.u)
+            got = action_gradient(pt.u, (n, k))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N, selector", [(3, (2, 1)), (4, (3, 2)), (5, (4, 3))])
+def test_closed_form_flow_matches_rk4(N, selector):
+    pt = sample_orbit(_SPECTRA[N], seed=N)
+    flow = hamiltonian_flow(pt, selector, t_final=1.0, steps=1000, sample_every=100)
+    oracle = _rk4_points(pt.u, selector, 1.0, 1000, 100)
+    assert len(flow.points) == len(oracle) == 11
+    assert np.allclose(flow.times, np.linspace(0.0, 1.0, 11), rtol=0, atol=1e-15)
+    for got, want in zip(flow.points, oracle):
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+def test_flow_endpoint_is_independent_of_the_grid():
+    pt = sample_orbit(_SPECTRA[4], seed=4)
+    coarse = hamiltonian_flow(pt, (3, 2), t_final=1.0, steps=10).points[-1]
+    fine = hamiltonian_flow(pt, (3, 2), t_final=1.0, steps=1000).points[-1]
+    assert np.max(np.abs(coarse - fine)) <= 1e-12 * np.max(np.abs(fine))
+
+
+def test_flow_leaving_floating_point_range_loses_regularity():
+    pt = sample_orbit([1.0, 2.0, 3.0], seed=0)
+    with pytest.raises(RegularityLostError) as err:
+        hamiltonian_flow(pt, (2, 1), t_final=1e4, steps=1000, sample_every=25)
+    assert 0.0 < err.value.time < 1e4
 
 def test_flow_conserves_spectrum_and_actions():
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
