@@ -151,7 +151,9 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0,
     """Sample u = h diag(spectrum) h^{-1} with h a random well-conditioned matrix.
 
     Resamples h until the regularity margin of u clears `gap`; raises
-    RetryExhaustedError if the budget runs out.
+    RetryExhaustedError if the budget runs out, and OrbitError if u or its
+    characteristic minors leave floating-point range (a finite but huge
+    spectrum).
     """
     spectrum = np.array(spectrum, dtype=complex)
     n = len(spectrum)
@@ -162,7 +164,13 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0,
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if n > 1 and np.linalg.cond(h) > cond_cap:
             continue
-        u = h @ np.diag(spectrum) @ np.linalg.inv(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = h @ np.diag(spectrum) @ np.linalg.inv(h)
+            finite = np.isfinite(u).all() and all(
+                np.isfinite(principal_charpoly(u, k)).all() for k in range(1, n + 1))
+        if not finite:
+            raise OrbitError("spectrum too large: u or its characteristic minors "
+                             "leave floating-point range")
         if regularity_margin(u) >= gap:
             return OrbitPoint(u=u, spectrum=sort_points(spectrum))
     raise RetryExhaustedError(f"no regular point after {retries} draws")

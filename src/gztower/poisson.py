@@ -31,6 +31,8 @@ which is the convention adopted throughout the package.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -63,14 +65,8 @@ class AmbientSizeError(ValueError):
 # generator bracket table
 # ---------------------------------------------------------------------------
 
-_GEN_BRACKET_CACHE: dict[tuple[Gen, Gen], tuple[tuple[int, Gen], ...]] = {}
-
-
 def _gen_bracket(x: Gen, y: Gen) -> tuple[tuple[int, Gen], ...]:
     """{x, y} as a tuple of (integer coefficient, generator) pairs."""
-    cached = _GEN_BRACKET_CACHE.get((x, y))
-    if cached is not None:
-        return cached
     kx, i, j = x
     ky, k, l = y
     if kx > ky:
@@ -88,7 +84,6 @@ def _gen_bracket(x: Gen, y: Gen) -> tuple[tuple[int, Gen], ...]:
         result = ((1, (G, i, l)),) if j == k else ()
     else:
         result = ()
-    _GEN_BRACKET_CACHE[(x, y)] = result
     return result
 
 
@@ -329,33 +324,99 @@ class PoissonPoly:
 # the bracket
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _slot_layout(n: int) -> tuple[dict[Gen, int], tuple[Gen, ...], tuple]:
+    """Fixed slots of the generators over gl_n, and their bracket table in slots.
+
+    Slots follow the sort order of generator tuples (u, ut, g by row and
+    column, then lam, mu), so reading a packed monomial from the lowest slot
+    up gives a canonical sorted monomial.  ``adjacent[sx]`` lists, for the
+    generator in slot sx, every (sy, ((coef, sz), ...)) with {x, y} nonzero.
+    """
+    gens = tuple((kind, i, j) for kind in _MATRIX_KINDS
+                 for i in range(1, n + 1) for j in range(1, n + 1))
+    gens += ((LAM, 0, 0), (MU, 0, 0))
+    slot = {g: s for s, g in enumerate(gens)}
+    adjacent = tuple(
+        tuple((sy, tuple((c, slot[z]) for c, z in table))
+              for sy, table in enumerate(_gen_bracket(x, y) for y in gens) if table)
+        for x in gens)
+    return slot, gens, adjacent
+
+
+def _partials(poly: PoissonPoly, slot: dict[Gen, int], width: int) -> tuple[dict[int, list], int]:
+    """Integer partial derivatives of den * poly, on packed monomials.
+
+    Returns ({slot of x: [(packed monomial, int coefficient) of d(den*poly)/dx]},
+    den), with den the lcm of the coefficient denominators.  Exponent e of
+    the generator in slot s sits at bits [width*s, width*(s+1)).
+    """
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    out: dict[int, list] = {}
+    for mono, c in poly.terms.items():
+        if not mono:
+            continue
+        ci = c.numerator * (den // c.denominator)
+        packed = 0
+        for g, e in mono:
+            packed += e << (width * slot[g])
+        for g, e in mono:
+            s = slot[g]
+            out.setdefault(s, []).append((packed - (1 << (width * s)), ci * e))
+    return out, den
+
+
 def bracket(a: PoissonPoly, b: PoissonPoly) -> PoissonPoly:
-    """Poisson bracket {a, b}, exact and in canonical form."""
+    """Poisson bracket {a, b}, exact and in canonical form.
+
+    Derivative form: {a, b} = sum_x da/dx {x, b}, where
+    {x, b} = sum_y db/dy {x, y} runs over the generators y with {x, y} != 0.
+    Both operands are scaled to integer coefficients by the lcm of their
+    denominators, and each monomial is packed into one int, one slot of
+    width W = bit_length(deg a + deg b) + 1 bits per generator, so that a
+    monomial product is integer addition and d/dx subtracts one unit from
+    slot x.  No exponent in the computation exceeds deg a + deg b - 1
+    < 2^(W-1), so no slot ever carries into its neighbour.
+    """
     if a.n != b.n:
         raise AmbientSizeError(f"ambient sizes differ: {a.n} != {b.n}")
-    out: dict[Monomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        if not ma:
-            continue
-        for mb, cb in b.terms.items():
-            if not mb:
+    slot, gens, adjacent = _slot_layout(a.n)
+    width = (a.degree() + b.degree()).bit_length() + 1
+    da, den_a = _partials(a, slot, width)
+    db, den_b = _partials(b, slot, width)
+    out: dict[int, int] = {}
+    for sx, dax in da.items():
+        xb: dict[int, int] = {}
+        for sy, table in adjacent[sx]:
+            dby = db.get(sy)
+            if dby is None:
                 continue
-            scale = ca * cb
-            for ia, (x, ex) in enumerate(ma):
-                for ib, (y, ey) in enumerate(mb):
-                    table = _gen_bracket(x, y)
-                    if not table:
-                        continue
-                    rest = _mono_mul(_mono_drop(ma, ia), _mono_drop(mb, ib))
-                    c0 = scale * ex * ey
-                    for coef, z in table:
-                        m = _mono_mul(rest, ((z, 1),))
-                        s = out.get(m, 0) + c0 * coef
-                        if s:
-                            out[m] = s
-                        else:
-                            out.pop(m, None)
-    return PoissonPoly(a.n, out)
+            for coef, sz in table:
+                unit = 1 << (width * sz)
+                for mb, cb in dby:
+                    m = mb + unit
+                    xb[m] = xb.get(m, 0) + coef * cb
+        xb_terms = [(m, c) for m, c in xb.items() if c]
+        for ma, ca in dax:
+            for mb, cb in xb_terms:
+                m = ma + mb
+                out[m] = out.get(m, 0) + ca * cb
+    den = den_a * den_b
+    mask = (1 << width) - 1
+    terms: dict[Monomial, Fraction] = {}
+    for packed, c in out.items():
+        if not c:
+            continue
+        mono = []
+        s = 0
+        while packed:
+            e = packed & mask
+            if e:
+                mono.append((gens[s], e))
+            packed >>= width
+            s += 1
+        terms[tuple(mono)] = Fraction(c, den)
+    return PoissonPoly(a.n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +514,18 @@ def poly_function(poly: PoissonPoly, lam: complex = 0j, mu: complex = 0j) -> Cal
     return lambda pt: evaluate(poly, pt, lam=lam, mu=mu)
 
 
-def _gradients(func: Callable[[CanonicalPoint], complex], pt: CanonicalPoint,
+def _gradients(func: Callable[[CanonicalPoint], complex | np.ndarray], pt: CanonicalPoint,
                step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients of func in g and in p.
+
+    func may be scalar- or array-valued; each gradient has shape
+    (n, n) + the value's shape, entry [i, j] the derivative along g[i,j]
+    (or p[i,j]), with step `step` scaled by that coordinate's magnitude.
+    """
     n = pt.n
-    dg = np.zeros((n, n), dtype=complex)
-    dp = np.zeros((n, n), dtype=complex)
-    for which, grad, base in (("g", dg, pt.g), ("p", dp, pt.p)):
+    grads = []
+    for which, base in (("g", pt.g), ("p", pt.p)):
+        grad = None
         for i in range(n):
             for j in range(n):
                 h = step * max(1.0, abs(base[i, j]))
@@ -466,7 +533,11 @@ def _gradients(func: Callable[[CanonicalPoint], complex], pt: CanonicalPoint,
                     gm, pm = pt.g.copy(), pt.p.copy()
                     (gm if which == "g" else pm)[i, j] += sign * h
                     val = func(CanonicalPoint(gm, pm, validate=False))
+                    if grad is None:
+                        grad = np.zeros((n, n) + np.shape(val), dtype=complex)
                     grad[i, j] += sign * val / (2.0 * h)
+        grads.append(grad)
+    dg, dp = grads
     if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(dp))):
         raise ArithmeticError("non-finite derivative encountered")
     return dg, dp

@@ -81,11 +81,14 @@ def _gen_commutator(x: QGen, y: QGen) -> tuple[tuple[int, QGen], ...]:
     return tuple(out)
 
 
-_NORMAL_CACHE: dict[Word, dict[Word, Fraction]] = {}
+_NORMAL_CACHE: dict[Word, dict[Word, int]] = {}
 
 
-def _normalize_word(word: Word) -> dict[Word, Fraction]:
-    """Expand a free word into PBW normal form (sorted words)."""
+def _normalize_word(word: Word) -> dict[Word, int]:
+    """Expand a free word into PBW normal form (sorted words).
+
+    The commutator table is integral, so every coefficient is an int.
+    """
     hit = _NORMAL_CACHE.get(word)
     if hit is not None:
         return hit
@@ -96,18 +99,18 @@ def _normalize_word(word: Word) -> dict[Word, Fraction]:
             pos = idx
             break
     if pos < 0:
-        result = {word: Fraction(1)}
+        result = {word: 1}
         _NORMAL_CACHE[word] = result
         return result
     x, y = word[pos], word[pos + 1]
     swapped = word[:pos] + (y, x) + word[pos + 2:]
-    acc: dict[Word, Fraction] = {}
+    acc: dict[Word, int] = {}
     for w, c in _normalize_word(swapped).items():
-        acc[w] = acc.get(w, Fraction(0)) + c
+        acc[w] = acc.get(w, 0) + c
     for coef, z in _gen_commutator(x, y):
         lower = word[:pos] + (z,) + word[pos + 2:]
         for w, c in _normalize_word(lower).items():
-            acc[w] = acc.get(w, Fraction(0)) + coef * c
+            acc[w] = acc.get(w, 0) + coef * c
     result = {w: c for w, c in acc.items() if c}
     _NORMAL_CACHE[word] = result
     return result

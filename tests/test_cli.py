@@ -86,6 +86,16 @@ def test_orbit_ok(capsys):
     assert len(report["tower"]["levels"]) == 3
 
 
+def test_orbit_n8_integer_spectrum_builds_every_level(capsys):
+    # A_n coefficients of size n! used to fail an absolute 1e-10 check in
+    # build_tower, which ended the run with no report
+    code, out, err = run_cli(capsys, "orbit", "--n", "8",
+                             "--spectrum", "1,2,3,4,5,6,7,8", "--seed", "3")
+    assert "check failed" not in err
+    report = parse_report(out)
+    assert [lv["n"] for lv in report["tower"]["levels"]] == list(range(1, 9))
+
+
 def test_orbit_repeated_spectrum_is_config_error(capsys):
     code, _, err = run_cli(capsys, "orbit", "--n", "3", "--spectrum", "1,1,3")
     assert code == 2
@@ -193,8 +203,10 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("verify-classical", "--n", "2", "--points", "0"),
     ("orbit", "--n", "2", "--spectrum", "1,2", "--pairs", "0", "--check", "residue-form"),
     ("verify-quantum", "--n", "2", "--trials", "0"),
+    ("orbit", "--n", "3", "--spectrum", "1,2,1e300"),
+    ("flow", "--n", "3", "--spectrum", "1,2,1e300", "--hamiltonian", "2,1"),
 ], ids=["t-zero", "t-nan", "t-inf", "steps-zero", "spectrum-nan", "points-zero",
-        "pairs-zero", "trials-zero"])
+        "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow"])
 def test_bad_values_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,11 @@ from gztower.families import (
 )
 from gztower.poisson import (
     PoissonPoly,
+    canonical_bracket,
     evaluate,
     evaluate_at,
     random_canonical_point,
+    u_as_canonical,
 )
 
 P = PoissonPoly
@@ -197,6 +200,31 @@ def test_trivial_family_numeric(n):
 def test_trivial_family_numeric_n3():
     rep = verify_trivial_numeric(3, pt_count=3, seed=1)
     assert rep.status == "ok"
+
+
+def _trivial_reference(n, pt_count, seed, step=1e-6):
+    """Worst |{f, h}| and pair count, one canonical_bracket per pair."""
+    rng = np.random.default_rng(seed)
+
+    def member(i, j):
+        return lambda pt: (u_as_canonical(pt) @ np.linalg.inv(pt.g))[i, j]
+
+    funcs = [member(i, j) for i in range(n) for j in range(n)]
+    worst = 0.0
+    pairs = 0
+    for _ in range(pt_count):
+        pt = random_canonical_point(n, rng)
+        for f, h in itertools.combinations(funcs, 2):
+            worst = max(worst, abs(canonical_bracket(f, h, pt, step=step)))
+            pairs += 1
+    return worst, pairs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trivial_check_equals_per_pair_oracle(n):
+    # same steps, same accumulation order: equal to the last bit
+    rep = verify_trivial_numeric(n, pt_count=2, seed=n)
+    assert (rep.max_abs_bracket, rep.pairs_checked) == _trivial_reference(n, 2, n)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 9)])

@@ -1,10 +1,22 @@
+import functools
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gztower.families import (
+    FamilySpec,
+    build_family,
+    random_rational_matrix,
+    verify_commutes,
+)
 from gztower.poisson import (
     G,
+    LAM,
+    MU,
     U,
     UTILDE,
     AmbientSizeError,
@@ -18,9 +30,38 @@ from gztower.poisson import (
     random_canonical_point,
     u_as_canonical,
     utilde_as_canonical,
+    _gen_bracket,
+    _mono_drop,
+    _mono_mul,
 )
 
 P = PoissonPoly
+
+
+_table = functools.lru_cache(maxsize=None)(_gen_bracket)
+
+
+def _bracket_reference(a, b):
+    """{a, b} by the Leibniz rule over every pair of terms and factors."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            scale = ca * cb
+            for ia, (x, ex) in enumerate(ma):
+                for ib, (y, ey) in enumerate(mb):
+                    table = _table(x, y)
+                    if not table:
+                        continue
+                    rest = _mono_mul(_mono_drop(ma, ia), _mono_drop(mb, ib))
+                    c0 = scale * ex * ey
+                    for coef, z in table:
+                        m = _mono_mul(rest, ((z, 1),))
+                        s = out.get(m, 0) + c0 * coef
+                        if s:
+                            out[m] = s
+                        else:
+                            out.pop(m, None)
+    return PoissonPoly(a.n, out)
 
 
 @st.composite
@@ -233,3 +274,72 @@ def test_differentiate():
     poly = P.u(2, 1, 1) * P.u(2, 1, 1) * P.u(2, 2, 2)
     d = poly.differentiate((U, 1, 1))
     assert d == 2 * (P.u(2, 1, 1) * P.u(2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the packed integer kernel against the term-pair reference
+# ---------------------------------------------------------------------------
+
+def _family(kind, n, seed=None):
+    if kind == "mf":
+        shift = random_rational_matrix(n, np.random.default_rng(seed))
+        return build_family(FamilySpec("mf", n, side="left", shift=shift))
+    return build_family(FamilySpec(kind, n, "both"))
+
+
+@pytest.mark.parametrize("kind, n", [("gz-principal", 2), ("gz-principal", 3),
+                                     ("gz-principal", 4), ("gz-corner", 4),
+                                     ("mf", 3), ("mf", 4)])
+def test_bracket_equals_reference_on_families(kind, n):
+    fam = _family(kind, n, seed=17)
+    for (_, a), (_, b) in itertools.combinations(fam.generators, 2):
+        assert bracket(a, b) == _bracket_reference(a, b)
+
+
+@st.composite
+def rational_polys(draw):
+    """Pairs of polynomials with rational coefficients over every generator kind."""
+    n = draw(st.integers(1, 3))
+
+    def one():
+        poly = P.zero(n)
+        for _ in range(draw(st.integers(0, 4))):
+            term = P.constant(n, Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 6))))
+            for _ in range(draw(st.integers(0, 3))):
+                kind = draw(st.sampled_from([U, UTILDE, G, LAM, MU]))
+                gen = P.generator(n, kind, draw(st.integers(1, n)), draw(st.integers(1, n)))
+                term = term * gen ** draw(st.integers(1, 6))
+            poly = poly + term
+        return poly
+    return one(), one()
+
+
+@given(rational_polys())
+@settings(max_examples=300)
+def test_bracket_equals_reference_on_rational_polys(polys):
+    a, b = polys
+    assert bracket(a, b) == _bracket_reference(a, b)
+
+
+def test_bracket_equals_reference_with_large_exponents():
+    # degrees 40 and 18 give 7-bit slots; exponents of 16 to 20 survive
+    a = P.u(3, 1, 2) ** 17 * P.g(3, 2, 1) ** 3 * P.lam(3) ** 20 + Fraction(1, 3) * P.ut(3, 1, 1)
+    b = P.u(3, 2, 1) ** 16 * P.ut(3, 1, 2) ** 2 - Fraction(2, 7) * P.g(3, 1, 1) ** 18
+    res = bracket(a, b)
+    assert not res.is_zero()
+    assert res == _bracket_reference(a, b)
+    assert max(e for m in res.terms for _, e in m) >= 16
+
+
+def test_broken_family_gives_the_reference_witness():
+    fam = _family("gz-principal", 3)
+    label, poly = fam.generators[1]
+    fam.generators[1] = (label, poly + P.u(3, 1, 2))
+    rep = verify_commutes(fam)
+    brackets = [(la, lb, _bracket_reference(a, b))
+                for (la, a), (lb, b) in itertools.combinations(fam.generators, 2)]
+    nonzero = [(la, lb, r) for la, lb, r in brackets if not r.is_zero()]
+    assert rep.status == "violation" and nonzero
+    la, lb, first = nonzero[0]
+    assert rep.witness == {"labels": [la, lb], "terms": first.term_list()}
+    assert rep.max_nonzero_terms == max(len(r.terms) for _, _, r in nonzero)

@@ -222,6 +222,32 @@ def test_degenerate_lowering_minor_is_rejected():
         build_tower(pt)
 
 
+def test_actions_check_scales_with_the_coefficients():
+    # the A_n coefficients here reach 1.2e5; np.poly of the punctures
+    # misses them by up to 2.7e-7, at most 2.3e-12 of their size
+    pt = sample_orbit([1, 2, 3, 4, 5, 6, 7, 8], seed=3)
+    assert [lv.n for lv in build_tower(pt).levels] == list(range(1, 9))
+
+
+def test_actions_check_rejects_a_relative_error_of_1e_6(monkeypatch):
+    import gztower.tower as tower_mod
+
+    pt = sample_orbit([1, 2, 3, 4, 5, 6, 7, 8], seed=3)
+    exact_roots = tower_mod.roots_polished
+
+    def perturbed_roots(coeffs):
+        # roots of A_8 with its largest coefficient moved by 1e-6 relative
+        if len(coeffs) == 9:
+            coeffs = coeffs.copy()
+            k = int(np.argmax(np.abs(coeffs)))
+            coeffs[k] *= 1 + 1e-6
+        return exact_roots(coeffs)
+
+    monkeypatch.setattr(tower_mod, "roots_polished", perturbed_roots)
+    with pytest.raises(TowerError, match="level 8: actions disagree"):
+        build_tower(pt)
+
+
 def test_tower_json():
     pt = sample_orbit([1.0, -1.0], seed=4)
     data = build_tower(pt).to_json()
