@@ -27,6 +27,7 @@ symbolic algebra in :mod:`gztower.poisson`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,16 +38,16 @@ from .polytools import (
     lambda_minor_det,
     match_points,
     min_pairwise_gap,
-    principal_charpoly,
-    roots_polished,
+    minor_dets,
+    polished_roots,
     sort_points,
 )
 
 __all__ = [
     "OrbitError", "SingularChartError", "RetryExhaustedError", "TrackingError",
     "MinorConvention", "DEFAULT_MINOR_CONVENTION", "OrbitPoint", "GZChart",
-    "OrbitTangent", "sample_orbit", "random_spectrum", "regularity_margin",
-    "lowering_minor_coeffs", "gz_forward", "chart_residuals", "kk_bracket",
+    "OrbitTangent", "LevelData", "level_data", "sample_orbit", "random_spectrum",
+    "regularity_margin", "lowering_minor_coeffs", "gz_forward", "chart_residuals", "kk_bracket",
     "verify_canonical_chart", "ChartCanonicityReport",
     "residue_form_check", "ResidueFormReport",
 ]
@@ -121,18 +122,21 @@ class OrbitPoint:
         return cls(u=dec(data["u"]).reshape(n, n), spectrum=dec(data["spectrum"]))
 
 
+@functools.lru_cache(maxsize=None)
+def _margin_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of the roots of A_1..A_N, in level order, one level apart at most."""
+    level = np.repeat(np.arange(N), np.arange(1, N + 1))
+    i, j = np.triu_indices(len(level), 1)
+    near = level[j] - level[i] <= 1
+    return i[near], j[near]
+
+
 def regularity_margin(u: np.ndarray) -> float:
     """Smallest root separation within and between consecutive A_n."""
-    n = u.shape[0]
-    margin = np.inf
-    prev_roots = None
-    for k in range(1, n + 1):
-        roots = roots_polished(principal_charpoly(u, k))
-        margin = min(margin, min_pairwise_gap(roots))
-        if prev_roots is not None and len(prev_roots):
-            margin = min(margin, min(abs(a - b) for a in roots for b in prev_roots))
-        prev_roots = roots
-    return float(margin)
+    roots = np.concatenate(level_data(u, lowering=False).gamma)
+    i, j = _margin_pairs(u.shape[0])
+    diff = roots[i] - roots[j]
+    return float(np.min(np.hypot(diff.real, diff.imag), initial=np.inf))
 
 
 def random_spectrum(n: int, rng: np.random.Generator, gap: float = 0.35,
@@ -151,9 +155,9 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0,
     """Sample u = h diag(spectrum) h^{-1} with h a random well-conditioned matrix.
 
     Resamples h until the regularity margin of u clears `gap`; raises
-    RetryExhaustedError if the budget runs out, and OrbitError if u or its
-    characteristic minors leave floating-point range (a finite but huge
-    spectrum).
+    RetryExhaustedError if the budget runs out, and OrbitError if u or (in
+    level_data) its characteristic minors leave floating-point range (a
+    finite but huge spectrum).
     """
     spectrum = np.array(spectrum, dtype=complex)
     n = len(spectrum)
@@ -166,11 +170,8 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0,
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             u = h @ np.diag(spectrum) @ np.linalg.inv(h)
-            finite = np.isfinite(u).all() and all(
-                np.isfinite(principal_charpoly(u, k)).all() for k in range(1, n + 1))
-        if not finite:
-            raise OrbitError("spectrum too large: u or its characteristic minors "
-                             "leave floating-point range")
+        if not np.isfinite(u).all():
+            raise OrbitError("spectrum too large: u leaves floating-point range")
         if regularity_margin(u) >= gap:
             return OrbitPoint(u=u, spectrum=sort_points(spectrum))
     raise RetryExhaustedError(f"no regular point after {retries} draws")
@@ -183,16 +184,59 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0,
 def lowering_minor_coeffs(u: np.ndarray, n: int,
                           convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> np.ndarray:
     """Coefficients of C_n(lam) for one level, degree n-1 in lam (0-based u)."""
-    N = u.shape[0]
-    if n >= N:
+    if not 1 <= n < u.shape[0]:
         raise ValueError("the lowering minor needs row/column n+1")
-    if convention.rows_variant:
-        rows = list(range(n - 1)) + [n]
-        cols = list(range(n))
-    else:
-        rows = list(range(n))
-        cols = list(range(n - 1)) + [n]
+    rows, cols = _level_minors(n + 1, convention.rows_variant, True)[-1]
     return convention.sign * lambda_minor_det(u, rows, cols)
+
+
+@dataclass
+class LevelData:
+    """a[n] = A_n (a[0] = [1]) with roots gamma[n-1], n = 1..N; c[n-1] = C_n
+    with roots e[n-1], n = 1..N-1 (both empty without the lowering minors)."""
+
+    a: list[np.ndarray]
+    gamma: list[np.ndarray]
+    c: list[np.ndarray]
+    e: list[np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _level_minors(N: int, rows_variant: bool, lowering: bool) -> tuple:
+    """(rows, cols) of A_1..A_N, then of C_1..C_{N-1} when lowering."""
+    out = [(tuple(range(n)),) * 2 for n in range(1, N + 1)]
+    for n in range(1, N if lowering else 1):
+        shifted, plain = tuple(range(n - 1)) + (n,), tuple(range(n))
+        out.append((shifted, plain) if rows_variant else (plain, shifted))
+    return tuple(out)
+
+
+def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
+               base=None, lowering: bool = True,
+               collision_dist: float | None = None) -> LevelData:
+    """A_1..A_N and, with lowering, C_1..C_{N-1}, with their polished roots.
+
+    One minor_dets and one polished_roots call.  Roots come sorted, or
+    matched to a base (LevelData or GZChart): gamma to base.gamma, with
+    collision_dist, and e to base.e if the base has one.  Raises OrbitError
+    when a minor leaves floating-point range.
+    """
+    N = u.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = minor_dets(u, _level_minors(N, convention.rows_variant, lowering))
+    if not np.isfinite(np.concatenate(coeffs)).all():
+        raise OrbitError("spectrum too large: the characteristic minors of u "
+                         "leave floating-point range")
+
+    def follow(refs, levels, dist=None):
+        return [sort_points(x) if ref is None else match_points(ref, x, dist)
+                for ref, x in zip(refs or [None] * len(levels), levels)]
+
+    roots = polished_roots(coeffs)
+    return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N],
+                     gamma=follow(getattr(base, "gamma", None), roots[:N], collision_dist),
+                     c=[convention.sign * c for c in coeffs[N:]],
+                     e=follow(getattr(base, "e", None), roots[N:]))
 
 
 @dataclass
@@ -224,49 +268,33 @@ def gz_forward(pt: OrbitPoint, convention: MinorConvention = DEFAULT_MINOR_CONVE
     Assumes a regular point (sampled points are; hand-built ones may fail
     with SingularChartError when a denominator degenerates).
     """
-    u = pt.u
-    N = pt.n
-    gammas: list[np.ndarray] = []
-    acoeffs: list[np.ndarray] = [np.array([1.0 + 0j])]  # A_0 = 1
-    for n in range(1, N + 1):
-        coeffs = principal_charpoly(u, n)
-        acoeffs.append(coeffs)
-        gammas.append(sort_points(roots_polished(coeffs)))
+    lv = level_data(pt.u, convention, lowering=compute_theta)
     thetas: list[np.ndarray] = []
-    if compute_theta:
-        for n in range(1, N):
-            c_coeffs = lowering_minor_coeffs(u, n, convention)
-            level = np.zeros(n, dtype=complex)
-            for j, g in enumerate(gammas[n - 1]):
-                cval = np.polyval(c_coeffs, g)
-                aval = np.polyval(acoeffs[n - 1], g)
-                if abs(cval) < floor or abs(aval) < floor:
-                    raise SingularChartError(
-                        f"level {n} angle denominators below {floor}")
-                level[j] = np.log(-cval / aval)
-            thetas.append(level)
-    return GZChart(gamma=gammas, theta=thetas, convention=convention)
+    for n, (g, c) in enumerate(zip(lv.gamma, lv.c), start=1):
+        cval, aval = np.polyval(c, g), np.polyval(lv.a[n - 1], g)
+        if min(np.min(np.abs(cval)), np.min(np.abs(aval))) < floor:
+            raise SingularChartError(f"level {n} angle denominators below {floor}")
+        thetas.append(np.log(-cval / aval))
+    return GZChart(gamma=lv.gamma, theta=thetas, convention=convention)
 
 
-def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
+def chart_residuals(chart: GZChart, pt: OrbitPoint,
+                    relative: bool = False) -> tuple[float, float]:
     """Self-consistency residuals of the chart against the minors of u.
 
     Returns (max |poly(gamma) - A_n| coefficientwise,
-             max |C_n(gamma) + A_{n-1}(gamma) e^theta|).
+             max |C_n(gamma) + A_{n-1}(gamma) e^theta|).  With relative=True
+    each level's deviation is divided by its scale, max(1, max|a_n|) and
+    max(1, max|A_{n-1}(gamma) e^theta|): the A_n coefficients grow like n!.
     """
-    u = pt.u
-    res_a = 0.0
-    for n in range(1, pt.n + 1):
-        rebuilt = np.poly(chart.gamma[n - 1]) if n > 0 else np.array([1.0])
-        res_a = max(res_a, float(np.max(np.abs(rebuilt - principal_charpoly(u, n)))))
+    lv = level_data(pt.u, chart.convention)
+    scale = (lambda x: max(1.0, float(np.max(np.abs(x))))) if relative else (lambda x: 1.0)
+    res_a = max(float(np.max(np.abs(np.poly(g) - a))) / scale(a)
+                for g, a in zip(chart.gamma, lv.a[1:]))
     res_c = 0.0
-    for n in range(1, pt.n):
-        c_coeffs = lowering_minor_coeffs(u, n, chart.convention)
-        a_prev = principal_charpoly(u, n - 1) if n > 1 else np.array([1.0 + 0j])
-        for j, g in enumerate(chart.gamma[n - 1]):
-            lhs = np.polyval(c_coeffs, g)
-            rhs = -np.polyval(a_prev, g) * np.exp(chart.theta[n - 1][j])
-            res_c = max(res_c, abs(lhs - rhs))
+    for n, (g, c, theta) in enumerate(zip(chart.gamma, lv.c, chart.theta), start=1):
+        rhs = -np.polyval(lv.a[n - 1], g) * np.exp(theta)
+        res_c = max(res_c, float(np.max(np.abs(np.polyval(c, g) - rhs))) / scale(rhs))
     return res_a, res_c
 
 
@@ -274,51 +302,50 @@ def _matched_chart_values(u: np.ndarray, base: GZChart,
                           convention: MinorConvention,
                           collision_dist: float) -> dict[tuple, complex]:
     """Chart functions at a nearby u, tracked against the base chart."""
-    N = base.n
+    lv = level_data(u, convention, base=base, collision_dist=collision_dist)
     out: dict[tuple, complex] = {}
-    acoeffs = [np.array([1.0 + 0j])]
-    matched_gammas = []
-    for n in range(1, N + 1):
-        coeffs = principal_charpoly(u, n)
-        acoeffs.append(coeffs)
-        roots = match_points(base.gamma[n - 1], roots_polished(coeffs),
-                             collision_dist=collision_dist)
-        matched_gammas.append(roots)
+    for n, roots in enumerate(lv.gamma, start=1):
         for j, g in enumerate(roots):
             out[("gamma", n, j + 1)] = g
-    for n in range(1, N):
-        c_coeffs = lowering_minor_coeffs(u, n, convention)
-        for j, g in enumerate(matched_gammas[n - 1]):
-            val = np.log(-np.polyval(c_coeffs, g) / np.polyval(acoeffs[n - 1], g))
-            ref = base.theta[n - 1][j]
-            # branch continuity: shift by the multiple of 2*pi*i nearest the base
-            k = np.round((ref - val).imag / (2.0 * np.pi))
-            out[("theta", n, j + 1)] = val + 2j * np.pi * k
+    for n, (g, c, ref) in enumerate(zip(lv.gamma, lv.c, base.theta), start=1):
+        val = np.log(-np.polyval(c, g) / np.polyval(lv.a[n - 1], g))
+        # branch continuity: shift by the multiple of 2*pi*i nearest the base
+        val = val + 2j * np.pi * np.round((ref - val).imag / (2.0 * np.pi))
+        for j, v in enumerate(val):
+            out[("theta", n, j + 1)] = v
     return out
 
 
-def _numeric_gradient(f: Callable[[np.ndarray], complex], u: np.ndarray,
-                      step: float) -> np.ndarray:
+def _central_gradients(f: Callable[[np.ndarray], dict], u: np.ndarray,
+                       step: float) -> dict:
+    """Central differences d/du[a, b] of each value of f(u), a dict; step * max(1, |u[a, b]|)."""
     n = u.shape[0]
-    grad = np.zeros((n, n), dtype=complex)
+    grads: dict = {}
     for a in range(n):
         for b in range(n):
             h = step * max(1.0, abs(u[a, b]))
             up, um = u.copy(), u.copy()
             up[a, b] += h
             um[a, b] -= h
-            grad[a, b] = (f(up) - f(um)) / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise ArithmeticError("non-finite derivative encountered")
-    return grad
+            plus, minus = f(up), f(um)
+            for key, val in plus.items():
+                grads.setdefault(key, np.zeros((n, n), dtype=complex))[a, b] = \
+                    (val - minus[key]) / (2.0 * h)
+    return grads
 
 
 def kk_bracket(f: Callable[[np.ndarray], complex],
                h: Callable[[np.ndarray], complex],
                u: np.ndarray, step: float = 1e-5) -> complex:
     """Kirillov-Kostant bracket {f, h}(u) = tr(u [grad h, grad f])."""
-    gf = _numeric_gradient(f, u, step).T
-    gh = _numeric_gradient(h, u, step).T
+    grads = _central_gradients(lambda v: {"f": f(v), "h": h(v)}, u, step)
+    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        raise ArithmeticError("non-finite derivative encountered")
+    return _kk(u, grads["f"].T, grads["h"].T)
+
+
+def _kk(u: np.ndarray, gf: np.ndarray, gh: np.ndarray) -> complex:
+    """{f, h}(u) = tr(u [gh, gf]) from gf, gh with [i,j] = dF/du[j,i]."""
     return complex(np.trace(u @ (gh @ gf - gf @ gh)))
 
 
@@ -326,23 +353,9 @@ def _chart_gradients(pt: OrbitPoint, convention: MinorConvention,
                      step: float) -> tuple[list[tuple], dict[tuple, np.ndarray]]:
     """Gradients of every chart function with respect to the entries of u."""
     base = gz_forward(pt, convention=convention)
-    u = pt.u
-    N = pt.n
-    collision = 10.0 * step
-    names = [("gamma", n, j + 1) for n in range(1, N + 1) for j in range(n)]
-    names += [("theta", n, j + 1) for n in range(1, N) for j in range(n)]
-    grads = {name: np.zeros((N, N), dtype=complex) for name in names}
-    for a in range(N):
-        for b in range(N):
-            h = step * max(1.0, abs(u[a, b]))
-            vals = []
-            for sgn in (1.0, -1.0):
-                u2 = u.copy()
-                u2[a, b] += sgn * h
-                vals.append(_matched_chart_values(u2, base, convention, collision))
-            for name in names:
-                grads[name][a, b] = (vals[0][name] - vals[1][name]) / (2.0 * h)
-    return names, grads
+    grads = _central_gradients(
+        lambda u: _matched_chart_values(u, base, convention, 10.0 * step), pt.u, step)
+    return list(grads), grads
 
 
 @dataclass
@@ -381,12 +394,6 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention,
     names, grads = _chart_gradients(pt, convention, step)
     u = pt.u
     N = pt.n
-
-    def kk(na, nb):
-        gf = grads[na].T
-        gh = grads[nb].T
-        return complex(np.trace(u @ (gh @ gf - gf @ gh)))
-
     worst = 0.0
     casimir = 0.0
     table: dict[str, complex] = {}
@@ -394,7 +401,7 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention,
     casimir_names = [nm for nm in names if nm[0] == "gamma" and nm[1] == N]
     for ia, na in enumerate(chart_names):
         for nb in chart_names[ia:]:
-            val = kk(na, nb)
+            val = _kk(u, grads[na].T, grads[nb].T)
             table[f"{_name_str(na)}|{_name_str(nb)}"] = val
             expected = 0.0
             if (na[0], nb[0]) == ("theta", "gamma") and na[1:] == nb[1:]:
@@ -404,7 +411,7 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention,
             worst = max(worst, abs(val - expected))
     for nc in casimir_names:
         for nb in names:
-            val = kk(nc, nb)
+            val = _kk(u, grads[nc].T, grads[nb].T)
             table[f"{_name_str(nc)}|{_name_str(nb)}"] = val
             casimir = max(casimir, abs(val))
     return worst, casimir, table
@@ -485,40 +492,25 @@ class ResidueFormReport:
 
 
 def _tangent_chart_data(pt: OrbitPoint, xi: np.ndarray, step: float,
-                        convention: MinorConvention,
-                        base_gammas, base_es, base_a, base_c) -> dict:
+                        convention: MinorConvention, base: LevelData) -> dict:
     """Directional derivatives of roots and log-minors along one tangent."""
     u = pt.u
     N = pt.n
     h = step * max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(xi)))
-    sides = []
-    for sgn in (1.0, -1.0):
-        u2 = u + sgn * h * xi
-        a = [np.array([1.0 + 0j])] + [principal_charpoly(u2, n) for n in range(1, N + 1)]
-        c = [lowering_minor_coeffs(u2, n, convention) for n in range(1, N)]
-        gam = [match_points(base_gammas[n - 1], roots_polished(a[n]))
-               for n in range(1, N + 1)]
-        es = [match_points(base_es[n - 1], roots_polished(c[n - 1]))
-              for n in range(1, N)]
-        sides.append((a, c, gam, es))
-    (ap, cp, gp, ep), (am, cm, gm, em) = sides
+    p, m = (level_data(u + sgn * h * xi, convention, base=base) for sgn in (1.0, -1.0))
 
-    dgamma = [(gp[n] - gm[n]) / (2 * h) for n in range(N)]
-    de = [(ep[n] - em[n]) / (2 * h) for n in range(N - 1)]
+    def dlog(plus, minus, at, z):
+        return (np.polyval(plus, z) - np.polyval(minus, z)) / (2 * h * np.polyval(at, z))
 
-    def dlog_a(n, lam_points):
-        return np.array([(np.polyval(ap[n], z) - np.polyval(am[n], z))
-                         / (2 * h * np.polyval(base_a[n], z)) for z in lam_points])
-
-    def dlog_c(n, lam_points):
-        return np.array([(np.polyval(cp[n - 1], z) - np.polyval(cm[n - 1], z))
-                         / (2 * h * np.polyval(base_c[n - 1], z)) for z in lam_points])
-
-    data = {"dgamma": dgamma, "de": de}
-    data["la_at_e"] = [dlog_a(n, base_es[n - 1]) for n in range(1, N)]
-    data["lc_at_gamma"] = [dlog_c(n, base_gammas[n - 1]) for n in range(1, N)]
-    data["la_at_gamma_prev"] = [dlog_a(n, base_gammas[n - 2]) for n in range(2, N)]
-    return data
+    return {
+        "dgamma": [(gp - gm) / (2 * h) for gp, gm in zip(p.gamma, m.gamma)],
+        "de": [(ep - em) / (2 * h) for ep, em in zip(p.e, m.e)],
+        "la_at_e": [dlog(p.a[n], m.a[n], base.a[n], base.e[n - 1]) for n in range(1, N)],
+        "lc_at_gamma": [dlog(p.c[n - 1], m.c[n - 1], base.c[n - 1], base.gamma[n - 1])
+                        for n in range(1, N)],
+        "la_at_gamma_prev": [dlog(p.a[n], m.a[n], base.a[n], base.gamma[n - 2])
+                             for n in range(2, N)],
+    }
 
 
 def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTangent]],
@@ -535,18 +527,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     """
     u = pt.u
     N = pt.n
-    base_gammas = []
-    base_a = [np.array([1.0 + 0j])]
-    base_c = []
-    for n in range(1, N + 1):
-        coeffs = principal_charpoly(u, n)
-        base_a.append(coeffs)
-        base_gammas.append(sort_points(roots_polished(coeffs)))
-    base_es = []
-    for n in range(1, N):
-        cc = lowering_minor_coeffs(u, n, convention)
-        base_c.append(cc)
-        base_es.append(sort_points(roots_polished(cc)))
+    base = level_data(u, convention)
 
     # sign pairs ordered so that ties (term2 vanishing at N=2) resolve to the
     # same variant that wins uniquely for N >= 3
@@ -557,11 +538,9 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
 
     for tx, ty in pairs:
         xix, xiy = tx.vector(u), ty.vector(u)
-        dx = _tangent_chart_data(pt, xix, step, convention,
-                                 base_gammas, base_es, base_a, base_c)
-        dy = _tangent_chart_data(pt, xiy, step, convention,
-                                 base_gammas, base_es, base_a, base_c)
-        kk_value = complex(np.trace(u @ (tx.x @ ty.x - ty.x @ tx.x)))
+        dx = _tangent_chart_data(pt, xix, step, convention, base)
+        dy = _tangent_chart_data(pt, xiy, step, convention, base)
+        kk_value = _kk(u, ty.x, tx.x)
 
         t1_c = 0j
         t1_a = 0j

@@ -12,8 +12,9 @@ import itertools
 import numpy as np
 
 __all__ = [
-    "lambda_minor_det", "principal_charpoly", "roots_polished",
-    "sort_points", "match_points", "min_pairwise_gap", "TrackingError",
+    "lambda_minor_det", "minor_dets", "principal_charpoly", "roots_polished",
+    "polished_roots", "sort_points", "match_points", "min_pairwise_gap",
+    "TrackingError",
 ]
 
 
@@ -21,54 +22,126 @@ class TrackingError(RuntimeError):
     """Root tracking between nearby configurations is ambiguous."""
 
 
-def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
-    """Coefficients of det of the (lam*Id - u) submatrix on rows x cols.
+@functools.lru_cache(maxsize=256)
+def _minor_tables(n: int, minors: tuple) -> tuple:
+    """Gathers into [u.ravel(), 0, 1, -1] that evaluate `minors` in one stack.
 
-    lam sits where the global row and column agree: the minor is
-    det(lam*P - S), P[i, j] = [rows[i] == cols[j]], S = u[rows, cols], of
-    degree <= d = P.sum().  One batched det evaluates it at r*w**j, j = 0..d,
-    w = exp(2*pi*i/(d+1)), and an FFT interpolates.  r follows the roots as
-    u scales: it is the spectral radius of S11 - S12 S22^+ S21 (S11 carries
-    lam, S22 does not, ^+ is the pseudo-inverse), or 1.0 if that is 0.
-    Always returns exactly d+1 coefficients, highest first; the leading one
-    is 0 (up to round-off) when the degree drops below d.
+    Per minor: S11, S12, S22, S21, its blocks with and without lam (S22
+    padded by an identity, S12 and S21 by zeros).  Per evaluation point:
+    S with a -1 tail, where lam sits, the minor, the root of unity.  Per
+    coefficient: the inverse DFT and the power of lam; per minor its slice.
     """
+    zero, one, minus = n * n, n * n + 1, n * n + 2
+    lam_at = [np.equal.outer(rows, cols) for rows, cols in minors]
+    D = max(1, max(P.sum() for P in lam_at))
+    s = max(1, max(len(P) - P.sum() for P in lam_at))
+    s11, s12 = np.full((len(minors), D, D), zero), np.full((len(minors), D, s), zero)
+    s21, s22 = np.full((len(minors), s, D), zero), np.full((len(minors), s, s), zero)
+    s22[:, range(s), range(s)] = one
+    gather, lam, owner, bounds = [], [], [], []
+    for m, ((rows, cols), P) in enumerate(zip(minors, lam_at)):
+        k, d = len(rows), int(P.sum())
+        i, j = np.nonzero(P)        # lam sits on the diagonal of S[i, j]
+        ro, co = np.flatnonzero(~P.any(axis=1)), np.flatnonzero(~P.any(axis=0))
+        flat = np.add.outer(np.multiply(rows, n), cols)
+        s11[m, :d, :d], s22[m, :k - d, :k - d] = flat[np.ix_(i, j)], flat[np.ix_(ro, co)]
+        s12[m, :d, :k - d], s21[m, :k - d, :d] = flat[np.ix_(i, co)], flat[np.ix_(ro, j)]
+        g, p = np.full((n, n), zero), np.zeros((n, n))
+        g[:k, :k], g[range(k, n), range(k, n)], p[:k, :k] = flat, minus, P
+        gather += [g] * (d + 1)
+        lam += [p] * (d + 1)
+        owner += [m] * (d + 1)
+        bounds.append((len(owner) - d - 1, len(owner)))
+    T = len(owner)
+    dft, local, size = np.zeros((T, T), dtype=complex), np.zeros(T), np.zeros(T)
+    for a, b in bounds:
+        j = np.arange(b - a)
+        local[a:b], size[a:b] = j, b - a
+        dft[a:b, a:b] = np.exp(-2j * np.pi * np.outer(j[::-1], j) / (b - a)) / (b - a)
+    return (s11, s12, s22, s21, np.array(gather), np.array(lam), np.array(owner),
+            np.exp(2j * np.pi * local / size), dft, size - 1 - local, tuple(bounds))
+
+
+def minor_dets(u: np.ndarray, minors: tuple) -> list[np.ndarray]:
+    """Coefficients of every lambda-minor in `minors`, (rows, cols) tuples.
+
+    Minor m is det(lam*P - S), P[i, j] = [rows[i] == cols[j]], S = u[rows,
+    cols], of degree <= d = P.sum().  Padded to n x n by an identity tail,
+    it is evaluated at its own d+1 points r*w**j, w = exp(2*pi*i/(d+1)), in
+    one stacked det, and interpolated by one block-diagonal inverse DFT.  r
+    follows the roots as u scales: the spectral radius of S11 - S12 S22^+ S21
+    (S11 carries lam, S22 not, ^+ the pseudo-inverse; one stacked eigvals),
+    or 1.0 if that is 0.  Each minor gets d+1 coefficients, highest first;
+    the leading one is 0 up to round-off when the degree drops below d.
+    """
+    u = np.asarray(u, dtype=complex)
+    s11, s12, s22, s21, gather, lam, owner, omega, dft, power, bounds = \
+        _minor_tables(u.shape[0], minors)
+    ext = np.append(u.ravel(), (0, 1, -1))
+    s22 = ext[s22]      # the pseudo-inverse of a scalar needs no SVD
+    s22 = (np.divide(1.0, s22, out=np.zeros_like(s22), where=s22 != 0)
+           if s22.shape[-1] == 1 else np.linalg.pinv(s22))
+    r = np.max(np.abs(np.linalg.eigvals(ext[s11] - ext[s12] @ (s22 @ ext[s21]))), axis=1)
+    r[r == 0] = 1.0
+    mats = (r[owner] * omega)[:, None, None] * lam - ext[gather]
+    coeffs = (dft @ np.linalg.det(mats)) / r[owner] ** power
+    return [coeffs[a:b] for a, b in bounds]
+
+
+def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
+    """Coefficients of det of the (lam*Id - u) submatrix on rows x cols
+    (lam where the global row and column agree), d+1 of them; see minor_dets."""
     assert len(cols) == len(rows) >= 1
-    sub = np.asarray(u, dtype=complex)[np.ix_(rows, cols)]
-    P = np.equal.outer(rows, cols)
-    d = int(P.sum())
-    i, j = np.nonzero(P)
-    blk = sub[np.ix_(i, j)]
-    if d < len(rows):
-        ro, co = ~P.any(axis=1), ~P.any(axis=0)
-        blk = blk - sub[np.ix_(i, co)] @ np.linalg.lstsq(
-            sub[np.ix_(ro, co)], sub[np.ix_(ro, j)])[0]
-    r = float(np.max(np.abs(np.linalg.eigvals(blk)), initial=0.0)) or 1.0
-    lam = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    vals = np.linalg.det(lam[:, None, None] * P - sub)
-    return (np.fft.fft(vals) / (d + 1) / r ** np.arange(d + 1))[::-1]
+    return minor_dets(u, ((tuple(rows), tuple(cols)),))[0]
 
 
 def principal_charpoly(u: np.ndarray, k: int) -> np.ndarray:
     """Characteristic polynomial of the top-left k x k block, monic."""
-    idx = list(range(k))
-    return lambda_minor_det(u, idx, idx)
+    return lambda_minor_det(u, range(k), range(k))
+
+
+def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
+    """Roots of every polynomial in `polys`, refined by a few Newton steps.
+
+    Exact leading zeros drop, as in numpy.roots.  Companion eigenvalues come
+    from one stacked eigvals per degree above 1; then all roots take the same
+    Newton steps at once, Horner's rule on zero-padded coefficients.
+    """
+    L = max([2, *map(len, polys)])
+    C = np.zeros((len(polys), L), dtype=complex)
+    for row, p in zip(C, polys):
+        row[L - len(p):] = p
+    nonzero = C != 0
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(np.where(nonzero.any(axis=1), L - 1 - nonzero.argmax(axis=1), 0)):
+        if g:
+            groups.setdefault(int(g), []).append(i)
+    roots, owner = [np.zeros(0, dtype=complex)], []
+    for g, sel in groups.items():
+        comp = -C[sel, L - g:] / C[sel, L - g - 1, None]    # top companion rows
+        if g > 1:
+            comp = np.linalg.eigvals(np.concatenate(
+                (comp[:, None], np.eye(g - 1, g)[None].repeat(len(sel), 0)), axis=1))
+        roots.append(comp.ravel())
+        owner += [i for i in sel for _ in range(g)]
+    roots = np.concatenate(roots)
+    deriv = np.zeros_like(C)
+    deriv[:, 1:] = C[:, :-1] * np.arange(L - 1, 0, -1)
+    horner = np.ascontiguousarray(np.stack((C, deriv))[:, owner].transpose(2, 0, 1))
+    for _ in range(iters):
+        vals, dvals = functools.reduce(lambda y, col: y * roots + col, horner, 0j)
+        roots = roots - np.divide(vals, dvals, out=np.zeros_like(vals),
+                                  where=np.abs(dvals) > 1e-300)
+    out, at = [np.zeros(0, dtype=complex)] * len(polys), 0
+    for g, sel in groups.items():
+        for i in sel:
+            out[i], at = roots[at:at + g], at + g
+    return out
 
 
 def roots_polished(coeffs: np.ndarray, iters: int = 6) -> np.ndarray:
     """Companion-matrix roots refined by a few Newton steps."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if len(coeffs) <= 1:
-        return np.zeros(0, dtype=complex)
-    roots = np.roots(coeffs)
-    deriv = np.polyder(coeffs)
-    for _ in range(iters):
-        vals = np.polyval(coeffs, roots)
-        dvals = np.polyval(deriv, roots)
-        safe = np.abs(dvals) > 1e-300
-        step = np.where(safe, vals / np.where(safe, dvals, 1.0), 0.0)
-        roots = roots - step
-    return roots
+    return polished_roots([coeffs], iters)[0]
 
 
 def sort_points(points: np.ndarray) -> np.ndarray:
@@ -77,9 +150,17 @@ def sort_points(points: np.ndarray) -> np.ndarray:
 
 
 def min_pairwise_gap(points: np.ndarray) -> float:
+    """Smallest |a - b| over distinct entries a, b; inf for fewer than two.
+
+    hypot, unlike np.abs on a complex array, rounds like abs() of a scalar.
+    """
+    points = np.asarray(points, dtype=complex)
     if len(points) < 2:
         return np.inf
-    return min(abs(a - b) for a, b in itertools.combinations(points, 2))
+    diff = np.subtract.outer(points, points)
+    gaps = np.hypot(diff.real, diff.imag)
+    np.fill_diagonal(gaps, np.inf)
+    return np.min(gaps)
 
 
 @functools.lru_cache(maxsize=None)

@@ -38,16 +38,12 @@ from .orbits import (
     DEFAULT_MINOR_CONVENTION,
     MinorConvention,
     OrbitPoint,
-    lowering_minor_coeffs,
+    _central_gradients,
+    _kk,
+    level_data,
     regularity_margin,
 )
-from .polytools import (
-    match_points,
-    min_pairwise_gap,
-    principal_charpoly,
-    roots_polished,
-    sort_points,
-)
+from .polytools import min_pairwise_gap, principal_charpoly
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "BranchJumpError",
@@ -342,49 +338,34 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
     lam0 = complex(lam0)
     levels: list[TowerLevel] = []
     zero_section: dict[int, list[complex]] = {}
-    gammas: list[np.ndarray] = []
+    lv = level_data(u, convention)
     for n in range(1, N + 1):
-        acoeffs = principal_charpoly(u, n)
-        gamma = sort_points(roots_polished(acoeffs))
-        gammas.append(gamma)
-        h = acoeffs[1:]
-        sym = np.poly(gamma)
+        acoeffs, gamma = lv.a[n], lv.gamma[n - 1]
         # relative to the coefficient scale: the A_n coefficients grow like n!
-        if np.max(np.abs(sym - acoeffs)) > 1e-10 * max(1.0, np.max(np.abs(acoeffs))):
+        if np.max(np.abs(np.poly(gamma) - acoeffs)) > 1e-10 * max(1.0, np.max(np.abs(acoeffs))):
             raise TowerError(f"level {n}: actions disagree with the "
                              "elementary symmetric functions of the punctures")
         if n < N:
-            ccoeffs = lowering_minor_coeffs(u, n, convention)
-            lead = complex(ccoeffs[0])
+            lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
             if abs(lead) < 1e-10:
                 raise TowerError(f"level {n}: lowering minor degenerates")
-            e_pts = sort_points(roots_polished(ccoeffs))
-            if len(e_pts) and min(abs(ei - gj) for ei in e_pts for gj in gamma) < separation_floor:
+            if np.min(np.abs(np.subtract.outer(e_pts, gamma)), initial=np.inf) < separation_floor:
                 raise TowerError(f"level {n}: divisor point collides with a puncture")
-            res = angle_variables(gamma, e_pts, gammas[n - 2] if n >= 2 else [],
+            res = angle_variables(gamma, e_pts, lv.gamma[n - 2] if n >= 2 else [],
                                   lam0, leading_coeff=lead, augment=augment,
                                   deflect_radius=deflect_radius)
             tau, tau_lit = res.tau, res.tau_literal
         else:
-            e_pts = np.zeros(0, dtype=complex)
-            lead = None
-            tau, tau_lit = [], []
+            e_pts, lead, tau, tau_lit = np.zeros(0, dtype=complex), None, [], []
         levels.append(TowerLevel(
-            n=n, gamma=gamma, h=h, e=np.asarray(e_pts, dtype=complex),
+            n=n, gamma=gamma, h=acoeffs[1:], e=np.asarray(e_pts, dtype=complex),
             tau=tau, tau_literal=tau_lit, base_point=lam0,
             leading_coeff=lead, jacobian=[complex(np.exp(t)) for t in tau]))
         if n >= 2:
-            diffs = differentials(gamma)
-            section = []
-            for k in range(1, n + 1):
-                column = diffs.residue_column(k - 1)
-                total = 0j
-                for z in gammas[n - 2]:
-                    d = path_log_increments(lam0, complex(z), list(gamma),
-                                            radius=deflect_radius)
-                    total += sum(r * dl for r, dl in zip(column, d))
-                section.append(total)
-            zero_section[n] = section
+            logs = [path_log_increments(lam0, complex(z), list(gamma), radius=deflect_radius)
+                    for z in lv.gamma[n - 2]]
+            zero_section[n] = [sum((sum(r * dl for r, dl in zip(column, d)) for d in logs), 0j)
+                               for column in zip(*differentials(gamma).residues)]
     return TowerDescriptor(levels=levels, zero_section=zero_section,
                            convention=convention.label(), base_point=lam0)
 
@@ -477,59 +458,29 @@ class _TauTracker:
         self.convention = convention
         self.lam0 = complex(lam0)
         self.radius = deflect_radius
-        self.gamma: list[np.ndarray] = []
-        self.e: list[np.ndarray] = []
-        self.lead: list[complex] = []
-        self.aug_log: list[complex] = []
-        self.tau: dict[tuple[int, int], complex] = {}
-        self._init_state(u0)
-
-    def _init_state(self, u0: np.ndarray) -> None:
-        N = self.N
-        for n in range(1, N + 1):
-            self.gamma.append(sort_points(roots_polished(principal_charpoly(u0, n))))
-        for n in range(1, N):
-            ccoeffs = lowering_minor_coeffs(u0, n, self.convention)
-            self.e.append(sort_points(roots_polished(ccoeffs)))
-            self.lead.append(complex(ccoeffs[0]))
-            self.aug_log.append(complex(np.log(complex(ccoeffs[0]))))
-        taus, _, _, _, _, _ = self.values_near(u0)
-        self.tau = taus
+        self.state = level_data(u0, convention)
+        self.aug_log = [complex(np.log(complex(c[0]))) for c in self.state.c]
+        self.tau: dict[tuple[int, int], complex] = self.values_near(u0)[0]
 
     def values_near(self, u: np.ndarray):
-        """(tau, h, gammas, es, leads, aug_logs) at u, matched to the state."""
-        N = self.N
+        """(tau, h, level data, aug_logs) at u, matched to the state."""
+        lv = level_data(u, self.convention, base=self.state)
+        hs = {(n, k): complex(lv.a[n][k]) for n in range(1, self.N + 1)
+              for k in range(1, n + 1)}
+        aug_logs = [aug + complex(np.log(complex(c[0]) / complex(c0[0])))
+                    for aug, c, c0 in zip(self.aug_log, lv.c, self.state.c)]
         taus: dict[tuple[int, int], complex] = {}
-        hs: dict[tuple[int, int], complex] = {}
-        gammas = []
-        for n in range(1, N + 1):
-            acoeffs = principal_charpoly(u, n)
-            gammas.append(match_points(self.gamma[n - 1], roots_polished(acoeffs)))
-            for k in range(1, n + 1):
-                hs[(n, k)] = complex(acoeffs[k])
-        es = []
-        leads = []
-        aug_logs = []
-        for n in range(1, N):
-            ccoeffs = lowering_minor_coeffs(u, n, self.convention)
-            lead = complex(ccoeffs[0])
-            es.append(match_points(self.e[n - 1], roots_polished(ccoeffs)))
-            leads.append(lead)
-            aug_logs.append(self.aug_log[n - 1] + complex(np.log(lead / self.lead[n - 1])))
-            res = angle_variables(gammas[n - 1], es[n - 1],
-                                  gammas[n - 2] if n >= 2 else [],
-                                  self.lam0, augment=False,
-                                  deflect_radius=self.radius)
-            for k in range(1, n + 1):
-                val = res.tau_literal[k - 1]
-                if k == 1:
-                    val = val + aug_logs[n - 1]
-                taus[(n, k)] = val
-        return taus, hs, gammas, es, leads, aug_logs
+        for n in range(1, self.N):
+            res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
+                                  lv.gamma[n - 2] if n >= 2 else [], self.lam0,
+                                  augment=False, deflect_radius=self.radius)
+            for k, val in enumerate(res.tau_literal, start=1):
+                taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
+        return taus, hs, lv, aug_logs
 
     def step(self, u: np.ndarray) -> tuple[dict, dict, dict]:
         """Advance to u; returns (tau values, h values, branch flags)."""
-        taus, hs, gammas, es, leads, aug_logs = self.values_near(u)
+        taus, hs, lv, aug_logs = self.values_near(u)
         flags: dict[int, bool] = {n: False for n in range(1, self.N)}
         for (n, k), val in taus.items():
             jump = abs(val - self.tau[(n, k)]) if self.tau else 0.0
@@ -537,8 +488,7 @@ class _TauTracker:
                 raise BranchJumpError(
                     f"tau[{n},{k}] jumped by {jump:.3f} between samples")
             flags[n] = flags[n] or jump > np.pi / 2.0
-        self.gamma, self.e, self.lead, self.aug_log, self.tau = \
-            gammas, es, leads, aug_logs, taus
+        self.state, self.aug_log, self.tau = lv, aug_logs, taus
         return taus, hs, flags
 
 
@@ -613,23 +563,9 @@ def action_angle_bracket_table(pt: OrbitPoint,
     tracker = _TauTracker(u, convention, lam0)
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
 
-    tau_grad = {key: np.zeros((N, N), dtype=complex) for key in keys}
-    for a in range(N):
-        for b in range(N):
-            h = step * max(1.0, abs(u[a, b]))
-            vals = []
-            for sgn in (1.0, -1.0):
-                u2 = u.copy()
-                u2[a, b] += sgn * h
-                vals.append(tracker.values_near(u2)[0])
-            for key in keys:
-                tau_grad[key][a, b] = (vals[0][key] - vals[1][key]) / (2.0 * h)
-
+    tau_grad = _central_gradients(lambda v: tracker.values_near(v)[0], u, step)
     h_nabla = {key: action_gradient(u, key) for key in keys}
     tau_nabla = {key: tau_grad[key].T for key in keys}
-
-    def kk(nab_f, nab_h):
-        return complex(np.trace(u @ (nab_h @ nab_f - nab_f @ nab_h)))
 
     h_tau = {}
     h_h = {}
@@ -637,7 +573,7 @@ def action_angle_bracket_table(pt: OrbitPoint,
     worst = 0.0
     for ka in keys:
         for kb in keys:
-            val = kk(h_nabla[ka], tau_nabla[kb])
+            val = _kk(u, h_nabla[ka], tau_nabla[kb])
             h_tau[(ka, kb)] = val
             expected = 1.0 if ka == kb else 0.0
             if ka[0] >= 2 and kb[0] >= 2:
@@ -647,7 +583,7 @@ def action_angle_bracket_table(pt: OrbitPoint,
         for kb in keys:
             if kb <= ka:
                 continue
-            val = kk(h_nabla[ka], h_nabla[kb])
+            val = _kk(u, h_nabla[ka], h_nabla[kb])
             h_h[(ka, kb)] = val
             if ka[0] >= 2 and kb[0] >= 2:
                 worst = max(worst, abs(val))

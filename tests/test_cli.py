@@ -96,6 +96,18 @@ def test_orbit_n8_integer_spectrum_builds_every_level(capsys):
     assert [lv["n"] for lv in report["tower"]["levels"]] == list(range(1, 9))
 
 
+def test_orbit_n8_chart_residuals_are_relative_to_the_coefficients(capsys):
+    # np.poly(gamma) misses A_n by 2.7e-7 absolute, 2.3e-12 of coefficients
+    # of size 1e5, and the angle relation misses by 3e-8 of values near 1e8;
+    # the other sections of this report may still be violations
+    _, out, _ = run_cli(capsys, "orbit", "--n", "8",
+                        "--spectrum", "1,2,3,4,5,6,7,8", "--seed", "3")
+    residuals = parse_report(out)["chart_residuals"]
+    assert residuals["status"] == "ok"
+    assert residuals["tolerance"] == 1e-9
+    assert max(residuals["minor_coefficients"], residuals["angle_relation"]) < 1e-9
+
+
 def test_orbit_repeated_spectrum_is_config_error(capsys):
     code, _, err = run_cli(capsys, "orbit", "--n", "3", "--spectrum", "1,1,3")
     assert code == 2

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from gztower.orbits import random_spectrum, sample_orbit
-from gztower.polytools import lambda_minor_det, match_points, roots_polished
+from gztower.polytools import (
+    lambda_minor_det,
+    match_points,
+    min_pairwise_gap,
+    polished_roots,
+    roots_polished,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +52,24 @@ def _match_loop(base, new):
         if cost < best_cost:
             best, best_cost = perm, cost
     return new[list(best)]
+
+
+def _roots_reference(coeffs, iters=6):
+    """numpy.roots, then Newton steps with numpy.polyval, one polynomial."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    roots = np.roots(coeffs) if len(coeffs) > 1 else np.zeros(0, dtype=complex)
+    deriv = np.polyder(coeffs)
+    for _ in range(iters):
+        vals, dvals = np.polyval(coeffs, roots), np.polyval(deriv, roots)
+        safe = np.abs(dvals) > 1e-300
+        roots = roots - np.where(safe, vals / np.where(safe, dvals, 1.0), 0.0)
+    return roots
+
+
+def _gap_loop(points):
+    if len(points) < 2:
+        return np.inf
+    return min(abs(a - b) for a, b in itertools.combinations(points, 2))
 
 
 def _level_minors(N):
@@ -116,3 +140,36 @@ def test_match_points_is_the_exhaustive_minimum(k):
     assert np.array_equal(match_points(zeros, ring), _match_loop(zeros, ring))
     grid = np.arange(k) + 0j
     assert np.array_equal(match_points(grid, grid[::-1]), _match_loop(grid, grid[::-1]))
+
+
+# ---------------------------------------------------------------------------
+# polished roots
+# ---------------------------------------------------------------------------
+
+def test_batched_roots_match_numpy_roots_with_newton():
+    rng = np.random.default_rng(5)
+    polys = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (1, 2, 3, 3, 6, 9, 2)]
+    polys += [np.array([0.0, 0.0, 1.0, -3.0, 2.0]),     # exact leading zeros drop
+              np.zeros(4), np.array([]), np.array([5.0])]
+    got = polished_roots(polys)
+    assert len(got) == len(polys)
+    for roots, coeffs in zip(got, polys):
+        ref = _roots_reference(coeffs)
+        assert len(roots) == len(ref)
+        if len(ref):
+            assert np.max(np.abs(match_points(ref, roots) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.allclose(np.sort(got[7].real), [1.0, 2.0]) and not len(got[8])
+
+
+# ---------------------------------------------------------------------------
+# pairwise gaps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
+def test_min_pairwise_gap_equals_the_loop(k):
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        points = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        assert min_pairwise_gap(points) == _gap_loop(points)
+    repeated = np.concatenate([points, points[:1]])
+    assert min_pairwise_gap(repeated) == _gap_loop(repeated)

@@ -230,20 +230,21 @@ def test_actions_check_scales_with_the_coefficients():
 
 
 def test_actions_check_rejects_a_relative_error_of_1e_6(monkeypatch):
-    import gztower.tower as tower_mod
+    import gztower.orbits as orbits_mod
 
     pt = sample_orbit([1, 2, 3, 4, 5, 6, 7, 8], seed=3)
-    exact_roots = tower_mod.roots_polished
+    exact_roots = orbits_mod.polished_roots
 
-    def perturbed_roots(coeffs):
+    def perturbed_roots(polys):
         # roots of A_8 with its largest coefficient moved by 1e-6 relative
-        if len(coeffs) == 9:
-            coeffs = coeffs.copy()
-            k = int(np.argmax(np.abs(coeffs)))
-            coeffs[k] *= 1 + 1e-6
-        return exact_roots(coeffs)
+        polys = [p.copy() for p in polys]
+        for coeffs in polys:
+            if len(coeffs) == 9:
+                k = int(np.argmax(np.abs(coeffs)))
+                coeffs[k] *= 1 + 1e-6
+        return exact_roots(polys)
 
-    monkeypatch.setattr(tower_mod, "roots_polished", perturbed_roots)
+    monkeypatch.setattr(orbits_mod, "polished_roots", perturbed_roots)
     with pytest.raises(TowerError, match="level 8: actions disagree"):
         build_tower(pt)
 
