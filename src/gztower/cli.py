@@ -245,11 +245,11 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
             sign=1 if canon.winner.endswith("+") else -1)
 
     chart = orbits.gz_forward(pt, convention=convention)
-    res_a, res_c = orbits.chart_residuals(chart, pt, relative=True)
+    res_a, res_c = orbits.chart_residuals(chart, pt)
     report["chart"] = chart.to_json()
     report["chart_residuals"] = {
         "minor_coefficients": res_a, "angle_relation": res_c, "tolerance": 1e-9,
-        "relative_to": "per level: max(1, max|a_n|) and max(1, max|A_(n-1)(gamma) e^theta|)",
+        "relative_to": "per level: max(1, max|a_n|) and max(1, max|C_n(gamma)|)",
         "status": "ok" if max(res_a, res_c) < 1e-9 else "violation"}
     statuses.append(report["chart_residuals"]["status"])
 

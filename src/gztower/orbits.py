@@ -278,23 +278,22 @@ def gz_forward(pt: OrbitPoint, convention: MinorConvention = DEFAULT_MINOR_CONVE
     return GZChart(gamma=lv.gamma, theta=thetas, convention=convention)
 
 
-def chart_residuals(chart: GZChart, pt: OrbitPoint,
-                    relative: bool = False) -> tuple[float, float]:
+def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
     """Self-consistency residuals of the chart against the minors of u.
 
     Returns (max |poly(gamma) - A_n| coefficientwise,
-             max |C_n(gamma) + A_{n-1}(gamma) e^theta|).  With relative=True
-    each level's deviation is divided by its scale, max(1, max|a_n|) and
-    max(1, max|A_{n-1}(gamma) e^theta|): the A_n coefficients grow like n!.
+             max |C_n(gamma) + A_{n-1}(gamma) e^theta|), each level divided
+    by max(1, max|a_n|) and max(1, max|C_n(gamma)|): the A_n coefficients
+    grow like n!, and neither scale depends on theta.
     """
     lv = level_data(pt.u, chart.convention)
-    scale = (lambda x: max(1.0, float(np.max(np.abs(x))))) if relative else (lambda x: 1.0)
+    scale = lambda x: max(1.0, float(np.max(np.abs(x))))
     res_a = max(float(np.max(np.abs(np.poly(g) - a))) / scale(a)
                 for g, a in zip(chart.gamma, lv.a[1:]))
     res_c = 0.0
     for n, (g, c, theta) in enumerate(zip(chart.gamma, lv.c, chart.theta), start=1):
-        rhs = -np.polyval(lv.a[n - 1], g) * np.exp(theta)
-        res_c = max(res_c, float(np.max(np.abs(np.polyval(c, g) - rhs))) / scale(rhs))
+        lhs, rhs = np.polyval(c, g), -np.polyval(lv.a[n - 1], g) * np.exp(theta)
+        res_c = max(res_c, float(np.max(np.abs(lhs - rhs))) / scale(lhs))
     return res_a, res_c
 
 

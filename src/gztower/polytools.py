@@ -124,7 +124,7 @@ def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
                 (comp[:, None], np.eye(g - 1, g)[None].repeat(len(sel), 0)), axis=1))
         roots.append(comp.ravel())
         owner += [i for i in sel for _ in range(g)]
-    roots = np.concatenate(roots)
+    roots, owner = np.concatenate(roots), np.array(owner, dtype=int)
     deriv = np.zeros_like(C)
     deriv[:, 1:] = C[:, :-1] * np.arange(L - 1, 0, -1)
     horner = np.ascontiguousarray(np.stack((C, deriv))[:, owner].transpose(2, 0, 1))
@@ -132,11 +132,7 @@ def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
         vals, dvals = functools.reduce(lambda y, col: y * roots + col, horner, 0j)
         roots = roots - np.divide(vals, dvals, out=np.zeros_like(vals),
                                   where=np.abs(dvals) > 1e-300)
-    out, at = [np.zeros(0, dtype=complex)] * len(polys), 0
-    for g, sel in groups.items():
-        for i in sel:
-            out[i], at = roots[at:at + g], at + g
-    return out
+    return [roots[owner == i] for i in range(len(polys))]
 
 
 def roots_polished(coeffs: np.ndarray, iters: int = 6) -> np.ndarray:

@@ -37,6 +37,7 @@ import numpy as np
 from .orbits import (
     DEFAULT_MINOR_CONVENTION,
     MinorConvention,
+    OrbitError,
     OrbitPoint,
     _central_gradients,
     _kk,
@@ -434,8 +435,11 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
         t = step_idx * dt
         with np.errstate(over="ignore", invalid="ignore"):
             u = V @ (np.exp(t * rates) * M) @ Vinv
-        if not np.isfinite(u).all() or (check and regularity_margin(u) < reg_gap):
-            raise RegularityLostError(t)
+        try:
+            if not np.isfinite(u).all() or (check and regularity_margin(u) < reg_gap):
+                raise RegularityLostError(t)
+        except OrbitError:  # u is finite but its minors are not
+            raise RegularityLostError(t) from None
         if sample:
             times.append(t)
             points.append(u)
@@ -478,9 +482,12 @@ class _TauTracker:
                 taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
         return taus, hs, lv, aug_logs
 
-    def step(self, u: np.ndarray) -> tuple[dict, dict, dict]:
-        """Advance to u; returns (tau values, h values, branch flags)."""
-        taus, hs, lv, aug_logs = self.values_near(u)
+    def step(self, u: np.ndarray, t: float) -> tuple[dict, dict, dict]:
+        """Advance to u = u(t); returns (tau values, h values, branch flags)."""
+        try:
+            taus, hs, lv, aug_logs = self.values_near(u)
+        except OrbitError:
+            raise RegularityLostError(t) from None
         flags: dict[int, bool] = {n: False for n in range(1, self.N)}
         for (n, k), val in taus.items():
             jump = abs(val - self.tau[(n, k)]) if self.tau else 0.0
@@ -507,7 +514,7 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
     tracker = _TauTracker(pt.u, convention, lam0)
     records = []
     for t, u in zip(flow.times, flow.points):
-        taus, hs, flags = tracker.step(u)
+        taus, hs, flags = tracker.step(u, t)
         records.append({
             "t": float(t),
             "u": [[float(z.real), float(z.imag)] for z in u.ravel()],
@@ -631,8 +638,8 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
                             sample_every=max(1, steps // samples))
     tracker = _TauTracker(pt.u, convention, lam0)
     series: dict[tuple[int, int], list[complex]] = {}
-    for u in flow.points:
-        taus, _, _ = tracker.step(u)
+    for t, u in zip(flow.times, flow.points):
+        taus, _, _ = tracker.step(u, t)
         for key, val in taus.items():
             series.setdefault(key, []).append(val)
     times = np.asarray(flow.times, dtype=float)

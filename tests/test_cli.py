@@ -197,6 +197,17 @@ def test_flow_out_of_floating_point_range_is_regularity_loss(tmp_path, capsys):
     assert 0.0 < report["error"]["time"] < 1e4
 
 
+def test_flow_with_overflowing_minors_is_regularity_loss(tmp_path, capsys):
+    # u(t) stays finite while its minors overflow; the input was valid
+    code, out, _ = run_cli(capsys, "flow", "--n", "5", "--spectrum", "1,2,3,4,5",
+                           "--hamiltonian", "4,3", "--t", "10", "--seed", "0",
+                           "--trajectory", str(tmp_path / "t.jsonl"))
+    assert code == 1
+    report = parse_report(out)
+    assert report["error"]["kind"] == "regularity-lost"
+    assert 0.0 < report["error"]["time"] <= 10.0
+
+
 def test_linearization_with_nan_slopes_is_a_violation():
     # a zero-length window gives 0/0 slopes, and a NaN slope must fail
     pt = orbits.sample_orbit([1.0, 2.0, 3.0], seed=0)

@@ -14,7 +14,13 @@ from gztower.orbits import (
     regularity_margin,
     sample_orbit,
 )
-from gztower.polytools import match_points, principal_charpoly, roots_polished, sort_points
+from gztower.polytools import (
+    match_points,
+    min_pairwise_gap,
+    principal_charpoly,
+    roots_polished,
+    sort_points,
+)
 from gztower.tower import TowerError, build_tower
 
 CONVENTIONS = [MinorConvention(rows_variant, sign)
@@ -93,13 +99,23 @@ def test_level_data_tracks_a_base():
 
 
 # ---------------------------------------------------------------------------
-# regularity margin
+# pairwise gaps and the regularity margin
 # ---------------------------------------------------------------------------
 
 def _gap_loop(points):
     if len(points) < 2:
         return np.inf
     return min(abs(a - b) for a, b in itertools.combinations(points, 2))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
+def test_min_pairwise_gap_equals_the_loop(k):
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        points = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        assert min_pairwise_gap(points) == _gap_loop(points)
+    repeated = np.concatenate([points, points[:1]])
+    assert min_pairwise_gap(repeated) == _gap_loop(repeated)
 
 
 def _margin_loop(u):

@@ -93,9 +93,20 @@ def test_top_level_gamma_equals_spectrum():
 def test_chart_residuals_random_orbits(n, seed):
     rng = np.random.default_rng(seed)
     pt = sample_orbit(random_spectrum(n, rng), seed=rng)
-    res_a, res_c = chart_residuals(gz_forward(pt), pt)
+    chart = gz_forward(pt)
+    res_a, res_c = chart_residuals(chart, pt)
     assert res_a < 1e-9
     assert res_c < 1e-9
+    # the residuals are relative; on these scales the absolute ones hold too
+    a_prev = np.ones(1)
+    for k, (g, theta) in enumerate(zip(chart.gamma, chart.theta + [None]), start=1):
+        a_k = principal_charpoly(pt.u, k)
+        assert np.max(np.abs(np.poly(g) - a_k)) < 1e-9
+        if theta is not None:
+            c_k = lowering_minor_coeffs(pt.u, k)
+            rhs = -np.polyval(a_prev, g) * np.exp(theta)
+            assert np.max(np.abs(np.polyval(c_k, g) - rhs)) < 1e-9
+        a_prev = a_k
 
 
 def test_lowering_minor_matches_lagrange_interpolation():

@@ -8,7 +8,6 @@ from gztower.orbits import random_spectrum, sample_orbit
 from gztower.polytools import (
     lambda_minor_det,
     match_points,
-    min_pairwise_gap,
     polished_roots,
     roots_polished,
 )
@@ -64,12 +63,6 @@ def _roots_reference(coeffs, iters=6):
         safe = np.abs(dvals) > 1e-300
         roots = roots - np.where(safe, vals / np.where(safe, dvals, 1.0), 0.0)
     return roots
-
-
-def _gap_loop(points):
-    if len(points) < 2:
-        return np.inf
-    return min(abs(a - b) for a, b in itertools.combinations(points, 2))
 
 
 def _level_minors(N):
@@ -159,17 +152,3 @@ def test_batched_roots_match_numpy_roots_with_newton():
         if len(ref):
             assert np.max(np.abs(match_points(ref, roots) - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.allclose(np.sort(got[7].real), [1.0, 2.0]) and not len(got[8])
-
-
-# ---------------------------------------------------------------------------
-# pairwise gaps
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 8])
-def test_min_pairwise_gap_equals_the_loop(k):
-    rng = np.random.default_rng(k)
-    for _ in range(10):
-        points = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        assert min_pairwise_gap(points) == _gap_loop(points)
-    repeated = np.concatenate([points, points[:1]])
-    assert min_pairwise_gap(repeated) == _gap_loop(repeated)

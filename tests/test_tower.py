@@ -6,10 +6,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gztower.families import char_minor
+from gztower import tower
 from gztower.orbits import (
+    DEFAULT_MINOR_CONVENTION,
     MinorConvention,
+    OrbitError,
     OrbitPoint,
+    level_data,
     lowering_minor_coeffs,
+    regularity_margin,
     sample_orbit,
 )
 from gztower.poisson import U, evaluate_at
@@ -335,6 +340,25 @@ def test_flow_leaving_floating_point_range_loses_regularity():
     with pytest.raises(RegularityLostError) as err:
         hamiltonian_flow(pt, (2, 1), t_final=1e4, steps=1000, sample_every=25)
     assert 0.0 < err.value.time < 1e4
+
+def test_flow_with_finite_u_and_overflowing_minors_loses_regularity(monkeypatch):
+    # at t = 10 the h[4,3] flow has |u| near 1e154, finite, while its minors
+    # leave floating-point range: a regularity loss, not a bad spectrum
+    seen = []
+    monkeypatch.setattr(tower, "regularity_margin",
+                        lambda u: (seen.append(u), regularity_margin(u))[1])
+    pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
+    with pytest.raises(RegularityLostError) as err:
+        hamiltonian_flow(pt, (4, 3), t_final=10.0, steps=1)
+    assert err.value.time == 10.0
+    assert np.isfinite(seen[-1]).all()
+    with pytest.raises(OrbitError):
+        level_data(seen[-1])
+    tracker = tower._TauTracker(pt.u, DEFAULT_MINOR_CONVENTION, default_base_point(pt))
+    with pytest.raises(RegularityLostError) as err:
+        tracker.step(seen[-1], 10.0)
+    assert err.value.time == 10.0
+
 
 def test_flow_conserves_spectrum_and_actions():
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
