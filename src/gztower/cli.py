@@ -118,15 +118,30 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_spectrum(text: str, n: int) -> list[complex]:
+# the tolerances each subcommand reads, with their defaults; --tolerance
+# overrides them by name, and the report's config holds the values used
+TOLERANCES = {
+    "verify-classical": {"trivial": 1e-5},
+    "verify-quantum": {},
+    "orbit": {"chart": 1e-5, "residue": 1e-4, "action_angle": 1e-4},
+    "flow": {"regularity": 1e-6, "linearization": 1e-3},
+}
+
+
+def _parse_complex(text: str, what: str) -> complex:
     try:
-        values = [complex(part.strip().replace("i", "j")) for part in text.split(",")]
+        value = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse spectrum {text!r}") from exc
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{what} {text!r} is not finite")
+    return value
+
+
+def _parse_spectrum(text: str, n: int) -> list[complex]:
+    values = [_parse_complex(part, "spectrum entry") for part in text.split(",")]
     if len(values) != n:
         raise ConfigError(f"spectrum has {len(values)} entries, expected {n}")
-    if not np.isfinite(values).all():
-        raise ConfigError(f"spectrum {text!r} has entries that are not finite")
     return values
 
 
@@ -153,13 +168,19 @@ def _parse_shift(text: str, n: int, rng: np.random.Generator):
     raise ConfigError(f"unknown shift matrix spec {text!r}")
 
 
-def _parse_tolerances(items: list[str]) -> dict[str, float]:
-    out = {}
+def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
+    out = dict(TOLERANCES[command])
     for item in items:
-        if "=" not in item:
-            raise ConfigError(f"tolerance must be name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
+        name, _, text = (part.strip() for part in item.partition("="))
+        if name not in out:
+            raise ConfigError(f"{command} reads no tolerance {name!r} "
+                              f"(it reads: {', '.join(out) or 'none'})")
+        try:
+            out[name] = float(text)
+        except ValueError as exc:
+            raise ConfigError(f"tolerance must be name=number, got {item!r}") from exc
+        if not (np.isfinite(out[name]) and out[name] > 0):
+            raise ConfigError(f"tolerance {name} must be finite and > 0, got {text!r}")
     return out
 
 
@@ -171,7 +192,7 @@ def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
     rng = np.random.default_rng(config.seed)
     report = _base_report(config)
     statuses = []
-    trivial_tol = config.tolerances.get("trivial", 1e-5)
+    trivial_tol = config.tolerances["trivial"]
 
     if config.family == "trivial":
         triv = families.verify_trivial_numeric(config.n, pt_count=config.points,
@@ -234,8 +255,7 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
     report["orbit"] = pt.to_json()
     statuses = []
 
-    chart_tol = config.tolerances.get("chart", 1e-5)
-    canon = orbits.verify_canonical_chart(pt, tolerance=chart_tol)
+    canon = orbits.verify_canonical_chart(pt, tolerance=config.tolerances["chart"])
     report["canonical_chart"] = canon.to_json()
     statuses.append(canon.status)
     convention = orbits.DEFAULT_MINOR_CONVENTION
@@ -258,23 +278,17 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
 
     if any(c in config.checks for c in ("residue-form", "all")):
         rng = np.random.default_rng(config.seed + 1)
-        pairs = []
-        for _ in range(config.pairs):
-            x = orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
-                                    + 1j * rng.standard_normal((pt.n, pt.n)))
-            y = orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
-                                    + 1j * rng.standard_normal((pt.n, pt.n)))
-            pairs.append((x, y))
+        draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
+                                           + 1j * rng.standard_normal((pt.n, pt.n)))
         rrep = orbits.residue_form_check(
-            pt, pairs, tolerance=config.tolerances.get("residue", 1e-4),
-            convention=convention)
+            pt, [(draw(), draw()) for _ in range(config.pairs)],
+            tolerance=config.tolerances["residue"], convention=convention)
         report["residue_form"] = rrep.to_json()
         statuses.append(rrep.status)
 
     if any(c in config.checks for c in ("action-angle", "all")):
         arep = tower.action_angle_bracket_table(
-            pt, convention=convention, lam0=config.lam0,
-            tolerance=config.tolerances.get("action_angle", 1e-4))
+            pt, convention=convention, tolerance=config.tolerances["action_angle"])
         report["action_angle"] = arep.to_json()
         statuses.append(arep.status)
 
@@ -287,7 +301,7 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
     report = _base_report(config)
     pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
     report["orbit"] = pt.to_json()
-    reg_gap = config.tolerances.get("regularity", 1e-6)
+    reg_gap = config.tolerances["regularity"]
     try:
         records = tower.trajectory_records(
             pt, config.hamiltonian, t_final=config.t_final, steps=config.steps,
@@ -316,7 +330,7 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
     lin = tower.linearization_check(
         pt, config.hamiltonian,
         t_final=min(config.t_final, 0.1),
-        tol=config.tolerances.get("linearization", 1e-3),
+        tol=config.tolerances["linearization"],
         lam0=config.lam0)
     report["linearization"] = lin.to_json()
     ok = report["conservation"]["status"] == "ok" and lin.status == "ok"
@@ -387,7 +401,7 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"ambient size must be >= 1, got {args.n}")
     config = RunConfig(command=args.command, n=args.n, seed=args.seed,
                        output=args.output,
-                       tolerances=_parse_tolerances(args.tolerance))
+                       tolerances=_parse_tolerances(args.tolerance, args.command))
     if args.command == "verify-classical":
         config.family = args.family
         config.side = args.side
@@ -399,7 +413,7 @@ def _config_from_args(args) -> RunConfig:
     elif args.command in ("orbit", "flow"):
         config.spectrum = _parse_spectrum(args.spectrum, args.n)
         if args.lam0 is not None:
-            config.lam0 = complex(args.lam0.replace("i", "j"))
+            config.lam0 = _parse_complex(args.lam0, "--lam0")
         if args.command == "orbit":
             config.checks = args.check
             config.pairs = _at_least_one("pairs", args.pairs)

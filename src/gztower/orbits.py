@@ -15,8 +15,9 @@ canonicity oracle).  The angles are
 
     theta[n,j] = log( -C_n(gamma[n,j]) / A_{n-1}(gamma[n,j]) ),
 
-principal branch at the base point, branch-continuous inside difference
-stencils.  The bracket oracle is the Lie-Poisson / Kirillov-Kostant bracket
+principal branch.  The checks differentiate them in closed form (root
+perturbation from null vectors, Jacobi's formula for log-minors) and pair
+the gradients in the Lie-Poisson / Kirillov-Kostant bracket
 
     {f, h}(u) = tr( u [grad h, grad f] ),   (grad F)[i,j] = dF/du[j,i],
 
@@ -46,8 +47,9 @@ from .polytools import (
 __all__ = [
     "OrbitError", "SingularChartError", "RetryExhaustedError", "TrackingError",
     "MinorConvention", "DEFAULT_MINOR_CONVENTION", "OrbitPoint", "GZChart",
-    "OrbitTangent", "LevelData", "level_data", "sample_orbit", "random_spectrum",
-    "regularity_margin", "lowering_minor_coeffs", "gz_forward", "chart_residuals", "kk_bracket",
+    "OrbitTangent", "LevelData", "level_data", "ChartDerivatives", "chart_derivatives",
+    "sample_orbit", "random_spectrum", "regularity_margin", "lowering_minor_coeffs",
+    "gz_forward", "chart_residuals", "kk_bracket",
     "verify_canonical_chart", "ChartCanonicityReport",
     "residue_form_check", "ResidueFormReport",
 ]
@@ -212,14 +214,13 @@ def _level_minors(N: int, rows_variant: bool, lowering: bool) -> tuple:
 
 
 def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-               base=None, lowering: bool = True,
-               collision_dist: float | None = None) -> LevelData:
+               base=None, lowering: bool = True) -> LevelData:
     """A_1..A_N and, with lowering, C_1..C_{N-1}, with their polished roots.
 
     One minor_dets and one polished_roots call.  Roots come sorted, or
-    matched to a base (LevelData or GZChart): gamma to base.gamma, with
-    collision_dist, and e to base.e if the base has one.  Raises OrbitError
-    when a minor leaves floating-point range.
+    matched to a base (LevelData or GZChart): gamma to base.gamma, and e to
+    base.e if the base has one.  Raises OrbitError when a minor leaves
+    floating-point range.
     """
     N = u.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,16 +228,12 @@ def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVEN
     if not np.isfinite(np.concatenate(coeffs)).all():
         raise OrbitError("spectrum too large: the characteristic minors of u "
                          "leave floating-point range")
-
-    def follow(refs, levels, dist=None):
-        return [sort_points(x) if ref is None else match_points(ref, x, dist)
-                for ref, x in zip(refs or [None] * len(levels), levels)]
-
+    refs = [] if base is None else base.gamma + getattr(base, "e", [])
     roots = polished_roots(coeffs)
-    return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N],
-                     gamma=follow(getattr(base, "gamma", None), roots[:N], collision_dist),
-                     c=[convention.sign * c for c in coeffs[N:]],
-                     e=follow(getattr(base, "e", None), roots[N:]))
+    roots = ([match_points(ref, x) for ref, x in zip(refs, roots)]
+             + [sort_points(x) for x in roots[len(refs):]])
+    return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N], gamma=roots[:N],
+                     c=[convention.sign * c for c in coeffs[N:]], e=roots[N:])
 
 
 @dataclass
@@ -297,50 +294,22 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
     return res_a, res_c
 
 
-def _matched_chart_values(u: np.ndarray, base: GZChart,
-                          convention: MinorConvention,
-                          collision_dist: float) -> dict[tuple, complex]:
-    """Chart functions at a nearby u, tracked against the base chart."""
-    lv = level_data(u, convention, base=base, collision_dist=collision_dist)
-    out: dict[tuple, complex] = {}
-    for n, roots in enumerate(lv.gamma, start=1):
-        for j, g in enumerate(roots):
-            out[("gamma", n, j + 1)] = g
-    for n, (g, c, ref) in enumerate(zip(lv.gamma, lv.c, base.theta), start=1):
-        val = np.log(-np.polyval(c, g) / np.polyval(lv.a[n - 1], g))
-        # branch continuity: shift by the multiple of 2*pi*i nearest the base
-        val = val + 2j * np.pi * np.round((ref - val).imag / (2.0 * np.pi))
-        for j, v in enumerate(val):
-            out[("theta", n, j + 1)] = v
-    return out
-
-
-def _central_gradients(f: Callable[[np.ndarray], dict], u: np.ndarray,
-                       step: float) -> dict:
-    """Central differences d/du[a, b] of each value of f(u), a dict; step * max(1, |u[a, b]|)."""
-    n = u.shape[0]
-    grads: dict = {}
-    for a in range(n):
-        for b in range(n):
-            h = step * max(1.0, abs(u[a, b]))
-            up, um = u.copy(), u.copy()
-            up[a, b] += h
-            um[a, b] -= h
-            plus, minus = f(up), f(um)
-            for key, val in plus.items():
-                grads.setdefault(key, np.zeros((n, n), dtype=complex))[a, b] = \
-                    (val - minus[key]) / (2.0 * h)
-    return grads
-
-
 def kk_bracket(f: Callable[[np.ndarray], complex],
                h: Callable[[np.ndarray], complex],
                u: np.ndarray, step: float = 1e-5) -> complex:
-    """Kirillov-Kostant bracket {f, h}(u) = tr(u [grad h, grad f])."""
-    grads = _central_gradients(lambda v: {"f": f(v), "h": h(v)}, u, step)
-    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+    """Kirillov-Kostant bracket {f, h}(u) = tr(u [grad h, grad f]).
+
+    The generic oracle: central differences, step * max(1, |u[a, b]|).
+    """
+    n = u.shape[0]
+    grads = np.zeros((2, n, n), dtype=complex)
+    for a, b in np.ndindex(n, n):
+        shift = np.zeros((n, n))
+        shift[a, b] = step * max(1.0, abs(u[a, b]))
+        grads[:, b, a] = [(g(u + shift) - g(u - shift)) / (2.0 * shift[a, b]) for g in (f, h)]
+    if not np.all(np.isfinite(grads)):
         raise ArithmeticError("non-finite derivative encountered")
-    return _kk(u, grads["f"].T, grads["h"].T)
+    return _kk(u, *grads)
 
 
 def _kk(u: np.ndarray, gf: np.ndarray, gh: np.ndarray) -> complex:
@@ -348,32 +317,122 @@ def _kk(u: np.ndarray, gf: np.ndarray, gh: np.ndarray) -> complex:
     return complex(np.trace(u @ (gh @ gf - gf @ gh)))
 
 
-def _chart_gradients(pt: OrbitPoint, convention: MinorConvention,
-                     step: float) -> tuple[list[tuple], dict[tuple, np.ndarray]]:
-    """Gradients of every chart function with respect to the entries of u."""
-    base = gz_forward(pt, convention=convention)
-    grads = _central_gradients(
-        lambda u: _matched_chart_values(u, base, convention, 10.0 * step), pt.u, step)
-    return list(grads), grads
+# ---------------------------------------------------------------------------
+# closed-form derivatives of the chart functions
+# ---------------------------------------------------------------------------
 
+def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
+                     roots: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients [a, b] = d/du[a, b] tied to the minor det(lam P - S) at each lam.
+
+    P and S as in minor_dets.  roots=False: d log det at fixed lam, by
+    Jacobi's formula d log det M = tr(M^-1 dM) with dM = -du[rows, cols],
+    and d/dlam log det = tr(M^-1 P).  roots=True: the lams are simple roots
+    r; M = r P - S has right and left null vectors z, y (its smallest
+    singular pair), adj M is proportional to z y^T, and det M = 0 gives
+    dr = y^T dS z / (y^T P z) (for a puncture, P = 1 and S = u_n, z and y
+    are the right and left eigenvectors), with condition
+    |y| |z| / |y^T P z| = 1 / |y^T P z|.
+    """
+    rows, cols = minor
+    P = np.equal.outer(rows, cols)
+    M = lams[:, None, None] * P - u[np.ix_(rows, cols)]
+    if roots:
+        left, _, right = np.linalg.svd(M)
+        y, z = left[:, :, -1].conj(), right[:, -1, :].conj()
+        den = np.einsum("ki,ij,kj->k", y, P, z)
+        block, extra = y[:, :, None] * z[:, None, :] / den[:, None, None], 1.0 / np.abs(den)
+    else:
+        inv = np.linalg.inv(M)
+        block, extra = -inv.transpose(0, 2, 1), np.einsum("kij,ji->k", inv, P)
+    grads = np.zeros((len(lams), *u.shape), dtype=complex)
+    grads[:, np.array(rows)[:, None], np.array(cols)] = block
+    return grads, extra
+
+
+@dataclass
+class ChartDerivatives:
+    """Closed-form gradients at u, [a, b] = dF/du[a, b].
+
+    gamma[n-1] (n, N, N) for the roots of A_n and e[n-1] (n-1, N, N) for
+    those of C_n, in the order of lv; minors as in _level_minors.
+    conditioning: the smallest |e - gamma| within a level, the smallest
+    |gamma_n - gamma_(n+1)| (None without terms), and the largest root
+    condition |y| |z| / |y^T P z|.
+    """
+
+    u: np.ndarray
+    lv: LevelData
+    minors: tuple
+    gamma: list[np.ndarray]
+    e: list[np.ndarray]
+    conditioning: dict[str, float | None]
+
+    def log_minor(self, index: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d log det and d/dlam log det of minor `index` (A_1..A_N, C_1..C_(N-1))."""
+        return _minor_gradients(self.u, self.minors[index], lams, roots=False)
+
+    def theta(self) -> list[np.ndarray]:
+        """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma)):
+        each log-minor at fixed lam plus its lam-derivative times d gamma."""
+        N = self.u.shape[0]
+        out = []
+        for n in range(1, N):
+            g, dg = self.lv.gamma[n - 1], self.gamma[n - 1]
+            dlog, dlam = self.log_minor(N + n - 1, g)
+            grad = dlog + dlam[:, None, None] * dg
+            if n >= 2:
+                dlog, dlam = self.log_minor(n - 2, g)
+                grad -= dlog + dlam[:, None, None] * dg
+            out.append(grad)
+        return out
+
+
+def chart_derivatives(u: np.ndarray,
+                      convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ChartDerivatives:
+    """Gradients of every puncture and divisor point, one SVD stack per minor."""
+    N = u.shape[0]
+    lv = level_data(u, convention)
+    minors = _level_minors(N, convention.rows_variant, True)
+    grads, conds = zip(*(_minor_gradients(u, m, r, roots=True)
+                         for m, r in zip(minors, lv.gamma + lv.e)))
+
+    def least_gap(pairs):
+        gaps = np.concatenate([np.zeros(0), *(np.abs(np.subtract.outer(a, b)).ravel()
+                                               for a, b in pairs)])
+        return float(np.min(gaps)) if len(gaps) else None
+
+    conditioning = {
+        "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
+        "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
+        "max_root_condition": float(np.max(np.concatenate(conds))),
+    }
+    return ChartDerivatives(u=u, lv=lv, minors=minors, gamma=list(grads[:N]),
+                            e=list(grads[N:]), conditioning=conditioning)
+
+
+# ---------------------------------------------------------------------------
+# chart canonicity
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ChartCanonicityReport:
     n: int
     tolerance: float
-    step: float
     variants: list[dict]
     winner: str | None
     max_deviation: float
     casimir_deviation: float
     status: str
     table: dict[str, complex]
+    conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "tolerance": self.tolerance,
-            "step": self.step,
+            "derivatives": "analytic",
+            "conditioning": self.conditioning,
             "variants": self.variants,
             "winner": self.winner,
             "max_deviation": self.max_deviation,
@@ -383,41 +442,32 @@ class ChartCanonicityReport:
         }
 
 
-def _name_str(name: tuple) -> str:
-    return f"{name[0]}[{name[1]},{name[2]}]"
-
-
-def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention,
-                          step: float) -> tuple[float, float, dict[str, complex]]:
-    """Worst table deviation, worst Casimir bracket, and the full table."""
-    names, grads = _chart_gradients(pt, convention, step)
-    u = pt.u
-    N = pt.n
-    worst = 0.0
-    casimir = 0.0
-    table: dict[str, complex] = {}
-    chart_names = [nm for nm in names if not (nm[0] == "gamma" and nm[1] == N)]
-    casimir_names = [nm for nm in names if nm[0] == "gamma" and nm[1] == N]
-    for ia, na in enumerate(chart_names):
-        for nb in chart_names[ia:]:
-            val = _kk(u, grads[na].T, grads[nb].T)
-            table[f"{_name_str(na)}|{_name_str(nb)}"] = val
-            expected = 0.0
-            if (na[0], nb[0]) == ("theta", "gamma") and na[1:] == nb[1:]:
-                expected = 1.0
-            if (na[0], nb[0]) == ("gamma", "theta") and na[1:] == nb[1:]:
-                expected = -1.0
-            worst = max(worst, abs(val - expected))
-    for nc in casimir_names:
-        for nb in names:
-            val = _kk(u, grads[nc].T, grads[nb].T)
-            table[f"{_name_str(nc)}|{_name_str(nb)}"] = val
-            casimir = max(casimir, abs(val))
-    return worst, casimir, table
+def _canonicity_deviation(u: np.ndarray, convention: MinorConvention):
+    """Worst table deviation, worst Casimir bracket, the table, conditioning."""
+    N = u.shape[0]
+    d = chart_derivatives(u, convention)
+    names = [f"gamma[{n},{j}]" for n in range(1, N + 1) for j in range(1, n + 1)]
+    names += [f"theta[{n},{j}]" for n in range(1, N) for j in range(1, n + 1)]
+    grads = np.concatenate(d.gamma + d.theta()).transpose(0, 2, 1)
+    # {F_a, F_b} = tr(u [G_b, G_a]) = T[b, a] - T[a, b], T[a, b] = tr(u G_a G_b)
+    T = np.einsum("aij,bji->ab", u @ grads, grads)
+    kk = T.T - T
+    G = N * (N + 1) // 2            # names: G gammas, then G - N thetas
+    low, top = np.arange(G - N), range(G - N, G)    # gamma[n<N, j]; the Casimirs
+    chart = [i for i in range(len(names)) if i not in top]
+    expected = np.zeros(kk.shape)
+    expected[G + low, low], expected[low, G + low] = 1.0, -1.0
+    dev = np.abs(kk - expected)
+    table = {f"{names[a]}|{names[b]}": complex(kk[a, b])
+             for ia, a in enumerate(chart) for b in chart[ia:]}
+    table.update({f"{names[c]}|{names[b]}": complex(kk[c, b])
+                  for c in top for b in range(len(names))})
+    worst = float(np.max(dev[np.ix_(chart, chart)], initial=0.0))
+    casimir = float(np.max(dev[G - N:G], initial=0.0))
+    return worst, casimir, table, d.conditioning
 
 
 def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5,
-                           step: float = 1e-5,
                            convention: MinorConvention | None = None) -> ChartCanonicityReport:
     """Check {theta, gamma} = delta etc. in the oracle; sweep the minor convention.
 
@@ -426,34 +476,27 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5,
     tolerance wins.  The minor's sign shifts theta by i*pi and cannot move
     any bracket, so sign twins always score identically.
     """
-    if convention is not None:
-        sweep = [convention]
-    else:
-        sweep = [MinorConvention(rv, sg) for rv in (True, False) for sg in (1, -1)]
-    cache: dict[bool, tuple[float, float, dict]] = {}
-    variants = []
-    winner = None
-    win = None
+    sweep = [convention] if convention else [MinorConvention(rv, sg) for rv in (True, False)
+                                             for sg in (1, -1)]
+    cache: dict[bool, tuple] = {}
+    variants, winner = [], None
     for conv in sweep:
         if conv.rows_variant not in cache:
-            cache[conv.rows_variant] = _canonicity_deviation(pt, conv, step)
-        dev, cas, table = cache[conv.rows_variant]
+            cache[conv.rows_variant] = _canonicity_deviation(pt.u, conv)
+        dev, cas, _, _ = cache[conv.rows_variant]
         variants.append({"convention": conv.label(),
                          "max_deviation": dev, "casimir_deviation": cas})
         if winner is None and dev < tolerance and cas < tolerance:
             winner = conv
-            win = (dev, cas, table)
     if winner is None:
-        dev, cas, table = min(cache.values(), key=lambda v: v[0])
-        return ChartCanonicityReport(
-            n=pt.n, tolerance=tolerance, step=step, variants=variants,
-            winner=None, max_deviation=dev, casimir_deviation=cas,
-            status="violation", table=table)
-    dev, cas, table = win
+        dev, cas, table, cond = min(cache.values(), key=lambda v: v[0])
+    else:
+        dev, cas, table, cond = cache[winner.rows_variant]
     return ChartCanonicityReport(
-        n=pt.n, tolerance=tolerance, step=step, variants=variants,
-        winner=winner.label(), max_deviation=dev,
-        casimir_deviation=cas, status="ok", table=table)
+        n=pt.n, tolerance=tolerance, variants=variants,
+        winner=None if winner is None else winner.label(), max_deviation=dev,
+        casimir_deviation=cas, status="violation" if winner is None else "ok",
+        table=table, conditioning=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -478,42 +521,23 @@ class ResidueFormReport:
     variants: list[dict]
     winner: str | None
     status: str
+    conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "pairs": self.pairs,
             "tolerance": self.tolerance,
+            "derivatives": "analytic",
+            "conditioning": self.conditioning,
             "variants": self.variants,
             "winner": self.winner,
             "status": self.status,
         }
 
 
-def _tangent_chart_data(pt: OrbitPoint, xi: np.ndarray, step: float,
-                        convention: MinorConvention, base: LevelData) -> dict:
-    """Directional derivatives of roots and log-minors along one tangent."""
-    u = pt.u
-    N = pt.n
-    h = step * max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(xi)))
-    p, m = (level_data(u + sgn * h * xi, convention, base=base) for sgn in (1.0, -1.0))
-
-    def dlog(plus, minus, at, z):
-        return (np.polyval(plus, z) - np.polyval(minus, z)) / (2 * h * np.polyval(at, z))
-
-    return {
-        "dgamma": [(gp - gm) / (2 * h) for gp, gm in zip(p.gamma, m.gamma)],
-        "de": [(ep - em) / (2 * h) for ep, em in zip(p.e, m.e)],
-        "la_at_e": [dlog(p.a[n], m.a[n], base.a[n], base.e[n - 1]) for n in range(1, N)],
-        "lc_at_gamma": [dlog(p.c[n - 1], m.c[n - 1], base.c[n - 1], base.gamma[n - 1])
-                        for n in range(1, N)],
-        "la_at_gamma_prev": [dlog(p.a[n], m.a[n], base.a[n], base.gamma[n - 2])
-                             for n in range(2, N)],
-    }
-
-
 def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTangent]],
-                       tolerance: float = 1e-4, step: float = 1e-6,
+                       tolerance: float = 1e-4,
                        convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ResidueFormReport:
     """Evaluate the contour form of the symplectic structure on tangent pairs.
 
@@ -522,53 +546,47 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     first term is swept over {zeros of C_n, zeros of A_n} together with
     both signs of the term and of the whole form, and each variant is
     compared against the Kirillov-Kostant value tr(u [x, y]).  Casimir-level
-    contributions vanish on orbit tangents and are omitted.
+    contributions vanish on orbit tangents and are omitted.  Every
+    directional derivative is a closed-form gradient contracted with the
+    tangent [x, u].
     """
     u = pt.u
     N = pt.n
-    base = level_data(u, convention)
+    d = chart_derivatives(u, convention)
+    lv = d.lv
+    flat = lambda grads: np.concatenate([np.zeros((0, N, N)), *grads])
+    # aligned pairs of stacks over all levels: the gradients of some roots,
+    # then those of a log-minor at the same roots (fixed lam)
+    pieces = [
+        flat(d.e),                                                          # e[n]
+        flat(d.log_minor(n - 1, lv.e[n - 1])[0] for n in range(1, N)),     # A_n
+        flat(d.gamma[:N - 1]),                                              # gamma[n]
+        flat(d.log_minor(N + n - 1, lv.gamma[n - 1])[0] for n in range(1, N)),  # C_n
+        flat(d.gamma[:N - 2]),                                              # gamma[n-1]
+        flat(d.log_minor(n - 1, lv.gamma[n - 2])[0] for n in range(2, N)),  # A_n
+    ]
+    tangents = np.array([t.vector(u) for pair in pairs for t in pair]).reshape(-1, N * N)
+    dx, dy = [], []
+    for grads in pieces:
+        vals = grads.reshape(-1, N * N) @ tangents.T
+        dx.append(vals[:, 0::2])
+        dy.append(vals[:, 1::2])
+    wedge = lambda i, j: np.sum(-dx[i] * dy[j] + dy[i] * dx[j], axis=0)
+    t1 = {"C": wedge(0, 1), "A": wedge(3, 2)}
+    t2 = wedge(4, 5)
+    kk_value = np.array([_kk(u, ty.x, tx.x) for tx, ty in pairs])
 
     # sign pairs ordered so that ties (term2 vanishing at N=2) resolve to the
     # same variant that wins uniquely for N >= 3
-    variant_keys = [(contour, s1, s_all)
-                    for contour in ("A", "C")
-                    for s1, s_all in ((-1, -1), (1, 1), (-1, 1), (1, -1))]
-    deviations = {k: 0.0 for k in variant_keys}
-
-    for tx, ty in pairs:
-        xix, xiy = tx.vector(u), ty.vector(u)
-        dx = _tangent_chart_data(pt, xix, step, convention, base)
-        dy = _tangent_chart_data(pt, xiy, step, convention, base)
-        kk_value = _kk(u, ty.x, tx.x)
-
-        t1_c = 0j
-        t1_a = 0j
-        t2 = 0j
-        for n in range(1, N):
-            idx = n - 1
-            t1_c += np.sum(-dx["de"][idx] * dy["la_at_e"][idx]
-                           + dy["de"][idx] * dx["la_at_e"][idx])
-            t1_a += np.sum(-dx["lc_at_gamma"][idx] * dy["dgamma"][idx]
-                           + dy["lc_at_gamma"][idx] * dx["dgamma"][idx])
-        for n in range(2, N):
-            idx = n - 2
-            t2 += np.sum(-dx["dgamma"][idx] * dy["la_at_gamma_prev"][idx]
-                         + dy["dgamma"][idx] * dx["la_at_gamma_prev"][idx])
-
-        for contour, s1, s_all in variant_keys:
-            t1 = t1_c if contour == "C" else t1_a
-            omega = s_all * (s1 * t1 - t2)
-            deviations[(contour, s1, s_all)] = max(
-                deviations[(contour, s1, s_all)], abs(omega - kk_value))
-
-    def key_label(k):
-        contour, s1, s_all = k
-        return f"contour={contour} term1_sign={s1:+d} overall_sign={s_all:+d}"
-
-    variants = [{"variant": key_label(k), "max_deviation": deviations[k]}
-                for k in variant_keys]
-    matching = [k for k in variant_keys if deviations[k] < tolerance]
-    winner = key_label(matching[0]) if matching else None
+    variants = []
+    for contour in ("A", "C"):
+        for s1, s_all in ((-1, -1), (1, 1), (-1, 1), (1, -1)):
+            omega = s_all * (s1 * t1[contour] - t2)
+            variants.append({
+                "variant": f"contour={contour} term1_sign={s1:+d} overall_sign={s_all:+d}",
+                "max_deviation": float(np.max(np.abs(omega - kk_value), initial=0.0))})
+    winner = next((v["variant"] for v in variants if v["max_deviation"] < tolerance), None)
     return ResidueFormReport(
         n=N, pairs=len(pairs), tolerance=tolerance, variants=variants,
-        winner=winner, status="ok" if winner else "violation")
+        winner=winner, status="ok" if winner else "violation",
+        conditioning=d.conditioning)

@@ -167,21 +167,17 @@ def _permutation_table(k: int) -> np.ndarray:
     return table
 
 
-def match_points(base: np.ndarray, new: np.ndarray,
-                 collision_dist: float | None = None) -> np.ndarray:
+def match_points(base: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Reorder `new` to follow `base` by minimal-total-distance assignment.
 
     Exact: the costs of all k! permutations come from one numpy reduction
     over a cached permutation table, summed in index order, and the first
-    minimal permutation in itertools order wins.  If requested, raise
-    TrackingError when two candidates approach within collision_dist.
+    minimal permutation in itertools order wins.
     """
     base = np.asarray(base)
     new = np.asarray(new)
     if len(base) != len(new):
         raise TrackingError("point counts differ between configurations")
-    if collision_dist is not None and min_pairwise_gap(new) < collision_dist:
-        raise TrackingError("points closer than the tracking resolution")
     k = len(base)
     if k <= 1:
         return new.copy()

@@ -39,8 +39,8 @@ from .orbits import (
     MinorConvention,
     OrbitError,
     OrbitPoint,
-    _central_gradients,
     _kk,
+    chart_derivatives,
     level_data,
     regularity_margin,
 )
@@ -210,8 +210,6 @@ def path_log_increments(a: complex, b: complex, punctures,
 class AngleResult:
     tau: list[complex]
     tau_literal: list[complex]
-    augmentation: complex | None
-    branch_record: list[list[dict]]
 
 
 def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
@@ -239,29 +237,19 @@ def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
         return dlog_cache[endpoint]
 
     taus_literal = []
-    records: list[list[dict]] = []
     for k in range(1, n + 1):
-        power = n - k
-        column = diffs.residue_column(power)
+        column = diffs.residue_column(n - k)
         total = 0j
-        rec = []
-        for kind, pts, sign in (("e", e_points, 1.0), ("gamma_prev", gamma_prev, -1.0)):
+        for pts, sign in ((e_points, 1.0), (gamma_prev, -1.0)):
             for z in pts:
-                d = dlogs(z)
-                total += sign * sum(r * dl for r, dl in zip(column, d))
-                rec.append({"kind": kind, "endpoint": [float(complex(z).real), float(complex(z).imag)],
-                            "dlog_imag": [float(dl.imag) for dl in d]})
+                total += sign * sum(r * dl for r, dl in zip(column, dlogs(z)))
         taus_literal.append(total)
-        records.append(rec)
     taus = list(taus_literal)
-    augmentation = None
     if augment:
         if leading_coeff is None:
             raise ValueError("augmentation requires the leading coefficient of C_n")
-        augmentation = complex(np.log(complex(leading_coeff)))
-        taus[0] = taus[0] + augmentation
-    return AngleResult(tau=taus, tau_literal=taus_literal,
-                       augmentation=augmentation, branch_record=records)
+        taus[0] += complex(np.log(complex(leading_coeff)))
+    return AngleResult(tau=taus, tau_literal=taus_literal)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +435,11 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
 
 
 class _TauTracker:
-    """Branch-continuous tau (and h) values along or near a base trajectory.
+    """Branch-continuous tau (and h) values along a trajectory.
 
     The state holds one configuration (roots, divisor points, continued
-    augmentation logs).  ``values_near`` evaluates at a nearby matrix by
-    matching against the state without mutating it, which is what gradient
-    stencils need; ``step`` advances the state along a trajectory and
-    enforces branch continuity.
+    augmentation logs); ``step`` advances it to the next sample, matching
+    the roots to it and enforcing branch continuity.
     """
 
     def __init__(self, u0: np.ndarray, convention: MinorConvention,
@@ -464,11 +450,15 @@ class _TauTracker:
         self.radius = deflect_radius
         self.state = level_data(u0, convention)
         self.aug_log = [complex(np.log(complex(c[0]))) for c in self.state.c]
-        self.tau: dict[tuple[int, int], complex] = self.values_near(u0)[0]
+        self.tau: dict[tuple[int, int], complex] = {}
+        self.step(u0, 0.0)
 
-    def values_near(self, u: np.ndarray):
-        """(tau, h, level data, aug_logs) at u, matched to the state."""
-        lv = level_data(u, self.convention, base=self.state)
+    def step(self, u: np.ndarray, t: float) -> tuple[dict, dict, dict]:
+        """Advance to u = u(t); returns (tau values, h values, branch flags)."""
+        try:
+            lv = level_data(u, self.convention, base=self.state)
+        except OrbitError:
+            raise RegularityLostError(t) from None
         hs = {(n, k): complex(lv.a[n][k]) for n in range(1, self.N + 1)
               for k in range(1, n + 1)}
         aug_logs = [aug + complex(np.log(complex(c[0]) / complex(c0[0])))
@@ -480,14 +470,6 @@ class _TauTracker:
                                   augment=False, deflect_radius=self.radius)
             for k, val in enumerate(res.tau_literal, start=1):
                 taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
-        return taus, hs, lv, aug_logs
-
-    def step(self, u: np.ndarray, t: float) -> tuple[dict, dict, dict]:
-        """Advance to u = u(t); returns (tau values, h values, branch flags)."""
-        try:
-            taus, hs, lv, aug_logs = self.values_near(u)
-        except OrbitError:
-            raise RegularityLostError(t) from None
         flags: dict[int, bool] = {n: False for n in range(1, self.N)}
         for (n, k), val in taus.items():
             jump = abs(val - self.tau[(n, k)]) if self.tau else 0.0
@@ -528,21 +510,22 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
 @dataclass
 class ActionAngleReport:
     n: int
-    step: float
     tolerance: float
     h_tau: dict[tuple, complex]
     h_h: dict[tuple, complex]
     max_deviation_upper: float     # levels n, m >= 2 against the delta pattern
     level_one: dict[tuple, complex]
     status: str
+    conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
         fmt = lambda table: {f"{a[0]},{a[1]}|{b[0]},{b[1]}": [v.real, v.imag]
                              for (a, b), v in sorted(table.items())}
         return {
             "n": self.n,
-            "step": self.step,
             "tolerance": self.tolerance,
+            "derivatives": "analytic",
+            "conditioning": self.conditioning,
             "h_tau": fmt(self.h_tau),
             "h_h": fmt(self.h_h),
             "max_deviation_upper_levels": self.max_deviation_upper,
@@ -553,51 +536,53 @@ class ActionAngleReport:
 
 def action_angle_bracket_table(pt: OrbitPoint,
                                convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-                               lam0: complex | None = None, step: float = 1e-6,
                                tolerance: float = 1e-4) -> ActionAngleReport:
     """Oracle brackets {h[n,k], tau[m,l]} and {h, h} over levels 1..N-1.
 
-    With the augmented angles the full table is canonical,
-    {h[n,k], tau[m,l]} = d(n,m) d(k,l); the status only grades levels
-    n, m >= 2, and the level-one row is reported separately (the literal
-    level-one angle is identically zero, so only the augmentation makes it
-    conjugate to h[1,1]).
+    {h, tau} is the derivative of tau along the flow u' = [grad h, u].  That
+    flow fixes every puncture, so only the divisor points e (closed-form
+    gradients) and the augmentation log(lead C_m) move:
+
+        {h, tau[m,l]} = sum_i e_i^(m-l) / A_m(e_i) de_i + d(l,1) d log lead C_m,
+
+    with no angle value and no branch.  With the augmented angles the full
+    table is canonical, {h[n,k], tau[m,l]} = d(n,m) d(k,l); the status only
+    grades levels n, m >= 2, and the level-one row is reported separately
+    (the literal level-one angle is identically zero, so only the
+    augmentation makes it conjugate to h[1,1]).
     """
     N = pt.n
     u = pt.u
-    if lam0 is None:
-        lam0 = default_base_point(pt)
-    tracker = _TauTracker(u, convention, lam0)
+    d = chart_derivatives(u, convention)
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
-
-    tau_grad = _central_gradients(lambda v: tracker.values_near(v)[0], u, step)
     h_nabla = {key: action_gradient(u, key) for key in keys}
-    tau_nabla = {key: tau_grad[key].T for key in keys}
+    tau_grads = [np.zeros((0, N, N))]
+    for m in range(1, N):
+        e = d.lv.e[m - 1]
+        weights = np.vander(e, m).T / np.polyval(d.lv.a[m], e)    # [l-1, i]
+        grads = np.einsum("li,iab->lab", weights, d.e[m - 1])
+        # C_m carries no lam in its last row and column, so lead C_m is
+        # -sign * u[rows[-1], cols[-1]]
+        rows, cols = d.minors[N + m - 1]
+        grads[0, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
+        tau_grads.append(grads)
+    flows = np.array([X @ u - u @ X for X in h_nabla.values()]).reshape(len(keys), N * N)
+    brackets = flows @ np.concatenate(tau_grads).reshape(len(keys), N * N).T
 
-    h_tau = {}
-    h_h = {}
-    level_one = {}
-    worst = 0.0
-    for ka in keys:
-        for kb in keys:
-            val = _kk(u, h_nabla[ka], tau_nabla[kb])
-            h_tau[(ka, kb)] = val
-            expected = 1.0 if ka == kb else 0.0
-            if ka[0] >= 2 and kb[0] >= 2:
-                worst = max(worst, abs(val - expected))
-            if ka[0] == 1 or kb[0] == 1:
-                level_one[(ka, kb)] = val
-        for kb in keys:
-            if kb <= ka:
-                continue
-            val = _kk(u, h_nabla[ka], h_nabla[kb])
-            h_h[(ka, kb)] = val
-            if ka[0] >= 2 and kb[0] >= 2:
-                worst = max(worst, abs(val))
+    h_tau = {(ka, kb): complex(brackets[ia, ib])
+             for ia, ka in enumerate(keys) for ib, kb in enumerate(keys)}
+    h_h = {(ka, kb): _kk(u, h_nabla[ka], h_nabla[kb])
+           for ia, ka in enumerate(keys) for kb in keys[ia + 1:]}
+    level_one = {(ka, kb): v for (ka, kb), v in h_tau.items() if 1 in (ka[0], kb[0])}
+    # np.max keeps a NaN deviation, so a NaN bracket fails
+    devs = [abs(v - (ka == kb)) for (ka, kb), v in (*h_tau.items(), *h_h.items())
+            if ka[0] >= 2 and kb[0] >= 2]
+    worst = float(np.max(devs, initial=0.0))
     return ActionAngleReport(
-        n=N, step=step, tolerance=tolerance, h_tau=h_tau, h_h=h_h,
+        n=N, tolerance=tolerance, h_tau=h_tau, h_h=h_h,
         max_deviation_upper=worst, level_one=level_one,
-        status="ok" if worst <= tolerance else "violation")
+        status="ok" if worst <= tolerance else "violation",
+        conditioning=d.conditioning)
 
 
 @dataclass

@@ -108,6 +108,38 @@ def test_orbit_n8_chart_residuals_are_relative_to_the_coefficients(capsys):
     assert max(residuals["minor_coefficients"], residuals["angle_relation"]) < 1e-9
 
 
+S8 = "0.9+0.1j,-1.1+0.4j,0.3-1.2j,-0.5-0.6j,1.3+1.1j,-1.4-1.3j,0.1+0.9j,0.7-0.4j"
+
+
+def test_orbit_n8_check_all_is_canonical(capsys):
+    # the finite-difference stencils read 1.6e-5 on the chart and 1.9e-4 on
+    # the residue form here, over their tolerances
+    code, out, _ = run_cli(capsys, "orbit", "--n", "8", f"--spectrum={S8}",
+                           "--seed", "3", "--check", "all")
+    report = parse_report(out)
+    assert code == 0 and report["status"] == "ok"
+    for section in ("canonical_chart", "residue_form", "action_angle"):
+        assert report[section]["derivatives"] == "analytic"
+        assert report[section]["status"] == "ok"
+    assert report["canonical_chart"]["max_deviation"] < 1e-9
+
+
+def test_orbit_n8_integer_spectrum_is_near_the_singular_locus(capsys):
+    # the action-angle table misses by 7.6e-2 here; the conditioning figures
+    # show why: a level-7 divisor point 0.0062 from a puncture, and gamma[7]
+    # 0.019 from gamma[8]
+    code, out, _ = run_cli(capsys, "orbit", "--n", "8", "--spectrum", "1,2,3,4,5,6,7,8",
+                           "--seed", "3", "--check", "all")
+    report = parse_report(out)
+    assert code == 1 and report["status"] == "violation"
+    assert report["action_angle"]["status"] == "violation"
+    for section in ("canonical_chart", "residue_form", "action_angle"):
+        figures = report[section]["conditioning"]
+        assert figures["min_divisor_gap"] < 0.01
+        assert figures["min_level_gap"] < 0.02
+        assert figures["max_root_condition"] > 1.0
+
+
 def test_orbit_repeated_spectrum_is_config_error(capsys):
     code, _, err = run_cli(capsys, "orbit", "--n", "3", "--spectrum", "1,1,3")
     assert code == 2
@@ -228,8 +260,22 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("verify-quantum", "--n", "2", "--trials", "0"),
     ("orbit", "--n", "3", "--spectrum", "1,2,1e300"),
     ("flow", "--n", "3", "--spectrum", "1,2,1e300", "--hamiltonian", "2,1"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=abc"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "xyz"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "nan"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chrat=1"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=nan"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=-1"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=0"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart"),
+    ("verify-classical", "--n", "2", "--tolerance", "chart=1e-3"),
+    ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1",
+     "--tolerance", "linearization=inf"),
 ], ids=["t-zero", "t-nan", "t-inf", "steps-zero", "spectrum-nan", "points-zero",
-        "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow"])
+        "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow",
+        "tolerance-not-a-number", "lam0-not-a-number", "lam0-nan", "tolerance-unknown-name",
+        "tolerance-nan", "tolerance-negative", "tolerance-zero", "tolerance-no-value",
+        "tolerance-not-read-by-command", "tolerance-inf"])
 def test_bad_values_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
