@@ -12,8 +12,8 @@ the action values h[n,k] (coefficients of A_n), and the angle values
              - sum_i int(lam0 -> gamma[n-1,i]) lam^(n-k)/A_n,
 
 where e[n,i] are the zeros of the lowering minor C_n.  All integrals are
-elementary: residue-weighted logarithms continued along deterministic
-straight paths, deflected around punctures by small semicircles.
+elementary: along the straight path from lam0 each is a residue-weighted
+sum of principal logarithms.
 
 The literal tau formula leaves tau[n,1] non-conjugate to h[n,1] (and gives
 tau[1,1] = 0 at level one); augmenting tau[n,1] by log of the leading
@@ -44,7 +44,7 @@ from .orbits import (
     level_data,
     regularity_margin,
 )
-from .polytools import min_pairwise_gap, principal_charpoly
+from .polytools import principal_charpoly
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "BranchJumpError",
@@ -125,81 +125,37 @@ def differentials(punctures) -> LevelDifferentials:
 
 
 # ---------------------------------------------------------------------------
-# branch-tracked elementary integrals
+# straight-path elementary integrals
 # ---------------------------------------------------------------------------
 
-def _deflected_path(a: complex, b: complex, punctures, radius: float) -> list[complex]:
-    """Polyline from a to b, bulging around punctures closer than radius."""
-    seg = b - a
-    length = abs(seg)
-    if length == 0.0:
-        return [a, b]
-    if len(punctures) > 1:
-        radius = min(radius, min_pairwise_gap(np.asarray(punctures)) / 4.0)
-    dirn = seg / length
-    events = []
-    for g in punctures:
-        w = (g - a) / seg
-        tproj = w.real
-        dist = abs(g - (a + tproj * seg))
-        if dist < radius and -radius / length <= tproj <= 1.0 + radius / length:
-            events.append((tproj, g, dist))
-    if not events:
-        return [a, b]
-    events.sort(key=lambda e: e[0])
-    path = [a]
-    for tproj, g, dist in events:
-        half = (max(radius ** 2 - dist ** 2, 0.0) ** 0.5) / length
-        t_in = min(max(tproj - half, 0.0), 1.0)
-        t_out = min(max(tproj + half, 0.0), 1.0)
-        z_in = a + t_in * seg
-        z_out = a + t_out * seg
-        # bulge away from the puncture's side of the line (left -> bulge right)
-        off = ((g - a) / dirn).imag
-        side = -1.0 if off >= 0.0 else 1.0
-        th_in = np.angle(z_in - g)
-        th_out = np.angle(z_out - g)
-        th_mid = np.angle(side * 1j * dirn)
-        ccw_total = (th_out - th_in) % (2.0 * np.pi)
-        ccw_mid = (th_mid - th_in) % (2.0 * np.pi)
-        sweep = ccw_total if ccw_mid <= ccw_total else ccw_total - 2.0 * np.pi
-        r_in, r_out = abs(z_in - g), abs(z_out - g)
-        arc_steps = 12
-        for s in range(arc_steps + 1):
-            frac = s / arc_steps
-            r = r_in + (r_out - r_in) * frac
-            path.append(g + r * np.exp(1j * (th_in + sweep * frac)))
-    path.append(b)
-    return path
+# Closest approach of an integration endpoint or a divisor point to a puncture.
+_PUNCTURE_FLOOR = 1e-8
 
 
-def path_log_increments(a: complex, b: complex, punctures,
-                        radius: float = 1e-3,
-                        endpoint_floor: float = 1e-8) -> list[complex]:
-    """Continuous increments of log(lam - g_j) from a to b, one per puncture.
+def path_log_increments(a: complex, b: complex, punctures) -> np.ndarray:
+    """Increments of log(lam - g_j) along the straight segment a -> b.
 
-    The path is the straight segment deflected around punctures; every
-    straight piece subtends less than pi at each off-path puncture, so the
-    per-piece principal logarithms compose to the true continuation.
+    A straight segment subtends less than pi at every puncture off it, so
+    each increment is the principal log((b - g_j) / (a - g_j)).  A puncture
+    on the segment gives +i*pi, the increment of a path that steps around it
+    to the right: adding 0j turns the -0.0 imaginary part of a negative real
+    ratio into +0.0.
     """
-    for z in (a, b):
-        for g in punctures:
-            if abs(z - g) < endpoint_floor:
-                raise PathThroughPunctureError(
-                    f"integration endpoint within {endpoint_floor} of a puncture")
-    path = _deflected_path(complex(a), complex(b), punctures, radius)
-    out = []
-    for g in punctures:
-        total = 0j
-        for p, q in zip(path, path[1:]):
-            if p == q:
-                continue
-            num, den = q - g, p - g
-            if num == 0 or den == 0:
-                raise PathThroughPunctureError("path touched a puncture")
-            total += np.log(num / den)
-        out.append(total)
-    return out
+    g = np.asarray(punctures, dtype=complex)
+    if np.min(np.abs(np.subtract.outer([a, b], g)), initial=np.inf) < _PUNCTURE_FLOOR:
+        raise PathThroughPunctureError(
+            f"integration endpoint within {_PUNCTURE_FLOOR} of a puncture")
+    return np.log((b - g) / (a - g) + 0j)
+
+
+def _residue_logs(gamma, lam0: complex, endpoints) -> np.ndarray:
+    """sum over endpoints z of int(lam0 -> z) lam^p / A_n, p = 0..n-1.
+
+    Each integral is sum_j res_j(lam^p / A_n) log((z - g_j) / (lam0 - g_j)).
+    """
+    logs = sum((path_log_increments(lam0, z, gamma) for z in endpoints),
+               np.zeros(len(gamma), dtype=complex))
+    return logs @ np.array(differentials(gamma).residues, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +169,8 @@ class AngleResult:
 
 
 def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
-                    leading_coeff: complex | None = None, augment: bool = True,
-                    deflect_radius: float = 1e-3) -> AngleResult:
+                    leading_coeff: complex | None = None,
+                    augment: bool = True) -> AngleResult:
     """Angle values tau[n,k], k = 1..n, for one level.
 
     gamma_n are the level punctures, e_points the zeros of the lowering
@@ -225,25 +181,8 @@ def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
     angle, where the literal double sum is empty.
     """
     gamma_n = [complex(z) for z in gamma_n]
-    n = len(gamma_n)
-    diffs = differentials(gamma_n)
-    dlog_cache: dict[complex, list[complex]] = {}
-
-    def dlogs(endpoint: complex) -> list[complex]:
-        endpoint = complex(endpoint)
-        if endpoint not in dlog_cache:
-            dlog_cache[endpoint] = path_log_increments(
-                complex(lam0), endpoint, gamma_n, radius=deflect_radius)
-        return dlog_cache[endpoint]
-
-    taus_literal = []
-    for k in range(1, n + 1):
-        column = diffs.residue_column(n - k)
-        total = 0j
-        for pts, sign in ((e_points, 1.0), (gamma_prev, -1.0)):
-            for z in pts:
-                total += sign * sum(r * dl for r, dl in zip(column, dlogs(z)))
-        taus_literal.append(total)
+    sums = _residue_logs(gamma_n, lam0, e_points) - _residue_logs(gamma_n, lam0, gamma_prev)
+    taus_literal = [complex(v) for v in sums[::-1]]     # tau[n,k] takes lam^(n-k)
     taus = list(taus_literal)
     if augment:
         if leading_coeff is None:
@@ -311,9 +250,7 @@ def default_base_point(pt: OrbitPoint) -> complex:
 
 
 def build_tower(pt: OrbitPoint, lam0: complex | None = None,
-                convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-                augment: bool = True, deflect_radius: float = 1e-3,
-                separation_floor: float = 1e-8) -> TowerDescriptor:
+                convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> TowerDescriptor:
     """Assemble every level: punctures, actions, divisor points, angles.
 
     The top level N carries its punctures and (Casimir) action values but no
@@ -338,11 +275,10 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
             if abs(lead) < 1e-10:
                 raise TowerError(f"level {n}: lowering minor degenerates")
-            if np.min(np.abs(np.subtract.outer(e_pts, gamma)), initial=np.inf) < separation_floor:
+            if np.min(np.abs(np.subtract.outer(e_pts, gamma)), initial=np.inf) < _PUNCTURE_FLOOR:
                 raise TowerError(f"level {n}: divisor point collides with a puncture")
             res = angle_variables(gamma, e_pts, lv.gamma[n - 2] if n >= 2 else [],
-                                  lam0, leading_coeff=lead, augment=augment,
-                                  deflect_radius=deflect_radius)
+                                  lam0, leading_coeff=lead)
             tau, tau_lit = res.tau, res.tau_literal
         else:
             e_pts, lead, tau, tau_lit = np.zeros(0, dtype=complex), None, [], []
@@ -351,10 +287,7 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             tau=tau, tau_literal=tau_lit, base_point=lam0,
             leading_coeff=lead, jacobian=[complex(np.exp(t)) for t in tau]))
         if n >= 2:
-            logs = [path_log_increments(lam0, complex(z), list(gamma), radius=deflect_radius)
-                    for z in lv.gamma[n - 2]]
-            zero_section[n] = [sum((sum(r * dl for r, dl in zip(column, d)) for d in logs), 0j)
-                               for column in zip(*differentials(gamma).residues)]
+            zero_section[n] = [complex(v) for v in _residue_logs(gamma, lam0, lv.gamma[n - 2])]
     return TowerDescriptor(levels=levels, zero_section=zero_section,
                            convention=convention.label(), base_point=lam0)
 
@@ -363,22 +296,31 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
 # Hamiltonian flows
 # ---------------------------------------------------------------------------
 
-def action_gradient(u: np.ndarray, selector: tuple[int, int]) -> np.ndarray:
-    """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at u.
+def _horner_gradients(un: np.ndarray, coeffs) -> np.ndarray:
+    """grad h[n,k] on the n x n block, k = 1..len(coeffs), from charpoly(u_n).
 
     Jacobi's formula and the Faddeev-LeVerrier expansion of adj(lam - u_n)
-    give grad h[n,k] = -(c_0 u_n^(k-1) + ... + c_(k-1)), c = charpoly(u_n),
-    embedded in the top-left n x n block.
+    give grad h[n,k] = -(c_0 u_n^(k-1) + ... + c_(k-1)), c = charpoly(u_n):
+    the Horner accumulator after k steps.
     """
+    n = un.shape[0]
+    acc = np.zeros((n, n), dtype=complex)
+    out = []
+    for ci in coeffs:
+        acc = acc @ un + ci * np.eye(n)
+        out.append(-acc)
+    return np.array(out)
+
+
+def action_gradient(u: np.ndarray, selector: tuple[int, int]) -> np.ndarray:
+    """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at u, embedded in
+    the top-left n x n block."""
     N = u.shape[0]
     n, k = selector
     if not (1 <= n <= N and 1 <= k <= n):
         raise ValueError(f"no action h[{n},{k}] at ambient size {N}")
-    acc = np.zeros((n, n), dtype=complex)
-    for ci in principal_charpoly(u, n)[:k]:
-        acc = acc @ u[:n, :n] + ci * np.eye(n)
     out = np.zeros((N, N), dtype=complex)
-    out[:n, :n] = -acc
+    out[:n, :n] = _horner_gradients(u[:n, :n], principal_charpoly(u, n)[:k])[-1]
     return out
 
 
@@ -442,12 +384,10 @@ class _TauTracker:
     the roots to it and enforcing branch continuity.
     """
 
-    def __init__(self, u0: np.ndarray, convention: MinorConvention,
-                 lam0: complex, deflect_radius: float = 1e-3):
+    def __init__(self, u0: np.ndarray, convention: MinorConvention, lam0: complex):
         self.N = u0.shape[0]
         self.convention = convention
         self.lam0 = complex(lam0)
-        self.radius = deflect_radius
         self.state = level_data(u0, convention)
         self.aug_log = [complex(np.log(complex(c[0]))) for c in self.state.c]
         self.tau: dict[tuple[int, int], complex] = {}
@@ -467,7 +407,7 @@ class _TauTracker:
         for n in range(1, self.N):
             res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
                                   lv.gamma[n - 2] if n >= 2 else [], self.lam0,
-                                  augment=False, deflect_radius=self.radius)
+                                  augment=False)
             for k, val in enumerate(res.tau_literal, start=1):
                 taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
         flags: dict[int, bool] = {n: False for n in range(1, self.N)}
@@ -555,7 +495,11 @@ def action_angle_bracket_table(pt: OrbitPoint,
     u = pt.u
     d = chart_derivatives(u, convention)
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
-    h_nabla = {key: action_gradient(u, key) for key in keys}
+    h_nabla = {}
+    for n in range(1, N):
+        X = np.zeros((n, N, N), dtype=complex)
+        X[:, :n, :n] = _horner_gradients(u[:n, :n], d.lv.a[n][:n])
+        h_nabla.update({(n, k): X[k - 1] for k in range(1, n + 1)})
     tau_grads = [np.zeros((0, N, N))]
     for m in range(1, N):
         e = d.lv.e[m - 1]

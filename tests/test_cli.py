@@ -189,6 +189,19 @@ def test_flow_ok_and_trajectory(tmp_path, capsys):
     assert set(record) == {"t", "u", "h", "tau", "branch_flags"}
 
 
+def test_flow_past_a_puncture_near_an_e_point_reports(tmp_path, capsys):
+    # at t = 0.8 an e-point lies 9e-4 from a level-4 puncture; a path from
+    # lam0 that bulged around that puncture would wind once around it and
+    # shift tau[4,1] by 2*pi*i times a residue
+    code, out, _ = run_cli(
+        capsys, "flow", "--n", "5", "--hamiltonian", "4,3", "--steps", "1000",
+        "--spectrum=0.548397-1.193040j,0.960227+1.049305j,-0.214281-0.318218j,"
+        "0.776116-0.060948j,1.135441-1.060996j", "--seed", "195104716",
+        "--trajectory", str(tmp_path / "traj.jsonl"))
+    assert code == 0
+    assert parse_report(out)["status"] == "ok"
+
+
 def test_flow_regularity_loss_reports_time(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "0.5,-1+0.5j",
                            "--seed", "3", "--hamiltonian", "1,1",
@@ -291,12 +304,22 @@ def _strip_timestamp(text):
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
 
 
-def test_reports_are_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "orbit", "--n", "2", "--spectrum", "1,-1",
-                         "--seed", "5", "--check", "residue-form", "--pairs", "4")
-    _, out2, _ = run_cli(capsys, "orbit", "--n", "2", "--spectrum", "1,-1",
-                         "--seed", "5", "--check", "residue-form", "--pairs", "4")
-    assert _strip_timestamp(out1) == _strip_timestamp(out2)
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--n", "2", "--spectrum", "1,-1", "--seed", "5",
+     "--check", "residue-form", "--pairs", "4"),
+    ("orbit", "--n", "3", "--spectrum=1,-1+0.5j,0.5-1j", "--seed", "2", "--check", "all"),
+    ("flow", "--n", "3", "--spectrum=1,-1+0.5j,0.5-1j", "--seed", "2",
+     "--hamiltonian", "2,1", "--steps", "50"),
+], ids=["orbit-n2-residue-form", "orbit-n3-all", "flow-n3"])
+def test_reports_are_deterministic(tmp_path, capsys, argv):
+    traj = tmp_path / "traj.jsonl"
+    extra = ("--trajectory", str(traj)) if argv[0] == "flow" else ()
+    outs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        outs.append(_strip_timestamp(out) + (traj.read_text() if extra else ""))
+    assert outs[0] == outs[1]
 
 
 def test_report_embeds_full_config(capsys):

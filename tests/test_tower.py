@@ -78,37 +78,50 @@ def test_residue_sum_rule_float():
 
 
 # ---------------------------------------------------------------------------
-# branch-tracked elementary integrals
+# straight-path elementary integrals
 # ---------------------------------------------------------------------------
 
-def test_path_log_against_quadrature():
+def _random_segment(seed):
+    x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (2, 5))
+    z = x + 1j * y
+    return z[0], z[1], list(z[2:])
+
+
+SEGMENTS = {
+    "three-punctures": (3.0 + 0j, -2.0 + 2.5j, [0.2 + 0.1j, -0.5 - 0.4j, 1.1 + 0.9j]),
+    **{f"random-{seed}": _random_segment(seed) for seed in range(4)},
+    # punctures 9e-4 either side of the segment's interior
+    "near-interior": (0j, 1.0 + 0j, [0.4 + 0.0009j, 0.6 - 0.0009j, 2.0 + 1.0j]),
+    # a puncture 7e-4 beyond an endpoint, which a path bulging around it
+    # would wind around once
+    "near-endpoint": (0j, 1.0 + 0j, [1.0005 + 0.0005j, -0.3 + 0.7j]),
+    "near-endpoint-reversed": (1.0 + 0j, 0j, [1.0005 + 0.0005j]),
+}
+
+
+@pytest.mark.parametrize("case", SEGMENTS)
+def test_path_log_against_quadrature(case):
     # independent oracle: trapezoidal quadrature of lam^m / A(lam) along the
-    # same deflected polyline
-    punctures = [0.2 + 0.1j, -0.5 - 0.4j, 1.1 + 0.9j]
+    # straight segment, on nodes clustered at its endpoints
+    a, b, punctures = SEGMENTS[case]
     diffs = differentials(punctures)
-    a, b = 3.0 + 0j, -2.0 + 2.5j
     dlogs = path_log_increments(a, b, punctures)
-    for m in range(3):
+    ts = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 200001))) / 2.0
+    zs = a + (b - a) * ts
+    denom = np.prod([zs - g for g in punctures], axis=0)
+    for m in range(len(punctures)):
         closed = sum(r * d for r, d in zip(diffs.residue_column(m), dlogs))
-        ts = np.linspace(0.0, 1.0, 200001)
-        zs = a + (b - a) * ts
-
-        def integrand(z):
-            denom = np.prod([z - g for g in punctures], axis=0)
-            return z ** m / denom
-
-        vals = integrand(zs)
+        vals = zs ** m / denom
         quad = np.sum((vals[1:] + vals[:-1]) * np.diff(zs)) / 2.0
         assert abs(closed - quad) < 1e-7
 
 
 def test_path_deflects_around_puncture():
-    # puncture sitting exactly on the straight segment
-    punctures = [0.0 + 0j]
-    dlogs = path_log_increments(-1.0 + 0j, 1.0 + 0j, punctures)
-    # continuation around the deflection gives Delta log = +-i*pi, finite
-    assert abs(abs(dlogs[0].imag) - np.pi) < 1e-9
-    assert abs(dlogs[0].real) < 1e-9
+    # a puncture exactly on the segment counts as passed to the path's
+    # right: Delta log = +i*pi in either direction
+    for a, b in ((-1.0 + 0j, 1.0 + 0j), (1.0 + 0j, -1.0 + 0j)):
+        dlogs = path_log_increments(a, b, [0.0 + 0j])
+        assert abs(dlogs[0] - 1j * np.pi) < 1e-12
 
 
 def test_endpoint_at_puncture_rejected():
