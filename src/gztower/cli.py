@@ -8,8 +8,8 @@ verify-quantum     quantum-determinant centrality, family commutativity and
                    the differential-operator realization
 orbit              chart construction, canonicity sweep, tower assembly and
                    (optionally) the contour-form and action-angle checks
-flow               Hamiltonian flow with a JSON-lines trajectory and the
-                   linearization report
+flow               Hamiltonian flow, its linearization report and, with
+                   --trajectory, a JSON-lines trajectory
 
 Reports are JSON on stdout (or --output), human summaries go to stderr.
 Exit codes: 0 all checks passed, 1 a check found a violation, 2 the
@@ -311,11 +311,12 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
         report["error"] = {"kind": "regularity-lost", "time": exc.time}
         return 1, report
 
-    traj_path = _resolve_output(config.trajectory or "trajectory.jsonl")
-    with open(traj_path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, default=_jsonify) + "\n")
-    report["trajectory_file"] = traj_path
+    traj_path = _resolve_output(config.trajectory)
+    if traj_path:
+        with open(traj_path, "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True, default=_jsonify) + "\n")
+        report["trajectory_file"] = traj_path
     report["samples"] = len(records)
 
     h0 = records[0]["h"]
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-quantum", help="quantum centrality and commutativity")
     common(p)
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the N<=3 cost guard")
+                   help="lift the N<=5 cost guard")
     p.add_argument("--trials", type=int, default=12,
                    help="random polynomials for the operator realization check")
 
@@ -391,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="action selector h[n,k]")
     p.add_argument("--t", type=float, default=1.0, dest="t_final")
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--trajectory", help="JSON-lines trajectory output path")
+    p.add_argument("--trajectory",
+                   help="JSON-lines trajectory output path (none written without it)")
     p.add_argument("--lam0")
     return parser
 

@@ -33,8 +33,10 @@ serve as an independent faithful oracle for the PBW engine.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -66,107 +68,172 @@ def rho_shift(k: int, c: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # PBW rewriting
 # ---------------------------------------------------------------------------
+#
+# Inside the kernel a generator (copy, i, j) is the int code
+# (copy << 2*_IJ_BITS) | (i << _IJ_BITS) | j.  With i, j < 2**_IJ_BITS the PBW
+# order on (copy, i, j) is the order of the codes, and a word is a sorted
+# tuple of codes.  Left letters precede right ones; the two halves multiply
+# independently.
 
-def _gen_commutator(x: QGen, y: QGen) -> tuple[tuple[int, QGen], ...]:
-    """[x, y] as (coefficient, generator) pairs; zero across copies."""
-    if x[0] != y[0]:
-        return ()
-    copy, i, j = x
-    _, k, l = y
+_IJ_BITS = 16
+_IJ_MASK = (1 << _IJ_BITS) - 1
+_RIGHT_LETTER = RIGHT << (2 * _IJ_BITS)     # smallest right-copy code
+
+
+def _code(copy: int, i: int, j: int) -> int:
+    return (copy << (2 * _IJ_BITS)) | (i << _IJ_BITS) | j
+
+
+def _decode(c: int) -> QGen:
+    return (c >> (2 * _IJ_BITS), (c >> _IJ_BITS) & _IJ_MASK, c & _IJ_MASK)
+
+
+def _letter_bracket(x: int, y: int) -> tuple[tuple[int, int], ...]:
+    """[x, y] as (coefficient, code) pairs, for codes x, y of one copy."""
+    copy, i, j = _decode(x)
+    _, k, l = _decode(y)
     out = []
     if j == k:
-        out.append((1, (copy, i, l)))
+        out.append((1, _code(copy, i, l)))
     if l == i:
-        out.append((-1, (copy, k, j)))
+        out.append((-1, _code(copy, k, j)))
     return tuple(out)
 
 
-_NORMAL_CACHE: dict[Word, dict[Word, int]] = {}
+Expansion = tuple[tuple[tuple[int, ...], int], ...]   # ((word, coefficient), ...)
+_LMUL: dict[tuple[int, tuple[int, ...]], Expansion] = {}
+_PRODUCT: dict[tuple[int, ...], dict[tuple[int, ...], Expansion]] = {}
 
 
-def _normalize_word(word: Word) -> dict[Word, int]:
-    """Expand a free word into PBW normal form (sorted words).
+def _lmul(x: int, w: tuple[int, ...]) -> Expansion:
+    """x * w in normal form, for a letter x and a sorted word w of x's copy.
 
-    The commutator table is integral, so every coefficient is an int.
+    With y = w[0] < x:  x * (y * rest) = y * (x * rest) + [x, y] * rest.
     """
-    hit = _NORMAL_CACHE.get(word)
+    key = (x, w)
+    hit = _LMUL.get(key)
     if hit is not None:
         return hit
-    # find the first adjacent inversion
-    pos = -1
-    for idx in range(len(word) - 1):
-        if word[idx] > word[idx + 1]:
-            pos = idx
-            break
-    if pos < 0:
-        result = {word: 1}
-        _NORMAL_CACHE[word] = result
-        return result
-    x, y = word[pos], word[pos + 1]
-    swapped = word[:pos] + (y, x) + word[pos + 2:]
-    acc: dict[Word, int] = {}
-    for w, c in _normalize_word(swapped).items():
-        acc[w] = acc.get(w, 0) + c
-    for coef, z in _gen_commutator(x, y):
-        lower = word[:pos] + (z,) + word[pos + 2:]
-        for w, c in _normalize_word(lower).items():
-            acc[w] = acc.get(w, 0) + coef * c
-    result = {w: c for w, c in acc.items() if c}
-    _NORMAL_CACHE[word] = result
-    return result
+    if not w or x <= w[0]:
+        out = (((x,) + w, 1),)
+    else:
+        y, rest = w[0], w[1:]
+        acc: dict[tuple[int, ...], int] = {}
+        for v, c in _lmul(x, rest):
+            for u, d in _lmul(y, v):
+                acc[u] = acc.get(u, 0) + c * d
+        for coef, z in _letter_bracket(x, y):
+            for v, c in _lmul(z, rest):
+                acc[v] = acc.get(v, 0) + coef * c
+        out = tuple((v, c) for v, c in acc.items() if c)
+    _LMUL[key] = out
+    return out
+
+
+def _copy_product(a: tuple[int, ...], b: tuple[int, ...]) -> Expansion:
+    """a * b in normal form, for sorted words a, b of one copy."""
+    if not a or not b or a[-1] <= b[0]:
+        return ((a + b, 1),)
+    acc = {b: 1}
+    for x in reversed(a):
+        nxt: dict[tuple[int, ...], int] = {}
+        for w, c in acc.items():
+            for v, d in _lmul(x, w):
+                nxt[v] = nxt.get(v, 0) + c * d
+        acc = nxt
+    return tuple((v, c) for v, c in acc.items() if c)
+
+
+def _word_product(a: tuple[int, ...], b: tuple[int, ...]) -> Expansion:
+    """a * b in normal form; the copies commute, so each half is ordered alone."""
+    if not a or not b or a[-1] <= b[0]:
+        return ((a + b, 1),)
+    sa = bisect_left(a, _RIGHT_LETTER)
+    sb = bisect_left(b, _RIGHT_LETTER)
+    left = _copy_product(a[:sa], b[:sb])
+    right = _copy_product(a[sa:], b[sb:])
+    return tuple((w + v, c * d) for w, c in left for v, d in right)
 
 
 class NCPoly:
     """PBW-normal-ordered element of U(gl_N) (x) U(gl_N) with lam coefficients.
 
-    terms maps (lam power, PBW word) to a Fraction; every stored word is in
-    normal form, so equality of dicts is equality in the algebra.
+    Stored as integer numerators over one positive common denominator, in
+    lowest terms; every stored word is in normal form, so equality of the
+    stored data is equality in the algebra.  ``terms`` gives the same
+    element as a dict (lam power, PBW word) -> Fraction.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, terms: dict[Key, Fraction] | None = None):
-        self.n = n
-        self.terms = {} if terms is None else terms
+        terms = {} if terms is None else terms
+        den = lcm(*(Fraction(c).denominator for c in terms.values()))
+        num = {(lp, tuple(_code(*g) for g in w)): int(Fraction(c) * den)
+               for (lp, w), c in terms.items()}
+        self._set(n, num, den)
+
+    def _set(self, n: int, num: dict, den: int) -> None:
+        num = {k: c for k, c in num.items() if c}
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: c // g for k, c in num.items()}
+                den //= g
+        self.n, self._num, self._den = n, num, den
+
+    @classmethod
+    def _make(cls, n: int, num: dict, den: int) -> "NCPoly":
+        out = cls.__new__(cls)
+        out._set(n, num, den)
+        return out
+
+    @property
+    def terms(self) -> dict[Key, Fraction]:
+        den = self._den
+        return {(lp, tuple(map(_decode, w))): Fraction(c, den)
+                for (lp, w), c in self._num.items()}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "NCPoly":
-        return cls(n)
+        return cls._make(n, {}, 1)
 
     @classmethod
     def constant(cls, n: int, value) -> "NCPoly":
         c = Fraction(value)
-        return cls(n, {(0, ()): c} if c else {})
+        return cls._make(n, {(0, ()): c.numerator}, c.denominator)
 
     @classmethod
     def lam(cls, n: int, power: int = 1) -> "NCPoly":
-        return cls(n, {(power, ()): Fraction(1)})
+        return cls._make(n, {(power, ()): 1}, 1)
 
     @classmethod
     def e(cls, n: int, i: int, j: int, copy: int = LEFT) -> "NCPoly":
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"index ({i},{j}) outside 1..{n}")
-        return cls(n, {(0, ((copy, i, j),)): Fraction(1)})
+        return cls._make(n, {(0, (_code(copy, i, j),)): 1}, 1)
 
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(not w for (_, w) in self.terms)
+        return all(not w for (_, w) in self._num)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, NCPoly)
-                and self.n == other.n and self.terms == other.terms)
+        return (isinstance(other, NCPoly) and self.n == other.n
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._den, frozenset(self._num.items())))
 
     def degree(self) -> int:
-        return max((len(w) for (_, w) in self.terms), default=0)
+        return max((len(w) for (_, w) in self._num), default=0)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -178,19 +245,17 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             other = NCPoly.constant(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return NCPoly(self.n, out)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = {k: c * sa for k, c in self._num.items()}
+        for k, c in other._num.items():
+            out[k] = out.get(k, 0) + c * sb
+        return NCPoly._make(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly(self.n, {k: -c for k, c in self.terms.items()})
+        return NCPoly._make(self.n, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "NCPoly":
         if not isinstance(other, NCPoly):
@@ -203,23 +268,27 @@ class NCPoly:
     def __mul__(self, other) -> "NCPoly":
         if not isinstance(other, NCPoly):
             c = Fraction(other)
-            if not c:
-                return NCPoly.zero(self.n)
-            return NCPoly(self.n, {k: cc * c for k, cc in self.terms.items()})
+            return NCPoly._make(self.n, {k: cc * c.numerator
+                                         for k, cc in self._num.items()},
+                                self._den * c.denominator)
         self._check(other)
-        out: dict[Key, Fraction] = {}
-        for (la, wa), ca in self.terms.items():
-            for (lb, wb), cb in other.terms.items():
+        out: dict[tuple[int, tuple[int, ...]], int] = {}
+        get = out.get
+        right = list(other._num.items())
+        for (la, wa), ca in self._num.items():
+            row = _PRODUCT.get(wa)
+            if row is None:
+                row = _PRODUCT[wa] = {}
+            for (lb, wb), cb in right:
+                prod = row.get(wb)
+                if prod is None:
+                    prod = row[wb] = _word_product(wa, wb)
                 scale = ca * cb
                 lam_pow = la + lb
-                for w, c in _normalize_word(wa + wb).items():
+                for w, c in prod:
                     key = (lam_pow, w)
-                    s = out.get(key, 0) + scale * c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return NCPoly(self.n, out)
+                    out[key] = get(key, 0) + scale * c
+        return NCPoly._make(self.n, out, self._den * other._den)
 
     def __rmul__(self, other) -> "NCPoly":
         # scalars only; noncommutative products must use the left operand
@@ -233,21 +302,23 @@ class NCPoly:
     # -- coefficient handling ------------------------------------------
 
     def lambda_coefficients(self) -> dict[int, "NCPoly"]:
-        buckets: dict[int, dict[Key, Fraction]] = {}
-        for (lp, w), c in self.terms.items():
+        """lam power -> coefficient, in increasing powers."""
+        buckets: dict[int, dict] = {}
+        for (lp, w), c in self._num.items():
             buckets.setdefault(lp, {})[(0, w)] = c
-        return {lp: NCPoly(self.n, t) for lp, t in buckets.items()}
+        return {lp: NCPoly._make(self.n, buckets[lp], self._den)
+                for lp in sorted(buckets)}
 
     def term_list(self) -> list[list[str]]:
         def word_str(lp, w):
             parts = [f"lam^{lp}"] if lp else []
-            parts += [f"E{'LR'[copy]}[{i},{j}]" for copy, i, j in w]
+            parts += [f"E{'LR'[copy]}[{i},{j}]" for copy, i, j in map(_decode, w)]
             return "*".join(parts) if parts else "1"
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0][1]), kv[0]))
-        return [[str(c), word_str(lp, w)] for (lp, w), c in items]
+        items = sorted(self._num.items(), key=lambda kv: (len(kv[0][1]), kv[0]))
+        return [[str(Fraction(c, self._den)), word_str(lp, w)] for (lp, w), c in items]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         return " + ".join(f"{c}*{m}" if m != "1" else str(c)
                           for c, m in self.term_list())
@@ -257,19 +328,14 @@ class NCPoly:
 # quantum determinants and the commuting family
 # ---------------------------------------------------------------------------
 
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    for a, b in itertools.combinations(range(len(p)), 2):
-        if p[a] > p[b]:
-            sign = -sign
-    return sign
-
-
 def qdet(n: int, k: int, side: str = "left", convention: str = "nested") -> NCPoly:
     """Size-k quantum determinant of (lam - rho - E), column-ordered.
 
     convention 'nested' uses rho from the k x k minor itself; 'ambient'
-    restricts the size-n shifts to the first k columns.
+    restricts the size-n shifts to the first k columns.  The permutation sum
+    is expanded column by column: after column c, minors[rows] holds the
+    signed sum over the bijections of columns 1..c onto that row set, so the
+    k! products share their prefixes (k * 2^(k-1) factor products).
     """
     if not 1 <= k <= n:
         raise ValueError(f"minor size {k} outside 1..{n}")
@@ -280,35 +346,49 @@ def qdet(n: int, k: int, side: str = "left", convention: str = "nested") -> NCPo
         shifts = [rho_shift(n, c) for c in range(1, k + 1)]
     else:
         raise ValueError(f"unknown rho convention {convention!r}")
-    total = NCPoly.zero(n)
-    for perm in itertools.permutations(range(1, k + 1)):
-        sign = _perm_sign(perm)
-        prod = NCPoly.constant(n, sign)
-        for c in range(1, k + 1):
-            r = perm[c - 1]
-            factor = -NCPoly.e(n, r, c, copy)
-            if r == c:
-                factor = factor + NCPoly.lam(n) - NCPoly.constant(n, shifts[c - 1])
-            prod = prod * factor
-        total = total + prod
-    return total
+    minors = {0: NCPoly.constant(n, 1)}          # row bitmask -> signed sum
+    for c in range(1, k + 1):
+        column = [-NCPoly.e(n, r, c, copy) for r in range(1, k + 1)]
+        column[c - 1] = column[c - 1] + NCPoly.lam(n) - shifts[c - 1]
+        grown: dict[int, NCPoly] = {}
+        for rows, minor in minors.items():
+            for r in range(1, k + 1):
+                if rows >> (r - 1) & 1:
+                    continue
+                # rows already used above r are inversions of the permutation
+                term = minor * column[r - 1]
+                if (rows >> r).bit_count() % 2:
+                    term = -term
+                key = rows | 1 << (r - 1)
+                grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors[(1 << k) - 1]
+
+
+def _nested_qdets(n: int, convention: str) -> list[tuple[int, int, NCPoly]]:
+    """(k, copy, qdet) for the left minors k = 1..n and the right ones k < n."""
+    dets = []
+    for k in range(1, n + 1):
+        dets.append((k, LEFT, qdet(n, k, "left", convention)))
+        if k < n:
+            dets.append((k, RIGHT, qdet(n, k, "right", convention)))
+    return dets
+
+
+def _family(n: int, dets: list[tuple[int, int, NCPoly]]) -> list[tuple[str, NCPoly]]:
+    gens: list[tuple[str, NCPoly]] = []
+    for k, copy, det in dets:
+        label = f"{'I' if k == n else 'LR'[copy]}[k={k}]"
+        for lp, coeff in det.lambda_coefficients().items():
+            if coeff.is_zero() or coeff.is_constant():
+                continue
+            gens.append((f"{label} lam^{lp}", coeff))
+    return gens
 
 
 def quantum_family(n: int, convention: str = "nested") -> list[tuple[str, NCPoly]]:
     """Nonconstant lam-coefficients of the nested quantum determinants."""
-    gens: list[tuple[str, NCPoly]] = []
-
-    def push(label: str, poly: NCPoly) -> None:
-        for lp, coeff in sorted(poly.lambda_coefficients().items()):
-            if coeff.is_zero() or coeff.is_constant():
-                continue
-            gens.append((f"{label} lam^{lp}", coeff))
-
-    for k in range(1, n):
-        push(f"L[k={k}]", qdet(n, k, "left", convention))
-        push(f"R[k={k}]", qdet(n, k, "right", convention))
-    push(f"I[k={n}]", qdet(n, n, "left", convention))
-    return gens
+    return _family(n, _nested_qdets(n, convention))
 
 
 @dataclass
@@ -335,26 +415,25 @@ class QuantumReport:
 
 def _centrality_violations(n: int, convention: str) -> tuple[int, dict | None]:
     """[coeff, E] checks for every nested minor inside its own gl_k."""
+    return _centrality(n, _nested_qdets(n, convention))
+
+
+def _centrality(n: int, dets: list[tuple[int, int, NCPoly]]) -> tuple[int, dict | None]:
     checks = 0
     witness = None
-    for k in range(1, n + 1):
-        dets = [qdet(n, k, "left", convention)]
-        if k < n:
-            dets.append(qdet(n, k, "right", convention))
-        for side_idx, det in enumerate(dets):
-            copy = (LEFT, RIGHT)[side_idx]
-            for lp, coeff in det.lambda_coefficients().items():
-                if coeff.is_constant():
-                    continue
-                for i in range(1, k + 1):
-                    for j in range(1, k + 1):
-                        res = coeff.commutator(NCPoly.e(n, i, j, copy))
-                        checks += 1
-                        if not res.is_zero() and witness is None:
-                            witness = {
-                                "labels": [f"qdet k={k} lam^{lp}", f"E[{i},{j}]"],
-                                "terms": res.term_list(),
-                            }
+    for k, copy, det in dets:
+        for lp, coeff in det.lambda_coefficients().items():
+            if coeff.is_constant():
+                continue
+            for i in range(1, k + 1):
+                for j in range(1, k + 1):
+                    res = coeff.commutator(NCPoly.e(n, i, j, copy))
+                    checks += 1
+                    if not res.is_zero() and witness is None:
+                        witness = {
+                            "labels": [f"qdet k={k} lam^{lp}", f"E[{i},{j}]"],
+                            "terms": res.term_list(),
+                        }
     return checks, witness
 
 
@@ -363,16 +442,18 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
 
     The rho convention is decided by an automated sweep: 'nested' is tried
     first and 'ambient' is the fallback; the convention that passes the
-    centrality checks is recorded and used for the family.
+    centrality checks is recorded and used for the family.  Each quantum
+    determinant is built once per convention tried.
     """
-    if n > 3 and not allow_large:
+    if n > 5 and not allow_large:
         raise SizeGuardError(
             f"N={n} PBW verification is expensive; pass allow_large to proceed")
     convention = None
     checks = 0
     witness = None
     for candidate in ("nested", "ambient"):
-        checks, witness = _centrality_violations(n, candidate)
+        dets = _nested_qdets(n, candidate)
+        checks, witness = _centrality(n, dets)
         if witness is None:
             convention = candidate
             break
@@ -380,7 +461,7 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
         return QuantumReport(n=n, convention="none", centrality_checks=checks,
                              pairs_checked=0, max_nonzero_terms=0,
                              status="violation", witness=witness)
-    gens = quantum_family(n, convention)
+    gens = _family(n, dets)
     pairs = 0
     worst = 0
     pair_witness = None

@@ -70,7 +70,7 @@ def test_quantum_ok_and_convention(capsys):
 
 
 def test_quantum_size_guard(capsys):
-    code, _, err = run_cli(capsys, "verify-quantum", "--n", "5")
+    code, _, err = run_cli(capsys, "verify-quantum", "--n", "6")
     assert code == 2
     assert "configuration error" in err
 
@@ -187,6 +187,19 @@ def test_flow_ok_and_trajectory(tmp_path, capsys):
     assert len(lines) == report["samples"]
     record = json.loads(lines[0])
     assert set(record) == {"t", "u", "h", "tau", "branch_flags"}
+
+
+def test_flow_without_trajectory_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GZTOWER_OUTPUT_DIR", raising=False)
+    code, out, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "0.5,-1+0.5j",
+                           "--seed", "3", "--hamiltonian", "1,1",
+                           "--t", "0.1", "--steps", "100")
+    assert code == 0
+    report = parse_report(out)
+    assert report["samples"] > 1
+    assert "trajectory_file" not in report
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flow_past_a_puncture_near_an_e_point_reports(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gztower import quantum
 from gztower.families import char_minor
 from gztower.poisson import PoissonPoly
 from gztower.quantum import (
@@ -41,6 +43,120 @@ def nc_words(draw, n=2, max_len=3):
 
 
 # ---------------------------------------------------------------------------
+# oracles: recursive rewriting and the permutation-sum determinant
+# ---------------------------------------------------------------------------
+#
+# Elements are dicts (lam power, word of (copy, i, j)) -> Fraction.  Words
+# are normalised by swapping the first adjacent inversion, one at a time.
+
+_NORMAL_CACHE = {}
+
+
+def _gen_commutator(x, y):
+    if x[0] != y[0]:
+        return ()
+    copy, i, j = x
+    _, k, l = y
+    out = []
+    if j == k:
+        out.append((1, (copy, i, l)))
+    if l == i:
+        out.append((-1, (copy, k, j)))
+    return tuple(out)
+
+
+def _normalize_word(word):
+    hit = _NORMAL_CACHE.get(word)
+    if hit is not None:
+        return hit
+    pos = next((idx for idx in range(len(word) - 1) if word[idx] > word[idx + 1]), -1)
+    if pos < 0:
+        result = {word: 1}
+    else:
+        x, y = word[pos], word[pos + 1]
+        acc = dict(_normalize_word(word[:pos] + (y, x) + word[pos + 2:]))
+        for coef, z in _gen_commutator(x, y):
+            for w, c in _normalize_word(word[:pos] + (z,) + word[pos + 2:]).items():
+                acc[w] = acc.get(w, 0) + coef * c
+        result = {w: c for w, c in acc.items() if c}
+    _NORMAL_CACHE[word] = result
+    return result
+
+
+def _oracle_add(a, b, scale=1):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for (la, wa), ca in a.items():
+        for (lb, wb), cb in b.items():
+            out = _oracle_add(out, {(la + lb, w): c
+                                    for w, c in _normalize_word(wa + wb).items()}, ca * cb)
+    return out
+
+
+def _perm_sign(p):
+    return (-1) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(len(p)), 2))
+
+
+def _oracle_qdet(n, k, side, convention):
+    copy = LEFT if side == "left" else RIGHT
+    size = k if convention == "nested" else n
+    total = {}
+    for perm in itertools.permutations(range(1, k + 1)):
+        prod = {(0, ()): Fraction(_perm_sign(perm))}
+        for c, r in enumerate(perm, 1):
+            factor = {(0, ((copy, r, c),)): Fraction(-1)}
+            if r == c:
+                factor = _oracle_add(factor, {(1, ()): Fraction(1),
+                                              (0, ()): -rho_shift(size, c)})
+            prod = _oracle_mul(prod, factor)
+        total = _oracle_add(total, prod)
+    return total
+
+
+@st.composite
+def oracle_elements(draw, n):
+    """Random sums of mixed-copy words with lam powers and rational constants."""
+    gens = st.tuples(st.sampled_from([LEFT, RIGHT]), st.integers(1, n), st.integers(1, n))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3),
+                                      Fraction(-1, 2), Fraction(5, 4)]))
+        lam_pow = draw(st.integers(0, 2))
+        word = tuple(draw(st.lists(gens, max_size=4)))
+        terms = _oracle_add(terms, {(lam_pow, w): c
+                                    for w, c in _normalize_word(word).items()}, coeff)
+    return terms
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_match_the_rewriting_oracle(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    ta, tb = data.draw(oracle_elements(n)), data.draw(oracle_elements(n))
+    a, b = Q(n, ta), Q(n, tb)
+    assert a.terms == ta and b.terms == tb
+    assert (a * b).terms == _oracle_mul(ta, tb)
+    # stored in lowest terms, so equal elements compare and hash equal
+    assert a * b == Q(n, _oracle_mul(ta, tb))
+    assert hash(a * b) == hash(Q(n, _oracle_mul(ta, tb)))
+    assert a.commutator(b).terms == _oracle_add(_oracle_mul(ta, tb), _oracle_mul(tb, ta), -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qdet_matches_the_permutation_sum(n):
+    for k in range(1, n + 1):
+        for side in ("left", "right"):
+            for convention in ("nested", "ambient"):
+                assert qdet(n, k, side, convention).terms == _oracle_qdet(n, k, side, convention)
+
+
+# ---------------------------------------------------------------------------
 # PBW arithmetic
 # ---------------------------------------------------------------------------
 
@@ -51,6 +167,8 @@ def test_commutator_contract():
 def test_unit():
     a = E(1, 2) * E(2, 2) + Q.constant(2, Fraction(1, 3))
     assert a * Q.constant(2, 1) == a
+    assert (a * Fraction(2, 3)) * Fraction(3, 2) == a
+    assert a * Q.constant(2, Fraction(1, 2)) + a * Q.constant(2, Fraction(1, 2)) == a
 
 
 def test_copies_commute():
@@ -154,6 +272,12 @@ def test_verify_quantum_n3():
     assert rep.pairs_checked == 36
 
 
+def test_verify_quantum_n4_needs_no_flag():
+    rep = verify_quantum_commutes(4)
+    assert rep.status == "ok"
+    assert (rep.pairs_checked, rep.centrality_checks) == (120, 136)
+
+
 def test_ambient_rho_convention_also_central():
     # the ambient restriction differs from the nested shifts by a global
     # shift of lam, so centrality holds for it as well
@@ -162,9 +286,37 @@ def test_ambient_rho_convention_also_central():
     assert witness is None and checks > 0
 
 
+def test_qdet_term_lists_are_golden():
+    # pins the witness format: term order and coefficient strings
+    assert qdet(2, 2).lambda_coefficients()[0].term_list() == [
+        ["-1/4", "1"], ["1/2", "EL[1,1]"], ["-1/2", "EL[2,2]"],
+        ["1", "EL[1,1]*EL[2,2]"], ["-1", "EL[1,2]*EL[2,1]"]]
+    assert qdet(3, 3).lambda_coefficients()[0].term_list() == [
+        ["1", "EL[2,2]"], ["-1", "EL[1,1]*EL[2,2]"], ["1", "EL[1,2]*EL[2,1]"],
+        ["1", "EL[2,2]*EL[3,3]"], ["-1", "EL[2,3]*EL[3,2]"],
+        ["-1", "EL[1,1]*EL[2,2]*EL[3,3]"], ["1", "EL[1,1]*EL[2,3]*EL[3,2]"],
+        ["1", "EL[1,2]*EL[2,1]*EL[3,3]"], ["-1", "EL[1,2]*EL[2,3]*EL[3,1]"],
+        ["-1", "EL[1,3]*EL[2,1]*EL[3,2]"], ["1", "EL[1,3]*EL[2,2]*EL[3,1]"]]
+    assert qdet(3, 2, "right", "ambient").term_list() == [
+        ["-1", "lam^1"], ["1", "lam^2"], ["1", "ER[1,1]"], ["-1", "lam^1*ER[1,1]"],
+        ["-1", "lam^1*ER[2,2]"], ["1", "ER[1,1]*ER[2,2]"], ["-1", "ER[1,2]*ER[2,1]"]]
+
+
+def test_unshifted_determinants_are_not_central(monkeypatch):
+    # without the row shifts neither convention is central, so the sweep
+    # must end in a violation that names the failing coefficient
+    monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
+    rep = verify_quantum_commutes(2)
+    assert rep.status == "violation"
+    assert rep.convention == "none"
+    assert rep.pairs_checked == 0
+    assert rep.witness == {"labels": ["qdet k=2 lam^0", "E[1,2]"],
+                           "terms": [["1", "EL[1,2]"]]}
+
+
 def test_size_guard():
     with pytest.raises(SizeGuardError):
-        verify_quantum_commutes(4)
+        verify_quantum_commutes(6)
 
 
 def test_classical_limit_top_degree():
