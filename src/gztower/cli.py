@@ -126,6 +126,10 @@ TOLERANCES = {
     "orbit": {"chart": 1e-5, "residue": 1e-4, "action_angle": 1e-4},
     "flow": {"regularity": 1e-6, "linearization": 1e-3},
 }
+# Fixed bounds: relative chart residuals (orbit) and the drift of every
+# action along a flow.
+CHART_RESIDUAL_TOLERANCE = 1e-9
+CONSERVATION_TOLERANCE = 1e-8
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -268,9 +272,10 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
     res_a, res_c = orbits.chart_residuals(chart, pt)
     report["chart"] = chart.to_json()
     report["chart_residuals"] = {
-        "minor_coefficients": res_a, "angle_relation": res_c, "tolerance": 1e-9,
+        "minor_coefficients": res_a, "angle_relation": res_c,
+        "tolerance": CHART_RESIDUAL_TOLERANCE,
         "relative_to": "per level: max(1, max|a_n|) and max(1, max|C_n(gamma)|)",
-        "status": "ok" if max(res_a, res_c) < 1e-9 else "violation"}
+        "status": "ok" if max(res_a, res_c) < CHART_RESIDUAL_TOLERANCE else "violation"}
     statuses.append(report["chart_residuals"]["status"])
 
     desc = tower.build_tower(pt, lam0=config.lam0, convention=convention)
@@ -325,8 +330,9 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
         for key, val in rec["h"].items():
             ref = h0[key]
             drift = max(drift, abs(complex(val[0], val[1]) - complex(ref[0], ref[1])))
-    report["conservation"] = {"max_h_drift": drift,
-                              "status": "ok" if drift < 1e-8 else "violation"}
+    report["conservation"] = {
+        "max_h_drift": drift,
+        "status": "ok" if drift < CONSERVATION_TOLERANCE else "violation"}
 
     lin = tower.linearization_check(
         pt, config.hamiltonian,

@@ -133,12 +133,27 @@ def _margin_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     return i[near], j[near]
 
 
-def regularity_margin(u: np.ndarray) -> float:
-    """Smallest root separation within and between consecutive A_n."""
-    roots = np.concatenate(level_data(u, lowering=False).gamma)
-    i, j = _margin_pairs(u.shape[0])
-    diff = roots[i] - roots[j]
-    return float(np.min(np.hypot(diff.real, diff.imag), initial=np.inf))
+def regularity_margin(u: np.ndarray) -> float | np.ndarray:
+    """Smallest root separation within and between consecutive A_n.
+
+    u is one matrix, or a stack (B, N, N) that gets an array of B margins
+    from one level-data kernel call; there a point whose minors leave
+    floating-point range gets NaN, where one matrix raises OrbitError.
+    """
+    u = np.asarray(u, dtype=complex)
+    N = u.shape[-1]
+    _, roots, finite = _level_stack(u.reshape(-1, N, N), DEFAULT_MINOR_CONVENTION,
+                                    lowering=False)
+    roots = np.concatenate(roots, axis=1)
+    i, j = _margin_pairs(N)
+    diff = roots[:, i] - roots[:, j]
+    margin = np.min(np.hypot(diff.real, diff.imag), axis=1, initial=np.inf)
+    margin[~finite] = np.nan
+    if u.ndim == 3:
+        return margin
+    if not finite[0]:
+        raise _overflow_error()
+    return float(margin[0])
 
 
 def random_spectrum(n: int, rng: np.random.Generator, gap: float = 0.35,
@@ -213,27 +228,48 @@ def _level_minors(N: int, rows_variant: bool, lowering: bool) -> tuple:
     return tuple(out)
 
 
+def _overflow_error() -> OrbitError:
+    return OrbitError("spectrum too large: the characteristic minors of u "
+                      "leave floating-point range")
+
+
+def _level_stack(us: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
+    """The level-data kernel: every minor and its roots at every point of a
+    stack us (B, N, N), from one minor_dets and one polished_roots call.
+
+    Returns (coeffs, roots, finite): for each minor of _level_minors its
+    coefficients (B, d+1), C_n times the convention's sign, and its roots
+    (B, d), unsorted, NaN where an exact leading zero drops one; finite[b]
+    is False when a minor of point b leaves floating-point range, and then
+    all its coefficients and roots are NaN.
+    """
+    N = us.shape[-1]
+    coeffs = minor_dets(us, _level_minors(N, convention.rows_variant, lowering))
+    roots = polished_roots([c.T for c in coeffs])
+    coeffs[N:] = [convention.sign * c for c in coeffs[N:]]
+    return coeffs, roots, ~np.isnan(coeffs[0][:, 0])
+
+
 def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
                base=None, lowering: bool = True) -> LevelData:
     """A_1..A_N and, with lowering, C_1..C_{N-1}, with their polished roots.
 
-    One minor_dets and one polished_roots call.  Roots come sorted, or
-    matched to a base (LevelData or GZChart): gamma to base.gamma, and e to
-    base.e if the base has one.  Raises OrbitError when a minor leaves
-    floating-point range.
+    One call of the level-data kernel on a stack of one.  Roots come
+    sorted, or matched to a base (LevelData or GZChart): gamma to
+    base.gamma, and e to base.e if the base has one.  Raises OrbitError
+    when a minor leaves floating-point range.
     """
     N = u.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = minor_dets(u, _level_minors(N, convention.rows_variant, lowering))
-    if not np.isfinite(np.concatenate(coeffs)).all():
-        raise OrbitError("spectrum too large: the characteristic minors of u "
-                         "leave floating-point range")
+    coeffs, roots, finite = _level_stack(np.asarray(u)[None], convention, lowering)
+    if not finite[0]:
+        raise _overflow_error()
+    roots = [r[0][~np.isnan(r[0])] for r in roots]
     refs = [] if base is None else base.gamma + getattr(base, "e", [])
-    roots = polished_roots(coeffs)
     roots = ([match_points(ref, x) for ref, x in zip(refs, roots)]
              + [sort_points(x) for x in roots[len(refs):]])
+    coeffs = [c[0] for c in coeffs]
     return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N], gamma=roots[:N],
-                     c=[convention.sign * c for c in coeffs[N:]], e=roots[N:])
+                     c=coeffs[N:], e=roots[N:])
 
 
 @dataclass

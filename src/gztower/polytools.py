@@ -7,7 +7,7 @@ numpy.roots convention).  Matrix indices here are 0-based.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 
 import numpy as np
 
@@ -28,7 +28,8 @@ def _minor_tables(n: int, minors: tuple) -> tuple:
 
     Per minor: S11, S12, S22, S21, its blocks with and without lam (S22
     padded by an identity, S12 and S21 by zeros).  Per evaluation point:
-    S with a -1 tail, where lam sits, the minor, the root of unity.  Per
+    S with a -1 tail, the minor, the root of unity; the flat positions of
+    lam in the stack of all points, and the point of each.  Per
     coefficient: the inverse DFT and the power of lam; per minor its slice.
     """
     zero, one, minus = n * n, n * n + 1, n * n + 2
@@ -58,7 +59,8 @@ def _minor_tables(n: int, minors: tuple) -> tuple:
         j = np.arange(b - a)
         local[a:b], size[a:b] = j, b - a
         dft[a:b, a:b] = np.exp(-2j * np.pi * np.outer(j[::-1], j) / (b - a)) / (b - a)
-    return (s11, s12, s22, s21, np.array(gather), np.array(lam), np.array(owner),
+    lam = np.flatnonzero(lam)
+    return (s11, s12, s22, s21, np.array(gather), lam, lam // (n * n), np.array(owner),
             np.exp(2j * np.pi * local / size), dft, size - 1 - local, tuple(bounds))
 
 
@@ -73,19 +75,39 @@ def minor_dets(u: np.ndarray, minors: tuple) -> list[np.ndarray]:
     (S11 carries lam, S22 not, ^+ the pseudo-inverse; one stacked eigvals),
     or 1.0 if that is 0.  Each minor gets d+1 coefficients, highest first;
     the leading one is 0 up to round-off when the degree drops below d.
+
+    u may be one matrix or a stack (B, n, n); for a stack every minor comes
+    back as a (B, d+1) array, all B points in the same stacked calls.  A
+    point whose entries, Schur complements or coefficients are not finite
+    gets NaN for every coefficient of every minor.
     """
     u = np.asarray(u, dtype=complex)
-    s11, s12, s22, s21, gather, lam, owner, omega, dft, power, bounds = \
-        _minor_tables(u.shape[0], minors)
-    ext = np.append(u.ravel(), (0, 1, -1))
-    s22 = ext[s22]      # the pseudo-inverse of a scalar needs no SVD
-    s22 = (np.divide(1.0, s22, out=np.zeros_like(s22), where=s22 != 0)
-           if s22.shape[-1] == 1 else np.linalg.pinv(s22))
-    r = np.max(np.abs(np.linalg.eigvals(ext[s11] - ext[s12] @ (s22 @ ext[s21]))), axis=1)
-    r[r == 0] = 1.0
-    mats = (r[owner] * omega)[:, None, None] * lam - ext[gather]
-    coeffs = (dft @ np.linalg.det(mats)) / r[owner] ** power
-    return [coeffs[a:b] for a, b in bounds]
+    n = u.shape[-1]
+    us = u.reshape(-1, n * n)
+    s11, s12, s22, s21, gather, lam, lam_point, owner, omega, dft, power, bounds = \
+        _minor_tables(n, minors)
+    ext = np.empty((len(us), n * n + 3), dtype=complex)
+    ext[:, :-3], ext[:, -3:] = us, (0, 1, -1)
+    ok = np.isfinite(ext).all(axis=1)
+    ext[~ok] = 0.0
+    with np.errstate(all="ignore"):
+        s22 = ext[:, s22]       # the pseudo-inverse of a scalar needs no SVD
+        s22 = (np.divide(1.0, s22, out=np.zeros_like(s22), where=s22 != 0)
+               if s22.shape[-1] == 1 else np.linalg.pinv(s22))
+        schur = ext[:, s11] - ext[:, s12] @ (s22 @ ext[:, s21])
+        ok &= np.isfinite(schur).all(axis=(1, 2, 3))
+        schur[~ok] = 0.0
+        r = np.max(np.abs(np.linalg.eigvals(schur)), axis=2)
+        r[r == 0] = 1.0
+        r = r[:, owner]
+        mats = ext[:, gather]       # lam*P - S in place, one (B, T, n, n) array
+        np.negative(mats, out=mats)
+        mats.reshape(len(us), gather.size)[:, lam] += (r * omega)[:, lam_point]
+        coeffs = (dft @ np.linalg.det(mats)[:, :, None])[:, :, 0] / r ** power
+    coeffs[~(ok & np.isfinite(coeffs).all(axis=1))] = np.nan
+    if u.ndim == 2:
+        coeffs = coeffs[0]
+    return [coeffs[..., a:b] for a, b in bounds]
 
 
 def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:
@@ -103,36 +125,56 @@ def principal_charpoly(u: np.ndarray, k: int) -> np.ndarray:
 def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
     """Roots of every polynomial in `polys`, refined by a few Newton steps.
 
-    Exact leading zeros drop, as in numpy.roots.  Companion eigenvalues come
-    from one stacked eigvals per degree above 1; then all roots take the same
-    Newton steps at once, Horner's rule on zero-padded coefficients.
+    An entry is one coefficient array (d+1,), highest degree first, or a
+    column stack (d+1, B) of B polynomials; it gets its roots (g,), or a
+    (B, d) table of them.  Exact leading zeros drop, as in numpy.roots: a
+    polynomial of degree g < d has g roots, and in a table NaN in the d - g
+    slots after them; one with a non-finite coefficient has none.  All
+    polynomials share one zero-padded coefficient matrix; companion
+    eigenvalues come from one stacked eigvals per degree above 1; then all
+    roots take the same Newton steps at once, Horner's rule on the padded
+    coefficients, and a root whose steps leave floating-point range keeps
+    its eigenvalue.
     """
-    L = max([2, *map(len, polys)])
-    C = np.zeros((len(polys), L), dtype=complex)
-    for row, p in zip(C, polys):
-        row[L - len(p):] = p
+    stacked = [np.ndim(p) == 2 for p in polys]
+    blocks = [np.atleast_2d(np.asarray(p, dtype=complex).T) for p in polys]   # (B, d+1)
+    rows = np.array([len(b) for b in blocks], dtype=int)
+    width = np.array([b.shape[1] for b in blocks], dtype=int)
+    L = max(2, width.max(initial=0))
+    size = np.repeat(width, rows)                      # per polynomial
+    ends = np.cumsum(size)
+    owner = np.repeat(np.arange(len(size)), size)      # per coefficient
+    C = np.zeros((len(size), L), dtype=complex)
+    C[owner, L - ends[owner] + np.arange(len(owner))] = np.concatenate(
+        [np.zeros(0), *(b.ravel() for b in blocks)])
+    C[~np.isfinite(C).all(axis=1)] = 0.0
     nonzero = C != 0
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(np.where(nonzero.any(axis=1), L - 1 - nonzero.argmax(axis=1), 0)):
-        if g:
-            groups.setdefault(int(g), []).append(i)
-    roots, owner = [np.zeros(0, dtype=complex)], []
-    for g, sel in groups.items():
+    degree = np.where(nonzero.any(axis=1), L - 1 - nonzero.argmax(axis=1), 0)
+    table = np.full((len(C), L - 1), np.nan, dtype=complex)
+    roots, owner, slot = [np.zeros(0, dtype=complex)], [np.zeros(0, int)], [np.zeros(0, int)]
+    for g in np.flatnonzero(np.bincount(degree, minlength=2)[1:]) + 1:
+        sel = np.flatnonzero(degree == g)
         comp = -C[sel, L - g:] / C[sel, L - g - 1, None]    # top companion rows
         if g > 1:
             comp = np.linalg.eigvals(np.concatenate(
                 (comp[:, None], np.eye(g - 1, g)[None].repeat(len(sel), 0)), axis=1))
         roots.append(comp.ravel())
-        owner += [i for i in sel for _ in range(g)]
-    roots, owner = np.concatenate(roots), np.array(owner, dtype=int)
+        owner.append(np.repeat(sel, g))
+        slot.append(np.arange(len(sel) * g) % g)
+    start, owner, slot = map(np.concatenate, (roots, owner, slot))
     deriv = np.zeros_like(C)
     deriv[:, 1:] = C[:, :-1] * np.arange(L - 1, 0, -1)
     horner = np.ascontiguousarray(np.stack((C, deriv))[:, owner].transpose(2, 0, 1))
-    for _ in range(iters):
-        vals, dvals = functools.reduce(lambda y, col: y * roots + col, horner, 0j)
-        roots = roots - np.divide(vals, dvals, out=np.zeros_like(vals),
-                                  where=np.abs(dvals) > 1e-300)
-    return [roots[owner == i] for i in range(len(polys))]
+    roots = start
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            vals, dvals = functools.reduce(lambda y, col: y * roots + col, horner, 0j)
+            roots = roots - np.divide(vals, dvals, out=np.zeros_like(vals),
+                                      where=np.abs(dvals) > 1e-300)
+    table[owner, slot] = np.where(np.isfinite(roots), roots, start)
+    first = np.cumsum(rows) - rows
+    return [table[i:i + B, :w - 1] if st else table[i, :degree[i]]
+            for i, B, w, st in zip(first, rows, width, stacked)]
 
 
 def roots_polished(coeffs: np.ndarray, iters: int = 6) -> np.ndarray:
@@ -159,28 +201,89 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     return np.min(gaps)
 
 
-@functools.lru_cache(maxsize=None)
-def _permutation_table(k: int) -> np.ndarray:
-    """Every permutation of range(k) as a column, in itertools order."""
-    table = np.array(list(itertools.permutations(range(k))), dtype=np.intp).T
-    table.setflags(write=False)
-    return table
+def _min_cost_assignment(cost: np.ndarray) -> list[int]:
+    """Column of each row in a minimal-total-cost assignment, O(k^3).
+
+    Kuhn's Hungarian method (1955) in its shortest-augmenting-path form:
+    rows join one at a time, and dual potentials on rows and columns keep
+    every reduced cost non-negative.  The arithmetic is exact: costs are
+    rounded to integer multiples of 2^-40 of the largest, so totals that
+    differ only by rounding tie, and each cost gains the lower-order term
+    j * k^(k-1-i), so among minimal assignments the first in lexicographic
+    (itertools) order wins.  A non-finite cost gives the identity, the
+    first of the all-NaN totals an exhaustive search would see.
+    """
+    k = len(cost)
+    top = float(np.max(cost))
+    if not np.isfinite(top):
+        return list(range(k))
+    q = np.rint(cost * (2.0 ** 40 / top)) if top > 0 else np.zeros((k, k))
+    weight = [[int(q[i, j]) * k ** k + j * k ** (k - 1 - i) for j in range(k)]
+              for i in range(k)]
+    row_pot, col_pot = [0] * (k + 1), [0] * (k + 1)
+    row_of, way = [0] * (k + 1), [0] * (k + 1)   # 1-based row on each column
+    for i in range(1, k + 1):
+        row_of[0], j0 = i, 0                     # column 0 roots the search
+        reach, used = [math.inf] * (k + 1), [False] * (k + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    reduced = weight[i0 - 1][j - 1] - row_pot[i0] - col_pot[j]
+                    if reduced < reach[j]:
+                        reach[j], way[j] = reduced, j0
+                    if reach[j] < delta:
+                        delta, j1 = reach[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    row_pot[row_of[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    reach[j] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0], j0 = row_of[way[j0]], way[j0]
+    out = [0] * k
+    for j in range(1, k + 1):
+        out[row_of[j] - 1] = j - 1
+    return out
 
 
 def match_points(base: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Reorder `new` to follow `base` by minimal-total-distance assignment.
 
-    Exact: the costs of all k! permutations come from one numpy reduction
-    over a cached permutation table, summed in index order, and the first
-    minimal permutation in itertools order wins.
+    new is one configuration (k,) or a sequence of them (B, k); in a
+    sequence each row follows the one before it, the first follows base.
+    When every point of the previous configuration has its nearest new point
+    within d_i < g/2, g that configuration's smallest gap, the nearest
+    neighbours are the unique minimal assignment: any other one gives some
+    set S of points the nearest neighbours of others, each at a distance
+    above g - d_i - d_j, which sums to more than the sum of d_i over S.  All
+    rows are certified from one stacked distance table; a row that is not
+    takes the Hungarian assignment (_min_cost_assignment).
     """
-    base = np.asarray(base)
-    new = np.asarray(new)
-    if len(base) != len(new):
+    base, new = np.asarray(base), np.asarray(new)
+    if base.shape[-1] != new.shape[-1]:
         raise TrackingError("point counts differ between configurations")
     k = len(base)
     if k <= 1:
         return new.copy()
-    table = _permutation_table(k)
-    cost = np.abs(base[:, None] - new[table]).sum(axis=0)
-    return new[table[:, np.argmin(cost)]]
+    rows = new.reshape(-1, k)
+    prev = np.concatenate((base[None], rows[:-1]))
+    dist = np.abs(prev[:, :, None] - rows[:, None, :])
+    nearest = np.argmin(dist, axis=2)
+    reach = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
+    gaps = np.abs(prev[:, :, None] - prev[:, None, :])
+    gaps[:, range(k), range(k)] = np.inf
+    certified = 2.0 * reach.max(axis=1) < gaps.min(axis=(1, 2))
+    out = np.empty_like(rows)
+    order, ref = np.arange(k), base
+    for s, row in enumerate(rows):
+        if certified[s]:        # prev[s] is the previous row before reordering
+            order = nearest[s][order]
+        else:
+            order = np.array(_min_cost_assignment(np.abs(ref[:, None] - row[None, :])))
+        out[s] = ref = row[order]
+    return out.reshape(new.shape)

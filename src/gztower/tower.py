@@ -37,17 +37,17 @@ import numpy as np
 from .orbits import (
     DEFAULT_MINOR_CONVENTION,
     MinorConvention,
-    OrbitError,
     OrbitPoint,
     _kk,
+    _level_stack,
     chart_derivatives,
     level_data,
     regularity_margin,
 )
-from .polytools import principal_charpoly
+from .polytools import TrackingError, match_points, principal_charpoly, sort_points
 
 __all__ = [
-    "TowerError", "PathThroughPunctureError", "BranchJumpError",
+    "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
     "RegularityLostError", "LevelDifferentials", "differentials",
     "path_log_increments", "AngleResult", "angle_variables",
     "TowerLevel", "TowerDescriptor", "build_tower",
@@ -57,11 +57,19 @@ __all__ = [
 
 
 class TowerError(RuntimeError):
-    pass
+    """row: in a call on a stack, the first row the error holds for."""
+
+    def __init__(self, message: str = "", row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class PathThroughPunctureError(TowerError):
     """An integration endpoint or path hits a puncture."""
+
+
+class CoincidentPuncturesError(TowerError, ValueError):
+    """Two punctures of a level coincide: A_n is not square-free."""
 
 
 class BranchJumpError(TowerError):
@@ -82,46 +90,50 @@ class RegularityLostError(TowerError):
 
 @dataclass
 class LevelDifferentials:
-    """Partial-fraction data of lam^(k-1)/A_n for one level.
+    """Partial-fraction data of lam^(k-1)/A_n for one level, or for every
+    row of a stack of levels.
 
-    residues[j][k-1] is the residue of Omega^(k) at puncture j; arithmetic
-    is exact when the punctures are Fractions, complex otherwise.
+    residues[..., j, k-1] is the residue of Omega^(k) at puncture j;
+    arithmetic is exact when the punctures are Fractions, complex otherwise.
     """
 
-    punctures: list
-    residues: list[list]
+    punctures: np.ndarray
+    residues: np.ndarray
 
     def residue_column(self, power: int) -> list:
         """Residues of lam^power / A_n at all punctures (0 <= power < n)."""
-        return [row[power] for row in self.residues]
+        return self.residues[..., power].tolist()
 
     def residue_sums(self) -> list:
         """sum_j residues of Omega^(k), k = 1..n; equals delta(k, n)."""
-        n = len(self.punctures)
-        return [sum(self.residue_column(k)) for k in range(n)]
+        return self.residues.sum(axis=-2).tolist()
+
+
+def _first_row(fails: np.ndarray) -> int:
+    """Index along the leading axis of the first True entry of fails."""
+    return int(np.argmax(fails.reshape(len(fails), -1).any(axis=1))) if fails.ndim else 0
 
 
 def differentials(punctures) -> LevelDifferentials:
-    """Residue table of the basis lam^(k-1)/A_n(lam), A_n = prod(lam - g_j)."""
-    pts = list(punctures)
-    n = len(pts)
+    """Residue table of the basis lam^(k-1)/A_n(lam), A_n = prod(lam - g_j).
+
+    punctures is one level (n,) or a stack of levels (S, n); the residues
+    are gamma_j^(k-1) / prod_(s != j) (gamma_j - gamma_s).
+    """
+    g = np.asarray(punctures)
+    n = g.shape[-1]
     if n == 0:
         raise ValueError("a level needs at least one puncture")
-    residues = []
-    for j, gj in enumerate(pts):
-        denom = 1
-        for s, gs in enumerate(pts):
-            if s != j:
-                denom = denom * (gj - gs)
-        if denom == 0:
-            raise ValueError("punctures must be distinct (square-free A_n)")
-        row = []
-        power = 1
-        for _ in range(n):
-            row.append(power / denom)
-            power = power * gj
-        residues.append(row)
-    return LevelDifferentials(punctures=pts, residues=residues)
+    diff = g[..., :, None] - g[..., None, :]
+    diff[..., range(n), range(n)] = 1
+    denom = np.prod(diff, axis=-1)
+    coincide = (denom == 0).any(axis=-1)
+    if coincide.any():
+        raise CoincidentPuncturesError("punctures must be distinct (square-free A_n)",
+                                       row=_first_row(coincide))
+    powers = np.cumprod(np.concatenate(      # powers[..., j, k] = gamma_j^k
+        (np.ones_like(g)[..., None], np.repeat(g[..., None], n - 1, axis=-1)), axis=-1), axis=-1)
+    return LevelDifferentials(punctures=g, residues=powers / denom[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +144,26 @@ def differentials(punctures) -> LevelDifferentials:
 _PUNCTURE_FLOOR = 1e-8
 
 
-def path_log_increments(a: complex, b: complex, punctures) -> np.ndarray:
+def path_log_increments(a, b, punctures) -> np.ndarray:
     """Increments of log(lam - g_j) along the straight segment a -> b.
 
     A straight segment subtends less than pi at every puncture off it, so
     each increment is the principal log((b - g_j) / (a - g_j)).  A puncture
     on the segment gives +i*pi, the increment of a path that steps around it
     to the right: adding 0j turns the -0.0 imaginary part of a negative real
-    ratio into +0.0.
+    ratio into +0.0.  a and b may be arrays of endpoints: the result has
+    their shape plus a last axis over the punctures, whose leading axes
+    broadcast against them (punctures (S, 1, n) for endpoints (S, m)).  The
+    error's row is the first index along the result's leading axis with an
+    endpoint within _PUNCTURE_FLOOR of a puncture.
     """
     g = np.asarray(punctures, dtype=complex)
-    if np.min(np.abs(np.subtract.outer([a, b], g)), initial=np.inf) < _PUNCTURE_FLOOR:
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    near = (np.abs(a - g) < _PUNCTURE_FLOOR) | (np.abs(b - g) < _PUNCTURE_FLOOR)
+    if near.any():
         raise PathThroughPunctureError(
-            f"integration endpoint within {_PUNCTURE_FLOOR} of a puncture")
+            f"integration endpoint within {_PUNCTURE_FLOOR} of a puncture",
+            row=_first_row(near))
     return np.log((b - g) / (a - g) + 0j)
 
 
@@ -152,10 +171,11 @@ def _residue_logs(gamma, lam0: complex, endpoints) -> np.ndarray:
     """sum over endpoints z of int(lam0 -> z) lam^p / A_n, p = 0..n-1.
 
     Each integral is sum_j res_j(lam^p / A_n) log((z - g_j) / (lam0 - g_j)).
+    gamma (n,) with endpoints (m,), or stacks (S, n) and (S, m) row by row.
     """
-    logs = sum((path_log_increments(lam0, z, gamma) for z in endpoints),
-               np.zeros(len(gamma), dtype=complex))
-    return logs @ np.array(differentials(gamma).residues, dtype=complex)
+    gamma = np.asarray(gamma, dtype=complex)
+    logs = path_log_increments(lam0, endpoints, gamma[..., None, :]).sum(axis=-2)
+    return (logs[..., None, :] @ differentials(gamma).residues)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +191,29 @@ class AngleResult:
 def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
                     leading_coeff: complex | None = None,
                     augment: bool = True) -> AngleResult:
-    """Angle values tau[n,k], k = 1..n, for one level.
+    """Angle values tau[n,k], k = 1..n, for one level or a stack of levels.
 
     gamma_n are the level punctures, e_points the zeros of the lowering
     minor, gamma_prev the previous-level roots; lam0 is the common base
     point of all integrals.  With augment=True (the default) tau[n,1] is
     shifted by log(leading_coeff); this is the correction that makes the
     whole (h, tau) table canonical, and it also supplies the level-one
-    angle, where the literal double sum is empty.
+    angle, where the literal double sum is empty.  One level (n,), (m,),
+    (m,) gets lists; stacks (S, n), (S, m), (S, m) with leading_coeff (S,)
+    are taken row by row and get arrays (S, n), and an error is that of the
+    first failing row, its `row`.
     """
-    gamma_n = [complex(z) for z in gamma_n]
+    gamma_n = np.asarray(gamma_n, dtype=complex)
     sums = _residue_logs(gamma_n, lam0, e_points) - _residue_logs(gamma_n, lam0, gamma_prev)
-    taus_literal = [complex(v) for v in sums[::-1]]     # tau[n,k] takes lam^(n-k)
-    taus = list(taus_literal)
+    literal = sums[..., ::-1]                      # tau[n,k] takes lam^(n-k)
+    taus = literal.copy()
     if augment:
         if leading_coeff is None:
             raise ValueError("augmentation requires the leading coefficient of C_n")
-        taus[0] += complex(np.log(complex(leading_coeff)))
-    return AngleResult(tau=taus, tau_literal=taus_literal)
+        taus[..., 0] += np.log(np.asarray(leading_coeff, dtype=complex))
+    if gamma_n.ndim == 1:
+        return AngleResult(tau=taus.tolist(), tau_literal=literal.tolist())
+    return AngleResult(tau=taus, tau_literal=literal)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +356,11 @@ class FlowResult:
     points: list[np.ndarray]
 
 
+# Flow grids and tracked samples are evaluated in stacks of at most this
+# many points, so memory stays bounded on a long grid.
+_CHUNK = 64
+
+
 def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
                      t_final: float = 1.0, steps: int = 1000,
                      reg_gap: float = 1e-6, sample_every: int = 1,
@@ -343,81 +373,123 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     check_every-th step, and points are kept every sample_every-th step and
     at the end; RegularityLostError carries the first checked or sampled
     time at which regularity fails or u(t) leaves floating-point range.
+    The kept times are evaluated in stacks of _CHUNK, each in one
+    expression and one regularity_margin call.
     """
     X = action_gradient(pt.u, selector)
-    u = pt.u.copy()
-    if regularity_margin(u) < reg_gap:
-        raise RegularityLostError(0.0)
     n = selector[0]
     V = np.eye(pt.n, dtype=complex)
-    V[:n, :n] = np.linalg.eig(u[:n, :n])[1]
+    V[:n, :n] = np.linalg.eig(pt.u[:n, :n])[1]
     Vinv = np.linalg.inv(V)
     d = np.diag(Vinv @ X @ V)
-    rates, M = d[:, None] - d[None, :], Vinv @ u @ V
-    dt = t_final / steps
-    times = [0.0]
-    points = [u]
-    for step_idx in range(1, steps + 1):
-        check = step_idx % check_every == 0 or step_idx == steps
-        sample = step_idx % sample_every == 0 or step_idx == steps
-        if not (check or sample):
-            continue
-        t = step_idx * dt
+    rates, M = d[:, None] - d[None, :], Vinv @ pt.u @ V
+    grid = np.arange(steps + 1)
+    check = (grid % check_every == 0) | (grid == steps)
+    sample = (grid % sample_every == 0) | (grid == steps)
+    kept = np.flatnonzero(check | sample)
+    times, points = [], []
+    for start in range(0, len(kept), _CHUNK):
+        idx = kept[start:start + _CHUNK]
+        ts = idx * (t_final / steps)
         with np.errstate(over="ignore", invalid="ignore"):
-            u = V @ (np.exp(t * rates) * M) @ Vinv
-        try:
-            if not np.isfinite(u).all() or (check and regularity_margin(u) < reg_gap):
-                raise RegularityLostError(t)
-        except OrbitError:  # u is finite but its minors are not
-            raise RegularityLostError(t) from None
-        if sample:
-            times.append(t)
-            points.append(u)
+            us = V @ (np.exp(ts[:, None, None] * rates) * M) @ Vinv
+        us[idx == 0] = pt.u
+        lost = ~np.isfinite(us).all(axis=(1, 2))
+        checked = np.flatnonzero(check[idx])
+        lost[checked] |= ~(regularity_margin(us[checked]) >= reg_gap)
+        if lost.any():
+            raise RegularityLostError(float(ts[np.argmax(lost)]))
+        times.extend(ts[sample[idx]])
+        points.extend(us[sample[idx]])
     return FlowResult(selector=selector, times=np.array(times), points=points)
 
 
 class _TauTracker:
-    """Branch-continuous tau (and h) values along a trajectory.
+    """Branch-continuous tau (and h) values along a trajectory of N x N points.
 
-    The state holds one configuration (roots, divisor points, continued
-    augmentation logs); ``step`` advances it to the next sample, matching
-    the roots to it and enforcing branch continuity.
+    ``step`` advances through a stack of samples in time order, _CHUNK at a
+    time: one level-data kernel call per chunk, roots matched from sample
+    to sample, the taus of all samples from one angle_variables call per
+    level, and the jumps between samples from one difference.  The state is
+    the last sample's matched roots, leading coefficients of the C_n,
+    continued augmentation logs and taus.  The first sample starts it, with
+    sorted roots: on a flow that sample is u0, so t = 0 is computed once.
     """
 
-    def __init__(self, u0: np.ndarray, convention: MinorConvention, lam0: complex):
-        self.N = u0.shape[0]
+    def __init__(self, N: int, convention: MinorConvention, lam0: complex):
+        self.N = N
         self.convention = convention
         self.lam0 = complex(lam0)
-        self.state = level_data(u0, convention)
-        self.aug_log = [complex(np.log(complex(c[0]))) for c in self.state.c]
-        self.tau: dict[tuple[int, int], complex] = {}
-        self.step(u0, 0.0)
+        self.keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
+        self.h_keys = [(n, k) for n in range(1, N + 1) for k in range(1, n + 1)]
+        self.roots = self.lead = self.aug = self.tau = None
 
-    def step(self, u: np.ndarray, t: float) -> tuple[dict, dict, dict]:
-        """Advance to u = u(t); returns (tau values, h values, branch flags)."""
-        try:
-            lv = level_data(u, self.convention, base=self.state)
-        except OrbitError:
-            raise RegularityLostError(t) from None
-        hs = {(n, k): complex(lv.a[n][k]) for n in range(1, self.N + 1)
-              for k in range(1, n + 1)}
-        aug_logs = [aug + complex(np.log(complex(c[0]) / complex(c0[0])))
-                    for aug, c, c0 in zip(self.aug_log, lv.c, self.state.c)]
-        taus: dict[tuple[int, int], complex] = {}
-        for n in range(1, self.N):
-            res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
-                                  lv.gamma[n - 2] if n >= 2 else [], self.lam0,
-                                  augment=False)
-            for k, val in enumerate(res.tau_literal, start=1):
-                taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
-        flags: dict[int, bool] = {n: False for n in range(1, self.N)}
-        for (n, k), val in taus.items():
-            jump = abs(val - self.tau[(n, k)]) if self.tau else 0.0
-            if jump > np.pi:
-                raise BranchJumpError(
-                    f"tau[{n},{k}] jumped by {jump:.3f} between samples")
-            flags[n] = flags[n] or jump > np.pi / 2.0
-        self.state, self.aug_log, self.tau = lv, aug_logs, taus
+    def step(self, us, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance through the samples us (B, N, N), or one u, at times ts.
+
+        Returns the tau values (B, len(keys)), the h values (B, len(h_keys))
+        and the branch flags (B, N-1): some tau of that level moved by more
+        than pi/2 since the sample before.
+        """
+        us = np.asarray(us, dtype=complex).reshape(-1, self.N, self.N)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        parts = [self._advance(us[i:i + _CHUNK], ts[i:i + _CHUNK])
+                 for i in range(0, len(us), _CHUNK)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    def _angles(self, gamma: list, e: list, rows: int) -> np.ndarray:
+        """Literal taus (rows, len(keys)) of the first `rows` matched samples."""
+        empty = np.zeros((rows, 0), dtype=complex)
+        return np.concatenate([empty, *(
+            angle_variables(gamma[n - 1][:rows], e[n - 1][:rows],
+                            gamma[n - 2][:rows] if n >= 2 else empty,
+                            self.lam0, augment=False).tau_literal
+            for n in range(1, self.N))], axis=1)
+
+    def _advance(self, us: np.ndarray, ts: np.ndarray) -> tuple:
+        """step on one chunk; raises the error of its first failing sample:
+        lost regularity, a changed root count, an angle_variables error,
+        then a branch jump, in the order of the per-sample checks."""
+        N, fresh = self.N, self.tau is None
+        coeffs, raw, finite = _level_stack(us, self.convention, lowering=True)
+        bases = [sort_points(r[0][~np.isnan(r[0])]) for r in raw] if fresh else self.roots
+        tracked = finite & np.all([np.count_nonzero(~np.isnan(r), axis=1) == len(base)
+                                   for base, r in zip(bases, raw)], axis=0)
+        stop = len(us) if tracked.all() else int(np.argmin(tracked))
+        error = None if stop == len(us) else (
+            RegularityLostError(float(ts[stop])) if not finite[stop]
+            else TrackingError("point counts differ between configurations"))
+        if stop == 0:
+            raise error
+        roots = [match_points(base, r[:stop, :len(base)]) for base, r in zip(bases, raw)]
+        gamma, e = roots[:N], roots[N:]
+
+        limit = stop
+        while True:             # the rows before an angle error are still checked
+            try:
+                taus = self._angles(gamma, e, limit)
+                break
+            except TowerError as exc:
+                limit, error = exc.row, exc
+        lead = np.concatenate([np.zeros((limit, 0)), *(c[:limit, :1] for c in coeffs[N:])], axis=1)
+        prev_lead, prev_aug = (lead[:1], np.log(lead[:1])) if fresh else (self.lead, self.aug)
+        increments = np.log(lead / np.concatenate((prev_lead, lead[:-1])))
+        aug = np.cumsum(np.concatenate((prev_aug, increments)), axis=0)[1:]
+        taus[:, [n * (n - 1) // 2 for n in range(1, N)]] += aug
+        hs = np.concatenate([np.zeros((limit, 0)), *(c[:limit, 1:] for c in coeffs[:N])], axis=1)
+
+        jumps = np.abs(taus - np.concatenate((taus[:1] if fresh else self.tau, taus[:-1])))
+        if (jumps > np.pi).any():
+            s, i = divmod(int(np.argmax(jumps.ravel() > np.pi)), len(self.keys))
+            n, k = self.keys[i]
+            raise BranchJumpError(f"tau[{n},{k}] jumped by {jumps[s, i]:.3f} between samples")
+        if error is not None:
+            raise error
+        flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
+            (jumps[:, n * (n - 1) // 2:n * (n + 1) // 2] > np.pi / 2).any(axis=1, keepdims=True)
+            for n in range(1, N))], axis=1)
+        self.roots = [r[-1] for r in roots]
+        self.lead, self.aug, self.tau = lead[-1:], aug[-1:], taus[-1:]
         return taus, hs, flags
 
 
@@ -433,18 +505,17 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
                             reg_gap=reg_gap,
                             sample_every=max(1, steps // samples))
-    tracker = _TauTracker(pt.u, convention, lam0)
-    records = []
-    for t, u in zip(flow.times, flow.points):
-        taus, hs, flags = tracker.step(u, t)
-        records.append({
-            "t": float(t),
-            "u": [[float(z.real), float(z.imag)] for z in u.ravel()],
-            "h": {f"{n},{k}": [v.real, v.imag] for (n, k), v in sorted(hs.items())},
-            "tau": {f"{n},{k}": [v.real, v.imag] for (n, k), v in sorted(taus.items())},
-            "branch_flags": {str(n): bool(f) for n, f in sorted(flags.items())},
-        })
-    return records
+    tracker = _TauTracker(pt.n, convention, lam0)
+    taus, hs, flags = tracker.step(flow.points, flow.times)
+    pairs = lambda keys, vals: {f"{n},{k}": [v.real, v.imag]
+                                for (n, k), v in zip(keys, vals.tolist())}
+    return [{
+        "t": float(t),
+        "u": [[z.real, z.imag] for z in u.ravel().tolist()],
+        "h": pairs(tracker.h_keys, h),
+        "tau": pairs(tracker.keys, tau),
+        "branch_flags": {str(n): bool(f) for n, f in enumerate(flag, start=1)},
+    } for t, u, tau, h, flag in zip(flow.times, flow.points, taus, hs, flags)]
 
 
 @dataclass
@@ -565,19 +636,14 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
         lam0 = default_base_point(pt)
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
                             sample_every=max(1, steps // samples))
-    tracker = _TauTracker(pt.u, convention, lam0)
-    series: dict[tuple[int, int], list[complex]] = {}
-    for t, u in zip(flow.times, flow.points):
-        taus, _, _ = tracker.step(u, t)
-        for key, val in taus.items():
-            series.setdefault(key, []).append(val)
+    tracker = _TauTracker(pt.n, convention, lam0)
+    taus, _, _ = tracker.step(flow.points, flow.times)
     times = np.asarray(flow.times, dtype=float)
     tbar = times - times.mean()
     denom = float(np.sum(tbar * tbar))
     slopes = {}
     errors = []
-    for key, vals in series.items():
-        ys = np.asarray(vals, dtype=complex)
+    for key, ys in zip(tracker.keys, taus.T):
         slope = complex(np.sum(tbar * (ys - ys.mean())) / denom)
         slopes[key] = slope
         errors.append(abs(slope - (1.0 if key == selector else 0.0)))

@@ -7,6 +7,7 @@ from gztower.orbits import (
     MinorConvention,
     OrbitError,
     OrbitPoint,
+    _level_stack,
     gz_forward,
     level_data,
     lowering_minor_coeffs,
@@ -96,6 +97,50 @@ def test_level_data_tracks_a_base():
         assert np.array_equal(got, ref)
     for e in chart.e:
         assert np.array_equal(e, sort_points(e))
+
+
+def _stack(N):
+    """Five points at N: two samples at three scales, one entry-wise random."""
+    rng = np.random.default_rng(N)
+    pts = [sample_orbit(random_spectrum(N, rng), seed=seed).u for seed in range(2)]
+    us = [scale * u for u in pts for scale in (1e-2, 1e2)]
+    return np.array(us + [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))])
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_stacked_level_data_matches_per_point_calls(N):
+    us = _stack(N)
+    for conv in CONVENTIONS[:3]:
+        coeffs, roots, finite = _level_stack(us, conv, lowering=True)
+        assert finite.all() and len(coeffs) == len(roots) == 2 * N - 1
+        for b, u in enumerate(us):
+            lv = level_data(u, conv)
+            for c, r, ref_c, ref_r in zip(coeffs, roots, lv.a[1:] + lv.c, lv.gamma + lv.e):
+                scale = np.max(np.abs(ref_c))
+                assert np.max(np.abs(c[b] - ref_c)) <= 1e-13 * scale
+                if len(ref_r):
+                    scale = np.max(np.abs(ref_r))
+                    assert np.max(np.abs(sort_points(r[b]) - ref_r)) <= 1e-13 * scale
+    # a point's margin does not depend on the stack around it
+    margins = regularity_margin(us)
+    assert margins.shape == (len(us),)
+    assert margins.tolist() == [regularity_margin(u) for u in us]
+
+
+def test_stacked_margin_flags_overflowing_points_alone():
+    # one point's minors overflow, one point is not finite: both get NaN,
+    # where a single matrix raises; the others keep their margins
+    us = _stack(3)
+    h = np.random.default_rng(0).standard_normal((3, 3))
+    us[1] = h @ np.diag([1.0, 2.0, 1e300]) @ np.linalg.inv(h)
+    us[3, 0, 2] = np.inf
+    margins = regularity_margin(us)
+    assert np.isnan(margins[[1, 3]]).all()
+    for b in (0, 2, 4):
+        assert margins[b] == regularity_margin(us[b])
+    with pytest.raises(OrbitError, match="floating-point range"):
+        regularity_margin(us[3])
+    assert regularity_margin(us[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gztower.families import char_minor
-from gztower import tower
+from gztower import orbits, tower
 from gztower.orbits import (
     DEFAULT_MINOR_CONVENTION,
     MinorConvention,
@@ -20,6 +20,7 @@ from gztower.orbits import (
 from gztower.poisson import U, evaluate_at
 from gztower.polytools import principal_charpoly
 from gztower.tower import (
+    BranchJumpError,
     PathThroughPunctureError,
     RegularityLostError,
     TowerError,
@@ -356,7 +357,8 @@ def test_flow_leaving_floating_point_range_loses_regularity():
 
 def test_flow_with_finite_u_and_overflowing_minors_loses_regularity(monkeypatch):
     # at t = 10 the h[4,3] flow has |u| near 1e154, finite, while its minors
-    # leave floating-point range: a regularity loss, not a bad spectrum
+    # leave floating-point range: a regularity loss, not a bad spectrum; the
+    # checked stack is (t = 0, t = 10)
     seen = []
     monkeypatch.setattr(tower, "regularity_margin",
                         lambda u: (seen.append(u), regularity_margin(u))[1])
@@ -364,12 +366,12 @@ def test_flow_with_finite_u_and_overflowing_minors_loses_regularity(monkeypatch)
     with pytest.raises(RegularityLostError) as err:
         hamiltonian_flow(pt, (4, 3), t_final=10.0, steps=1)
     assert err.value.time == 10.0
-    assert np.isfinite(seen[-1]).all()
+    assert np.isfinite(seen[-1][-1]).all()
     with pytest.raises(OrbitError):
-        level_data(seen[-1])
-    tracker = tower._TauTracker(pt.u, DEFAULT_MINOR_CONVENTION, default_base_point(pt))
+        level_data(seen[-1][-1])
+    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, default_base_point(pt))
     with pytest.raises(RegularityLostError) as err:
-        tracker.step(seen[-1], 10.0)
+        tracker.step(seen[-1][-1], 10.0)
     assert err.value.time == 10.0
 
 
@@ -402,6 +404,301 @@ def test_invalid_selector_rejected():
     pt = sample_orbit([1.0, -1.0], seed=4)
     with pytest.raises(ValueError):
         hamiltonian_flow(pt, (3, 1))
+
+
+# ---------------------------------------------------------------------------
+# the stacked flow and tracker against their per-point loops
+# ---------------------------------------------------------------------------
+
+def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every=1,
+               check_every=10):
+    """Oracle: the flow one kept grid time at a time, each checked alone."""
+    X = action_gradient(pt.u, selector)
+    u = pt.u.copy()
+    if tower.regularity_margin(u) < reg_gap:
+        raise RegularityLostError(0.0)
+    n = selector[0]
+    V = np.eye(pt.n, dtype=complex)
+    V[:n, :n] = np.linalg.eig(u[:n, :n])[1]
+    Vinv = np.linalg.inv(V)
+    d = np.diag(Vinv @ X @ V)
+    rates, M = d[:, None] - d[None, :], Vinv @ u @ V
+    dt = t_final / steps
+    times, points = [0.0], [u]
+    for step_idx in range(1, steps + 1):
+        check = step_idx % check_every == 0 or step_idx == steps
+        sample = step_idx % sample_every == 0 or step_idx == steps
+        if not (check or sample):
+            continue
+        t = step_idx * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = V @ (np.exp(t * rates) * M) @ Vinv
+        try:
+            if not np.isfinite(u).all() or (check and tower.regularity_margin(u) < reg_gap):
+                raise RegularityLostError(t)
+        except OrbitError:
+            raise RegularityLostError(t) from None
+        if sample:
+            times.append(t)
+            points.append(u)
+    return np.array(times), points
+
+
+class _TrackerLoop:
+    """Oracle: the tracker one sample at a time, each matched to the last by
+    level_data and its angles from angle_variables."""
+
+    def __init__(self, u0, convention, lam0):
+        self.N, self.convention, self.lam0 = u0.shape[0], convention, complex(lam0)
+        self.state = level_data(u0, convention)
+        self.aug_log = [complex(np.log(complex(c[0]))) for c in self.state.c]
+        self.tau = {}
+        self.step(u0, 0.0)
+
+    def step(self, u, t):
+        try:
+            lv = level_data(u, self.convention, base=self.state)
+        except OrbitError:
+            raise RegularityLostError(t) from None
+        hs = {(n, k): complex(lv.a[n][k]) for n in range(1, self.N + 1)
+              for k in range(1, n + 1)}
+        aug_logs = [aug + complex(np.log(complex(c[0]) / complex(c0[0])))
+                    for aug, c, c0 in zip(self.aug_log, lv.c, self.state.c)]
+        taus = {}
+        for n in range(1, self.N):
+            res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
+                                  lv.gamma[n - 2] if n >= 2 else [], self.lam0,
+                                  augment=False)
+            for k, val in enumerate(res.tau_literal, start=1):
+                taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
+        flags = {n: False for n in range(1, self.N)}
+        for (n, k), val in taus.items():
+            jump = abs(val - self.tau[(n, k)]) if self.tau else 0.0
+            if jump > np.pi:
+                raise BranchJumpError(f"tau[{n},{k}] jumped by {jump:.3f} between samples")
+            flags[n] = flags[n] or jump > np.pi / 2.0
+        self.state, self.aug_log, self.tau = lv, aug_logs, taus
+        return taus, hs, flags
+
+
+def _tracked_loop(pt, selector, steps, sample_every, lam0=None):
+    lam0 = default_base_point(pt) if lam0 is None else lam0
+    times, points = _flow_loop(pt, selector, steps=steps, sample_every=sample_every)
+    tracker = _TrackerLoop(pt.u, DEFAULT_MINOR_CONVENTION, lam0)
+    return times, points, [tracker.step(u, t) for t, u in zip(times, points)]
+
+
+def _outcome(run):
+    """(kind, time or message) of a call that may fail, or its result."""
+    try:
+        return "ok", run()
+    except RegularityLostError as exc:
+        return "regularity", (exc.time, str(exc))
+    except BranchJumpError as exc:
+        return "jump", str(exc)
+
+
+# at t = 0.8 an e-point of this flow lies 9e-4 from a level-4 puncture
+_NEAR_PUNCTURE = [0.548397 - 1.193040j, 0.960227 + 1.049305j, -0.214281 - 0.318218j,
+                  0.776116 - 0.060948j, 1.135441 - 1.060996j]
+
+# (spectrum, seed, selector, steps, sample_every): grids of 11 to 1001 kept
+# times, so from one chunk of 64 to sixteen
+_FLOWS = {
+    "n3-coarse": (_SPECTRA[3], 3, (2, 1), 100, 10),
+    "n4-fine": (_SPECTRA[4], 4, (3, 2), 150, 1),
+    "n5-bench": (_NEAR_PUNCTURE, 195104716, (4, 3), 1000, 25),
+    "n5-every-step": (_SPECTRA[5], 5, (4, 3), 1000, 1),
+}
+
+
+@pytest.mark.parametrize("case", _FLOWS)
+def test_stacked_flow_matches_the_step_loop(case):
+    spectrum, seed, selector, steps, every = _FLOWS[case]
+    pt = sample_orbit(spectrum, seed=seed)
+    flow = hamiltonian_flow(pt, selector, steps=steps, sample_every=every)
+    times, points = _flow_loop(pt, selector, steps=steps, sample_every=every)
+    assert np.array_equal(flow.times, times) and len(flow.points) == len(points)
+    assert np.array_equal(flow.points[0], pt.u)
+    for got, want in zip(flow.points, points):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["n3-coarse", "n4-fine", "n5-bench"])
+def test_stacked_tracker_matches_the_sample_loop(case):
+    spectrum, seed, selector, steps, every = _FLOWS[case]
+    pt = sample_orbit(spectrum, seed=seed)
+    times, points, want = _tracked_loop(pt, selector, steps, every)
+    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, default_base_point(pt))
+    taus, hs, flags = tracker.step(points, times)
+    assert taus.shape == (len(times), len(tracker.keys)) and len(times) > 10
+    for tau, h, flag, (tau_ref, h_ref, flag_ref) in zip(taus, hs, flags, want):
+        assert list(tau_ref) == tracker.keys and list(h_ref) == tracker.h_keys
+        assert np.max(np.abs(tau - list(tau_ref.values()))) <= 1e-12
+        assert np.max(np.abs(h - list(h_ref.values()))) <= 1e-12 * np.max(np.abs(h))
+        assert flag.tolist() == list(flag_ref.values())
+    # the first sample is u0 itself: its taus are the tower's angles
+    tower_taus = [t for lv in build_tower(pt).levels for t in lv.tau]
+    assert np.max(np.abs(taus[0] - tower_taus)) <= 1e-12
+
+
+@pytest.mark.parametrize("step_idx", [100, 130, 640])
+def test_injected_regularity_loss_reports_the_oracle_time(monkeypatch, step_idx):
+    # one checked grid point loses regularity: mid-chunk (kept index 100 is
+    # the 37th of the second chunk), just past a chunk boundary, and late
+    pt = sample_orbit(_SPECTRA[4], seed=4)
+    target = _flow_loop(pt, (3, 2), sample_every=1)[1][step_idx]
+
+    def margin(u):
+        hit = np.all(np.abs(u - target) <= 1e-12 * np.max(np.abs(target)), axis=(-2, -1))
+        return np.where(hit, 0.0, regularity_margin(u))
+
+    monkeypatch.setattr(tower, "regularity_margin", margin)
+    for every in (1, 25):
+        want = _outcome(lambda: _flow_loop(pt, (3, 2), sample_every=every))
+        got = _outcome(lambda: hamiltonian_flow(pt, (3, 2), sample_every=every))
+        t = step_idx / 1000
+        assert want == got == ("regularity", (t, f"regularity lost at t = {t}"))
+
+
+@pytest.mark.parametrize("t_final, steps, every", [(1e4, 1000, 25), (1e4, 1000, 1), (10.0, 1, 1)])
+def test_regularity_loss_out_of_range_reports_the_oracle_time(t_final, steps, every):
+    # u(t) overflows, or (t = 10, h[4,3]) its minors do: the first failing
+    # checked or sampled time, over grids of one to sixteen chunks
+    pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
+    want = _outcome(lambda: _flow_loop(pt, (4, 3), t_final, steps, sample_every=every))
+    got = _outcome(lambda: hamiltonian_flow(pt, (4, 3), t_final, steps, sample_every=every))
+    assert want[0] == "regularity" and got == want
+
+
+# a geometry flow whose straight-path tau[4,1] changes sheet along the way
+_JUMPING = ([0.370469 + 0.085768j, 0.830049 - 0.121992j, 0.339010 - 1.312951j,
+             1.251893 + 0.423985j, -1.381221 + 1.057899j], 248819507)
+
+
+@pytest.mark.parametrize("samples", [40, 500])
+def test_branch_jump_reports_the_oracle_key_and_magnitude(samples):
+    # 41 samples in one chunk, or 501 in eight: the first jump of either run
+    # names the same key and magnitude
+    spectrum, seed = _JUMPING
+    pt = sample_orbit(spectrum, seed=seed)
+    every = max(1, 1000 // samples)
+    want = _outcome(lambda: _tracked_loop(pt, (4, 3), 1000, every))
+    got = _outcome(lambda: trajectory_records(pt, (4, 3), samples=samples))
+    assert want[0] == "jump" and got == want
+
+
+def test_tracker_raises_the_oracle_error_at_an_overflowing_sample(monkeypatch):
+    # 100 samples 0.001 apart, the 81st (17th of the tracker's second chunk)
+    # replaced by u(10), whose minors overflow: the tracker fails there, at
+    # the oracle's time, after the 80 samples before it pass
+    monkeypatch.setattr(tower, "regularity_margin", lambda u: np.full(np.shape(u)[:-2], np.inf))
+    pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=2)
+    times, points = _flow_loop(pt, (4, 3), steps=1000, sample_every=1)
+    times, points = times[:100].copy(), points[:100]
+    times[80], points[80] = 10.0, _flow_loop(pt, (4, 3), t_final=10.0, steps=1)[1][-1]
+    assert np.isfinite(points[80]).all()
+    lam0 = default_base_point(pt)
+    oracle = _TrackerLoop(pt.u, DEFAULT_MINOR_CONVENTION, lam0)
+    want = _outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
+    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, lam0)
+    got = _outcome(lambda: tracker.step(points, times))
+    assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
+
+
+def _faulty_level_stack(faults):
+    """The level-data kernel with faults injected at given points u, each
+    (kind, level n, u): 'jump' scales C_n by e^4, so tau[n,1] jumps by 4;
+    'drop' loses a root of A_n; 'through' moves an e-point of level n onto
+    a puncture; 'coincide' makes two punctures of level n equal."""
+    kernel = orbits._level_stack
+
+    def patched(us, convention, lowering):
+        coeffs, roots, finite = kernel(us, convention, lowering)
+        N = us.shape[-1]
+        for kind, n, u in faults:
+            hit = np.all(us == u, axis=(1, 2))
+            if kind == "jump":
+                coeffs[N + n - 1][hit] *= np.exp(4.0)
+            elif kind == "drop":
+                roots[n - 1][hit, -1] = np.nan
+            elif kind == "through":
+                roots[N + n - 1][hit, 0] = roots[n - 1][hit, 0]
+            else:
+                roots[n - 1][hit, 1] = roots[n - 1][hit, 0]
+        return coeffs, roots, finite
+    return patched
+
+
+# (kind, level, sample) faults among the first 80 samples of a flow whose
+# tau[4,1] first jumps at sample 82, and the error they give: the first
+# failing sample decides, and within a sample the per-sample order does
+# (root counts, then the angles level by level: endpoints, punctures,
+# previous roots, then the jumps).  The tracker's first chunk is 0-63.
+_FAULTS = {
+    "jump-before-drop": ([("jump", 2, 5), ("drop", 3, 10)], "BranchJumpError"),
+    "drop-before-jump": ([("drop", 3, 70), ("jump", 2, 75)], "TrackingError"),
+    "through-before-jump": ([("through", 4, 30), ("jump", 1, 40)], "PathThroughPunctureError"),
+    "jump-before-coincide": ([("jump", 3, 66), ("coincide", 3, 80)], "BranchJumpError"),
+    "coincide-before-through": ([("coincide", 2, 50), ("through", 4, 50)],
+                                "CoincidentPuncturesError"),
+    "through-before-coincide": ([("coincide", 2, 45), ("through", 2, 45)],
+                                "PathThroughPunctureError"),
+    "drop-before-coincide": ([("coincide", 2, 20), ("drop", 4, 20)], "TrackingError"),
+    "jump-at-the-boundary": ([("jump", 4, 64), ("through", 3, 65)], "BranchJumpError"),
+}
+
+
+@pytest.mark.parametrize("case", _FAULTS)
+def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case):
+    faults, kind = _FAULTS[case]
+    pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=2)
+    times, points = _flow_loop(pt, (4, 3), steps=1000, sample_every=1)
+    times, points = times[:81], points[:81]
+    patched = _faulty_level_stack([(fault, n, points[s]) for fault, n, s in faults])
+    monkeypatch.setattr(orbits, "_level_stack", patched)
+    monkeypatch.setattr(tower, "_level_stack", patched)
+    lam0 = default_base_point(pt)
+
+    def outcome(run):
+        try:
+            run()
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+        return "ok", ""
+
+    oracle = _TrackerLoop(pt.u, DEFAULT_MINOR_CONVENTION, lam0)
+    want = outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
+    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, lam0)
+    got = outcome(lambda: tracker.step(points, times))
+    assert got == want and want[0] == kind
+    if kind == "BranchJumpError":
+        assert want[1] == f"tau[{faults[0][1]},1] jumped by 4.000 between samples"
+
+
+def test_stacked_angles_match_one_level_calls():
+    # each row of a stack gets the one-level result, and a stack fails at
+    # its first failing row with that row's error
+    rng = np.random.default_rng(7)
+    cloud = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gamma, e, prev, lead = cloud(6, 4), cloud(6, 3), cloud(6, 3), cloud(6)
+    res = angle_variables(gamma, e, prev, 6.0, leading_coeff=lead)
+    for row in range(6):
+        one = angle_variables(gamma[row], e[row], prev[row], 6.0, leading_coeff=lead[row])
+        assert np.max(np.abs(res.tau[row] - one.tau)) <= 1e-13
+        assert np.max(np.abs(res.tau_literal[row] - one.tau_literal)) <= 1e-13
+        assert np.max(np.abs(differentials(gamma).residues[row]
+                             - differentials(gamma[row]).residues)) == 0.0
+    gamma[4, 2] = gamma[4, 0]
+    e[3, 1] = gamma[3, 3]
+    for rows, kind, first in ((slice(None), PathThroughPunctureError, 3),
+                              (slice(4, None), tower.CoincidentPuncturesError, 0)):
+        with pytest.raises(kind) as err:
+            angle_variables(gamma[rows], e[rows], prev[rows], 6.0, augment=False)
+        assert err.value.row == first
+        with pytest.raises(kind):
+            angle_variables(gamma[rows][first], e[rows][first], prev[rows][first], 6.0,
+                            augment=False)
 
 
 # ---------------------------------------------------------------------------
