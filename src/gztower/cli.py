@@ -15,6 +15,11 @@ Reports are JSON on stdout (or --output), human summaries go to stderr.
 Exit codes: 0 all checks passed, 1 a check found a violation, 2 the
 configuration was invalid.  Identical configurations produce byte-identical
 reports apart from the timestamp field.
+
+Each subcommand imports only the layers it runs (verify-classical: families
+and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
+translates their errors into ConfigError or CheckFailed where it calls them,
+so this module imports no layer.
 """
 
 from __future__ import annotations
@@ -23,14 +28,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
-
-from . import families, orbits, quantum, tower
-from .poisson import random_canonical_point
 
 SCHEMA = "gz-tower/1"
 OUTPUT_DIR_ENV = "GZTOWER_OUTPUT_DIR"
@@ -118,6 +121,21 @@ class ConfigError(ValueError):
     pass
 
 
+class CheckFailed(RuntimeError):
+    """A check stopped before it could report (exit 1, no report)."""
+
+
+@contextmanager
+def _layer_errors(config=(), failed=()):
+    """Re-raise a layer's `config` errors as ConfigError, its `failed` ones as CheckFailed."""
+    try:
+        yield
+    except config as exc:
+        raise ConfigError(str(exc)) from exc
+    except failed as exc:
+        raise CheckFailed(str(exc)) from exc
+
+
 # the tolerances each subcommand reads, with their defaults; --tolerance
 # overrides them by name, and the report's config holds the values used
 TOLERANCES = {
@@ -157,7 +175,8 @@ def _at_least_one(name: str, value: int) -> int:
 
 def _parse_shift(text: str, n: int, rng: np.random.Generator):
     if text == "random-rational":
-        return families.random_rational_matrix(n, rng)
+        from .families import random_rational_matrix
+        return random_rational_matrix(n, rng)
     if text == "identity":
         return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     if text.startswith("diag:"):
@@ -193,6 +212,9 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
+    from . import families
+    from .poisson import random_canonical_point
+
     rng = np.random.default_rng(config.seed)
     report = _base_report(config)
     statuses = []
@@ -241,8 +263,11 @@ def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_verify_quantum(config: RunConfig) -> tuple[int, dict]:
+    from . import quantum
+
     report = _base_report(config)
-    qrep = quantum.verify_quantum_commutes(config.n, allow_large=config.allow_large)
+    with _layer_errors(config=quantum.SizeGuardError):
+        qrep = quantum.verify_quantum_commutes(config.n, allow_large=config.allow_large)
     drep = quantum.diffop_realization_check(config.n, trials=config.trials,
                                             seed=config.seed)
     report["quantum"] = qrep.to_json()
@@ -254,95 +279,103 @@ def cmd_verify_quantum(config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
-    report = _base_report(config)
-    pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
-    report["orbit"] = pt.to_json()
-    statuses = []
+    from . import orbits, tower
 
-    canon = orbits.verify_canonical_chart(pt, tolerance=config.tolerances["chart"])
-    report["canonical_chart"] = canon.to_json()
-    statuses.append(canon.status)
-    convention = orbits.DEFAULT_MINOR_CONVENTION
-    if canon.winner is not None:
-        convention = orbits.MinorConvention(
-            rows_variant=canon.winner.startswith("rows"),
-            sign=1 if canon.winner.endswith("+") else -1)
+    with _layer_errors(config=orbits.OrbitError, failed=tower.TowerError):
+        report = _base_report(config)
+        pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
+        report["orbit"] = pt.to_json()
+        statuses = []
 
-    chart = orbits.gz_forward(pt, convention=convention)
-    res_a, res_c = orbits.chart_residuals(chart, pt)
-    report["chart"] = chart.to_json()
-    report["chart_residuals"] = {
-        "minor_coefficients": res_a, "angle_relation": res_c,
-        "tolerance": CHART_RESIDUAL_TOLERANCE,
-        "relative_to": "per level: max(1, max|a_n|) and max(1, max|C_n(gamma)|)",
-        "status": "ok" if max(res_a, res_c) < CHART_RESIDUAL_TOLERANCE else "violation"}
-    statuses.append(report["chart_residuals"]["status"])
+        canon = orbits.verify_canonical_chart(pt, tolerance=config.tolerances["chart"])
+        report["canonical_chart"] = canon.to_json()
+        statuses.append(canon.status)
+        convention = orbits.DEFAULT_MINOR_CONVENTION
+        if canon.winner is not None:
+            convention = orbits.MinorConvention(
+                rows_variant=canon.winner.startswith("rows"),
+                sign=1 if canon.winner.endswith("+") else -1)
 
-    desc = tower.build_tower(pt, lam0=config.lam0, convention=convention)
-    report["tower"] = desc.to_json()
+        chart = orbits.gz_forward(pt, convention=convention)
+        res_a, res_c = orbits.chart_residuals(chart, pt)
+        report["chart"] = chart.to_json()
+        report["chart_residuals"] = {
+            "minor_coefficients": res_a, "angle_relation": res_c,
+            "tolerance": CHART_RESIDUAL_TOLERANCE,
+            "relative_to": "per level: max(1, max|a_n|) and max(1, max|C_n(gamma)|)",
+            "status": "ok" if max(res_a, res_c) < CHART_RESIDUAL_TOLERANCE else "violation"}
+        statuses.append(report["chart_residuals"]["status"])
 
-    if any(c in config.checks for c in ("residue-form", "all")):
-        rng = np.random.default_rng(config.seed + 1)
-        draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
-                                           + 1j * rng.standard_normal((pt.n, pt.n)))
-        rrep = orbits.residue_form_check(
-            pt, [(draw(), draw()) for _ in range(config.pairs)],
-            tolerance=config.tolerances["residue"], convention=convention)
-        report["residue_form"] = rrep.to_json()
-        statuses.append(rrep.status)
+        desc = tower.build_tower(pt, lam0=config.lam0, convention=convention)
+        report["tower"] = desc.to_json()
 
-    if any(c in config.checks for c in ("action-angle", "all")):
-        arep = tower.action_angle_bracket_table(
-            pt, convention=convention, tolerance=config.tolerances["action_angle"])
-        report["action_angle"] = arep.to_json()
-        statuses.append(arep.status)
+        if any(c in config.checks for c in ("residue-form", "all")):
+            rng = np.random.default_rng(config.seed + 1)
+            draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
+                                               + 1j * rng.standard_normal((pt.n, pt.n)))
+            rrep = orbits.residue_form_check(
+                pt, [(draw(), draw()) for _ in range(config.pairs)],
+                tolerance=config.tolerances["residue"], convention=convention)
+            report["residue_form"] = rrep.to_json()
+            statuses.append(rrep.status)
 
-    ok = all(s == "ok" for s in statuses)
-    report["status"] = "ok" if ok else "violation"
-    return (0 if ok else 1), report
+        if any(c in config.checks for c in ("action-angle", "all")):
+            arep = tower.action_angle_bracket_table(
+                pt, convention=convention, tolerance=config.tolerances["action_angle"])
+            report["action_angle"] = arep.to_json()
+            statuses.append(arep.status)
+
+        ok = all(s == "ok" for s in statuses)
+        report["status"] = "ok" if ok else "violation"
+        return (0 if ok else 1), report
 
 
 def cmd_flow(config: RunConfig) -> tuple[int, dict]:
-    report = _base_report(config)
-    pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
-    report["orbit"] = pt.to_json()
-    reg_gap = config.tolerances["regularity"]
-    try:
-        records = tower.trajectory_records(
-            pt, config.hamiltonian, t_final=config.t_final, steps=config.steps,
-            lam0=config.lam0, reg_gap=reg_gap)
-    except tower.RegularityLostError as exc:
-        report["status"] = "violation"
-        report["error"] = {"kind": "regularity-lost", "time": exc.time}
-        return 1, report
+    from . import orbits, tower
 
-    traj_path = _resolve_output(config.trajectory)
-    if traj_path:
-        with open(traj_path, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True, default=_jsonify) + "\n")
-        report["trajectory_file"] = traj_path
-    report["samples"] = len(records)
+    with _layer_errors(config=orbits.OrbitError, failed=tower.TowerError):
+        report = _base_report(config)
+        pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
+        report["orbit"] = pt.to_json()
+        # both flows check regularity against the same bound, and a loss in
+        # either one is the same violation report
+        reg_gap = config.tolerances["regularity"]
+        try:
+            records = tower.trajectory_records(
+                pt, config.hamiltonian, t_final=config.t_final, steps=config.steps,
+                lam0=config.lam0, reg_gap=reg_gap)
+            lin = tower.linearization_check(
+                pt, config.hamiltonian,
+                t_final=min(config.t_final, 0.1),
+                tol=config.tolerances["linearization"],
+                lam0=config.lam0, reg_gap=reg_gap)
+        except tower.RegularityLostError as exc:
+            report["status"] = "violation"
+            report["error"] = {"kind": "regularity-lost", "time": exc.time}
+            return 1, report
 
-    h0 = records[0]["h"]
-    drift = 0.0
-    for rec in records:
-        for key, val in rec["h"].items():
-            ref = h0[key]
-            drift = max(drift, abs(complex(val[0], val[1]) - complex(ref[0], ref[1])))
-    report["conservation"] = {
-        "max_h_drift": drift,
-        "status": "ok" if drift < CONSERVATION_TOLERANCE else "violation"}
+        traj_path = _resolve_output(config.trajectory)
+        if traj_path:
+            with open(traj_path, "w") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec, sort_keys=True, default=_jsonify) + "\n")
+            report["trajectory_file"] = traj_path
+        report["samples"] = len(records)
 
-    lin = tower.linearization_check(
-        pt, config.hamiltonian,
-        t_final=min(config.t_final, 0.1),
-        tol=config.tolerances["linearization"],
-        lam0=config.lam0)
-    report["linearization"] = lin.to_json()
-    ok = report["conservation"]["status"] == "ok" and lin.status == "ok"
-    report["status"] = "ok" if ok else "violation"
-    return (0 if ok else 1), report
+        h0 = records[0]["h"]
+        drift = 0.0
+        for rec in records:
+            for key, val in rec["h"].items():
+                ref = h0[key]
+                drift = max(drift, abs(complex(val[0], val[1]) - complex(ref[0], ref[1])))
+        report["conservation"] = {
+            "max_h_drift": drift,
+            "status": "ok" if drift < CONSERVATION_TOLERANCE else "violation"}
+
+        report["linearization"] = lin.to_json()
+        ok = report["conservation"]["status"] == "ok" and lin.status == "ok"
+        report["status"] = "ok" if ok else "violation"
+        return (0 if ok else 1), report
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +493,10 @@ def main(argv=None) -> int:
         return 2
     try:
         code, report = _COMMANDS[args.command](config)
-    except (ConfigError, quantum.SizeGuardError, orbits.OrbitError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except tower.TowerError as exc:
+    except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     summary = f"{args.command}: {report.get('status', 'done')}"

@@ -625,16 +625,19 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
                         t_final: float = 0.1, steps: int = 200,
                         samples: int = 25, tol: float = 1e-3,
                         convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-                        lam0: complex | None = None) -> LinearizationReport:
+                        lam0: complex | None = None,
+                        reg_gap: float = 1e-6) -> LinearizationReport:
     """Least-squares slopes of every tau along the selected action's flow.
 
     The conjugate tau must move with slope one, every other tau with slope
     zero (Casimir-level selectors expect all zeros).  Branch continuity is
-    enforced stepwise; a jump above pi raises BranchJumpError.
+    enforced stepwise; a jump above pi raises BranchJumpError.  The flow
+    checks regularity against reg_gap, as in hamiltonian_flow.
     """
     if lam0 is None:
         lam0 = default_base_point(pt)
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
+                            reg_gap=reg_gap,
                             sample_every=max(1, steps // samples))
     tracker = _TauTracker(pt.n, convention, lam0)
     taus, _, _ = tracker.step(flow.points, flow.times)

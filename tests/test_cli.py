@@ -227,6 +227,34 @@ def test_flow_regularity_loss_reports_time(tmp_path, capsys):
     assert report["error"]["time"] == 0.0
 
 
+def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, monkeypatch,
+                                                                     capsys):
+    # the trajectory runs to --t 1, the linearization to 0.1: lose regularity
+    # in the second flow alone, and check that both got --tolerance regularity
+    real_flow = tower.hamiltonian_flow
+    gaps = []
+
+    def flow(pt, selector, t_final=1.0, reg_gap=1e-6, **kwargs):
+        gaps.append(reg_gap)
+        if t_final == 0.1:
+            raise tower.RegularityLostError(0.05)
+        return real_flow(pt, selector, t_final=t_final, reg_gap=reg_gap, **kwargs)
+
+    monkeypatch.setattr(tower, "hamiltonian_flow", flow)
+    code, out, err = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
+                             "--hamiltonian", "2,1", "--steps", "100",
+                             "--tolerance", "regularity=1e-7",
+                             "--trajectory", str(tmp_path / "t.jsonl"))
+    assert code == 1
+    assert "check failed" not in err
+    report = parse_report(out)
+    assert report["status"] == "violation"
+    assert report["error"] == {"kind": "regularity-lost", "time": 0.05}
+    assert "linearization" not in report and "samples" not in report
+    assert not (tmp_path / "t.jsonl").exists()
+    assert gaps == [1e-7, 1e-7]
+
+
 def test_flow_bad_selector(capsys):
     code, _, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "0.5,-1",
                          "--hamiltonian", "5,1")

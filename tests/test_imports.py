@@ -1,8 +1,16 @@
-"""The package may import only the standard library and its declared
+"""What the package imports, and when.
+
+The package may import only the standard library and its declared
 dependency, numpy (pyproject.toml); anything else installed on a developer's
-machine, such as scipy, is not there for users."""
+machine, such as scipy, is not there for users.  Importing the package or
+its CLI loads no layer, each subcommand loads only the layers it runs, and
+the public names resolve lazily to their home modules' objects."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +39,122 @@ def test_the_check_sees_an_undeclared_import(tmp_path):
     module.write_text("import numpy as np\nfrom scipy.linalg import eig\n")
     assert list(_imported_modules(module)) == ["numpy", "scipy.linalg"]
     assert "scipy" not in ALLOWED
+
+
+# ---------------------------------------------------------------------------
+# which layers a process loads; pytest has imported every layer already, so
+# each case runs in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+LAYERS = {"poisson", "families", "quantum", "polytools", "orbits", "tower"}
+LOADED = ("print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules"
+          " if m.startswith('gztower.'))))")
+
+
+def _fresh(code, *argv):
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=PACKAGE.parent,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _layers_loaded(code):
+    proc = _fresh(f"import json, sys\n{code}\n{LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1])) & LAYERS
+
+
+@pytest.mark.parametrize("code", ["import gztower", "import gztower.cli",
+                                  "import gztower; gztower.__version__"])
+def test_importing_the_package_or_cli_loads_no_layer(code):
+    assert _layers_loaded(code) == set()
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}),
+    (["verify-quantum", "--n", "2", "--trials", "1"], {"quantum", "poisson"}),
+    (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "all"],
+     {"orbits", "polytools", "tower"}),
+    (["flow", "--n", "2", "--spectrum", "0.5,-1+0.5j", "--hamiltonian", "1,1",
+      "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}),
+], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
+def test_each_subcommand_loads_exactly_its_layers(argv, layers):
+    code = ("import contextlib, io\nfrom gztower import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    assert _layers_loaded(code) == layers
+
+
+def test_a_public_name_loads_only_its_home_layers():
+    assert _layers_loaded("from gztower import bracket") == {"poisson"}
+    assert _layers_loaded("import gztower; gztower.OrbitPoint") == {"orbits", "polytools"}
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify-quantum", "--n", "6"], 2,
+     "configuration error: N=6 PBW verification is expensive; pass allow_large to proceed\n"),
+    (["orbit", "--n", "3", "--spectrum=1,2,1e300"], 2,
+     "configuration error: spectrum too large: the characteristic minors of u "
+     "leave floating-point range\n"),
+    # lam0 on a puncture: build_tower raises PathThroughPunctureError
+    (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"], 1,
+     "check failed: integration endpoint within 1e-08 of a puncture\n"),
+], ids=["size-guard", "orbit-error", "tower-error"])
+def test_layer_errors_keep_their_exit_code_and_message(argv, code, err):
+    proc = _fresh("from gztower.cli import entry; entry()", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+# ---------------------------------------------------------------------------
+# the public names
+# ---------------------------------------------------------------------------
+
+EXPORTS = {
+    "poisson": ["CanonicalPoint", "PoissonPoly", "bracket", "canonical_bracket",
+                "evaluate", "evaluate_at", "random_canonical_point", "u_as_canonical",
+                "utilde_as_canonical"],
+    "families": ["CommutingFamily", "FamilySpec", "build_family", "char_minor",
+                 "independence_rank", "verify_commutes", "verify_trivial_numeric"],
+    "quantum": ["NCPoly", "diffop_realization_check", "qdet", "quantum_family",
+                "verify_quantum_commutes"],
+    "orbits": ["GZChart", "MinorConvention", "OrbitPoint", "OrbitTangent", "gz_forward",
+               "kk_bracket", "residue_form_check", "sample_orbit",
+               "verify_canonical_chart"],
+    "tower": ["TowerDescriptor", "TowerLevel", "action_angle_bracket_table",
+              "angle_variables", "build_tower", "differentials", "hamiltonian_flow",
+              "linearization_check"],
+}
+PUBLIC = [name for names in EXPORTS.values() for name in names]
+
+
+def test_the_export_list_is_pinned():
+    import gztower
+
+    assert gztower.__all__ == PUBLIC
+    assert gztower.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("home", EXPORTS)
+def test_each_public_name_is_its_home_modules_object(home):
+    import gztower
+
+    module = importlib.import_module(f"gztower.{home}")
+    for name in EXPORTS[home]:
+        assert getattr(gztower, name) is getattr(module, name), name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    import gztower
+
+    namespace = {}
+    exec("from gztower import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    assert set(PUBLIC) <= set(dir(gztower))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    import gztower
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gztower.no_such_name
+    assert not hasattr(gztower, "bracket_")
