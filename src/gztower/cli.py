@@ -19,7 +19,8 @@ reports apart from the timestamp field.
 Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their errors into ConfigError or CheckFailed where it calls them,
-so this module imports no layer.
+so this module imports no layer.  A flow that stops early is a violation
+report whose error gives the kind and time of the failing sample.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -134,6 +136,11 @@ def _layer_errors(config=(), failed=()):
         raise ConfigError(str(exc)) from exc
     except failed as exc:
         raise CheckFailed(str(exc)) from exc
+
+
+def _error_kind(exc: Exception) -> str:
+    """The class name in kebab case without "Error": BranchJumpError -> branch-jump."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.removesuffix("Error")).lower()
 
 
 # the tolerances each subcommand reads, with their defaults; --tolerance
@@ -333,12 +340,12 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
 def cmd_flow(config: RunConfig) -> tuple[int, dict]:
     from . import orbits, tower
 
-    with _layer_errors(config=orbits.OrbitError, failed=tower.TowerError):
+    with _layer_errors(config=orbits.OrbitError):
         report = _base_report(config)
         pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
         report["orbit"] = pt.to_json()
-        # both flows check regularity against the same bound, and a loss in
-        # either one is the same violation report
+        # both flows check regularity against the same bound, and an error
+        # in either one, at the time of its failing sample, is a violation
         reg_gap = config.tolerances["regularity"]
         try:
             records = tower.trajectory_records(
@@ -349,9 +356,9 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
                 t_final=min(config.t_final, 0.1),
                 tol=config.tolerances["linearization"],
                 lam0=config.lam0, reg_gap=reg_gap)
-        except tower.RegularityLostError as exc:
+        except (tower.TowerError, orbits.TrackingError) as exc:
             report["status"] = "violation"
-            report["error"] = {"kind": "regularity-lost", "time": exc.time}
+            report["error"] = {"kind": _error_kind(exc), "time": exc.time}
             return 1, report
 
         traj_path = _resolve_output(config.trajectory)

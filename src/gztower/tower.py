@@ -25,7 +25,9 @@ The flow of an action h[n,k] solves the Lax equation u' = [X, u] with
 X = grad h.  X is a polynomial in the top-left block u_n, embedded in that
 block, so it commutes with u_n; u_n and X therefore stay fixed and the flow
 is exactly u(t) = exp(tX) u exp(-tX) (Kostant-Wallach).  The conjugate tau
-moves with unit speed while every action and the spectrum stay fixed.
+moves with unit speed while every action and the spectrum stay fixed.  So
+do the punctures, and along a flow the angles are continued from their
+straight-path values at t = 0 by the logs of e-point and lead C_n ratios.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .orbits import (
     level_data,
     regularity_margin,
 )
-from .polytools import TrackingError, match_points, principal_charpoly, sort_points
+from .polytools import TrackingError, match_points, principal_charpoly
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
@@ -57,15 +59,17 @@ __all__ = [
 
 
 class TowerError(RuntimeError):
-    """row: in a call on a stack, the first row the error holds for."""
+    """time: on a tracked flow, the time of the sample the error holds for."""
+
+    time: float | None = None
+
+
+class PathThroughPunctureError(TowerError):
+    """An integration endpoint or path hits a puncture (row: path_log_increments)."""
 
     def __init__(self, message: str = "", row: int = 0):
         super().__init__(message)
         self.row = row
-
-
-class PathThroughPunctureError(TowerError):
-    """An integration endpoint or path hits a puncture."""
 
 
 class CoincidentPuncturesError(TowerError, ValueError):
@@ -73,7 +77,7 @@ class CoincidentPuncturesError(TowerError, ValueError):
 
 
 class BranchJumpError(TowerError):
-    """A tracked angle jumped by more than pi between samples."""
+    """A ratio of e-points or of lead C_n turned by more than pi/2 between samples."""
 
 
 class RegularityLostError(TowerError):
@@ -90,11 +94,10 @@ class RegularityLostError(TowerError):
 
 @dataclass
 class LevelDifferentials:
-    """Partial-fraction data of lam^(k-1)/A_n for one level, or for every
-    row of a stack of levels.
+    """Partial-fraction data of lam^(k-1)/A_n for one level.
 
-    residues[..., j, k-1] is the residue of Omega^(k) at puncture j;
-    arithmetic is exact when the punctures are Fractions, complex otherwise.
+    residues[j, k-1] is the residue of Omega^(k) at puncture j; arithmetic
+    is exact when the punctures are Fractions, complex otherwise.
     """
 
     punctures: np.ndarray
@@ -102,38 +105,27 @@ class LevelDifferentials:
 
     def residue_column(self, power: int) -> list:
         """Residues of lam^power / A_n at all punctures (0 <= power < n)."""
-        return self.residues[..., power].tolist()
+        return self.residues[:, power].tolist()
 
     def residue_sums(self) -> list:
         """sum_j residues of Omega^(k), k = 1..n; equals delta(k, n)."""
-        return self.residues.sum(axis=-2).tolist()
-
-
-def _first_row(fails: np.ndarray) -> int:
-    """Index along the leading axis of the first True entry of fails."""
-    return int(np.argmax(fails.reshape(len(fails), -1).any(axis=1))) if fails.ndim else 0
+        return self.residues.sum(axis=0).tolist()
 
 
 def differentials(punctures) -> LevelDifferentials:
-    """Residue table of the basis lam^(k-1)/A_n(lam), A_n = prod(lam - g_j).
-
-    punctures is one level (n,) or a stack of levels (S, n); the residues
-    are gamma_j^(k-1) / prod_(s != j) (gamma_j - gamma_s).
-    """
+    """Residue table of the basis lam^(k-1)/A_n(lam), A_n = prod(lam - g_j):
+    the residues are gamma_j^(k-1) / prod_(s != j) (gamma_j - gamma_s)."""
     g = np.asarray(punctures)
-    n = g.shape[-1]
+    n = len(g)
     if n == 0:
         raise ValueError("a level needs at least one puncture")
-    diff = g[..., :, None] - g[..., None, :]
-    diff[..., range(n), range(n)] = 1
-    denom = np.prod(diff, axis=-1)
-    coincide = (denom == 0).any(axis=-1)
-    if coincide.any():
-        raise CoincidentPuncturesError("punctures must be distinct (square-free A_n)",
-                                       row=_first_row(coincide))
-    powers = np.cumprod(np.concatenate(      # powers[..., j, k] = gamma_j^k
-        (np.ones_like(g)[..., None], np.repeat(g[..., None], n - 1, axis=-1)), axis=-1), axis=-1)
-    return LevelDifferentials(punctures=g, residues=powers / denom[..., None])
+    diff = np.subtract.outer(g, g)
+    np.fill_diagonal(diff, 1)
+    denom = np.prod(diff, axis=1)
+    if (denom == 0).any():
+        raise CoincidentPuncturesError("punctures must be distinct (square-free A_n)")
+    powers = np.cumprod(np.column_stack((np.ones_like(g), *[g] * (n - 1))), axis=1)
+    return LevelDifferentials(punctures=g, residues=powers / denom[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +144,9 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
     on the segment gives +i*pi, the increment of a path that steps around it
     to the right: adding 0j turns the -0.0 imaginary part of a negative real
     ratio into +0.0.  a and b may be arrays of endpoints: the result has
-    their shape plus a last axis over the punctures, whose leading axes
-    broadcast against them (punctures (S, 1, n) for endpoints (S, m)).  The
-    error's row is the first index along the result's leading axis with an
-    endpoint within _PUNCTURE_FLOOR of a puncture.
+    their shape plus a last axis over the punctures.  The error's row is the
+    first index along the result's leading axis with an endpoint within
+    _PUNCTURE_FLOOR of a puncture.
     """
     g = np.asarray(punctures, dtype=complex)
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
@@ -163,7 +154,7 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
     if near.any():
         raise PathThroughPunctureError(
             f"integration endpoint within {_PUNCTURE_FLOOR} of a puncture",
-            row=_first_row(near))
+            row=int(np.argmax(near.reshape(len(near), -1).any(axis=1))))
     return np.log((b - g) / (a - g) + 0j)
 
 
@@ -171,11 +162,9 @@ def _residue_logs(gamma, lam0: complex, endpoints) -> np.ndarray:
     """sum over endpoints z of int(lam0 -> z) lam^p / A_n, p = 0..n-1.
 
     Each integral is sum_j res_j(lam^p / A_n) log((z - g_j) / (lam0 - g_j)).
-    gamma (n,) with endpoints (m,), or stacks (S, n) and (S, m) row by row.
     """
     gamma = np.asarray(gamma, dtype=complex)
-    logs = path_log_increments(lam0, endpoints, gamma[..., None, :]).sum(axis=-2)
-    return (logs[..., None, :] @ differentials(gamma).residues)[..., 0, :]
+    return path_log_increments(lam0, endpoints, gamma).sum(axis=0) @ differentials(gamma).residues
 
 
 # ---------------------------------------------------------------------------
@@ -189,31 +178,23 @@ class AngleResult:
 
 
 def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
-                    leading_coeff: complex | None = None,
-                    augment: bool = True) -> AngleResult:
-    """Angle values tau[n,k], k = 1..n, for one level or a stack of levels.
+                    leading_coeff: complex | None = None) -> AngleResult:
+    """Angle values tau[n,k], k = 1..n, of one level.
 
     gamma_n are the level punctures, e_points the zeros of the lowering
     minor, gamma_prev the previous-level roots; lam0 is the common base
-    point of all integrals.  With augment=True (the default) tau[n,1] is
-    shifted by log(leading_coeff); this is the correction that makes the
-    whole (h, tau) table canonical, and it also supplies the level-one
-    angle, where the literal double sum is empty.  One level (n,), (m,),
-    (m,) gets lists; stacks (S, n), (S, m), (S, m) with leading_coeff (S,)
-    are taken row by row and get arrays (S, n), and an error is that of the
-    first failing row, its `row`.
+    point of all integrals.  tau[n,1] is shifted by log(leading_coeff), the
+    leading coefficient of C_n: this is the correction that makes the whole
+    (h, tau) table canonical, and it also supplies the level-one angle,
+    where the literal double sum is empty.  tau_literal has no shift.
     """
-    gamma_n = np.asarray(gamma_n, dtype=complex)
-    sums = _residue_logs(gamma_n, lam0, e_points) - _residue_logs(gamma_n, lam0, gamma_prev)
-    literal = sums[..., ::-1]                      # tau[n,k] takes lam^(n-k)
-    taus = literal.copy()
-    if augment:
-        if leading_coeff is None:
-            raise ValueError("augmentation requires the leading coefficient of C_n")
-        taus[..., 0] += np.log(np.asarray(leading_coeff, dtype=complex))
-    if gamma_n.ndim == 1:
-        return AngleResult(tau=taus.tolist(), tau_literal=literal.tolist())
-    return AngleResult(tau=taus, tau_literal=literal)
+    if leading_coeff is None:
+        raise ValueError("the angles need the leading coefficient of C_n")
+    literal = (_residue_logs(gamma_n, lam0, e_points)
+               - _residue_logs(gamma_n, lam0, gamma_prev))[::-1]   # tau[n,k] takes lam^(n-k)
+    tau = literal.copy()
+    tau[0] += np.log(complex(leading_coeff))
+    return AngleResult(tau=tau.tolist(), tau_literal=literal.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +281,6 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
             if abs(lead) < 1e-10:
                 raise TowerError(f"level {n}: lowering minor degenerates")
-            if np.min(np.abs(np.subtract.outer(e_pts, gamma)), initial=np.inf) < _PUNCTURE_FLOOR:
-                raise TowerError(f"level {n}: divisor point collides with a puncture")
             res = angle_variables(gamma, e_pts, lv.gamma[n - 2] if n >= 2 else [],
                                   lam0, leading_coeff=lead)
             tau, tau_lit = res.tau, res.tau_literal
@@ -405,31 +384,39 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
 
 
 class _TauTracker:
-    """Branch-continuous tau (and h) values along a trajectory of N x N points.
+    """tau (and h) values continued in time along a trajectory of N x N points.
 
-    ``step`` advances through a stack of samples in time order, _CHUNK at a
-    time: one level-data kernel call per chunk, roots matched from sample
-    to sample, the taus of all samples from one angle_variables call per
-    level, and the jumps between samples from one difference.  The state is
-    the last sample's matched roots, leading coefficients of the C_n,
-    continued augmentation logs and taus.  The first sample starts it, with
-    sorted roots: on a flow that sample is u0, so t = 0 is computed once.
+    It starts from build_tower at pt, which fixes the punctures of every
+    level (each A_n is conserved along a GZ flow) and the angles at t = 0.
+    Each sample of ``step``, the first being pt itself, matches the e-points
+    to the sample before and adds the residue-weighted logs of the ratios
+    (e_new - gamma)/(e_old - gamma), and to tau[n,1] the log of the lead C_n
+    ratio.  ``step`` takes _CHUNK samples per level-data kernel call, and per
+    level one match_points and one path_log_increments call.
     """
 
-    def __init__(self, N: int, convention: MinorConvention, lam0: complex):
-        self.N = N
+    def __init__(self, pt: OrbitPoint, convention: MinorConvention, lam0: complex | None):
+        try:
+            levels = build_tower(pt, lam0, convention).levels[:-1]
+        except TowerError as exc:       # the error of the first sample
+            exc.time = 0.0
+            raise
+        N = self.N = pt.n
         self.convention = convention
-        self.lam0 = complex(lam0)
         self.keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
         self.h_keys = [(n, k) for n in range(1, N + 1) for k in range(1, n + 1)]
-        self.roots = self.lead = self.aug = self.tau = None
+        self.gamma = [lv.gamma for lv in levels]
+        self.e = [lv.e for lv in levels]
+        self.lead = [lv.leading_coeff for lv in levels]
+        self.tau = np.array([t for lv in levels for t in lv.tau], dtype=complex)
 
     def step(self, us, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance through the samples us (B, N, N), or one u, at times ts.
 
         Returns the tau values (B, len(keys)), the h values (B, len(h_keys))
         and the branch flags (B, N-1): some tau of that level moved by more
-        than pi/2 since the sample before.
+        than pi/2 since the sample before.  Raises the error of the first
+        failing sample, with that sample's time.
         """
         us = np.asarray(us, dtype=complex).reshape(-1, self.N, self.N)
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -437,60 +424,61 @@ class _TauTracker:
                  for i in range(0, len(us), _CHUNK)]
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    def _angles(self, gamma: list, e: list, rows: int) -> np.ndarray:
-        """Literal taus (rows, len(keys)) of the first `rows` matched samples."""
-        empty = np.zeros((rows, 0), dtype=complex)
-        return np.concatenate([empty, *(
-            angle_variables(gamma[n - 1][:rows], e[n - 1][:rows],
-                            gamma[n - 2][:rows] if n >= 2 else empty,
-                            self.lam0, augment=False).tau_literal
-            for n in range(1, self.N))], axis=1)
-
     def _advance(self, us: np.ndarray, ts: np.ndarray) -> tuple:
-        """step on one chunk; raises the error of its first failing sample:
-        lost regularity, a changed root count, an angle_variables error,
-        then a branch jump, in the order of the per-sample checks."""
-        N, fresh = self.N, self.tau is None
+        """step on one chunk.  Per sample the checks run in this order: lost
+        regularity, a changed root count, then level by level an e-point on
+        a puncture and a ratio turned by more than pi/2."""
+        N = self.N
         coeffs, raw, finite = _level_stack(us, self.convention, lowering=True)
-        bases = [sort_points(r[0][~np.isnan(r[0])]) for r in raw] if fresh else self.roots
-        tracked = finite & np.all([np.count_nonzero(~np.isnan(r), axis=1) == len(base)
-                                   for base, r in zip(bases, raw)], axis=0)
-        stop = len(us) if tracked.all() else int(np.argmin(tracked))
-        error = None if stop == len(us) else (
-            RegularityLostError(float(ts[stop])) if not finite[stop]
+        tracked = finite & ~np.any([np.isnan(r).any(axis=1) for r in raw], axis=0)
+        limit = len(us) if tracked.all() else int(np.argmin(tracked))
+        error = None if limit == len(us) else (
+            RegularityLostError(float(ts[limit])) if not finite[limit]
             else TrackingError("point counts differ between configurations"))
-        if stop == 0:
-            raise error
-        roots = [match_points(base, r[:stop, :len(base)]) for base, r in zip(bases, raw)]
-        gamma, e = roots[:N], roots[N:]
-
-        limit = stop
-        while True:             # the rows before an angle error are still checked
+        es, incs = [], [np.zeros((limit, 0), dtype=complex)]
+        for n in range(1, N):
+            gamma, lead = self.gamma[n - 1], coeffs[N + n - 1][:limit, 0]
+            e = match_points(self.e[n - 1], raw[N + n - 1][:limit])
+            prev = np.concatenate((self.e[n - 1][None], e[:-1]))
             try:
-                taus = self._angles(gamma, e, limit)
-                break
-            except TowerError as exc:
+                logs = path_log_increments(prev, e, gamma)
+            except PathThroughPunctureError as exc:     # the rows before it still count
                 limit, error = exc.row, exc
-        lead = np.concatenate([np.zeros((limit, 0)), *(c[:limit, :1] for c in coeffs[N:])], axis=1)
-        prev_lead, prev_aug = (lead[:1], np.log(lead[:1])) if fresh else (self.lead, self.aug)
-        increments = np.log(lead / np.concatenate((prev_lead, lead[:-1])))
-        aug = np.cumsum(np.concatenate((prev_aug, increments)), axis=0)[1:]
-        taus[:, [n * (n - 1) // 2 for n in range(1, N)]] += aug
-        hs = np.concatenate([np.zeros((limit, 0)), *(c[:limit, 1:] for c in coeffs[:N])], axis=1)
-
-        jumps = np.abs(taus - np.concatenate((taus[:1] if fresh else self.tau, taus[:-1])))
-        if (jumps > np.pi).any():
-            s, i = divmod(int(np.argmax(jumps.ravel() > np.pi)), len(self.keys))
-            n, k = self.keys[i]
-            raise BranchJumpError(f"tau[{n},{k}] jumped by {jumps[s, i]:.3f} between samples")
+                prev, e, lead = prev[:limit], e[:limit], lead[:limit]
+                logs = path_log_increments(prev, e, gamma)
+            lead_log = np.log(lead / np.concatenate(([self.lead[n - 1]], lead[:-1])))
+            turn = np.maximum(np.abs(logs.imag).max(axis=(1, 2), initial=0.0),
+                              np.abs(lead_log.imag))
+            if (turn > np.pi / 2).any():
+                limit = int(np.argmax(turn > np.pi / 2))
+                error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad")
+            inc = (logs.sum(axis=1) @ differentials(gamma).residues)[:, ::-1]
+            inc[:, 0] += lead_log
+            es.append(e)
+            incs.append(inc)
         if error is not None:
+            error.time = float(ts[limit])
             raise error
+
+        taus = np.cumsum(np.concatenate((self.tau[None], np.concatenate(incs, axis=1))),
+                         axis=0)[1:]
+        hs = np.concatenate([np.zeros((limit, 0)), *(c[:, 1:] for c in coeffs[:N])], axis=1)
+        moved = np.abs(taus - np.concatenate((self.tau[None], taus[:-1]))) > np.pi / 2
         flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
-            (jumps[:, n * (n - 1) // 2:n * (n + 1) // 2] > np.pi / 2).any(axis=1, keepdims=True)
+            moved[:, n * (n - 1) // 2:n * (n + 1) // 2].any(axis=1, keepdims=True)
             for n in range(1, N))], axis=1)
-        self.roots = [r[-1] for r in roots]
-        self.lead, self.aug, self.tau = lead[-1:], aug[-1:], taus[-1:]
+        self.e = [e[-1] for e in es]
+        self.lead = [c[-1, 0] for c in coeffs[N:]]
+        self.tau = taus[-1]
         return taus, hs, flags
+
+
+def _tracked_flow(pt, selector, t_final, steps, samples, convention, lam0, reg_gap) -> tuple:
+    """The flow sampled about `samples` times, its tracker, taus, hs and flags."""
+    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
+                            sample_every=max(1, steps // samples))
+    tracker = _TauTracker(pt, convention, lam0)
+    return flow, tracker, *tracker.step(flow.points, flow.times)
 
 
 def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
@@ -499,14 +487,10 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
                        convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
                        lam0: complex | None = None,
                        reg_gap: float = 1e-6) -> list[dict]:
-    """Sampled trajectory with branch-tracked h and tau values, JSON-ready."""
-    if lam0 is None:
-        lam0 = default_base_point(pt)
-    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
-                            reg_gap=reg_gap,
-                            sample_every=max(1, steps // samples))
-    tracker = _TauTracker(pt.n, convention, lam0)
-    taus, hs, flags = tracker.step(flow.points, flow.times)
+    """Sampled trajectory with continued h and tau values, JSON-ready; an
+    error of the flow or the tracker carries the time of its failing sample."""
+    flow, tracker, taus, hs, flags = _tracked_flow(pt, selector, t_final, steps, samples,
+                                                   convention, lam0, reg_gap)
     pairs = lambda keys, vals: {f"{n},{k}": [v.real, v.imag]
                                 for (n, k), v in zip(keys, vals.tolist())}
     return [{
@@ -630,17 +614,12 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
     """Least-squares slopes of every tau along the selected action's flow.
 
     The conjugate tau must move with slope one, every other tau with slope
-    zero (Casimir-level selectors expect all zeros).  Branch continuity is
-    enforced stepwise; a jump above pi raises BranchJumpError.  The flow
-    checks regularity against reg_gap, as in hamiltonian_flow.
+    zero (Casimir-level selectors expect all zeros).  The taus are continued
+    from sample to sample, as in trajectory_records, and raise its errors;
+    the flow checks regularity against reg_gap, as in hamiltonian_flow.
     """
-    if lam0 is None:
-        lam0 = default_base_point(pt)
-    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
-                            reg_gap=reg_gap,
-                            sample_every=max(1, steps // samples))
-    tracker = _TauTracker(pt.n, convention, lam0)
-    taus, _, _ = tracker.step(flow.points, flow.times)
+    flow, tracker, taus, _, _ = _tracked_flow(pt, selector, t_final, steps, samples,
+                                              convention, lam0, reg_gap)
     times = np.asarray(flow.times, dtype=float)
     tbar = times - times.mean()
     denom = float(np.sum(tbar * tbar))

@@ -255,6 +255,48 @@ def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, m
     assert gaps == [1e-7, 1e-7]
 
 
+def _tracker_fault(level, fault):
+    """The tracker's level-data kernel with fault(coeffs, roots, N, level)
+    applied to sample 10 of its first stack (t = 0.2 on a 100-step grid)."""
+    kernel = tower._level_stack
+
+    def patched(us, convention, lowering):
+        coeffs, roots, finite = kernel(us, convention, lowering)
+        if len(us) > 10:
+            fault(coeffs, roots, us.shape[-1], level)
+        return coeffs, roots, finite
+    return patched
+
+
+def _drop_a_root(coeffs, roots, N, n):
+    roots[n - 1][10, -1] = float("nan")
+
+
+def _e_point_on_a_puncture(coeffs, roots, N, n):
+    roots[N + n - 1][10, 0] = roots[n - 1][10, 0]
+
+
+def _turn_the_lead(coeffs, roots, N, n):
+    coeffs[N + n - 1][10] *= complex(math.cos(2.0), math.sin(2.0))
+
+
+@pytest.mark.parametrize("fault, kind", [(_drop_a_root, "tracking"),
+                                         (_e_point_on_a_puncture, "path-through-puncture"),
+                                         (_turn_the_lead, "branch-jump")])
+def test_flow_tracker_errors_are_violation_reports(tmp_path, monkeypatch, capsys, fault, kind):
+    monkeypatch.setattr(tower, "_level_stack", _tracker_fault(2, fault))
+    code, out, err = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
+                             "--hamiltonian", "2,1", "--steps", "100",
+                             "--trajectory", str(tmp_path / "t.jsonl"))
+    assert code == 1
+    assert "check failed" not in err
+    report = parse_report(out)
+    assert report["status"] == "violation"
+    assert report["error"] == {"kind": kind, "time": 0.2}
+    assert "linearization" not in report and "samples" not in report
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_flow_bad_selector(capsys):
     code, _, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "0.5,-1",
                          "--hamiltonian", "5,1")

@@ -18,7 +18,7 @@ from gztower.orbits import (
     sample_orbit,
 )
 from gztower.poisson import U, evaluate_at
-from gztower.polytools import principal_charpoly
+from gztower.polytools import TrackingError, principal_charpoly
 from gztower.tower import (
     BranchJumpError,
     PathThroughPunctureError,
@@ -145,7 +145,7 @@ def test_angles_vanish_when_divisors_coincide():
     # e-points equal to the previous-level roots: the two sums cancel termwise
     gamma = [0.0 + 0j, 2.0 + 0j]
     shared = [1.0 + 0.3j]
-    res = angle_variables(gamma, shared, shared, lam0=6.0, augment=False)
+    res = angle_variables(gamma, shared, shared, lam0=6.0, leading_coeff=1.0)
     assert max(abs(t) for t in res.tau_literal) < 1e-14
 
 
@@ -169,9 +169,9 @@ def test_abel_coordinate_derivative_consistency():
     delta = 1e-6
     n = len(gamma)
     for k in (1, n):
-        res0 = angle_variables(gamma, e_pts, prev, lam0, augment=False)
+        res0 = angle_variables(gamma, e_pts, prev, lam0, leading_coeff=1.0)
         moved = [e_pts[0] + delta, e_pts[1]]
-        res1 = angle_variables(gamma, moved, prev, lam0, augment=False)
+        res1 = angle_variables(gamma, moved, prev, lam0, leading_coeff=1.0)
         a_at = np.prod([e_pts[0] - g for g in gamma])
         predicted = delta * e_pts[0] ** (n - k) / a_at
         observed = res1.tau_literal[k - 1] - res0.tau_literal[k - 1]
@@ -182,7 +182,7 @@ def test_abel_coordinate_derivative_consistency():
 
 def test_augmentation_requires_leading_coefficient():
     with pytest.raises(ValueError):
-        angle_variables([1.0 + 0j], [], [], lam0=4.0, augment=True)
+        angle_variables([1.0 + 0j], [], [], lam0=4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def test_flow_with_finite_u_and_overflowing_minors_loses_regularity(monkeypatch)
     assert np.isfinite(seen[-1][-1]).all()
     with pytest.raises(OrbitError):
         level_data(seen[-1][-1])
-    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, default_base_point(pt))
+    tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None)
     with pytest.raises(RegularityLostError) as err:
         tracker.step(seen[-1][-1], 10.0)
     assert err.value.time == 10.0
@@ -445,46 +445,68 @@ def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every
 
 
 class _TrackerLoop:
-    """Oracle: the tracker one sample at a time, each matched to the last by
-    level_data and its angles from angle_variables."""
+    """Oracle: the tracker one sample at a time.  The first sample gets the
+    straight-path angles; level_data matches each later sample's roots to
+    the sample before, and each tau continues by the logs of the e-point
+    ratios, one e-point at a time, against the first sample's punctures,
+    and tau[n,1] also by the log of the lead C_n ratio.  An error carries
+    the time of its sample."""
 
-    def __init__(self, u0, convention, lam0):
-        self.N, self.convention, self.lam0 = u0.shape[0], convention, complex(lam0)
-        self.state = level_data(u0, convention)
-        self.aug_log = [complex(np.log(complex(c[0]))) for c in self.state.c]
-        self.tau = {}
-        self.step(u0, 0.0)
+    def __init__(self, convention, lam0):
+        self.convention, self.lam0 = convention, lam0
+        self.first = self.state = None
 
     def step(self, u, t):
+        try:
+            taus, hs, flags, lv = self._step(u, t)
+        except (TowerError, TrackingError) as exc:
+            exc.time = t
+            raise
+        self.state, self.tau = lv, taus
+        return taus, hs, flags
+
+    def _start(self, lv):
+        self.first = self.state = lv
+        self.tau = {}
+        for n in range(1, len(lv.gamma)):
+            res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
+                                  lv.gamma[n - 2] if n >= 2 else [], self.lam0,
+                                  leading_coeff=lv.c[n - 1][0])
+            self.tau.update({(n, k): val for k, val in enumerate(res.tau, start=1)})
+
+    def _step(self, u, t):
         try:
             lv = level_data(u, self.convention, base=self.state)
         except OrbitError:
             raise RegularityLostError(t) from None
-        hs = {(n, k): complex(lv.a[n][k]) for n in range(1, self.N + 1)
-              for k in range(1, n + 1)}
-        aug_logs = [aug + complex(np.log(complex(c[0]) / complex(c0[0])))
-                    for aug, c, c0 in zip(self.aug_log, lv.c, self.state.c)]
-        taus = {}
-        for n in range(1, self.N):
-            res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
-                                  lv.gamma[n - 2] if n >= 2 else [], self.lam0,
-                                  augment=False)
-            for k, val in enumerate(res.tau_literal, start=1):
-                taus[(n, k)] = val + aug_logs[n - 1] if k == 1 else val
-        flags = {n: False for n in range(1, self.N)}
-        for (n, k), val in taus.items():
-            jump = abs(val - self.tau[(n, k)]) if self.tau else 0.0
-            if jump > np.pi:
-                raise BranchJumpError(f"tau[{n},{k}] jumped by {jump:.3f} between samples")
-            flags[n] = flags[n] or jump > np.pi / 2.0
-        self.state, self.aug_log, self.tau = lv, aug_logs, taus
-        return taus, hs, flags
+        if self.first is None:
+            self._start(lv)
+        N = len(lv.gamma)
+        hs = {(n, k): complex(lv.a[n][k]) for n in range(1, N + 1) for k in range(1, n + 1)}
+        taus, flags = {}, {}
+        for n in range(1, N):
+            gamma = self.first.gamma[n - 1]
+            lead_log = complex(np.log(complex(lv.c[n - 1][0]) / complex(self.state.c[n - 1][0])))
+            logs, turn = np.zeros(n, dtype=complex), abs(lead_log.imag)
+            for old, new in zip(self.state.e[n - 1], lv.e[n - 1]):
+                dlog = path_log_increments(old, new, gamma)
+                logs += dlog
+                turn = max(turn, np.max(np.abs(dlog.imag)))
+            if turn > np.pi / 2:
+                raise BranchJumpError(f"level {n}: a ratio turned by {turn:.3f} rad")
+            inc = (logs @ differentials(gamma).residues)[::-1]
+            inc[0] += lead_log
+            for k in range(1, n + 1):
+                taus[(n, k)] = self.tau[(n, k)] + inc[k - 1]
+            flags[n] = any(abs(taus[(n, k)] - self.tau[(n, k)]) > np.pi / 2
+                           for k in range(1, n + 1))
+        return taus, hs, flags, lv
 
 
 def _tracked_loop(pt, selector, steps, sample_every, lam0=None):
     lam0 = default_base_point(pt) if lam0 is None else lam0
     times, points = _flow_loop(pt, selector, steps=steps, sample_every=sample_every)
-    tracker = _TrackerLoop(pt.u, DEFAULT_MINOR_CONVENTION, lam0)
+    tracker = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     return times, points, [tracker.step(u, t) for t, u in zip(times, points)]
 
 
@@ -494,8 +516,6 @@ def _outcome(run):
         return "ok", run()
     except RegularityLostError as exc:
         return "regularity", (exc.time, str(exc))
-    except BranchJumpError as exc:
-        return "jump", str(exc)
 
 
 # at t = 0.8 an e-point of this flow lies 9e-4 from a level-4 puncture
@@ -529,7 +549,7 @@ def test_stacked_tracker_matches_the_sample_loop(case):
     spectrum, seed, selector, steps, every = _FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     times, points, want = _tracked_loop(pt, selector, steps, every)
-    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, default_base_point(pt))
+    tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None)
     taus, hs, flags = tracker.step(points, times)
     assert taus.shape == (len(times), len(tracker.keys)) and len(times) > 10
     for tau, h, flag, (tau_ref, h_ref, flag_ref) in zip(taus, hs, flags, want):
@@ -571,21 +591,53 @@ def test_regularity_loss_out_of_range_reports_the_oracle_time(t_final, steps, ev
     assert want[0] == "regularity" and got == want
 
 
-# a geometry flow whose straight-path tau[4,1] changes sheet along the way
+def _line_error(pt, selector, records):
+    """max |tau(t) - tau(0) - delta t| over the records of a flow of h[selector]."""
+    t = np.array([rec["t"] for rec in records])
+    tau = np.array([[complex(*v) for v in rec["tau"].values()] for rec in records])
+    delta = np.array([key == "%d,%d" % selector for key in records[0]["tau"]])
+    return float(np.max(np.abs(tau - tau[0] - t[:, None] * delta)))
+
+
+# a geometry flow whose straight-path tau[4,1] changed sheet along the way
 _JUMPING = ([0.370469 + 0.085768j, 0.830049 - 0.121992j, 0.339010 - 1.312951j,
              1.251893 + 0.423985j, -1.381221 + 1.057899j], 248819507)
 
 
 @pytest.mark.parametrize("samples", [40, 500])
 def test_branch_jump_reports_the_oracle_key_and_magnitude(samples):
-    # 41 samples in one chunk, or 501 in eight: the first jump of either run
-    # names the same key and magnitude
+    # 41 samples in one chunk, or 501 in eight: the flow on which straight
+    # paths jumped completes, on the oracle's values and on the line
     spectrum, seed = _JUMPING
     pt = sample_orbit(spectrum, seed=seed)
     every = max(1, 1000 // samples)
-    want = _outcome(lambda: _tracked_loop(pt, (4, 3), 1000, every))
-    got = _outcome(lambda: trajectory_records(pt, (4, 3), samples=samples))
-    assert want[0] == "jump" and got == want
+    _, _, want = _tracked_loop(pt, (4, 3), 1000, every)
+    records = trajectory_records(pt, (4, 3), samples=samples)
+    assert len(records) == len(want) == samples + 1
+    for rec, (tau_ref, _, _) in zip(records, want):
+        assert max(abs(complex(*rec["tau"]["%d,%d" % key]) - val)
+                   for key, val in tau_ref.items()) <= 1e-12
+    assert _line_error(pt, (4, 3), records) <= 1e-8
+
+
+# geometry flow5 inputs (benchmarks/gen.py, seeds 2 and 4) on which the
+# straight-path angles jumped by 10.2, and left the line by 2.91 without a
+# jump above pi
+_OFF_THE_LINE = {
+    "jumped": ([0.988068 - 0.851330j, -0.005832 - 1.197889j, 0.577554 - 1.384188j,
+                -0.482924 + 0.605848j, 0.068486 - 0.130708j], 1317947088),
+    "changed-sheet": ([1.328411 + 0.000679j, 0.496972 + 1.375747j, -1.099813 - 0.450188j,
+                       -0.006397 - 0.828687j, -0.019140 + 0.066261j], 1937492129),
+}
+
+
+@pytest.mark.parametrize("case", _OFF_THE_LINE)
+def test_continued_angles_stay_on_the_line(case):
+    spectrum, seed = _OFF_THE_LINE[case]
+    pt = sample_orbit(spectrum, seed=seed)
+    records = trajectory_records(pt, (4, 3))
+    assert len(records) == 41
+    assert _line_error(pt, (4, 3), records) <= 1e-8
 
 
 def test_tracker_raises_the_oracle_error_at_an_overflowing_sample(monkeypatch):
@@ -599,18 +651,18 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample(monkeypatch):
     times[80], points[80] = 10.0, _flow_loop(pt, (4, 3), t_final=10.0, steps=1)[1][-1]
     assert np.isfinite(points[80]).all()
     lam0 = default_base_point(pt)
-    oracle = _TrackerLoop(pt.u, DEFAULT_MINOR_CONVENTION, lam0)
+    oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = _outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
-    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, lam0)
+    tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, lam0)
     got = _outcome(lambda: tracker.step(points, times))
     assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
 
 
 def _faulty_level_stack(faults):
     """The level-data kernel with faults injected at given points u, each
-    (kind, level n, u): 'jump' scales C_n by e^4, so tau[n,1] jumps by 4;
-    'drop' loses a root of A_n; 'through' moves an e-point of level n onto
-    a puncture; 'coincide' makes two punctures of level n equal."""
+    (kind, level n, u): 'jump' turns C_n by 2 rad; 'drop' loses a root of
+    A_n; 'through' moves an e-point of level n onto a puncture; 'coincide'
+    makes two punctures of level n equal."""
     kernel = orbits._level_stack
 
     def patched(us, convention, lowering):
@@ -619,7 +671,7 @@ def _faulty_level_stack(faults):
         for kind, n, u in faults:
             hit = np.all(us == u, axis=(1, 2))
             if kind == "jump":
-                coeffs[N + n - 1][hit] *= np.exp(4.0)
+                coeffs[N + n - 1][hit] *= np.exp(2j)
             elif kind == "drop":
                 roots[n - 1][hit, -1] = np.nan
             elif kind == "through":
@@ -630,22 +682,24 @@ def _faulty_level_stack(faults):
     return patched
 
 
-# (kind, level, sample) faults among the first 80 samples of a flow whose
-# tau[4,1] first jumps at sample 82, and the error they give: the first
-# failing sample decides, and within a sample the per-sample order does
-# (root counts, then the angles level by level: endpoints, punctures,
-# previous roots, then the jumps).  The tracker's first chunk is 0-63.
+# (kind, level, sample) faults among the first 81 samples of a flow, and the
+# error they give: the first failing sample decides, and within a sample the
+# per-sample order does (root counts, then level by level an e-point on a
+# puncture and a turned ratio).  The tracker's first chunk is 0-63.  The
+# punctures are read once, at sample 0, so a later 'coincide' is inert.
 _FAULTS = {
     "jump-before-drop": ([("jump", 2, 5), ("drop", 3, 10)], "BranchJumpError"),
     "drop-before-jump": ([("drop", 3, 70), ("jump", 2, 75)], "TrackingError"),
     "through-before-jump": ([("through", 4, 30), ("jump", 1, 40)], "PathThroughPunctureError"),
     "jump-before-coincide": ([("jump", 3, 66), ("coincide", 3, 80)], "BranchJumpError"),
-    "coincide-before-through": ([("coincide", 2, 50), ("through", 4, 50)],
-                                "CoincidentPuncturesError"),
     "through-before-coincide": ([("coincide", 2, 45), ("through", 2, 45)],
                                 "PathThroughPunctureError"),
     "drop-before-coincide": ([("coincide", 2, 20), ("drop", 4, 20)], "TrackingError"),
     "jump-at-the-boundary": ([("jump", 4, 64), ("through", 3, 65)], "BranchJumpError"),
+    "through-at-the-boundary": ([("through", 2, 64), ("jump", 3, 64)],
+                                "PathThroughPunctureError"),
+    "jump-after-through": ([("through", 3, 50), ("jump", 3, 40)], "BranchJumpError"),
+    "through-at-the-start": ([("through", 4, 0), ("drop", 3, 1)], "PathThroughPunctureError"),
 }
 
 
@@ -664,41 +718,37 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
         try:
             run()
         except Exception as exc:
-            return type(exc).__name__, str(exc)
-        return "ok", ""
+            return type(exc).__name__, str(exc), exc.time
+        return "ok", "", None
 
-    oracle = _TrackerLoop(pt.u, DEFAULT_MINOR_CONVENTION, lam0)
+    oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
-    tracker = tower._TauTracker(pt.n, DEFAULT_MINOR_CONVENTION, lam0)
-    got = outcome(lambda: tracker.step(points, times))
-    assert got == want and want[0] == kind
+    got = outcome(lambda: tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, lam0)
+                  .step(points, times))
+    first = min(s for _, _, s in faults)
+    assert got == want and want[0] == kind and want[2] == times[first]
     if kind == "BranchJumpError":
-        assert want[1] == f"tau[{faults[0][1]},1] jumped by 4.000 between samples"
+        n = [n for fault, n, s in faults if s == first][0]
+        assert want[1].startswith(f"level {n}: ") and "turned by 2.0" in want[1]
 
 
-def test_stacked_angles_match_one_level_calls():
-    # each row of a stack gets the one-level result, and a stack fails at
-    # its first failing row with that row's error
+def test_stacked_path_logs_match_one_row_calls():
+    # each row of a stack of endpoints gets the one-row result, and a stack
+    # fails at its first row with an endpoint on a puncture
     rng = np.random.default_rng(7)
     cloud = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    gamma, e, prev, lead = cloud(6, 4), cloud(6, 3), cloud(6, 3), cloud(6)
-    res = angle_variables(gamma, e, prev, 6.0, leading_coeff=lead)
+    a, b, gamma = cloud(6, 3), cloud(6, 3), cloud(4)
+    logs = path_log_increments(a, b, gamma)
+    assert logs.shape == (6, 3, 4)
     for row in range(6):
-        one = angle_variables(gamma[row], e[row], prev[row], 6.0, leading_coeff=lead[row])
-        assert np.max(np.abs(res.tau[row] - one.tau)) <= 1e-13
-        assert np.max(np.abs(res.tau_literal[row] - one.tau_literal)) <= 1e-13
-        assert np.max(np.abs(differentials(gamma).residues[row]
-                             - differentials(gamma[row]).residues)) == 0.0
-    gamma[4, 2] = gamma[4, 0]
-    e[3, 1] = gamma[3, 3]
-    for rows, kind, first in ((slice(None), PathThroughPunctureError, 3),
-                              (slice(4, None), tower.CoincidentPuncturesError, 0)):
-        with pytest.raises(kind) as err:
-            angle_variables(gamma[rows], e[rows], prev[rows], 6.0, augment=False)
-        assert err.value.row == first
-        with pytest.raises(kind):
-            angle_variables(gamma[rows][first], e[rows][first], prev[rows][first], 6.0,
-                            augment=False)
+        assert np.array_equal(logs[row], path_log_increments(a[row], b[row], gamma))
+    b[4, 1], a[3, 2] = gamma[0], gamma[2]
+    with pytest.raises(PathThroughPunctureError) as err:
+        path_log_increments(a, b, gamma)
+    assert err.value.row == 3
+    with pytest.raises(PathThroughPunctureError) as err:
+        path_log_increments(a[4:], b[4:], gamma)
+    assert err.value.row == 0
 
 
 # ---------------------------------------------------------------------------
