@@ -25,15 +25,16 @@ from fractions import Fraction
 import numpy as np
 
 from .poisson import (
-    G,
     U,
     UTILDE,
     CanonicalPoint,
     PoissonPoly,
     _gradients,
     bracket,
+    gradient_at,
     random_canonical_point,
     u_as_canonical,
+    utilde_as_canonical,
 )
 
 __all__ = [
@@ -291,30 +292,13 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
 
 def _symbol_jacobian(poly: PoissonPoly, pt: CanonicalPoint) -> np.ndarray:
     """d(poly)/d(g, p) at pt via exact symbol gradients and the chain rule."""
-    from .poisson import evaluate_at, u_as_canonical, utilde_as_canonical
-
     n = pt.n
-    u = u_as_canonical(pt)
-    ut = utilde_as_canonical(pt)
-    dg = np.zeros((n, n), dtype=complex)
-    dp = np.zeros((n, n), dtype=complex)
-    for gen in poly.generators_used():
-        kind, i, j = gen
-        dval = evaluate_at(poly.differentiate(gen), u=u, ut=ut, g=pt.g)
-        if not dval:
-            continue
-        ii, jj = i - 1, j - 1
-        if kind == U:
-            # u[i,j] = sum_m p[m,i] g[m,j]
-            dg[:, jj] += dval * pt.p[:, ii]
-            dp[:, ii] += dval * pt.g[:, jj]
-        elif kind == UTILDE:
-            # ut[i,j] = -sum_m g[i,m] p[j,m]
-            dg[ii, :] -= dval * pt.p[jj, :]
-            dp[jj, :] -= dval * pt.g[ii, :]
-        elif kind == G:
-            dg[ii, jj] += dval
-    return np.concatenate([dg.ravel(), dp.ravel()])
+    grad = gradient_at(poly, u=u_as_canonical(pt), ut=utilde_as_canonical(pt), g=pt.g)
+    du, dut, dg = grad[:3 * n * n].reshape(3, n, n)
+    # u = p^T g and ut = -g p^T
+    jac_g = pt.p @ du - dut @ pt.p + dg
+    jac_p = pt.g @ du.T - dut.T @ pt.g
+    return np.concatenate([jac_g.ravel(), jac_p.ravel()])
 
 
 def independence_rank(fam: CommutingFamily, pt: CanonicalPoint,

@@ -4,7 +4,8 @@ The phase space is coordinatized by a group element g together with the
 left/right momentum matrices u and ut ("u-tilde").  This module provides
 
 * ``PoissonPoly`` -- polynomials in the entries u[i,j], ut[i,j], g[i,j]
-  and two central scalars lam, mu, with exact big-rational coefficients;
+  and two central scalars lam, mu, with exact rational coefficients: each
+  monomial packed into one int, integer numerators over one denominator;
 * ``bracket`` -- the Poisson bracket, extending the generator table below
   by bilinearity and the Leibniz rule;
 * ``CanonicalPoint`` plus a central finite-difference bracket in canonical
@@ -31,19 +32,21 @@ which is the convention adopted throughout the package.
 
 from __future__ import annotations
 
-import functools
-import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "U", "UTILDE", "G", "LAM", "MU",
-    "AmbientSizeError", "PoissonPoly", "bracket",
+    "AmbientSizeError", "SlotOverflowError", "PoissonPoly", "bracket",
     "CanonicalPoint", "random_canonical_point",
     "u_as_canonical", "utilde_as_canonical",
-    "evaluate", "evaluate_at", "canonical_bracket", "poly_function",
+    "evaluate", "evaluate_at", "gradient_at", "canonical_bracket", "poly_function",
 ]
 
 # Generator kinds.  A generator is a tuple (kind, row, col); the central
@@ -88,25 +91,24 @@ def _gen_bracket(x: Gen, y: Gen) -> tuple[tuple[int, Gen], ...]:
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers
+# packed monomials
 # ---------------------------------------------------------------------------
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for g, e in m2:
-        acc[g] = acc.get(g, 0) + e
-    return tuple(sorted(acc.items()))
+# A monomial over gl_n is one int holding its exponent vector, one byte per
+# generator slot.  The top bit of each byte is a guard: exponents stay at or
+# below 127, so adding two exponent vectors never carries into the next slot,
+# and a set guard bit in a sum marks an exponent that outgrew its slot.
+_WIDTH = 8
+_MASK = (1 << _WIDTH) - 1
+_MAX_EXP = _MASK >> 1
 
 
-def _mono_drop(m: Monomial, idx: int) -> Monomial:
-    g, e = m[idx]
-    if e == 1:
-        return m[:idx] + m[idx + 1:]
-    return m[:idx] + ((g, e - 1),) + m[idx + 1:]
+class SlotOverflowError(ArithmeticError):
+    """An exponent outgrew the 127 that a packed monomial slot holds."""
+
+
+def _overflow_error() -> SlotOverflowError:
+    return SlotOverflowError(f"an exponent exceeds {_MAX_EXP}, the largest a monomial slot holds")
 
 
 def _mono_str(m: Monomial) -> str:
@@ -122,21 +124,134 @@ def _mono_str(m: Monomial) -> str:
     return "*".join(parts)
 
 
-class PoissonPoly:
-    """Polynomial over the generator alphabet with Fraction coefficients.
+class _Layout(NamedTuple):
+    """The slots of the generators over gl_n."""
 
-    Terms are stored canonically -- monomials are sorted tuples of
-    ((kind, row, col), power) pairs, zero coefficients are never kept --
-    so structural equality is exact mathematical equality.
+    slot: dict[Gen, int]
+    gens: tuple[Gen, ...]
+    guard: int          # the top bit of every slot
+    lam_shift: int      # the bit offset of the lam slot; mu's slot follows it
+
+    def pack(self, mono: Monomial) -> int:
+        key = 0
+        for g, e in mono:
+            s = self.slot.get(g)
+            if e > _MAX_EXP:
+                raise _overflow_error()
+            if s is None or e < 0:
+                raise ValueError(f"{g}^{e} is not a monomial factor at this ambient size")
+            key += e << (_WIDTH * s)
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        return tuple((self.gens[s], e)
+                     for s, e in enumerate(key.to_bytes(len(self.gens), "little")) if e)
+
+
+@lru_cache(maxsize=None)
+def _slot_layout(n: int) -> _Layout:
+    """Fixed slots of the generators over gl_n, in the sort order of
+    generator tuples (u, ut, g by row and column, then lam, mu), so reading
+    a packed monomial from the lowest slot up gives a canonical sorted one."""
+    gens = tuple((kind, i, j) for kind in _MATRIX_KINDS
+                 for i in range(1, n + 1) for j in range(1, n + 1))
+    gens += ((LAM, 0, 0), (MU, 0, 0))
+    slot = {g: s for s, g in enumerate(gens)}
+    guard = sum(1 << (_WIDTH * s + _WIDTH - 1) for s in range(len(gens)))
+    return _Layout(slot, gens, guard, _WIDTH * slot[LAM, 0, 0])
+
+
+@lru_cache(maxsize=None)
+def _bracket_table(n: int) -> tuple:
+    """The generator bracket table in slots: entry sx lists, for the
+    generator x in slot sx, every (sy, ((coef, unit of z), ...)) with
+    {x, y} nonzero, the unit of z being 1 in z's slot."""
+    layout = _slot_layout(n)
+    return tuple(
+        tuple((sy, tuple((c, 1 << (_WIDTH * layout.slot[z])) for c, z in table))
+              for sy, table in enumerate(_gen_bracket(x, y) for y in layout.gens) if table)
+        for x in layout.gens)
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"ambient size must be >= 1, got {n}")
+
+
+class _TermView(Mapping):
+    """Read-only view of a PoissonPoly as {canonical monomial: Fraction}."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "PoissonPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self):
+        return map(_slot_layout(self._poly.n).unpack, self._poly._num)
+
+    def __getitem__(self, mono: Monomial) -> Fraction:
+        poly = self._poly
+        try:
+            key = _slot_layout(poly.n).pack(mono)
+        except (ValueError, TypeError, ArithmeticError):
+            raise KeyError(mono) from None
+        return Fraction(poly._num[key], poly._den)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class PoissonPoly:
+    """Polynomial over the generator alphabet with exact rational coefficients.
+
+    Stored as a dict from packed monomial to integer numerator over one
+    positive common denominator, in lowest terms and without zero
+    numerators, so equality of the stored data is equality of polynomials.
+    ``terms`` is a read-only view of the same polynomial as a dict from
+    canonical monomials -- sorted tuples of ((kind, row, col), power) pairs
+    -- to Fractions, and the constructor takes such a dict.  Instances are
+    immutable; the table of partial derivatives that ``bracket`` reads is
+    built on first use and kept.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_num", "_den", "_table", "_fields")
 
     def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient size must be >= 1, got {n}")
-        self.n = n
-        self.terms = {} if terms is None else terms
+        _check_size(n)
+        terms = {} if terms is None else terms
+        pack = _slot_layout(n).pack
+        den = lcm(*(Fraction(c).denominator for c in terms.values()))
+        num: dict[int, int] = {}
+        for mono, c in terms.items():
+            key = pack(mono)
+            num[key] = num.get(key, 0) + int(Fraction(c) * den)
+        self._set(n, num, den)
+
+    def _set(self, n: int, num: dict[int, int], den: int) -> None:
+        if not all(num.values()):
+            num = {k: c for k, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: c // g for k, c in num.items()}
+                den //= g
+        self.n, self._num, self._den = n, num, den
+        self._table = self._fields = None
+
+    @classmethod
+    def _make(cls, n: int, num: dict[int, int], den: int) -> "PoissonPoly":
+        out = cls.__new__(cls)
+        out._set(n, num, den)
+        return out
+
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _TermView(self)
 
     # -- constructors -------------------------------------------------
 
@@ -146,16 +261,18 @@ class PoissonPoly:
 
     @classmethod
     def constant(cls, n: int, value) -> "PoissonPoly":
+        _check_size(n)
         c = Fraction(value)
-        return cls(n, {(): c} if c else {})
+        return cls._make(n, {0: c.numerator}, c.denominator)
 
     @classmethod
     def generator(cls, n: int, kind: int, row: int = 0, col: int = 0) -> "PoissonPoly":
+        _check_size(n)
         if kind in _MATRIX_KINDS and not (1 <= row <= n and 1 <= col <= n):
             raise ValueError(f"index ({row},{col}) outside 1..{n}")
         if kind in (LAM, MU):
             row = col = 0
-        return cls(n, {(((kind, row, col), 1),): Fraction(1)})
+        return cls._make(n, {1 << (_WIDTH * _slot_layout(n).slot[kind, row, col]): 1}, 1)
 
     @classmethod
     def u(cls, n: int, i: int, j: int) -> "PoissonPoly":
@@ -180,22 +297,21 @@ class PoissonPoly:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(not m for m in self.terms)
+        return not any(self._num)
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
+        size = len(_slot_layout(self.n).gens)
+        return max((sum(k.to_bytes(size, "little")) for k in self._num), default=0)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PoissonPoly)
-                and self.n == other.n and self.terms == other.terms)
+        return (isinstance(other, PoissonPoly) and self.n == other.n
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self._den, frozenset(self._num.items())))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -207,19 +323,18 @@ class PoissonPoly:
         if not isinstance(other, PoissonPoly):
             other = PoissonPoly.constant(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return PoissonPoly(self.n, out)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = {k: c * sa for k, c in self._num.items()} if sa != 1 else dict(self._num)
+        get = out.get
+        for k, c in other._num.items():
+            out[k] = get(k, 0) + c * sb
+        return PoissonPoly._make(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PoissonPoly":
-        return PoissonPoly(self.n, {m: -c for m, c in self.terms.items()})
+        return PoissonPoly._make(self.n, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "PoissonPoly":
         if not isinstance(other, PoissonPoly):
@@ -232,20 +347,19 @@ class PoissonPoly:
     def __mul__(self, other) -> "PoissonPoly":
         if not isinstance(other, PoissonPoly):
             c = Fraction(other)
-            if not c:
-                return PoissonPoly.zero(self.n)
-            return PoissonPoly(self.n, {m: cc * c for m, cc in self.terms.items()})
+            return PoissonPoly._make(self.n, {k: cc * c.numerator for k, cc in self._num.items()},
+                                     self._den * c.denominator)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return PoissonPoly(self.n, out)
+        out: dict[int, int] = {}
+        get = out.get
+        right = list(other._num.items())
+        for ka, ca in self._num.items():
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if reduce(or_, out, 0) & _slot_layout(self.n).guard:
+            raise _overflow_error()
+        return PoissonPoly._make(self.n, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -261,162 +375,145 @@ class PoissonPoly:
 
     def differentiate(self, gen: Gen) -> "PoissonPoly":
         """Formal partial derivative with respect to one generator."""
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            for idx, (g, e) in enumerate(m):
-                if g == gen:
-                    m2 = _mono_drop(m, idx)
-                    s = out.get(m2, 0) + c * e
-                    if s:
-                        out[m2] = s
-                    else:
-                        out.pop(m2, None)
-                    break
-        return PoissonPoly(self.n, out)
+        s = _slot_layout(self.n).slot.get(gen)
+        if s is None:
+            return PoissonPoly.zero(self.n)
+        shift = _WIDTH * s
+        unit = 1 << shift
+        out = {}
+        for k, c in self._num.items():
+            e = k >> shift & _MASK
+            if e:
+                out[k - unit] = c * e
+        return PoissonPoly._make(self.n, out, self._den)
+
+    def _partials(self) -> dict[int, list[tuple[int, int]]]:
+        """{slot s: [(packed monomial, numerator) of d(self)/d(x_s)]}, over
+        self's denominator; built on first use and kept."""
+        table = self._table
+        if table is None:
+            table = self._table = {}
+            for key, c in self._num.items():
+                rest = key
+                while rest:
+                    s = ((rest & -rest).bit_length() - 1) // _WIDTH
+                    shift = _WIDTH * s
+                    e = rest >> shift & _MASK
+                    rest ^= e << shift
+                    table.setdefault(s, []).append((key - (1 << shift), c * e))
+        return table
+
+    def _field(self, sx: int) -> list[tuple[int, int]]:
+        """{x, self} for the generator x in slot sx, as nonzero (packed
+        monomial, numerator) pairs over self's denominator: sum_y
+        d(self)/dy {x, y}, from the table of partials.  Built on first use
+        and kept."""
+        fields = self._fields
+        if fields is None:
+            fields = self._fields = {}
+        field = fields.get(sx)
+        if field is None:
+            table = self._partials()
+            acc: dict[int, int] = {}
+            get = acc.get
+            for sy, entry in _bracket_table(self.n)[sx]:
+                dy = table.get(sy)
+                if dy is None:
+                    continue
+                for coef, unit in entry:
+                    for m, c in dy:
+                        m += unit
+                        acc[m] = get(m, 0) + coef * c
+            field = fields[sx] = [(m, c) for m, c in acc.items() if c]
+        return field
+
+    def derivative_along(self, field: list[tuple["PoissonPoly", Gen]]) -> "PoissonPoly":
+        """The derivative sum_t coeff_t * d(self)/d(gen_t) along the vector
+        field [(coeff_t, gen_t), ...], built in one pass into one dict."""
+        slot = _slot_layout(self.n).slot
+        table = self._partials()
+        den = lcm(*(coeff._den for coeff, _ in field))
+        out: dict[int, int] = {}
+        get = out.get
+        for coeff, gen in field:
+            self._check(coeff)
+            part = table.get(slot.get(gen))
+            if part is None:
+                continue
+            scale = den // coeff._den
+            for kc, cc in coeff._num.items():
+                cc *= scale
+                for k, c in part:
+                    k += kc
+                    out[k] = get(k, 0) + c * cc
+        if reduce(or_, out, 0) & _slot_layout(self.n).guard:
+            raise _overflow_error()
+        return PoissonPoly._make(self.n, out, self._den * den)
 
     def lambda_mu_coefficients(self) -> dict[tuple[int, int], "PoissonPoly"]:
         """Split into {(lam power, mu power): polynomial without lam, mu}."""
-        buckets: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
-        for m, c in self.terms.items():
-            lp = mp = 0
-            rest = []
-            for g, e in m:
-                if g[0] == LAM:
-                    lp = e
-                elif g[0] == MU:
-                    mp = e
-                else:
-                    rest.append((g, e))
-            buckets.setdefault((lp, mp), {})[tuple(rest)] = c
-        return {k: PoissonPoly(self.n, t) for k, t in buckets.items()}
+        shift = _slot_layout(self.n).lam_shift
+        low = (1 << shift) - 1
+        buckets: dict[tuple[int, int], dict[int, int]] = {}
+        for k, c in self._num.items():
+            top = k >> shift
+            buckets.setdefault((top & _MASK, top >> _WIDTH), {})[k & low] = c
+        return {lm: PoissonPoly._make(self.n, t, self._den) for lm, t in buckets.items()}
 
     def coefficient_of_lambda(self, k: int) -> "PoissonPoly":
-        out: dict[Monomial, Fraction] = {}
-        for (lp, mp), poly in self.lambda_mu_coefficients().items():
-            if lp == k and mp == 0:
-                out.update(poly.terms)
-            elif lp == k:
-                mu_gen = ((MU, 0, 0), mp)
-                for m, c in poly.terms.items():
-                    out[_mono_mul(m, (mu_gen,))] = c
-        return PoissonPoly(self.n, out)
+        shift = _slot_layout(self.n).lam_shift
+        out = {m - (k << shift): c for m, c in self._num.items() if m >> shift & _MASK == k}
+        return PoissonPoly._make(self.n, out, self._den)
 
     def generators_used(self) -> set[Gen]:
-        return {g for m in self.terms for g, _ in m}
+        gens = _slot_layout(self.n).gens
+        used = reduce(or_, self._num, 0).to_bytes(len(gens), "little")
+        return {gens[s] for s, e in enumerate(used) if e}
 
     # -- rendering ----------------------------------------------------
 
+    def _ordered(self) -> list[tuple[Monomial, Fraction]]:
+        return sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+
     def term_list(self) -> list[list[str]]:
         """Terms as [coefficient, monomial] string pairs, canonically ordered."""
-        items = sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
-        return [[str(c), _mono_str(m)] for m, c in items]
+        return [[str(c), _mono_str(m)] for m, c in self._ordered()]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
-        ordered = sorted(self.terms.items(),
-                         key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
-        return " + ".join(f"{c}*{_mono_str(m)}" if m else str(c)
-                          for m, c in ordered)
+        return " + ".join(f"{c}*{_mono_str(m)}" if m else str(c) for m, c in self._ordered())
 
 
 # ---------------------------------------------------------------------------
 # the bracket
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _slot_layout(n: int) -> tuple[dict[Gen, int], tuple[Gen, ...], tuple]:
-    """Fixed slots of the generators over gl_n, and their bracket table in slots.
-
-    Slots follow the sort order of generator tuples (u, ut, g by row and
-    column, then lam, mu), so reading a packed monomial from the lowest slot
-    up gives a canonical sorted monomial.  ``adjacent[sx]`` lists, for the
-    generator in slot sx, every (sy, ((coef, sz), ...)) with {x, y} nonzero.
-    """
-    gens = tuple((kind, i, j) for kind in _MATRIX_KINDS
-                 for i in range(1, n + 1) for j in range(1, n + 1))
-    gens += ((LAM, 0, 0), (MU, 0, 0))
-    slot = {g: s for s, g in enumerate(gens)}
-    adjacent = tuple(
-        tuple((sy, tuple((c, slot[z]) for c, z in table))
-              for sy, table in enumerate(_gen_bracket(x, y) for y in gens) if table)
-        for x in gens)
-    return slot, gens, adjacent
-
-
-def _partials(poly: PoissonPoly, slot: dict[Gen, int], width: int) -> tuple[dict[int, list], int]:
-    """Integer partial derivatives of den * poly, on packed monomials.
-
-    Returns ({slot of x: [(packed monomial, int coefficient) of d(den*poly)/dx]},
-    den), with den the lcm of the coefficient denominators.  Exponent e of
-    the generator in slot s sits at bits [width*s, width*(s+1)).
-    """
-    den = math.lcm(*(c.denominator for c in poly.terms.values()))
-    out: dict[int, list] = {}
-    for mono, c in poly.terms.items():
-        if not mono:
-            continue
-        ci = c.numerator * (den // c.denominator)
-        packed = 0
-        for g, e in mono:
-            packed += e << (width * slot[g])
-        for g, e in mono:
-            s = slot[g]
-            out.setdefault(s, []).append((packed - (1 << (width * s)), ci * e))
-    return out, den
-
-
 def bracket(a: PoissonPoly, b: PoissonPoly) -> PoissonPoly:
     """Poisson bracket {a, b}, exact and in canonical form.
 
     Derivative form: {a, b} = sum_x da/dx {x, b}, where
     {x, b} = sum_y db/dy {x, y} runs over the generators y with {x, y} != 0.
-    Both operands are scaled to integer coefficients by the lcm of their
-    denominators, and each monomial is packed into one int, one slot of
-    width W = bit_length(deg a + deg b) + 1 bits per generator, so that a
-    monomial product is integer addition and d/dx subtracts one unit from
-    slot x.  No exponent in the computation exceeds deg a + deg b - 1
-    < 2^(W-1), so no slot ever carries into its neighbour.
+    The da/dx come from a's table of partials and the {x, b} from b's, each
+    held on its polynomial, so a product of monomials is one integer
+    addition and {x, y} adds the unit of its generator z.  A slot of a
+    product sums two exponents of at most 127 and that unit, so it never
+    carries into its neighbour, and an exponent past 127 sets the slot's
+    guard bit.
     """
     if a.n != b.n:
         raise AmbientSizeError(f"ambient sizes differ: {a.n} != {b.n}")
-    slot, gens, adjacent = _slot_layout(a.n)
-    width = (a.degree() + b.degree()).bit_length() + 1
-    da, den_a = _partials(a, slot, width)
-    db, den_b = _partials(b, slot, width)
     out: dict[int, int] = {}
-    for sx, dax in da.items():
-        xb: dict[int, int] = {}
-        for sy, table in adjacent[sx]:
-            dby = db.get(sy)
-            if dby is None:
-                continue
-            for coef, sz in table:
-                unit = 1 << (width * sz)
-                for mb, cb in dby:
-                    m = mb + unit
-                    xb[m] = xb.get(m, 0) + coef * cb
-        xb_terms = [(m, c) for m, c in xb.items() if c]
+    get = out.get
+    for sx, dax in a._partials().items():
+        xb = b._field(sx)
         for ma, ca in dax:
-            for mb, cb in xb_terms:
+            for mb, cb in xb:
                 m = ma + mb
-                out[m] = out.get(m, 0) + ca * cb
-    den = den_a * den_b
-    mask = (1 << width) - 1
-    terms: dict[Monomial, Fraction] = {}
-    for packed, c in out.items():
-        if not c:
-            continue
-        mono = []
-        s = 0
-        while packed:
-            e = packed & mask
-            if e:
-                mono.append((gens[s], e))
-            packed >>= width
-            s += 1
-        terms[tuple(mono)] = Fraction(c, den)
-    return PoissonPoly(a.n, terms)
+                out[m] = get(m, 0) + ca * cb
+    if reduce(or_, out, 0) & _slot_layout(a.n).guard:
+        raise _overflow_error()
+    return PoissonPoly._make(a.n, out, a._den * b._den)
 
 
 # ---------------------------------------------------------------------------
@@ -478,26 +575,43 @@ def utilde_as_canonical(pt: CanonicalPoint) -> np.ndarray:
     return -pt.g @ pt.p.T
 
 
+def _monomial_values(n: int, keys: list[int], u, ut, g, lam: complex, mu: complex) -> np.ndarray:
+    """The value of each packed monomial of keys at (u, ut, g, lam, mu)."""
+    size = 3 * n * n + 2
+    exps = np.frombuffer(b"".join(k.to_bytes(size, "little") for k in keys),
+                         dtype=np.uint8).reshape(len(keys), size)
+    vals = np.zeros(size, dtype=complex)
+    vals[-2:] = lam, mu
+    for kind, mat in zip(_MATRIX_KINDS, (u, ut, g)):
+        block = slice(kind * n * n, (kind + 1) * n * n)
+        if mat is not None:
+            vals[block] = np.asarray(mat)[:n, :n].ravel()
+        elif exps[:, block].any():
+            raise ValueError(f"no matrix supplied for kind '{_KIND_NAMES[kind]}'")
+    used = np.flatnonzero(exps.any(axis=0))
+    return np.prod(vals[used] ** exps[:, used], axis=1)
+
+
 def evaluate_at(poly: PoissonPoly, u=None, ut=None, g=None,
                 lam: complex = 0j, mu: complex = 0j) -> complex:
     """Evaluate on explicit matrices (1-based symbolic indices, 0-based arrays)."""
-    mats = {U: u, UTILDE: ut, G: g}
-    total = 0j
-    for mono, coeff in poly.terms.items():
-        val = complex(coeff)
-        for (kind, r, c), e in mono:
-            if kind == LAM:
-                base = lam
-            elif kind == MU:
-                base = mu
-            else:
-                mat = mats[kind]
-                if mat is None:
-                    raise ValueError(f"no matrix supplied for kind '{_KIND_NAMES[kind]}'")
-                base = mat[r - 1, c - 1]
-            val *= base ** e
-        total += val
-    return total
+    coeffs = np.array([c / poly._den for c in poly._num.values()], dtype=complex)
+    return complex(coeffs @ _monomial_values(poly.n, list(poly._num), u, ut, g, lam, mu))
+
+
+def gradient_at(poly: PoissonPoly, u=None, ut=None, g=None,
+                lam: complex = 0j, mu: complex = 0j) -> np.ndarray:
+    """Every partial derivative of poly at a point, from its table of
+    partials, in slot order: u, ut and g row by row, then lam and mu."""
+    table = poly._partials()
+    parts = [term for part in table.values() for term in part]
+    slots = np.repeat(np.fromiter(table, dtype=int, count=len(table)),
+                      [len(part) for part in table.values()])
+    vals = np.array([c / poly._den for _, c in parts], dtype=complex)
+    vals *= _monomial_values(poly.n, [k for k, _ in parts], u, ut, g, lam, mu)
+    grad = np.zeros(3 * poly.n ** 2 + 2, dtype=complex)
+    np.add.at(grad, slots, vals)
+    return grad
 
 
 def evaluate(poly: PoissonPoly, pt: CanonicalPoint,

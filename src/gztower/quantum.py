@@ -496,10 +496,7 @@ class PolyDiffOp:
     def __call__(self, f: PoissonPoly) -> PoissonPoly:
         if f.n != self.n:
             raise AmbientSizeError(f"ambient sizes differ: {f.n} != {self.n}")
-        out = PoissonPoly.zero(self.n)
-        for coeff, (i, j) in self.parts:
-            out = out + coeff * f.differentiate((G, i, j))
-        return out
+        return f.derivative_along([(coeff, (G, i, j)) for coeff, (i, j) in self.parts])
 
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
         return PolyDiffOp(self.n, self.parts + other.parts)

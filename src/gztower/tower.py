@@ -429,7 +429,8 @@ class _TauTracker:
         regularity, a changed root count, then level by level an e-point on
         a puncture and a ratio turned by more than pi/2."""
         N = self.N
-        coeffs, raw, finite = _level_stack(us, self.convention, lowering=True)
+        # the punctures are fixed and each A_n is monic, so only the C_n need roots
+        coeffs, raw, finite = _level_stack(us, self.convention, lowering=True, a_roots=False)
         tracked = finite & ~np.any([np.isnan(r).any(axis=1) for r in raw], axis=0)
         limit = len(us) if tracked.all() else int(np.argmin(tracked))
         error = None if limit == len(us) else (
@@ -438,7 +439,7 @@ class _TauTracker:
         es, incs = [], [np.zeros((limit, 0), dtype=complex)]
         for n in range(1, N):
             gamma, lead = self.gamma[n - 1], coeffs[N + n - 1][:limit, 0]
-            e = match_points(self.e[n - 1], raw[N + n - 1][:limit])
+            e = match_points(self.e[n - 1], raw[n - 1][:limit])
             prev = np.concatenate((self.e[n - 1][None], e[:-1]))
             try:
                 logs = path_log_increments(prev, e, gamma)

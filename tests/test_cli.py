@@ -257,19 +257,21 @@ def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, m
 
 def _tracker_fault(level, fault):
     """The tracker's level-data kernel with fault(coeffs, roots, N, level)
-    applied to sample 10 of its first stack (t = 0.2 on a 100-step grid)."""
+    applied to sample 10 of its first stack (t = 0.2 on a 100-step grid),
+    on the roots of every minor, before the A_n roots are left out."""
     kernel = tower._level_stack
 
-    def patched(us, convention, lowering):
+    def patched(us, convention, lowering, a_roots=True):
         coeffs, roots, finite = kernel(us, convention, lowering)
+        N = us.shape[-1]
         if len(us) > 10:
-            fault(coeffs, roots, us.shape[-1], level)
-        return coeffs, roots, finite
+            fault(coeffs, roots, N, level)
+        return coeffs, roots if a_roots else roots[N:], finite
     return patched
 
 
 def _drop_a_root(coeffs, roots, N, n):
-    roots[n - 1][10, -1] = float("nan")
+    roots[N + n - 1][10, -1] = float("nan")
 
 
 def _e_point_on_a_puncture(coeffs, roots, N, n):

@@ -22,20 +22,126 @@ from gztower.poisson import (
     AmbientSizeError,
     CanonicalPoint,
     PoissonPoly,
+    SlotOverflowError,
     bracket,
     canonical_bracket,
     evaluate,
     evaluate_at,
+    gradient_at,
     poly_function,
     random_canonical_point,
     u_as_canonical,
     utilde_as_canonical,
     _gen_bracket,
-    _mono_drop,
-    _mono_mul,
+    _mono_str,
 )
 
 P = PoissonPoly
+
+
+# ---------------------------------------------------------------------------
+# the tuple/Fraction reference implementation
+# ---------------------------------------------------------------------------
+
+def _mono_mul(m1, m2):
+    acc = dict(m1)
+    for g, e in m2:
+        acc[g] = acc.get(g, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def _mono_drop(m, idx):
+    g, e = m[idx]
+    if e == 1:
+        return m[:idx] + m[idx + 1:]
+    return m[:idx] + ((g, e - 1),) + m[idx + 1:]
+
+
+def _accumulate(out, m, c):
+    s = out.get(m, 0) + c
+    if s:
+        out[m] = s
+    else:
+        out.pop(m, None)
+
+
+class RefPoly:
+    """PoissonPoly as it was before packing: sorted tuple monomials -> Fraction."""
+
+    def __init__(self, n, terms):
+        self.n = n
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    def __eq__(self, other):
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            _accumulate(out, m, c)
+        return RefPoly(self.n, out)
+
+    def __neg__(self):
+        return RefPoly(self.n, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
+        return RefPoly(self.n, out)
+
+    def __pow__(self, k):
+        out = RefPoly(self.n, {(): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def differentiate(self, gen):
+        out = {}
+        for m, c in self.terms.items():
+            for idx, (g, e) in enumerate(m):
+                if g == gen:
+                    _accumulate(out, _mono_drop(m, idx), c * e)
+        return RefPoly(self.n, out)
+
+    def lambda_mu_coefficients(self):
+        buckets = {}
+        for m, c in self.terms.items():
+            powers = dict(m)
+            key = (powers.get((LAM, 0, 0), 0), powers.get((MU, 0, 0), 0))
+            rest = tuple((g, e) for g, e in m if g[0] not in (LAM, MU))
+            buckets.setdefault(key, {})[rest] = c
+        return {k: RefPoly(self.n, t) for k, t in buckets.items()}
+
+    def coefficient_of_lambda(self, k):
+        out = {}
+        for (lp, mp), poly in self.lambda_mu_coefficients().items():
+            if lp == k:
+                for m, c in poly.terms.items():
+                    out[_mono_mul(m, (((MU, 0, 0), mp),) if mp else ())] = c
+        return RefPoly(self.n, out)
+
+    def term_list(self):
+        items = sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+        return [[str(c), _mono_str(m)] for m, c in items]
+
+    def evaluate_at(self, u, ut, g, lam, mu):
+        mats = {U: u, UTILDE: ut, G: g}
+        total = 0j
+        for mono, coeff in self.terms.items():
+            val = complex(coeff)
+            for (kind, r, c), e in mono:
+                base = {LAM: lam, MU: mu}[kind] if kind in (LAM, MU) else mats[kind][r - 1, c - 1]
+                val *= base ** e
+            total += val
+        return total
 
 
 _table = functools.lru_cache(maxsize=None)(_gen_bracket)
@@ -274,6 +380,130 @@ def test_differentiate():
     poly = P.u(2, 1, 1) * P.u(2, 1, 1) * P.u(2, 2, 2)
     d = poly.differentiate((U, 1, 1))
     assert d == 2 * (P.u(2, 1, 1) * P.u(2, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the packed polynomial against the tuple/Fraction reference
+# ---------------------------------------------------------------------------
+
+def _generators(n):
+    return ([(kind, i, j) for kind in (U, UTILDE, G)
+             for i in range(1, n + 1) for j in range(1, n + 1)]
+            + [(LAM, 0, 0), (MU, 0, 0)])
+
+
+@st.composite
+def term_dicts(draw, n=None, max_terms=5, max_exp=6):
+    """(n, {canonical monomial: nonzero Fraction}) over every generator kind."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        powers = {}
+        for _ in range(draw(st.integers(0, 3))):
+            powers[draw(st.sampled_from(_generators(n)))] = draw(st.integers(1, max_exp))
+        coeff = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 6)))
+        terms[tuple(sorted(powers.items()))] = coeff
+    return n, terms
+
+
+@st.composite
+def poly_pairs(draw):
+    """A packed pair and its reference twin over one ambient size."""
+    n, ta = draw(term_dicts())
+    _, tb = draw(term_dicts(n=n))
+    return (P(n, ta), P(n, tb)), (RefPoly(n, ta), RefPoly(n, tb))
+
+
+def _same(packed, ref):
+    return packed.n == ref.n and dict(packed.terms.items()) == ref.terms
+
+
+@given(term_dicts())
+def test_terms_round_trip(drawn):
+    n, terms = drawn
+    poly = P(n, terms)
+    assert poly.terms == terms and dict(poly.terms.items()) == terms
+    assert len(poly.terms) == len(terms)
+    assert P(n, dict(reversed(terms.items()))) == poly
+
+
+@given(poly_pairs(), st.integers(0, 3))
+def test_arithmetic_matches_reference(pair, k):
+    (a, b), (ra, rb) = pair
+    assert _same(a + b, ra + rb)
+    assert _same(a - b, ra - rb)
+    assert _same(-a, -ra)
+    assert _same(a * b, ra * rb)
+    assert _same(a * Fraction(-3, 4), ra * RefPoly(a.n, {(): Fraction(-3, 4)}))
+    assert _same(a + 2, ra + RefPoly(a.n, {(): 2}))
+    assert _same(a ** k, ra ** k)
+
+
+@given(poly_pairs(), st.integers(0, 7))
+def test_calculus_matches_reference(pair, k):
+    (a, _), (ra, _) = pair
+    for gen in _generators(a.n):
+        assert _same(a.differentiate(gen), ra.differentiate(gen))
+    split = a.lambda_mu_coefficients()
+    ref_split = ra.lambda_mu_coefficients()
+    assert split.keys() == ref_split.keys()
+    assert all(_same(split[lm], ref_split[lm]) for lm in split)
+    assert _same(a.coefficient_of_lambda(k), ra.coefficient_of_lambda(k))
+    assert a.term_list() == ra.term_list()
+
+
+@given(poly_pairs())
+def test_equality_and_hash_match_reference(pair):
+    (a, b), (ra, rb) = pair
+    assert (a == b) == (ra == rb)
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    assert hash(P(a.n, dict(ra.terms))) == hash(a)
+
+
+@given(poly_pairs(), st.integers(0, 2**32 - 1))
+def test_evaluate_at_matches_reference(pair, seed):
+    (a, _), (ra, _) = pair
+    rng = np.random.default_rng(seed)
+    u, ut, g = (rng.standard_normal((a.n, a.n)) + 1j * rng.standard_normal((a.n, a.n))
+                for _ in range(3))
+    lam, mu = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+    point = (u, ut, g, lam, mu)
+    # rounding error is relative to the sum of the terms' absolute values
+    size = lambda ref: RefPoly(ref.n, {m: abs(c) for m, c in ref.terms.items()}).evaluate_at(
+        *(np.abs(x) for x in point)).real
+    got = evaluate_at(a, u=u, ut=ut, g=g, lam=lam, mu=mu)
+    assert abs(got - ra.evaluate_at(*point)) <= 1e-13 * max(1.0, size(ra))
+    grad = gradient_at(a, u=u, ut=ut, g=g, lam=lam, mu=mu)
+    for s, gen in enumerate(_generators(a.n)):
+        d = ra.differentiate(gen)
+        assert abs(grad[s] - d.evaluate_at(*point)) <= 1e-13 * max(1.0, size(d))
+
+
+@given(poly_pairs())
+def test_derivative_along_a_field_is_the_sum_of_its_parts(pair):
+    (a, b), _ = pair
+    n = a.n
+    field = [(b, (G, 1, 1)), (P.u(n, 1, 1) * Fraction(1, 3), (LAM, 0, 0)), (-a, (U, n, 1))]
+    by_parts = sum((c * a.differentiate(gen) for c, gen in field), P.zero(n))
+    assert a.derivative_along(field) == by_parts
+
+
+def test_exponents_past_the_slot_width_raise_a_named_error():
+    x = P.u(2, 1, 2)
+    assert (x ** 127).terms == {(((U, 1, 2), 127),): 1}
+    with pytest.raises(SlotOverflowError):
+        x ** 128
+    with pytest.raises(SlotOverflowError):
+        P.mu(2) ** 128
+    with pytest.raises(SlotOverflowError):
+        x ** 100 * (x ** 28 + 1)
+    with pytest.raises(SlotOverflowError):
+        bracket(P.u(2, 1, 1) ** 127 * x, P.u(2, 2, 1))
+    with pytest.raises(SlotOverflowError):
+        P(2, {(((G, 1, 1), 128),): 1})
+    # {u11^127, u21} = -127 u11^126 u21 stays inside the slots
+    assert bracket(P.u(2, 1, 1) ** 127, P.u(2, 2, 1)) == -127 * P.u(2, 1, 1) ** 126 * P.u(2, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -661,11 +661,11 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample(monkeypatch):
 def _faulty_level_stack(faults):
     """The level-data kernel with faults injected at given points u, each
     (kind, level n, u): 'jump' turns C_n by 2 rad; 'drop' loses a root of
-    A_n; 'through' moves an e-point of level n onto a puncture; 'coincide'
+    C_n; 'through' moves an e-point of level n onto a puncture; 'coincide'
     makes two punctures of level n equal."""
     kernel = orbits._level_stack
 
-    def patched(us, convention, lowering):
+    def patched(us, convention, lowering, a_roots=True):
         coeffs, roots, finite = kernel(us, convention, lowering)
         N = us.shape[-1]
         for kind, n, u in faults:
@@ -673,12 +673,12 @@ def _faulty_level_stack(faults):
             if kind == "jump":
                 coeffs[N + n - 1][hit] *= np.exp(2j)
             elif kind == "drop":
-                roots[n - 1][hit, -1] = np.nan
+                roots[N + n - 1][hit, -1] = np.nan
             elif kind == "through":
                 roots[N + n - 1][hit, 0] = roots[n - 1][hit, 0]
             else:
                 roots[n - 1][hit, 1] = roots[n - 1][hit, 0]
-        return coeffs, roots, finite
+        return coeffs, roots if a_roots else roots[N:], finite
     return patched
 
 
