@@ -31,8 +31,10 @@ from .poisson import (
     PoissonPoly,
     _gradients,
     bracket,
+    column_det,
     gradient_at,
     random_canonical_point,
+    scan_pairs,
     u_as_canonical,
     utilde_as_canonical,
 )
@@ -96,36 +98,6 @@ def _minor_indices(n: int, k: int, corner: bool) -> tuple[list[int], list[int]]:
     return list(range(1, k + 1)), list(range(1, k + 1))
 
 
-def _poly_det(entries: list[list[PoissonPoly]]) -> PoissonPoly:
-    """Cofactor determinant of a square matrix of polynomials."""
-    k = len(entries)
-    n = entries[0][0].n
-    if k == 1:
-        return entries[0][0]
-
-    cache: dict[tuple[int, ...], PoissonPoly] = {}
-
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> PoissonPoly:
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        key = rows + cols
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = PoissonPoly.zero(n)
-        r = rows[0]
-        rest = rows[1:]
-        for pos, c in enumerate(cols):
-            sub = det(rest, cols[:pos] + cols[pos + 1:])
-            term = entries[r][c] * sub
-            out = out + term if pos % 2 == 0 else out - term
-        cache[key] = out
-        return out
-
-    idx = tuple(range(k))
-    return det(idx, idx)
-
-
 def char_minor(n: int, k: int, side: str = "left", corner: bool = False) -> PoissonPoly:
     """Determinant of the k x k minor of (lam - u) or (lam - ut).
 
@@ -137,16 +109,10 @@ def char_minor(n: int, k: int, side: str = "left", corner: bool = False) -> Pois
         raise ValueError(f"minor size {k} outside 1..{n}")
     kind = U if side == "left" else UTILDE
     rows, cols = _minor_indices(n, k, corner)
-    entries = []
-    for r in rows:
-        row = []
-        for c in cols:
-            e = -PoissonPoly.generator(n, kind, r, c)
-            if r == c:
-                e = e + PoissonPoly.lam(n)
-            row.append(e)
-        entries.append(row)
-    return _poly_det(entries)
+    lam = PoissonPoly.lam(n)
+    columns = [[lam - PoissonPoly.generator(n, kind, r, c) if r == c
+                else -PoissonPoly.generator(n, kind, r, c) for r in rows] for c in cols]
+    return column_det(columns, PoissonPoly.constant(n, 1))
 
 
 def _coefficient_generators(poly: PoissonPoly, label: str) -> list[tuple[str, PoissonPoly]]:
@@ -176,16 +142,10 @@ def build_family(spec: FamilySpec) -> CommutingFamily:
         gens.extend(_coefficient_generators(
             char_minor(n, n, side="left", corner=corner), f"I[k={n}]"))
     elif spec.kind == "mf":
-        entries = []
-        for r in range(1, n + 1):
-            row = []
-            for c in range(1, n + 1):
-                e = PoissonPoly.u(n, r, c) - PoissonPoly.mu(n) * PoissonPoly.constant(n, spec.shift[r - 1][c - 1])
-                if r == c:
-                    e = e - PoissonPoly.lam(n)
-                row.append(e)
-            entries.append(row)
-        gens.extend(_coefficient_generators(_poly_det(entries), "MF"))
+        mu, lam = PoissonPoly.mu(n), PoissonPoly.lam(n)
+        columns = [[PoissonPoly.u(n, r, c) - mu * spec.shift[r - 1][c - 1] - (lam if r == c else 0)
+                    for r in range(1, n + 1)] for c in range(1, n + 1)]
+        gens.extend(_coefficient_generators(column_det(columns, PoissonPoly.constant(n, 1)), "MF"))
     # trivial: rational in g, handled by verify_trivial_numeric only
     return CommutingFamily(spec=spec, generators=gens)
 
@@ -217,16 +177,7 @@ def verify_commutes(fam: CommutingFamily) -> CommutationReport:
     if fam.spec.kind == "trivial":
         raise ValueError("the trivial family is rational in g; "
                          "use verify_trivial_numeric")
-    pairs = 0
-    worst = 0
-    witness = None
-    for (la, a), (lb, b) in itertools.combinations(fam.generators, 2):
-        res = bracket(a, b)
-        pairs += 1
-        if not res.is_zero():
-            worst = max(worst, len(res.terms))
-            if witness is None:
-                witness = {"labels": [la, lb], "terms": res.term_list()}
+    pairs, worst, witness = scan_pairs(fam.generators, bracket)
     return CommutationReport(
         family=fam.spec.to_json(),
         pairs_checked=pairs,

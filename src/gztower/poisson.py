@@ -3,9 +3,13 @@
 The phase space is coordinatized by a group element g together with the
 left/right momentum matrices u and ut ("u-tilde").  This module provides
 
+* ``ExactPoly`` -- the exact core shared with the quantum algebra: integer
+  numerators over one common denominator in lowest terms, with the linear
+  operations; ``column_det`` expands a determinant over it and
+  ``scan_pairs`` brackets or commutes every pair of a family;
 * ``PoissonPoly`` -- polynomials in the entries u[i,j], ut[i,j], g[i,j]
   and two central scalars lam, mu, with exact rational coefficients: each
-  monomial packed into one int, integer numerators over one denominator;
+  monomial packed into one int;
 * ``bracket`` -- the Poisson bracket, extending the generator table below
   by bilinearity and the Leibniz rule;
 * ``CanonicalPoint`` plus a central finite-difference bracket in canonical
@@ -32,6 +36,7 @@ which is the convention adopted throughout the package.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -43,7 +48,8 @@ import numpy as np
 
 __all__ = [
     "U", "UTILDE", "G", "LAM", "MU",
-    "AmbientSizeError", "SlotOverflowError", "PoissonPoly", "bracket",
+    "AmbientSizeError", "SlotOverflowError", "ExactPoly", "PoissonPoly", "bracket",
+    "column_det", "scan_pairs",
     "CanonicalPoint", "random_canonical_point",
     "u_as_canonical", "utilde_as_canonical",
     "evaluate", "evaluate_at", "gradient_at", "canonical_bracket", "poly_function",
@@ -204,20 +210,120 @@ class _TermView(Mapping):
         return repr(dict(self.items()))
 
 
-class PoissonPoly:
-    """Polynomial over the generator alphabet with exact rational coefficients.
+class ExactPoly:
+    """An element of an exact algebra over gl_n, in lowest terms.
 
-    Stored as a dict from packed monomial to integer numerator over one
-    positive common denominator, in lowest terms and without zero
-    numerators, so equality of the stored data is equality of polynomials.
-    ``terms`` is a read-only view of the same polynomial as a dict from
-    canonical monomials -- sorted tuples of ((kind, row, col), power) pairs
-    -- to Fractions, and the constructor takes such a dict.  Instances are
-    immutable; the table of partial derivatives that ``bracket`` reads is
-    built on first use and kept.
+    Stored as a dict from an int-coded basis key to integer numerator over
+    one positive common denominator, in lowest terms and without zero
+    numerators, so equality of the stored data is equality of elements.
+    Subclasses choose the keys, the product ``_product`` and
+    ``term_list``; instances are immutable.
     """
 
-    __slots__ = ("n", "_num", "_den", "_table", "_fields")
+    __slots__ = ("n", "_num", "_den")
+    _ONE: object                     # the key of the unit
+
+    def _set(self, n: int, num: dict, den: int) -> None:
+        if not all(num.values()):
+            num = {k: c for k, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: c // g for k, c in num.items()}
+                den //= g
+        self.n, self._num, self._den = n, num, den
+
+    @classmethod
+    def _make(cls, n: int, num: dict, den: int):
+        out = cls.__new__(cls)
+        out._set(n, num, den)
+        return out
+
+    @classmethod
+    def zero(cls, n: int):
+        _check_size(n)
+        return cls._make(n, {}, 1)
+
+    @classmethod
+    def constant(cls, n: int, value):
+        _check_size(n)
+        c = Fraction(value)
+        return cls._make(n, {cls._ONE: c.numerator}, c.denominator)
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.n == other.n
+                and self._den == other._den and self._num == other._num)
+
+    def __hash__(self):
+        return hash((self.n, self._den, frozenset(self._num.items())))
+
+    def _check(self, other: "ExactPoly") -> None:
+        if self.n != other.n:
+            raise AmbientSizeError(f"ambient sizes differ: {self.n} != {other.n}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            other = self.constant(self.n, other)
+        self._check(other)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        out = {k: c * sa for k, c in self._num.items()} if sa != 1 else dict(self._num)
+        get = out.get
+        for k, c in other._num.items():
+            out[k] = get(k, 0) + c * sb
+        return self._make(self.n, out, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self.n, {k: -c for k, c in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            other = self.constant(self.n, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scaled(self, value):
+        c = Fraction(value)
+        return self._make(self.n, {k: cc * c.numerator for k, cc in self._num.items()},
+                          self._den * c.denominator)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self._scaled(other)
+        self._check(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        # scalars only: an algebra product takes its left factor's __mul__
+        return self._scaled(other)
+
+    def __repr__(self) -> str:
+        if not self._num:
+            return "0"
+        return " + ".join(c if m == "1" else f"{c}*{m}" for c, m in self.term_list())
+
+
+class PoissonPoly(ExactPoly):
+    """Polynomial over the generator alphabet with exact rational coefficients.
+
+    Keys are packed monomials.  ``terms`` is a read-only view of the same
+    polynomial as a dict from canonical monomials -- sorted tuples of
+    ((kind, row, col), power) pairs -- to Fractions, and the constructor
+    takes such a dict.  The table of partial derivatives that ``bracket``
+    reads is built on first use and kept.
+    """
+
+    __slots__ = ("_table", "_fields")
+    _ONE = 0                         # the empty monomial
 
     def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
         _check_size(n)
@@ -231,39 +337,14 @@ class PoissonPoly:
         self._set(n, num, den)
 
     def _set(self, n: int, num: dict[int, int], den: int) -> None:
-        if not all(num.values()):
-            num = {k: c for k, c in num.items() if c}
-        if not num:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                num = {k: c // g for k, c in num.items()}
-                den //= g
-        self.n, self._num, self._den = n, num, den
+        super()._set(n, num, den)
         self._table = self._fields = None
-
-    @classmethod
-    def _make(cls, n: int, num: dict[int, int], den: int) -> "PoissonPoly":
-        out = cls.__new__(cls)
-        out._set(n, num, den)
-        return out
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
         return _TermView(self)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "PoissonPoly":
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n: int, value) -> "PoissonPoly":
-        _check_size(n)
-        c = Fraction(value)
-        return cls._make(n, {0: c.numerator}, c.denominator)
 
     @classmethod
     def generator(cls, n: int, kind: int, row: int = 0, col: int = 0) -> "PoissonPoly":
@@ -296,9 +377,6 @@ class PoissonPoly:
 
     # -- structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def is_constant(self) -> bool:
         return not any(self._num)
 
@@ -306,50 +384,9 @@ class PoissonPoly:
         size = len(_slot_layout(self.n).gens)
         return max((sum(k.to_bytes(size, "little")) for k in self._num), default=0)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PoissonPoly) and self.n == other.n
-                and self._den == other._den and self._num == other._num)
-
-    def __hash__(self):
-        return hash((self.n, self._den, frozenset(self._num.items())))
-
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "PoissonPoly") -> None:
-        if self.n != other.n:
-            raise AmbientSizeError(f"ambient sizes differ: {self.n} != {other.n}")
-
-    def __add__(self, other) -> "PoissonPoly":
-        if not isinstance(other, PoissonPoly):
-            other = PoissonPoly.constant(self.n, other)
-        self._check(other)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        out = {k: c * sa for k, c in self._num.items()} if sa != 1 else dict(self._num)
-        get = out.get
-        for k, c in other._num.items():
-            out[k] = get(k, 0) + c * sb
-        return PoissonPoly._make(self.n, out, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PoissonPoly":
-        return PoissonPoly._make(self.n, {k: -c for k, c in self._num.items()}, self._den)
-
-    def __sub__(self, other) -> "PoissonPoly":
-        if not isinstance(other, PoissonPoly):
-            other = PoissonPoly.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "PoissonPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "PoissonPoly":
-        if not isinstance(other, PoissonPoly):
-            c = Fraction(other)
-            return PoissonPoly._make(self.n, {k: cc * c.numerator for k, cc in self._num.items()},
-                                     self._den * c.denominator)
-        self._check(other)
+    def _product(self, other: "PoissonPoly") -> "PoissonPoly":
         out: dict[int, int] = {}
         get = out.get
         right = list(other._num.items())
@@ -360,8 +397,6 @@ class PoissonPoly:
         if reduce(or_, out, 0) & _slot_layout(self.n).guard:
             raise _overflow_error()
         return PoissonPoly._make(self.n, out, self._den * other._den)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PoissonPoly":
         if k < 0:
@@ -465,24 +500,12 @@ class PoissonPoly:
         out = {m - (k << shift): c for m, c in self._num.items() if m >> shift & _MASK == k}
         return PoissonPoly._make(self.n, out, self._den)
 
-    def generators_used(self) -> set[Gen]:
-        gens = _slot_layout(self.n).gens
-        used = reduce(or_, self._num, 0).to_bytes(len(gens), "little")
-        return {gens[s] for s, e in enumerate(used) if e}
-
     # -- rendering ----------------------------------------------------
-
-    def _ordered(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
 
     def term_list(self) -> list[list[str]]:
         """Terms as [coefficient, monomial] string pairs, canonically ordered."""
-        return [[str(c), _mono_str(m)] for m, c in self._ordered()]
-
-    def __repr__(self) -> str:
-        if not self._num:
-            return "0"
-        return " + ".join(f"{c}*{_mono_str(m)}" if m else str(c) for m, c in self._ordered())
+        ordered = sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
+        return [[str(c), _mono_str(m)] for m, c in ordered]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +537,52 @@ def bracket(a: PoissonPoly, b: PoissonPoly) -> PoissonPoly:
     if reduce(or_, out, 0) & _slot_layout(a.n).guard:
         raise _overflow_error()
     return PoissonPoly._make(a.n, out, a._den * b._den)
+
+
+def column_det(columns: list[list[ExactPoly]], one: ExactPoly) -> ExactPoly:
+    """sum_p sign(p) prod_c columns[c][p(c)] with the factors multiplied
+    left to right in column order, starting from ``one``.
+
+    This is the column-ordered determinant over U(gl_N) and the ordinary
+    one over a commutative ring.  It is expanded column by column: after
+    column c, minors[rows] holds the signed sum over the bijections of
+    columns 1..c onto that row set, so the k! products share their prefixes
+    (k * 2^(k-1) factor products).
+    """
+    minors = {0: one}                            # row bitmask -> signed sum
+    for column in columns:
+        grown: dict[int, ExactPoly] = {}
+        for rows, minor in minors.items():
+            for r, entry in enumerate(column):
+                if rows >> r & 1:
+                    continue
+                # rows already used above r are inversions of the permutation
+                term = minor * entry
+                if (rows >> (r + 1)).bit_count() % 2:
+                    term = -term
+                key = rows | 1 << r
+                grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors[(1 << len(columns)) - 1]
+
+
+def scan_pairs(members: list[tuple[str, ExactPoly]],
+               op: Callable[[ExactPoly, ExactPoly], ExactPoly]) -> tuple[int, int, dict | None]:
+    """op(a, b) for every unordered pair of labelled members, in order.
+
+    Returns the number of pairs, the largest term count of a nonzero result
+    and the first nonzero result as a witness {"labels", "terms"}, or None.
+    """
+    pairs = worst = 0
+    witness = None
+    for (la, a), (lb, b) in itertools.combinations(members, 2):
+        res = op(a, b)
+        pairs += 1
+        if not res.is_zero():
+            worst = max(worst, len(res._num))
+            if witness is None:
+                witness = {"labels": [la, lb], "terms": res.term_list()}
+    return pairs, worst, witness
 
 
 # ---------------------------------------------------------------------------

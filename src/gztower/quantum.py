@@ -32,15 +32,15 @@ serve as an independent faithful oracle for the PBW engine.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
-from .poisson import G, U, UTILDE, AmbientSizeError, PoissonPoly
+from .poisson import G, U, UTILDE, AmbientSizeError, ExactPoly, PoissonPoly, column_det, scan_pairs
 
 __all__ = [
     "LEFT", "RIGHT", "NCPoly", "rho_shift", "qdet", "quantum_family",
@@ -155,16 +155,17 @@ def _word_product(a: tuple[int, ...], b: tuple[int, ...]) -> Expansion:
     return tuple((w + v, c * d) for w, c in left for v, d in right)
 
 
-class NCPoly:
+class NCPoly(ExactPoly):
     """PBW-normal-ordered element of U(gl_N) (x) U(gl_N) with lam coefficients.
 
-    Stored as integer numerators over one positive common denominator, in
-    lowest terms; every stored word is in normal form, so equality of the
-    stored data is equality in the algebra.  ``terms`` gives the same
-    element as a dict (lam power, PBW word) -> Fraction.
+    Keys are (lam power, PBW word) pairs; every stored word is in normal
+    form, so equality of the stored data is equality in the algebra.
+    ``terms`` gives the same element as a dict (lam power, PBW word) ->
+    Fraction.
     """
 
-    __slots__ = ("n", "_num", "_den")
+    __slots__ = ()
+    _ONE = (0, ())
 
     def __init__(self, n: int, terms: dict[Key, Fraction] | None = None):
         terms = {} if terms is None else terms
@@ -173,23 +174,6 @@ class NCPoly:
                for (lp, w), c in terms.items()}
         self._set(n, num, den)
 
-    def _set(self, n: int, num: dict, den: int) -> None:
-        num = {k: c for k, c in num.items() if c}
-        if not num:
-            den = 1
-        else:
-            g = gcd(den, *num.values())
-            if g != 1:
-                num = {k: c // g for k, c in num.items()}
-                den //= g
-        self.n, self._num, self._den = n, num, den
-
-    @classmethod
-    def _make(cls, n: int, num: dict, den: int) -> "NCPoly":
-        out = cls.__new__(cls)
-        out._set(n, num, den)
-        return out
-
     @property
     def terms(self) -> dict[Key, Fraction]:
         den = self._den
@@ -197,15 +181,6 @@ class NCPoly:
                 for (lp, w), c in self._num.items()}
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "NCPoly":
-        return cls._make(n, {}, 1)
-
-    @classmethod
-    def constant(cls, n: int, value) -> "NCPoly":
-        c = Fraction(value)
-        return cls._make(n, {(0, ()): c.numerator}, c.denominator)
 
     @classmethod
     def lam(cls, n: int, power: int = 1) -> "NCPoly":
@@ -219,59 +194,12 @@ class NCPoly:
 
     # -- structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def is_constant(self) -> bool:
         return all(not w for (_, w) in self._num)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NCPoly) and self.n == other.n
-                and self._den == other._den and self._num == other._num)
-
-    def __hash__(self):
-        return hash((self.n, self._den, frozenset(self._num.items())))
-
-    def degree(self) -> int:
-        return max((len(w) for (_, w) in self._num), default=0)
-
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "NCPoly") -> None:
-        if self.n != other.n:
-            raise AmbientSizeError(f"ambient sizes differ: {self.n} != {other.n}")
-
-    def __add__(self, other) -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            other = NCPoly.constant(self.n, other)
-        self._check(other)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
-        out = {k: c * sa for k, c in self._num.items()}
-        for k, c in other._num.items():
-            out[k] = out.get(k, 0) + c * sb
-        return NCPoly._make(self.n, out, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly._make(self.n, {k: -c for k, c in self._num.items()}, self._den)
-
-    def __sub__(self, other) -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            other = NCPoly.constant(self.n, other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "NCPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            c = Fraction(other)
-            return NCPoly._make(self.n, {k: cc * c.numerator
-                                         for k, cc in self._num.items()},
-                                self._den * c.denominator)
-        self._check(other)
+    def _product(self, other: "NCPoly") -> "NCPoly":
         out: dict[tuple[int, tuple[int, ...]], int] = {}
         get = out.get
         right = list(other._num.items())
@@ -289,12 +217,6 @@ class NCPoly:
                     key = (lam_pow, w)
                     out[key] = get(key, 0) + scale * c
         return NCPoly._make(self.n, out, self._den * other._den)
-
-    def __rmul__(self, other) -> "NCPoly":
-        # scalars only; noncommutative products must use the left operand
-        if isinstance(other, NCPoly):
-            raise TypeError("use a * b for algebra products")
-        return self * other
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
@@ -317,12 +239,6 @@ class NCPoly:
         items = sorted(self._num.items(), key=lambda kv: (len(kv[0][1]), kv[0]))
         return [[str(Fraction(c, self._den)), word_str(lp, w)] for (lp, w), c in items]
 
-    def __repr__(self) -> str:
-        if not self._num:
-            return "0"
-        return " + ".join(f"{c}*{m}" if m != "1" else str(c)
-                          for c, m in self.term_list())
-
 
 # ---------------------------------------------------------------------------
 # quantum determinants and the commuting family
@@ -332,10 +248,7 @@ def qdet(n: int, k: int, side: str = "left", convention: str = "nested") -> NCPo
     """Size-k quantum determinant of (lam - rho - E), column-ordered.
 
     convention 'nested' uses rho from the k x k minor itself; 'ambient'
-    restricts the size-n shifts to the first k columns.  The permutation sum
-    is expanded column by column: after column c, minors[rows] holds the
-    signed sum over the bijections of columns 1..c onto that row set, so the
-    k! products share their prefixes (k * 2^(k-1) factor products).
+    restricts the size-n shifts to the first k columns.
     """
     if not 1 <= k <= n:
         raise ValueError(f"minor size {k} outside 1..{n}")
@@ -346,23 +259,12 @@ def qdet(n: int, k: int, side: str = "left", convention: str = "nested") -> NCPo
         shifts = [rho_shift(n, c) for c in range(1, k + 1)]
     else:
         raise ValueError(f"unknown rho convention {convention!r}")
-    minors = {0: NCPoly.constant(n, 1)}          # row bitmask -> signed sum
+    columns = []
     for c in range(1, k + 1):
         column = [-NCPoly.e(n, r, c, copy) for r in range(1, k + 1)]
         column[c - 1] = column[c - 1] + NCPoly.lam(n) - shifts[c - 1]
-        grown: dict[int, NCPoly] = {}
-        for rows, minor in minors.items():
-            for r in range(1, k + 1):
-                if rows >> (r - 1) & 1:
-                    continue
-                # rows already used above r are inversions of the permutation
-                term = minor * column[r - 1]
-                if (rows >> r).bit_count() % 2:
-                    term = -term
-                key = rows | 1 << (r - 1)
-                grown[key] = grown[key] + term if key in grown else term
-        minors = grown
-    return minors[(1 << k) - 1]
+        columns.append(column)
+    return column_det(columns, NCPoly.constant(n, 1))
 
 
 def _nested_qdets(n: int, convention: str) -> list[tuple[int, int, NCPoly]]:
@@ -413,11 +315,6 @@ class QuantumReport:
         }
 
 
-def _centrality_violations(n: int, convention: str) -> tuple[int, dict | None]:
-    """[coeff, E] checks for every nested minor inside its own gl_k."""
-    return _centrality(n, _nested_qdets(n, convention))
-
-
 def _centrality(n: int, dets: list[tuple[int, int, NCPoly]]) -> tuple[int, dict | None]:
     checks = 0
     witness = None
@@ -461,17 +358,7 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
         return QuantumReport(n=n, convention="none", centrality_checks=checks,
                              pairs_checked=0, max_nonzero_terms=0,
                              status="violation", witness=witness)
-    gens = _family(n, dets)
-    pairs = 0
-    worst = 0
-    pair_witness = None
-    for (la, a), (lb, b) in itertools.combinations(gens, 2):
-        res = a.commutator(b)
-        pairs += 1
-        if not res.is_zero():
-            worst = max(worst, len(res.terms))
-            if pair_witness is None:
-                pair_witness = {"labels": [la, lb], "terms": res.term_list()}
+    pairs, worst, pair_witness = scan_pairs(_family(n, dets), NCPoly.commutator)
     return QuantumReport(
         n=n, convention=convention, centrality_checks=checks,
         pairs_checked=pairs, max_nonzero_terms=worst,
@@ -491,7 +378,7 @@ class PolyDiffOp:
 
     def __init__(self, n: int, parts: list[tuple[PoissonPoly, tuple[int, int]]]):
         self.n = n
-        self.parts = parts
+        self.parts = tuple(parts)       # immutable: the nabla operators are shared
 
     def __call__(self, f: PoissonPoly) -> PoissonPoly:
         if f.n != self.n:
@@ -512,11 +399,13 @@ class PolyDiffOp:
         return self(other(f)) - other(self(f))
 
 
+@lru_cache(maxsize=None)
 def nabla_left(n: int, i: int, j: int) -> PolyDiffOp:
     """sum_k g[k,i] d/dg[k,j]"""
     return PolyDiffOp(n, [(PoissonPoly.g(n, k, i), (k, j)) for k in range(1, n + 1)])
 
 
+@lru_cache(maxsize=None)
 def nabla_right(n: int, i: int, j: int) -> PolyDiffOp:
     """-sum_k g[j,k] d/dg[i,k]"""
     return PolyDiffOp(n, [(-PoissonPoly.g(n, j, k), (i, k)) for k in range(1, n + 1)])

@@ -213,9 +213,6 @@ class TowerLevel:
     leading_coeff: complex | None
     jacobian: list[complex]            # exp(tau), coordinates in (C*)^n
 
-    def differentials(self) -> LevelDifferentials:
-        return differentials(self.gamma)
-
     def to_json(self) -> dict:
         enc = lambda xs: [[float(complex(z).real), float(complex(z).imag)] for z in xs]
         return {

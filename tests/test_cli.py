@@ -395,7 +395,11 @@ def _strip_timestamp(text):
     ("orbit", "--n", "3", "--spectrum=1,-1+0.5j,0.5-1j", "--seed", "2", "--check", "all"),
     ("flow", "--n", "3", "--spectrum=1,-1+0.5j,0.5-1j", "--seed", "2",
      "--hamiltonian", "2,1", "--steps", "50"),
-], ids=["orbit-n2-residue-form", "orbit-n3-all", "flow-n3"])
+    ("verify-classical", "--n", "3", "--family", "mf"),
+    ("verify-classical", "--n", "3", "--family", "gz-corner"),
+    ("verify-quantum", "--n", "3"),
+], ids=["orbit-n2-residue-form", "orbit-n3-all", "flow-n3", "classical-mf-n3",
+        "classical-gz-corner-n3", "quantum-n3"])
 def test_reports_are_deterministic(tmp_path, capsys, argv):
     traj = tmp_path / "traj.jsonl"
     extra = ("--trajectory", str(traj)) if argv[0] == "flow" else ()

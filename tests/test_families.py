@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from gztower.families import (
     FamilySpec,
+    _coefficient_generators,
     build_family,
     char_minor,
     independence_rank,
@@ -72,6 +73,49 @@ def test_full_char_poly_conjugation_invariant():
     before = evaluate_at(poly, u=u, lam=lam)
     after = evaluate_at(poly, u=v @ u @ np.linalg.inv(v), lam=lam)
     assert abs(before - after) < 1e-9
+
+
+def _poly_det(entries):
+    """Cofactor determinant of a square matrix of polynomials (the oracle
+    for the column expansion that builds every determinant in src)."""
+    n = entries[0][0].n
+    cache = {}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return entries[rows[0]][cols[0]]
+        key = rows + cols
+        if key not in cache:
+            out = P.zero(n)
+            for pos, c in enumerate(cols):
+                term = entries[rows[0]][c] * det(rows[1:], cols[:pos] + cols[pos + 1:])
+                out = out + term if pos % 2 == 0 else out - term
+            cache[key] = out
+        return cache[key]
+
+    idx = tuple(range(len(entries)))
+    return det(idx, idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("corner", [False, True])
+def test_char_minor_equals_the_cofactor_determinant(n, side, corner):
+    gen = P.u if side == "left" else P.ut
+    for k in range(1, n + 1):
+        rows = range(n - k + 1, n + 1) if corner else range(1, k + 1)
+        entries = [[(P.lam(n) if r == c else 0) - gen(n, r, c) for c in range(1, k + 1)]
+                   for r in rows]
+        assert char_minor(n, k, side=side, corner=corner) == _poly_det(entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mf_determinant_equals_the_cofactor_determinant(n):
+    shift = random_rational_matrix(n, np.random.default_rng(n))
+    entries = [[P.u(n, r, c) - P.mu(n) * shift[r - 1][c - 1] - (P.lam(n) if r == c else 0)
+                for c in range(1, n + 1)] for r in range(1, n + 1)]
+    fam = build_family(FamilySpec("mf", n, side="left", shift=shift))
+    assert fam.generators == _coefficient_generators(_poly_det(entries), "MF")
 
 
 # ---------------------------------------------------------------------------

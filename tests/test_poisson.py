@@ -1,6 +1,8 @@
 import functools
 import itertools
+import operator
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -30,11 +32,13 @@ from gztower.poisson import (
     gradient_at,
     poly_function,
     random_canonical_point,
+    scan_pairs,
     u_as_canonical,
     utilde_as_canonical,
     _gen_bracket,
     _mono_str,
 )
+from gztower.quantum import RIGHT, NCPoly
 
 P = PoissonPoly
 
@@ -573,3 +577,57 @@ def test_broken_family_gives_the_reference_witness():
     la, lb, first = nonzero[0]
     assert rep.witness == {"labels": [la, lb], "terms": first.term_list()}
     assert rep.max_nonzero_terms == max(len(r.terms) for _, _, r in nonzero)
+
+
+# ---------------------------------------------------------------------------
+# the exact core shared with the PBW algebra
+# ---------------------------------------------------------------------------
+
+def _poisson_elements(n):
+    return P.u(n, 1, 1), P.g(n, 1, n) * P.lam(n), P.ut(n, n, 1) + 2
+
+
+def _pbw_elements(n):
+    return NCPoly.e(n, 1, 1), NCPoly.e(n, 1, n, RIGHT) * NCPoly.lam(n), NCPoly.e(n, n, 1) + 2
+
+
+@pytest.mark.parametrize("elements", [_poisson_elements, _pbw_elements],
+                         ids=["PoissonPoly", "NCPoly"])
+def test_shared_exact_core_invariants(elements):
+    a, b, c = elements(3)
+    lowest = lambda x: x._den > 0 and gcd(x._den, *x._num.values()) == 1 and all(x._num.values())
+    s = a * Fraction(1, 6) + b * Fraction(1, 3) + c * Fraction(3, 2)
+    assert lowest(s) and s._den == 6
+    half = a * Fraction(1, 2) + a * Fraction(1, 2)
+    assert lowest(half) and half == a and half._den == 1
+    assert lowest(b * Fraction(4, 6)) and (b * Fraction(4, 6))._den == 3
+    zero = a * Fraction(2, 7) - a * Fraction(2, 7)
+    assert zero.is_zero() and zero._den == 1 and zero == type(a).zero(3)
+    for x in (a, b, c, s):
+        assert (x - x).is_zero() and (x - x)._den == 1
+    left = (a + b * 3) + c * Fraction(1, 5)
+    right = c * Fraction(2, 10) + (3 * b + a)
+    assert left == right and hash(left) == hash(right)
+    assert {left: 1}[right] == 1
+    other = elements(2)[0]
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(AmbientSizeError):
+            op(a, other)
+    # the pair scan: a - b and c - a are nonzero, a - a is not
+    members = [("a", a), ("b", b), ("c", c), ("a again", a * 1)]
+    pairs, worst, witness = scan_pairs(members, operator.sub)
+    diffs = [x - y for (_, x), (_, y) in itertools.combinations(members, 2)]
+    assert pairs == 6 and worst == max(len(d.terms) for d in diffs) > 1
+    assert witness == {"labels": ["a", "b"], "terms": (a - b).term_list()}
+    assert scan_pairs(members[:1] + members[3:], operator.sub) == (1, 0, None)
+
+
+def test_poisson_and_pbw_elements_never_compare_equal():
+    for n in (1, 3):
+        pairs = [(P.zero(n), NCPoly.zero(n)), (P.constant(n, 1), NCPoly.constant(n, 1)),
+                 (P.constant(n, Fraction(2, 3)), NCPoly.constant(n, Fraction(2, 3)))]
+        for p, q in pairs:
+            assert p != q and q != p
+            assert len({p, q}) == 2
+            with pytest.raises(TypeError):
+                p + q

@@ -281,8 +281,8 @@ def test_verify_quantum_n4_needs_no_flag():
 def test_ambient_rho_convention_also_central():
     # the ambient restriction differs from the nested shifts by a global
     # shift of lam, so centrality holds for it as well
-    from gztower.quantum import _centrality_violations
-    checks, witness = _centrality_violations(2, "ambient")
+    from gztower.quantum import _centrality, _nested_qdets
+    checks, witness = _centrality(2, _nested_qdets(2, "ambient"))
     assert witness is None and checks > 0
 
 
@@ -351,6 +351,24 @@ def test_nabla_kills_constants():
     one = P.constant(2, 1)
     assert nabla_left(2, 1, 2)(one).is_zero()
     assert nabla_right(2, 2, 1)(one).is_zero()
+
+
+def test_nabla_operators_are_built_once_per_index(monkeypatch):
+    nabla_left.cache_clear()
+    nabla_right.cache_clear()
+    calls = []
+    build = PoissonPoly.generator.__func__
+    monkeypatch.setattr(PoissonPoly, "generator",
+                        classmethod(lambda cls, *a: calls.append(a) or build(cls, *a)))
+    diffop_realization_check(3, trials=12, seed=2)
+    cold = len(calls)
+    calls.clear()
+    diffop_realization_check(3, trials=12, seed=2)
+    # warm, only the random test polynomials build generators; cold, each
+    # of the at most 2 * 3^2 operators adds its 3 coefficients once
+    assert 0 < cold - len(calls) <= 2 * 3 ** 3
+    assert nabla_left(3, 1, 2) is nabla_left(3, 1, 2)
+    assert nabla_right(3, 2, 1) is nabla_right(3, 2, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
