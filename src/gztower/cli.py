@@ -189,7 +189,7 @@ def _parse_shift(text: str, n: int, rng: np.random.Generator):
     if text.startswith("diag:"):
         try:
             diag = [Fraction(x) for x in text[5:].split(",")]
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse shift matrix {text!r}") from exc
         if len(diag) != n:
             raise ConfigError("diagonal shift has the wrong length")
@@ -447,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if args.n < 1:
         raise ConfigError(f"ambient size must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     config = RunConfig(command=args.command, n=args.n, seed=args.seed,
                        output=args.output,
                        tolerances=_parse_tolerances(args.tolerance, args.command))

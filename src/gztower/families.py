@@ -47,6 +47,10 @@ __all__ = [
 
 KINDS = ("gz-principal", "gz-corner", "mf", "trivial")
 SIDES = ("left", "right", "both")
+_TRIVIAL_STEP = 1e-6        # the relative step of the trivial family's differences
+_RANK_TOL = 1e-8            # singular values above this share of the largest count
+_NUM_RANGE = 3              # random_rational_matrix: numerators in [-3, 3],
+_DEN_RANGE = 3              # denominators in [1, 3]
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,7 @@ class TrivialReport:
 
 
 def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
-                           tol: float = 1e-5, step: float = 1e-6) -> TrivialReport:
+                           tol: float = 1e-5) -> TrivialReport:
     """Check the N^2 functions (u g^{-1})[i,j] pairwise in the oracle.
 
     With the package's momentum conventions the commuting combination is
@@ -231,7 +235,7 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     pairs = 0
     for _ in range(pt_count):
         pt = random_canonical_point(n, rng)
-        dg, dp = (per_member(grad) for grad in _gradients(members, pt, step))
+        dg, dp = (per_member(grad) for grad in _gradients(members, pt, _TRIVIAL_STEP))
         for f, h in itertools.combinations(range(n * n), 2):
             val = complex(np.sum(dg[f] * dp[h] - dp[f] * dg[h]))
             worst = max(worst, abs(val))
@@ -252,8 +256,7 @@ def _symbol_jacobian(poly: PoissonPoly, pt: CanonicalPoint) -> np.ndarray:
     return np.concatenate([jac_g.ravel(), jac_p.ravel()])
 
 
-def independence_rank(fam: CommutingFamily, pt: CanonicalPoint,
-                      sv_tol: float = 1e-8) -> int:
+def independence_rank(fam: CommutingFamily, pt: CanonicalPoint) -> int:
     """Rank of the family's Jacobian over the 2 N^2 canonical coordinates."""
     if not fam.generators:
         raise ValueError("family has no polynomial generators")
@@ -261,14 +264,13 @@ def independence_rank(fam: CommutingFamily, pt: CanonicalPoint,
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > sv_tol * sv[0]))
+    return int(np.sum(sv > _RANK_TOL * sv[0]))
 
 
-def random_rational_matrix(n: int, rng: np.random.Generator,
-                           num_range: int = 3, den_range: int = 3) -> tuple[tuple[Fraction, ...], ...]:
+def random_rational_matrix(n: int, rng: np.random.Generator) -> tuple[tuple[Fraction, ...], ...]:
     """Dense random matrix of small exact rationals (may be singular)."""
     return tuple(
-        tuple(Fraction(int(rng.integers(-num_range, num_range + 1)),
-                       int(rng.integers(1, den_range + 1)))
+        tuple(Fraction(int(rng.integers(-_NUM_RANGE, _NUM_RANGE + 1)),
+                       int(rng.integers(1, _DEN_RANGE + 1)))
               for _ in range(n))
         for _ in range(n))

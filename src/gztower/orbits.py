@@ -85,6 +85,14 @@ class MinorConvention:
 
 DEFAULT_MINOR_CONVENTION = MinorConvention()
 
+_REGULARITY_GAP = 1e-6      # the smallest regularity margin of an orbit point
+_SPECTRUM_TOL = 1e-10       # its eigenvalues' largest distance from a declared spectrum
+_ANGLE_FLOOR = 1e-12        # the smallest |C_n(gamma)| and |A_(n-1)(gamma)| of an angle
+_SPECTRUM_GAP = 0.35        # random_spectrum: the smallest pairwise gap,
+_SPECTRUM_BOX = 1.5         # and the box [-b, b]^2 of the values
+_COND_CAP = 1e6             # sample_orbit: the largest condition number of h,
+_DRAWS = 100                # and the draws of h before it gives up
+
 
 @dataclass
 class OrbitPoint:
@@ -98,8 +106,7 @@ class OrbitPoint:
         return self.u.shape[0]
 
     @classmethod
-    def create(cls, u, spectrum=None, gap: float = 1e-6,
-               spectrum_tol: float = 1e-10) -> "OrbitPoint":
+    def create(cls, u, spectrum=None) -> "OrbitPoint":
         u = np.array(u, dtype=complex)
         eig = sort_points(np.linalg.eigvals(u))
         if spectrum is None:
@@ -107,9 +114,9 @@ class OrbitPoint:
         else:
             spectrum = sort_points(np.array(spectrum, dtype=complex))
             matched = match_points(spectrum, eig)
-            if np.max(np.abs(matched - spectrum)) > spectrum_tol:
+            if np.max(np.abs(matched - spectrum)) > _SPECTRUM_TOL:
                 raise OrbitError("matrix spectrum does not match the declared one")
-        if regularity_margin(u) < gap:
+        if regularity_margin(u) < _REGULARITY_GAP:
             raise OrbitError("matrix is not regular for the nested-minor chart")
         return cls(u=u, spectrum=np.array(spectrum, dtype=complex))
 
@@ -156,42 +163,40 @@ def regularity_margin(u: np.ndarray) -> float | np.ndarray:
     return float(margin[0])
 
 
-def random_spectrum(n: int, rng: np.random.Generator, gap: float = 0.35,
-                    box: float = 1.5) -> np.ndarray:
+def random_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random complex spectrum with a guaranteed minimal gap."""
     for _ in range(200):
-        s = rng.uniform(-box, box, n) + 1j * rng.uniform(-box, box, n)
-        if min_pairwise_gap(s) >= gap:
+        s = (rng.uniform(-_SPECTRUM_BOX, _SPECTRUM_BOX, n)
+             + 1j * rng.uniform(-_SPECTRUM_BOX, _SPECTRUM_BOX, n))
+        if min_pairwise_gap(s) >= _SPECTRUM_GAP:
             return s
     raise RetryExhaustedError("could not sample a separated spectrum")
 
 
-def sample_orbit(spectrum, seed: int | np.random.Generator = 0,
-                 gap: float = 1e-6, cond_cap: float = 1e6,
-                 retries: int = 100) -> OrbitPoint:
+def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
     """Sample u = h diag(spectrum) h^{-1} with h a random well-conditioned matrix.
 
-    Resamples h until the regularity margin of u clears `gap`; raises
+    Resamples h until the regularity margin of u clears _REGULARITY_GAP; raises
     RetryExhaustedError if the budget runs out, and OrbitError if u or (in
     level_data) its characteristic minors leave floating-point range (a
     finite but huge spectrum).
     """
     spectrum = np.array(spectrum, dtype=complex)
     n = len(spectrum)
-    if min_pairwise_gap(spectrum) < gap:
+    if min_pairwise_gap(spectrum) < _REGULARITY_GAP:
         raise OrbitError("spectrum entries are not separated")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(retries):
+    for _ in range(_DRAWS):
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if n > 1 and np.linalg.cond(h) > cond_cap:
+        if n > 1 and np.linalg.cond(h) > _COND_CAP:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             u = h @ np.diag(spectrum) @ np.linalg.inv(h)
         if not np.isfinite(u).all():
             raise OrbitError("spectrum too large: u leaves floating-point range")
-        if regularity_margin(u) >= gap:
+        if regularity_margin(u) >= _REGULARITY_GAP:
             return OrbitPoint(u=u, spectrum=sort_points(spectrum))
-    raise RetryExhaustedError(f"no regular point after {retries} draws")
+    raise RetryExhaustedError(f"no regular point after {_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,7 @@ class GZChart:
 
 
 def gz_forward(pt: OrbitPoint, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-               compute_theta: bool = True, floor: float = 1e-12) -> GZChart:
+               compute_theta: bool = True) -> GZChart:
     """Forward chart map: roots of the nested minors plus the log angles.
 
     Assumes a regular point (sampled points are; hand-built ones may fail
@@ -307,8 +312,8 @@ def gz_forward(pt: OrbitPoint, convention: MinorConvention = DEFAULT_MINOR_CONVE
     thetas: list[np.ndarray] = []
     for n, (g, c) in enumerate(zip(lv.gamma, lv.c), start=1):
         cval, aval = np.polyval(c, g), np.polyval(lv.a[n - 1], g)
-        if min(np.min(np.abs(cval)), np.min(np.abs(aval))) < floor:
-            raise SingularChartError(f"level {n} angle denominators below {floor}")
+        if min(np.min(np.abs(cval)), np.min(np.abs(aval))) < _ANGLE_FLOOR:
+            raise SingularChartError(f"level {n} angle denominators below {_ANGLE_FLOOR}")
         thetas.append(np.log(-cval / aval))
     return GZChart(gamma=lv.gamma, theta=thetas, convention=convention)
 
@@ -337,17 +342,12 @@ def kk_bracket(f: Callable[[np.ndarray], complex],
                u: np.ndarray, step: float = 1e-5) -> complex:
     """Kirillov-Kostant bracket {f, h}(u) = tr(u [grad h, grad f]).
 
-    The generic oracle: central differences, step * max(1, |u[a, b]|).
+    The generic oracle: the central_gradient of f and h in u, transposed.
     """
-    n = u.shape[0]
-    grads = np.zeros((2, n, n), dtype=complex)
-    for a, b in np.ndindex(n, n):
-        shift = np.zeros((n, n))
-        shift[a, b] = step * max(1.0, abs(u[a, b]))
-        grads[:, b, a] = [(g(u + shift) - g(u - shift)) / (2.0 * shift[a, b]) for g in (f, h)]
-    if not np.all(np.isfinite(grads)):
-        raise ArithmeticError("non-finite derivative encountered")
-    return _kk(u, *grads)
+    # imported here, so orbit and flow processes never load the exact algebra
+    from .poisson import central_gradient
+    grads = central_gradient(lambda v: np.array([f(v), h(v)]), u, step)
+    return _kk(u, grads[..., 0].T, grads[..., 1].T)
 
 
 def _kk(u: np.ndarray, gf: np.ndarray, gh: np.ndarray) -> complex:

@@ -13,7 +13,8 @@ left/right momentum matrices u and ut ("u-tilde").  This module provides
 * ``bracket`` -- the Poisson bracket, extending the generator table below
   by bilinearity and the Leibniz rule;
 * ``CanonicalPoint`` plus a central finite-difference bracket in canonical
-  coordinates (g, p), used everywhere as an independent numerical oracle.
+  coordinates (g, p), used everywhere as an independent numerical oracle;
+  ``central_gradient`` is the one difference stencil of every oracle.
 
 Generator table (all other combinations vanish; lam and mu are central)::
 
@@ -52,7 +53,8 @@ __all__ = [
     "column_det", "scan_pairs",
     "CanonicalPoint", "random_canonical_point",
     "u_as_canonical", "utilde_as_canonical",
-    "evaluate", "evaluate_at", "gradient_at", "canonical_bracket", "poly_function",
+    "evaluate", "evaluate_at", "gradient_at", "central_gradient", "canonical_bracket",
+    "poly_function",
 ]
 
 # Generator kinds.  A generator is a tuple (kind, row, col); the central
@@ -589,21 +591,24 @@ def scan_pairs(members: list[tuple[str, ExactPoly]],
 # canonical coordinates: numerical realization and oracle
 # ---------------------------------------------------------------------------
 
+_DET_THRESHOLD = 1e-8       # the smallest |det g| of a safely invertible g
+
+
 class CanonicalPoint:
     """A point of T*GL(N) in canonical coordinates (g, p).
 
-    g must be safely invertible: |det g| >= det_threshold (default 1e-8).
-    Instances are treated as immutable.
+    g must be safely invertible: |det g| >= _DET_THRESHOLD.  Instances are
+    treated as immutable.
     """
 
     __slots__ = ("g", "p")
 
-    def __init__(self, g, p, det_threshold: float = 1e-8, validate: bool = True):
+    def __init__(self, g, p, validate: bool = True):
         g = np.array(g, dtype=complex)
         p = np.array(p, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != p.shape:
             raise ValueError("g and p must be square matrices of equal size")
-        if validate and abs(np.linalg.det(g)) < det_threshold:
+        if validate and abs(np.linalg.det(g)) < _DET_THRESHOLD:
             raise ValueError("g is numerically singular")
         self.g = g
         self.p = p
@@ -623,14 +628,13 @@ class CanonicalPoint:
         return cls(dec(data["g"]), dec(data["p"]))
 
 
-def random_canonical_point(n: int, rng: np.random.Generator,
-                           det_threshold: float = 1e-8) -> CanonicalPoint:
+def random_canonical_point(n: int, rng: np.random.Generator) -> CanonicalPoint:
     """Sample (g, p) with standard complex Gaussian entries, g invertible."""
     for _ in range(100):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if abs(np.linalg.det(g)) >= det_threshold:
-            return CanonicalPoint(g, p, det_threshold=det_threshold)
+        if abs(np.linalg.det(g)) >= _DET_THRESHOLD:
+            return CanonicalPoint(g, p)
     raise RuntimeError("could not sample an invertible g")
 
 
@@ -697,33 +701,37 @@ def poly_function(poly: PoissonPoly, lam: complex = 0j, mu: complex = 0j) -> Cal
     return lambda pt: evaluate(poly, pt, lam=lam, mu=mu)
 
 
+def central_gradient(func: Callable[[np.ndarray], complex | np.ndarray], x: np.ndarray,
+                     step: float) -> np.ndarray:
+    """Entry-wise central differences of func at the complex matrix x.
+
+    func may be scalar- or array-valued; the gradient has shape
+    x.shape + the value's shape, entry [i, j] the derivative along x[i, j]
+    with step `step` scaled by max(1, |x[i, j]|): val/2h at the forward
+    point, then -val/2h at the backward one.  Raises ArithmeticError on a
+    non-finite derivative.
+    """
+    x = np.asarray(x, dtype=complex)
+    grad = None
+    for idx in np.ndindex(x.shape):
+        h = step * max(1.0, abs(x[idx]))
+        for sign in (1.0, -1.0):
+            moved = x.copy()
+            moved[idx] += sign * h
+            val = func(moved)
+            if grad is None:
+                grad = np.zeros(x.shape + np.shape(val), dtype=complex)
+            grad[idx] += sign * val / (2.0 * h)
+    if not np.all(np.isfinite(grad)):
+        raise ArithmeticError("non-finite derivative encountered")
+    return grad
+
+
 def _gradients(func: Callable[[CanonicalPoint], complex | np.ndarray], pt: CanonicalPoint,
                step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradients of func in g and in p.
-
-    func may be scalar- or array-valued; each gradient has shape
-    (n, n) + the value's shape, entry [i, j] the derivative along g[i,j]
-    (or p[i,j]), with step `step` scaled by that coordinate's magnitude.
-    """
-    n = pt.n
-    grads = []
-    for which, base in (("g", pt.g), ("p", pt.p)):
-        grad = None
-        for i in range(n):
-            for j in range(n):
-                h = step * max(1.0, abs(base[i, j]))
-                for sign in (1.0, -1.0):
-                    gm, pm = pt.g.copy(), pt.p.copy()
-                    (gm if which == "g" else pm)[i, j] += sign * h
-                    val = func(CanonicalPoint(gm, pm, validate=False))
-                    if grad is None:
-                        grad = np.zeros((n, n) + np.shape(val), dtype=complex)
-                    grad[i, j] += sign * val / (2.0 * h)
-        grads.append(grad)
-    dg, dp = grads
-    if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(dp))):
-        raise ArithmeticError("non-finite derivative encountered")
-    return dg, dp
+    """central_gradient of func in g, then in p."""
+    return (central_gradient(lambda g: func(CanonicalPoint(g, pt.p, validate=False)), pt.g, step),
+            central_gradient(lambda p: func(CanonicalPoint(pt.g, p, validate=False)), pt.p, step))
 
 
 def canonical_bracket(f: Callable[[CanonicalPoint], complex],
@@ -731,8 +739,8 @@ def canonical_bracket(f: Callable[[CanonicalPoint], complex],
                       pt: CanonicalPoint, step: float = 1e-6) -> complex:
     """Finite-difference canonical bracket at pt.
 
-    {f, h} = sum_ij (df/dg_ij dh/dp_ij - df/dp_ij dh/dg_ij), with central
-    differences of step 1e-6 scaled by coordinate magnitude.  All functions
+    {f, h} = sum_ij (df/dg_ij dh/dp_ij - df/dp_ij dh/dg_ij), with the
+    central_gradient of f and h in g and in p.  All functions
     in this package are holomorphic in the entries, so differencing along
     the real direction recovers the complex derivative.
     """

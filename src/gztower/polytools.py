@@ -122,8 +122,11 @@ def principal_charpoly(u: np.ndarray, k: int) -> np.ndarray:
     return lambda_minor_det(u, range(k), range(k))
 
 
-def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
-    """Roots of every polynomial in `polys`, refined by a few Newton steps.
+_NEWTON_STEPS = 6           # the Newton steps that polish every companion-matrix root
+
+
+def polished_roots(polys) -> list[np.ndarray]:
+    """Roots of every polynomial in `polys`, refined by _NEWTON_STEPS Newton steps.
 
     An entry is one coefficient array (d+1,), highest degree first, or a
     column stack (d+1, B) of B polynomials; it gets its roots (g,), or a
@@ -167,7 +170,7 @@ def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
     horner = np.ascontiguousarray(np.stack((C, deriv))[:, owner].transpose(2, 0, 1))
     roots = start
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iters):
+        for _ in range(_NEWTON_STEPS):
             vals, dvals = functools.reduce(lambda y, col: y * roots + col, horner, 0j)
             roots = roots - np.divide(vals, dvals, out=np.zeros_like(vals),
                                       where=np.abs(dvals) > 1e-300)
@@ -177,9 +180,9 @@ def polished_roots(polys, iters: int = 6) -> list[np.ndarray]:
             for i, B, w, st in zip(first, rows, width, stacked)]
 
 
-def roots_polished(coeffs: np.ndarray, iters: int = 6) -> np.ndarray:
-    """Companion-matrix roots refined by a few Newton steps."""
-    return polished_roots([coeffs], iters)[0]
+def roots_polished(coeffs: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots refined by _NEWTON_STEPS Newton steps."""
+    return polished_roots([coeffs])[0]
 
 
 def sort_points(points: np.ndarray) -> np.ndarray:

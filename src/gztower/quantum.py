@@ -385,16 +385,6 @@ class PolyDiffOp:
             raise AmbientSizeError(f"ambient sizes differ: {f.n} != {self.n}")
         return f.derivative_along([(coeff, (G, i, j)) for coeff, (i, j) in self.parts])
 
-    def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return PolyDiffOp(self.n, self.parts + other.parts)
-
-    def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self + other * (-1)
-
-    def __mul__(self, scalar) -> "PolyDiffOp":
-        c = Fraction(scalar)
-        return PolyDiffOp(self.n, [(p * c, t) for p, t in self.parts])
-
     def commutator_apply(self, other: "PolyDiffOp", f: PoissonPoly) -> PoissonPoly:
         return self(other(f)) - other(self(f))
 
@@ -443,11 +433,14 @@ class DiffOpReport:
                 "status": self.status}
 
 
-def _random_g_poly(n: int, rng: np.random.Generator, max_degree: int = 3) -> PoissonPoly:
+_MAX_G_DEGREE = 3           # the largest degree of a term of _random_g_poly
+
+
+def _random_g_poly(n: int, rng: np.random.Generator) -> PoissonPoly:
     poly = PoissonPoly.constant(n, int(rng.integers(-2, 3)))
     for _ in range(int(rng.integers(1, 4))):
         term = PoissonPoly.constant(n, int(rng.integers(-3, 4)))
-        for _ in range(int(rng.integers(1, max_degree + 1))):
+        for _ in range(int(rng.integers(1, _MAX_G_DEGREE + 1))):
             i, j = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
             term = term * PoissonPoly.g(n, i, j)
         poly = poly + term

@@ -50,8 +50,7 @@ from .polytools import TrackingError, match_points, principal_charpoly
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
-    "RegularityLostError", "LevelDifferentials", "differentials",
-    "path_log_increments", "AngleResult", "angle_variables",
+    "RegularityLostError", "differentials", "path_log_increments", "angle_variables",
     "TowerLevel", "TowerDescriptor", "build_tower",
     "action_gradient", "FlowResult", "hamiltonian_flow", "trajectory_records",
     "LinearizationReport", "linearization_check", "default_base_point",
@@ -92,29 +91,11 @@ class RegularityLostError(TowerError):
 # differentials and residue tables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LevelDifferentials:
-    """Partial-fraction data of lam^(k-1)/A_n for one level.
-
-    residues[j, k-1] is the residue of Omega^(k) at puncture j; arithmetic
-    is exact when the punctures are Fractions, complex otherwise.
-    """
-
-    punctures: np.ndarray
-    residues: np.ndarray
-
-    def residue_column(self, power: int) -> list:
-        """Residues of lam^power / A_n at all punctures (0 <= power < n)."""
-        return self.residues[:, power].tolist()
-
-    def residue_sums(self) -> list:
-        """sum_j residues of Omega^(k), k = 1..n; equals delta(k, n)."""
-        return self.residues.sum(axis=0).tolist()
-
-
-def differentials(punctures) -> LevelDifferentials:
+def differentials(punctures) -> np.ndarray:
     """Residue table of the basis lam^(k-1)/A_n(lam), A_n = prod(lam - g_j):
-    the residues are gamma_j^(k-1) / prod_(s != j) (gamma_j - gamma_s)."""
+    entry [j, k-1] is the residue gamma_j^(k-1) / prod_(s != j) (gamma_j - gamma_s)
+    of Omega^(k) at puncture j.  Arithmetic is exact when the punctures are
+    Fractions, complex otherwise; each column k sums to delta(k, n)."""
     g = np.asarray(punctures)
     n = len(g)
     if n == 0:
@@ -125,7 +106,7 @@ def differentials(punctures) -> LevelDifferentials:
     if (denom == 0).any():
         raise CoincidentPuncturesError("punctures must be distinct (square-free A_n)")
     powers = np.cumprod(np.column_stack((np.ones_like(g), *[g] * (n - 1))), axis=1)
-    return LevelDifferentials(punctures=g, residues=powers / denom[:, None])
+    return powers / denom[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +139,24 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
     return np.log((b - g) / (a - g) + 0j)
 
 
-def _residue_logs(gamma, lam0: complex, endpoints) -> np.ndarray:
-    """sum over endpoints z of int(lam0 -> z) lam^p / A_n, p = 0..n-1.
+def _tau_sums(logs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The residue-weighted sums of path-log increments, in tau order.
 
-    Each integral is sum_j res_j(lam^p / A_n) log((z - g_j) / (lam0 - g_j)).
+    logs (..., endpoints, punctures) are increments of log(lam - gamma_j)
+    from path_log_increments; the result (..., n) holds, for k = 1..n, the
+    sum over endpoints and punctures j of res_j(lam^(n-k) / A_n) times the
+    increment: the integrals of lam^(n-k) / A_n that tau[n,k] takes.
     """
-    gamma = np.asarray(gamma, dtype=complex)
-    return path_log_increments(lam0, endpoints, gamma).sum(axis=0) @ differentials(gamma).residues
+    return (logs.sum(axis=-2) @ differentials(gamma))[..., ::-1]
 
 
 # ---------------------------------------------------------------------------
 # angle variables
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AngleResult:
-    tau: list[complex]
-    tau_literal: list[complex]
-
-
 def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
-                    leading_coeff: complex | None = None) -> AngleResult:
-    """Angle values tau[n,k], k = 1..n, of one level.
+                    leading_coeff: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Angle values (tau, tau_literal) of one level, tau[n,k] at index k-1.
 
     gamma_n are the level punctures, e_points the zeros of the lowering
     minor, gamma_prev the previous-level roots; lam0 is the common base
@@ -188,18 +165,22 @@ def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
     (h, tau) table canonical, and it also supplies the level-one angle,
     where the literal double sum is empty.  tau_literal has no shift.
     """
-    if leading_coeff is None:
-        raise ValueError("the angles need the leading coefficient of C_n")
-    literal = (_residue_logs(gamma_n, lam0, e_points)
-               - _residue_logs(gamma_n, lam0, gamma_prev))[::-1]   # tau[n,k] takes lam^(n-k)
+    gamma = np.asarray(gamma_n, dtype=complex)
+    literal = (_tau_sums(path_log_increments(lam0, e_points, gamma), gamma)
+               - _tau_sums(path_log_increments(lam0, gamma_prev, gamma), gamma))
     tau = literal.copy()
     tau[0] += np.log(complex(leading_coeff))
-    return AngleResult(tau=tau.tolist(), tau_literal=literal.tolist())
+    return tau, literal
 
 
 # ---------------------------------------------------------------------------
 # the tower
 # ---------------------------------------------------------------------------
+
+def _pairs(values) -> list[list[float]]:
+    """Complex values as JSON [re, im] pairs."""
+    return [[complex(z).real, complex(z).imag] for z in values]
+
 
 @dataclass
 class TowerLevel:
@@ -214,18 +195,17 @@ class TowerLevel:
     jacobian: list[complex]            # exp(tau), coordinates in (C*)^n
 
     def to_json(self) -> dict:
-        enc = lambda xs: [[float(complex(z).real), float(complex(z).imag)] for z in xs]
         return {
             "n": self.n,
-            "gamma": enc(self.gamma),
-            "h": enc(self.h),
-            "e": enc(self.e),
-            "tau": enc(self.tau),
-            "tau_literal": enc(self.tau_literal),
-            "base_point": [float(complex(self.base_point).real), float(complex(self.base_point).imag)],
+            "gamma": _pairs(self.gamma),
+            "h": _pairs(self.h),
+            "e": _pairs(self.e),
+            "tau": _pairs(self.tau),
+            "tau_literal": _pairs(self.tau_literal),
+            "base_point": _pairs([self.base_point])[0],
             "leading_coeff": None if self.leading_coeff is None
-            else [float(self.leading_coeff.real), float(self.leading_coeff.imag)],
-            "jacobian": enc(self.jacobian),
+            else _pairs([self.leading_coeff])[0],
+            "jacobian": _pairs(self.jacobian),
         }
 
 
@@ -237,12 +217,11 @@ class TowerDescriptor:
     base_point: complex
 
     def to_json(self) -> dict:
-        enc = lambda xs: [[float(complex(z).real), float(complex(z).imag)] for z in xs]
         return {
             "levels": [lv.to_json() for lv in self.levels],
-            "zero_section": {str(n): enc(v) for n, v in self.zero_section.items()},
+            "zero_section": {str(n): _pairs(v) for n, v in self.zero_section.items()},
             "minor_convention": self.convention,
-            "base_point": [float(complex(self.base_point).real), float(complex(self.base_point).imag)],
+            "base_point": _pairs([self.base_point])[0],
         }
 
 
@@ -278,9 +257,8 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
             if abs(lead) < 1e-10:
                 raise TowerError(f"level {n}: lowering minor degenerates")
-            res = angle_variables(gamma, e_pts, lv.gamma[n - 2] if n >= 2 else [],
-                                  lam0, leading_coeff=lead)
-            tau, tau_lit = res.tau, res.tau_literal
+            tau, tau_lit = (t.tolist() for t in angle_variables(
+                gamma, e_pts, lv.gamma[n - 2] if n >= 2 else [], lam0, lead))
         else:
             e_pts, lead, tau, tau_lit = np.zeros(0, dtype=complex), None, [], []
         levels.append(TowerLevel(
@@ -288,7 +266,9 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             tau=tau, tau_literal=tau_lit, base_point=lam0,
             leading_coeff=lead, jacobian=[complex(np.exp(t)) for t in tau]))
         if n >= 2:
-            zero_section[n] = [complex(v) for v in _residue_logs(gamma, lam0, lv.gamma[n - 2])]
+            # the integrals of lam^p / A_n, p = 0..n-1, in power order
+            logs = path_log_increments(lam0, lv.gamma[n - 2], gamma)
+            zero_section[n] = _tau_sums(logs, gamma)[::-1].tolist()
     return TowerDescriptor(levels=levels, zero_section=zero_section,
                            convention=convention.label(), base_point=lam0)
 
@@ -335,18 +315,18 @@ class FlowResult:
 # Flow grids and tracked samples are evaluated in stacks of at most this
 # many points, so memory stays bounded on a long grid.
 _CHUNK = 64
+_CHECK_EVERY = 10           # hamiltonian_flow checks regularity every this many steps
 
 
 def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
                      t_final: float = 1.0, steps: int = 1000,
-                     reg_gap: float = 1e-6, sample_every: int = 1,
-                     check_every: int = 10) -> FlowResult:
+                     reg_gap: float = 1e-6, sample_every: int = 1) -> FlowResult:
     """The exact flow u(t) = e^(tX) u e^(-tX), X = grad h, on a grid of `steps`.
 
     V, the eigenbasis of u_n extended by the identity, diagonalizes X to D,
     so u(t) = V (e^(t(d_i - d_j)) (V^-1 u V)[i,j]) V^-1.  Level-N actions are
     Casimirs and conserve u.  Regularity is checked at t = 0 and every
-    check_every-th step, and points are kept every sample_every-th step and
+    _CHECK_EVERY-th step, and points are kept every sample_every-th step and
     at the end; RegularityLostError carries the first checked or sampled
     time at which regularity fails or u(t) leaves floating-point range.
     The kept times are evaluated in stacks of _CHUNK, each in one
@@ -360,7 +340,7 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     d = np.diag(Vinv @ X @ V)
     rates, M = d[:, None] - d[None, :], Vinv @ pt.u @ V
     grid = np.arange(steps + 1)
-    check = (grid % check_every == 0) | (grid == steps)
+    check = (grid % _CHECK_EVERY == 0) | (grid == steps)
     sample = (grid % sample_every == 0) | (grid == steps)
     kept = np.flatnonzero(check | sample)
     times, points = [], []
@@ -450,7 +430,7 @@ class _TauTracker:
             if (turn > np.pi / 2).any():
                 limit = int(np.argmax(turn > np.pi / 2))
                 error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad")
-            inc = (logs.sum(axis=1) @ differentials(gamma).residues)[:, ::-1]
+            inc = _tau_sums(logs, gamma)
             inc[:, 0] += lead_log
             es.append(e)
             incs.append(inc)

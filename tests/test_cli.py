@@ -369,11 +369,18 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("verify-classical", "--n", "2", "--tolerance", "chart=1e-3"),
     ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1",
      "--tolerance", "linearization=inf"),
+    ("verify-classical", "--n", "2", "--seed", "-1"),
+    ("verify-quantum", "--n", "2", "--seed", "-1"),
+    ("orbit", "--n", "2", "--spectrum", "1,2", "--seed", "-1"),
+    ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1", "--seed", "-1"),
+    ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1/0,1"),
 ], ids=["t-zero", "t-nan", "t-inf", "steps-zero", "spectrum-nan", "points-zero",
         "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow",
         "tolerance-not-a-number", "lam0-not-a-number", "lam0-nan", "tolerance-unknown-name",
         "tolerance-nan", "tolerance-negative", "tolerance-zero", "tolerance-no-value",
-        "tolerance-not-read-by-command", "tolerance-inf"])
+        "tolerance-not-read-by-command", "tolerance-inf", "classical-seed-negative",
+        "quantum-seed-negative", "orbit-seed-negative", "flow-seed-negative",
+        "shift-zero-denominator"])
 def test_bad_values_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -1,8 +1,9 @@
 """Closed-form chart derivatives against central-difference oracles.
 
-The stencils below are the finite-difference implementations the canonical
-chart, residue-form and action-angle checks used before their derivatives
-became analytic; they stay here as independent oracles.
+The stencils below are the finite-difference oracles the canonical chart,
+residue-form and action-angle checks used before their derivatives became
+analytic; they stay here as independent oracles.  The entry-wise gradients
+take the package's one stencil, poisson.central_gradient.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from gztower.orbits import (
     sample_orbit,
     verify_canonical_chart,
 )
+from gztower.poisson import central_gradient
 from gztower.tower import action_angle_bracket_table, action_gradient, build_tower
 
 CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
@@ -31,20 +33,10 @@ CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
 # ---------------------------------------------------------------------------
 
 def _central_gradients(f, u, step):
-    """Central differences d/du[a, b] of each value of f(u), a dict; step * max(1, |u[a, b]|)."""
-    n = u.shape[0]
-    grads = {}
-    for a in range(n):
-        for b in range(n):
-            h = step * max(1.0, abs(u[a, b]))
-            up, um = u.copy(), u.copy()
-            up[a, b] += h
-            um[a, b] -= h
-            plus, minus = f(up), f(um)
-            for key, val in plus.items():
-                grads.setdefault(key, np.zeros((n, n), dtype=complex))[a, b] = \
-                    (val - minus[key]) / (2.0 * h)
-    return grads
+    """central_gradient d/du[a, b] of each value of f(u), a dict with the same
+    keys in the same order at every u."""
+    grads = central_gradient(lambda v: np.array(list(f(v).values())), u, step)
+    return {key: grads[..., i] for i, key in enumerate(f(u))}
 
 
 def _matched_chart_values(u, base, base_theta, convention):

@@ -17,6 +17,12 @@ from gztower.orbits import (
     sample_orbit,
     verify_canonical_chart,
 )
+from gztower.poisson import (
+    CanonicalPoint,
+    canonical_bracket,
+    random_canonical_point,
+    u_as_canonical,
+)
 from gztower.polytools import principal_charpoly, roots_polished
 
 
@@ -160,6 +166,29 @@ def test_kk_antisymmetry_and_casimir():
     f = lambda u: u[0, 1]
     assert abs(kk_bracket(f, f, pt.u)) < 1e-12
     assert abs(kk_bracket(lambda u: np.trace(u), f, pt.u)) < 1e-6
+
+
+# polynomial and rational functions of u, none of them a Casimir
+LINK_FUNCS = [
+    lambda u: u[0, 1] * u[1, 0] + u[0, 0] ** 2,
+    lambda u: (u @ u)[0, 1],
+    lambda u: u[0, 1] / u[1, 1],
+    lambda u: u[1, 0] / (3.0 + u[0, 0] * u[1, 1]),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kk_oracle_matches_the_canonical_oracle_through_the_momentum_map(n):
+    # {f, h}(u) = {f o mu, h o mu}(g, p) with mu(g, p) = p^T g, at g = 1, p = u^T
+    rng = np.random.default_rng(n)
+    pull = lambda f: (lambda pt: f(pt.p.T @ pt.g))
+    for _ in range(2):
+        u = u_as_canonical(random_canonical_point(n, rng))
+        pt = CanonicalPoint(np.eye(n), u.T)
+        for i, f in enumerate(LINK_FUNCS):
+            for h in LINK_FUNCS[i + 1:]:
+                expected = canonical_bracket(pull(f), pull(h), pt)
+                assert abs(kk_bracket(f, h, u) - expected) < 1e-7 * max(1.0, abs(expected))
 
 
 def test_left_family_restriction_commutes():

@@ -42,18 +42,16 @@ from gztower.tower import (
 # ---------------------------------------------------------------------------
 
 def test_residue_example_two_punctures():
-    d = differentials([0.0, 1.0])
-    assert d.residue_column(0) == [-1.0, 1.0]
+    assert differentials([0.0, 1.0])[:, 0].tolist() == [-1.0, 1.0]
 
 
 def test_residue_sums_exact():
     d = differentials([Fraction(0), Fraction(1), Fraction(3, 2)])
-    assert d.residue_sums() == [0, 0, 1]
+    assert d.sum(axis=0).tolist() == [0, 0, 1]
 
 
 def test_single_puncture():
-    d = differentials([0.5 + 0.5j])
-    assert d.residue_sums() == [1.0]
+    assert differentials([0.5 + 0.5j]).sum(axis=0).tolist() == [1.0]
 
 
 def test_coincident_punctures_rejected():
@@ -65,7 +63,7 @@ def test_coincident_punctures_rejected():
 @settings(max_examples=30)
 def test_residue_sum_rule_rational(values):
     punctures = [Fraction(v, 7) for v in values]
-    sums = differentials(punctures).residue_sums()
+    sums = differentials(punctures).sum(axis=0).tolist()
     n = len(punctures)
     assert sums == [Fraction(int(k == n - 1)) for k in range(n)]
 
@@ -74,7 +72,7 @@ def test_residue_sum_rule_float():
     rng = np.random.default_rng(0)
     for _ in range(10):
         pts = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        sums = differentials(list(pts)).residue_sums()
+        sums = differentials(list(pts)).sum(axis=0)
         assert max(abs(s - (1.0 if k == 3 else 0.0)) for k, s in enumerate(sums)) < 1e-12
 
 
@@ -105,13 +103,13 @@ def test_path_log_against_quadrature(case):
     # independent oracle: trapezoidal quadrature of lam^m / A(lam) along the
     # straight segment, on nodes clustered at its endpoints
     a, b, punctures = SEGMENTS[case]
-    diffs = differentials(punctures)
+    residues = differentials(punctures)
     dlogs = path_log_increments(a, b, punctures)
     ts = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 200001))) / 2.0
     zs = a + (b - a) * ts
     denom = np.prod([zs - g for g in punctures], axis=0)
     for m in range(len(punctures)):
-        closed = sum(r * d for r, d in zip(diffs.residue_column(m), dlogs))
+        closed = sum(r * d for r, d in zip(residues[:, m], dlogs))
         vals = zs ** m / denom
         quad = np.sum((vals[1:] + vals[:-1]) * np.diff(zs)) / 2.0
         assert abs(closed - quad) < 1e-7
@@ -135,18 +133,18 @@ def test_endpoint_at_puncture_rejected():
 # ---------------------------------------------------------------------------
 
 def test_level_one_literal_angle_is_zero():
-    res = angle_variables([1.5 + 0.5j], [], [], lam0=5.0,
-                          leading_coeff=2.0 + 1.0j)
-    assert res.tau_literal == [0j]
-    assert res.tau[0] == pytest.approx(np.log(2.0 + 1.0j))
+    tau, literal = angle_variables([1.5 + 0.5j], [], [], lam0=5.0,
+                                   leading_coeff=2.0 + 1.0j)
+    assert literal.tolist() == [0j]
+    assert tau[0] == pytest.approx(np.log(2.0 + 1.0j))
 
 
 def test_angles_vanish_when_divisors_coincide():
     # e-points equal to the previous-level roots: the two sums cancel termwise
     gamma = [0.0 + 0j, 2.0 + 0j]
     shared = [1.0 + 0.3j]
-    res = angle_variables(gamma, shared, shared, lam0=6.0, leading_coeff=1.0)
-    assert max(abs(t) for t in res.tau_literal) < 1e-14
+    _, literal = angle_variables(gamma, shared, shared, lam0=6.0, leading_coeff=1.0)
+    assert max(abs(literal)) < 1e-14
 
 
 def test_angle_base_point_independence():
@@ -169,19 +167,19 @@ def test_abel_coordinate_derivative_consistency():
     delta = 1e-6
     n = len(gamma)
     for k in (1, n):
-        res0 = angle_variables(gamma, e_pts, prev, lam0, leading_coeff=1.0)
+        _, lit0 = angle_variables(gamma, e_pts, prev, lam0, leading_coeff=1.0)
         moved = [e_pts[0] + delta, e_pts[1]]
-        res1 = angle_variables(gamma, moved, prev, lam0, leading_coeff=1.0)
+        _, lit1 = angle_variables(gamma, moved, prev, lam0, leading_coeff=1.0)
         a_at = np.prod([e_pts[0] - g for g in gamma])
         predicted = delta * e_pts[0] ** (n - k) / a_at
-        observed = res1.tau_literal[k - 1] - res0.tau_literal[k - 1]
+        observed = lit1[k - 1] - lit0[k - 1]
         assert abs(observed - predicted) < 1e-6 * max(1.0, abs(predicted))
-        ratio = np.exp(res1.tau_literal[k - 1]) / np.exp(res0.tau_literal[k - 1])
+        ratio = np.exp(lit1[k - 1]) / np.exp(lit0[k - 1])
         assert abs(ratio - np.exp(predicted)) < 1e-6
 
 
 def test_augmentation_requires_leading_coefficient():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         angle_variables([1.0 + 0j], [], [], lam0=4.0)
 
 
@@ -469,10 +467,10 @@ class _TrackerLoop:
         self.first = self.state = lv
         self.tau = {}
         for n in range(1, len(lv.gamma)):
-            res = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
-                                  lv.gamma[n - 2] if n >= 2 else [], self.lam0,
-                                  leading_coeff=lv.c[n - 1][0])
-            self.tau.update({(n, k): val for k, val in enumerate(res.tau, start=1)})
+            tau, _ = angle_variables(lv.gamma[n - 1], lv.e[n - 1],
+                                     lv.gamma[n - 2] if n >= 2 else [], self.lam0,
+                                     leading_coeff=lv.c[n - 1][0])
+            self.tau.update({(n, k): val for k, val in enumerate(tau, start=1)})
 
     def _step(self, u, t):
         try:
@@ -494,7 +492,7 @@ class _TrackerLoop:
                 turn = max(turn, np.max(np.abs(dlog.imag)))
             if turn > np.pi / 2:
                 raise BranchJumpError(f"level {n}: a ratio turned by {turn:.3f} rad")
-            inc = (logs @ differentials(gamma).residues)[::-1]
+            inc = (logs @ differentials(gamma))[::-1]
             inc[0] += lead_log
             for k in range(1, n + 1):
                 taus[(n, k)] = self.tau[(n, k)] + inc[k - 1]
