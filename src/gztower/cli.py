@@ -189,7 +189,9 @@ def _parse_shift(text: str, n: int, rng: np.random.Generator):
     if text.startswith("diag:"):
         try:
             diag = [Fraction(x) for x in text[5:].split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+            for x in diag:
+                float(x)        # the numeric rank reads every entry as a float
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"cannot parse shift matrix {text!r}") from exc
         if len(diag) != n:
             raise ConfigError("diagonal shift has the wrong length")
@@ -353,7 +355,7 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
                 lam0=config.lam0, reg_gap=reg_gap)
             lin = tower.linearization_check(
                 pt, config.hamiltonian,
-                t_final=min(config.t_final, 0.1),
+                t_final=max(-0.1, min(config.t_final, 0.1)),
                 tol=config.tolerances["linearization"],
                 lam0=config.lam0, reg_gap=reg_gap)
         except (tower.TowerError, orbits.TrackingError) as exc:

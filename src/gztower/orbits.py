@@ -140,27 +140,18 @@ def _margin_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
     return i[near], j[near]
 
 
-def regularity_margin(u: np.ndarray) -> float | np.ndarray:
-    """Smallest root separation within and between consecutive A_n.
-
-    u is one matrix, or a stack (B, N, N) that gets an array of B margins
-    from one level-data kernel call; there a point whose minors leave
-    floating-point range gets NaN, where one matrix raises OrbitError.
-    """
+def regularity_margin(u: np.ndarray) -> float:
+    """Smallest root separation within and between consecutive A_n; raises
+    OrbitError if the minors of u leave floating-point range."""
     u = np.asarray(u, dtype=complex)
     N = u.shape[-1]
-    _, roots, finite = _level_stack(u.reshape(-1, N, N), DEFAULT_MINOR_CONVENTION,
-                                    lowering=False)
-    roots = np.concatenate(roots, axis=1)
-    i, j = _margin_pairs(N)
-    diff = roots[:, i] - roots[:, j]
-    margin = np.min(np.hypot(diff.real, diff.imag), axis=1, initial=np.inf)
-    margin[~finite] = np.nan
-    if u.ndim == 3:
-        return margin
+    _, roots, finite = _level_stack(u[None], DEFAULT_MINOR_CONVENTION, lowering=False)
     if not finite[0]:
         raise _overflow_error()
-    return float(margin[0])
+    roots = np.concatenate(roots, axis=1)[0]
+    i, j = _margin_pairs(N)
+    diff = roots[i] - roots[j]
+    return float(np.min(np.hypot(diff.real, diff.imag), initial=np.inf))
 
 
 def random_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:

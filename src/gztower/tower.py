@@ -39,6 +39,7 @@ import numpy as np
 from .orbits import (
     DEFAULT_MINOR_CONVENTION,
     MinorConvention,
+    OrbitError,
     OrbitPoint,
     _kk,
     _level_stack,
@@ -312,10 +313,9 @@ class FlowResult:
     points: list[np.ndarray]
 
 
-# Flow grids and tracked samples are evaluated in stacks of at most this
-# many points, so memory stays bounded on a long grid.
+# Tracked samples are evaluated in stacks of at most this many points, so
+# memory stays bounded on a long trajectory.
 _CHUNK = 64
-_CHECK_EVERY = 10           # hamiltonian_flow checks regularity every this many steps
 
 
 def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
@@ -325,39 +325,37 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
 
     V, the eigenbasis of u_n extended by the identity, diagonalizes X to D,
     so u(t) = V (e^(t(d_i - d_j)) (V^-1 u V)[i,j]) V^-1.  Level-N actions are
-    Casimirs and conserve u.  Regularity is checked at t = 0 and every
-    _CHECK_EVERY-th step, and points are kept every sample_every-th step and
-    at the end; RegularityLostError carries the first checked or sampled
-    time at which regularity fails or u(t) leaves floating-point range.
-    The kept times are evaluated in stacks of _CHUNK, each in one
-    expression and one regularity_margin call.
+    Casimirs and conserve u.  Every A_m is conserved, and so is the
+    regularity margin: it is checked once, at t = 0.  Points are kept every
+    sample_every-th step and at the end, all in one expression, so the cost
+    does not grow with `steps`.  RegularityLostError carries 0.0 for an
+    irregular start, else the first kept time at which u(t) leaves
+    floating-point range.
     """
     X = action_gradient(pt.u, selector)
+    try:
+        regular = regularity_margin(pt.u) >= reg_gap
+    except OrbitError:          # the minors of u leave floating-point range
+        regular = False
+    if not regular:
+        raise RegularityLostError(0.0)
     n = selector[0]
     V = np.eye(pt.n, dtype=complex)
     V[:n, :n] = np.linalg.eig(pt.u[:n, :n])[1]
     Vinv = np.linalg.inv(V)
     d = np.diag(Vinv @ X @ V)
     rates, M = d[:, None] - d[None, :], Vinv @ pt.u @ V
-    grid = np.arange(steps + 1)
-    check = (grid % _CHECK_EVERY == 0) | (grid == steps)
-    sample = (grid % sample_every == 0) | (grid == steps)
-    kept = np.flatnonzero(check | sample)
-    times, points = [], []
-    for start in range(0, len(kept), _CHUNK):
-        idx = kept[start:start + _CHUNK]
-        ts = idx * (t_final / steps)
-        with np.errstate(over="ignore", invalid="ignore"):
-            us = V @ (np.exp(ts[:, None, None] * rates) * M) @ Vinv
-        us[idx == 0] = pt.u
-        lost = ~np.isfinite(us).all(axis=(1, 2))
-        checked = np.flatnonzero(check[idx])
-        lost[checked] |= ~(regularity_margin(us[checked]) >= reg_gap)
-        if lost.any():
-            raise RegularityLostError(float(ts[np.argmax(lost)]))
-        times.extend(ts[sample[idx]])
-        points.extend(us[sample[idx]])
-    return FlowResult(selector=selector, times=np.array(times), points=points)
+    idx = np.arange(0, steps + 1, sample_every)
+    if idx[-1] != steps:
+        idx = np.append(idx, steps)
+    times = idx * (t_final / steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = V @ (np.exp(times[:, None, None] * rates) * M) @ Vinv
+    us[0] = pt.u
+    lost = ~np.isfinite(us).all(axis=(1, 2))
+    if lost.any():
+        raise RegularityLostError(float(times[np.argmax(lost)]))
+    return FlowResult(selector=selector, times=times, points=list(us))
 
 
 class _TauTracker:

@@ -327,15 +327,40 @@ def test_flow_out_of_floating_point_range_is_regularity_loss(tmp_path, capsys):
     assert 0.0 < report["error"]["time"] < 1e4
 
 
-def test_flow_with_overflowing_minors_is_regularity_loss(tmp_path, capsys):
-    # u(t) stays finite while its minors overflow; the input was valid
+def _overflowing_flow(capsys, tmp_path, *extra):
+    # u(t) stays finite while its minors overflow by t = 10; the input was valid
     code, out, _ = run_cli(capsys, "flow", "--n", "5", "--spectrum", "1,2,3,4,5",
                            "--hamiltonian", "4,3", "--t", "10", "--seed", "0",
-                           "--trajectory", str(tmp_path / "t.jsonl"))
+                           "--trajectory", str(tmp_path / "t.jsonl"), *extra)
     assert code == 1
-    report = parse_report(out)
-    assert report["error"]["kind"] == "regularity-lost"
-    assert 0.0 < report["error"]["time"] <= 10.0
+    return parse_report(out)["error"]
+
+
+def test_flow_with_overflowing_minors_is_regularity_loss(tmp_path, capsys):
+    # with one step the tracker's second sample is t = 10, whose minors overflow
+    error = _overflowing_flow(capsys, tmp_path, "--steps", "1")
+    assert error == {"kind": "regularity-lost", "time": 10.0}
+
+
+def test_flow_toward_overflowing_minors_reports_the_first_failing_sample(tmp_path, capsys):
+    # with 40 samples a ratio turns by more than pi/2 long before t = 10
+    error = _overflowing_flow(capsys, tmp_path)
+    assert error == {"kind": "branch-jump", "time": 0.25}
+
+
+@pytest.mark.parametrize("t, window", [("-1", -0.1), ("0.05", 0.05), ("5", 0.1)])
+def test_linearization_window_is_at_most_a_tenth_either_way(capsys, monkeypatch, t, window):
+    real_check = tower.linearization_check
+    seen = []
+
+    def check(pt, selector, t_final=0.1, **kwargs):
+        seen.append(t_final)
+        return real_check(pt, selector, t_final=t_final, **kwargs)
+
+    monkeypatch.setattr(tower, "linearization_check", check)
+    run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1",
+            "--t", t, "--steps", "100")
+    assert seen == [window]
 
 
 def test_linearization_with_nan_slopes_is_a_violation():
@@ -374,13 +399,14 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("orbit", "--n", "2", "--spectrum", "1,2", "--seed", "-1"),
     ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1", "--seed", "-1"),
     ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1/0,1"),
+    ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1e400,1"),
 ], ids=["t-zero", "t-nan", "t-inf", "steps-zero", "spectrum-nan", "points-zero",
         "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow",
         "tolerance-not-a-number", "lam0-not-a-number", "lam0-nan", "tolerance-unknown-name",
         "tolerance-nan", "tolerance-negative", "tolerance-zero", "tolerance-no-value",
         "tolerance-not-read-by-command", "tolerance-inf", "classical-seed-negative",
         "quantum-seed-negative", "orbit-seed-negative", "flow-seed-negative",
-        "shift-zero-denominator"])
+        "shift-zero-denominator", "shift-float-overflow"])
 def test_bad_values_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -126,26 +126,6 @@ def test_stacked_level_data_matches_per_point_calls(N):
         assert len(c_roots) == N - 1 and (c_finite == finite).all()
         assert all((a == b).all() for a, b in zip(c_coeffs, coeffs))
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(c_roots, roots[N:]))
-    # a point's margin does not depend on the stack around it
-    margins = regularity_margin(us)
-    assert margins.shape == (len(us),)
-    assert margins.tolist() == [regularity_margin(u) for u in us]
-
-
-def test_stacked_margin_flags_overflowing_points_alone():
-    # one point's minors overflow, one point is not finite: both get NaN,
-    # where a single matrix raises; the others keep their margins
-    us = _stack(3)
-    h = np.random.default_rng(0).standard_normal((3, 3))
-    us[1] = h @ np.diag([1.0, 2.0, 1e300]) @ np.linalg.inv(h)
-    us[3, 0, 2] = np.inf
-    margins = regularity_margin(us)
-    assert np.isnan(margins[[1, 3]]).all()
-    for b in (0, 2, 4):
-        assert margins[b] == regularity_margin(us[b])
-    with pytest.raises(OrbitError, match="floating-point range"):
-        regularity_margin(us[3])
-    assert regularity_margin(us[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +193,9 @@ def test_overflowing_minors_raise_orbit_error():
     assert np.isfinite(u).all()
     with pytest.raises(OrbitError, match="floating-point range"):
         level_data(u)
+    with pytest.raises(OrbitError, match="floating-point range"):
+        regularity_margin(u)
+    u[0, 2] = np.inf
     with pytest.raises(OrbitError, match="floating-point range"):
         regularity_margin(u)
     with pytest.raises(OrbitError, match="floating-point range"):

@@ -353,23 +353,19 @@ def test_flow_leaving_floating_point_range_loses_regularity():
         hamiltonian_flow(pt, (2, 1), t_final=1e4, steps=1000, sample_every=25)
     assert 0.0 < err.value.time < 1e4
 
-def test_flow_with_finite_u_and_overflowing_minors_loses_regularity(monkeypatch):
+def test_flow_with_finite_u_and_overflowing_minors_loses_regularity():
     # at t = 10 the h[4,3] flow has |u| near 1e154, finite, while its minors
-    # leave floating-point range: a regularity loss, not a bad spectrum; the
-    # checked stack is (t = 0, t = 10)
-    seen = []
-    monkeypatch.setattr(tower, "regularity_margin",
-                        lambda u: (seen.append(u), regularity_margin(u))[1])
+    # leave floating-point range: the flow returns u(10), and the tracker
+    # reports a regularity loss there, not a bad spectrum
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
-    with pytest.raises(RegularityLostError) as err:
-        hamiltonian_flow(pt, (4, 3), t_final=10.0, steps=1)
-    assert err.value.time == 10.0
-    assert np.isfinite(seen[-1][-1]).all()
+    flow = hamiltonian_flow(pt, (4, 3), t_final=10.0, steps=1)
+    assert flow.times.tolist() == [0.0, 10.0]
+    assert np.isfinite(flow.points[-1]).all()
     with pytest.raises(OrbitError):
-        level_data(seen[-1][-1])
+        level_data(flow.points[-1])
     tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None)
     with pytest.raises(RegularityLostError) as err:
-        tracker.step(seen[-1][-1], 10.0)
+        tracker.step(flow.points, flow.times)
     assert err.value.time == 10.0
 
 
@@ -398,6 +394,53 @@ def test_flow_regularity_guard_reports_time():
     assert err.value.time == 0.0
 
 
+_FLOW_SELECTORS = [(N, (n, k)) for N in (3, 4, 5) for n in range(1, N) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("N, selector", _FLOW_SELECTORS)
+def test_flow_conserves_the_margin_and_every_level_polynomial(N, selector):
+    # every A_m, and so the regularity margin, holds along the flow: the
+    # reason the flow checks regularity at t = 0 alone
+    pt = sample_orbit(_SPECTRA[N], seed=N)
+    flow = hamiltonian_flow(pt, selector, t_final=1.0, steps=1000, sample_every=25)
+    assert len(flow.points) == 41
+    margin0 = regularity_margin(pt.u)
+    a0 = [principal_charpoly(pt.u, m) for m in range(1, N + 1)]
+    for u in flow.points:
+        assert np.max(np.abs(u)) < 1e3
+        assert abs(regularity_margin(u) - margin0) <= 1e-8 * margin0
+        for m, want in enumerate(a0, start=1):
+            drift = np.max(np.abs(principal_charpoly(u, m) - want))
+            assert drift <= 1e-8 * np.max(np.abs(want))
+
+
+def test_flow_checks_regularity_once_whatever_the_steps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(tower, "regularity_margin",
+                        lambda u: (calls.append(u), regularity_margin(u))[1])
+    pt = sample_orbit(_SPECTRA[5], seed=5)
+    flow = hamiltonian_flow(pt, (4, 3), t_final=1.0, steps=10**6, sample_every=25000)
+    assert len(flow.points) == 41 and len(calls) == 1
+    assert np.array_equal(flow.times, np.arange(41) * 25000 * (1.0 / 10**6))
+    assert np.array_equal(calls[0], pt.u) and np.array_equal(flow.points[0], pt.u)
+
+
+@pytest.mark.parametrize("start", ["below-gap", "overflowing-minors"])
+def test_irregular_start_loses_regularity_at_zero(monkeypatch, start):
+    # the start margin decides for the whole flow: below reg_gap, or (u(10)
+    # of the h[4,3] flow taken as the start) not computable at all
+    pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
+    if start == "below-gap":
+        monkeypatch.setattr(tower, "regularity_margin", lambda u: 0.0)
+        want = _outcome(lambda: _flow_loop(pt, (4, 3), sample_every=25))
+        assert want == ("regularity", (0.0, "regularity lost at t = 0.0"))
+    else:
+        u10 = hamiltonian_flow(pt, (4, 3), t_final=10.0, steps=1).points[-1]
+        pt = orbits.OrbitPoint(u=u10, spectrum=pt.spectrum)
+    got = _outcome(lambda: hamiltonian_flow(pt, (4, 3), sample_every=25))
+    assert got == ("regularity", (0.0, "regularity lost at t = 0.0"))
+
+
 def test_invalid_selector_rejected():
     pt = sample_orbit([1.0, -1.0], seed=4)
     with pytest.raises(ValueError):
@@ -408,9 +451,9 @@ def test_invalid_selector_rejected():
 # the stacked flow and tracker against their per-point loops
 # ---------------------------------------------------------------------------
 
-def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every=1,
-               check_every=10):
-    """Oracle: the flow one kept grid time at a time, each checked alone."""
+def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every=1):
+    """Oracle: the flow one kept grid time at a time, regularity checked at
+    the start alone."""
     X = action_gradient(pt.u, selector)
     u = pt.u.copy()
     if tower.regularity_margin(u) < reg_gap:
@@ -424,21 +467,15 @@ def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every
     dt = t_final / steps
     times, points = [0.0], [u]
     for step_idx in range(1, steps + 1):
-        check = step_idx % check_every == 0 or step_idx == steps
-        sample = step_idx % sample_every == 0 or step_idx == steps
-        if not (check or sample):
+        if step_idx % sample_every and step_idx != steps:
             continue
         t = step_idx * dt
         with np.errstate(over="ignore", invalid="ignore"):
             u = V @ (np.exp(t * rates) * M) @ Vinv
-        try:
-            if not np.isfinite(u).all() or (check and tower.regularity_margin(u) < reg_gap):
-                raise RegularityLostError(t)
-        except OrbitError:
-            raise RegularityLostError(t) from None
-        if sample:
-            times.append(t)
-            points.append(u)
+        if not np.isfinite(u).all():
+            raise RegularityLostError(t)
+        times.append(t)
+        points.append(u)
     return np.array(times), points
 
 
@@ -521,7 +558,7 @@ _NEAR_PUNCTURE = [0.548397 - 1.193040j, 0.960227 + 1.049305j, -0.214281 - 0.3182
                   0.776116 - 0.060948j, 1.135441 - 1.060996j]
 
 # (spectrum, seed, selector, steps, sample_every): grids of 11 to 1001 kept
-# times, so from one chunk of 64 to sixteen
+# times, so from one tracker chunk of 64 to sixteen
 _FLOWS = {
     "n3-coarse": (_SPECTRA[3], 3, (2, 1), 100, 10),
     "n4-fine": (_SPECTRA[4], 4, (3, 2), 150, 1),
@@ -560,29 +597,9 @@ def test_stacked_tracker_matches_the_sample_loop(case):
     assert np.max(np.abs(taus[0] - tower_taus)) <= 1e-12
 
 
-@pytest.mark.parametrize("step_idx", [100, 130, 640])
-def test_injected_regularity_loss_reports_the_oracle_time(monkeypatch, step_idx):
-    # one checked grid point loses regularity: mid-chunk (kept index 100 is
-    # the 37th of the second chunk), just past a chunk boundary, and late
-    pt = sample_orbit(_SPECTRA[4], seed=4)
-    target = _flow_loop(pt, (3, 2), sample_every=1)[1][step_idx]
-
-    def margin(u):
-        hit = np.all(np.abs(u - target) <= 1e-12 * np.max(np.abs(target)), axis=(-2, -1))
-        return np.where(hit, 0.0, regularity_margin(u))
-
-    monkeypatch.setattr(tower, "regularity_margin", margin)
-    for every in (1, 25):
-        want = _outcome(lambda: _flow_loop(pt, (3, 2), sample_every=every))
-        got = _outcome(lambda: hamiltonian_flow(pt, (3, 2), sample_every=every))
-        t = step_idx / 1000
-        assert want == got == ("regularity", (t, f"regularity lost at t = {t}"))
-
-
-@pytest.mark.parametrize("t_final, steps, every", [(1e4, 1000, 25), (1e4, 1000, 1), (10.0, 1, 1)])
+@pytest.mark.parametrize("t_final, steps, every", [(1e4, 1000, 25), (1e4, 1000, 1)])
 def test_regularity_loss_out_of_range_reports_the_oracle_time(t_final, steps, every):
-    # u(t) overflows, or (t = 10, h[4,3]) its minors do: the first failing
-    # checked or sampled time, over grids of one to sixteen chunks
+    # u(t) overflows: the first failing kept time, on grids of 41 and 1001
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
     want = _outcome(lambda: _flow_loop(pt, (4, 3), t_final, steps, sample_every=every))
     got = _outcome(lambda: hamiltonian_flow(pt, (4, 3), t_final, steps, sample_every=every))
@@ -638,11 +655,10 @@ def test_continued_angles_stay_on_the_line(case):
     assert _line_error(pt, (4, 3), records) <= 1e-8
 
 
-def test_tracker_raises_the_oracle_error_at_an_overflowing_sample(monkeypatch):
+def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
     # 100 samples 0.001 apart, the 81st (17th of the tracker's second chunk)
     # replaced by u(10), whose minors overflow: the tracker fails there, at
     # the oracle's time, after the 80 samples before it pass
-    monkeypatch.setattr(tower, "regularity_margin", lambda u: np.full(np.shape(u)[:-2], np.inf))
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=2)
     times, points = _flow_loop(pt, (4, 3), steps=1000, sample_every=1)
     times, points = times[:100].copy(), points[:100]
