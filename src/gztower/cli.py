@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-quantum", help="quantum centrality and commutativity")
     common(p)
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the N<=5 cost guard")
+                   help="lift the N<=6 cost guard")
     p.add_argument("--trials", type=int, default=12,
                    help="random polynomials for the operator realization check")
 

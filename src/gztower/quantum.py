@@ -277,20 +277,23 @@ def _nested_qdets(n: int, convention: str) -> list[tuple[int, int, NCPoly]]:
     return dets
 
 
-def _family(n: int, dets: list[tuple[int, int, NCPoly]]) -> list[tuple[str, NCPoly]]:
-    gens: list[tuple[str, NCPoly]] = []
-    for k, copy, det in dets:
-        label = f"{'I' if k == n else 'LR'[copy]}[k={k}]"
-        for lp, coeff in det.lambda_coefficients().items():
-            if coeff.is_zero() or coeff.is_constant():
-                continue
-            gens.append((f"{label} lam^{lp}", coeff))
-    return gens
+_Member = tuple[int, int, int, NCPoly]    # (k, copy, lam power, coefficient)
+
+
+def _members(dets: list[tuple[int, int, NCPoly]]) -> list[_Member]:
+    """Every nonconstant lam-coefficient of the determinants, in order."""
+    return [(k, copy, lp, coeff) for k, copy, det in dets
+            for lp, coeff in det.lambda_coefficients().items() if not coeff.is_constant()]
+
+
+def _family(n: int, members: list[_Member]) -> list[tuple[str, NCPoly]]:
+    return [(f"{'I' if k == n else 'LR'[copy]}[k={k}] lam^{lp}", coeff)
+            for k, copy, lp, coeff in members]
 
 
 def quantum_family(n: int, convention: str = "nested") -> list[tuple[str, NCPoly]]:
     """Nonconstant lam-coefficients of the nested quantum determinants."""
-    return _family(n, _nested_qdets(n, convention))
+    return _family(n, _members(_nested_qdets(n, convention)))
 
 
 @dataclass
@@ -315,23 +318,97 @@ class QuantumReport:
         }
 
 
-def _centrality(n: int, dets: list[tuple[int, int, NCPoly]]) -> tuple[int, dict | None]:
+class _CommutatorTable:
+    """Commutators [a, y] of members a with letters y, and [a, b] from them.
+
+    Each member has a row, letter code -> [a, y]; the centrality pass fills
+    the letters of a's own gl_k, and any other letter is computed with
+    ``NCPoly.commutator`` on first use and kept.  Rows are keyed by the
+    member's id and hold the member, so the id stays valid.
+    """
+
+    def __init__(self):
+        self._rows: dict[int, tuple[NCPoly, frozenset[int], dict[int, NCPoly]]] = {}
+
+    def _entry(self, a: NCPoly) -> tuple[NCPoly, frozenset[int], dict[int, NCPoly]]:
+        entry = self._rows.get(id(a))
+        if entry is None:
+            letters = frozenset(y for _, w in a._num for y in w)
+            entry = self._rows[id(a)] = (a, letters, {})
+        return entry
+
+    def row(self, a: NCPoly) -> dict[int, NCPoly]:
+        return self._entry(a)[2]
+
+    def letters(self, a: NCPoly) -> frozenset[int]:
+        return self._entry(a)[1]
+
+    def commutator(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """[a, b] by the Leibniz rule, expanding b if its letters are in a's row.
+
+        Otherwise a is expanded in b's row and the result negated.  The PBW
+        normal form is unique, so this is the same element, in the same
+        lowest terms, as ``a.commutator(b)``.
+        """
+        if self.letters(b) <= self.row(a).keys():
+            return self._leibniz(a, b)
+        return -self._leibniz(b, a)
+
+    def _leibniz(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """sum over b's terms c*y1..ym of c * sum_i y1..y(i-1) [a, y_i] y(i+1)..ym.
+
+        Only a nonzero [a, y] costs a PBW product.
+        """
+        n = a.n
+        row = self.row(a)
+        nonzero = {}
+        for y in self.letters(b):
+            d = row.get(y)
+            if d is None:
+                d = row[y] = a.commutator(NCPoly._make(n, {(0, (y,)): 1}, 1))
+            if d._num:
+                nonzero[y] = d
+        if not nonzero:
+            return NCPoly._make(n, {}, 1)
+        den = lcm(*(d._den for d in nonzero.values()))
+        out: dict[tuple[int, tuple[int, ...]], int] = {}
+        get = out.get
+        for (lp, w), c in b._num.items():
+            for i, y in enumerate(w):
+                d = nonzero.get(y)
+                if d is None:
+                    continue
+                scale = c * (den // d._den)
+                pre, post = w[:i], w[i + 1:]
+                for (ld, wd), cd in d._num.items():
+                    for u, e in _word_product(pre, wd):
+                        for v, f in _word_product(u, post):
+                            key = (lp + ld, v)
+                            out[key] = get(key, 0) + scale * cd * e * f
+        return NCPoly._make(n, out, b._den * den)
+
+
+def _centrality(n: int, members: list[_Member]) -> tuple[int, dict | None, _CommutatorTable]:
+    """[c, E_ij] for each member c and each letter of its own gl_k.
+
+    Returns the number of checks, the first nonzero commutator as a witness
+    (or None) and the table that holds every commutator computed.
+    """
     checks = 0
     witness = None
-    for k, copy, det in dets:
-        for lp, coeff in det.lambda_coefficients().items():
-            if coeff.is_constant():
-                continue
-            for i in range(1, k + 1):
-                for j in range(1, k + 1):
-                    res = coeff.commutator(NCPoly.e(n, i, j, copy))
-                    checks += 1
-                    if not res.is_zero() and witness is None:
-                        witness = {
-                            "labels": [f"qdet k={k} lam^{lp}", f"E[{i},{j}]"],
-                            "terms": res.term_list(),
-                        }
-    return checks, witness
+    table = _CommutatorTable()
+    for k, copy, lp, coeff in members:
+        row = table.row(coeff)
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                res = row[_code(copy, i, j)] = coeff.commutator(NCPoly.e(n, i, j, copy))
+                checks += 1
+                if not res.is_zero() and witness is None:
+                    witness = {
+                        "labels": [f"qdet k={k} lam^{lp}", f"E[{i},{j}]"],
+                        "terms": res.term_list(),
+                    }
+    return checks, witness, table
 
 
 def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
@@ -340,17 +417,19 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
     The rho convention is decided by an automated sweep: 'nested' is tried
     first and 'ambient' is the fallback; the convention that passes the
     centrality checks is recorded and used for the family.  Each quantum
-    determinant is built once per convention tried.
+    determinant is built once per convention tried.  Every pair is then
+    evaluated exactly, by the Leibniz rule on the commutators the
+    centrality pass computed.
     """
-    if n > 5 and not allow_large:
+    if n > 6 and not allow_large:
         raise SizeGuardError(
             f"N={n} PBW verification is expensive; pass allow_large to proceed")
     convention = None
     checks = 0
     witness = None
     for candidate in ("nested", "ambient"):
-        dets = _nested_qdets(n, candidate)
-        checks, witness = _centrality(n, dets)
+        members = _members(_nested_qdets(n, candidate))
+        checks, witness, table = _centrality(n, members)
         if witness is None:
             convention = candidate
             break
@@ -358,7 +437,7 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
         return QuantumReport(n=n, convention="none", centrality_checks=checks,
                              pairs_checked=0, max_nonzero_terms=0,
                              status="violation", witness=witness)
-    pairs, worst, pair_witness = scan_pairs(_family(n, dets), NCPoly.commutator)
+    pairs, worst, pair_witness = scan_pairs(_family(n, members), table.commutator)
     return QuantumReport(
         n=n, convention=convention, centrality_checks=checks,
         pairs_checked=pairs, max_nonzero_terms=worst,

@@ -167,8 +167,15 @@ def angle_variables(gamma_n, e_points, gamma_prev, lam0: complex,
     where the literal double sum is empty.  tau_literal has no shift.
     """
     gamma = np.asarray(gamma_n, dtype=complex)
-    literal = (_tau_sums(path_log_increments(lam0, e_points, gamma), gamma)
-               - _tau_sums(path_log_increments(lam0, gamma_prev, gamma), gamma))
+    return _level_angles(_tau_sums(path_log_increments(lam0, e_points, gamma), gamma),
+                         _tau_sums(path_log_increments(lam0, gamma_prev, gamma), gamma),
+                         leading_coeff)
+
+
+def _level_angles(e_sums: np.ndarray, prev_sums: np.ndarray,
+                  leading_coeff: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, tau_literal) from the _tau_sums of the e-points and previous roots."""
+    literal = e_sums - prev_sums
     tau = literal.copy()
     tau[0] += np.log(complex(leading_coeff))
     return tau, literal
@@ -258,8 +265,14 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
             if abs(lead) < 1e-10:
                 raise TowerError(f"level {n}: lowering minor degenerates")
-            tau, tau_lit = (t.tolist() for t in angle_variables(
-                gamma, e_pts, lv.gamma[n - 2] if n >= 2 else [], lam0, lead))
+            e_sums = _tau_sums(path_log_increments(lam0, e_pts, gamma), gamma)
+        if n < N or n >= 2:
+            # the integrals of lam^(n-k) / A_n to the previous level's roots,
+            # for both the angles and the zero section
+            prev_sums = _tau_sums(path_log_increments(
+                lam0, lv.gamma[n - 2] if n >= 2 else [], gamma), gamma)
+        if n < N:
+            tau, tau_lit = (t.tolist() for t in _level_angles(e_sums, prev_sums, lead))
         else:
             e_pts, lead, tau, tau_lit = np.zeros(0, dtype=complex), None, [], []
         levels.append(TowerLevel(
@@ -268,8 +281,7 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             leading_coeff=lead, jacobian=[complex(np.exp(t)) for t in tau]))
         if n >= 2:
             # the integrals of lam^p / A_n, p = 0..n-1, in power order
-            logs = path_log_increments(lam0, lv.gamma[n - 2], gamma)
-            zero_section[n] = _tau_sums(logs, gamma)[::-1].tolist()
+            zero_section[n] = prev_sums[::-1].tolist()
     return TowerDescriptor(levels=levels, zero_section=zero_section,
                            convention=convention.label(), base_point=lam0)
 

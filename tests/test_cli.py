@@ -70,7 +70,7 @@ def test_quantum_ok_and_convention(capsys):
 
 
 def test_quantum_size_guard(capsys):
-    code, _, err = run_cli(capsys, "verify-quantum", "--n", "6")
+    code, _, err = run_cli(capsys, "verify-quantum", "--n", "7")
     assert code == 2
     assert "configuration error" in err
 

@@ -91,8 +91,8 @@ def test_a_public_name_loads_only_its_home_layers():
 
 
 @pytest.mark.parametrize("argv, code, err", [
-    (["verify-quantum", "--n", "6"], 2,
-     "configuration error: N=6 PBW verification is expensive; pass allow_large to proceed\n"),
+    (["verify-quantum", "--n", "7"], 2,
+     "configuration error: N=7 PBW verification is expensive; pass allow_large to proceed\n"),
     (["orbit", "--n", "3", "--spectrum=1,2,1e300"], 2,
      "configuration error: spectrum too large: the characteristic minors of u "
      "leave floating-point range\n"),

@@ -278,11 +278,17 @@ def test_verify_quantum_n4_needs_no_flag():
     assert (rep.pairs_checked, rep.centrality_checks) == (120, 136)
 
 
+def test_verify_quantum_n5():
+    rep = verify_quantum_commutes(5)
+    assert (rep.status, rep.convention) == ("ok", "nested")
+    assert (rep.pairs_checked, rep.centrality_checks) == (300, 325)
+
+
 def test_ambient_rho_convention_also_central():
     # the ambient restriction differs from the nested shifts by a global
     # shift of lam, so centrality holds for it as well
-    from gztower.quantum import _centrality, _nested_qdets
-    checks, witness = _centrality(2, _nested_qdets(2, "ambient"))
+    from gztower.quantum import _centrality, _members, _nested_qdets
+    checks, witness, _ = _centrality(2, _members(_nested_qdets(2, "ambient")))
     assert witness is None and checks > 0
 
 
@@ -314,9 +320,64 @@ def test_unshifted_determinants_are_not_central(monkeypatch):
                            "terms": [["1", "EL[1,2]"]]}
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
+    def no_qdet(*args):
+        raise AssertionError("a quantum determinant was built before the guard")
+
+    monkeypatch.setattr(quantum, "qdet", no_qdet)
     with pytest.raises(SizeGuardError):
-        verify_quantum_commutes(6)
+        verify_quantum_commutes(7)
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz pair scan against the product-form commutator
+# ---------------------------------------------------------------------------
+
+def _scan_table(n, members):
+    from gztower.quantum import _centrality
+    return _centrality(n, members)[2]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("convention", ["nested", "ambient", "unshifted"])
+def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
+    from gztower.quantum import _members, _nested_qdets
+    if convention == "unshifted":
+        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
+    members = _members(_nested_qdets(n, "nested" if convention == "unshifted" else convention))
+    table = _scan_table(n, members)
+    nonzero = 0
+    for (_, _, _, a), (_, _, _, b) in itertools.combinations(members, 2):
+        res = table.commutator(a, b)
+        assert res.term_list() == a.commutator(b).term_list()
+        nonzero += not res.is_zero()
+    # unshifted, 1 pair fails at N=3 and 9 at N=4
+    assert nonzero == ({2: 0, 3: 1, 4: 9}[n] if convention == "unshifted" else 0)
+
+
+@pytest.mark.parametrize("at_front", [True, False])
+def test_leibniz_scan_reports_a_broken_family_like_the_product_form(at_front):
+    # the nested family plus E_L[1,2], which commutes with few members
+    from gztower.poisson import scan_pairs
+    from gztower.quantum import _family, _members, _nested_qdets
+    n = 3
+    members = _members(_nested_qdets(n, "nested"))
+    extra = (2, LEFT, 0, E(1, 2, n=n))
+    members = [extra] + members if at_front else members + [extra]
+    family = _family(n, members)
+    leibniz = scan_pairs(family, _scan_table(n, members).commutator)
+    assert leibniz == scan_pairs(family, NCPoly.commutator)
+    assert leibniz[2] is not None and leibniz[1] > 0
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_leibniz_commutator_of_random_elements(data):
+    # no centrality rows: every [a, y] is computed on first use
+    from gztower.quantum import _CommutatorTable
+    n = data.draw(st.sampled_from([2, 3]))
+    a, b = Q(n, data.draw(oracle_elements(n))), Q(n, data.draw(oracle_elements(n)))
+    assert _CommutatorTable().commutator(a, b) == a.commutator(b)
 
 
 def test_classical_limit_top_degree():

@@ -218,6 +218,22 @@ def test_tower_n3_structure():
         assert all(np.isfinite([z.real, z.imag]).all() for z in section)
 
 
+def test_tower_takes_each_path_log_once(monkeypatch):
+    # below the top level: the e-points and the previous roots; at the top:
+    # the previous roots, which the zero section shares with the angles
+    pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5 - 1.0j, -1.5 + 1.0j], seed=11)
+    calls = []
+    plain = tower.path_log_increments
+    monkeypatch.setattr(tower, "path_log_increments",
+                        lambda *args: calls.append(args) or plain(*args))
+    desc = build_tower(pt)
+    assert len(calls) == 2 * 4 + 1
+    for lv, prev in zip(desc.levels[:-1], [[]] + [lv.gamma for lv in desc.levels]):
+        tau, literal = angle_variables(lv.gamma, lv.e, prev, desc.base_point,
+                                       lv.leading_coeff)
+        assert (tau.tolist(), literal.tolist()) == (lv.tau, lv.tau_literal)
+
+
 @pytest.mark.parametrize("rows_variant", [True, False])
 def test_lowering_minor_has_one_coefficient_per_degree(rows_variant):
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5j], seed=5)
