@@ -358,7 +358,7 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
                 t_final=max(-0.1, min(config.t_final, 0.1)),
                 tol=config.tolerances["linearization"],
                 lam0=config.lam0, reg_gap=reg_gap)
-        except (tower.TowerError, orbits.TrackingError) as exc:
+        except tower.TowerError as exc:
             report["status"] = "violation"
             report["error"] = {"kind": _error_kind(exc), "time": exc.time}
             return 1, report

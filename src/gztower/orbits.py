@@ -229,23 +229,23 @@ def _overflow_error() -> OrbitError:
                       "leave floating-point range")
 
 
-def _level_stack(us: np.ndarray, convention: MinorConvention, lowering: bool,
-                 a_roots: bool = True) -> tuple:
-    """The level-data kernel: every minor and its roots at every point of a
-    stack us (B, N, N), from one minor_dets and one polished_roots call.
-
-    Returns (coeffs, roots, finite): for each minor of _level_minors its
-    coefficients (B, d+1), C_n times the convention's sign, and its roots
-    (B, d), unsorted, NaN where an exact leading zero drops one; finite[b]
-    is False when a minor of point b leaves floating-point range, and then
-    all its coefficients and roots are NaN.  Without a_roots the roots
-    skip the A_n and start at C_1.
-    """
+def _level_coeffs(us: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
+    """Every minor of _level_minors at every point of a stack us (B, N, N),
+    from one minor_dets call: (coeffs, finite), each minor's coefficients
+    (B, d+1), C_n times the convention's sign; finite[b] is False when a
+    minor of point b leaves floating-point range, and then all are NaN."""
     N = us.shape[-1]
     coeffs = minor_dets(us, _level_minors(N, convention.rows_variant, lowering))
-    roots = polished_roots([c.T for c in (coeffs if a_roots else coeffs[N:])])
     coeffs[N:] = [convention.sign * c for c in coeffs[N:]]
-    return coeffs, roots, ~np.isnan(coeffs[0][:, 0])
+    return coeffs, ~np.isnan(coeffs[0][:, 0])
+
+
+def _level_stack(us: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
+    """The level-data kernel: (coeffs, roots, finite), _level_coeffs and the
+    roots (B, d) of every minor from one polished_roots call, unsorted, NaN
+    where an exact leading zero drops one or the point's minors overflow."""
+    coeffs, finite = _level_coeffs(us, convention, lowering)
+    return coeffs, polished_roots([c.T for c in coeffs]), finite
 
 
 def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,

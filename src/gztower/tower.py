@@ -27,7 +27,7 @@ block, so it commutes with u_n; u_n and X therefore stay fixed and the flow
 is exactly u(t) = exp(tX) u exp(-tX) (Kostant-Wallach).  The conjugate tau
 moves with unit speed while every action and the spectrum stay fixed.  So
 do the punctures, and along a flow the angles are continued from their
-straight-path values at t = 0 by the logs of e-point and lead C_n ratios.
+straight-path values at t = 0 by the logs of C_n ratios at the punctures.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from .orbits import (
     OrbitError,
     OrbitPoint,
     _kk,
-    _level_stack,
+    _level_coeffs,
     chart_derivatives,
     level_data,
     regularity_margin,
 )
-from .polytools import TrackingError, match_points, principal_charpoly
+from .polytools import principal_charpoly
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
@@ -65,7 +65,7 @@ class TowerError(RuntimeError):
 
 
 class PathThroughPunctureError(TowerError):
-    """An integration endpoint or path hits a puncture (row: path_log_increments)."""
+    """A path endpoint (row: path_log_increments) or a flow's e-point hits a puncture."""
 
     def __init__(self, message: str = "", row: int = 0):
         super().__init__(message)
@@ -77,7 +77,7 @@ class CoincidentPuncturesError(TowerError, ValueError):
 
 
 class BranchJumpError(TowerError):
-    """A ratio of e-points or of lead C_n turned by more than pi/2 between samples."""
+    """A C_n(gamma_j) ratio turned by more than pi/2 between the samples of a flow."""
 
 
 class RegularityLostError(TowerError):
@@ -114,7 +114,7 @@ def differentials(punctures) -> np.ndarray:
 # straight-path elementary integrals
 # ---------------------------------------------------------------------------
 
-# Closest approach of an integration endpoint or a divisor point to a puncture.
+# Closest approach of a straight-path endpoint to a puncture; flows do without it.
 _PUNCTURE_FLOOR = 1e-8
 
 
@@ -143,10 +143,11 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
 def _tau_sums(logs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """The residue-weighted sums of path-log increments, in tau order.
 
-    logs (..., endpoints, punctures) are increments of log(lam - gamma_j)
-    from path_log_increments; the result (..., n) holds, for k = 1..n, the
-    sum over endpoints and punctures j of res_j(lam^(n-k) / A_n) times the
-    increment: the integrals of lam^(n-k) / A_n that tau[n,k] takes.
+    logs (..., endpoints, punctures) are increments of log(lam - gamma_j),
+    or of log C_n(gamma_j) along a flow; the result (..., n) holds, for
+    k = 1..n, the sum over endpoints and punctures j of res_j(lam^(n-k) /
+    A_n) times the increment: the integrals of lam^(n-k) / A_n that
+    tau[n,k] takes.
     """
     return (logs.sum(axis=-2) @ differentials(gamma))[..., ::-1]
 
@@ -325,11 +326,6 @@ class FlowResult:
     points: list[np.ndarray]
 
 
-# Tracked samples are evaluated in stacks of at most this many points, so
-# memory stays bounded on a long trajectory.
-_CHUNK = 64
-
-
 def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
                      t_final: float = 1.0, steps: int = 1000,
                      reg_gap: float = 1e-6, sample_every: int = 1) -> FlowResult:
@@ -375,11 +371,12 @@ class _TauTracker:
 
     It starts from build_tower at pt, which fixes the punctures of every
     level (each A_n is conserved along a GZ flow) and the angles at t = 0.
-    Each sample of ``step``, the first being pt itself, matches the e-points
-    to the sample before and adds the residue-weighted logs of the ratios
-    (e_new - gamma)/(e_old - gamma), and to tau[n,1] the log of the lead C_n
-    ratio.  ``step`` takes _CHUNK samples per level-data kernel call, and per
-    level one match_points and one path_log_increments call.
+    prod_e (gamma_j - e) = C_n(gamma_j) / lead C_n, and the residues of
+    lam^(n-1) / A_n sum to one, so the e-point and lead logs of tau[n,k] move
+    as sum_j res_j(lam^(n-k) / A_n) log C_n(gamma_j).  Each sample of
+    ``step``, the first being pt itself, adds the _tau_sums of the logs of
+    the C_n(gamma_j) ratios to the sample before: Horner's rule on the C_n
+    of one _level_coeffs call for all samples, which also gives h.
     """
 
     def __init__(self, pt: OrbitPoint, convention: MinorConvention, lam0: complex | None):
@@ -393,9 +390,22 @@ class _TauTracker:
         self.keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
         self.h_keys = [(n, k) for n in range(1, N + 1) for k in range(1, n + 1)]
         self.gamma = [lv.gamma for lv in levels]
-        self.e = [lv.e for lv in levels]
-        self.lead = [lv.leading_coeff for lv in levels]
         self.tau = np.array([t for lv in levels for t in lv.tau], dtype=complex)
+        self.c = [v[0] for v in self._punctured(pt.u[None])[1]]
+
+    def _punctured(self, us: np.ndarray) -> tuple:
+        """(coeffs, values, finite) at the samples us: every level minor,
+        C_n(gamma[n,j]) (B, n) per level, and whether all are finite."""
+        coeffs, finite = _level_coeffs(us, self.convention, lowering=True)
+        values = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gamma, c in zip(self.gamma, coeffs[self.N:]):
+                v = np.zeros((len(us), len(gamma)), dtype=complex)
+                for col in c.T:
+                    v = v * gamma + col[:, None]
+                finite &= np.isfinite(v).all(axis=1)
+                values.append(v)
+        return coeffs, values, finite
 
     def step(self, us, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance through the samples us (B, N, N), or one u, at times ts.
@@ -403,47 +413,31 @@ class _TauTracker:
         Returns the tau values (B, len(keys)), the h values (B, len(h_keys))
         and the branch flags (B, N-1): some tau of that level moved by more
         than pi/2 since the sample before.  Raises the error of the first
-        failing sample, with that sample's time.
+        failing sample, with that sample's time.  Per sample the checks run
+        in this order: lost regularity, then level by level a C_n that
+        vanishes at a puncture and a C_n ratio turned by more than pi/2.
         """
-        us = np.asarray(us, dtype=complex).reshape(-1, self.N, self.N)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        parts = [self._advance(us[i:i + _CHUNK], ts[i:i + _CHUNK])
-                 for i in range(0, len(us), _CHUNK)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    def _advance(self, us: np.ndarray, ts: np.ndarray) -> tuple:
-        """step on one chunk.  Per sample the checks run in this order: lost
-        regularity, a changed root count, then level by level an e-point on
-        a puncture and a ratio turned by more than pi/2."""
         N = self.N
-        # the punctures are fixed and each A_n is monic, so only the C_n need roots
-        coeffs, raw, finite = _level_stack(us, self.convention, lowering=True, a_roots=False)
-        tracked = finite & ~np.any([np.isnan(r).any(axis=1) for r in raw], axis=0)
-        limit = len(us) if tracked.all() else int(np.argmin(tracked))
-        error = None if limit == len(us) else (
-            RegularityLostError(float(ts[limit])) if not finite[limit]
-            else TrackingError("point counts differ between configurations"))
-        es, incs = [], [np.zeros((limit, 0), dtype=complex)]
+        us = np.asarray(us, dtype=complex).reshape(-1, N, N)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        coeffs, values, finite = self._punctured(us)
+        limit = len(us) if finite.all() else int(np.argmin(finite))
+        error = None if finite.all() else RegularityLostError(float(ts[limit]))
+        incs = [np.zeros((limit, 0), dtype=complex)]
         for n in range(1, N):
-            gamma, lead = self.gamma[n - 1], coeffs[N + n - 1][:limit, 0]
-            e = match_points(self.e[n - 1], raw[n - 1][:limit])
-            prev = np.concatenate((self.e[n - 1][None], e[:-1]))
-            try:
-                logs = path_log_increments(prev, e, gamma)
-            except PathThroughPunctureError as exc:     # the rows before it still count
-                limit, error = exc.row, exc
-                prev, e, lead = prev[:limit], e[:limit], lead[:limit]
-                logs = path_log_increments(prev, e, gamma)
-            lead_log = np.log(lead / np.concatenate(([self.lead[n - 1]], lead[:-1])))
-            turn = np.maximum(np.abs(logs.imag).max(axis=(1, 2), initial=0.0),
-                              np.abs(lead_log.imag))
+            gamma, v = self.gamma[n - 1], values[n - 1][:limit]
+            zero = v == 0
+            if zero.any():              # an e-point on a puncture
+                limit, j = np.argwhere(zero)[0]
+                error = PathThroughPunctureError(
+                    f"level {n}: C_{n} vanishes at puncture {j + 1}, {gamma[j]:.6g}")
+                v = v[:limit]
+            logs = np.log(v / np.concatenate((self.c[n - 1][None], v[:-1])))
+            turn = np.abs(logs.imag).max(axis=1, initial=0.0)
             if (turn > np.pi / 2).any():
                 limit = int(np.argmax(turn > np.pi / 2))
                 error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad")
-            inc = _tau_sums(logs, gamma)
-            inc[:, 0] += lead_log
-            es.append(e)
-            incs.append(inc)
+            incs.append(_tau_sums(logs[:, None], gamma))
         if error is not None:
             error.time = float(ts[limit])
             raise error
@@ -455,8 +449,7 @@ class _TauTracker:
         flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
             moved[:, n * (n - 1) // 2:n * (n + 1) // 2].any(axis=1, keepdims=True)
             for n in range(1, N))], axis=1)
-        self.e = [e[-1] for e in es]
-        self.lead = [c[-1, 0] for c in coeffs[N:]]
+        self.c = [v[-1] for v in values]
         self.tau = taus[-1]
         return taus, hs, flags
 

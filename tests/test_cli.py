@@ -256,37 +256,34 @@ def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, m
 
 
 def _tracker_fault(level, fault):
-    """The tracker's level-data kernel with fault(coeffs, roots, N, level)
-    applied to sample 10 of its first stack (t = 0.2 on a 100-step grid),
-    on the roots of every minor, before the A_n roots are left out."""
-    kernel = tower._level_stack
+    """The tracker's level minors with fault(coeffs, us, N, level) applied
+    to sample 10 of its stack (t = 0.2 on a 100-step grid)."""
+    kernel = tower._level_coeffs
 
-    def patched(us, convention, lowering, a_roots=True):
-        coeffs, roots, finite = kernel(us, convention, lowering)
-        N = us.shape[-1]
+    def patched(us, convention, lowering):
+        coeffs, finite = kernel(us, convention, lowering)
         if len(us) > 10:
-            fault(coeffs, roots, N, level)
-        return coeffs, roots if a_roots else roots[N:], finite
+            fault(coeffs, us, us.shape[-1], level)
+        return coeffs, finite
     return patched
 
 
-def _drop_a_root(coeffs, roots, N, n):
-    roots[N + n - 1][10, -1] = float("nan")
+def _e_point_on_a_puncture(coeffs, us, N, n):
+    # C_n = lam^(n-2) (lam - g), g the last puncture of level n at u(0):
+    # Horner's rule gives C_n(g) = 0 exactly
+    g = orbits.level_data(us[0]).gamma[n - 1][-1]
+    coeffs[N + n - 1][10] = 0.0
+    coeffs[N + n - 1][10, :2] = 1.0, -g
 
 
-def _e_point_on_a_puncture(coeffs, roots, N, n):
-    roots[N + n - 1][10, 0] = roots[n - 1][10, 0]
-
-
-def _turn_the_lead(coeffs, roots, N, n):
+def _turn_the_lead(coeffs, us, N, n):
     coeffs[N + n - 1][10] *= complex(math.cos(2.0), math.sin(2.0))
 
 
-@pytest.mark.parametrize("fault, kind", [(_drop_a_root, "tracking"),
-                                         (_e_point_on_a_puncture, "path-through-puncture"),
+@pytest.mark.parametrize("fault, kind", [(_e_point_on_a_puncture, "path-through-puncture"),
                                          (_turn_the_lead, "branch-jump")])
 def test_flow_tracker_errors_are_violation_reports(tmp_path, monkeypatch, capsys, fault, kind):
-    monkeypatch.setattr(tower, "_level_stack", _tracker_fault(2, fault))
+    monkeypatch.setattr(tower, "_level_coeffs", _tracker_fault(2, fault))
     code, out, err = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
                              "--hamiltonian", "2,1", "--steps", "100",
                              "--trajectory", str(tmp_path / "t.jsonl"))
@@ -297,6 +294,34 @@ def test_flow_tracker_errors_are_violation_reports(tmp_path, monkeypatch, capsys
     assert report["error"] == {"kind": kind, "time": 0.2}
     assert "linearization" not in report and "samples" not in report
     assert not (tmp_path / "t.jsonl").exists()
+
+
+# geometry flow5 inputs (benchmarks/gen.py): seed 10 pass 3, whose level-4
+# e-point converges to a puncture, 8e-9 away at t = 0.9, and seed 7 pass 1,
+# whose |u(t)| grows to 2.9e34 by t = 1
+_SEED10_PASS3 = ["--spectrum=-0.750413-1.440375j,-0.218231-0.328746j,0.871540+1.185906j,"
+                 "0.094805-0.805339j,-1.460888-0.166944j", "--seed", "1344158867"]
+_SEED7_PASS1 = ["--spectrum=-1.322245-0.361661j,-0.337105+1.436244j,-0.530891+0.269975j,"
+                "-1.049401+0.315169j,0.949014+0.413990j", "--seed", "1284590501"]
+
+
+def test_flow_whose_e_point_converges_to_a_puncture_completes(capsys):
+    # the angles follow C_n at the punctures, which stays off zero: the flow
+    # completes, and its actions drift past the absolute conservation bound
+    code, out, _ = run_cli(capsys, "flow", "--n", "5", "--hamiltonian", "4,3",
+                           "--steps", "1000", *_SEED10_PASS3)
+    report = parse_report(out)
+    assert code == 1 and report["status"] == "violation"
+    assert "error" not in report and report["samples"] == 41
+    assert report["conservation"]["status"] == "violation"
+    assert report["linearization"]["status"] == "ok"
+
+
+def test_flow_whose_c_n_ratio_turns_reports_a_branch_jump(capsys):
+    code, out, _ = run_cli(capsys, "flow", "--n", "5", "--hamiltonian", "4,3",
+                           "--steps", "1000", *_SEED7_PASS1)
+    assert code == 1
+    assert parse_report(out)["error"] == {"kind": "branch-jump", "time": 0.025}
 
 
 def test_flow_bad_selector(capsys):

@@ -121,11 +121,6 @@ def test_stacked_level_data_matches_per_point_calls(N):
                 if len(ref_r):
                     scale = np.max(np.abs(ref_r))
                     assert np.max(np.abs(sort_points(r[b]) - ref_r)) <= 1e-13 * scale
-        # without the A_n roots the C_n roots are the same, bit for bit
-        c_coeffs, c_roots, c_finite = _level_stack(us, conv, lowering=True, a_roots=False)
-        assert len(c_roots) == N - 1 and (c_finite == finite).all()
-        assert all((a == b).all() for a, b in zip(c_coeffs, coeffs))
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(c_roots, roots[N:]))
 
 
 # ---------------------------------------------------------------------------

@@ -574,7 +574,7 @@ _NEAR_PUNCTURE = [0.548397 - 1.193040j, 0.960227 + 1.049305j, -0.214281 - 0.3182
                   0.776116 - 0.060948j, 1.135441 - 1.060996j]
 
 # (spectrum, seed, selector, steps, sample_every): grids of 11 to 1001 kept
-# times, so from one tracker chunk of 64 to sixteen
+# times
 _FLOWS = {
     "n3-coarse": (_SPECTRA[3], 3, (2, 1), 100, 10),
     "n4-fine": (_SPECTRA[4], 4, (3, 2), 150, 1),
@@ -637,8 +637,8 @@ _JUMPING = ([0.370469 + 0.085768j, 0.830049 - 0.121992j, 0.339010 - 1.312951j,
 
 @pytest.mark.parametrize("samples", [40, 500])
 def test_branch_jump_reports_the_oracle_key_and_magnitude(samples):
-    # 41 samples in one chunk, or 501 in eight: the flow on which straight
-    # paths jumped completes, on the oracle's values and on the line
+    # 41 samples or 501: the flow on which straight paths jumped completes,
+    # on the oracle's values and on the line
     spectrum, seed = _JUMPING
     pt = sample_orbit(spectrum, seed=seed)
     every = max(1, 1000 // samples)
@@ -671,10 +671,37 @@ def test_continued_angles_stay_on_the_line(case):
     assert _line_error(pt, (4, 3), records) <= 1e-8
 
 
+_PERIOD_FLOWS = {**_FLOWS, **{case: (spectrum, seed, (4, 3), 1000, 25)
+                              for case, (spectrum, seed) in _OFF_THE_LINE.items()}}
+
+
+@pytest.mark.parametrize("case", _PERIOD_FLOWS)
+def test_continued_angles_differ_from_straight_paths_by_periods(case):
+    # an oracle free of any continuation: at every sample the continued
+    # tau[n,k] minus build_tower's straight-path tau at u(t) is 2*pi*i times
+    # sum_j m_j res_j(lam^(n-k) / A_n), with integers m_j, plus 2*pi*i times
+    # an integer on tau[n,1]; the residues of lam^(n-1) / A_n sum to one, so
+    # that integer adds to every m_j, and the residue table solves for them
+    spectrum, seed, selector, steps, every = _PERIOD_FLOWS[case]
+    pt = sample_orbit(spectrum, seed=seed)
+    flow = hamiltonian_flow(pt, selector, steps=steps, sample_every=every)
+    taus, _, _ = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None).step(
+        flow.points, flow.times)
+    lam0 = default_base_point(pt)
+    straight = np.array([[t for lv in build_tower(OrbitPoint(u, pt.spectrum), lam0).levels
+                          for t in lv.tau] for u in flow.points])
+    periods = (taus - straight) / (2j * np.pi)
+    for lv in build_tower(pt).levels[:-1]:
+        n = lv.n
+        table = differentials(lv.gamma)[:, ::-1]        # [j, k-1]: res_j(lam^(n-k) / A_n)
+        m = np.linalg.solve(table.T, periods[:, n * (n - 1) // 2:n * (n + 1) // 2].T)
+        assert np.max(np.abs(m - np.round(m))) <= 1e-6
+
+
 def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
-    # 100 samples 0.001 apart, the 81st (17th of the tracker's second chunk)
-    # replaced by u(10), whose minors overflow: the tracker fails there, at
-    # the oracle's time, after the 80 samples before it pass
+    # 100 samples 0.001 apart, the 81st replaced by u(10), whose minors
+    # overflow: the tracker fails there, at the oracle's time, after the 80
+    # samples before it pass
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=2)
     times, points = _flow_loop(pt, (4, 3), steps=1000, sample_every=1)
     times, points = times[:100].copy(), points[:100]
@@ -688,48 +715,43 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
     assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
 
 
-def _faulty_level_stack(faults):
-    """The level-data kernel with faults injected at given points u, each
-    (kind, level n, u): 'jump' turns C_n by 2 rad; 'drop' loses a root of
-    C_n; 'through' moves an e-point of level n onto a puncture; 'coincide'
-    makes two punctures of level n equal."""
-    kernel = orbits._level_stack
+def _faulty_level_coeffs(faults, gamma):
+    """The level minors with faults injected at given points u, each (kind,
+    level n, u): 'jump' turns C_n by 2 rad; 'through' makes C_n
+    lam^(n-2) (lam - g) for the last puncture g of level n in gamma, whose
+    value at g Horner's rule gives as an exact zero (n >= 2); 'overflow'
+    makes every minor non-finite, as minor_dets does."""
+    kernel = orbits._level_coeffs
 
-    def patched(us, convention, lowering, a_roots=True):
-        coeffs, roots, finite = kernel(us, convention, lowering)
+    def patched(us, convention, lowering):
+        coeffs, finite = kernel(us, convention, lowering)
         N = us.shape[-1]
         for kind, n, u in faults:
             hit = np.all(us == u, axis=(1, 2))
             if kind == "jump":
                 coeffs[N + n - 1][hit] *= np.exp(2j)
-            elif kind == "drop":
-                roots[N + n - 1][hit, -1] = np.nan
             elif kind == "through":
-                roots[N + n - 1][hit, 0] = roots[n - 1][hit, 0]
+                coeffs[N + n - 1][hit] = 0.0
+                coeffs[N + n - 1][hit, :2] = 1.0, -gamma[n - 1][-1]
             else:
-                roots[n - 1][hit, 1] = roots[n - 1][hit, 0]
-        return coeffs, roots if a_roots else roots[N:], finite
+                for c in coeffs:
+                    c[hit] = np.nan
+                finite[hit] = False
+        return coeffs, finite
     return patched
 
 
 # (kind, level, sample) faults among the first 81 samples of a flow, and the
 # error they give: the first failing sample decides, and within a sample the
-# per-sample order does (root counts, then level by level an e-point on a
-# puncture and a turned ratio).  The tracker's first chunk is 0-63.  The
-# punctures are read once, at sample 0, so a later 'coincide' is inert.
+# per-sample order does (lost regularity, then level by level a C_n that
+# vanishes at a puncture and a turned ratio).
 _FAULTS = {
-    "jump-before-drop": ([("jump", 2, 5), ("drop", 3, 10)], "BranchJumpError"),
-    "drop-before-jump": ([("drop", 3, 70), ("jump", 2, 75)], "TrackingError"),
     "through-before-jump": ([("through", 4, 30), ("jump", 1, 40)], "PathThroughPunctureError"),
-    "jump-before-coincide": ([("jump", 3, 66), ("coincide", 3, 80)], "BranchJumpError"),
-    "through-before-coincide": ([("coincide", 2, 45), ("through", 2, 45)],
-                                "PathThroughPunctureError"),
-    "drop-before-coincide": ([("coincide", 2, 20), ("drop", 4, 20)], "TrackingError"),
-    "jump-at-the-boundary": ([("jump", 4, 64), ("through", 3, 65)], "BranchJumpError"),
-    "through-at-the-boundary": ([("through", 2, 64), ("jump", 3, 64)],
-                                "PathThroughPunctureError"),
     "jump-after-through": ([("through", 3, 50), ("jump", 3, 40)], "BranchJumpError"),
-    "through-at-the-start": ([("through", 4, 0), ("drop", 3, 1)], "PathThroughPunctureError"),
+    "through-at-the-start": ([("through", 4, 0), ("jump", 3, 1)], "PathThroughPunctureError"),
+    "through-below-jump": ([("jump", 3, 45), ("through", 2, 45)], "PathThroughPunctureError"),
+    "jump-below-through": ([("through", 4, 45), ("jump", 2, 45)], "BranchJumpError"),
+    "overflow-before-jump": ([("jump", 1, 20), ("overflow", 1, 20)], "RegularityLostError"),
 }
 
 
@@ -739,9 +761,10 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=2)
     times, points = _flow_loop(pt, (4, 3), steps=1000, sample_every=1)
     times, points = times[:81], points[:81]
-    patched = _faulty_level_stack([(fault, n, points[s]) for fault, n, s in faults])
-    monkeypatch.setattr(orbits, "_level_stack", patched)
-    monkeypatch.setattr(tower, "_level_stack", patched)
+    gamma = [lv.gamma for lv in build_tower(pt).levels]
+    patched = _faulty_level_coeffs([(fault, n, points[s]) for fault, n, s in faults], gamma)
+    monkeypatch.setattr(orbits, "_level_coeffs", patched)
+    monkeypatch.setattr(tower, "_level_coeffs", patched)
     lam0 = default_base_point(pt)
 
     def outcome(run):
@@ -751,15 +774,18 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
             return type(exc).__name__, str(exc), exc.time
         return "ok", "", None
 
+    # the e-point oracle fails at the same sample with the same error
     oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
     got = outcome(lambda: tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, lam0)
                   .step(points, times))
     first = min(s for _, _, s in faults)
-    assert got == want and want[0] == kind and want[2] == times[first]
+    n = min(n for _, n, s in faults if s == first)
+    assert got[::2] == want[::2] == (kind, times[first])
     if kind == "BranchJumpError":
-        n = [n for fault, n, s in faults if s == first][0]
-        assert want[1].startswith(f"level {n}: ") and "turned by 2.0" in want[1]
+        assert got[1].startswith(f"level {n}: ") and "turned by 2.0" in got[1]
+    elif kind == "PathThroughPunctureError" and first > 0:
+        assert got[1] == f"level {n}: C_{n} vanishes at puncture {n}, {gamma[n - 1][-1]:.6g}"
 
 
 def test_stacked_path_logs_match_one_row_calls():
