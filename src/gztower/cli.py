@@ -19,14 +19,18 @@ reports apart from the timestamp field.
 Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their errors into ConfigError or CheckFailed where it calls them,
-so this module imports no layer.  A flow that stops early is a violation
-report whose error gives the kind and time of the failing sample.
+so this module imports no layer.  Nor does it import numpy: verify-quantum
+runs without it, and the other subcommands load it with their layers.  A
+flow that stops early is a violation report whose error gives the kind and
+time of the failing sample.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import re
 import sys
@@ -34,8 +38,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-
-import numpy as np
 
 SCHEMA = "gz-tower/1"
 OUTPUT_DIR_ENV = "GZTOWER_OUTPUT_DIR"
@@ -79,6 +81,7 @@ def _jsonify(obj):
         return [obj.real, obj.imag]
     if isinstance(obj, Fraction):
         return str(obj)
+    import numpy as np      # loaded already wherever a numpy object exists
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -162,7 +165,7 @@ def _parse_complex(text: str, what: str) -> complex:
         value = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {text!r}") from exc
-    if not np.isfinite(value):
+    if not cmath.isfinite(value):
         raise ConfigError(f"{what} {text!r} is not finite")
     return value
 
@@ -180,7 +183,7 @@ def _at_least_one(name: str, value: int) -> int:
     return value
 
 
-def _parse_shift(text: str, n: int, rng: np.random.Generator):
+def _parse_shift(text: str, n: int, rng):
     if text == "random-rational":
         from .families import random_rational_matrix
         return random_rational_matrix(n, rng)
@@ -211,7 +214,7 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
             out[name] = float(text)
         except ValueError as exc:
             raise ConfigError(f"tolerance must be name=number, got {item!r}") from exc
-        if not (np.isfinite(out[name]) and out[name] > 0):
+        if not (math.isfinite(out[name]) and out[name] > 0):
             raise ConfigError(f"tolerance {name} must be finite and > 0, got {text!r}")
     return out
 
@@ -221,6 +224,8 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
+    import numpy as np
+
     from . import families
     from .poisson import random_canonical_point
 
@@ -319,6 +324,7 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
         report["tower"] = desc.to_json()
 
         if any(c in config.checks for c in ("residue-form", "all")):
+            import numpy as np
             rng = np.random.default_rng(config.seed + 1)
             draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
                                                + 1j * rng.standard_normal((pt.n, pt.n)))
@@ -478,7 +484,7 @@ def _config_from_args(args) -> RunConfig:
             if not (1 <= config.hamiltonian[0] <= args.n
                     and 1 <= config.hamiltonian[1] <= config.hamiltonian[0]):
                 raise ConfigError(f"no action h[{args.hamiltonian}] at N={args.n}")
-            if args.t_final == 0 or not np.isfinite(args.t_final):
+            if args.t_final == 0 or not math.isfinite(args.t_final):
                 raise ConfigError(f"--t must be finite and nonzero, got {args.t_final}")
             config.t_final = args.t_final
             config.steps = _at_least_one("steps", args.steps)

@@ -15,6 +15,7 @@ left/right momentum matrices u and ut ("u-tilde").  This module provides
 * ``CanonicalPoint`` plus a central finite-difference bracket in canonical
   coordinates (g, p), used everywhere as an independent numerical oracle;
   ``central_gradient`` is the one difference stencil of every oracle.
+  This part alone needs numpy, and imports it on first use.
 
 Generator table (all other combinations vanish; lam and mu are central)::
 
@@ -43,9 +44,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "U", "UTILDE", "G", "LAM", "MU",
@@ -589,6 +591,10 @@ def scan_pairs(members: list[tuple[str, ExactPoly]],
 
 # ---------------------------------------------------------------------------
 # canonical coordinates: numerical realization and oracle
+#
+# The only numeric part of the module.  Each function here that calls numpy
+# imports it itself, so a process that runs only the exact algebra never
+# loads it.
 # ---------------------------------------------------------------------------
 
 _DET_THRESHOLD = 1e-8       # the smallest |det g| of a safely invertible g
@@ -604,6 +610,7 @@ class CanonicalPoint:
     __slots__ = ("g", "p")
 
     def __init__(self, g, p, validate: bool = True):
+        import numpy as np
         g = np.array(g, dtype=complex)
         p = np.array(p, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape != p.shape:
@@ -623,6 +630,7 @@ class CanonicalPoint:
 
     @classmethod
     def from_json(cls, data: dict) -> "CanonicalPoint":
+        import numpy as np
         n = data["n"]
         dec = lambda flat: np.array([complex(re, im) for re, im in flat]).reshape(n, n)
         return cls(dec(data["g"]), dec(data["p"]))
@@ -630,6 +638,7 @@ class CanonicalPoint:
 
 def random_canonical_point(n: int, rng: np.random.Generator) -> CanonicalPoint:
     """Sample (g, p) with standard complex Gaussian entries, g invertible."""
+    import numpy as np
     for _ in range(100):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -650,6 +659,7 @@ def utilde_as_canonical(pt: CanonicalPoint) -> np.ndarray:
 
 def _monomial_values(n: int, keys: list[int], u, ut, g, lam: complex, mu: complex) -> np.ndarray:
     """The value of each packed monomial of keys at (u, ut, g, lam, mu)."""
+    import numpy as np
     size = 3 * n * n + 2
     exps = np.frombuffer(b"".join(k.to_bytes(size, "little") for k in keys),
                          dtype=np.uint8).reshape(len(keys), size)
@@ -668,6 +678,7 @@ def _monomial_values(n: int, keys: list[int], u, ut, g, lam: complex, mu: comple
 def evaluate_at(poly: PoissonPoly, u=None, ut=None, g=None,
                 lam: complex = 0j, mu: complex = 0j) -> complex:
     """Evaluate on explicit matrices (1-based symbolic indices, 0-based arrays)."""
+    import numpy as np
     coeffs = np.array([c / poly._den for c in poly._num.values()], dtype=complex)
     return complex(coeffs @ _monomial_values(poly.n, list(poly._num), u, ut, g, lam, mu))
 
@@ -676,6 +687,7 @@ def gradient_at(poly: PoissonPoly, u=None, ut=None, g=None,
                 lam: complex = 0j, mu: complex = 0j) -> np.ndarray:
     """Every partial derivative of poly at a point, from its table of
     partials, in slot order: u, ut and g row by row, then lam and mu."""
+    import numpy as np
     table = poly._partials()
     parts = [term for part in table.values() for term in part]
     slots = np.repeat(np.fromiter(table, dtype=int, count=len(table)),
@@ -711,6 +723,7 @@ def central_gradient(func: Callable[[np.ndarray], complex | np.ndarray], x: np.n
     point, then -val/2h at the backward one.  Raises ArithmeticError on a
     non-finite derivative.
     """
+    import numpy as np
     x = np.asarray(x, dtype=complex)
     grad = None
     for idx in np.ndindex(x.shape):
@@ -744,6 +757,7 @@ def canonical_bracket(f: Callable[[CanonicalPoint], complex],
     in this package are holomorphic in the entries, so differencing along
     the real direction recovers the complex derivative.
     """
+    import numpy as np
     fg, fp = _gradients(f, pt, step)
     hg, hp = _gradients(h, pt, step)
     return complex(np.sum(fg * hp - fp * hg))

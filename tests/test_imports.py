@@ -3,8 +3,9 @@
 The package may import only the standard library and its declared
 dependency, numpy (pyproject.toml); anything else installed on a developer's
 machine, such as scipy, is not there for users.  Importing the package or
-its CLI loads no layer, each subcommand loads only the layers it runs, and
-the public names resolve lazily to their home modules' objects."""
+its CLI loads no layer, each subcommand loads only the layers it runs, the
+exact algebra (poisson, quantum) and verify-quantum load no numpy, and the
+public names resolve lazily to their home modules' objects."""
 
 import ast
 import importlib
@@ -42,13 +43,13 @@ def test_the_check_sees_an_undeclared_import(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# which layers a process loads; pytest has imported every layer already, so
-# each case runs in a fresh interpreter
+# which layers a process loads, and whether it loads numpy; pytest has
+# imported every layer already, so each case runs in a fresh interpreter
 # ---------------------------------------------------------------------------
 
 LAYERS = {"poisson", "families", "quantum", "polytools", "orbits", "tower"}
-LOADED = ("print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules"
-          " if m.startswith('gztower.'))))")
+LOADED = ("print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
+          " if m.startswith('gztower.')), 'numpy' in sys.modules]))")
 
 
 def _fresh(code, *argv):
@@ -58,36 +59,47 @@ def _fresh(code, *argv):
                           capture_output=True, text=True, timeout=300)
 
 
-def _layers_loaded(code):
+def _loaded(code):
+    """The layers a fresh interpreter holds after code, and whether it holds numpy."""
     proc = _fresh(f"import json, sys\n{code}\n{LOADED}")
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1])) & LAYERS
+    layers, numpy = json.loads(proc.stdout.splitlines()[-1])
+    return set(layers) & LAYERS, numpy
 
 
 @pytest.mark.parametrize("code", ["import gztower", "import gztower.cli",
                                   "import gztower; gztower.__version__"])
 def test_importing_the_package_or_cli_loads_no_layer(code):
-    assert _layers_loaded(code) == set()
+    assert _loaded(code) == (set(), False)
 
 
-@pytest.mark.parametrize("argv, layers", [
-    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}),
-    (["verify-quantum", "--n", "2", "--trials", "1"], {"quantum", "poisson"}),
+@pytest.mark.parametrize("code, layers", [
+    ("import gztower.poisson", {"poisson"}),
+    ("import gztower.quantum", {"poisson", "quantum"}),
+    ("from gztower import bracket, qdet", {"poisson", "quantum"}),
+], ids=["poisson", "quantum", "public-names"])
+def test_the_exact_algebra_loads_no_numpy(code, layers):
+    assert _loaded(code) == (layers, False)
+
+
+@pytest.mark.parametrize("argv, layers, numpy", [
+    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}, True),
+    (["verify-quantum", "--n", "2", "--trials", "1"], {"quantum", "poisson"}, False),
     (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "all"],
-     {"orbits", "polytools", "tower"}),
+     {"orbits", "polytools", "tower"}, True),
     (["flow", "--n", "2", "--spectrum", "0.5,-1+0.5j", "--hamiltonian", "1,1",
-      "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}),
+      "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}, True),
 ], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
-def test_each_subcommand_loads_exactly_its_layers(argv, layers):
+def test_each_subcommand_loads_exactly_its_layers(argv, layers, numpy):
     code = ("import contextlib, io\nfrom gztower import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
-    assert _layers_loaded(code) == layers
+    assert _loaded(code) == (layers, numpy)
 
 
 def test_a_public_name_loads_only_its_home_layers():
-    assert _layers_loaded("from gztower import bracket") == {"poisson"}
-    assert _layers_loaded("import gztower; gztower.OrbitPoint") == {"orbits", "polytools"}
+    assert _loaded("from gztower import bracket") == ({"poisson"}, False)
+    assert _loaded("import gztower; gztower.OrbitPoint") == ({"orbits", "polytools"}, True)
 
 
 @pytest.mark.parametrize("argv, code, err", [

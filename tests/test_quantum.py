@@ -1,7 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -13,6 +13,7 @@ from gztower.quantum import (
     LEFT,
     RIGHT,
     NCPoly,
+    PolyDiffOp,
     SizeGuardError,
     apply_nc_as_diffop,
     classical_limit,
@@ -202,7 +203,7 @@ def test_left_right_words_commute(a, b):
 def test_pbw_product_matches_operator_composition():
     # the nabla realization is faithful on polynomials: engine products must
     # agree with operator composition applied to random test functions
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     from gztower.quantum import _random_g_poly
     a = E(2, 1) * E(1, 2) + E(2, 2)
     b = E(1, 2) * E(2, 1) - Q.constant(2, 2) * E(1, 1)
@@ -243,7 +244,7 @@ def test_qdet_casimir_is_central():
 
 
 def test_casimir_centrality_via_diffop_oracle():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     from gztower.quantum import _random_g_poly
     cas = qdet(2, 2).lambda_coefficients()[0]
     com = cas.commutator(E(1, 2))
@@ -355,6 +356,18 @@ def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
     assert nonzero == ({2: 0, 3: 1, 4: 9}[n] if convention == "unshifted" else 0)
 
 
+def test_leibniz_scan_takes_the_other_copy_as_zero(monkeypatch):
+    # the copies commute, so every commutator the N=4 check computes is one
+    # of the 136 centrality checks; none is spent on a cross-copy letter
+    calls = []
+    product_form = NCPoly.commutator
+    monkeypatch.setattr(NCPoly, "commutator",
+                        lambda a, b: calls.append(b) or product_form(a, b))
+    rep = verify_quantum_commutes(4)
+    assert (rep.status, rep.pairs_checked, rep.centrality_checks) == ("ok", 120, 136)
+    assert len(calls) == 136
+
+
 @pytest.mark.parametrize("at_front", [True, False])
 def test_leibniz_scan_reports_a_broken_family_like_the_product_form(at_front):
     # the nested family plus E_L[1,2], which commutes with few members
@@ -373,7 +386,8 @@ def test_leibniz_scan_reports_a_broken_family_like_the_product_form(at_front):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_leibniz_commutator_of_random_elements(data):
-    # no centrality rows: every [a, y] is computed on first use
+    # no centrality rows: every [a, y] is computed on first use, or read as
+    # zero when no letter of a is in y's copy
     from gztower.quantum import _CommutatorTable
     n = data.draw(st.sampled_from([2, 3]))
     a, b = Q(n, data.draw(oracle_elements(n))), Q(n, data.draw(oracle_elements(n)))
@@ -436,3 +450,14 @@ def test_nabla_operators_are_built_once_per_index(monkeypatch):
 def test_diffop_realization_check(n):
     rep = diffop_realization_check(n, trials=10, seed=0)
     assert rep.status == "ok"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_diffop_realization_check_catches_a_wrong_operator(monkeypatch, n, seed):
+    # nabla_R with its sign flipped still commutes with nabla_L, but
+    # realizes the gl_N relations with the wrong sign
+    wrong = lambda n, i, j: PolyDiffOp(
+        n, [(PoissonPoly.g(n, j, k), (i, k)) for k in range(1, n + 1)])
+    monkeypatch.setattr(quantum, "nabla_right", wrong)
+    assert diffop_realization_check(n, seed=seed).status == "violation"
