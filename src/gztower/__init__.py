@@ -8,8 +8,9 @@ symbolic checks where possible and independent numerical oracles elsewhere.
 Importing the package loads none of its layers.  Each public name below is
 imported from its home module on first use (PEP 562), so a process that
 only runs the exact algebra never loads the numeric geometry, and the other
-way round.  The exact algebra (poisson, quantum) imports no numpy either:
-only the numeric oracles of poisson load it, when they first run.
+way round.  The exact algebra (poisson, families, quantum) imports no numpy
+either: only the numeric oracles of poisson that take a CanonicalPoint load
+it, when they first run.
 """
 
 import importlib

@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-verify-classical   exact commutativity, independence rank and the numeric
-                   check of the coordinate family
+verify-classical   exact commutativity, the exact independence rank over
+                   GF(p) and the numeric check of the coordinate family
 verify-quantum     quantum-determinant centrality, family commutativity and
                    the differential-operator realization
 orbit              chart construction, canonicity sweep, tower assembly and
@@ -19,10 +19,10 @@ reports apart from the timestamp field.
 Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their errors into ConfigError or CheckFailed where it calls them,
-so this module imports no layer.  Nor does it import numpy: verify-quantum
-runs without it, and the other subcommands load it with their layers.  A
-flow that stops early is a violation report whose error gives the kind and
-time of the failing sample.
+so this module imports no layer.  Nor does it import numpy: verify-classical
+and verify-quantum run without it, and orbit and flow load it with their
+layers.  A flow that stops early is a violation report whose error gives
+the kind and time of the failing sample.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import cmath
 import json
 import math
 import os
+import random
 import re
 import sys
 from contextlib import contextmanager
@@ -193,7 +194,7 @@ def _parse_shift(text: str, n: int, rng):
         try:
             diag = [Fraction(x) for x in text[5:].split(",")]
             for x in diag:
-                float(x)        # the numeric rank reads every entry as a float
+                float(x)        # like every number the CLI reads, in float range
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"cannot parse shift matrix {text!r}") from exc
         if len(diag) != n:
@@ -224,12 +225,9 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
-    import numpy as np
-
     from . import families
-    from .poisson import random_canonical_point
 
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     report = _base_report(config)
     statuses = []
     trivial_tol = config.tolerances["trivial"]
@@ -255,12 +253,13 @@ def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
 
         ranks = []
         for _ in range(config.points):
-            pt = random_canonical_point(config.n, rng)
+            pt = families.random_residue_point(config.n, rng)
             ranks.append(families.independence_rank(fam, pt))
         expected = config.n ** 2 if (kind == "gz-principal" and spec.side == "both") else None
         rank_ok = expected is None or max(ranks) == expected
         report["independence"] = {
             "ranks": ranks,
+            "prime": families.PRIME,
             "expected": expected,
             "status": "ok" if rank_ok else "violation",
         }

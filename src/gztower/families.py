@@ -12,43 +12,53 @@ Four families are supported:
   rational in g and therefore only checked through the numerical oracle.
 
 Commutativity of the polynomial families is verified exactly with the
-symbolic bracket; functional independence is measured numerically as the
-rank of the Jacobian with respect to the 2 N^2 canonical coordinates.
+symbolic bracket.  Functional independence is the rank of the Jacobian with
+respect to the 2 N^2 canonical coordinates, taken exactly over GF(PRIME) at
+a point.  That rank never exceeds the family's generic rank, so a full rank
+proves independence; at a uniformly random point it falls short only where
+a nonzero maximal minor of degree D vanishes, with probability at most
+D / PRIME (Schwartz-Zippel).  The trivial family's check is a
+finite-difference oracle in plain Python.  The module loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
+from operator import mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .poisson import (
+    _DET_THRESHOLD,
+    _WIDTH,
     U,
     UTILDE,
-    CanonicalPoint,
+    AmbientSizeError,
     PoissonPoly,
-    _gradients,
     bracket,
+    central_gradient,
     column_det,
-    gradient_at,
-    random_canonical_point,
     scan_pairs,
-    u_as_canonical,
-    utilde_as_canonical,
 )
+
+if TYPE_CHECKING:
+    from .poisson import CanonicalPoint
 
 __all__ = [
     "FamilySpec", "CommutingFamily", "CommutationReport", "TrivialReport",
     "char_minor", "build_family", "verify_commutes", "verify_trivial_numeric",
-    "independence_rank", "random_rational_matrix",
+    "independence_rank", "random_rational_matrix", "ResiduePoint", "random_residue_point",
+    "PRIME",
 ]
 
 KINDS = ("gz-principal", "gz-corner", "mf", "trivial")
 SIDES = ("left", "right", "both")
 _TRIVIAL_STEP = 1e-6        # the relative step of the trivial family's differences
-_RANK_TOL = 1e-8            # singular values above this share of the largest count
+PRIME = 2 ** 61 - 31        # the rank's field; PRIME = 1 (mod 4), so -1 is a square
+_SQRT_M1 = pow(7, (PRIME - 1) // 4, PRIME)  # 7 is a non-residue, so this squares to -1
 _NUM_RANGE = 3              # random_rational_matrix: numerators in [-3, 3],
 _DEN_RANGE = 3              # denominators in [1, 3]
 
@@ -217,27 +227,24 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
 
     With the package's momentum conventions the commuting combination is
     u g^{-1}; all pairwise canonical brackets must vanish to tolerance at
-    randomized points (degenerate g is resampled by construction).  Each
-    point takes one matrix-valued central-difference gradient of u g^{-1};
-    each pair is then bracketed as in ``canonical_bracket``.
+    points (g, p) of standard complex Gaussians from random.Random(seed)
+    (g redrawn while |det g| < 1e-8).  Each point takes one central_gradient
+    of all the members in g and one in p; each pair is then bracketed as in
+    ``canonical_bracket``.
     """
-    rng = np.random.default_rng(seed)
-
-    def members(pt):
-        return u_as_canonical(pt) @ np.linalg.inv(pt.g)
-
-    def per_member(grad):
-        # (n, n, n, n) -> one contiguous (n, n) gradient per member (i, j);
-        # contiguous, so np.sum adds in the order canonical_bracket does
-        return np.ascontiguousarray(grad.transpose(2, 3, 0, 1)).reshape(n * n, n, n)
-
+    rng = random.Random(seed)
     worst = 0.0
     pairs = 0
     for _ in range(pt_count):
-        pt = random_canonical_point(n, rng)
-        dg, dp = (per_member(grad) for grad in _gradients(members, pt, _TRIVIAL_STEP))
+        g, p = _gaussian_point(n, rng)
+        # every g-move keeps p, and every p-move keeps g and its inverse
+        p_t, g_inv = _transpose(p, n), _det_and_inverse(g, n)[1]
+        dg = list(zip(*central_gradient(
+            lambda x: _trivial_members(p_t, x, _det_and_inverse(x, n)[1], n), g, _TRIVIAL_STEP)))
+        dp = list(zip(*central_gradient(
+            lambda x: _trivial_members(_transpose(x, n), g, g_inv, n), p, _TRIVIAL_STEP)))
         for f, h in itertools.combinations(range(n * n), 2):
-            val = complex(np.sum(dg[f] * dp[h] - dp[f] * dg[h]))
+            val = sum(map(mul, dg[f], dp[h])) - sum(map(mul, dp[f], dg[h]))
             worst = max(worst, abs(val))
             pairs += 1
     status = "ok" if worst < tol else "violation"
@@ -245,32 +252,174 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
                          max_abs_bracket=worst, tolerance=tol, status=status)
 
 
-def _symbol_jacobian(poly: PoissonPoly, pt: CanonicalPoint) -> np.ndarray:
-    """d(poly)/d(g, p) at pt via exact symbol gradients and the chain rule."""
-    n = pt.n
-    grad = gradient_at(poly, u=u_as_canonical(pt), ut=utilde_as_canonical(pt), g=pt.g)
-    du, dut, dg = grad[:3 * n * n].reshape(3, n, n)
-    # u = p^T g and ut = -g p^T
-    jac_g = pt.p @ du - dut @ pt.p + dg
-    jac_p = pt.g @ du.T - dut.T @ pt.g
-    return np.concatenate([jac_g.ravel(), jac_p.ravel()])
+def _gaussian_point(n: int, rng: random.Random) -> tuple[list[complex], list[complex]]:
+    """(g, p) as flat row-major lists of standard complex Gaussians, with
+    |det g| >= _DET_THRESHOLD."""
+    def draw():
+        return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n * n)]
+
+    for _ in range(100):
+        g, p = draw(), draw()
+        if abs(_det_and_inverse(g, n)[0]) >= _DET_THRESHOLD:
+            return g, p
+    raise RuntimeError("could not sample an invertible g")
 
 
-def independence_rank(fam: CommutingFamily, pt: CanonicalPoint) -> int:
-    """Rank of the family's Jacobian over the 2 N^2 canonical coordinates."""
+def _det_and_inverse(m: list[complex], n: int) -> tuple[complex, list[complex]]:
+    """Determinant and inverse of the flat n x n matrix m, by Gauss-Jordan
+    elimination with partial pivoting."""
+    rows = [m[i * n:(i + 1) * n] + [0.0] * n for i in range(n)]
+    for i in range(n):
+        rows[i][n + i] = 1.0
+    det = 1.0
+    for c in range(n):
+        r = max(range(c, n), key=lambda i: abs(rows[i][c]))
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        top = rows[c] = [x / pivot for x in rows[c]]
+        for i in range(n):
+            row = rows[i]
+            f = row[c]
+            if i != c and f:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+    return det, [x for row in rows for x in row[n:]]
+
+
+def _matmul(a: list[complex], b: list[complex], n: int) -> list[complex]:
+    cols = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i:i + n], col)) for i in range(0, n * n, n) for col in cols]
+
+
+def _transpose(m: list[complex], n: int) -> list[complex]:
+    return [m[k * n + a] for a in range(n) for k in range(n)]
+
+
+def _trivial_members(p_t: list[complex], g: list[complex], g_inv: list[complex],
+                     n: int) -> list[complex]:
+    """The trivial family u g^{-1}, with u = p^T g, from p^T; flat and row-major."""
+    return _matmul(_matmul(p_t, g, n), g_inv, n)
+
+
+class ResiduePoint(NamedTuple):
+    """A point (g, p) of T*GL(N) over GF(PRIME): n x n tuples of residues."""
+
+    g: tuple[tuple[int, ...], ...]
+    p: tuple[tuple[int, ...], ...]
+
+
+def random_residue_point(n: int, rng: random.Random) -> ResiduePoint:
+    """(g, p) with entries drawn uniformly from GF(PRIME), g first."""
+    def draw():
+        return tuple(tuple(rng.randrange(PRIME) for _ in range(n)) for _ in range(n))
+
+    g = draw()
+    return ResiduePoint(g, draw())
+
+
+def _residue(z) -> int:
+    """z mod PRIME: an int as it is; a float or complex exactly, since every
+    float is a dyadic rational, with i read as the square root _SQRT_M1."""
+    if isinstance(z, int):
+        return z % PRIME
+    z = complex(z)
+    (a, b), (c, d) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    return (a * _inverse(b) + _SQRT_M1 * c * _inverse(d)) % PRIME
+
+
+@lru_cache(maxsize=None)
+def _inverse(b: int) -> int:
+    """1/b mod PRIME, for the powers of two that denominate floats (at most
+    1075 of them, so the cache stays small)."""
+    return pow(b, -1, PRIME)
+
+
+def _gf_rows(polys: list[PoissonPoly], pt: ResiduePoint | CanonicalPoint) -> list[list[int]]:
+    """Each poly's Jacobian row over (g, p) at pt, times its denominator, mod PRIME.
+
+    The row comes from the integer numerators of the poly's table of
+    partials, so no denominator is ever inverted: scaling a row by a nonzero
+    number keeps the rank.  The chain rule runs through u = p^T g and
+    ut = -g p^T; lam and mu are 0.  Each monomial's value is its value less
+    one lowest factor times that factor, kept for the whole point.
+    """
+    g, p = ([[_residue(z) for z in row] for row in m] for m in (pt.g, pt.p))
+    n = len(g)
+    rn = range(n)
+    u = [[sum(p[k][a] * g[k][b] for k in rn) % PRIME for b in rn] for a in rn]
+    ut = [[-sum(g[a][k] * p[b][k] for k in rn) % PRIME for b in rn] for a in rn]
+    values = [x for m in (u, ut, g) for row in m for x in row] + [0, 0]
+    memo = {0: 1}
+
+    def value(key: int) -> int:
+        v = memo.get(key)
+        if v is None:
+            s = ((key & -key).bit_length() - 1) // _WIDTH
+            v = memo[key] = value(key - (1 << _WIDTH * s)) * values[s] % PRIME
+        return v
+
+    # d/dg = p du - dut p + dg and d/dp = g du^T - dut^T g, from u = p^T g and
+    # ut = -g p^T; each entry one sum over the two products' joined terms
+    minus_p_cols = [[-x for x in col] for col in zip(*p)]
+    minus_g_cols = [[-x for x in col] for col in zip(*g)]
+    rows = []
+    for poly in polys:
+        grad = [0] * len(values)
+        for s, part in poly._partials().items():
+            grad[s] = sum(c * value(m) for m, c in part) % PRIME
+        du = [grad[a * n:(a + 1) * n] for a in rn]
+        dut = [grad[(n + a) * n:(n + a + 1) * n] for a in rn]
+        dg = grad[2 * n * n:3 * n * n]
+        left = [p[i] + dut[i] for i in rn]
+        right = [list(col) + minus for col, minus in zip(zip(*du), minus_p_cols)]
+        row = [(sum(map(mul, a, b)) + dg[k]) % PRIME
+               for k, (a, b) in enumerate(itertools.product(left, right))]
+        left = [g[i] + list(col) for i, col in zip(rn, zip(*dut))]
+        right = [du[j] + minus for j, minus in zip(rn, minus_g_cols)]
+        row += [sum(map(mul, a, b)) % PRIME for a, b in itertools.product(left, right)]
+        rows.append(row)
+    return rows
+
+
+def _rank_mod_prime(rows: list[list[int]]) -> int:
+    """Rank over GF(PRIME) by Gaussian elimination: each nonzero row in turn
+    clears its first nonzero column from the rest."""
+    rank = 0
+    rows = [r for r in rows if any(r)]
+    while rows:
+        top = rows.pop()
+        col = next(j for j, x in enumerate(top) if x)
+        inv = pow(top[col], -1, PRIME)
+        top = top[col:]                 # zero before col
+        rank += 1
+        rest = []
+        for r in rows:
+            f = r[col] * inv % PRIME
+            if f:
+                r = r[:col] + [(x - f * y) % PRIME for x, y in zip(r[col:], top)]
+            if any(r):
+                rest.append(r)
+        rows = rest
+    return rank
+
+
+def independence_rank(fam: CommutingFamily, pt: ResiduePoint | CanonicalPoint) -> int:
+    """Exact rank over GF(PRIME) of the family's Jacobian over the 2 N^2
+    canonical coordinates at pt: a ResiduePoint, or a CanonicalPoint read
+    exactly.  It never exceeds the family's generic rank, so a full rank
+    proves independence."""
     if not fam.generators:
         raise ValueError("family has no polynomial generators")
-    rows = [_symbol_jacobian(p, pt) for _, p in fam.generators]
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_TOL * sv[0]))
+    if len(pt.g) != fam.spec.n:
+        raise AmbientSizeError(f"ambient sizes differ: {fam.spec.n} != {len(pt.g)}")
+    return _rank_mod_prime(_gf_rows([poly for _, poly in fam.generators], pt))
 
 
-def random_rational_matrix(n: int, rng: np.random.Generator) -> tuple[tuple[Fraction, ...], ...]:
+def random_rational_matrix(n: int, rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:
     """Dense random matrix of small exact rationals (may be singular)."""
     return tuple(
-        tuple(Fraction(int(rng.integers(-_NUM_RANGE, _NUM_RANGE + 1)),
-                       int(rng.integers(1, _DEN_RANGE + 1)))
+        tuple(Fraction(rng.randint(-_NUM_RANGE, _NUM_RANGE), rng.randint(1, _DEN_RANGE))
               for _ in range(n))
         for _ in range(n))

@@ -337,7 +337,12 @@ def kk_bracket(f: Callable[[np.ndarray], complex],
     """
     # imported here, so orbit and flow processes never load the exact algebra
     from .poisson import central_gradient
-    grads = central_gradient(lambda v: np.array([f(v), h(v)]), u, step)
+
+    def both(flat):
+        v = np.reshape(flat, u.shape)
+        return f(v), h(v)
+
+    grads = np.array(central_gradient(both, u.ravel().tolist(), step)).reshape(u.shape + (2,))
     return _kk(u, grads[..., 0].T, grads[..., 1].T)
 
 

@@ -14,8 +14,9 @@ left/right momentum matrices u and ut ("u-tilde").  This module provides
   by bilinearity and the Leibniz rule;
 * ``CanonicalPoint`` plus a central finite-difference bracket in canonical
   coordinates (g, p), used everywhere as an independent numerical oracle;
-  ``central_gradient`` is the one difference stencil of every oracle.
-  This part alone needs numpy, and imports it on first use.
+  ``central_gradient`` is the one difference stencil of every oracle, in
+  plain Python on a flat list of entries.  The rest of this part needs
+  numpy, and imports it on first use.
 
 Generator table (all other combinations vanish; lam and mu are central)::
 
@@ -38,12 +39,13 @@ which is the convention adopted throughout the package.
 
 from __future__ import annotations
 
+import cmath
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 if TYPE_CHECKING:
@@ -713,38 +715,42 @@ def poly_function(poly: PoissonPoly, lam: complex = 0j, mu: complex = 0j) -> Cal
     return lambda pt: evaluate(poly, pt, lam=lam, mu=mu)
 
 
-def central_gradient(func: Callable[[np.ndarray], complex | np.ndarray], x: np.ndarray,
-                     step: float) -> np.ndarray:
-    """Entry-wise central differences of func at the complex matrix x.
+def central_gradient(func: Callable[[list[complex]], Sequence[complex]],
+                     x: Sequence[complex], step: float) -> list[list[complex]]:
+    """Entry-wise central differences of func at the flat complex vector x.
 
-    func may be scalar- or array-valued; the gradient has shape
-    x.shape + the value's shape, entry [i, j] the derivative along x[i, j]
-    with step `step` scaled by max(1, |x[i, j]|): val/2h at the forward
-    point, then -val/2h at the backward one.  Raises ArithmeticError on a
+    func maps a list of complex entries to a sequence of complex values.
+    Entry k of the result lists the derivative of each value along x[k],
+    with step `step` scaled by max(1, |x[k]|): the forward value less the
+    backward one, over 2h.  Plain Python; raises ArithmeticError on a
     non-finite derivative.
     """
-    import numpy as np
-    x = np.asarray(x, dtype=complex)
-    grad = None
-    for idx in np.ndindex(x.shape):
-        h = step * max(1.0, abs(x[idx]))
-        for sign in (1.0, -1.0):
-            moved = x.copy()
-            moved[idx] += sign * h
-            val = func(moved)
-            if grad is None:
-                grad = np.zeros(x.shape + np.shape(val), dtype=complex)
-            grad[idx] += sign * val / (2.0 * h)
-    if not np.all(np.isfinite(grad)):
-        raise ArithmeticError("non-finite derivative encountered")
+    x = [complex(z) for z in x]
+    grad = []
+    for k, z in enumerate(x):
+        h = step * max(1.0, abs(z))
+        fwd, bwd = (func(x[:k] + [z + s] + x[k + 1:]) for s in (h, -h))
+        row = [(complex(a) - complex(b)) / (2.0 * h) for a, b in zip(fwd, bwd)]
+        if not all(map(cmath.isfinite, row)):
+            raise ArithmeticError("non-finite derivative encountered")
+        grad.append(row)
     return grad
 
 
 def _gradients(func: Callable[[CanonicalPoint], complex | np.ndarray], pt: CanonicalPoint,
                step: float) -> tuple[np.ndarray, np.ndarray]:
-    """central_gradient of func in g, then in p."""
-    return (central_gradient(lambda g: func(CanonicalPoint(g, pt.p, validate=False)), pt.g, step),
-            central_gradient(lambda p: func(CanonicalPoint(pt.g, p, validate=False)), pt.p, step))
+    """central_gradient of func in g, then in p: arrays [i, j, v], the
+    derivative of func's v-th value (in ravel order) along g[i, j] or p[i, j]."""
+    import numpy as np
+    n = pt.n
+
+    def along(at, x):
+        grad = central_gradient(lambda y: np.ravel(func(at(np.reshape(y, (n, n))))),
+                                x.ravel().tolist(), step)
+        return np.array(grad).reshape(n, n, -1)
+
+    return (along(lambda g: CanonicalPoint(g, pt.p, validate=False), pt.g),
+            along(lambda p: CanonicalPoint(pt.g, p, validate=False), pt.p))
 
 
 def canonical_bracket(f: Callable[[CanonicalPoint], complex],
@@ -752,12 +758,12 @@ def canonical_bracket(f: Callable[[CanonicalPoint], complex],
                       pt: CanonicalPoint, step: float = 1e-6) -> complex:
     """Finite-difference canonical bracket at pt.
 
-    {f, h} = sum_ij (df/dg_ij dh/dp_ij - df/dp_ij dh/dg_ij), with the
-    central_gradient of f and h in g and in p.  All functions
-    in this package are holomorphic in the entries, so differencing along
-    the real direction recovers the complex derivative.
+    {f, h} = sum_ij df/dg_ij dh/dp_ij - sum_ij df/dp_ij dh/dg_ij, with the
+    central_gradient of f and h in g and in p, each sum in row-major order.
+    All functions in this package are holomorphic in the entries, so
+    differencing along the real direction recovers the complex derivative.
     """
-    import numpy as np
     fg, fp = _gradients(f, pt, step)
     hg, hp = _gradients(h, pt, step)
-    return complex(np.sum(fg * hp - fp * hg))
+    fg, fp, hg, hp = (grad.ravel().tolist() for grad in (fg, fp, hg, hp))
+    return complex(sum(map(mul, fg, hp)) - sum(map(mul, fp, hg)))

@@ -6,6 +6,7 @@ import pytest
 
 from gztower import orbits, tower
 from gztower.cli import main
+from gztower.families import PRIME
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,21 @@ def test_classical_mf_ok(capsys):
                            "--shift-matrix", "random-rational", "--seed", "3")
     assert code == 0
     assert parse_report(out)["commutation"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("diag", [f"{PRIME}/{PRIME},1,2", f"{PRIME},1/{PRIME},2"],
+                         ids=["prime-over-prime", "prime-and-its-inverse"])
+def test_classical_mf_shift_entries_at_the_rank_prime(capsys, diag):
+    # the rank's rows take integer numerators only, so an entry that is 0 mod
+    # PRIME, or has no inverse mod PRIME, still ends in a report
+    code, out, _ = run_cli(capsys, "verify-classical", "--n", "3", "--family", "mf",
+                           "--shift-matrix", f"diag:{diag}", "--points", "2")
+    assert code == 0
+    report = parse_report(out)
+    assert report["commutation"]["status"] == "ok"
+    independence = report["independence"]
+    assert independence["prime"] == PRIME
+    assert len(independence["ranks"]) == 2 and independence["status"] == "ok"
 
 
 def test_classical_gz_n3(capsys):

@@ -35,7 +35,9 @@ CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
 def _central_gradients(f, u, step):
     """central_gradient d/du[a, b] of each value of f(u), a dict with the same
     keys in the same order at every u."""
-    grads = central_gradient(lambda v: np.array(list(f(v).values())), u, step)
+    grads = central_gradient(lambda v: list(f(np.reshape(v, u.shape)).values()),
+                             u.ravel().tolist(), step)
+    grads = np.array(grads).reshape(u.shape + (-1,))
     return {key: grads[..., i] for i, key in enumerate(f(u))}
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,23 +8,38 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gztower.families import (
+    PRIME,
+    _SQRT_M1,
+    CommutingFamily,
     FamilySpec,
+    ResiduePoint,
     _coefficient_generators,
+    _det_and_inverse,
+    _gaussian_point,
+    _gf_rows,
+    _residue,
+    _transpose,
+    _trivial_members,
     build_family,
     char_minor,
     independence_rank,
     random_rational_matrix,
+    random_residue_point,
     verify_commutes,
     verify_trivial_numeric,
 )
 from gztower.poisson import (
+    AmbientSizeError,
+    CanonicalPoint,
     PoissonPoly,
     _gradients,
     canonical_bracket,
     evaluate_at,
+    gradient_at,
     poly_function,
     random_canonical_point,
     u_as_canonical,
+    utilde_as_canonical,
 )
 
 P = PoissonPoly
@@ -112,7 +128,7 @@ def test_char_minor_equals_the_cofactor_determinant(n, side, corner):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mf_determinant_equals_the_cofactor_determinant(n):
-    shift = random_rational_matrix(n, np.random.default_rng(n))
+    shift = random_rational_matrix(n, random.Random(n))
     entries = [[P.u(n, r, c) - P.mu(n) * shift[r - 1][c - 1] - (P.lam(n) if r == c else 0)
                 for c in range(1, n + 1)] for r in range(1, n + 1)]
     fam = build_family(FamilySpec("mf", n, side="left", shift=shift))
@@ -196,14 +212,14 @@ def test_gz_families_commute_exactly(kind, n):
 
 
 def test_mf_family_commutes_exactly_n4():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     spec = FamilySpec("mf", 4, side="left",
                       shift=random_rational_matrix(4, rng))
     assert verify_commutes(build_family(spec)).status == "ok"
 
 
 def test_mf_family_commutes_exactly_n2():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     spec = FamilySpec("mf", 2, side="left",
                       shift=random_rational_matrix(2, rng))
     assert verify_commutes(build_family(spec)).status == "ok"
@@ -212,7 +228,7 @@ def test_mf_family_commutes_exactly_n2():
 @given(st.integers(0, 10_000))
 @settings(max_examples=10)
 def test_mf_family_commutes_for_random_shifts(seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     spec = FamilySpec("mf", 2, side="left",
                       shift=random_rational_matrix(2, rng))
     assert verify_commutes(build_family(spec)).status == "ok"
@@ -248,17 +264,22 @@ def test_trivial_family_numeric_n3():
 
 
 def _trivial_reference(n, pt_count, seed, step=1e-6):
-    """Worst |{f, h}| and pair count, one canonical_bracket per pair."""
-    rng = np.random.default_rng(seed)
+    """Worst |{f, h}| and pair count, one canonical_bracket per pair, at the
+    points the check draws."""
+    rng = random.Random(seed)
 
-    def member(i, j):
-        return lambda pt: (u_as_canonical(pt) @ np.linalg.inv(pt.g))[i, j]
+    def member(k):
+        def f(pt):
+            g, p = pt.g.ravel().tolist(), pt.p.ravel().tolist()
+            return _trivial_members(_transpose(p, n), g, _det_and_inverse(g, n)[1], n)[k]
+        return f
 
-    funcs = [member(i, j) for i in range(n) for j in range(n)]
+    funcs = [member(k) for k in range(n * n)]
     worst = 0.0
     pairs = 0
     for _ in range(pt_count):
-        pt = random_canonical_point(n, rng)
+        g, p = _gaussian_point(n, rng)
+        pt = CanonicalPoint(np.reshape(g, (n, n)), np.reshape(p, (n, n)))
         for f, h in itertools.combinations(funcs, 2):
             worst = max(worst, abs(canonical_bracket(f, h, pt, step=step)))
             pairs += 1
@@ -267,9 +288,21 @@ def _trivial_reference(n, pt_count, seed, step=1e-6):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_trivial_check_equals_per_pair_oracle(n):
-    # same steps, same accumulation order: equal to the last bit
+    # same points, same steps, same accumulation order: equal to the last bit
     rep = verify_trivial_numeric(n, pt_count=2, seed=n)
     assert (rep.max_abs_bracket, rep.pairs_checked) == _trivial_reference(n, 2, n)
+
+
+def test_trivial_members_are_p_transposed():
+    # u g^{-1} = p^T, so the plain-Python members match numpy to rounding
+    rng = random.Random(8)
+    g, p = _gaussian_point(3, rng)
+    det, g_inv = _det_and_inverse(g, 3)
+    G, Pm = np.reshape(g, (3, 3)), np.reshape(p, (3, 3))
+    assert abs(det - np.linalg.det(G)) < 1e-12 * max(1.0, abs(det))
+    assert np.allclose(np.reshape(g_inv, (3, 3)), np.linalg.inv(G), rtol=1e-12, atol=1e-12)
+    assert np.allclose(np.reshape(_trivial_members(_transpose(p, 3), g, g_inv, 3), (3, 3)), Pm.T,
+                       rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 4), (3, 9)])
@@ -278,16 +311,77 @@ def test_independence_rank(n, expected):
     fam = build_family(FamilySpec("gz-principal", n, "both"))
     pt = random_canonical_point(n, rng)
     assert independence_rank(fam, pt) == expected
+    assert independence_rank(fam, random_residue_point(n, random.Random(n))) == expected
 
 
-def test_independence_rank_matches_numeric_jacobian():
-    # cross-check the analytic chain rule against plain finite differences
-    rng = np.random.default_rng(5)
-    n = 2
-    fam = build_family(FamilySpec("gz-principal", n, "both"))
-    pt = random_canonical_point(n, rng)
-    from gztower.families import _symbol_jacobian
+def _svd_rank(fam, pt, tol=1e-8):
+    """The numeric oracle: singular values of the complex Jacobian above
+    tol times the largest, each row from gradient_at and the chain rule."""
+    n = pt.n
+    rows = []
     for _, poly in fam.generators:
-        analytic = _symbol_jacobian(poly, pt)
-        numeric = np.concatenate([grad.ravel() for grad in _gradients(poly_function(poly), pt, 1e-6)])
-        assert np.max(np.abs(analytic - numeric)) < 1e-6
+        grad = gradient_at(poly, u=u_as_canonical(pt), ut=utilde_as_canonical(pt), g=pt.g)
+        du, dut, dg = grad[:3 * n * n].reshape(3, n, n)
+        # u = p^T g and ut = -g p^T
+        jac_g = pt.p @ du - dut @ pt.p + dg
+        jac_p = pt.g @ du.T - dut.T @ pt.g
+        rows.append(np.concatenate([jac_g.ravel(), jac_p.ravel()]))
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    return int(np.sum(sv > tol * sv[0]))
+
+
+@pytest.mark.parametrize("kind, n", [("gz-principal", 2), ("gz-principal", 3),
+                                     ("gz-principal", 4), ("gz-corner", 2),
+                                     ("gz-corner", 3), ("gz-corner", 4),
+                                     ("mf", 2), ("mf", 3), ("mf", 4)])
+def test_gf_rank_equals_the_svd_rank(kind, n):
+    shift = random_rational_matrix(n, random.Random(n)) if kind == "mf" else None
+    fam = build_family(FamilySpec(kind, n, "left" if kind == "mf" else "both", shift))
+    rng = np.random.default_rng(10 * n)
+    for _ in range(3):
+        pt = random_canonical_point(n, rng)
+        assert independence_rank(fam, pt) == _svd_rank(fam, pt)
+
+
+def test_a_generator_and_its_square_read_a_rank_deficit():
+    n = 3
+    f = build_family(FamilySpec("gz-principal", n, "left")).generators[-1][1]
+    fam = CommutingFamily(FamilySpec("gz-principal", n, "left"), [("f", f), ("f^2", f * f)])
+    rng = random.Random(2)
+    for _ in range(3):
+        assert independence_rank(fam, random_residue_point(n, rng)) == 1
+    assert independence_rank(fam, random_canonical_point(n, np.random.default_rng(2))) == 1
+
+
+def test_residues_read_floats_exactly():
+    assert _SQRT_M1 ** 2 % PRIME == PRIME - 1
+    assert _residue(0.75 - 2.5j) == (3 * pow(4, -1, PRIME) - 5 * _SQRT_M1 * pow(2, -1, PRIME)) % PRIME
+    assert _residue(-3) == PRIME - 3
+
+
+def test_gf_rows_follow_the_chain_rule():
+    # at a real integer point each row is an integer vector, den * d(poly)/d(g, p);
+    # lifted from GF(PRIME) it matches the finite-difference oracle
+    n = 3
+    rng = random.Random(5)
+    while True:
+        g, p = ([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        if abs(np.linalg.det(g)) > 0.5:
+            break
+    pt = CanonicalPoint(g, p)
+    specs = [FamilySpec("gz-principal", n, "both"), FamilySpec("gz-corner", n, "right"),
+             FamilySpec("mf", n, "left", random_rational_matrix(n, random.Random(5)))]
+    polys = [poly for spec in specs for _, poly in build_family(spec).generators]
+    residue_rows = _gf_rows(polys, ResiduePoint(g, p))
+    assert residue_rows == _gf_rows(polys, pt)
+    for poly, row in zip(polys, residue_rows):
+        exact = np.array([x - PRIME if x > PRIME // 2 else x for x in row], dtype=float)
+        numeric = np.concatenate([grad.ravel() for grad in
+                                  _gradients(poly_function(poly), pt, 1e-6)]) * poly._den
+        assert np.max(np.abs(exact - numeric)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+
+def test_independence_rank_checks_the_ambient_size():
+    fam = build_family(FamilySpec("gz-principal", 3, "both"))
+    with pytest.raises(AmbientSizeError):
+        independence_rank(fam, random_residue_point(2, random.Random(0)))

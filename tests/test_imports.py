@@ -4,8 +4,9 @@ The package may import only the standard library and its declared
 dependency, numpy (pyproject.toml); anything else installed on a developer's
 machine, such as scipy, is not there for users.  Importing the package or
 its CLI loads no layer, each subcommand loads only the layers it runs, the
-exact algebra (poisson, quantum) and verify-quantum load no numpy, and the
-public names resolve lazily to their home modules' objects."""
+exact algebra (poisson, families, quantum), verify-classical and
+verify-quantum load no numpy, and the public names resolve lazily to their
+home modules' objects."""
 
 import ast
 import importlib
@@ -76,14 +77,15 @@ def test_importing_the_package_or_cli_loads_no_layer(code):
 @pytest.mark.parametrize("code, layers", [
     ("import gztower.poisson", {"poisson"}),
     ("import gztower.quantum", {"poisson", "quantum"}),
+    ("import gztower.families", {"poisson", "families"}),
     ("from gztower import bracket, qdet", {"poisson", "quantum"}),
-], ids=["poisson", "quantum", "public-names"])
+], ids=["poisson", "quantum", "families", "public-names"])
 def test_the_exact_algebra_loads_no_numpy(code, layers):
     assert _loaded(code) == (layers, False)
 
 
 @pytest.mark.parametrize("argv, layers, numpy", [
-    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}, True),
+    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}, False),
     (["verify-quantum", "--n", "2", "--trials", "1"], {"quantum", "poisson"}, False),
     (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "all"],
      {"orbits", "polytools", "tower"}, True),
@@ -95,6 +97,15 @@ def test_each_subcommand_loads_exactly_its_layers(argv, layers, numpy):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
     assert _loaded(code) == (layers, numpy)
+
+
+@pytest.mark.parametrize("family", ["gz", "gz-corner", "mf", "trivial"])
+def test_verify_classical_loads_no_numpy(family):
+    argv = ["verify-classical", "--n", "3", "--points", "2", "--family", family]
+    code = ("import contextlib, io\nfrom gztower import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    assert _loaded(code) == ({"families", "poisson"}, False)
 
 
 def test_a_public_name_loads_only_its_home_layers():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -516,7 +517,7 @@ def test_exponents_past_the_slot_width_raise_a_named_error():
 
 def _family(kind, n, seed=None):
     if kind == "mf":
-        shift = random_rational_matrix(n, np.random.default_rng(seed))
+        shift = random_rational_matrix(n, random.Random(seed))
         return build_family(FamilySpec("mf", n, side="left", shift=shift))
     return build_family(FamilySpec(kind, n, "both"))
 
