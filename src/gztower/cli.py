@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, required=True, help="ambient size N")
+        p.add_argument("--n", type=int, required=True, help="ambient size N >= 2")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the JSON report to this file")
         p.add_argument("--tolerance", action="append", default=[],
@@ -452,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.n < 1:
-        raise ConfigError(f"ambient size must be >= 1, got {args.n}")
+    if args.n < 2:
+        raise ConfigError(f"ambient size must be >= 2, got {args.n}: "
+                          "below N=2 every check would pass on zero cases")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     config = RunConfig(command=args.command, n=args.n, seed=args.seed,
@@ -476,13 +477,13 @@ def _config_from_args(args) -> RunConfig:
             config.pairs = _at_least_one("pairs", args.pairs)
         else:
             try:
-                nk = [int(x) for x in args.hamiltonian.split(",")]
-                config.hamiltonian = (nk[0], nk[1])
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"cannot parse selector {args.hamiltonian!r}") from exc
-            if not (1 <= config.hamiltonian[0] <= args.n
-                    and 1 <= config.hamiltonian[1] <= config.hamiltonian[0]):
+                level, k = map(int, args.hamiltonian.split(","))
+            except ValueError as exc:
+                raise ConfigError("selector must be two integers n,k, "
+                                  f"got {args.hamiltonian!r}") from exc
+            if not 1 <= k <= level <= args.n:
                 raise ConfigError(f"no action h[{args.hamiltonian}] at N={args.n}")
+            config.hamiltonian = (level, k)
             if args.t_final == 0 or not math.isfinite(args.t_final):
                 raise ConfigError(f"--t must be finite and nonzero, got {args.t_final}")
             config.t_final = args.t_final

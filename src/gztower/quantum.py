@@ -319,101 +319,54 @@ class QuantumReport:
         }
 
 
-class _CommutatorTable:
-    """Commutators [a, y] of members a with letters y, and [a, b] from them.
-
-    Each member has a row, letter code -> [a, y]; the centrality pass fills
-    the letters of a's own gl_k.  A letter of a copy that none of a's
-    letters is in commutes with a, since the copies commute, and is kept as
-    zero; any other letter is computed with ``NCPoly.commutator`` on first
-    use and kept.  Rows are keyed by the member's id and hold the member, so
-    the id stays valid.
-    """
-
-    def __init__(self):
-        self._rows: dict[int, tuple[NCPoly, frozenset[int], dict[int, NCPoly]]] = {}
-
-    def _entry(self, a: NCPoly) -> tuple[NCPoly, frozenset[int], dict[int, NCPoly]]:
-        entry = self._rows.get(id(a))
-        if entry is None:
-            letters = frozenset(y for _, w in a._num for y in w)
-            entry = self._rows[id(a)] = (a, letters, {})
-        return entry
-
-    def row(self, a: NCPoly) -> dict[int, NCPoly]:
-        return self._entry(a)[2]
-
-    def letters(self, a: NCPoly) -> frozenset[int]:
-        return self._entry(a)[1]
-
-    def commutator(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        """[a, b] by the Leibniz rule, expanding b if its letters are in a's row.
-
-        Otherwise a is expanded in b's row and the result negated.  The PBW
-        normal form is unique, so this is the same element, in the same
-        lowest terms, as ``a.commutator(b)``.
-        """
-        if self.letters(b) <= self.row(a).keys():
-            return self._leibniz(a, b)
-        return -self._leibniz(b, a)
-
-    def _leibniz(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        """sum over b's terms c*y1..ym of c * sum_i y1..y(i-1) [a, y_i] y(i+1)..ym.
-
-        Only a nonzero [a, y] costs a PBW product.
-        """
-        n = a.n
-        row = self.row(a)
-        copies = {x >= _RIGHT_LETTER for x in self.letters(a)}
-        nonzero = {}
-        for y in self.letters(b):
-            d = row.get(y)
-            if d is None:
-                d = row[y] = (a.commutator(NCPoly._make(n, {(0, (y,)): 1}, 1))
-                              if (y >= _RIGHT_LETTER) in copies else NCPoly._make(n, {}, 1))
-            if d._num:
-                nonzero[y] = d
-        if not nonzero:
-            return NCPoly._make(n, {}, 1)
-        den = lcm(*(d._den for d in nonzero.values()))
-        out: dict[tuple[int, tuple[int, ...]], int] = {}
-        get = out.get
-        for (lp, w), c in b._num.items():
-            for i, y in enumerate(w):
-                d = nonzero.get(y)
-                if d is None:
-                    continue
-                scale = c * (den // d._den)
-                pre, post = w[:i], w[i + 1:]
-                for (ld, wd), cd in d._num.items():
-                    for u, e in _word_product(pre, wd):
-                        for v, f in _word_product(u, post):
-                            key = (lp + ld, v)
-                            out[key] = get(key, 0) + scale * cd * e * f
-        return NCPoly._make(n, out, b._den * den)
-
-
-def _centrality(n: int, members: list[_Member]) -> tuple[int, dict | None, _CommutatorTable]:
+def _centrality(n: int, members: list[_Member]) -> tuple[int, dict | None, list[set[int]]]:
     """[c, E_ij] for each member c and each letter of its own gl_k.
 
     Returns the number of checks, the first nonzero commutator as a witness
-    (or None) and the table that holds every commutator computed.
+    (or None) and, for each member, the set of its own-copy letters it
+    commutes with.
     """
     checks = 0
     witness = None
-    table = _CommutatorTable()
+    central = []
     for k, copy, lp, coeff in members:
-        row = table.row(coeff)
+        found = set()
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                res = row[_code(copy, i, j)] = coeff.commutator(NCPoly.e(n, i, j, copy))
+                res = coeff.commutator(NCPoly.e(n, i, j, copy))
                 checks += 1
-                if not res.is_zero() and witness is None:
+                if res.is_zero():
+                    found.add(_code(copy, i, j))
+                elif witness is None:
                     witness = {
                         "labels": [f"qdet k={k} lam^{lp}", f"E[{i},{j}]"],
                         "terms": res.term_list(),
                     }
-    return checks, witness, table
+        central.append(found)
+    return checks, witness, central
+
+
+def _pair_commutator(members: list[_Member], central: list[set[int]]):
+    """[a, b] for two members, read as zero where the centrality pass decides it.
+
+    a commutes with b if it commutes with every letter of b: a letter in a's
+    central set, or one of the other copy, since the copies commute.  The
+    same test runs with a and b swapped; any other pair is computed in
+    product form.  Members are looked up by id, so the caller keeps them.
+    """
+    rows = {id(coeff): (copy, found, {y for _, w in coeff._num for y in w})
+            for (_, copy, _, coeff), found in zip(members, central)}
+
+    def commutes(a: NCPoly, b: NCPoly) -> bool:
+        copy, found, _ = rows[id(a)]
+        return all(y in found or _decode(y)[0] != copy for y in rows[id(b)][2])
+
+    def commutator(a: NCPoly, b: NCPoly) -> NCPoly:
+        if commutes(a, b) or commutes(b, a):
+            return NCPoly.zero(a.n)
+        return a.commutator(b)
+
+    return commutator
 
 
 def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
@@ -423,9 +376,11 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
     first and 'ambient' is the fallback; the convention that passes the
     centrality checks is recorded and used for the family.  Each quantum
     determinant is built once per convention tried.  Every pair is then
-    evaluated exactly, by the Leibniz rule on the commutators the
-    centrality pass computed.
+    evaluated exactly: as zero where one member commutes with every letter
+    of the other by the centrality pass, and in product form otherwise.
     """
+    if n < 1:
+        raise ValueError(f"ambient size must be >= 1, got {n}")
     if n > 6 and not allow_large:
         raise SizeGuardError(
             f"N={n} PBW verification is expensive; pass allow_large to proceed")
@@ -434,7 +389,7 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
     witness = None
     for candidate in ("nested", "ambient"):
         members = _members(_nested_qdets(n, candidate))
-        checks, witness, table = _centrality(n, members)
+        checks, witness, central = _centrality(n, members)
         if witness is None:
             convention = candidate
             break
@@ -442,7 +397,8 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
         return QuantumReport(n=n, convention="none", centrality_checks=checks,
                              pairs_checked=0, max_nonzero_terms=0,
                              status="violation", witness=witness)
-    pairs, worst, pair_witness = scan_pairs(_family(n, members), table.commutator)
+    pairs, worst, pair_witness = scan_pairs(_family(n, members),
+                                            _pair_commutator(members, central))
     return QuantumReport(
         n=n, convention=convention, centrality_checks=checks,
         pairs_checked=pairs, max_nonzero_terms=worst,

@@ -76,6 +76,20 @@ def test_invalid_ambient_size_is_config_error(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-classical", "--n", "1"),
+    ("verify-quantum", "--n", "1"),
+    ("orbit", "--n", "1", "--spectrum", "1", "--check", "all"),
+    ("flow", "--n", "1", "--spectrum", "1", "--hamiltonian", "1,1"),
+], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
+def test_ambient_size_one_is_config_error(capsys, argv):
+    # at N=1 every check would pass on zero pairs, levels or slopes
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "ambient size must be >= 2" in err
+
+
 def test_quantum_ok_and_convention(capsys):
     code, out, _ = run_cli(capsys, "verify-quantum", "--n", "2")
     assert code == 0
@@ -344,6 +358,16 @@ def test_flow_bad_selector(capsys):
     code, _, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "0.5,-1",
                          "--hamiltonian", "5,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("selector", ["2,1,9", "2", "2,", "2,x"])
+def test_flow_selector_is_exactly_two_integers(capsys, selector):
+    # extra parts were once dropped, so 2,1,9 ran as h[2,1]
+    code, out, err = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
+                             "--hamiltonian", selector)
+    assert code == 2
+    assert out == ""
+    assert "selector must be two integers" in err
 
 
 def test_flow_few_steps_conserves_actions(tmp_path, capsys):

@@ -321,6 +321,12 @@ def test_unshifted_determinants_are_not_central(monkeypatch):
                            "terms": [["1", "EL[1,2]"]]}
 
 
+def test_verify_quantum_rejects_an_empty_ambient_size():
+    # N = 0 has no family: no check may pass after checking nothing
+    with pytest.raises(ValueError, match="ambient size"):
+        verify_quantum_commutes(0)
+
+
 def test_size_guard(monkeypatch):
     def no_qdet(*args):
         raise AssertionError("a quantum determinant was built before the guard")
@@ -331,12 +337,16 @@ def test_size_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Leibniz pair scan against the product-form commutator
+# the pair rule against the product-form commutator
 # ---------------------------------------------------------------------------
+#
+# By the Leibniz rule a member that commutes with every letter of another
+# commutes with it; the rule reads such a pair as zero from the centrality
+# pass and computes any other pair in product form.
 
-def _scan_table(n, members):
-    from gztower.quantum import _centrality
-    return _centrality(n, members)[2]
+def _scan_rule(n, members):
+    from gztower.quantum import _centrality, _pair_commutator
+    return _pair_commutator(members, _centrality(n, members)[2])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -346,26 +356,28 @@ def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
     if convention == "unshifted":
         monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
     members = _members(_nested_qdets(n, "nested" if convention == "unshifted" else convention))
-    table = _scan_table(n, members)
+    rule = _scan_rule(n, members)
     nonzero = 0
     for (_, _, _, a), (_, _, _, b) in itertools.combinations(members, 2):
-        res = table.commutator(a, b)
+        res = rule(a, b)
         assert res.term_list() == a.commutator(b).term_list()
         nonzero += not res.is_zero()
     # unshifted, 1 pair fails at N=3 and 9 at N=4
     assert nonzero == ({2: 0, 3: 1, 4: 9}[n] if convention == "unshifted" else 0)
 
 
-def test_leibniz_scan_takes_the_other_copy_as_zero(monkeypatch):
-    # the copies commute, so every commutator the N=4 check computes is one
-    # of the 136 centrality checks; none is spent on a cross-copy letter
+@pytest.mark.parametrize("n", [4, 5])
+def test_leibniz_scan_takes_the_other_copy_as_zero(monkeypatch, n):
+    # on a passing family the centrality pass decides every pair, so each
+    # commutator the check computes is one of its centrality checks
+    pairs, checks = {4: (120, 136), 5: (300, 325)}[n]
     calls = []
     product_form = NCPoly.commutator
     monkeypatch.setattr(NCPoly, "commutator",
                         lambda a, b: calls.append(b) or product_form(a, b))
-    rep = verify_quantum_commutes(4)
-    assert (rep.status, rep.pairs_checked, rep.centrality_checks) == ("ok", 120, 136)
-    assert len(calls) == 136
+    rep = verify_quantum_commutes(n)
+    assert (rep.status, rep.pairs_checked, rep.centrality_checks) == ("ok", pairs, checks)
+    assert len(calls) == checks
 
 
 @pytest.mark.parametrize("at_front", [True, False])
@@ -378,20 +390,9 @@ def test_leibniz_scan_reports_a_broken_family_like_the_product_form(at_front):
     extra = (2, LEFT, 0, E(1, 2, n=n))
     members = [extra] + members if at_front else members + [extra]
     family = _family(n, members)
-    leibniz = scan_pairs(family, _scan_table(n, members).commutator)
-    assert leibniz == scan_pairs(family, NCPoly.commutator)
-    assert leibniz[2] is not None and leibniz[1] > 0
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_leibniz_commutator_of_random_elements(data):
-    # no centrality rows: every [a, y] is computed on first use, or read as
-    # zero when no letter of a is in y's copy
-    from gztower.quantum import _CommutatorTable
-    n = data.draw(st.sampled_from([2, 3]))
-    a, b = Q(n, data.draw(oracle_elements(n))), Q(n, data.draw(oracle_elements(n)))
-    assert _CommutatorTable().commutator(a, b) == a.commutator(b)
+    rule = scan_pairs(family, _scan_rule(n, members))
+    assert rule == scan_pairs(family, NCPoly.commutator)
+    assert rule[2] is not None and rule[1] > 0
 
 
 def test_classical_limit_top_degree():
