@@ -186,11 +186,14 @@ def verify_commutes(fam: CommutingFamily) -> CommutationReport:
     """Bracket all unordered generator pairs; exact zero means 'ok'.
 
     A nonzero bracket is reported as a finding (with a rendered witness),
-    not raised as an error.
+    not raised as an error.  Fewer than two generators (N = 1) raise
+    ValueError: the check would see no pair.
     """
     if fam.spec.kind == "trivial":
         raise ValueError("the trivial family is rational in g; "
                          "use verify_trivial_numeric")
+    if len(fam.generators) < 2:
+        raise ValueError(f"{len(fam.generators)} generator(s) give no pair to check")
     pairs, worst, witness = scan_pairs(fam.generators, bracket)
     return CommutationReport(
         family=fam.spec.to_json(),
@@ -230,8 +233,11 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     points (g, p) of standard complex Gaussians from random.Random(seed)
     (g redrawn while |det g| < 1e-8).  Each point takes one central_gradient
     of all the members in g and one in p; each pair is then bracketed as in
-    ``canonical_bracket``.
+    ``canonical_bracket``.  Raises ValueError when n < 2 or pt_count < 1:
+    the check would see no pair.
     """
+    if n < 2 or pt_count < 1:
+        raise ValueError(f"n = {n} and {pt_count} point(s) give no pair to check")
     rng = random.Random(seed)
     worst = 0.0
     pairs = 0

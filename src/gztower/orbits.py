@@ -107,18 +107,24 @@ class OrbitPoint:
 
     @classmethod
     def create(cls, u, spectrum=None) -> "OrbitPoint":
+        """Validate u, regular first; a declared spectrum must match its
+        eigenvalues within _SPECTRUM_TOL.  On a regular u they lie at least
+        _REGULARITY_GAP apart, so a declared spectrum that close is always a
+        certified match_points match, and any other is rejected."""
         u = np.array(u, dtype=complex)
-        eig = sort_points(np.linalg.eigvals(u))
-        if spectrum is None:
-            spectrum = eig
-        else:
-            spectrum = sort_points(np.array(spectrum, dtype=complex))
-            matched = match_points(spectrum, eig)
-            if np.max(np.abs(matched - spectrum)) > _SPECTRUM_TOL:
-                raise OrbitError("matrix spectrum does not match the declared one")
         if regularity_margin(u) < _REGULARITY_GAP:
             raise OrbitError("matrix is not regular for the nested-minor chart")
-        return cls(u=u, spectrum=np.array(spectrum, dtype=complex))
+        eig = sort_points(np.linalg.eigvals(u))
+        if spectrum is None:
+            return cls(u=u, spectrum=eig)
+        spectrum = sort_points(np.array(spectrum, dtype=complex))
+        try:
+            off = np.max(np.abs(match_points(spectrum, eig) - spectrum))
+        except TrackingError:
+            off = np.inf
+        if off > _SPECTRUM_TOL:
+            raise OrbitError("matrix spectrum does not match the declared one")
+        return cls(u=u, spectrum=spectrum)
 
     def to_json(self) -> dict:
         enc = lambda m: [[float(z.real), float(z.imag)] for z in np.ravel(m)]
@@ -144,12 +150,9 @@ def regularity_margin(u: np.ndarray) -> float:
     """Smallest root separation within and between consecutive A_n; raises
     OrbitError if the minors of u leave floating-point range."""
     u = np.asarray(u, dtype=complex)
-    N = u.shape[-1]
-    _, roots, finite = _level_stack(u[None], DEFAULT_MINOR_CONVENTION, lowering=False)
-    if not finite[0]:
-        raise _overflow_error()
-    roots = np.concatenate(roots, axis=1)[0]
-    i, j = _margin_pairs(N)
+    _, roots = _level_roots(u, DEFAULT_MINOR_CONVENTION, lowering=False)
+    roots = np.concatenate(roots)
+    i, j = _margin_pairs(u.shape[-1])
     diff = roots[i] - roots[j]
     return float(np.min(np.hypot(diff.real, diff.imag), initial=np.inf))
 
@@ -169,7 +172,7 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
 
     Resamples h until the regularity margin of u clears _REGULARITY_GAP; raises
     RetryExhaustedError if the budget runs out, and OrbitError if u or (in
-    level_data) its characteristic minors leave floating-point range (a
+    regularity_margin) its characteristic minors leave floating-point range (a
     finite but huge spectrum).
     """
     spectrum = np.array(spectrum, dtype=complex)
@@ -224,11 +227,6 @@ def _level_minors(N: int, rows_variant: bool, lowering: bool) -> tuple:
     return tuple(out)
 
 
-def _overflow_error() -> OrbitError:
-    return OrbitError("spectrum too large: the characteristic minors of u "
-                      "leave floating-point range")
-
-
 def _level_coeffs(us: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
     """Every minor of _level_minors at every point of a stack us (B, N, N),
     from one minor_dets call: (coeffs, finite), each minor's coefficients
@@ -240,32 +238,26 @@ def _level_coeffs(us: np.ndarray, convention: MinorConvention, lowering: bool) -
     return coeffs, ~np.isnan(coeffs[0][:, 0])
 
 
-def _level_stack(us: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
-    """The level-data kernel: (coeffs, roots, finite), _level_coeffs and the
-    roots (B, d) of every minor from one polished_roots call, unsorted, NaN
-    where an exact leading zero drops one or the point's minors overflow."""
-    coeffs, finite = _level_coeffs(us, convention, lowering)
-    return coeffs, polished_roots([c.T for c in coeffs]), finite
+def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
+    """The level-data kernel at one point u: (coeffs, roots), every minor of
+    _level_minors from _level_coeffs and its roots, unsorted, from one
+    polished_roots call.  Raises OrbitError when a minor leaves
+    floating-point range."""
+    coeffs, finite = _level_coeffs(np.asarray(u)[None], convention, lowering)
+    if not finite[0]:
+        raise OrbitError("spectrum too large: the characteristic minors of u "
+                         "leave floating-point range")
+    coeffs = [c[0] for c in coeffs]
+    return coeffs, polished_roots(coeffs)
 
 
 def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-               base=None, lowering: bool = True) -> LevelData:
-    """A_1..A_N and, with lowering, C_1..C_{N-1}, with their polished roots.
-
-    One call of the level-data kernel on a stack of one.  Roots come
-    sorted, or matched to a base (LevelData or GZChart): gamma to
-    base.gamma, and e to base.e if the base has one.  Raises OrbitError
-    when a minor leaves floating-point range.
-    """
+               lowering: bool = True) -> LevelData:
+    """A_1..A_N and, with lowering, C_1..C_{N-1}, with their polished roots,
+    sorted.  Raises OrbitError when a minor leaves floating-point range."""
     N = u.shape[0]
-    coeffs, roots, finite = _level_stack(np.asarray(u)[None], convention, lowering)
-    if not finite[0]:
-        raise _overflow_error()
-    roots = [r[0][~np.isnan(r[0])] for r in roots]
-    refs = [] if base is None else base.gamma + getattr(base, "e", [])
-    roots = ([match_points(ref, x) for ref, x in zip(refs, roots)]
-             + [sort_points(x) for x in roots[len(refs):]])
-    coeffs = [c[0] for c in coeffs]
+    coeffs, roots = _level_roots(u, convention, lowering)
+    roots = [sort_points(x) for x in roots]
     return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N], gamma=roots[:N],
                      c=coeffs[N:], e=roots[N:])
 

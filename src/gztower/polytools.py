@@ -7,7 +7,6 @@ numpy.roots convention).  Matrix indices here are 0-based.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -19,7 +18,7 @@ __all__ = [
 
 
 class TrackingError(RuntimeError):
-    """Root tracking between nearby configurations is ambiguous."""
+    """A point match is not certified, or the point counts differ."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,33 +127,23 @@ _NEWTON_STEPS = 6           # the Newton steps that polish every companion-matri
 def polished_roots(polys) -> list[np.ndarray]:
     """Roots of every polynomial in `polys`, refined by _NEWTON_STEPS Newton steps.
 
-    An entry is one coefficient array (d+1,), highest degree first, or a
-    column stack (d+1, B) of B polynomials; it gets its roots (g,), or a
-    (B, d) table of them.  Exact leading zeros drop, as in numpy.roots: a
-    polynomial of degree g < d has g roots, and in a table NaN in the d - g
-    slots after them; one with a non-finite coefficient has none.  All
-    polynomials share one zero-padded coefficient matrix; companion
-    eigenvalues come from one stacked eigvals per degree above 1; then all
-    roots take the same Newton steps at once, Horner's rule on the padded
-    coefficients, and a root whose steps leave floating-point range keeps
-    its eigenvalue.
+    Each entry is one coefficient array (d+1,), highest degree first.  Exact
+    leading zeros drop, as in numpy.roots: a polynomial of degree g < d has
+    g roots; one with a non-finite coefficient has none.  All polynomials
+    share one zero-padded coefficient matrix; companion eigenvalues come
+    from one stacked eigvals per degree above 1; then all roots take the
+    same Newton steps at once, Horner's rule on the padded coefficients,
+    and a root whose steps leave floating-point range keeps its eigenvalue.
     """
-    stacked = [np.ndim(p) == 2 for p in polys]
-    blocks = [np.atleast_2d(np.asarray(p, dtype=complex).T) for p in polys]   # (B, d+1)
-    rows = np.array([len(b) for b in blocks], dtype=int)
-    width = np.array([b.shape[1] for b in blocks], dtype=int)
-    L = max(2, width.max(initial=0))
-    size = np.repeat(width, rows)                      # per polynomial
-    ends = np.cumsum(size)
-    owner = np.repeat(np.arange(len(size)), size)      # per coefficient
-    C = np.zeros((len(size), L), dtype=complex)
-    C[owner, L - ends[owner] + np.arange(len(owner))] = np.concatenate(
-        [np.zeros(0), *(b.ravel() for b in blocks)])
+    polys = [np.asarray(p, dtype=complex) for p in polys]
+    L = max(2, max(map(len, polys), default=0))
+    C = np.zeros((len(polys), L), dtype=complex)
+    for row, p in zip(C, polys):
+        row[L - len(p):] = p
     C[~np.isfinite(C).all(axis=1)] = 0.0
     nonzero = C != 0
     degree = np.where(nonzero.any(axis=1), L - 1 - nonzero.argmax(axis=1), 0)
-    table = np.full((len(C), L - 1), np.nan, dtype=complex)
-    roots, owner, slot = [np.zeros(0, dtype=complex)], [np.zeros(0, int)], [np.zeros(0, int)]
+    roots, owner = [np.zeros(0, dtype=complex)], [np.zeros(0, int)]
     for g in np.flatnonzero(np.bincount(degree, minlength=2)[1:]) + 1:
         sel = np.flatnonzero(degree == g)
         comp = -C[sel, L - g:] / C[sel, L - g - 1, None]    # top companion rows
@@ -163,8 +152,7 @@ def polished_roots(polys) -> list[np.ndarray]:
                 (comp[:, None], np.eye(g - 1, g)[None].repeat(len(sel), 0)), axis=1))
         roots.append(comp.ravel())
         owner.append(np.repeat(sel, g))
-        slot.append(np.arange(len(sel) * g) % g)
-    start, owner, slot = map(np.concatenate, (roots, owner, slot))
+    start, owner = map(np.concatenate, (roots, owner))
     deriv = np.zeros_like(C)
     deriv[:, 1:] = C[:, :-1] * np.arange(L - 1, 0, -1)
     horner = np.ascontiguousarray(np.stack((C, deriv))[:, owner].transpose(2, 0, 1))
@@ -174,10 +162,8 @@ def polished_roots(polys) -> list[np.ndarray]:
             vals, dvals = functools.reduce(lambda y, col: y * roots + col, horner, 0j)
             roots = roots - np.divide(vals, dvals, out=np.zeros_like(vals),
                                       where=np.abs(dvals) > 1e-300)
-    table[owner, slot] = np.where(np.isfinite(roots), roots, start)
-    first = np.cumsum(rows) - rows
-    return [table[i:i + B, :w - 1] if st else table[i, :degree[i]]
-            for i, B, w, st in zip(first, rows, width, stacked)]
+    roots = np.where(np.isfinite(roots), roots, start)
+    return [roots[owner == i] for i in range(len(polys))]
 
 
 def roots_polished(coeffs: np.ndarray) -> np.ndarray:
@@ -204,89 +190,26 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     return np.min(gaps)
 
 
-def _min_cost_assignment(cost: np.ndarray) -> list[int]:
-    """Column of each row in a minimal-total-cost assignment, O(k^3).
-
-    Kuhn's Hungarian method (1955) in its shortest-augmenting-path form:
-    rows join one at a time, and dual potentials on rows and columns keep
-    every reduced cost non-negative.  The arithmetic is exact: costs are
-    rounded to integer multiples of 2^-40 of the largest, so totals that
-    differ only by rounding tie, and each cost gains the lower-order term
-    j * k^(k-1-i), so among minimal assignments the first in lexicographic
-    (itertools) order wins.  A non-finite cost gives the identity, the
-    first of the all-NaN totals an exhaustive search would see.
-    """
-    k = len(cost)
-    top = float(np.max(cost))
-    if not np.isfinite(top):
-        return list(range(k))
-    q = np.rint(cost * (2.0 ** 40 / top)) if top > 0 else np.zeros((k, k))
-    weight = [[int(q[i, j]) * k ** k + j * k ** (k - 1 - i) for j in range(k)]
-              for i in range(k)]
-    row_pot, col_pot = [0] * (k + 1), [0] * (k + 1)
-    row_of, way = [0] * (k + 1), [0] * (k + 1)   # 1-based row on each column
-    for i in range(1, k + 1):
-        row_of[0], j0 = i, 0                     # column 0 roots the search
-        reach, used = [math.inf] * (k + 1), [False] * (k + 1)
-        while row_of[j0]:
-            used[j0] = True
-            i0 = row_of[j0]
-            delta, j1 = math.inf, 0
-            for j in range(1, k + 1):
-                if not used[j]:
-                    reduced = weight[i0 - 1][j - 1] - row_pot[i0] - col_pot[j]
-                    if reduced < reach[j]:
-                        reach[j], way[j] = reduced, j0
-                    if reach[j] < delta:
-                        delta, j1 = reach[j], j
-            for j in range(k + 1):
-                if used[j]:
-                    row_pot[row_of[j]] += delta
-                    col_pot[j] -= delta
-                else:
-                    reach[j] -= delta
-            j0 = j1
-        while j0:
-            row_of[j0], j0 = row_of[way[j0]], way[j0]
-    out = [0] * k
-    for j in range(1, k + 1):
-        out[row_of[j] - 1] = j - 1
-    return out
-
-
 def match_points(base: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Reorder `new` to follow `base` by minimal-total-distance assignment.
+    """Reorder `new` to follow `base`: each base point gets its nearest new point.
 
-    new is one configuration (k,) or a sequence of them (B, k); in a
-    sequence each row follows the one before it, the first follows base.
-    When every point of the previous configuration has its nearest new point
-    within d_i < g/2, g that configuration's smallest gap, the nearest
-    neighbours are the unique minimal assignment: any other one gives some
-    set S of points the nearest neighbours of others, each at a distance
-    above g - d_i - d_j, which sums to more than the sum of d_i over S.  All
-    rows are certified from one stacked distance table; a row that is not
-    takes the Hungarian assignment (_min_cost_assignment).
+    The match is certified when every base point has its nearest new point
+    within d_i < g/2, g the smallest gap of base.  Then the nearest
+    neighbours are the unique minimal-total-distance assignment: any other
+    one gives some set S of points the nearest neighbours of others, each at
+    a distance above g - d_i - d_j, which sums to more than the sum of d_i
+    over S.  Raises TrackingError when the match is not certified or the
+    point counts differ.
     """
     base, new = np.asarray(base), np.asarray(new)
-    if base.shape[-1] != new.shape[-1]:
+    if base.shape != new.shape:
         raise TrackingError("point counts differ between configurations")
-    k = len(base)
-    if k <= 1:
+    if len(base) == 0:
         return new.copy()
-    rows = new.reshape(-1, k)
-    prev = np.concatenate((base[None], rows[:-1]))
-    dist = np.abs(prev[:, :, None] - rows[:, None, :])
-    nearest = np.argmin(dist, axis=2)
-    reach = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0]
-    gaps = np.abs(prev[:, :, None] - prev[:, None, :])
-    gaps[:, range(k), range(k)] = np.inf
-    certified = 2.0 * reach.max(axis=1) < gaps.min(axis=(1, 2))
-    out = np.empty_like(rows)
-    order, ref = np.arange(k), base
-    for s, row in enumerate(rows):
-        if certified[s]:        # prev[s] is the previous row before reordering
-            order = nearest[s][order]
-        else:
-            order = np.array(_min_cost_assignment(np.abs(ref[:, None] - row[None, :])))
-        out[s] = ref = row[order]
-    return out.reshape(new.shape)
+    diff = np.subtract.outer(base, new)
+    dist = np.hypot(diff.real, diff.imag)
+    nearest = np.argmin(dist, axis=1)
+    if not 2.0 * np.max(np.min(dist, axis=1)) < min_pairwise_gap(base):
+        raise TrackingError("nearest neighbours are not certified: a point moved "
+                            "by half the smallest gap or more")
+    return new[nearest]

@@ -598,7 +598,10 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
     zero (Casimir-level selectors expect all zeros).  The taus are continued
     from sample to sample, as in trajectory_records, and raise its errors;
     the flow checks regularity against reg_gap, as in hamiltonian_flow.
+    Raises ValueError at N < 2, where no tau exists.
     """
+    if pt.n < 2:
+        raise ValueError(f"N = {pt.n} has no angle to check")
     flow, tracker, taus, _, _ = _tracked_flow(pt, selector, t_final, steps, samples,
                                               convention, lam0, reg_gap)
     times = np.asarray(flow.times, dtype=float)

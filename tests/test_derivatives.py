@@ -9,6 +9,7 @@ take the package's one stencil, poisson.central_gradient.
 import numpy as np
 import pytest
 
+from _tracking import tracked_level_data
 from gztower import orbits
 from gztower.orbits import (
     MinorConvention,
@@ -43,7 +44,7 @@ def _central_gradients(f, u, step):
 
 def _matched_chart_values(u, base, base_theta, convention):
     """Chart functions at a nearby u, tracked against the base level data."""
-    lv = level_data(u, convention, base=base)
+    lv = tracked_level_data(u, convention, base)
     out = {}
     for n, roots in enumerate(lv.gamma, start=1):
         for j, g in enumerate(roots):
@@ -76,7 +77,7 @@ def _tangent_chart_data(pt, xi, step, convention, base):
     u = pt.u
     N = pt.n
     h = step * max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(xi)))
-    p, m = (level_data(u + sgn * h * xi, convention, base=base) for sgn in (1.0, -1.0))
+    p, m = (tracked_level_data(u + sgn * h * xi, convention, base) for sgn in (1.0, -1.0))
 
     def dlog(plus, minus, at, z):
         return (np.polyval(plus, z) - np.polyval(minus, z)) / (2 * h * np.polyval(at, z))

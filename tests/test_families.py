@@ -239,6 +239,12 @@ def test_verify_commutes_rejects_trivial_family():
         verify_commutes(build_family(FamilySpec("trivial", 2, "left")))
 
 
+def test_verify_commutes_refuses_a_family_without_pairs():
+    # N = 1: the one generator tr u gives no pair to check
+    with pytest.raises(ValueError, match="no pair"):
+        verify_commutes(build_family(FamilySpec("gz-principal", 1, "both")))
+
+
 def test_commutation_report_shape():
     rep = verify_commutes(build_family(FamilySpec("gz-principal", 2, "both")))
     data = rep.to_json()
@@ -253,9 +259,18 @@ def test_commutation_report_shape():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_trivial_family_numeric(n):
+    if n == 1:      # one member, no pair to check
+        with pytest.raises(ValueError, match="no pair"):
+            verify_trivial_numeric(n, pt_count=5, seed=0)
+        return
     rep = verify_trivial_numeric(n, pt_count=5, seed=0)
     assert rep.status == "ok"
     assert rep.max_abs_bracket < 1e-5
+
+
+def test_trivial_family_numeric_refuses_zero_points():
+    with pytest.raises(ValueError, match="no pair"):
+        verify_trivial_numeric(3, pt_count=0)
 
 
 def test_trivial_family_numeric_n3():

@@ -7,8 +7,7 @@ from gztower.orbits import (
     MinorConvention,
     OrbitError,
     OrbitPoint,
-    _level_stack,
-    gz_forward,
+    _level_coeffs,
     level_data,
     lowering_minor_coeffs,
     random_spectrum,
@@ -78,27 +77,6 @@ def test_level_data_without_lowering_minors(N):
         _close_roots(h, g)
 
 
-def test_level_data_tracks_a_base():
-    pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.3 - 1.1j, -0.6 + 0.9j], seed=4)
-    base = level_data(pt.u)
-    rng = np.random.default_rng(0)
-    u2 = pt.u + 1e-7 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    moved = level_data(u2, base=base)
-    for got, ref in zip(moved.gamma + moved.e, base.gamma + base.e):
-        assert np.max(np.abs(got - ref), initial=0.0) < 1e-5
-    # a reversed base gets reversed roots: the order follows the base, not a sort
-    flipped = level_data(u2, base=type(base)(base.a, [g[::-1] for g in base.gamma],
-                                             base.c, [e[::-1] for e in base.e]))
-    for got, ref in zip(flipped.gamma + flipped.e, moved.gamma + moved.e):
-        assert np.array_equal(got, ref[::-1])
-    # a chart carries no divisor points: gamma follows it, e comes back sorted
-    chart = level_data(u2, base=gz_forward(pt))
-    for got, ref in zip(chart.gamma, moved.gamma):
-        assert np.array_equal(got, ref)
-    for e in chart.e:
-        assert np.array_equal(e, sort_points(e))
-
-
 def _stack(N):
     """Five points at N: two samples at three scales, one entry-wise random."""
     rng = np.random.default_rng(N)
@@ -109,18 +87,15 @@ def _stack(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_stacked_level_data_matches_per_point_calls(N):
+    # the flow tracker's stack path: every point's minors as level_data's
     us = _stack(N)
     for conv in CONVENTIONS[:3]:
-        coeffs, roots, finite = _level_stack(us, conv, lowering=True)
-        assert finite.all() and len(coeffs) == len(roots) == 2 * N - 1
+        coeffs, finite = _level_coeffs(us, conv, lowering=True)
+        assert finite.all() and len(coeffs) == 2 * N - 1
         for b, u in enumerate(us):
             lv = level_data(u, conv)
-            for c, r, ref_c, ref_r in zip(coeffs, roots, lv.a[1:] + lv.c, lv.gamma + lv.e):
-                scale = np.max(np.abs(ref_c))
-                assert np.max(np.abs(c[b] - ref_c)) <= 1e-13 * scale
-                if len(ref_r):
-                    scale = np.max(np.abs(ref_r))
-                    assert np.max(np.abs(sort_points(r[b]) - ref_r)) <= 1e-13 * scale
+            for c, ref_c in zip(coeffs, lv.a[1:] + lv.c):
+                assert np.max(np.abs(c[b] - ref_c)) <= 1e-13 * np.max(np.abs(ref_c))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,25 @@ def test_orbit_point_create_checks_spectrum():
         OrbitPoint.create(u, spectrum=[5.0, 6.0])
 
 
+def test_orbit_point_create_matches_a_declared_spectrum():
+    # eigenvalues 1..4 of a regular u, declared in any order and within
+    # 1e-10; a move of 1e-9, a repeated entry or a wrong count is rejected
+    pt = sample_orbit([1.0, 2.0, 3.0, 4.0], seed=1)
+    eig = np.linalg.eigvals(pt.u)
+    for declared in (eig[::-1], eig + 1e-12, [4, 2, 3, 1]):
+        got = OrbitPoint.create(pt.u, spectrum=declared)
+        assert np.max(np.abs(got.spectrum - [1, 2, 3, 4])) < 1e-10
+    for declared in (eig + 1e-9, [1, 2, 3, 3], list(eig) + [5.0], eig[:3]):
+        with pytest.raises(OrbitError, match="does not match the declared one"):
+            OrbitPoint.create(pt.u, spectrum=declared)
+
+
+def test_orbit_point_create_checks_regularity_first():
+    u = np.array([[1.0, 2.0], [0.0, 3.0]])
+    with pytest.raises(OrbitError, match="not regular"):
+        OrbitPoint.create(u, spectrum=[5.0, 6.0])
+
+
 def test_orbit_point_json_roundtrip():
     pt = sample_orbit([1.0, -1.0, 2.0 + 1j], seed=5)
     back = OrbitPoint.from_json(pt.to_json())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from _tracking import tracked_level_data
 from gztower.families import char_minor
 from gztower import orbits, tower
 from gztower.orbits import (
@@ -18,7 +19,7 @@ from gztower.orbits import (
     sample_orbit,
 )
 from gztower.poisson import U, evaluate_at
-from gztower.polytools import TrackingError, principal_charpoly
+from gztower.polytools import principal_charpoly
 from gztower.tower import (
     BranchJumpError,
     PathThroughPunctureError,
@@ -497,10 +498,10 @@ def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every
 
 class _TrackerLoop:
     """Oracle: the tracker one sample at a time.  The first sample gets the
-    straight-path angles; level_data matches each later sample's roots to
-    the sample before, and each tau continues by the logs of the e-point
-    ratios, one e-point at a time, against the first sample's punctures,
-    and tau[n,1] also by the log of the lead C_n ratio.  An error carries
+    straight-path angles; tracked_level_data matches each later sample's
+    roots to the sample before, and each tau continues by the logs of the
+    e-point ratios, one e-point at a time, against the first sample's
+    punctures, and tau[n,1] also by the log of the lead C_n ratio.  An error carries
     the time of its sample."""
 
     def __init__(self, convention, lam0):
@@ -510,7 +511,7 @@ class _TrackerLoop:
     def step(self, u, t):
         try:
             taus, hs, flags, lv = self._step(u, t)
-        except (TowerError, TrackingError) as exc:
+        except TowerError as exc:
             exc.time = t
             raise
         self.state, self.tau = lv, taus
@@ -527,7 +528,7 @@ class _TrackerLoop:
 
     def _step(self, u, t):
         try:
-            lv = level_data(u, self.convention, base=self.state)
+            lv = tracked_level_data(u, self.convention, self.state)
         except OrbitError:
             raise RegularityLostError(t) from None
         if self.first is None:
@@ -816,6 +817,12 @@ def test_linearization_n2():
     rep = linearization_check(pt, (1, 1))
     assert rep.status == "ok"
     assert abs(rep.slopes[(1, 1)] - 1.0) < 1e-3
+
+
+def test_linearization_refuses_n1():
+    # gl_1 has no angle: a check of no slopes is refused
+    with pytest.raises(ValueError, match="no angle"):
+        linearization_check(sample_orbit([0.5], seed=0), (1, 1))
 
 
 @pytest.mark.parametrize("selector", [(1, 1), (2, 1), (2, 2)])
