@@ -29,7 +29,7 @@ symbolic algebra in :mod:`gztower.poisson`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -94,16 +94,71 @@ _COND_CAP = 1e6             # sample_orbit: the largest condition number of h,
 _DRAWS = 100                # and the draws of h before it gives up
 
 
-@dataclass
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class OrbitPoint:
-    """Matrix on a fixed-spectrum coadjoint orbit (validation in create())."""
+    """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
+
+    u and spectrum are read-only copies.  The point memoizes what the checks
+    compute from u: the regularity margin, LevelData per (convention,
+    lowering), ChartDerivatives per convention and, in tower, the
+    TowerDescriptor per (lam0, convention).  Each entry is a pure function
+    of u, built on first use, with read-only arrays; the memo is idempotent
+    and goes with its point.
+    """
 
     u: np.ndarray
     spectrum: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("u", "spectrum"):
+            copy = np.array(getattr(self, name))
+            _read_only(copy)
+            object.__setattr__(self, name, copy)
 
     @property
     def n(self) -> int:
         return self.u.shape[0]
+
+    def _memoized(self, key, build: Callable):
+        """The memo entry for key, from build() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
+
+    def margin(self) -> float:
+        """regularity_margin(u), once per point."""
+        return self._memoized("margin", lambda: regularity_margin(self.u))
+
+    def levels(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
+               lowering: bool = True) -> LevelData:
+        """level_data(u, convention, lowering), once per point."""
+        def build():
+            lv = level_data(self.u, convention, lowering)
+            _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
+            return lv
+        return self._memoized(("levels", convention, lowering), build)
+
+    def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
+                    ) -> ChartDerivatives:
+        """chart_derivatives(u, convention) on the memoized level data, once per point."""
+        def build():
+            d = _chart_derivatives(self.u, self.levels(convention), convention)
+            _read_only(*d.gamma, *d.e)
+            return d
+        return self._memoized(("derivatives", convention), build)
+
+    @classmethod
+    def _with_margin(cls, u, spectrum, margin: float) -> "OrbitPoint":
+        pt = cls(u=u, spectrum=spectrum)
+        pt._memo["margin"] = margin
+        return pt
 
     @classmethod
     def create(cls, u, spectrum=None) -> "OrbitPoint":
@@ -112,11 +167,12 @@ class OrbitPoint:
         _REGULARITY_GAP apart, so a declared spectrum that close is always a
         certified match_points match, and any other is rejected."""
         u = np.array(u, dtype=complex)
-        if regularity_margin(u) < _REGULARITY_GAP:
+        margin = regularity_margin(u)
+        if margin < _REGULARITY_GAP:
             raise OrbitError("matrix is not regular for the nested-minor chart")
         eig = sort_points(np.linalg.eigvals(u))
         if spectrum is None:
-            return cls(u=u, spectrum=eig)
+            return cls._with_margin(u, eig, margin)
         spectrum = sort_points(np.array(spectrum, dtype=complex))
         try:
             off = np.max(np.abs(match_points(spectrum, eig) - spectrum))
@@ -124,7 +180,7 @@ class OrbitPoint:
             off = np.inf
         if off > _SPECTRUM_TOL:
             raise OrbitError("matrix spectrum does not match the declared one")
-        return cls(u=u, spectrum=spectrum)
+        return cls._with_margin(u, spectrum, margin)
 
     def to_json(self) -> dict:
         enc = lambda m: [[float(z.real), float(z.imag)] for z in np.ravel(m)]
@@ -188,8 +244,9 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
             u = h @ np.diag(spectrum) @ np.linalg.inv(h)
         if not np.isfinite(u).all():
             raise OrbitError("spectrum too large: u leaves floating-point range")
-        if regularity_margin(u) >= _REGULARITY_GAP:
-            return OrbitPoint(u=u, spectrum=sort_points(spectrum))
+        margin = regularity_margin(u)
+        if margin >= _REGULARITY_GAP:
+            return OrbitPoint._with_margin(u, sort_points(spectrum), margin)
     raise RetryExhaustedError(f"no regular point after {_DRAWS} draws")
 
 
@@ -206,7 +263,7 @@ def lowering_minor_coeffs(u: np.ndarray, n: int,
     return convention.sign * lambda_minor_det(u, rows, cols)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelData:
     """a[n] = A_n (a[0] = [1]) with roots gamma[n-1], n = 1..N; c[n-1] = C_n
     with roots e[n-1], n = 1..N-1 (both empty without the lowering minors)."""
@@ -291,14 +348,14 @@ def gz_forward(pt: OrbitPoint, convention: MinorConvention = DEFAULT_MINOR_CONVE
     Assumes a regular point (sampled points are; hand-built ones may fail
     with SingularChartError when a denominator degenerates).
     """
-    lv = level_data(pt.u, convention, lowering=compute_theta)
+    lv = pt.levels(convention, lowering=compute_theta)
     thetas: list[np.ndarray] = []
     for n, (g, c) in enumerate(zip(lv.gamma, lv.c), start=1):
         cval, aval = np.polyval(c, g), np.polyval(lv.a[n - 1], g)
         if min(np.min(np.abs(cval)), np.min(np.abs(aval))) < _ANGLE_FLOOR:
             raise SingularChartError(f"level {n} angle denominators below {_ANGLE_FLOOR}")
         thetas.append(np.log(-cval / aval))
-    return GZChart(gamma=lv.gamma, theta=thetas, convention=convention)
+    return GZChart(gamma=list(lv.gamma), theta=thetas, convention=convention)
 
 
 def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
@@ -309,7 +366,7 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
     by max(1, max|a_n|) and max(1, max|C_n(gamma)|): the A_n coefficients
     grow like n!, and neither scale depends on theta.
     """
-    lv = level_data(pt.u, chart.convention)
+    lv = pt.levels(chart.convention)
     scale = lambda x: max(1.0, float(np.max(np.abs(x))))
     res_a = max(float(np.max(np.abs(np.poly(g) - a))) / scale(a)
                 for g, a in zip(chart.gamma, lv.a[1:]))
@@ -376,7 +433,7 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
     return grads, extra
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChartDerivatives:
     """Closed-form gradients at u, [a, b] = dF/du[a, b].
 
@@ -417,8 +474,13 @@ class ChartDerivatives:
 def chart_derivatives(u: np.ndarray,
                       convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ChartDerivatives:
     """Gradients of every puncture and divisor point, one SVD stack per minor."""
+    return _chart_derivatives(u, level_data(u, convention), convention)
+
+
+def _chart_derivatives(u: np.ndarray, lv: LevelData,
+                       convention: MinorConvention) -> ChartDerivatives:
+    """chart_derivatives from the level data lv of u."""
     N = u.shape[0]
-    lv = level_data(u, convention)
     minors = _level_minors(N, convention.rows_variant, True)
     grads, conds = zip(*(_minor_gradients(u, m, r, roots=True)
                          for m, r in zip(minors, lv.gamma + lv.e)))
@@ -468,10 +530,10 @@ class ChartCanonicityReport:
         }
 
 
-def _canonicity_deviation(u: np.ndarray, convention: MinorConvention):
+def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
     """Worst table deviation, worst Casimir bracket, the table, conditioning."""
-    N = u.shape[0]
-    d = chart_derivatives(u, convention)
+    u, N = pt.u, pt.n
+    d = pt.derivatives(convention)
     names = [f"gamma[{n},{j}]" for n in range(1, N + 1) for j in range(1, n + 1)]
     names += [f"theta[{n},{j}]" for n in range(1, N) for j in range(1, n + 1)]
     grads = np.concatenate(d.gamma + d.theta()).transpose(0, 2, 1)
@@ -490,7 +552,7 @@ def _canonicity_deviation(u: np.ndarray, convention: MinorConvention):
                   for c in top for b in range(len(names))})
     worst = float(np.max(dev[np.ix_(chart, chart)], initial=0.0))
     casimir = float(np.max(dev[G - N:G], initial=0.0))
-    return worst, casimir, table, d.conditioning
+    return worst, casimir, table, dict(d.conditioning)
 
 
 def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5,
@@ -508,7 +570,7 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5,
     variants, winner = [], None
     for conv in sweep:
         if conv.rows_variant not in cache:
-            cache[conv.rows_variant] = _canonicity_deviation(pt.u, conv)
+            cache[conv.rows_variant] = _canonicity_deviation(pt, conv)
         dev, cas, _, _ = cache[conv.rows_variant]
         variants.append({"convention": conv.label(),
                          "max_deviation": dev, "casimir_deviation": cas})
@@ -578,7 +640,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     """
     u = pt.u
     N = pt.n
-    d = chart_derivatives(u, convention)
+    d = pt.derivatives(convention)
     lv = d.lv
     flat = lambda grads: np.concatenate([np.zeros((0, N, N)), *grads])
     # aligned pairs of stacks over all levels: the gradients of some roots,
@@ -615,4 +677,4 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     return ResidueFormReport(
         n=N, pairs=len(pairs), tolerance=tolerance, variants=variants,
         winner=winner, status="ok" if winner else "violation",
-        conditioning=d.conditioning)
+        conditioning=dict(d.conditioning))

@@ -43,9 +43,7 @@ from .orbits import (
     OrbitPoint,
     _kk,
     _level_coeffs,
-    chart_derivatives,
-    level_data,
-    regularity_margin,
+    _read_only,
 )
 from .polytools import principal_charpoly
 
@@ -191,7 +189,7 @@ def _pairs(values) -> list[list[float]]:
     return [[complex(z).real, complex(z).imag] for z in values]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerLevel:
     n: int
     gamma: np.ndarray
@@ -218,7 +216,7 @@ class TowerLevel:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerDescriptor:
     levels: list[TowerLevel]
     zero_section: dict[int, list[complex]]
@@ -246,16 +244,20 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
 
     The top level N carries its punctures and (Casimir) action values but no
     e-points or angles: the lowering minor needs row/column N+1, and the
-    corresponding angles are not functions on the orbit.
+    corresponding angles are not functions on the orbit.  The descriptor is
+    memoized on pt per (lam0, convention), so callers share it: its arrays
+    are read-only, and its lists must not be changed either.
     """
+    lam0 = default_base_point(pt) if lam0 is None else complex(lam0)
+    return pt._memoized(("tower", lam0, convention),
+                        lambda: _build_tower(pt, lam0, convention))
+
+
+def _build_tower(pt: OrbitPoint, lam0: complex, convention: MinorConvention) -> TowerDescriptor:
     N = pt.n
-    u = pt.u
-    if lam0 is None:
-        lam0 = default_base_point(pt)
-    lam0 = complex(lam0)
     levels: list[TowerLevel] = []
     zero_section: dict[int, list[complex]] = {}
-    lv = level_data(u, convention)
+    lv = pt.levels(convention)
     for n in range(1, N + 1):
         acoeffs, gamma = lv.a[n], lv.gamma[n - 1]
         # relative to the coefficient scale: the A_n coefficients grow like n!
@@ -276,6 +278,7 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None,
             tau, tau_lit = (t.tolist() for t in _level_angles(e_sums, prev_sums, lead))
         else:
             e_pts, lead, tau, tau_lit = np.zeros(0, dtype=complex), None, [], []
+            _read_only(e_pts)
         levels.append(TowerLevel(
             n=n, gamma=gamma, h=acoeffs[1:], e=np.asarray(e_pts, dtype=complex),
             tau=tau, tau_literal=tau_lit, base_point=lam0,
@@ -342,7 +345,7 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     """
     X = action_gradient(pt.u, selector)
     try:
-        regular = regularity_margin(pt.u) >= reg_gap
+        regular = pt.margin() >= reg_gap
     except OrbitError:          # the minors of u leave floating-point range
         regular = False
     if not regular:
@@ -376,7 +379,8 @@ class _TauTracker:
     as sum_j res_j(lam^(n-k) / A_n) log C_n(gamma_j).  Each sample of
     ``step``, the first being pt itself, adds the _tau_sums of the logs of
     the C_n(gamma_j) ratios to the sample before: Horner's rule on the C_n
-    of one _level_coeffs call for all samples, which also gives h.
+    of one _level_coeffs call for all samples, which also gives h.  The
+    values at t = 0 come from the same rule on pt's memoized level data.
     """
 
     def __init__(self, pt: OrbitPoint, convention: MinorConvention, lam0: complex | None):
@@ -389,9 +393,10 @@ class _TauTracker:
         self.convention = convention
         self.keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
         self.h_keys = [(n, k) for n in range(1, N + 1) for k in range(1, n + 1)]
-        self.gamma = [lv.gamma for lv in levels]
-        self.tau = np.array([t for lv in levels for t in lv.tau], dtype=complex)
-        self.c = [v[0] for v in self._punctured(pt.u[None])[1]]
+        self.tau = np.array([t for level in levels for t in level.tau], dtype=complex)
+        lv = pt.levels(convention)
+        self.gamma = lv.gamma[:-1]
+        self.c = [np.polyval(c, g) for c, g in zip(lv.c, self.gamma)]
 
     def _punctured(self, us: np.ndarray) -> tuple:
         """(coeffs, values, finite) at the samples us: every level minor,
@@ -529,7 +534,7 @@ def action_angle_bracket_table(pt: OrbitPoint,
     """
     N = pt.n
     u = pt.u
-    d = chart_derivatives(u, convention)
+    d = pt.derivatives(convention)
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
     h_nabla = {}
     for n in range(1, N):
@@ -562,7 +567,7 @@ def action_angle_bracket_table(pt: OrbitPoint,
         n=N, tolerance=tolerance, h_tau=h_tau, h_h=h_h,
         max_deviation_upper=worst, level_one=level_one,
         status="ok" if worst <= tolerance else "violation",
-        conditioning=d.conditioning)
+        conditioning=dict(d.conditioning))
 
 
 @dataclass

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -506,6 +510,34 @@ def test_reports_are_deterministic(tmp_path, capsys, argv):
         code, out, _ = run_cli(capsys, *argv, *extra)
         assert code == 0
         outs.append(_strip_timestamp(out) + (traj.read_text() if extra else ""))
+    assert outs[0] == outs[1]
+
+
+# the geometry argvs of benchmarks/gen.py, seed 1 pass 1
+ORBIT5 = ["orbit", "--n", "5", "--check", "all",
+          "--spectrum=0.035465-0.230021j,1.351391+0.983108j,-1.067521-0.272403j,"
+          "1.345948+0.148781j,-0.564506-1.417323j", "--seed", "1858836761"]
+FLOW5 = ["flow", "--n", "5", "--hamiltonian", "4,3", "--steps", "1000",
+         "--spectrum=0.114430-1.097875j,-0.510805-0.290661j,0.865286-0.889634j,"
+         "-0.590416-0.713060j,-0.139506+0.751094j", "--seed", "1618157078"]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [ORBIT5, FLOW5, ["verify-quantum", "--n", "3"],
+                                  ["verify-classical", "--family", "mf", "--n", "3"]],
+                         ids=["orbit5", "flow5", "quantum-n3", "classical-mf-n3"])
+def test_reports_are_the_same_across_hash_seeds(tmp_path, argv):
+    # string hashing, and so the order of any set of strings, changes with
+    # PYTHONHASHSEED from one process to the next
+    outs, traj = [], tmp_path / "traj.jsonl"
+    for hash_seed in ("1", "2"):
+        extra = ["--trajectory", str(traj)] if argv[0] == "flow" else []
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-m", "gztower.cli", *argv, *extra], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(_strip_timestamp(proc.stdout) + (traj.read_text() if extra else ""))
     assert outs[0] == outs[1]
 
 

@@ -1,0 +1,150 @@
+"""The per-point memo of OrbitPoint: what it shares, and what it saves.
+
+Every check that takes a point reads the margin, the level data, the chart
+derivatives and the tower from the point's memo, so the checks on one point
+compute each of them once.  The memo must not change any result, and what
+it shares with callers must be read-only."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+from gztower import orbits, tower
+from gztower.cli import main
+from gztower.orbits import MinorConvention, OrbitPoint, OrbitTangent, sample_orbit
+from test_cli import FLOW5, ORBIT5
+
+_SPECTRUM = [1.0, -1.0 + 0.5j, 0.5 - 1.0j, 2.0 + 0.3j]
+
+
+def _pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    draw = lambda: OrbitTangent(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return [(draw(), draw()) for _ in range(6)]
+
+
+def _chart(pt):
+    chart = orbits.gz_forward(pt)
+    return chart.to_json(), orbits.chart_residuals(chart, pt)
+
+
+# each check that takes a point, as JSON-ready output
+CHECKS = {
+    "gz_forward": _chart,
+    "gz_forward_cols": lambda pt: orbits.gz_forward(pt, MinorConvention(False, -1)).to_json(),
+    "gamma_only": lambda pt: orbits.gz_forward(pt, compute_theta=False).to_json(),
+    "verify_canonical_chart": lambda pt: orbits.verify_canonical_chart(pt).to_json(),
+    "residue_form_check": lambda pt: orbits.residue_form_check(pt, _pairs(pt.n, 3)).to_json(),
+    "build_tower": lambda pt: tower.build_tower(pt).to_json(),
+    "build_tower_lam0": lambda pt: tower.build_tower(pt, lam0=7.5 - 1j).to_json(),
+    "action_angle_bracket_table": lambda pt: tower.action_angle_bracket_table(pt).to_json(),
+    "hamiltonian_flow": lambda pt: [u.tolist() for u in tower.hamiltonian_flow(
+        pt, (3, 2), steps=50, sample_every=10).points],
+    "trajectory_records": lambda pt: tower.trajectory_records(pt, (2, 1), steps=50, samples=5),
+    "linearization_check": lambda pt: tower.linearization_check(pt, (3, 1)).to_json(),
+}
+
+
+def _dump(value):
+    return json.dumps(value, sort_keys=True, default=lambda z: [z.real, z.imag])
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_a_filled_memo_gives_the_fresh_result(name):
+    warm = sample_orbit(_SPECTRUM, seed=4)
+    for check in CHECKS.values():
+        check(warm)
+    fresh = OrbitPoint(u=warm.u, spectrum=warm.spectrum)
+    assert not fresh._memo
+    assert _dump(CHECKS[name](warm)) == _dump(CHECKS[name](fresh))
+
+
+def test_the_memo_is_per_instance_and_from_json_starts_empty():
+    pt = sample_orbit(_SPECTRUM, seed=4)
+    assert set(pt._memo) == {"margin"}
+    for check in CHECKS.values():
+        check(pt)
+    assert len(pt._memo) > 1
+    again = OrbitPoint.from_json(pt.to_json())
+    assert again._memo == {}
+    assert np.array_equal(again.u, pt.u) and np.array_equal(again.spectrum, pt.spectrum)
+    assert dataclasses.replace(pt)._memo == {}
+    assert OrbitPoint.create(pt.u)._memo == {"margin": pt.margin()}
+
+
+def test_the_point_and_the_shared_arrays_are_read_only():
+    u = sample_orbit(_SPECTRUM, seed=4).u.copy()
+    pt = OrbitPoint(u=u, spectrum=np.array(_SPECTRUM))
+    u[0, 0] += 1.0                  # the point holds its own copy
+    assert pt.u[0, 0] != u[0, 0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.u = u
+    shared = [pt.u, pt.spectrum]
+    lv = pt.levels()
+    shared += [*lv.a, *lv.gamma, *lv.c, *lv.e]
+    d = pt.derivatives()
+    shared += [d.u, *d.gamma, *d.e]
+    for level in tower.build_tower(pt).levels:
+        shared += [level.gamma, level.h, level.e]
+    shared += orbits.gz_forward(pt).gamma
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lv.gamma = []
+    assert pt.levels() is lv and pt.derivatives() is d and d.lv is lv
+
+
+def test_reports_do_not_share_the_memo_conditioning():
+    pt = sample_orbit(_SPECTRUM, seed=4)
+    report = orbits.verify_canonical_chart(pt)
+    report.conditioning["min_level_gap"] = -1.0
+    assert pt.derivatives().conditioning["min_level_gap"] > 0.0
+    assert orbits.residue_form_check(pt, _pairs(pt.n, 1)).conditioning["min_level_gap"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# how often one report runs the level kernel
+# ---------------------------------------------------------------------------
+
+def _kernel_runs(monkeypatch, capsys, argv):
+    """(draws of sample_orbit, runs of orbits._level_roots) in one report."""
+    events = []
+    kernel, margin, sample = orbits._level_roots, orbits.regularity_margin, orbits.sample_orbit
+
+    def counted_kernel(*args, **kwargs):
+        events.append("kernel")
+        return kernel(*args, **kwargs)
+
+    def counted_margin(u):
+        events.append("margin")
+        return margin(u)
+
+    def counted_sample(*args, **kwargs):
+        events.append("sample")
+        pt = sample(*args, **kwargs)
+        events.append("sampled")
+        return pt
+
+    monkeypatch.setattr(orbits, "_level_roots", counted_kernel)
+    monkeypatch.setattr(orbits, "regularity_margin", counted_margin)
+    monkeypatch.setattr(orbits, "sample_orbit", counted_sample)
+    assert main(argv) == 0
+    capsys.readouterr()
+    start, end = events.index("sample"), events.index("sampled")
+    draws = events[start:end].count("margin")
+    assert draws >= 1 and events.count("margin") == draws
+    return draws, events.count("kernel")
+
+
+@pytest.mark.parametrize("argv, extra", [(ORBIT5, 2), (FLOW5, 1)], ids=["orbit5", "flow5"])
+def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp_path,
+                                                       argv, extra):
+    # orbit: one margin per draw, then the level data of the rows and of the
+    # cols convention (the sweep); flow: the level data of the tower
+    if argv[0] == "flow":
+        argv = argv + ["--trajectory", str(tmp_path / "t.jsonl")]
+    draws, runs = _kernel_runs(monkeypatch, capsys, argv)
+    assert runs == draws + extra

@@ -432,14 +432,22 @@ def test_flow_conserves_the_margin_and_every_level_polynomial(N, selector):
 
 
 def test_flow_checks_regularity_once_whatever_the_steps(monkeypatch):
+    # the flow reads the start margin from its point: a sampled point stored
+    # the margin of its last draw, and a new point computes it once
     calls = []
-    monkeypatch.setattr(tower, "regularity_margin",
+    monkeypatch.setattr(orbits, "regularity_margin",
                         lambda u: (calls.append(u), regularity_margin(u))[1])
-    pt = sample_orbit(_SPECTRA[5], seed=5)
-    flow = hamiltonian_flow(pt, (4, 3), t_final=1.0, steps=10**6, sample_every=25000)
-    assert len(flow.points) == 41 and len(calls) == 1
+    sampled = sample_orbit(_SPECTRA[5], seed=5)
+    draws = len(calls)
+    flow = hamiltonian_flow(sampled, (4, 3), t_final=1.0, steps=10**6, sample_every=25000)
+    assert len(calls) == draws
+    pt = OrbitPoint(u=sampled.u, spectrum=sampled.spectrum)
+    for steps in (10**6, 10, 1000):
+        hamiltonian_flow(pt, (4, 3), steps=steps, sample_every=max(1, steps // 40))
+    assert len(calls) == draws + 1 and np.array_equal(calls[-1], pt.u)
+    assert len(flow.points) == 41
     assert np.array_equal(flow.times, np.arange(41) * 25000 * (1.0 / 10**6))
-    assert np.array_equal(calls[0], pt.u) and np.array_equal(flow.points[0], pt.u)
+    assert np.array_equal(flow.points[0], pt.u)
 
 
 @pytest.mark.parametrize("start", ["below-gap", "overflowing-minors"])
@@ -448,7 +456,9 @@ def test_irregular_start_loses_regularity_at_zero(monkeypatch, start):
     # of the h[4,3] flow taken as the start) not computable at all
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
     if start == "below-gap":
-        monkeypatch.setattr(tower, "regularity_margin", lambda u: 0.0)
+        monkeypatch.setattr(orbits, "regularity_margin", lambda u: 0.0)
+        # a new point, whose margin is not yet memoized, reads the patch
+        pt = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
         want = _outcome(lambda: _flow_loop(pt, (4, 3), sample_every=25))
         assert want == ("regularity", (0.0, "regularity lost at t = 0.0"))
     else:
@@ -473,7 +483,7 @@ def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every
     the start alone."""
     X = action_gradient(pt.u, selector)
     u = pt.u.copy()
-    if tower.regularity_margin(u) < reg_gap:
+    if orbits.regularity_margin(u) < reg_gap:
         raise RegularityLostError(0.0)
     n = selector[0]
     V = np.eye(pt.n, dtype=complex)
