@@ -104,11 +104,10 @@ class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
 
     u and spectrum are read-only copies.  The point memoizes what the checks
-    compute from u: the regularity margin, LevelData per (convention,
-    lowering), ChartDerivatives per convention and, in tower, the
-    TowerDescriptor per (lam0, convention).  Each entry is a pure function
-    of u, built on first use, with read-only arrays; the memo is idempotent
-    and goes with its point.
+    compute from u: LevelData and ChartDerivatives per convention and, in
+    tower, the TowerDescriptor per (lam0, convention).  Each entry is a pure
+    function of u, built on first use, with read-only arrays; the memo is
+    idempotent and goes with its point.
     """
 
     u: np.ndarray
@@ -133,17 +132,16 @@ class OrbitPoint:
             return self._memo.setdefault(key, build())
 
     def margin(self) -> float:
-        """regularity_margin(u), once per point."""
-        return self._memoized("margin", lambda: regularity_margin(self.u))
+        """regularity_margin(u), from the memoized level data."""
+        return _margin(self.levels().gamma)
 
-    def levels(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-               lowering: bool = True) -> LevelData:
-        """level_data(u, convention, lowering), once per point."""
+    def levels(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
+        """level_data(u, convention), once per point."""
         def build():
-            lv = level_data(self.u, convention, lowering)
+            lv = level_data(self.u, convention)
             _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
             return lv
-        return self._memoized(("levels", convention, lowering), build)
+        return self._memoized(("levels", convention), build)
 
     def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
                     ) -> ChartDerivatives:
@@ -155,32 +153,28 @@ class OrbitPoint:
         return self._memoized(("derivatives", convention), build)
 
     @classmethod
-    def _with_margin(cls, u, spectrum, margin: float) -> "OrbitPoint":
-        pt = cls(u=u, spectrum=spectrum)
-        pt._memo["margin"] = margin
-        return pt
-
-    @classmethod
     def create(cls, u, spectrum=None) -> "OrbitPoint":
         """Validate u, regular first; a declared spectrum must match its
         eigenvalues within _SPECTRUM_TOL.  On a regular u they lie at least
         _REGULARITY_GAP apart, so a declared spectrum that close is always a
-        certified match_points match, and any other is rejected."""
-        u = np.array(u, dtype=complex)
-        margin = regularity_margin(u)
-        if margin < _REGULARITY_GAP:
+        certified match_points match, and any other is rejected.  The point
+        keeps the level data of the regularity check."""
+        pt = cls(u=np.array(u, dtype=complex), spectrum=np.zeros(0, dtype=complex))
+        if pt.margin() < _REGULARITY_GAP:
             raise OrbitError("matrix is not regular for the nested-minor chart")
-        eig = sort_points(np.linalg.eigvals(u))
-        if spectrum is None:
-            return cls._with_margin(u, eig, margin)
-        spectrum = sort_points(np.array(spectrum, dtype=complex))
-        try:
-            off = np.max(np.abs(match_points(spectrum, eig) - spectrum))
-        except TrackingError:
-            off = np.inf
-        if off > _SPECTRUM_TOL:
-            raise OrbitError("matrix spectrum does not match the declared one")
-        return cls._with_margin(u, spectrum, margin)
+        eig = sort_points(np.linalg.eigvals(pt.u))
+        if spectrum is not None:
+            spectrum = sort_points(np.array(spectrum, dtype=complex))
+            try:
+                off = np.max(np.abs(match_points(spectrum, eig) - spectrum))
+            except TrackingError:
+                off = np.inf
+            if off > _SPECTRUM_TOL:
+                raise OrbitError("matrix spectrum does not match the declared one")
+            eig = spectrum
+        out = cls(u=pt.u, spectrum=eig)
+        out._memo.update(pt._memo)
+        return out
 
     def to_json(self) -> dict:
         enc = lambda m: [[float(z.real), float(z.imag)] for z in np.ravel(m)]
@@ -203,12 +197,16 @@ def _margin_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def regularity_margin(u: np.ndarray) -> float:
-    """Smallest root separation within and between consecutive A_n; raises
-    OrbitError if the minors of u leave floating-point range."""
-    u = np.asarray(u, dtype=complex)
-    _, roots = _level_roots(u, DEFAULT_MINOR_CONVENTION, lowering=False)
-    roots = np.concatenate(roots)
-    i, j = _margin_pairs(u.shape[-1])
+    """Smallest root separation within and between consecutive A_n, from
+    level_data; raises OrbitError if the minors of u leave floating-point
+    range.  OrbitPoint.margin() gives the same number from its memo."""
+    return _margin(level_data(np.asarray(u, dtype=complex)).gamma)
+
+
+def _margin(gamma: list[np.ndarray]) -> float:
+    """regularity_margin from the roots gamma of A_1..A_N."""
+    roots = np.concatenate(gamma)
+    i, j = _margin_pairs(len(gamma))
     diff = roots[i] - roots[j]
     return float(np.min(np.hypot(diff.real, diff.imag), initial=np.inf))
 
@@ -226,10 +224,11 @@ def random_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
 def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
     """Sample u = h diag(spectrum) h^{-1} with h a random well-conditioned matrix.
 
-    Resamples h until the regularity margin of u clears _REGULARITY_GAP; raises
-    RetryExhaustedError if the budget runs out, and OrbitError if u or (in
-    regularity_margin) its characteristic minors leave floating-point range (a
-    finite but huge spectrum).
+    Resamples h until the regularity margin of u clears _REGULARITY_GAP, so
+    the point keeps the level data of its last draw; raises
+    RetryExhaustedError if the budget runs out, and OrbitError if u or its
+    characteristic minors leave floating-point range (a finite but huge
+    spectrum).
     """
     spectrum = np.array(spectrum, dtype=complex)
     n = len(spectrum)
@@ -244,9 +243,9 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
             u = h @ np.diag(spectrum) @ np.linalg.inv(h)
         if not np.isfinite(u).all():
             raise OrbitError("spectrum too large: u leaves floating-point range")
-        margin = regularity_margin(u)
-        if margin >= _REGULARITY_GAP:
-            return OrbitPoint._with_margin(u, sort_points(spectrum), margin)
+        pt = OrbitPoint(u=u, spectrum=sort_points(spectrum))
+        if pt.margin() >= _REGULARITY_GAP:
+            return pt
     raise RetryExhaustedError(f"no regular point after {_DRAWS} draws")
 
 
@@ -259,14 +258,14 @@ def lowering_minor_coeffs(u: np.ndarray, n: int,
     """Coefficients of C_n(lam) for one level, degree n-1 in lam (0-based u)."""
     if not 1 <= n < u.shape[0]:
         raise ValueError("the lowering minor needs row/column n+1")
-    rows, cols = _level_minors(n + 1, convention.rows_variant, True)[-1]
+    rows, cols = _level_minors(n + 1, convention.rows_variant)[-1]
     return convention.sign * lambda_minor_det(u, rows, cols)
 
 
 @dataclass(frozen=True)
 class LevelData:
     """a[n] = A_n (a[0] = [1]) with roots gamma[n-1], n = 1..N; c[n-1] = C_n
-    with roots e[n-1], n = 1..N-1 (both empty without the lowering minors)."""
+    with roots e[n-1], n = 1..N-1."""
 
     a: list[np.ndarray]
     gamma: list[np.ndarray]
@@ -275,32 +274,32 @@ class LevelData:
 
 
 @functools.lru_cache(maxsize=None)
-def _level_minors(N: int, rows_variant: bool, lowering: bool) -> tuple:
-    """(rows, cols) of A_1..A_N, then of C_1..C_{N-1} when lowering."""
+def _level_minors(N: int, rows_variant: bool) -> tuple:
+    """(rows, cols) of A_1..A_N, then of C_1..C_{N-1}."""
     out = [(tuple(range(n)),) * 2 for n in range(1, N + 1)]
-    for n in range(1, N if lowering else 1):
+    for n in range(1, N):
         shifted, plain = tuple(range(n - 1)) + (n,), tuple(range(n))
         out.append((shifted, plain) if rows_variant else (plain, shifted))
     return tuple(out)
 
 
-def _level_coeffs(us: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
+def _level_coeffs(us: np.ndarray, convention: MinorConvention) -> tuple:
     """Every minor of _level_minors at every point of a stack us (B, N, N),
     from one minor_dets call: (coeffs, finite), each minor's coefficients
     (B, d+1), C_n times the convention's sign; finite[b] is False when a
     minor of point b leaves floating-point range, and then all are NaN."""
     N = us.shape[-1]
-    coeffs = minor_dets(us, _level_minors(N, convention.rows_variant, lowering))
+    coeffs = minor_dets(us, _level_minors(N, convention.rows_variant))
     coeffs[N:] = [convention.sign * c for c in coeffs[N:]]
     return coeffs, ~np.isnan(coeffs[0][:, 0])
 
 
-def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool) -> tuple:
+def _level_roots(u: np.ndarray, convention: MinorConvention) -> tuple:
     """The level-data kernel at one point u: (coeffs, roots), every minor of
     _level_minors from _level_coeffs and its roots, unsorted, from one
     polished_roots call.  Raises OrbitError when a minor leaves
     floating-point range."""
-    coeffs, finite = _level_coeffs(np.asarray(u)[None], convention, lowering)
+    coeffs, finite = _level_coeffs(np.asarray(u)[None], convention)
     if not finite[0]:
         raise OrbitError("spectrum too large: the characteristic minors of u "
                          "leave floating-point range")
@@ -308,12 +307,12 @@ def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool) -> 
     return coeffs, polished_roots(coeffs)
 
 
-def level_data(u: np.ndarray, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-               lowering: bool = True) -> LevelData:
-    """A_1..A_N and, with lowering, C_1..C_{N-1}, with their polished roots,
-    sorted.  Raises OrbitError when a minor leaves floating-point range."""
+def level_data(u: np.ndarray,
+               convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
+    """A_1..A_N and C_1..C_{N-1} with their polished roots, sorted.  Raises
+    OrbitError when a minor leaves floating-point range."""
     N = u.shape[0]
-    coeffs, roots = _level_roots(u, convention, lowering)
+    coeffs, roots = _level_roots(u, convention)
     roots = [sort_points(x) for x in roots]
     return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N], gamma=roots[:N],
                      c=coeffs[N:], e=roots[N:])
@@ -341,14 +340,15 @@ class GZChart:
         }
 
 
-def gz_forward(pt: OrbitPoint, convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-               compute_theta: bool = True) -> GZChart:
+def gz_forward(pt: OrbitPoint,
+               convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> GZChart:
     """Forward chart map: roots of the nested minors plus the log angles.
 
     Assumes a regular point (sampled points are; hand-built ones may fail
-    with SingularChartError when a denominator degenerates).
+    with SingularChartError when a denominator degenerates, and then
+    pt.levels(convention).gamma still holds the roots).
     """
-    lv = pt.levels(convention, lowering=compute_theta)
+    lv = pt.levels(convention)
     thetas: list[np.ndarray] = []
     for n, (g, c) in enumerate(zip(lv.gamma, lv.c), start=1):
         cval, aval = np.polyval(c, g), np.polyval(lv.a[n - 1], g)
@@ -481,7 +481,7 @@ def _chart_derivatives(u: np.ndarray, lv: LevelData,
                        convention: MinorConvention) -> ChartDerivatives:
     """chart_derivatives from the level data lv of u."""
     N = u.shape[0]
-    minors = _level_minors(N, convention.rows_variant, True)
+    minors = _level_minors(N, convention.rows_variant)
     grads, conds = zip(*(_minor_gradients(u, m, r, roots=True)
                          for m, r in zip(minors, lv.gamma + lv.e)))
 

@@ -6,7 +6,7 @@ left/right momentum matrices u and ut ("u-tilde").  This module provides
 * ``ExactPoly`` -- the exact core shared with the quantum algebra: integer
   numerators over one common denominator in lowest terms, with the linear
   operations; ``column_det`` expands a determinant over it and
-  ``scan_pairs`` brackets or commutes every pair of a family;
+  ``scan_pairs`` brackets every pair of a family;
 * ``PoissonPoly`` -- polynomials in the entries u[i,j], ut[i,j], g[i,j]
   and two central scalars lam, mu, with exact rational coefficients: each
   monomial packed into one int;

@@ -45,7 +45,6 @@ from .orbits import (
     _level_coeffs,
     _read_only,
 )
-from .polytools import principal_charpoly
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
@@ -310,15 +309,15 @@ def _horner_gradients(un: np.ndarray, coeffs) -> np.ndarray:
     return np.array(out)
 
 
-def action_gradient(u: np.ndarray, selector: tuple[int, int]) -> np.ndarray:
-    """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at u, embedded in
-    the top-left n x n block."""
-    N = u.shape[0]
+def action_gradient(pt: OrbitPoint, selector: tuple[int, int]) -> np.ndarray:
+    """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at pt, embedded
+    in the top-left n x n block; A_n from the point's memoized level data."""
+    N = pt.n
     n, k = selector
     if not (1 <= n <= N and 1 <= k <= n):
         raise ValueError(f"no action h[{n},{k}] at ambient size {N}")
     out = np.zeros((N, N), dtype=complex)
-    out[:n, :n] = _horner_gradients(u[:n, :n], principal_charpoly(u, n)[:k])[-1]
+    out[:n, :n] = _horner_gradients(pt.u[:n, :n], pt.levels().a[n][:k])[-1]
     return out
 
 
@@ -343,8 +342,8 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     irregular start, else the first kept time at which u(t) leaves
     floating-point range.
     """
-    X = action_gradient(pt.u, selector)
     try:
+        X = action_gradient(pt, selector)
         regular = pt.margin() >= reg_gap
     except OrbitError:          # the minors of u leave floating-point range
         regular = False
@@ -369,102 +368,77 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     return FlowResult(selector=selector, times=times, points=list(us))
 
 
-class _TauTracker:
-    """tau (and h) values continued in time along a trajectory of N x N points.
+def _continued_angles(pt: OrbitPoint, us, ts, convention: MinorConvention,
+                      lam0: complex | None) -> tuple:
+    """tau (and h) values continued in time through the samples us (B, N, N),
+    or one u, at times ts; the first sample is usually pt itself.
 
-    It starts from build_tower at pt, which fixes the punctures of every
-    level (each A_n is conserved along a GZ flow) and the angles at t = 0.
-    prod_e (gamma_j - e) = C_n(gamma_j) / lead C_n, and the residues of
-    lam^(n-1) / A_n sum to one, so the e-point and lead logs of tau[n,k] move
-    as sum_j res_j(lam^(n-k) / A_n) log C_n(gamma_j).  Each sample of
-    ``step``, the first being pt itself, adds the _tau_sums of the logs of
-    the C_n(gamma_j) ratios to the sample before: Horner's rule on the C_n
-    of one _level_coeffs call for all samples, which also gives h.  The
-    values at t = 0 come from the same rule on pt's memoized level data.
+    build_tower at pt fixes the punctures of every level (each A_n is
+    conserved along a GZ flow) and the angles at t = 0.  prod_e (gamma_j -
+    e) = C_n(gamma_j) / lead C_n, and the residues of lam^(n-1) / A_n sum to
+    one, so the e-point and lead logs of tau[n,k] move as sum_j
+    res_j(lam^(n-k) / A_n) log C_n(gamma_j).  Each sample adds the _tau_sums
+    of the logs of the C_n(gamma_j) ratios to the sample before: Horner's
+    rule on the C_n of one _level_coeffs call for all samples, which also
+    gives h.  The values at t = 0 come from the same rule on pt's memoized
+    level data.
+
+    Returns the tau keys (n, k), n < N, the tau values (B, len(keys)), the
+    h values (B, N(N+1)/2), keys then the Casimirs h[N,k], and the branch
+    flags (B, N-1): some tau of that level moved by more than pi/2 since the
+    sample before.  Raises the error of the first failing sample, with that
+    sample's time.  Per sample the checks run in this order: lost
+    regularity, then level by level a C_n that vanishes at a puncture and a
+    C_n ratio turned by more than pi/2.
     """
+    try:
+        levels = build_tower(pt, lam0, convention).levels[:-1]
+    except TowerError as exc:       # the error of the first sample
+        exc.time = 0.0
+        raise
+    N = pt.n
+    keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
+    tau0 = np.array([t for level in levels for t in level.tau], dtype=complex)
+    lv = pt.levels(convention)
+    us = np.asarray(us, dtype=complex).reshape(-1, N, N)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    coeffs, finite = _level_coeffs(us, convention)
+    values = []                 # C_n(gamma[n,j]) (B, n) per level
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gamma, c in zip(lv.gamma, coeffs[N:]):
+            v = np.zeros((len(us), len(gamma)), dtype=complex)
+            for col in c.T:
+                v = v * gamma + col[:, None]
+            finite &= np.isfinite(v).all(axis=1)
+            values.append(v)
+    limit = len(us) if finite.all() else int(np.argmin(finite))
+    error = None if finite.all() else RegularityLostError(float(ts[limit]))
+    incs = [np.zeros((limit, 0), dtype=complex)]
+    for n in range(1, N):
+        gamma, v = lv.gamma[n - 1], values[n - 1][:limit]
+        zero = v == 0
+        if zero.any():              # an e-point on a puncture
+            limit, j = np.argwhere(zero)[0]
+            error = PathThroughPunctureError(
+                f"level {n}: C_{n} vanishes at puncture {j + 1}, {gamma[j]:.6g}")
+            v = v[:limit]
+        logs = np.log(v / np.concatenate((np.polyval(lv.c[n - 1], gamma)[None], v[:-1])))
+        turn = np.abs(logs.imag).max(axis=1, initial=0.0)
+        if (turn > np.pi / 2).any():
+            limit = int(np.argmax(turn > np.pi / 2))
+            error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad")
+        incs.append(_tau_sums(logs[:, None], gamma))
+    if error is not None:
+        error.time = float(ts[limit])
+        raise error
 
-    def __init__(self, pt: OrbitPoint, convention: MinorConvention, lam0: complex | None):
-        try:
-            levels = build_tower(pt, lam0, convention).levels[:-1]
-        except TowerError as exc:       # the error of the first sample
-            exc.time = 0.0
-            raise
-        N = self.N = pt.n
-        self.convention = convention
-        self.keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
-        self.h_keys = [(n, k) for n in range(1, N + 1) for k in range(1, n + 1)]
-        self.tau = np.array([t for level in levels for t in level.tau], dtype=complex)
-        lv = pt.levels(convention)
-        self.gamma = lv.gamma[:-1]
-        self.c = [np.polyval(c, g) for c, g in zip(lv.c, self.gamma)]
-
-    def _punctured(self, us: np.ndarray) -> tuple:
-        """(coeffs, values, finite) at the samples us: every level minor,
-        C_n(gamma[n,j]) (B, n) per level, and whether all are finite."""
-        coeffs, finite = _level_coeffs(us, self.convention, lowering=True)
-        values = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for gamma, c in zip(self.gamma, coeffs[self.N:]):
-                v = np.zeros((len(us), len(gamma)), dtype=complex)
-                for col in c.T:
-                    v = v * gamma + col[:, None]
-                finite &= np.isfinite(v).all(axis=1)
-                values.append(v)
-        return coeffs, values, finite
-
-    def step(self, us, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Advance through the samples us (B, N, N), or one u, at times ts.
-
-        Returns the tau values (B, len(keys)), the h values (B, len(h_keys))
-        and the branch flags (B, N-1): some tau of that level moved by more
-        than pi/2 since the sample before.  Raises the error of the first
-        failing sample, with that sample's time.  Per sample the checks run
-        in this order: lost regularity, then level by level a C_n that
-        vanishes at a puncture and a C_n ratio turned by more than pi/2.
-        """
-        N = self.N
-        us = np.asarray(us, dtype=complex).reshape(-1, N, N)
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        coeffs, values, finite = self._punctured(us)
-        limit = len(us) if finite.all() else int(np.argmin(finite))
-        error = None if finite.all() else RegularityLostError(float(ts[limit]))
-        incs = [np.zeros((limit, 0), dtype=complex)]
-        for n in range(1, N):
-            gamma, v = self.gamma[n - 1], values[n - 1][:limit]
-            zero = v == 0
-            if zero.any():              # an e-point on a puncture
-                limit, j = np.argwhere(zero)[0]
-                error = PathThroughPunctureError(
-                    f"level {n}: C_{n} vanishes at puncture {j + 1}, {gamma[j]:.6g}")
-                v = v[:limit]
-            logs = np.log(v / np.concatenate((self.c[n - 1][None], v[:-1])))
-            turn = np.abs(logs.imag).max(axis=1, initial=0.0)
-            if (turn > np.pi / 2).any():
-                limit = int(np.argmax(turn > np.pi / 2))
-                error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad")
-            incs.append(_tau_sums(logs[:, None], gamma))
-        if error is not None:
-            error.time = float(ts[limit])
-            raise error
-
-        taus = np.cumsum(np.concatenate((self.tau[None], np.concatenate(incs, axis=1))),
-                         axis=0)[1:]
-        hs = np.concatenate([np.zeros((limit, 0)), *(c[:, 1:] for c in coeffs[:N])], axis=1)
-        moved = np.abs(taus - np.concatenate((self.tau[None], taus[:-1]))) > np.pi / 2
-        flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
-            moved[:, n * (n - 1) // 2:n * (n + 1) // 2].any(axis=1, keepdims=True)
-            for n in range(1, N))], axis=1)
-        self.c = [v[-1] for v in values]
-        self.tau = taus[-1]
-        return taus, hs, flags
-
-
-def _tracked_flow(pt, selector, t_final, steps, samples, convention, lam0, reg_gap) -> tuple:
-    """The flow sampled about `samples` times, its tracker, taus, hs and flags."""
-    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
-                            sample_every=max(1, steps // samples))
-    tracker = _TauTracker(pt, convention, lam0)
-    return flow, tracker, *tracker.step(flow.points, flow.times)
+    taus = np.cumsum(np.concatenate((tau0[None], np.concatenate(incs, axis=1))), axis=0)[1:]
+    hs = np.concatenate([np.zeros((limit, 0)), *(c[:, 1:] for c in coeffs[:N])], axis=1)
+    moved = np.abs(taus - np.concatenate((tau0[None], taus[:-1]))) > np.pi / 2
+    flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
+        moved[:, n * (n - 1) // 2:n * (n + 1) // 2].any(axis=1, keepdims=True)
+        for n in range(1, N))], axis=1)
+    return keys, taus, hs, flags
 
 
 def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
@@ -474,16 +448,19 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
                        lam0: complex | None = None,
                        reg_gap: float = 1e-6) -> list[dict]:
     """Sampled trajectory with continued h and tau values, JSON-ready; an
-    error of the flow or the tracker carries the time of its failing sample."""
-    flow, tracker, taus, hs, flags = _tracked_flow(pt, selector, t_final, steps, samples,
-                                                   convention, lam0, reg_gap)
+    error of the flow or of _continued_angles carries the time of its failing
+    sample."""
+    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
+                            sample_every=max(1, steps // samples))
+    keys, taus, hs, flags = _continued_angles(pt, flow.points, flow.times, convention, lam0)
+    h_keys = keys + [(pt.n, k) for k in range(1, pt.n + 1)]
     pairs = lambda keys, vals: {f"{n},{k}": [v.real, v.imag]
                                 for (n, k), v in zip(keys, vals.tolist())}
     return [{
         "t": float(t),
         "u": [[z.real, z.imag] for z in u.ravel().tolist()],
-        "h": pairs(tracker.h_keys, h),
-        "tau": pairs(tracker.keys, tau),
+        "h": pairs(h_keys, h),
+        "tau": pairs(keys, tau),
         "branch_flags": {str(n): bool(f) for n, f in enumerate(flag, start=1)},
     } for t, u, tau, h, flag in zip(flow.times, flow.points, taus, hs, flags)]
 
@@ -607,14 +584,15 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
-    flow, tracker, taus, _, _ = _tracked_flow(pt, selector, t_final, steps, samples,
-                                              convention, lam0, reg_gap)
+    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
+                            sample_every=max(1, steps // samples))
+    keys, taus, _, _ = _continued_angles(pt, flow.points, flow.times, convention, lam0)
     times = np.asarray(flow.times, dtype=float)
     tbar = times - times.mean()
     denom = float(np.sum(tbar * tbar))
     slopes = {}
     errors = []
-    for key, ys in zip(tracker.keys, taus.T):
+    for key, ys in zip(keys, taus.T):
         slope = complex(np.sum(tbar * (ys - ys.mean())) / denom)
         slopes[key] = slope
         errors.append(abs(slope - (1.0 if key == selector else 0.0)))

@@ -294,8 +294,8 @@ def _tracker_fault(level, fault):
     to sample 10 of its stack (t = 0.2 on a 100-step grid)."""
     kernel = tower._level_coeffs
 
-    def patched(us, convention, lowering):
-        coeffs, finite = kernel(us, convention, lowering)
+    def patched(us, convention):
+        coeffs, finite = kernel(us, convention)
         if len(us) > 10:
             fault(coeffs, us, us.shape[-1], level)
         return coeffs, finite

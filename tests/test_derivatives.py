@@ -153,7 +153,7 @@ def test_action_angle_table_matches_the_stencil(pt):
     grads = _central_gradients(lambda v: _tower_angles(v, pt.spectrum), u, 1e-6)
     rep = action_angle_bracket_table(pt)
     for (ka, kb), val in rep.h_tau.items():
-        X = action_gradient(u, ka)
+        X = action_gradient(pt, ka)
         oracle = np.sum(grads[kb] * (X @ u - u @ X))
         assert abs(val - oracle) < 1e-6 * max(1.0, abs(oracle)), (ka, kb)
 

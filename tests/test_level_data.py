@@ -67,14 +67,16 @@ def test_level_data_matches_the_per_level_minors_and_roots(N, scale):
 
 
 @pytest.mark.parametrize("N", [1, 4, 8])
-def test_level_data_without_lowering_minors(N):
+def test_level_data_actions_do_not_depend_on_the_convention(N):
+    # the margin reads the A_n and gamma of the default convention alone
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    full, actions = level_data(pt.u), level_data(pt.u, lowering=False)
-    assert actions.c == [] and actions.e == []
-    for a, b in zip(full.a, actions.a):
-        _close_coeffs(b, a)
-    for g, h in zip(full.gamma, actions.gamma):
-        _close_roots(h, g)
+    default = pt.levels()
+    for conv in CONVENTIONS[1:]:
+        other = level_data(pt.u, conv)
+        for a, b in zip(default.a, other.a):
+            _close_coeffs(b, a)
+        for g, h in zip(default.gamma, other.gamma):
+            _close_roots(h, g)
 
 
 def _stack(N):
@@ -90,7 +92,7 @@ def test_stacked_level_data_matches_per_point_calls(N):
     # the flow tracker's stack path: every point's minors as level_data's
     us = _stack(N)
     for conv in CONVENTIONS[:3]:
-        coeffs, finite = _level_coeffs(us, conv, lowering=True)
+        coeffs, finite = _level_coeffs(us, conv)
         assert finite.all() and len(coeffs) == 2 * N - 1
         for b, u in enumerate(us):
             lv = level_data(u, conv)
@@ -120,7 +122,7 @@ def test_min_pairwise_gap_equals_the_loop(k):
 
 def _margin_loop(u):
     """Smallest gap within each A_n and between consecutive ones, by loops."""
-    gammas = level_data(u, lowering=False).gamma
+    gammas = level_data(u).gamma
     margin = _gap_loop(gammas[0])
     for prev, roots in zip(gammas, gammas[1:]):
         margin = min(margin, _gap_loop(roots), min(abs(a - b) for a in roots for b in prev))

@@ -1,9 +1,9 @@
 """The per-point memo of OrbitPoint: what it shares, and what it saves.
 
-Every check that takes a point reads the margin, the level data, the chart
-derivatives and the tower from the point's memo, so the checks on one point
-compute each of them once.  The memo must not change any result, and what
-it shares with callers must be read-only."""
+Every check that takes a point reads the level data (and the margin from
+it), the chart derivatives and the tower from the point's memo, so the
+checks on one point compute each of them once.  The memo must not change
+any result, and what it shares with callers must be read-only."""
 
 import dataclasses
 import json
@@ -11,9 +11,17 @@ import json
 import numpy as np
 import pytest
 
-from gztower import orbits, tower
+from gztower import orbits, polytools, tower
 from gztower.cli import main
-from gztower.orbits import MinorConvention, OrbitPoint, OrbitTangent, sample_orbit
+from gztower.orbits import (
+    DEFAULT_MINOR_CONVENTION,
+    MinorConvention,
+    OrbitPoint,
+    OrbitTangent,
+    random_spectrum,
+    regularity_margin,
+    sample_orbit,
+)
 from test_cli import FLOW5, ORBIT5
 
 _SPECTRUM = [1.0, -1.0 + 0.5j, 0.5 - 1.0j, 2.0 + 0.3j]
@@ -34,7 +42,8 @@ def _chart(pt):
 CHECKS = {
     "gz_forward": _chart,
     "gz_forward_cols": lambda pt: orbits.gz_forward(pt, MinorConvention(False, -1)).to_json(),
-    "gamma_only": lambda pt: orbits.gz_forward(pt, compute_theta=False).to_json(),
+    "gamma_only": lambda pt: [g.tolist() for g in pt.levels().gamma],
+    "margin": lambda pt: pt.margin(),
     "verify_canonical_chart": lambda pt: orbits.verify_canonical_chart(pt).to_json(),
     "residue_form_check": lambda pt: orbits.residue_form_check(pt, _pairs(pt.n, 3)).to_json(),
     "build_tower": lambda pt: tower.build_tower(pt).to_json(),
@@ -61,9 +70,12 @@ def test_a_filled_memo_gives_the_fresh_result(name):
     assert _dump(CHECKS[name](warm)) == _dump(CHECKS[name](fresh))
 
 
+_LEVELS = ("levels", DEFAULT_MINOR_CONVENTION)
+
+
 def test_the_memo_is_per_instance_and_from_json_starts_empty():
     pt = sample_orbit(_SPECTRUM, seed=4)
-    assert set(pt._memo) == {"margin"}
+    assert set(pt._memo) == {_LEVELS}
     for check in CHECKS.values():
         check(pt)
     assert len(pt._memo) > 1
@@ -71,7 +83,17 @@ def test_the_memo_is_per_instance_and_from_json_starts_empty():
     assert again._memo == {}
     assert np.array_equal(again.u, pt.u) and np.array_equal(again.spectrum, pt.spectrum)
     assert dataclasses.replace(pt)._memo == {}
-    assert OrbitPoint.create(pt.u)._memo == {"margin": pt.margin()}
+    created = OrbitPoint.create(pt.u, spectrum=pt.spectrum)
+    assert set(created._memo) == {_LEVELS} and created.margin() == pt.margin()
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8])
+def test_the_margin_of_a_point_is_the_margin_of_its_matrix(N):
+    # bit for bit: both read the roots of one level_data call
+    rng = np.random.default_rng(N)
+    for seed in range(5):
+        pt = sample_orbit(random_spectrum(N, rng), seed=seed)
+        assert regularity_margin(pt.u) == pt.margin() >= 1e-6
 
 
 def test_the_point_and_the_shared_arrays_are_read_only():
@@ -110,17 +132,11 @@ def test_reports_do_not_share_the_memo_conditioning():
 # ---------------------------------------------------------------------------
 
 def _kernel_runs(monkeypatch, capsys, argv):
-    """(draws of sample_orbit, runs of orbits._level_roots) in one report."""
+    """(draws of sample_orbit, runs of orbits._level_roots, calls of the
+    one-minor helpers of polytools) in one report; a draw is a margin check."""
     events = []
-    kernel, margin, sample = orbits._level_roots, orbits.regularity_margin, orbits.sample_orbit
-
-    def counted_kernel(*args, **kwargs):
-        events.append("kernel")
-        return kernel(*args, **kwargs)
-
-    def counted_margin(u):
-        events.append("margin")
-        return margin(u)
+    counted = lambda fn, name: lambda *a, **k: (events.append(name), fn(*a, **k))[1]
+    sample = orbits.sample_orbit
 
     def counted_sample(*args, **kwargs):
         events.append("sample")
@@ -128,23 +144,32 @@ def _kernel_runs(monkeypatch, capsys, argv):
         events.append("sampled")
         return pt
 
-    monkeypatch.setattr(orbits, "_level_roots", counted_kernel)
-    monkeypatch.setattr(orbits, "regularity_margin", counted_margin)
+    monkeypatch.setattr(orbits, "_level_roots", counted(orbits._level_roots, "kernel"))
+    monkeypatch.setattr(OrbitPoint, "margin", counted(OrbitPoint.margin, "margin"))
     monkeypatch.setattr(orbits, "sample_orbit", counted_sample)
+    monkeypatch.setattr(orbits, "regularity_margin",
+                        counted(orbits.regularity_margin, "regularity_margin"))
+    for name in ("lambda_minor_det", "principal_charpoly"):
+        monkeypatch.setattr(polytools, name, counted(getattr(polytools, name), "one-minor"))
+    monkeypatch.setattr(orbits, "lambda_minor_det", counted(orbits.lambda_minor_det, "one-minor"))
     assert main(argv) == 0
     capsys.readouterr()
-    start, end = events.index("sample"), events.index("sampled")
-    draws = events[start:end].count("margin")
-    assert draws >= 1 and events.count("margin") == draws
-    return draws, events.count("kernel")
+    sampling = events[events.index("sample"):events.index("sampled")]
+    draws = sampling.count("margin")
+    # each draw is a new point, whose margin runs the kernel once
+    assert draws >= 1 and sampling.count("kernel") == draws
+    assert events.count("regularity_margin") == 0
+    return draws, events.count("kernel"), events.count("one-minor")
 
 
-@pytest.mark.parametrize("argv, extra", [(ORBIT5, 2), (FLOW5, 1)], ids=["orbit5", "flow5"])
+@pytest.mark.parametrize("argv, extra", [(ORBIT5, 1), (FLOW5, 0)], ids=["orbit5", "flow5"])
 def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp_path,
                                                        argv, extra):
-    # orbit: one margin per draw, then the level data of the rows and of the
-    # cols convention (the sweep); flow: the level data of the tower
+    # the level data of the last draw is the point's; then orbit adds the
+    # level data of the cols convention (the sweep), and flow nothing: the
+    # margin, the tower and the action gradient all read the point's
     if argv[0] == "flow":
         argv = argv + ["--trajectory", str(tmp_path / "t.jsonl")]
-    draws, runs = _kernel_runs(monkeypatch, capsys, argv)
+    draws, runs, one_minor = _kernel_runs(monkeypatch, capsys, argv)
     assert runs == draws + extra
+    assert one_minor == 0

@@ -90,12 +90,12 @@ def test_triangular_matrix_is_not_regular():
 # ---------------------------------------------------------------------------
 
 def test_gamma_of_triangular_matrix_is_the_diagonal():
-    # gamma values only; theta is singular for triangular u
+    # the level data only; theta is singular for triangular u
     u = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
     pt = OrbitPoint(u=u, spectrum=np.array([1.0, 3.0], dtype=complex))
-    chart = gz_forward(pt, compute_theta=False)
-    assert np.allclose(chart.gamma[0], [1.0])
-    assert np.allclose(np.sort_complex(chart.gamma[1]), [1.0, 3.0])
+    gamma = pt.levels().gamma
+    assert np.allclose(gamma[0], [1.0])
+    assert np.allclose(np.sort_complex(gamma[1]), [1.0, 3.0])
 
 
 def test_gz_forward_singular_chart_raises():

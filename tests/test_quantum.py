@@ -289,7 +289,7 @@ def test_ambient_rho_convention_also_central():
     # the ambient restriction differs from the nested shifts by a global
     # shift of lam, so centrality holds for it as well
     from gztower.quantum import _centrality, _members, _nested_qdets
-    checks, witness, _ = _centrality(2, _members(_nested_qdets(2, "ambient")))
+    checks, witness = _centrality(2, _members(_nested_qdets(2, "ambient")))
     assert witness is None and checks > 0
 
 
@@ -337,32 +337,28 @@ def test_size_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pair rule against the product-form commutator
+# the pairs by the Leibniz rule against the product-form commutator
 # ---------------------------------------------------------------------------
 #
 # By the Leibniz rule a member that commutes with every letter of another
-# commutes with it; the rule reads such a pair as zero from the centrality
-# pass and computes any other pair in product form.
-
-def _scan_rule(n, members):
-    from gztower.quantum import _centrality, _pair_commutator
-    return _pair_commutator(members, _centrality(n, members)[2])
-
+# commutes with it.  Once the centrality pass finds no witness, each member
+# commutes with every letter of its own gl_k, so with every member of the
+# same or a smaller size, and of the other copy: the check counts every
+# pair as zero without computing it.
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("convention", ["nested", "ambient", "unshifted"])
 def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
-    from gztower.quantum import _members, _nested_qdets
+    from gztower.quantum import _centrality, _members, _nested_qdets
     if convention == "unshifted":
         monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
     members = _members(_nested_qdets(n, "nested" if convention == "unshifted" else convention))
-    rule = _scan_rule(n, members)
-    nonzero = 0
-    for (_, _, _, a), (_, _, _, b) in itertools.combinations(members, 2):
-        res = rule(a, b)
-        assert res.term_list() == a.commutator(b).term_list()
-        nonzero += not res.is_zero()
-    # unshifted, 1 pair fails at N=3 and 9 at N=4
+    _, witness = _centrality(n, members)
+    nonzero = sum(not a.commutator(b).is_zero()
+                  for (_, _, _, a), (_, _, _, b) in itertools.combinations(members, 2))
+    # central families commute pairwise; unshifted, the centrality pass
+    # fails at every n, and 1 pair fails at N=3 and 9 at N=4
+    assert (witness is None) == (convention != "unshifted")
     assert nonzero == ({2: 0, 3: 1, 4: 9}[n] if convention == "unshifted" else 0)
 
 
@@ -381,18 +377,23 @@ def test_leibniz_scan_takes_the_other_copy_as_zero(monkeypatch, n):
 
 
 @pytest.mark.parametrize("at_front", [True, False])
-def test_leibniz_scan_reports_a_broken_family_like_the_product_form(at_front):
-    # the nested family plus E_L[1,2], which commutes with few members
+def test_leibniz_scan_reports_a_broken_family_like_the_product_form(monkeypatch, at_front):
+    # the nested family plus E_L[1,2], which commutes with few members: the
+    # product form finds a nonzero pair, and the check, which computes no
+    # pair, fails it in the centrality pass, naming the extra member
     from gztower.poisson import scan_pairs
-    from gztower.quantum import _family, _members, _nested_qdets
+    from gztower.quantum import _family, _members
     n = 3
-    members = _members(_nested_qdets(n, "nested"))
     extra = (2, LEFT, 0, E(1, 2, n=n))
-    members = [extra] + members if at_front else members + [extra]
-    family = _family(n, members)
-    rule = scan_pairs(family, _scan_rule(n, members))
-    assert rule == scan_pairs(family, NCPoly.commutator)
-    assert rule[2] is not None and rule[1] > 0
+    with_extra = lambda dets: [extra] + _members(dets) if at_front else _members(dets) + [extra]
+    monkeypatch.setattr(quantum, "_members", with_extra)
+    members = with_extra(quantum._nested_qdets(n, "nested"))
+    _, worst, witness = scan_pairs(_family(n, members), NCPoly.commutator)
+    assert witness is not None and worst > 0
+    rep = verify_quantum_commutes(n)
+    assert (rep.status, rep.convention, rep.pairs_checked) == ("violation", "none", 0)
+    assert rep.witness == {"labels": ["qdet k=2 lam^0", "E[1,1]"],
+                           "terms": [["-1", "EL[1,2]"]]}
 
 
 def test_classical_limit_top_degree():

@@ -266,7 +266,9 @@ def test_actions_check_scales_with_the_coefficients():
 def test_actions_check_rejects_a_relative_error_of_1e_6(monkeypatch):
     import gztower.orbits as orbits_mod
 
-    pt = sample_orbit([1, 2, 3, 4, 5, 6, 7, 8], seed=3)
+    # a new point: a sampled one already holds the level data of its draw
+    sampled = sample_orbit([1, 2, 3, 4, 5, 6, 7, 8], seed=3)
+    pt = OrbitPoint(u=sampled.u, spectrum=sampled.spectrum)
     exact_roots = orbits_mod.polished_roots
 
     def perturbed_roots(polys):
@@ -342,7 +344,7 @@ def test_action_gradient_matches_symbolic(N):
     for n in range(1, N + 1):
         for k in range(1, n + 1):
             want = _gradient_matrix(_gradient_polys(N, (n, k)), pt.u)
-            got = action_gradient(pt.u, (n, k))
+            got = action_gradient(pt, (n, k))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -380,9 +382,8 @@ def test_flow_with_finite_u_and_overflowing_minors_loses_regularity():
     assert np.isfinite(flow.points[-1]).all()
     with pytest.raises(OrbitError):
         level_data(flow.points[-1])
-    tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None)
     with pytest.raises(RegularityLostError) as err:
-        tracker.step(flow.points, flow.times)
+        tower._continued_angles(pt, flow.points, flow.times, DEFAULT_MINOR_CONVENTION, None)
     assert err.value.time == 10.0
 
 
@@ -432,11 +433,13 @@ def test_flow_conserves_the_margin_and_every_level_polynomial(N, selector):
 
 
 def test_flow_checks_regularity_once_whatever_the_steps(monkeypatch):
-    # the flow reads the start margin from its point: a sampled point stored
-    # the margin of its last draw, and a new point computes it once
+    # the flow reads the start margin and A_n from its point's level data: a
+    # sampled point keeps the level data of its last draw, and a new point
+    # computes it once
     calls = []
-    monkeypatch.setattr(orbits, "regularity_margin",
-                        lambda u: (calls.append(u), regularity_margin(u))[1])
+    kernel = orbits._level_roots
+    monkeypatch.setattr(orbits, "_level_roots",
+                        lambda u, conv: (calls.append(u), kernel(u, conv))[1])
     sampled = sample_orbit(_SPECTRA[5], seed=5)
     draws = len(calls)
     flow = hamiltonian_flow(sampled, (4, 3), t_final=1.0, steps=10**6, sample_every=25000)
@@ -451,14 +454,16 @@ def test_flow_checks_regularity_once_whatever_the_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("start", ["below-gap", "overflowing-minors"])
-def test_irregular_start_loses_regularity_at_zero(monkeypatch, start):
-    # the start margin decides for the whole flow: below reg_gap, or (u(10)
-    # of the h[4,3] flow taken as the start) not computable at all
+def test_irregular_start_loses_regularity_at_zero(start):
+    # the start margin decides for the whole flow: below reg_gap (a
+    # triangular point of the same orbit, whose nested minors share roots),
+    # or (u(10) of the h[4,3] flow taken as the start) not computable at all
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
     if start == "below-gap":
-        monkeypatch.setattr(orbits, "regularity_margin", lambda u: 0.0)
-        # a new point, whose margin is not yet memoized, reads the patch
-        pt = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
+        u = np.triu(np.random.default_rng(0).standard_normal((5, 5))).astype(complex)
+        u[range(5), range(5)] = pt.spectrum
+        pt = OrbitPoint(u=u, spectrum=pt.spectrum)
+        assert pt.margin() < 1e-12 and orbits.regularity_margin(u) == pt.margin()
         want = _outcome(lambda: _flow_loop(pt, (4, 3), sample_every=25))
         assert want == ("regularity", (0.0, "regularity lost at t = 0.0"))
     else:
@@ -481,7 +486,7 @@ def test_invalid_selector_rejected():
 def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every=1):
     """Oracle: the flow one kept grid time at a time, regularity checked at
     the start alone."""
-    X = action_gradient(pt.u, selector)
+    X = action_gradient(pt, selector)
     u = pt.u.copy()
     if orbits.regularity_margin(u) < reg_gap:
         raise RegularityLostError(0.0)
@@ -611,11 +616,12 @@ def test_stacked_tracker_matches_the_sample_loop(case):
     spectrum, seed, selector, steps, every = _FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     times, points, want = _tracked_loop(pt, selector, steps, every)
-    tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None)
-    taus, hs, flags = tracker.step(points, times)
-    assert taus.shape == (len(times), len(tracker.keys)) and len(times) > 10
+    keys, taus, hs, flags = tower._continued_angles(pt, points, times,
+                                                    DEFAULT_MINOR_CONVENTION, None)
+    h_keys = keys + [(pt.n, k) for k in range(1, pt.n + 1)]
+    assert taus.shape == (len(times), len(keys)) and len(times) > 10
     for tau, h, flag, (tau_ref, h_ref, flag_ref) in zip(taus, hs, flags, want):
-        assert list(tau_ref) == tracker.keys and list(h_ref) == tracker.h_keys
+        assert list(tau_ref) == keys and list(h_ref) == h_keys
         assert np.max(np.abs(tau - list(tau_ref.values()))) <= 1e-12
         assert np.max(np.abs(h - list(h_ref.values()))) <= 1e-12 * np.max(np.abs(h))
         assert flag.tolist() == list(flag_ref.values())
@@ -696,8 +702,8 @@ def test_continued_angles_differ_from_straight_paths_by_periods(case):
     spectrum, seed, selector, steps, every = _PERIOD_FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     flow = hamiltonian_flow(pt, selector, steps=steps, sample_every=every)
-    taus, _, _ = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, None).step(
-        flow.points, flow.times)
+    _, taus, _, _ = tower._continued_angles(pt, flow.points, flow.times,
+                                            DEFAULT_MINOR_CONVENTION, None)
     lam0 = default_base_point(pt)
     straight = np.array([[t for lv in build_tower(OrbitPoint(u, pt.spectrum), lam0).levels
                           for t in lv.tau] for u in flow.points])
@@ -721,8 +727,8 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
     lam0 = default_base_point(pt)
     oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = _outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
-    tracker = tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, lam0)
-    got = _outcome(lambda: tracker.step(points, times))
+    got = _outcome(lambda: tower._continued_angles(pt, points, times,
+                                                   DEFAULT_MINOR_CONVENTION, lam0))
     assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
 
 
@@ -734,8 +740,8 @@ def _faulty_level_coeffs(faults, gamma):
     makes every minor non-finite, as minor_dets does."""
     kernel = orbits._level_coeffs
 
-    def patched(us, convention, lowering):
-        coeffs, finite = kernel(us, convention, lowering)
+    def patched(us, convention):
+        coeffs, finite = kernel(us, convention)
         N = us.shape[-1]
         for kind, n, u in faults:
             hit = np.all(us == u, axis=(1, 2))
@@ -788,8 +794,8 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
     # the e-point oracle fails at the same sample with the same error
     oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
-    got = outcome(lambda: tower._TauTracker(pt, DEFAULT_MINOR_CONVENTION, lam0)
-                  .step(points, times))
+    got = outcome(lambda: tower._continued_angles(pt, points, times,
+                                                  DEFAULT_MINOR_CONVENTION, lam0))
     first = min(s for _, _, s in faults)
     n = min(n for _, n, s in faults if s == first)
     assert got[::2] == want[::2] == (kind, times[first])
