@@ -305,9 +305,7 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
         statuses.append(canon.status)
         convention = orbits.DEFAULT_MINOR_CONVENTION
         if canon.winner is not None:
-            convention = orbits.MinorConvention(
-                rows_variant=canon.winner.startswith("rows"),
-                sign=1 if canon.winner.endswith("+") else -1)
+            convention = orbits.MinorConvention(rows_variant=canon.winner == "rows")
 
         chart = orbits.gz_forward(pt, convention=convention)
         res_a, res_c = orbits.chart_residuals(chart, pt)

@@ -9,9 +9,8 @@ together with the lowering minors
 
     C_n(lam) = det of (lam - u) on rows {1..n-1, n+1} x columns {1..n}
 
-(or the transposed row/column choice; the orientation and a sign form a
-``MinorConvention`` that is fixed by an automated sweep against the
-canonicity oracle).  The angles are
+(or the transposed row/column choice, the ``MinorConvention``; a sweep
+against the canonicity oracle confirms the rows orientation).  The angles are
 
     theta[n,j] = log( -C_n(gamma[n,j]) / A_{n-1}(gamma[n,j]) ),
 
@@ -69,18 +68,16 @@ class RetryExhaustedError(OrbitError):
 
 @dataclass(frozen=True)
 class MinorConvention:
-    """Orientation and sign of the lowering minor C_n.
+    """Orientation of the lowering minor C_n.
 
     rows_variant True selects rows {1..n-1, n+1} x cols {1..n}; False the
-    transposed choice.  The sign multiplies the minor (it shifts theta by
-    i*pi and is invisible to all brackets).
+    transposed choice.
     """
 
     rows_variant: bool = True
-    sign: int = 1
 
     def label(self) -> str:
-        return ("rows" if self.rows_variant else "cols") + ("+" if self.sign > 0 else "-")
+        return "rows" if self.rows_variant else "cols"
 
 
 DEFAULT_MINOR_CONVENTION = MinorConvention()
@@ -259,7 +256,7 @@ def lowering_minor_coeffs(u: np.ndarray, n: int,
     if not 1 <= n < u.shape[0]:
         raise ValueError("the lowering minor needs row/column n+1")
     rows, cols = _level_minors(n + 1, convention.rows_variant)[-1]
-    return convention.sign * lambda_minor_det(u, rows, cols)
+    return lambda_minor_det(u, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -286,11 +283,9 @@ def _level_minors(N: int, rows_variant: bool) -> tuple:
 def _level_coeffs(us: np.ndarray, convention: MinorConvention) -> tuple:
     """Every minor of _level_minors at every point of a stack us (B, N, N),
     from one minor_dets call: (coeffs, finite), each minor's coefficients
-    (B, d+1), C_n times the convention's sign; finite[b] is False when a
-    minor of point b leaves floating-point range, and then all are NaN."""
-    N = us.shape[-1]
-    coeffs = minor_dets(us, _level_minors(N, convention.rows_variant))
-    coeffs[N:] = [convention.sign * c for c in coeffs[N:]]
+    (B, d+1); finite[b] is False when a minor of point b leaves
+    floating-point range, and then all are NaN."""
+    coeffs = minor_dets(us, _level_minors(us.shape[-1], convention.rows_variant))
     return coeffs, ~np.isnan(coeffs[0][:, 0])
 
 
@@ -559,27 +554,24 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5,
                            convention: MinorConvention | None = None) -> ChartCanonicityReport:
     """Check {theta, gamma} = delta etc. in the oracle; sweep the minor convention.
 
-    When no convention is supplied all four orientation/sign variants are
-    tried; the first one whose full bracket table is canonical within
-    tolerance wins.  The minor's sign shifts theta by i*pi and cannot move
-    any bracket, so sign twins always score identically.
+    When no convention is supplied both orientations are tried, rows first;
+    the first one whose full bracket table is canonical within tolerance
+    wins.  The cols orientation is the negative control: at a puncture
+    gamma of A_n the Desnanot-Jacobi identity on gamma - u_(n+1) gives
+    C^rows_n C^cols_n = -A_(n+1) A_(n-1), so its theta is minus the rows
+    theta plus a function of gamma, and its {theta, gamma} brackets read -1
+    where +1 is due.
     """
-    sweep = [convention] if convention else [MinorConvention(rv, sg) for rv in (True, False)
-                                             for sg in (1, -1)]
-    cache: dict[bool, tuple] = {}
+    sweep = [convention] if convention else [MinorConvention(rv) for rv in (True, False)]
+    results = {}
     variants, winner = [], None
     for conv in sweep:
-        if conv.rows_variant not in cache:
-            cache[conv.rows_variant] = _canonicity_deviation(pt, conv)
-        dev, cas, _, _ = cache[conv.rows_variant]
+        dev, cas, _, _ = results[conv] = _canonicity_deviation(pt, conv)
         variants.append({"convention": conv.label(),
                          "max_deviation": dev, "casimir_deviation": cas})
         if winner is None and dev < tolerance and cas < tolerance:
             winner = conv
-    if winner is None:
-        dev, cas, table, cond = min(cache.values(), key=lambda v: v[0])
-    else:
-        dev, cas, table, cond = cache[winner.rows_variant]
+    dev, cas, table, cond = results[winner or min(results, key=lambda c: results[c][0])]
     return ChartCanonicityReport(
         n=pt.n, tolerance=tolerance, variants=variants,
         winner=None if winner is None else winner.label(), max_deviation=dev,

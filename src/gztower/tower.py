@@ -268,11 +268,10 @@ def _build_tower(pt: OrbitPoint, lam0: complex, convention: MinorConvention) -> 
             if abs(lead) < 1e-10:
                 raise TowerError(f"level {n}: lowering minor degenerates")
             e_sums = _tau_sums(path_log_increments(lam0, e_pts, gamma), gamma)
-        if n < N or n >= 2:
-            # the integrals of lam^(n-k) / A_n to the previous level's roots,
-            # for both the angles and the zero section
-            prev_sums = _tau_sums(path_log_increments(
-                lam0, lv.gamma[n - 2] if n >= 2 else [], gamma), gamma)
+        # the integrals of lam^(n-k) / A_n to the previous level's roots,
+        # for both the angles and the zero section
+        prev_sums = _tau_sums(path_log_increments(
+            lam0, lv.gamma[n - 2] if n >= 2 else [], gamma), gamma)
         if n < N:
             tau, tau_lit = (t.tolist() for t in _level_angles(e_sums, prev_sums, lead))
         else:
@@ -368,10 +367,10 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     return FlowResult(selector=selector, times=times, points=list(us))
 
 
-def _continued_angles(pt: OrbitPoint, us, ts, convention: MinorConvention,
-                      lam0: complex | None) -> tuple:
-    """tau (and h) values continued in time through the samples us (B, N, N),
-    or one u, at times ts; the first sample is usually pt itself.
+def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
+    """tau (and h) values of the default convention, continued in time
+    through the samples us (B, N, N), or one u, at times ts; the first
+    sample is usually pt itself.
 
     build_tower at pt fixes the punctures of every level (each A_n is
     conserved along a GZ flow) and the angles at t = 0.  prod_e (gamma_j -
@@ -392,17 +391,17 @@ def _continued_angles(pt: OrbitPoint, us, ts, convention: MinorConvention,
     C_n ratio turned by more than pi/2.
     """
     try:
-        levels = build_tower(pt, lam0, convention).levels[:-1]
+        levels = build_tower(pt, lam0).levels[:-1]
     except TowerError as exc:       # the error of the first sample
         exc.time = 0.0
         raise
     N = pt.n
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
     tau0 = np.array([t for level in levels for t in level.tau], dtype=complex)
-    lv = pt.levels(convention)
+    lv = pt.levels()
     us = np.asarray(us, dtype=complex).reshape(-1, N, N)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    coeffs, finite = _level_coeffs(us, convention)
+    coeffs, finite = _level_coeffs(us, DEFAULT_MINOR_CONVENTION)
     values = []                 # C_n(gamma[n,j]) (B, n) per level
     with np.errstate(over="ignore", invalid="ignore"):
         for gamma, c in zip(lv.gamma, coeffs[N:]):
@@ -443,16 +442,14 @@ def _continued_angles(pt: OrbitPoint, us, ts, convention: MinorConvention,
 
 def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
                        t_final: float = 1.0, steps: int = 1000,
-                       samples: int = 40,
-                       convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-                       lam0: complex | None = None,
+                       samples: int = 40, lam0: complex | None = None,
                        reg_gap: float = 1e-6) -> list[dict]:
     """Sampled trajectory with continued h and tau values, JSON-ready; an
     error of the flow or of _continued_angles carries the time of its failing
     sample."""
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
                             sample_every=max(1, steps // samples))
-    keys, taus, hs, flags = _continued_angles(pt, flow.points, flow.times, convention, lam0)
+    keys, taus, hs, flags = _continued_angles(pt, flow.points, flow.times, lam0)
     h_keys = keys + [(pt.n, k) for k in range(1, pt.n + 1)]
     pairs = lambda keys, vals: {f"{n},{k}": [v.real, v.imag]
                                 for (n, k), v in zip(keys, vals.tolist())}
@@ -524,7 +521,7 @@ def action_angle_bracket_table(pt: OrbitPoint,
         weights = np.vander(e, m).T / np.polyval(d.lv.a[m], e)    # [l-1, i]
         grads = np.einsum("li,iab->lab", weights, d.e[m - 1])
         # C_m carries no lam in its last row and column, so lead C_m is
-        # -sign * u[rows[-1], cols[-1]]
+        # -u[rows[-1], cols[-1]]
         rows, cols = d.minors[N + m - 1]
         grads[0, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
         tau_grads.append(grads)
@@ -571,7 +568,6 @@ class LinearizationReport:
 def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
                         t_final: float = 0.1, steps: int = 200,
                         samples: int = 25, tol: float = 1e-3,
-                        convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
                         lam0: complex | None = None,
                         reg_gap: float = 1e-6) -> LinearizationReport:
     """Least-squares slopes of every tau along the selected action's flow.
@@ -586,7 +582,7 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
         raise ValueError(f"N = {pt.n} has no angle to check")
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
                             sample_every=max(1, steps // samples))
-    keys, taus, _, _ = _continued_angles(pt, flow.points, flow.times, convention, lam0)
+    keys, taus, _, _ = _continued_angles(pt, flow.points, flow.times, lam0)
     times = np.asarray(flow.times, dtype=float)
     tbar = times - times.mean()
     denom = float(np.sum(tbar * tbar))

@@ -115,7 +115,7 @@ def test_orbit_ok(capsys):
     assert code == 0
     report = parse_report(out)
     assert report["status"] == "ok"
-    assert report["canonical_chart"]["winner"] == "rows+"
+    assert report["canonical_chart"]["winner"] == "rows"
     assert report["chart_residuals"]["status"] == "ok"
     assert len(report["tower"]["levels"]) == 3
 

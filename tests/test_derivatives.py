@@ -176,12 +176,12 @@ def test_punctures_of_a_hermitian_point_are_perfectly_conditioned():
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
 def test_canonical_table_is_exact_to_rounding(pt):
     rep = verify_canonical_chart(pt)
-    assert rep.winner == "rows+"
+    assert rep.winner == "rows"
     assert rep.max_deviation <= 1e-10
     assert rep.casimir_deviation <= 1e-10
     # the transposed minors read about 2, so the sweep still tells them apart
     devs = {v["convention"]: v["max_deviation"] for v in rep.variants}
-    assert abs(devs["cols+"] - 2.0) < 1e-6
+    assert abs(devs["cols"] - 2.0) < 1e-6
     assert rep.to_json()["derivatives"] == "analytic"
 
 

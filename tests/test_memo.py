@@ -41,7 +41,7 @@ def _chart(pt):
 # each check that takes a point, as JSON-ready output
 CHECKS = {
     "gz_forward": _chart,
-    "gz_forward_cols": lambda pt: orbits.gz_forward(pt, MinorConvention(False, -1)).to_json(),
+    "gz_forward_cols": lambda pt: orbits.gz_forward(pt, MinorConvention(False)).to_json(),
     "gamma_only": lambda pt: [g.tolist() for g in pt.levels().gamma],
     "margin": lambda pt: pt.margin(),
     "verify_canonical_chart": lambda pt: orbits.verify_canonical_chart(pt).to_json(),

@@ -164,7 +164,7 @@ def test_chart_json():
     data = gz_forward(pt).to_json()
     assert data["n"] == 2
     assert len(data["gamma"]) == 2 and len(data["theta"]) == 1
-    assert data["minor_convention"] == "rows+"
+    assert data["minor_convention"] == "rows"
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_canonical_chart_n2():
     pt = sample_orbit([0.5, -1.0 + 0.5j], seed=3)
     rep = verify_canonical_chart(pt)
     assert rep.status == "ok"
-    assert rep.winner == "rows+"
+    assert rep.winner == "rows"
     assert rep.max_deviation < 1e-5
     assert rep.casimir_deviation < 1e-5
 
@@ -244,14 +244,32 @@ def test_canonical_chart_transposed_convention_fails():
     assert rep.status == "violation"
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_transposed_minor_reads_minus_the_angle(N):
+    # at a puncture gamma of A_n, the Desnanot-Jacobi identity on the block
+    # gamma - u_(n+1) gives C^rows_n C^cols_n = -A_(n+1) A_(n-1), so
+    # theta_cols = -theta_rows + f(gamma): {theta, gamma} reads -1 where +1
+    # is due, and the cols orientation deviates by 2 exactly
+    rng = np.random.default_rng(100 + N)
+    for _ in range(8):
+        pt = sample_orbit(random_spectrum(N, rng), seed=rng)
+        rows, cols = pt.levels(MinorConvention(True)), pt.levels(MinorConvention(False))
+        for n in range(1, N):
+            g = rows.gamma[n - 1]
+            lhs = np.polyval(rows.c[n - 1], g) * np.polyval(cols.c[n - 1], g)
+            rhs = -np.polyval(rows.a[n + 1], g) * np.polyval(rows.a[n - 1], g)
+            assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-10
+        rep = verify_canonical_chart(pt)
+        assert [v["convention"] for v in rep.variants] == ["rows", "cols"]
+        assert rep.winner == "rows"
+        assert abs(rep.variants[1]["max_deviation"] - 2.0) <= 1e-8
+
+
 def test_canonical_chart_n3_full_table():
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
     rep = verify_canonical_chart(pt)
     assert rep.status == "ok"
-    assert rep.winner == "rows+"
-    # sign twins score identically: the sign only shifts theta by i*pi
-    devs = {v["convention"]: v["max_deviation"] for v in rep.variants}
-    assert devs["rows+"] == devs["rows-"]
+    assert rep.winner == "rows"
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def test_tower_json():
     pt = sample_orbit([1.0, -1.0], seed=4)
     data = build_tower(pt).to_json()
     assert set(data) == {"levels", "zero_section", "minor_convention", "base_point"}
-    assert data["minor_convention"] == "rows+"
+    assert data["minor_convention"] == "rows"
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_flow_with_finite_u_and_overflowing_minors_loses_regularity():
     with pytest.raises(OrbitError):
         level_data(flow.points[-1])
     with pytest.raises(RegularityLostError) as err:
-        tower._continued_angles(pt, flow.points, flow.times, DEFAULT_MINOR_CONVENTION, None)
+        tower._continued_angles(pt, flow.points, flow.times, None)
     assert err.value.time == 10.0
 
 
@@ -616,8 +616,7 @@ def test_stacked_tracker_matches_the_sample_loop(case):
     spectrum, seed, selector, steps, every = _FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     times, points, want = _tracked_loop(pt, selector, steps, every)
-    keys, taus, hs, flags = tower._continued_angles(pt, points, times,
-                                                    DEFAULT_MINOR_CONVENTION, None)
+    keys, taus, hs, flags = tower._continued_angles(pt, points, times, None)
     h_keys = keys + [(pt.n, k) for k in range(1, pt.n + 1)]
     assert taus.shape == (len(times), len(keys)) and len(times) > 10
     for tau, h, flag, (tau_ref, h_ref, flag_ref) in zip(taus, hs, flags, want):
@@ -702,8 +701,7 @@ def test_continued_angles_differ_from_straight_paths_by_periods(case):
     spectrum, seed, selector, steps, every = _PERIOD_FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     flow = hamiltonian_flow(pt, selector, steps=steps, sample_every=every)
-    _, taus, _, _ = tower._continued_angles(pt, flow.points, flow.times,
-                                            DEFAULT_MINOR_CONVENTION, None)
+    _, taus, _, _ = tower._continued_angles(pt, flow.points, flow.times, None)
     lam0 = default_base_point(pt)
     straight = np.array([[t for lv in build_tower(OrbitPoint(u, pt.spectrum), lam0).levels
                           for t in lv.tau] for u in flow.points])
@@ -727,8 +725,7 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
     lam0 = default_base_point(pt)
     oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = _outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
-    got = _outcome(lambda: tower._continued_angles(pt, points, times,
-                                                   DEFAULT_MINOR_CONVENTION, lam0))
+    got = _outcome(lambda: tower._continued_angles(pt, points, times, lam0))
     assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
 
 
@@ -794,8 +791,7 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
     # the e-point oracle fails at the same sample with the same error
     oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
     want = outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
-    got = outcome(lambda: tower._continued_angles(pt, points, times,
-                                                  DEFAULT_MINOR_CONVENTION, lam0))
+    got = outcome(lambda: tower._continued_angles(pt, points, times, lam0))
     first = min(s for _, _, s in faults)
     n = min(n for _, n, s in faults if s == first)
     assert got[::2] == want[::2] == (kind, times[first])
