@@ -450,6 +450,15 @@ class ChartDerivatives:
         """d log det and d/dlam log det of minor `index` (A_1..A_N, C_1..C_(N-1))."""
         return _minor_gradients(self.u, self.minors[index], lams, roots=False)
 
+    @functools.cached_property
+    def c_at_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """log_minor of C_n at the roots of A_n, n = 1..N-1, once per instance
+        (read-only): theta and the residue form both read it."""
+        N = self.u.shape[0]
+        out = [self.log_minor(N + n - 1, self.lv.gamma[n - 1]) for n in range(1, N)]
+        _read_only(*(a for pair in out for a in pair))
+        return out
+
     def theta(self) -> list[np.ndarray]:
         """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma)):
         each log-minor at fixed lam plus its lam-derivative times d gamma."""
@@ -457,7 +466,7 @@ class ChartDerivatives:
         out = []
         for n in range(1, N):
             g, dg = self.lv.gamma[n - 1], self.gamma[n - 1]
-            dlog, dlam = self.log_minor(N + n - 1, g)
+            dlog, dlam = self.c_at_gamma[n - 1]
             grad = dlog + dlam[:, None, None] * dg
             if n >= 2:
                 dlog, dlam = self.log_minor(n - 2, g)
@@ -641,7 +650,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
         flat(d.e),                                                          # e[n]
         flat(d.log_minor(n - 1, lv.e[n - 1])[0] for n in range(1, N)),     # A_n
         flat(d.gamma[:N - 1]),                                              # gamma[n]
-        flat(d.log_minor(N + n - 1, lv.gamma[n - 1])[0] for n in range(1, N)),  # C_n
+        flat(dlog for dlog, _ in d.c_at_gamma),                             # C_n
         flat(d.gamma[:N - 2]),                                              # gamma[n-1]
         flat(d.log_minor(n - 1, lv.gamma[n - 2])[0] for n in range(2, N)),  # A_n
     ]

@@ -471,25 +471,31 @@ class PoissonPoly(ExactPoly):
     def derivative_along(self, field: list[tuple["PoissonPoly", Gen]]) -> "PoissonPoly":
         """The derivative sum_t coeff_t * d(self)/d(gen_t) along the vector
         field [(coeff_t, gen_t), ...], built in one pass into one dict."""
+        den = self._den * lcm(*(coeff._den for coeff, _ in field))
+        out: dict[int, int] = {}
+        self._add_derivative(field, out, den)
+        if reduce(or_, out, 0) & _slot_layout(self.n).guard:
+            raise _overflow_error()
+        return PoissonPoly._make(self.n, out, den)
+
+    def _add_derivative(self, field: list[tuple["PoissonPoly", Gen]], out: dict[int, int],
+                        den: int, sign: int = 1) -> None:
+        """Add sign times the derivative along field to out, as numerators
+        over den, a multiple of self._den * coeff._den for every coeff."""
         slot = _slot_layout(self.n).slot
         table = self._partials()
-        den = lcm(*(coeff._den for coeff, _ in field))
-        out: dict[int, int] = {}
         get = out.get
         for coeff, gen in field:
             self._check(coeff)
             part = table.get(slot.get(gen))
             if part is None:
                 continue
-            scale = den // coeff._den
+            scale = sign * (den // (self._den * coeff._den))
             for kc, cc in coeff._num.items():
                 cc *= scale
                 for k, c in part:
                     k += kc
                     out[k] = get(k, 0) + c * cc
-        if reduce(or_, out, 0) & _slot_layout(self.n).guard:
-            raise _overflow_error()
-        return PoissonPoly._make(self.n, out, self._den * den)
 
     def lambda_mu_coefficients(self) -> dict[tuple[int, int], "PoissonPoly"]:
         """Split into {(lam power, mu power): polynomial without lam, mu}."""

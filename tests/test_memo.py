@@ -173,3 +173,35 @@ def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp
     draws, runs, one_minor = _kernel_runs(monkeypatch, capsys, argv)
     assert runs == draws + extra
     assert one_minor == 0
+
+
+def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
+    # both take d log C_n at the punctures of A_n; the chart derivatives of
+    # a point compute them once, whichever check runs first
+    calls = []
+    grads = orbits._minor_gradients
+    monkeypatch.setattr(orbits, "_minor_gradients",
+                        lambda *a, roots: calls.append(roots) or grads(*a, roots=roots))
+    pt = sample_orbit(_SPECTRUM, seed=4)
+    N = pt.n
+    orbits.residue_form_check(pt, _pairs(N, 3))
+    # the roots of A_1..A_N and C_1..C_(N-1), then the log-minors of A_n at
+    # e, of C_n at gamma and of A_n at the level below's gamma
+    assert calls.count(True) == 2 * N - 1
+    assert calls.count(False) == (N - 1) + (N - 1) + (N - 2)
+    calls.clear()
+    pt.derivatives().theta()
+    # theta adds only d log A_(n-1) at the punctures of A_n, n = 2..N-1
+    assert calls == [False] * (N - 2)
+    calls.clear()
+    fresh = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
+    orbits.verify_canonical_chart(fresh)
+    before = len(calls)
+    orbits.residue_form_check(fresh, _pairs(N, 3))
+    # the residue form, second, adds the log-minors of A_n alone
+    assert calls[before:] == [False] * ((N - 1) + (N - 2))
+    shared = [a for pair in fresh.derivatives().c_at_gamma for a in pair]
+    assert len(shared) == 2 * (N - 1)
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0

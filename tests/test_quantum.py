@@ -365,12 +365,14 @@ def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
 @pytest.mark.parametrize("n", [4, 5])
 def test_leibniz_scan_takes_the_other_copy_as_zero(monkeypatch, n):
     # on a passing family the centrality pass decides every pair, so each
-    # commutator the check computes is one of its centrality checks
+    # commutator the check computes is one of its centrality checks, and
+    # none is a product-form commutator
     pairs, checks = {4: (120, 136), 5: (300, 325)}[n]
     calls = []
-    product_form = NCPoly.commutator
-    monkeypatch.setattr(NCPoly, "commutator",
-                        lambda a, b: calls.append(b) or product_form(a, b))
+    kernel = quantum._letter_commutator
+    monkeypatch.setattr(quantum, "_letter_commutator",
+                        lambda c, x: calls.append(x) or kernel(c, x))
+    monkeypatch.setattr(NCPoly, "commutator", lambda a, b: pytest.fail("product form"))
     rep = verify_quantum_commutes(n)
     assert (rep.status, rep.pairs_checked, rep.centrality_checks) == ("ok", pairs, checks)
     assert len(calls) == checks
@@ -394,6 +396,60 @@ def test_leibniz_scan_reports_a_broken_family_like_the_product_form(monkeypatch,
     assert (rep.status, rep.convention, rep.pairs_checked) == ("violation", "none", 0)
     assert rep.witness == {"labels": ["qdet k=2 lam^0", "E[1,1]"],
                            "terms": [["-1", "EL[1,2]"]]}
+
+
+# ---------------------------------------------------------------------------
+# [E, c] by the derivation rule against the product-form commutator
+# ---------------------------------------------------------------------------
+
+def _kernel_commutator(c, copy, i, j):
+    """[c, E_ij] from the derivation-rule kernel, as an NCPoly."""
+    res = quantum._letter_commutator(c, quantum._code(copy, i, j))
+    return Q._make(c.n, {key: -v for key, v in res.items()}, c._den)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("convention", ["nested", "ambient", "unshifted"])
+def test_letter_commutators_equal_the_product_form(monkeypatch, n, convention):
+    # every member against every letter of gl_N in both copies, term for term
+    from gztower.quantum import _members, _nested_qdets
+    if convention == "unshifted":
+        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
+    members = _members(_nested_qdets(n, "nested" if convention == "unshifted" else convention))
+    own_nonzero = 0
+    for k, own, _, c in members:
+        for copy, i, j in itertools.product((LEFT, RIGHT), range(1, n + 1), range(1, n + 1)):
+            kernel = _kernel_commutator(c, copy, i, j)
+            product_form = c.commutator(Q.e(n, i, j, copy))
+            assert kernel == product_form
+            assert kernel.term_list() == product_form.term_list()
+            if copy == own and max(i, j) <= k:
+                own_nonzero += not kernel.is_zero()
+    # against the letters of its own gl_k a member is central, unless unshifted
+    assert (own_nonzero > 0) == (convention == "unshifted")
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_letter_commutators_of_mixed_elements_match_the_oracle(data):
+    # mixed copies, powers of lam and rational coefficients
+    n = data.draw(st.sampled_from([2, 3]))
+    tc = data.draw(oracle_elements(n))
+    copy, i, j = data.draw(st.tuples(st.sampled_from([LEFT, RIGHT]),
+                                     st.integers(1, n), st.integers(1, n)))
+    c, e = Q(n, tc), Q.e(n, i, j, copy)
+    kernel = _kernel_commutator(c, copy, i, j)
+    assert kernel == c.commutator(e)
+    assert kernel.terms == _oracle_add(_oracle_mul(tc, e.terms), _oracle_mul(e.terms, tc), -1)
+
+
+def test_the_left_multiplication_cache_keeps_no_sorted_product():
+    # x * w with x <= w[0] is a concatenation: returned, never stored
+    verify_quantum_commutes(4)
+    assert quantum._LMUL
+    for (x, w), expansion in quantum._LMUL.items():
+        assert expansion != (((x,) + w, 1),)
+        assert w and x > w[0]
 
 
 def test_classical_limit_top_degree():
@@ -463,3 +519,85 @@ def test_diffop_realization_check_catches_a_wrong_operator(monkeypatch, n, seed)
         n, [(PoissonPoly.g(n, j, k), (i, k)) for k in range(1, n + 1)])
     monkeypatch.setattr(quantum, "nabla_right", wrong)
     assert diffop_realization_check(n, seed=seed).status == "violation"
+
+
+# ---------------------------------------------------------------------------
+# the realization check against its product form
+# ---------------------------------------------------------------------------
+#
+# The check as it was written with PoissonPoly arithmetic: each side of each
+# relation a polynomial, the residual their difference.  Operators are read
+# from the module, so a patched operator reaches both.
+
+def _oracle_random_g_poly(n, rng):
+    poly = P.constant(n, rng.randrange(-2, 3))
+    for _ in range(rng.randrange(1, 4)):
+        term = P.constant(n, rng.randrange(-3, 4))
+        for _ in range(rng.randrange(1, quantum._MAX_G_DEGREE + 1)):
+            i, j = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
+            term = term * P.g(n, i, j)
+        poly = poly + term
+    return poly
+
+
+def _oracle_realization(n, trials=12, seed=0, with_jk=True):
+    rng = random.Random(seed)
+    checks = 0
+    for _ in range(trials):
+        f = _oracle_random_g_poly(n, rng)
+        i, j, k, l = (rng.randrange(1, n + 1) for _ in range(4))
+        for maker in (quantum.nabla_left, quantum.nabla_right):
+            lhs = maker(n, i, j).commutator_apply(maker(n, k, l), f)
+            rhs = P.zero(n)
+            if j == k and with_jk:
+                rhs = rhs + maker(n, i, l)(f)
+            if l == i:
+                rhs = rhs - maker(n, k, j)(f)
+            checks += 1
+            if not (lhs - rhs).is_zero():
+                return checks, "violation"
+        cross = quantum.nabla_left(n, i, j).commutator_apply(quantum.nabla_right(n, k, l), f)
+        checks += 1
+        if not cross.is_zero():
+            return checks, "violation"
+    return checks, "ok"
+
+
+def test_random_test_polynomials_equal_the_product_form():
+    for n in (1, 2, 3, 4):
+        for seed in range(50):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                f, g = _oracle_random_g_poly(n, a), quantum._random_g_poly(n, b)
+                assert f == g and f.term_list() == g.term_list()
+            assert a.random() == b.random()     # the same draws, in order
+
+
+def _sign_flipped_right(n, i, j):
+    return PolyDiffOp(n, [(PoissonPoly.g(n, j, k), (i, k)) for k in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("operators", ["real", "sign-flipped"])
+def test_realization_check_equals_the_product_form(monkeypatch, n, operators):
+    if operators == "sign-flipped":
+        monkeypatch.setattr(quantum, "nabla_right", _sign_flipped_right)
+    for seed in range(20):
+        rep = diffop_realization_check(n, seed=seed)
+        assert (rep.checks, rep.status) == _oracle_realization(n, seed=seed)
+        # 12 trials may miss the flipped sign; 40 do not, at these seeds
+        longer = diffop_realization_check(n, trials=40, seed=seed)
+        assert longer.status == ("ok" if operators == "real" else "violation")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_realization_check_needs_the_delta_jk_term(monkeypatch, n):
+    # the right-hand side with d(j,k) nabla(il) dropped from the structure
+    # constants: a violation as soon as a trial draws j = k
+    bracket = quantum._letter_bracket
+    monkeypatch.setattr(quantum, "_letter_bracket",
+                        lambda x, y: tuple(t for t in bracket(x, y) if t[0] != 1))
+    for seed in range(20):
+        rep = diffop_realization_check(n, seed=seed)
+        assert (rep.checks, rep.status) == _oracle_realization(n, seed=seed, with_jk=False)
+        assert diffop_realization_check(n, trials=40, seed=seed).status == "violation"
