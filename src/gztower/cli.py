@@ -18,11 +18,12 @@ reports apart from the timestamp field.
 
 Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
-translates their errors into ConfigError or CheckFailed where it calls them,
+translates their configuration errors into ConfigError where it calls them,
 so this module imports no layer.  Nor does it import numpy: verify-classical
 and verify-quantum run without it, and orbit and flow load it with their
-layers.  A flow that stops early is a violation report whose error gives
-the kind and time of the failing sample.
+layers.  An orbit or flow check that stops on a TowerError is a violation
+report whose error gives the kind of the error and, on a flow, the time of
+the failing sample.
 """
 
 from __future__ import annotations
@@ -127,24 +128,26 @@ class ConfigError(ValueError):
     pass
 
 
-class CheckFailed(RuntimeError):
-    """A check stopped before it could report (exit 1, no report)."""
-
-
 @contextmanager
-def _layer_errors(config=(), failed=()):
-    """Re-raise a layer's `config` errors as ConfigError, its `failed` ones as CheckFailed."""
+def _layer_errors(config):
+    """Re-raise a layer's `config` errors as ConfigError."""
     try:
         yield
     except config as exc:
         raise ConfigError(str(exc)) from exc
-    except failed as exc:
-        raise CheckFailed(str(exc)) from exc
 
 
 def _error_kind(exc: Exception) -> str:
     """The class name in kebab case without "Error": BranchJumpError -> branch-jump."""
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.removesuffix("Error")).lower()
+
+
+def _stopped(report: dict, exc: Exception) -> tuple[int, dict]:
+    """End the report of a check that stopped on the TowerError exc: a
+    violation whose error gives exc's kind and time (None off a flow)."""
+    report["status"] = "violation"
+    report["error"] = {"kind": _error_kind(exc), "time": exc.time}
+    return 1, report
 
 
 # the tolerances each subcommand reads, with their defaults; --tolerance
@@ -294,7 +297,7 @@ def cmd_verify_quantum(config: RunConfig) -> tuple[int, dict]:
 def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
     from . import orbits, tower
 
-    with _layer_errors(config=orbits.OrbitError, failed=tower.TowerError):
+    with _layer_errors(config=orbits.OrbitError):
         report = _base_report(config)
         pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
         report["orbit"] = pt.to_json()
@@ -303,11 +306,8 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
         canon = orbits.verify_canonical_chart(pt, tolerance=config.tolerances["chart"])
         report["canonical_chart"] = canon.to_json()
         statuses.append(canon.status)
-        convention = orbits.DEFAULT_MINOR_CONVENTION
-        if canon.winner is not None:
-            convention = orbits.MinorConvention(rows_variant=canon.winner == "rows")
 
-        chart = orbits.gz_forward(pt, convention=convention)
+        chart = orbits.gz_forward(pt)
         res_a, res_c = orbits.chart_residuals(chart, pt)
         report["chart"] = chart.to_json()
         report["chart_residuals"] = {
@@ -317,7 +317,10 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
             "status": "ok" if max(res_a, res_c) < CHART_RESIDUAL_TOLERANCE else "violation"}
         statuses.append(report["chart_residuals"]["status"])
 
-        desc = tower.build_tower(pt, lam0=config.lam0, convention=convention)
+        try:
+            desc = tower.build_tower(pt, lam0=config.lam0)
+        except tower.TowerError as exc:
+            return _stopped(report, exc)
         report["tower"] = desc.to_json()
 
         if any(c in config.checks for c in ("residue-form", "all")):
@@ -327,13 +330,13 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
                                                + 1j * rng.standard_normal((pt.n, pt.n)))
             rrep = orbits.residue_form_check(
                 pt, [(draw(), draw()) for _ in range(config.pairs)],
-                tolerance=config.tolerances["residue"], convention=convention)
+                tolerance=config.tolerances["residue"])
             report["residue_form"] = rrep.to_json()
             statuses.append(rrep.status)
 
         if any(c in config.checks for c in ("action-angle", "all")):
             arep = tower.action_angle_bracket_table(
-                pt, convention=convention, tolerance=config.tolerances["action_angle"])
+                pt, tolerance=config.tolerances["action_angle"])
             report["action_angle"] = arep.to_json()
             statuses.append(arep.status)
 
@@ -362,9 +365,7 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
                 tol=config.tolerances["linearization"],
                 lam0=config.lam0, reg_gap=reg_gap)
         except tower.TowerError as exc:
-            report["status"] = "violation"
-            report["error"] = {"kind": _error_kind(exc), "time": exc.time}
-            return 1, report
+            return _stopped(report, exc)
 
         traj_path = _resolve_output(config.trajectory)
         if traj_path:
@@ -511,9 +512,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
     summary = f"{args.command}: {report.get('status', 'done')}"
     _emit(report, config.output, summary)
     return code

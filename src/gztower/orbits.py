@@ -9,8 +9,8 @@ together with the lowering minors
 
     C_n(lam) = det of (lam - u) on rows {1..n-1, n+1} x columns {1..n}
 
-(or the transposed row/column choice, the ``MinorConvention``; a sweep
-against the canonicity oracle confirms the rows orientation).  The angles are
+(the rows orientation of ``MinorConvention``; the transposed choice is the
+negative control of the canonicity sweep).  The angles are
 
     theta[n,j] = log( -C_n(gamma[n,j]) / A_{n-1}(gamma[n,j]) ),
 
@@ -102,7 +102,7 @@ class OrbitPoint:
 
     u and spectrum are read-only copies.  The point memoizes what the checks
     compute from u: LevelData and ChartDerivatives per convention and, in
-    tower, the TowerDescriptor per (lam0, convention).  Each entry is a pure
+    tower, the TowerDescriptor per lam0.  Each entry is a pure
     function of u, built on first use, with read-only arrays; the memo is
     idempotent and goes with its point.
     """
@@ -315,11 +315,11 @@ def level_data(u: np.ndarray,
 
 @dataclass
 class GZChart:
-    """Triangular arrays gamma[n][j] (n = 1..N) and theta[n][j] (n = 1..N-1)."""
+    """Triangular arrays gamma[n][j] (n = 1..N) and theta[n][j] (n = 1..N-1),
+    of the default minor convention."""
 
     gamma: list[np.ndarray]
     theta: list[np.ndarray]
-    convention: MinorConvention = DEFAULT_MINOR_CONVENTION
 
     @property
     def n(self) -> int:
@@ -331,26 +331,25 @@ class GZChart:
             "n": self.n,
             "gamma": [enc(g) for g in self.gamma],
             "theta": [enc(t) for t in self.theta],
-            "minor_convention": self.convention.label(),
+            "minor_convention": DEFAULT_MINOR_CONVENTION.label(),
         }
 
 
-def gz_forward(pt: OrbitPoint,
-               convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> GZChart:
+def gz_forward(pt: OrbitPoint) -> GZChart:
     """Forward chart map: roots of the nested minors plus the log angles.
 
     Assumes a regular point (sampled points are; hand-built ones may fail
     with SingularChartError when a denominator degenerates, and then
-    pt.levels(convention).gamma still holds the roots).
+    pt.levels().gamma still holds the roots).
     """
-    lv = pt.levels(convention)
+    lv = pt.levels()
     thetas: list[np.ndarray] = []
     for n, (g, c) in enumerate(zip(lv.gamma, lv.c), start=1):
         cval, aval = np.polyval(c, g), np.polyval(lv.a[n - 1], g)
         if min(np.min(np.abs(cval)), np.min(np.abs(aval))) < _ANGLE_FLOOR:
             raise SingularChartError(f"level {n} angle denominators below {_ANGLE_FLOOR}")
         thetas.append(np.log(-cval / aval))
-    return GZChart(gamma=list(lv.gamma), theta=thetas, convention=convention)
+    return GZChart(gamma=list(lv.gamma), theta=thetas)
 
 
 def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
@@ -361,7 +360,7 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
     by max(1, max|a_n|) and max(1, max|C_n(gamma)|): the A_n coefficients
     grow like n!, and neither scale depends on theta.
     """
-    lv = pt.levels(chart.convention)
+    lv = pt.levels()
     scale = lambda x: max(1.0, float(np.max(np.abs(x))))
     res_a = max(float(np.max(np.abs(np.poly(g) - a))) / scale(a)
                 for g, a in zip(chart.gamma, lv.a[1:]))
@@ -626,8 +625,7 @@ class ResidueFormReport:
 
 
 def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTangent]],
-                       tolerance: float = 1e-4,
-                       convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ResidueFormReport:
+                       tolerance: float = 1e-4) -> ResidueFormReport:
     """Evaluate the contour form of the symplectic structure on tangent pairs.
 
     The two-form is assembled from residues of dlog C_n ^ dlog A_n (first
@@ -641,7 +639,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     """
     u = pt.u
     N = pt.n
-    d = pt.derivatives(convention)
+    d = pt.derivatives()
     lv = d.lv
     flat = lambda grads: np.concatenate([np.zeros((0, N, N)), *grads])
     # aligned pairs of stacks over all levels: the gradients of some roots,

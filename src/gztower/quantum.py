@@ -15,10 +15,9 @@ The quantum determinant of size k is the permutation sum
     sum_p sign(p) prod_{c=1..k} (lam - rho_c - E)[p(c), c]
 
 with factors multiplied left-to-right in column order and row shifts
-rho_c = (k - 2c + 1)/2 ("nested" convention; the "ambient" alternative
-rho_c = (N - 2c + 1)/2 differs by a global shift of lam and validates as
-well).  Its lam-coefficients are central; the nested minors for k < N
-give the quantum Gelfand-Zetlin family.
+rho_c = (k - 2c + 1)/2 (the "nested" shifts of the k x k minor itself).
+Its lam-coefficients are central; the nested minors for k < N give the
+quantum Gelfand-Zetlin family.
 
 The module also carries the first-order differential operators
 
@@ -294,36 +293,27 @@ class NCPoly(ExactPoly):
 # quantum determinants and the commuting family
 # ---------------------------------------------------------------------------
 
-def qdet(n: int, k: int, side: str = "left", convention: str = "nested") -> NCPoly:
-    """Size-k quantum determinant of (lam - rho - E), column-ordered.
-
-    convention 'nested' uses rho from the k x k minor itself; 'ambient'
-    restricts the size-n shifts to the first k columns.
-    """
+def qdet(n: int, k: int, side: str = "left") -> NCPoly:
+    """Size-k quantum determinant of (lam - rho - E), column-ordered, with
+    the row shifts rho_c = rho_shift(k, c) of the k x k minor itself."""
     if not 1 <= k <= n:
         raise ValueError(f"minor size {k} outside 1..{n}")
     copy = LEFT if side == "left" else RIGHT
-    if convention == "nested":
-        shifts = [rho_shift(k, c) for c in range(1, k + 1)]
-    elif convention == "ambient":
-        shifts = [rho_shift(n, c) for c in range(1, k + 1)]
-    else:
-        raise ValueError(f"unknown rho convention {convention!r}")
     columns = []
     for c in range(1, k + 1):
         column = [-NCPoly.e(n, r, c, copy) for r in range(1, k + 1)]
-        column[c - 1] = column[c - 1] + NCPoly.lam(n) - shifts[c - 1]
+        column[c - 1] = column[c - 1] + NCPoly.lam(n) - rho_shift(k, c)
         columns.append(column)
     return column_det(columns, NCPoly.constant(n, 1))
 
 
-def _nested_qdets(n: int, convention: str) -> list[tuple[int, int, NCPoly]]:
+def _nested_qdets(n: int) -> list[tuple[int, int, NCPoly]]:
     """(k, copy, qdet) for the left minors k = 1..n and the right ones k < n."""
     dets = []
     for k in range(1, n + 1):
-        dets.append((k, LEFT, qdet(n, k, "left", convention)))
+        dets.append((k, LEFT, qdet(n, k, "left")))
         if k < n:
-            dets.append((k, RIGHT, qdet(n, k, "right", convention)))
+            dets.append((k, RIGHT, qdet(n, k, "right")))
     return dets
 
 
@@ -341,9 +331,9 @@ def _family(n: int, members: list[_Member]) -> list[tuple[str, NCPoly]]:
             for k, copy, lp, coeff in members]
 
 
-def quantum_family(n: int, convention: str = "nested") -> list[tuple[str, NCPoly]]:
+def quantum_family(n: int) -> list[tuple[str, NCPoly]]:
     """Nonconstant lam-coefficients of the nested quantum determinants."""
-    return _family(n, _members(_nested_qdets(n, convention)))
+    return _family(n, _members(_nested_qdets(n)))
 
 
 @dataclass
@@ -393,29 +383,29 @@ def _centrality(n: int, members: list[_Member]) -> tuple[int, dict | None]:
 
 
 def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
-    """Centrality of the quantum determinants plus pairwise commutativity.
+    """Centrality of the nested quantum determinants plus pairwise commutativity.
 
-    The rho convention is decided by an automated sweep: 'nested' is tried
-    first and 'ambient' is the fallback; the convention that passes the
-    centrality checks is recorded and used for the family.  Each quantum
-    determinant is built once per convention tried.  The pairs then follow
-    exactly by the Leibniz rule: of two members of sizes k <= l, the one of
-    size l commutes with every letter of its own gl_l, so with every letter
-    of the other member (the copies commute), so with the other member.
-    Every pair is counted, and none can be nonzero.
+    Each quantum determinant is built once.  The report's convention is
+    'nested' when the family is central and 'none' otherwise: adding one
+    amount to every rho_c only shifts lam, which maps the lam-coefficients
+    triangularly onto each other, so no such shift could change the
+    verdict.  The pairs then follow exactly by the Leibniz rule: of two
+    members of sizes k <= l, the one of size l commutes with every letter of
+    its own gl_l, so with every letter of the other member (the copies
+    commute), so with the other member.  Every pair is counted, and none can
+    be nonzero.
     """
     if n < 1:
         raise ValueError(f"ambient size must be >= 1, got {n}")
     if n > 6 and not allow_large:
         raise SizeGuardError(
             f"N={n} PBW verification is expensive; pass allow_large to proceed")
-    for candidate in ("nested", "ambient"):
-        members = _members(_nested_qdets(n, candidate))
-        checks, witness = _centrality(n, members)
-        if witness is None:
-            return QuantumReport(n=n, convention=candidate, centrality_checks=checks,
-                                 pairs_checked=len(members) * (len(members) - 1) // 2,
-                                 max_nonzero_terms=0, status="ok")
+    members = _members(_nested_qdets(n))
+    checks, witness = _centrality(n, members)
+    if witness is None:
+        return QuantumReport(n=n, convention="nested", centrality_checks=checks,
+                             pairs_checked=len(members) * (len(members) - 1) // 2,
+                             max_nonzero_terms=0, status="ok")
     return QuantumReport(n=n, convention="none", centrality_checks=checks,
                          pairs_checked=0, max_nonzero_terms=0,
                          status="violation", witness=witness)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .orbits import (
     DEFAULT_MINOR_CONVENTION,
-    MinorConvention,
     OrbitError,
     OrbitPoint,
     _kk,
@@ -219,14 +218,13 @@ class TowerLevel:
 class TowerDescriptor:
     levels: list[TowerLevel]
     zero_section: dict[int, list[complex]]
-    convention: str
     base_point: complex
 
     def to_json(self) -> dict:
         return {
             "levels": [lv.to_json() for lv in self.levels],
             "zero_section": {str(n): _pairs(v) for n, v in self.zero_section.items()},
-            "minor_convention": self.convention,
+            "minor_convention": DEFAULT_MINOR_CONVENTION.label(),
             "base_point": _pairs([self.base_point])[0],
         }
 
@@ -237,26 +235,24 @@ def default_base_point(pt: OrbitPoint) -> complex:
     return complex(np.ceil(chart_radius) + 2.0)
 
 
-def build_tower(pt: OrbitPoint, lam0: complex | None = None,
-                convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> TowerDescriptor:
+def build_tower(pt: OrbitPoint, lam0: complex | None = None) -> TowerDescriptor:
     """Assemble every level: punctures, actions, divisor points, angles.
 
     The top level N carries its punctures and (Casimir) action values but no
     e-points or angles: the lowering minor needs row/column N+1, and the
     corresponding angles are not functions on the orbit.  The descriptor is
-    memoized on pt per (lam0, convention), so callers share it: its arrays
-    are read-only, and its lists must not be changed either.
+    memoized on pt per lam0, so callers share it: its arrays are read-only,
+    and its lists must not be changed either.
     """
     lam0 = default_base_point(pt) if lam0 is None else complex(lam0)
-    return pt._memoized(("tower", lam0, convention),
-                        lambda: _build_tower(pt, lam0, convention))
+    return pt._memoized(("tower", lam0), lambda: _build_tower(pt, lam0))
 
 
-def _build_tower(pt: OrbitPoint, lam0: complex, convention: MinorConvention) -> TowerDescriptor:
+def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
     N = pt.n
     levels: list[TowerLevel] = []
     zero_section: dict[int, list[complex]] = {}
-    lv = pt.levels(convention)
+    lv = pt.levels()
     for n in range(1, N + 1):
         acoeffs, gamma = lv.a[n], lv.gamma[n - 1]
         # relative to the coefficient scale: the A_n coefficients grow like n!
@@ -284,8 +280,7 @@ def _build_tower(pt: OrbitPoint, lam0: complex, convention: MinorConvention) -> 
         if n >= 2:
             # the integrals of lam^p / A_n, p = 0..n-1, in power order
             zero_section[n] = prev_sums[::-1].tolist()
-    return TowerDescriptor(levels=levels, zero_section=zero_section,
-                           convention=convention.label(), base_point=lam0)
+    return TowerDescriptor(levels=levels, zero_section=zero_section, base_point=lam0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +484,7 @@ class ActionAngleReport:
         }
 
 
-def action_angle_bracket_table(pt: OrbitPoint,
-                               convention: MinorConvention = DEFAULT_MINOR_CONVENTION,
-                               tolerance: float = 1e-4) -> ActionAngleReport:
+def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> ActionAngleReport:
     """Oracle brackets {h[n,k], tau[m,l]} and {h, h} over levels 1..N-1.
 
     {h, tau} is the derivative of tau along the flow u' = [grad h, u].  That
@@ -508,7 +501,7 @@ def action_angle_bracket_table(pt: OrbitPoint,
     """
     N = pt.n
     u = pt.u
-    d = pt.derivatives(convention)
+    d = pt.derivatives()
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
     h_nabla = {}
     for n in range(1, N):

@@ -1,5 +1,6 @@
 """Root tracking for the test oracles: the exhaustive minimal-distance match,
-and level data whose roots follow those of a nearby point."""
+level data whose roots follow those of a nearby point, and the angles of
+level data of either minor convention."""
 
 import itertools
 
@@ -17,6 +18,13 @@ def match_loop(base, new):
         if cost < best_cost:
             best, best_cost = perm, cost
     return new[list(best)]
+
+
+def chart_thetas(lv):
+    """theta[n] = log(-C_n(gamma[n]) / A_(n-1)(gamma[n])), n = 1..N-1, from the
+    level data lv, as gz_forward takes them for the default convention."""
+    return [np.log(-np.polyval(c, g) / np.polyval(a, g))
+            for g, c, a in zip(lv.gamma, lv.c, lv.a)]
 
 
 def tracked_level_data(u, convention, base):

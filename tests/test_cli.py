@@ -185,6 +185,19 @@ def test_orbit_spectrum_length_mismatch(capsys):
     assert code == 2
 
 
+def test_orbit_stopped_by_the_tower_is_a_violation_report(capsys):
+    # lam0 on the puncture 1 of level 2: the tower stops, and the report
+    # keeps the checks before it and names the error, as a stopped flow's does
+    code, out, err = run_cli(capsys, "orbit", "--n", "2", "--spectrum", "1,2",
+                             "--lam0", "1", "--check", "all")
+    assert (code, err) == (1, "orbit: violation\n")
+    report = parse_report(out)
+    assert report["status"] == "violation"
+    assert report["error"] == {"kind": "path-through-puncture", "time": None}
+    assert report["canonical_chart"]["status"] == "ok"
+    assert "tower" not in report and "action_angle" not in report
+
+
 def test_orbit_residue_form_check(capsys):
     code, out, _ = run_cli(capsys, "orbit", "--n", "2", "--spectrum", "0.5,-1+0.5j",
                            "--seed", "3", "--check", "residue-form", "--pairs", "6")

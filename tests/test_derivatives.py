@@ -9,7 +9,7 @@ take the package's one stencil, poisson.central_gradient.
 import numpy as np
 import pytest
 
-from _tracking import tracked_level_data
+from _tracking import chart_thetas, tracked_level_data
 from gztower import orbits
 from gztower.orbits import (
     MinorConvention,
@@ -17,7 +17,6 @@ from gztower.orbits import (
     OrbitTangent,
     chart_derivatives,
     gz_forward,
-    level_data,
     random_spectrum,
     residue_form_check,
     sample_orbit,
@@ -49,8 +48,7 @@ def _matched_chart_values(u, base, base_theta, convention):
     for n, roots in enumerate(lv.gamma, start=1):
         for j, g in enumerate(roots):
             out[("gamma", n, j + 1)] = g
-    for n, (g, c, ref) in enumerate(zip(lv.gamma, lv.c, base_theta), start=1):
-        val = np.log(-np.polyval(c, g) / np.polyval(lv.a[n - 1], g))
+    for n, (val, ref) in enumerate(zip(chart_thetas(lv), base_theta), start=1):
         # branch continuity: shift by the multiple of 2*pi*i nearest the base
         val = val + 2j * np.pi * np.round((ref - val).imag / (2.0 * np.pi))
         for j, v in enumerate(val):
@@ -60,7 +58,8 @@ def _matched_chart_values(u, base, base_theta, convention):
 
 def _chart_gradients(pt, convention, step=1e-5):
     """Stencil gradients of every chart function, [a, b] = dF/du[a, b]."""
-    base, theta = level_data(pt.u, convention), gz_forward(pt, convention=convention).theta
+    base = pt.levels(convention)
+    theta = chart_thetas(base)
     return _central_gradients(
         lambda u: _matched_chart_values(u, base, theta, convention), pt.u, step)
 
@@ -109,6 +108,13 @@ POINTS = _points()
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
+def test_the_stencil_angles_are_the_charts(pt):
+    # in the default convention the oracle's angles are gz_forward's, bit for bit
+    for oracle, chart in zip(chart_thetas(pt.levels()), gz_forward(pt).theta, strict=True):
+        assert np.array_equal(oracle, chart)
+
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=["rows", "cols"])
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")

@@ -113,19 +113,23 @@ def test_a_public_name_loads_only_its_home_layers():
     assert _loaded("import gztower; gztower.OrbitPoint") == ({"orbits", "polytools"}, True)
 
 
-@pytest.mark.parametrize("argv, code, err", [
+@pytest.mark.parametrize("argv, code, err, error", [
     (["verify-quantum", "--n", "7"], 2,
-     "configuration error: N=7 PBW verification is expensive; pass allow_large to proceed\n"),
+     "configuration error: N=7 PBW verification is expensive; pass allow_large to proceed\n",
+     None),
     (["orbit", "--n", "3", "--spectrum=1,2,1e300"], 2,
      "configuration error: spectrum too large: the characteristic minors of u "
-     "leave floating-point range\n"),
-    # lam0 on a puncture: build_tower raises PathThroughPunctureError
-    (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"], 1,
-     "check failed: integration endpoint within 1e-08 of a puncture\n"),
+     "leave floating-point range\n", None),
+    # lam0 on a puncture: build_tower raises PathThroughPunctureError, and
+    # the report ends as a violation that names it
+    (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"], 1, "orbit: violation\n",
+     {"kind": "path-through-puncture", "time": None}),
 ], ids=["size-guard", "orbit-error", "tower-error"])
-def test_layer_errors_keep_their_exit_code_and_message(argv, code, err):
+def test_layer_errors_keep_their_exit_code_and_message(argv, code, err, error):
+    # a configuration error writes no report; a stopped check writes one
     proc = _fresh("from gztower.cli import entry; entry()", *argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert (json.loads(proc.stdout)["error"] if proc.stdout else None) == error
 
 
 # ---------------------------------------------------------------------------

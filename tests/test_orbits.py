@@ -155,7 +155,7 @@ def test_lowering_minor_matches_lagrange_interpolation():
                     denom *= g - gs
             contrib = values[j] / denom * basis
             interp[n - len(contrib):] += contrib
-        minor = lowering_minor_coeffs(pt.u, n, chart.convention)
+        minor = lowering_minor_coeffs(pt.u, n)
         assert np.max(np.abs(interp - minor)) < 1e-9
 
 

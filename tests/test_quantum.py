@@ -104,9 +104,11 @@ def _perm_sign(p):
     return (-1) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(len(p)), 2))
 
 
-def _oracle_qdet(n, k, side, convention):
+def _oracle_qdet(n, k, side, rule):
+    """The permutation sum with the nested shifts of the size-k minor, or
+    the ambient ones of size n."""
     copy = LEFT if side == "left" else RIGHT
-    size = k if convention == "nested" else n
+    size = k if rule == "nested" else n
     total = {}
     for perm in itertools.permutations(range(1, k + 1)):
         prod = {(0, ()): Fraction(_perm_sign(perm))}
@@ -149,12 +151,24 @@ def test_products_match_the_rewriting_oracle(data):
     assert a.commutator(b).terms == _oracle_add(_oracle_mul(ta, tb), _oracle_mul(tb, ta), -1)
 
 
+def _shift_rule(monkeypatch, rule, n):
+    """Install a row-shift rule for the quantum minors over gl_n: 'nested'
+    keeps rho_shift(k, c) = (k - 2c + 1)/2, 'ambient' takes the size-n
+    shifts (n - 2c + 1)/2 in the first k columns, 'unshifted' drops them."""
+    if rule == "ambient":
+        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(n - 2 * c + 1, 2))
+    elif rule == "unshifted":
+        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_qdet_matches_the_permutation_sum(n):
-    for k in range(1, n + 1):
-        for side in ("left", "right"):
-            for convention in ("nested", "ambient"):
-                assert qdet(n, k, side, convention).terms == _oracle_qdet(n, k, side, convention)
+def test_qdet_matches_the_permutation_sum(monkeypatch, n):
+    for rule in ("nested", "ambient"):
+        with monkeypatch.context() as m:
+            _shift_rule(m, rule, n)
+            for k in range(1, n + 1):
+                for side in ("left", "right"):
+                    assert qdet(n, k, side).terms == _oracle_qdet(n, k, side, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +299,37 @@ def test_verify_quantum_n5():
     assert (rep.pairs_checked, rep.centrality_checks) == (300, 325)
 
 
-def test_ambient_rho_convention_also_central():
+def test_ambient_rho_convention_also_central(monkeypatch):
     # the ambient restriction differs from the nested shifts by a global
     # shift of lam, so centrality holds for it as well
     from gztower.quantum import _centrality, _members, _nested_qdets
-    checks, witness = _centrality(2, _members(_nested_qdets(2, "ambient")))
+    _shift_rule(monkeypatch, "ambient", 2)
+    checks, witness = _centrality(2, _members(_nested_qdets(2)))
     assert witness is None and checks > 0
 
 
-def test_qdet_term_lists_are_golden():
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_column_independent_shift_keeps_the_verdict(monkeypatch, n):
+    # adding s to every rho_c of a size-k minor shifts its lam by s, which
+    # maps the lam-coefficients triangularly onto each other: they stay
+    # central or not, so no such rule can pass where the nested one fails.
+    # A rule that shifts the first column alone is not central.
+    skewed = lambda k, c: rho_shift(k, c) + (c == 1)
+    verdict = lambda rep: (rep.status, rep.convention, rep.centrality_checks,
+                           rep.pairs_checked)
+    verdicts = []
+    for base in (rho_shift, skewed):
+        monkeypatch.setattr(quantum, "rho_shift", base)
+        want = verdict(verify_quantum_commutes(n))
+        for extra in (lambda k: Fraction(1, 3), lambda k: Fraction(n - k, 2),
+                      lambda k: Fraction(-k * k, 7)):
+            monkeypatch.setattr(quantum, "rho_shift", lambda k, c: base(k, c) + extra(k))
+            assert verdict(verify_quantum_commutes(n)) == want
+        verdicts.append(want[:2])
+    assert verdicts == [("ok", "nested"), ("violation", "none")]
+
+
+def test_qdet_term_lists_are_golden(monkeypatch):
     # pins the witness format: term order and coefficient strings
     assert qdet(2, 2).lambda_coefficients()[0].term_list() == [
         ["-1/4", "1"], ["1/2", "EL[1,1]"], ["-1/2", "EL[2,2]"],
@@ -304,15 +340,16 @@ def test_qdet_term_lists_are_golden():
         ["-1", "EL[1,1]*EL[2,2]*EL[3,3]"], ["1", "EL[1,1]*EL[2,3]*EL[3,2]"],
         ["1", "EL[1,2]*EL[2,1]*EL[3,3]"], ["-1", "EL[1,2]*EL[2,3]*EL[3,1]"],
         ["-1", "EL[1,3]*EL[2,1]*EL[3,2]"], ["1", "EL[1,3]*EL[2,2]*EL[3,1]"]]
-    assert qdet(3, 2, "right", "ambient").term_list() == [
+    _shift_rule(monkeypatch, "ambient", 3)
+    assert qdet(3, 2, "right").term_list() == [
         ["-1", "lam^1"], ["1", "lam^2"], ["1", "ER[1,1]"], ["-1", "lam^1*ER[1,1]"],
         ["-1", "lam^1*ER[2,2]"], ["1", "ER[1,1]*ER[2,2]"], ["-1", "ER[1,2]*ER[2,1]"]]
 
 
 def test_unshifted_determinants_are_not_central(monkeypatch):
-    # without the row shifts neither convention is central, so the sweep
+    # without the row shifts the determinants are not central, so the check
     # must end in a violation that names the failing coefficient
-    monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
+    _shift_rule(monkeypatch, "unshifted", 2)
     rep = verify_quantum_commutes(2)
     assert rep.status == "violation"
     assert rep.convention == "none"
@@ -350,9 +387,8 @@ def test_size_guard(monkeypatch):
 @pytest.mark.parametrize("convention", ["nested", "ambient", "unshifted"])
 def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
     from gztower.quantum import _centrality, _members, _nested_qdets
-    if convention == "unshifted":
-        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
-    members = _members(_nested_qdets(n, "nested" if convention == "unshifted" else convention))
+    _shift_rule(monkeypatch, convention, n)
+    members = _members(_nested_qdets(n))
     _, witness = _centrality(n, members)
     nonzero = sum(not a.commutator(b).is_zero()
                   for (_, _, _, a), (_, _, _, b) in itertools.combinations(members, 2))
@@ -389,7 +425,7 @@ def test_leibniz_scan_reports_a_broken_family_like_the_product_form(monkeypatch,
     extra = (2, LEFT, 0, E(1, 2, n=n))
     with_extra = lambda dets: [extra] + _members(dets) if at_front else _members(dets) + [extra]
     monkeypatch.setattr(quantum, "_members", with_extra)
-    members = with_extra(quantum._nested_qdets(n, "nested"))
+    members = with_extra(quantum._nested_qdets(n))
     _, worst, witness = scan_pairs(_family(n, members), NCPoly.commutator)
     assert witness is not None and worst > 0
     rep = verify_quantum_commutes(n)
@@ -413,9 +449,8 @@ def _kernel_commutator(c, copy, i, j):
 def test_letter_commutators_equal_the_product_form(monkeypatch, n, convention):
     # every member against every letter of gl_N in both copies, term for term
     from gztower.quantum import _members, _nested_qdets
-    if convention == "unshifted":
-        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
-    members = _members(_nested_qdets(n, "nested" if convention == "unshifted" else convention))
+    _shift_rule(monkeypatch, convention, n)
+    members = _members(_nested_qdets(n))
     own_nonzero = 0
     for k, own, _, c in members:
         for copy, i, j in itertools.product((LEFT, RIGHT), range(1, n + 1), range(1, n + 1)):
