@@ -19,11 +19,11 @@ reports apart from the timestamp field.
 Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their configuration errors into ConfigError where it calls them,
-so this module imports no layer.  Nor does it import numpy: verify-classical
-and verify-quantum run without it, and orbit and flow load it with their
+so this module imports no layer.  Nor does it import numpy or dataclasses:
+RunConfig and the exact layers' records are NamedTuples, verify-classical and
+verify-quantum run without either, and orbit and flow load both with their
 layers.  An orbit or flow check that stops on a TowerError is a violation
-report whose error gives the kind of the error and, on a flow, the time of
-the failing sample.
+report whose error gives its kind and, on a flow, the failing sample's time.
 """
 
 from __future__ import annotations
@@ -36,17 +36,18 @@ import os
 import random
 import re
 import sys
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 SCHEMA = "gz-tower/1"
 OUTPUT_DIR_ENV = "GZTOWER_OUTPUT_DIR"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     n: int
     seed: int = 0
@@ -57,18 +58,19 @@ class RunConfig:
     trials: int = 12
     allow_large: bool = False
     spectrum: list[complex] | None = None
-    checks: list[str] = field(default_factory=list)
+    checks: tuple[str, ...] = ()
     pairs: int = 20
     hamiltonian: tuple[int, int] | None = None
     t_final: float = 1.0
     steps: int = 1000
     lam0: complex | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: Mapping[str, float] = MappingProxyType({})
     output: str | None = None
     trajectory: str | None = None
 
     def to_json(self) -> dict:
-        data = asdict(self)
+        data = self._asdict()
+        data.update(checks=list(self.checks), tolerances=dict(self.tolerances))
         if self.spectrum is not None:
             data["spectrum"] = [[z.real, z.imag] for z in self.spectrum]
         if self.lam0 is not None:
@@ -456,24 +458,19 @@ def _config_from_args(args) -> RunConfig:
                           "below N=2 every check would pass on zero cases")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    config = RunConfig(command=args.command, n=args.n, seed=args.seed,
-                       output=args.output,
-                       tolerances=_parse_tolerances(args.tolerance, args.command))
+    fields = dict(command=args.command, n=args.n, seed=args.seed, output=args.output,
+                  tolerances=_parse_tolerances(args.tolerance, args.command))
     if args.command == "verify-classical":
-        config.family = args.family
-        config.side = args.side
-        config.shift_matrix = args.shift_matrix
-        config.points = _at_least_one("points", args.points)
+        fields.update(family=args.family, side=args.side, shift_matrix=args.shift_matrix,
+                      points=_at_least_one("points", args.points))
     elif args.command == "verify-quantum":
-        config.allow_large = args.allow_large
-        config.trials = _at_least_one("trials", args.trials)
+        fields.update(allow_large=args.allow_large, trials=_at_least_one("trials", args.trials))
     elif args.command in ("orbit", "flow"):
-        config.spectrum = _parse_spectrum(args.spectrum, args.n)
+        fields["spectrum"] = _parse_spectrum(args.spectrum, args.n)
         if args.lam0 is not None:
-            config.lam0 = _parse_complex(args.lam0, "--lam0")
+            fields["lam0"] = _parse_complex(args.lam0, "--lam0")
         if args.command == "orbit":
-            config.checks = args.check
-            config.pairs = _at_least_one("pairs", args.pairs)
+            fields.update(checks=tuple(args.check), pairs=_at_least_one("pairs", args.pairs))
         else:
             try:
                 level, k = map(int, args.hamiltonian.split(","))
@@ -482,13 +479,11 @@ def _config_from_args(args) -> RunConfig:
                                   f"got {args.hamiltonian!r}") from exc
             if not 1 <= k <= level <= args.n:
                 raise ConfigError(f"no action h[{args.hamiltonian}] at N={args.n}")
-            config.hamiltonian = (level, k)
             if args.t_final == 0 or not math.isfinite(args.t_final):
                 raise ConfigError(f"--t must be finite and nonzero, got {args.t_final}")
-            config.t_final = args.t_final
-            config.steps = _at_least_one("steps", args.steps)
-            config.trajectory = args.trajectory
-    return config
+            fields.update(hamiltonian=(level, k), t_final=args.t_final, trajectory=args.trajectory,
+                          steps=_at_least_one("steps", args.steps))
+    return RunConfig(**fields)
 
 
 _COMMANDS = {

@@ -17,15 +17,14 @@ respect to the 2 N^2 canonical coordinates, taken exactly over GF(PRIME) at
 a point.  That rank never exceeds the family's generic rank, so a full rank
 proves independence; at a uniformly random point it falls short only where
 a nonzero maximal minor of degree D vanishes, with probability at most
-D / PRIME (Schwartz-Zippel).  The trivial family's check is a
-finite-difference oracle in plain Python.  The module loads no numpy.
+D / PRIME (Schwartz-Zippel).  The trivial family's check is a plain-Python
+finite-difference oracle; the module loads neither numpy nor dataclasses.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -63,16 +62,20 @@ _NUM_RANGE = 3              # random_rational_matrix: numerators in [-3, 3],
 _DEN_RANGE = 3              # denominators in [1, 3]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Which commuting family to build over gl_N."""
-
+class _SpecFields(NamedTuple):
     kind: str
     n: int
     side: str = "both"
     shift: tuple[tuple[Fraction, ...], ...] | None = None
 
-    def __post_init__(self):
+
+class FamilySpec(_SpecFields):
+    """Which commuting family to build over gl_N, validated when constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.side not in SIDES:
@@ -86,6 +89,11 @@ class FamilySpec:
                 raise ValueError("shift matrix has wrong shape")
             if not all(isinstance(x, Fraction) for r in self.shift for x in r):
                 raise ValueError("shift matrix entries must be exact rationals")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):       # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {
@@ -97,10 +105,9 @@ class FamilySpec:
         }
 
 
-@dataclass
-class CommutingFamily:
+class CommutingFamily(NamedTuple):
     spec: FamilySpec
-    generators: list[tuple[str, PoissonPoly]] = field(default_factory=list)
+    generators: list[tuple[str, PoissonPoly]]
 
     def labels(self) -> list[str]:
         return [lbl for lbl, _ in self.generators]
@@ -164,8 +171,7 @@ def build_family(spec: FamilySpec) -> CommutingFamily:
     return CommutingFamily(spec=spec, generators=gens)
 
 
-@dataclass
-class CommutationReport:
+class CommutationReport(NamedTuple):
     family: dict
     pairs_checked: int
     max_nonzero_terms: int
@@ -204,8 +210,7 @@ def verify_commutes(fam: CommutingFamily) -> CommutationReport:
     )
 
 
-@dataclass
-class TrivialReport:
+class TrivialReport(NamedTuple):
     n: int
     points: int
     pairs_checked: int
@@ -242,9 +247,9 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     worst = 0.0
     pairs = 0
     for _ in range(pt_count):
-        g, p = _gaussian_point(n, rng)
+        g, g_inv, p = _gaussian_point(n, rng)
         # every g-move keeps p, and every p-move keeps g and its inverse
-        p_t, g_inv = _transpose(p, n), _det_and_inverse(g, n)[1]
+        p_t = _transpose(p, n)
         dg = list(zip(*central_gradient(
             lambda x: _trivial_members(p_t, x, _det_and_inverse(x, n)[1], n), g, _TRIVIAL_STEP)))
         dp = list(zip(*central_gradient(
@@ -258,16 +263,17 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
                          max_abs_bracket=worst, tolerance=tol, status=status)
 
 
-def _gaussian_point(n: int, rng: random.Random) -> tuple[list[complex], list[complex]]:
-    """(g, p) as flat row-major lists of standard complex Gaussians, with
-    |det g| >= _DET_THRESHOLD."""
+def _gaussian_point(n: int, rng: random.Random) -> tuple[list[complex], ...]:
+    """(g, g^{-1}, p), with g and p flat row-major lists of standard complex
+    Gaussians and |det g| >= _DET_THRESHOLD."""
     def draw():
         return [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(n * n)]
 
     for _ in range(100):
         g, p = draw(), draw()
-        if abs(_det_and_inverse(g, n)[0]) >= _DET_THRESHOLD:
-            return g, p
+        det, g_inv = _det_and_inverse(g, n)
+        if abs(det) >= _DET_THRESHOLD:
+            return g, g_inv, p
     raise RuntimeError("could not sample an invertible g")
 
 

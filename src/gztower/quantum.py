@@ -28,17 +28,17 @@ acting on exact polynomials in the g entries.  They realize the two gl_N
 copies (and their mutual commutativity) on polynomial test functions and
 serve as an independent faithful oracle for the PBW engine.  The test
 polynomials come from the standard library's ``random.Random(seed)``: the
-module is exact throughout and imports no numpy.
+module is exact throughout and loads neither numpy nor dataclasses.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .poisson import (G, U, UTILDE, AmbientSizeError, ExactPoly, PoissonPoly, _slot_layout,
                       column_det)
@@ -336,8 +336,7 @@ def quantum_family(n: int) -> list[tuple[str, NCPoly]]:
     return _family(n, _members(_nested_qdets(n)))
 
 
-@dataclass
-class QuantumReport:
+class QuantumReport(NamedTuple):
     n: int
     convention: str
     centrality_checks: int
@@ -472,8 +471,7 @@ def apply_nc_as_diffop(op: NCPoly, f: PoissonPoly) -> PoissonPoly:
     return out
 
 
-@dataclass
-class DiffOpReport:
+class DiffOpReport(NamedTuple):
     n: int
     trials: int
     checks: int

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gztower import orbits, tower
-from gztower.cli import main
+from gztower import families, orbits, quantum, tower
+from gztower.cli import RunConfig, main
 from gztower.families import PRIME
 
 
@@ -554,14 +554,69 @@ def test_reports_are_the_same_across_hash_seeds(tmp_path, argv):
     assert outs[0] == outs[1]
 
 
+# every RunConfig field with its default; each pinned config below differs
+# from it only where its argv sets a value
+DEFAULT_CONFIG = {
+    "allow_large": False, "checks": [], "family": None, "hamiltonian": None, "lam0": None,
+    "output": None, "pairs": 20, "points": 5, "seed": 0, "shift_matrix": None,
+    "side": "both", "spectrum": None, "steps": 1000, "t_final": 1.0, "tolerances": {},
+    "trajectory": None, "trials": 12,
+}
+
+
 def test_report_embeds_full_config(capsys):
     _, out, _ = run_cli(capsys, "verify-classical", "--n", "2", "--family", "gz",
                         "--seed", "9")
-    config = parse_report(out)["config"]
-    assert config["command"] == "verify-classical"
-    assert config["n"] == 2
-    assert config["seed"] == 9
-    assert config["family"] == "gz"
+    assert parse_report(out)["config"] == {
+        **DEFAULT_CONFIG, "command": "verify-classical", "n": 2, "seed": 9, "family": "gz",
+        "shift_matrix": "random-rational", "tolerances": {"trivial": 1e-05}}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["flow", "--n", "2", "--spectrum", "1,2+0.5j", "--hamiltonian", "2,1", "--t", "0.5",
+      "--steps", "10", "--lam0", "0.3+0.1j", "--tolerance", "linearization=0.002",
+      "--seed", "4", "--trajectory", "traj.jsonl"],
+     {"command": "flow", "n": 2, "seed": 4, "hamiltonian": [2, 1], "lam0": [0.3, 0.1],
+      "spectrum": [[1.0, 0.0], [2.0, 0.5]], "steps": 10, "t_final": 0.5,
+      "tolerances": {"linearization": 0.002, "regularity": 1e-06},
+      "trajectory": "traj.jsonl"}),
+    (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "residue-form",
+      "--check", "action-angle", "--pairs", "3", "--tolerance", "chart=2e-5", "--seed", "5"],
+     {"command": "orbit", "n": 2, "seed": 5, "checks": ["residue-form", "action-angle"],
+      "pairs": 3, "spectrum": [[1.0, 0.0], [2.0, 0.0]],
+      "tolerances": {"action_angle": 0.0001, "chart": 2e-05, "residue": 0.0001}}),
+], ids=["flow", "orbit"])
+def test_geometry_reports_embed_full_config(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.setenv("GZTOWER_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert parse_report(out)["config"] == {**DEFAULT_CONFIG, **config}
+
+
+def test_a_default_config_reads_empty_checks_and_tolerances():
+    assert RunConfig("verify-quantum", 3).to_json() == {
+        **DEFAULT_CONFIG, "command": "verify-quantum", "n": 3}
+
+
+RECORDS = {
+    "RunConfig": lambda: RunConfig("verify-quantum", 3),
+    "FamilySpec": lambda: families.FamilySpec("gz-principal", 2),
+    "CommutingFamily": lambda: families.build_family(families.FamilySpec("gz-principal", 2)),
+    "CommutationReport": lambda: families.verify_commutes(
+        families.build_family(families.FamilySpec("gz-principal", 2))),
+    "TrivialReport": lambda: families.verify_trivial_numeric(2, 1),
+    "QuantumReport": lambda: quantum.verify_quantum_commutes(2),
+    "DiffOpReport": lambda: quantum.diffop_realization_check(2, trials=1),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_the_exact_path_records_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):

@@ -148,6 +148,16 @@ def test_family_spec_validation():
         FamilySpec("gz-principal", 2, shift=((Fraction(1),),))
 
 
+def test_family_spec_validates_a_replaced_or_made_spec():
+    spec = FamilySpec("gz-principal", 2)
+    with pytest.raises(ValueError, match="unknown side"):
+        spec._replace(side="up")
+    with pytest.raises(ValueError, match="required exactly for the mf family"):
+        FamilySpec._make(("mf", 2, "left", None))
+    assert spec._replace(side="left") == FamilySpec("gz-principal", 2, "left")
+    assert type(spec._replace(n=3)) is FamilySpec
+
+
 def test_gz_principal_n1():
     fam = build_family(FamilySpec("gz-principal", 1, "both"))
     assert [p for _, p in fam.generators] == [-P.u(1, 1, 1)]
@@ -293,7 +303,7 @@ def _trivial_reference(n, pt_count, seed, step=1e-6):
     worst = 0.0
     pairs = 0
     for _ in range(pt_count):
-        g, p = _gaussian_point(n, rng)
+        g, _, p = _gaussian_point(n, rng)
         pt = CanonicalPoint(np.reshape(g, (n, n)), np.reshape(p, (n, n)))
         for f, h in itertools.combinations(funcs, 2):
             worst = max(worst, abs(canonical_bracket(f, h, pt, step=step)))
@@ -308,11 +318,22 @@ def test_trivial_check_equals_per_pair_oracle(n):
     assert (rep.max_abs_bracket, rep.pairs_checked) == _trivial_reference(n, 2, n)
 
 
+@pytest.mark.parametrize("n, pt_count, seed, worst", [
+    (5, 1, 1016164991, 1.1743834395268846e-09),
+    (4, 5, 1099128568, 1.649990751689366e-09),
+])
+def test_trivial_check_keeps_its_worst_bracket(n, pt_count, seed, worst):
+    # g is inverted once per draw, by the elimination that checks its
+    # determinant: the worst bracket is the one of a second inversion, bit for bit
+    assert verify_trivial_numeric(n, pt_count, seed=seed).max_abs_bracket == worst
+
+
 def test_trivial_members_are_p_transposed():
     # u g^{-1} = p^T, so the plain-Python members match numpy to rounding
     rng = random.Random(8)
-    g, p = _gaussian_point(3, rng)
+    g, drawn_inv, p = _gaussian_point(3, rng)
     det, g_inv = _det_and_inverse(g, 3)
+    assert drawn_inv == g_inv       # the draw hands over the inverse it checked
     G, Pm = np.reshape(g, (3, 3)), np.reshape(p, (3, 3))
     assert abs(det - np.linalg.det(G)) < 1e-12 * max(1.0, abs(det))
     assert np.allclose(np.reshape(g_inv, (3, 3)), np.linalg.inv(G), rtol=1e-12, atol=1e-12)

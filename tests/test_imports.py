@@ -5,8 +5,9 @@ dependency, numpy (pyproject.toml); anything else installed on a developer's
 machine, such as scipy, is not there for users.  Importing the package or
 its CLI loads no layer, each subcommand loads only the layers it runs, the
 exact algebra (poisson, families, quantum), verify-classical and
-verify-quantum load no numpy, and the public names resolve lazily to their
-home modules' objects."""
+verify-quantum load neither numpy nor dataclasses (nor inspect, which
+dataclasses imports), since their records are NamedTuples, and the public
+names resolve lazily to their home modules' objects."""
 
 import ast
 import importlib
@@ -44,13 +45,16 @@ def test_the_check_sees_an_undeclared_import(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# which layers a process loads, and whether it loads numpy; pytest has
-# imported every layer already, so each case runs in a fresh interpreter
+# which layers a process loads, and which of numpy, dataclasses and inspect;
+# pytest has imported every layer already, so each case runs in a fresh
+# interpreter
 # ---------------------------------------------------------------------------
 
 LAYERS = {"poisson", "families", "quantum", "polytools", "orbits", "tower"}
+WATCHED = ("numpy", "dataclasses", "inspect")
 LOADED = ("print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
-          " if m.startswith('gztower.')), 'numpy' in sys.modules]))")
+          f" if m.startswith('gztower.')), [m for m in {WATCHED!r} if m in sys.modules]]))")
+ALL = set(WATCHED)      # orbits imports dataclasses, and numpy imports inspect
 
 
 def _fresh(code, *argv):
@@ -61,17 +65,23 @@ def _fresh(code, *argv):
 
 
 def _loaded(code):
-    """The layers a fresh interpreter holds after code, and whether it holds numpy."""
+    """The layers a fresh interpreter holds after code, and which WATCHED
+    modules it holds."""
     proc = _fresh(f"import json, sys\n{code}\n{LOADED}")
     assert proc.returncode == 0, proc.stderr
-    layers, numpy = json.loads(proc.stdout.splitlines()[-1])
-    return set(layers) & LAYERS, numpy
+    layers, watched = json.loads(proc.stdout.splitlines()[-1])
+    return set(layers) & LAYERS, set(watched)
+
+
+def test_the_check_sees_dataclasses_and_inspect():
+    assert _loaded("import dataclasses") == (set(), {"dataclasses", "inspect"})
+    assert _loaded("import inspect") == (set(), {"inspect"})
 
 
 @pytest.mark.parametrize("code", ["import gztower", "import gztower.cli",
                                   "import gztower; gztower.__version__"])
 def test_importing_the_package_or_cli_loads_no_layer(code):
-    assert _loaded(code) == (set(), False)
+    assert _loaded(code) == (set(), set())
 
 
 @pytest.mark.parametrize("code, layers", [
@@ -81,22 +91,22 @@ def test_importing_the_package_or_cli_loads_no_layer(code):
     ("from gztower import bracket, qdet", {"poisson", "quantum"}),
 ], ids=["poisson", "quantum", "families", "public-names"])
 def test_the_exact_algebra_loads_no_numpy(code, layers):
-    assert _loaded(code) == (layers, False)
+    assert _loaded(code) == (layers, set())
 
 
-@pytest.mark.parametrize("argv, layers, numpy", [
-    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}, False),
-    (["verify-quantum", "--n", "2", "--trials", "1"], {"quantum", "poisson"}, False),
+@pytest.mark.parametrize("argv, layers, watched", [
+    (["verify-classical", "--n", "2", "--points", "1"], {"families", "poisson"}, set()),
+    (["verify-quantum", "--n", "2", "--trials", "1"], {"quantum", "poisson"}, set()),
     (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "all"],
-     {"orbits", "polytools", "tower"}, True),
+     {"orbits", "polytools", "tower"}, ALL),
     (["flow", "--n", "2", "--spectrum", "0.5,-1+0.5j", "--hamiltonian", "1,1",
-      "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}, True),
+      "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}, ALL),
 ], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
-def test_each_subcommand_loads_exactly_its_layers(argv, layers, numpy):
+def test_each_subcommand_loads_exactly_its_layers(argv, layers, watched):
     code = ("import contextlib, io\nfrom gztower import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
-    assert _loaded(code) == (layers, numpy)
+    assert _loaded(code) == (layers, watched)
 
 
 @pytest.mark.parametrize("family", ["gz", "gz-corner", "mf", "trivial"])
@@ -105,12 +115,12 @@ def test_verify_classical_loads_no_numpy(family):
     code = ("import contextlib, io\nfrom gztower import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({argv!r}) == 0\n")
-    assert _loaded(code) == ({"families", "poisson"}, False)
+    assert _loaded(code) == ({"families", "poisson"}, set())
 
 
 def test_a_public_name_loads_only_its_home_layers():
-    assert _loaded("from gztower import bracket") == ({"poisson"}, False)
-    assert _loaded("import gztower; gztower.OrbitPoint") == ({"orbits", "polytools"}, True)
+    assert _loaded("from gztower import bracket") == ({"poisson"}, set())
+    assert _loaded("import gztower; gztower.OrbitPoint") == ({"orbits", "polytools"}, ALL)
 
 
 @pytest.mark.parametrize("argv, code, err, error", [
