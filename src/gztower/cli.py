@@ -13,8 +13,18 @@ flow               Hamiltonian flow, its linearization report and, with
 
 Reports are JSON on stdout (or --output), human summaries go to stderr.
 Exit codes: 0 all checks passed, 1 a check found a violation, 2 the
-configuration was invalid.  Identical configurations produce byte-identical
-reports apart from the timestamp field.
+configuration was invalid, 3 a check crashed (a traceback on stderr and no
+report).  Identical configurations produce byte-identical reports apart from
+the timestamp field.
+
+A gz-tower process (``entry``, behind the console script and
+``python -m gztower.cli``) runs without the cyclic collector: it disables it
+before main() and freezes every object after, so neither the run nor the
+interpreter's exit spends time on collections.  Each subcommand leaves a
+constant amount of cyclic garbage, whatever the problem size (the parser and
+first-time imports), and a test pins that.  Normal finalization, atexit
+handlers and stream flushing stay.  main() itself leaves the collector as it
+found it, so in-process callers keep theirs.
 
 Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
 import os
@@ -513,7 +524,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The process boundary: run main() without the cyclic collector, exit
+    with its code, and exit 3 with a traceback and no report on a crash."""
+    gc.disable()
+    try:
+        code = main()
+    except Exception:
+        import traceback    # only a crash loads it
+        traceback.print_exc()
+        code = 3
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -535,20 +535,38 @@ def bracket(a: PoissonPoly, b: PoissonPoly) -> PoissonPoly:
     product sums two exponents of at most 127 and that unit, so it never
     carries into its neighbour, and an exponent past 127 sets the slot's
     guard bit.
+
+    Since {a, b} = -{b, a} exactly, the sum runs on the side with fewer
+    term pairs; the other side is counted only when this one has any.
     """
     if a.n != b.n:
         raise AmbientSizeError(f"ambient sizes differ: {a.n} != {b.n}")
+    work, sign = _bracket_terms(a, b), 1
+    if work:
+        other = _bracket_terms(b, a)
+        if _term_pairs(other) < _term_pairs(work):
+            work, sign = other, -1
     out: dict[int, int] = {}
     get = out.get
-    for sx, dax in a._partials().items():
-        xb = b._field(sx)
+    for dax, xb in work:
         for ma, ca in dax:
+            ca *= sign
             for mb, cb in xb:
                 m = ma + mb
                 out[m] = get(m, 0) + ca * cb
     if reduce(or_, out, 0) & _slot_layout(a.n).guard:
         raise _overflow_error()
     return PoissonPoly._make(a.n, out, a._den * b._den)
+
+
+def _bracket_terms(a: PoissonPoly, b: PoissonPoly) -> list[tuple[list, list]]:
+    """The nonzero (da/dx, {x, b}) pairs of the sum for {a, b}."""
+    field = b._field
+    return [(dax, xb) for sx, dax in a._partials().items() if (xb := field(sx))]
+
+
+def _term_pairs(work: list[tuple[list, list]]) -> int:
+    return sum(len(dax) * len(xb) for dax, xb in work)
 
 
 def column_det(columns: list[list[ExactPoly]], one: ExactPoly) -> ExactPoly:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -545,10 +546,7 @@ def test_reports_are_the_same_across_hash_seeds(tmp_path, argv):
     outs, traj = [], tmp_path / "traj.jsonl"
     for hash_seed in ("1", "2"):
         extra = ["--trajectory", str(traj)] if argv[0] == "flow" else []
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-        proc = subprocess.run([sys.executable, "-m", "gztower.cli", *argv, *extra], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = _fresh("-m", "gztower.cli", *argv, *extra, PYTHONHASHSEED=hash_seed)
         assert proc.returncode == 0, proc.stderr
         outs.append(_strip_timestamp(proc.stdout) + (traj.read_text() if extra else ""))
     assert outs[0] == outs[1]
@@ -627,3 +625,141 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     assert out == ""
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# the process boundary: entry() runs main() without the cyclic collector and
+# turns a crash into exit 3; each case runs in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+def _fresh(*args, cwd=None, **env):
+    """python *args in a fresh interpreter, with the package on the path and
+    env added to the environment."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
+
+
+def _entry_with(command, body, *argv):
+    """A fresh gz-tower process whose `command` runs `body` (Python source
+    with config, sys and gc in scope, and run, the real command)."""
+    code = ("import atexit, gc, sys\nfrom gztower import cli\n"
+            f"run = cli._COMMANDS[{command!r}]\n"
+            "def patched(config):\n" + "".join(f"    {line}\n" for line in body) +
+            f"cli._COMMANDS[{command!r}] = patched\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0,"
+            " file=sys.stderr))\n"
+            "cli.entry()\n")
+    return _fresh("-c", code, command, *argv)
+
+
+def test_a_crash_exits_3_with_a_traceback_and_no_report():
+    proc = _entry_with("verify-quantum", ["raise RuntimeError('injected crash')"], "--n", "2")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback (most recent call last)" in proc.stderr
+    assert "RuntimeError: injected crash" in proc.stderr
+
+
+@pytest.mark.parametrize("raised, returncode", [("SystemExit(7)", 7),
+                                                ("KeyboardInterrupt()", -2)],
+                         ids=["system-exit", "keyboard-interrupt"])
+def test_system_exit_and_keyboard_interrupt_pass_through(raised, returncode):
+    proc = _entry_with("verify-quantum", [f"raise {raised}"], "--n", "2")
+    assert proc.returncode == returncode      # -2: killed by SIGINT, as Python does
+    assert proc.stdout == ""
+
+
+def test_entry_runs_the_command_without_the_collector():
+    proc = _entry_with("verify-quantum", [
+        "print('collector on during the run:', gc.isenabled(), file=sys.stderr)",
+        "return run(config)"], "--n", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
+    assert "collector on during the run: False" in proc.stderr
+    assert "frozen at exit: True" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify-quantum", "--n", "2"],
+                                  ["verify-quantum", "--n", "1"]], ids=["ok", "config-error"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv):
+    assert gc.isenabled()
+    frozen = gc.get_freeze_count()
+    run_cli(capsys, *argv)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def _garbage_left(capsys, argv):
+    """The number of objects the cyclic collector frees after main(argv)."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+        capsys.readouterr()
+
+
+SPECTRA = {3: "1,-1+0.5j,0.5-1j", 4: "1,-1+0.5j,0.5-1j,2+1j"}
+SIZED = {
+    "classical-gz": lambda n: ["verify-classical", "--n", str(n), "--points", "1"],
+    "classical-mf": lambda n: ["verify-classical", "--n", str(n), "--family", "mf",
+                               "--points", "1"],
+    "quantum": lambda n: ["verify-quantum", "--n", str(n), "--trials", "1"],
+    "orbit": lambda n: ["orbit", "--n", str(n), f"--spectrum={SPECTRA[n]}", "--seed", "2"],
+    "flow": lambda steps: ["flow", "--n", "3", f"--spectrum={SPECTRA[3]}", "--seed", "2",
+                           "--hamiltonian", "2,1", "--steps", str(steps)],
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_cyclic_garbage_does_not_grow_with_the_problem(capsys, name):
+    # entry() never collects, so what main() leaves for the collector must
+    # be a constant (the parser and first-time imports), not the problem's
+    small, large = (10, 1000) if name == "flow" else (3, 4)
+    _garbage_left(capsys, SIZED[name](small))          # warm-up: imports and caches
+    assert _garbage_left(capsys, SIZED[name](large)) <= _garbage_left(capsys, SIZED[name](small))
+
+
+@pytest.mark.parametrize("argv", [["verify-classical", "--n", "3", "--points", "2"],
+                                  ["orbit", "--n", "3", f"--spectrum={SPECTRA[3]}",
+                                   "--seed", "2", "--check", "all"]],
+                         ids=["classical", "orbit"])
+def test_output_file_holds_the_stdout_report(tmp_path, argv):
+    to_stdout = _fresh("-m", "gztower.cli", *argv)
+    to_file = _fresh("-m", "gztower.cli", *argv, "--output", "report.json", cwd=tmp_path)
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == ""
+    text = (tmp_path / "report.json").read_text()
+    assert text.endswith("}\n")
+    written, printed = json.loads(text), json.loads(to_stdout.stdout)
+    for report in (written, printed):
+        del report["timestamp"], report["config"]["output"]
+    assert written == printed
+
+
+def test_trajectory_file_is_complete(tmp_path, capsys):
+    argv = ["flow", "--n", "3", f"--spectrum={SPECTRA[3]}", "--seed", "2",
+            "--hamiltonian", "2,1", "--steps", "200"]
+    proc = _fresh("-m", "gztower.cli", *argv, "--trajectory", "fresh.jsonl", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    run_cli(capsys, *argv, "--trajectory", str(tmp_path / "in-process.jsonl"))
+    text = (tmp_path / "fresh.jsonl").read_text()
+    assert len(text.splitlines()) == json.loads(proc.stdout)["samples"] > 1
+    assert text == (tmp_path / "in-process.jsonl").read_text()
+
+
+@pytest.mark.parametrize("argv, code, status", [
+    (["verify-classical", "--n", "2"], 0, "ok"),
+    (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"], 1, "violation"),
+    (["orbit", "--n", "1", "--spectrum", "1"], 2, None),
+], ids=["ok", "violation", "config-error"])
+def test_exit_codes_of_a_fresh_process(argv, code, status):
+    proc = _fresh("-m", "gztower.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    if status is None:
+        assert proc.stdout == "" and "configuration error" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["status"] == status

@@ -36,8 +36,10 @@ from gztower.poisson import (
     scan_pairs,
     u_as_canonical,
     utilde_as_canonical,
+    _bracket_terms,
     _gen_bracket,
     _mono_str,
+    _term_pairs,
 )
 from gztower.quantum import RIGHT, NCPoly
 
@@ -564,6 +566,17 @@ def test_bracket_equals_reference_with_large_exponents():
     assert not res.is_zero()
     assert res == _bracket_reference(a, b)
     assert max(e for m in res.terms for _, e in m) >= 16
+
+
+def test_bracket_sums_either_side_to_the_reference():
+    # {u12, b} costs fewer term pairs on its own side, {b, u12} on the other,
+    # which it sums as -{u12, b}
+    n = 2
+    a = P.u(n, 1, 2)
+    b = (P.u(n, 1, 1) + P.u(n, 2, 2) + P.u(n, 2, 1) + P.g(n, 1, 1) + P.ut(n, 1, 2)) ** 3
+    assert _term_pairs(_bracket_terms(a, b)) < _term_pairs(_bracket_terms(b, a))
+    assert bracket(a, b) == _bracket_reference(a, b)
+    assert bracket(b, a) == _bracket_reference(b, a) == -bracket(a, b)
 
 
 def test_broken_family_gives_the_reference_witness():
