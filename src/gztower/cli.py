@@ -91,23 +91,6 @@ class RunConfig(NamedTuple):
         return data
 
 
-def _jsonify(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    import numpy as np      # loaded already wherever a numpy object exists
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def _resolve_output(path: str | None) -> str | None:
     if path is None:
         return None
@@ -118,7 +101,7 @@ def _resolve_output(path: str | None) -> str | None:
 
 
 def _emit(report: dict, output: str | None, summary: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_jsonify)
+    text = json.dumps(report, sort_keys=True, indent=2)
     path = _resolve_output(output)
     if path:
         with open(path, "w") as fh:
@@ -384,7 +367,7 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
         if traj_path:
             with open(traj_path, "w") as fh:
                 for rec in records:
-                    fh.write(json.dumps(rec, sort_keys=True, default=_jsonify) + "\n")
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
             report["trajectory_file"] = traj_path
         report["samples"] = len(records)
 
@@ -463,13 +446,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_path(option: str, path: str | None) -> str | None:
+    """path, after checking that the directory it resolves into exists, so a
+    bad path ends the run before any check instead of after all of them."""
+    folder = os.path.dirname(_resolve_output(path) or "")
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"{option} directory {folder!r} does not exist")
+    return path
+
+
 def _config_from_args(args) -> RunConfig:
     if args.n < 2:
         raise ConfigError(f"ambient size must be >= 2, got {args.n}: "
                           "below N=2 every check would pass on zero cases")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    fields = dict(command=args.command, n=args.n, seed=args.seed, output=args.output,
+    fields = dict(command=args.command, n=args.n, seed=args.seed,
+                  output=_output_path("--output", args.output),
                   tolerances=_parse_tolerances(args.tolerance, args.command))
     if args.command == "verify-classical":
         fields.update(family=args.family, side=args.side, shift_matrix=args.shift_matrix,
@@ -492,7 +485,8 @@ def _config_from_args(args) -> RunConfig:
                 raise ConfigError(f"no action h[{args.hamiltonian}] at N={args.n}")
             if args.t_final == 0 or not math.isfinite(args.t_final):
                 raise ConfigError(f"--t must be finite and nonzero, got {args.t_final}")
-            fields.update(hamiltonian=(level, k), t_final=args.t_final, trajectory=args.trajectory,
+            fields.update(hamiltonian=(level, k), t_final=args.t_final,
+                          trajectory=_output_path("--trajectory", args.trajectory),
                           steps=_at_least_one("steps", args.steps))
     return RunConfig(**fields)
 

@@ -558,22 +558,19 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
     return worst, casimir, table, dict(d.conditioning)
 
 
-def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5,
-                           convention: MinorConvention | None = None) -> ChartCanonicityReport:
+def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCanonicityReport:
     """Check {theta, gamma} = delta etc. in the oracle; sweep the minor convention.
 
-    When no convention is supplied both orientations are tried, rows first;
-    the first one whose full bracket table is canonical within tolerance
-    wins.  The cols orientation is the negative control: at a puncture
-    gamma of A_n the Desnanot-Jacobi identity on gamma - u_(n+1) gives
-    C^rows_n C^cols_n = -A_(n+1) A_(n-1), so its theta is minus the rows
-    theta plus a function of gamma, and its {theta, gamma} brackets read -1
-    where +1 is due.
+    Both orientations are tried, rows first; the first one whose full
+    bracket table is canonical within tolerance wins.  The cols orientation
+    is the negative control: at a puncture gamma of A_n the Desnanot-Jacobi
+    identity on gamma - u_(n+1) gives C^rows_n C^cols_n = -A_(n+1) A_(n-1),
+    so its theta is minus the rows theta plus a function of gamma, and its
+    {theta, gamma} brackets read -1 where +1 is due.
     """
-    sweep = [convention] if convention else [MinorConvention(rv) for rv in (True, False)]
     results = {}
     variants, winner = [], None
-    for conv in sweep:
+    for conv in (MinorConvention(True), MinorConvention(False)):
         dev, cas, _, _ = results[conv] = _canonicity_deviation(pt, conv)
         variants.append({"convention": conv.label(),
                          "max_deviation": dev, "casimir_deviation": cas})

@@ -29,6 +29,16 @@ copies (and their mutual commutativity) on polynomial test functions and
 serve as an independent faithful oracle for the PBW engine.  The test
 polynomials come from the standard library's ``random.Random(seed)``: the
 module is exact throughout and loads neither numpy nor dataclasses.
+
+Memos, all process-wide and never cleared: ``_LMUL`` holds x * w for a
+letter x and a sorted word w, from which every PBW product and bracket is
+built; ``_BRACKET`` holds [x, w], which the centrality pass asks for about
+twice per entry, so it pays in a cold run as in a warm one; ``_nested_qdets``
+holds the nested family of each N, so a repeated
+``verify_quantum_commutes(n)`` builds no determinant; ``nabla_left``,
+``nabla_right`` and ``_g_units`` hold the realization's operators and
+packed g-monomials.  Whole word products are not memoised: each is a few
+``_LMUL`` reads, and a memo of them saved no measurable time.
 """
 
 from __future__ import annotations
@@ -104,7 +114,6 @@ def _letter_bracket(x: int, y: int) -> tuple[tuple[int, int], ...]:
 
 Expansion = tuple[tuple[tuple[int, ...], int], ...]   # ((word, coefficient), ...)
 _LMUL: dict[tuple[int, tuple[int, ...]], Expansion] = {}
-_PRODUCT: dict[tuple[int, ...], dict[tuple[int, ...], Expansion]] = {}
 
 
 def _lmul(x: int, w: tuple[int, ...]) -> Expansion:
@@ -253,16 +262,10 @@ class NCPoly(ExactPoly):
         get = out.get
         right = list(other._num.items())
         for (la, wa), ca in self._num.items():
-            row = _PRODUCT.get(wa)
-            if row is None:
-                row = _PRODUCT[wa] = {}
             for (lb, wb), cb in right:
-                prod = row.get(wb)
-                if prod is None:
-                    prod = row[wb] = _word_product(wa, wb)
                 scale = ca * cb
                 lam_pow = la + lb
-                for w, c in prod:
+                for w, c in _word_product(wa, wb):
                     key = (lam_pow, w)
                     out[key] = get(key, 0) + scale * c
         return NCPoly._make(self.n, out, self._den * other._den)
@@ -307,20 +310,22 @@ def qdet(n: int, k: int, side: str = "left") -> NCPoly:
     return column_det(columns, NCPoly.constant(n, 1))
 
 
-def _nested_qdets(n: int) -> list[tuple[int, int, NCPoly]]:
-    """(k, copy, qdet) for the left minors k = 1..n and the right ones k < n."""
+@lru_cache(maxsize=None)
+def _nested_qdets(n: int) -> tuple[tuple[int, int, NCPoly], ...]:
+    """(k, copy, qdet) for the left minors k = 1..n and the right ones k < n,
+    built once per n: NCPoly values are immutable, so callers share them."""
     dets = []
     for k in range(1, n + 1):
         dets.append((k, LEFT, qdet(n, k, "left")))
         if k < n:
             dets.append((k, RIGHT, qdet(n, k, "right")))
-    return dets
+    return tuple(dets)
 
 
 _Member = tuple[int, int, int, NCPoly]    # (k, copy, lam power, coefficient)
 
 
-def _members(dets: list[tuple[int, int, NCPoly]]) -> list[_Member]:
+def _members(dets: tuple[tuple[int, int, NCPoly], ...]) -> list[_Member]:
     """Every nonconstant lam-coefficient of the determinants, in order."""
     return [(k, copy, lp, coeff) for k, copy, det in dets
             for lp, coeff in det.lambda_coefficients().items() if not coeff.is_constant()]
@@ -384,8 +389,9 @@ def _centrality(n: int, members: list[_Member]) -> tuple[int, dict | None]:
 def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
     """Centrality of the nested quantum determinants plus pairwise commutativity.
 
-    Each quantum determinant is built once.  The report's convention is
-    'nested' when the family is central and 'none' otherwise: adding one
+    The quantum determinants are built once per n in a process
+    (``_nested_qdets``).  The report's convention is 'nested' when the
+    family is central and 'none' otherwise: adding one
     amount to every rho_c only shifts lam, which maps the lam-coefficients
     triangularly onto each other, so no such shift could change the
     verdict.  The pairs then follow exactly by the Leibniz rule: of two

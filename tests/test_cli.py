@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gztower import families, orbits, quantum, tower
+from gztower import cli, families, orbits, quantum, tower
 from gztower.cli import RunConfig, main
 from gztower.families import PRIME
 
@@ -627,6 +627,62 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     assert data["status"] == "ok"
 
 
+_FLOW2 = ["flow", "--n", "2", "--spectrum", "0.5,-1+0.5j", "--hamiltonian", "1,1"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify-quantum", "--n", "3", "--output", "missing/q.json"], "--output"),
+    ([*_FLOW2, "--output", "missing/r.json"], "--output"),
+    ([*_FLOW2, "--trajectory", "missing/t.jsonl"], "--trajectory"),
+], ids=["quantum-output", "flow-output", "flow-trajectory"])
+def test_a_missing_output_directory_is_a_config_error_before_any_check(
+        tmp_path, capsys, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GZTOWER_OUTPUT_DIR", raising=False)
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda config: pytest.fail("a check ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"configuration error: {option} directory 'missing' does not exist" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_missing_output_env_dir_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GZTOWER_OUTPUT_DIR", str(tmp_path / "missing"))
+    monkeypatch.setitem(cli._COMMANDS, "verify-quantum",
+                        lambda config: pytest.fail("a check ran"))
+    code, _, err = run_cli(capsys, "verify-quantum", "--n", "2", "--output", "q.json")
+    assert code == 2 and "does not exist" in err
+
+
+_JSON_NATIVE = {
+    "classical-gz": ["verify-classical", "--n", "3", "--points", "2"],
+    "classical-mf": ["verify-classical", "--n", "3", "--family", "mf"],
+    "classical-trivial": ["verify-classical", "--n", "3", "--family", "trivial", "--points", "2"],
+    "quantum": ["verify-quantum", "--n", "3"],
+    "orbit": ["orbit", "--n", "3", "--spectrum=1,-1+0.5j,0.5-1j", "--seed", "2",
+              "--check", "all"],
+    "orbit-stopped": ["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"],
+    "flow": [*_FLOW2, "--seed", "3", "--t", "0.1", "--steps", "100"],
+}
+
+
+@pytest.mark.parametrize("name", _JSON_NATIVE)
+def test_reports_are_json_native(name):
+    # json.dumps without a default: every value a report holds is a JSON type
+    argv = _JSON_NATIVE[name]
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    _, report = cli._COMMANDS[argv[0]](config)
+    assert json.loads(json.dumps(report, sort_keys=True))["command"] == argv[0]
+
+
+def test_trajectory_records_are_json_native():
+    pt = orbits.sample_orbit([0.5, -1 + 0.5j], seed=3)
+    records = tower.trajectory_records(pt, (1, 1), t_final=0.1, steps=100)
+    assert len(records) > 1
+    for record in (records[0], records[-1]):
+        assert set(json.loads(json.dumps(record, sort_keys=True))) == set(record)
+
+
 # ---------------------------------------------------------------------------
 # the process boundary: entry() runs main() without the cyclic collector and
 # turns a crash into exit 3; each case runs in a fresh interpreter
@@ -755,11 +811,13 @@ def test_trajectory_file_is_complete(tmp_path, capsys):
     (["verify-classical", "--n", "2"], 0, "ok"),
     (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"], 1, "violation"),
     (["orbit", "--n", "1", "--spectrum", "1"], 2, None),
-], ids=["ok", "violation", "config-error"])
-def test_exit_codes_of_a_fresh_process(argv, code, status):
-    proc = _fresh("-m", "gztower.cli", *argv)
+    (["verify-quantum", "--n", "2", "--output", "missing/q.json"], 2, None),
+], ids=["ok", "violation", "config-error", "missing-output-directory"])
+def test_exit_codes_of_a_fresh_process(tmp_path, argv, code, status):
+    proc = _fresh("-m", "gztower.cli", *argv, cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
     if status is None:
-        assert proc.stdout == "" and "configuration error" in proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("configuration error")
     else:
         assert json.loads(proc.stdout)["status"] == status
+

@@ -238,12 +238,6 @@ def test_canonical_chart_n2():
     assert rep.casimir_deviation < 1e-5
 
 
-def test_canonical_chart_transposed_convention_fails():
-    pt = sample_orbit([0.5, -1.0 + 0.5j], seed=3)
-    rep = verify_canonical_chart(pt, convention=MinorConvention(rows_variant=False))
-    assert rep.status == "violation"
-
-
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
 def test_transposed_minor_reads_minus_the_angle(N):
     # at a puncture gamma of A_n, the Desnanot-Jacobi identity on the block

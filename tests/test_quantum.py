@@ -151,24 +151,35 @@ def test_products_match_the_rewriting_oracle(data):
     assert a.commutator(b).terms == _oracle_add(_oracle_mul(ta, tb), _oracle_mul(tb, ta), -1)
 
 
-def _shift_rule(monkeypatch, rule, n):
+@pytest.fixture
+def swap_rho(monkeypatch):
+    """swap_rho(rule) installs rule as quantum.rho_shift.  The nested family
+    is built once per N in a process, so its cache is cleared at each swap
+    and again after the test, just before monkeypatch puts rho_shift back."""
+    def swap(rule):
+        quantum._nested_qdets.cache_clear()
+        monkeypatch.setattr(quantum, "rho_shift", rule)
+    yield swap
+    quantum._nested_qdets.cache_clear()
+
+
+def _shift_rule(swap_rho, rule, n):
     """Install a row-shift rule for the quantum minors over gl_n: 'nested'
     keeps rho_shift(k, c) = (k - 2c + 1)/2, 'ambient' takes the size-n
     shifts (n - 2c + 1)/2 in the first k columns, 'unshifted' drops them."""
     if rule == "ambient":
-        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(n - 2 * c + 1, 2))
+        swap_rho(lambda k, c: Fraction(n - 2 * c + 1, 2))
     elif rule == "unshifted":
-        monkeypatch.setattr(quantum, "rho_shift", lambda k, c: Fraction(0))
+        swap_rho(lambda k, c: Fraction(0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_qdet_matches_the_permutation_sum(monkeypatch, n):
+def test_qdet_matches_the_permutation_sum(swap_rho, n):
     for rule in ("nested", "ambient"):
-        with monkeypatch.context() as m:
-            _shift_rule(m, rule, n)
-            for k in range(1, n + 1):
-                for side in ("left", "right"):
-                    assert qdet(n, k, side).terms == _oracle_qdet(n, k, side, rule)
+        _shift_rule(swap_rho, rule, n)
+        for k in range(1, n + 1):
+            for side in ("left", "right"):
+                assert qdet(n, k, side).terms == _oracle_qdet(n, k, side, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +310,17 @@ def test_verify_quantum_n5():
     assert (rep.pairs_checked, rep.centrality_checks) == (300, 325)
 
 
-def test_ambient_rho_convention_also_central(monkeypatch):
+def test_ambient_rho_convention_also_central(swap_rho):
     # the ambient restriction differs from the nested shifts by a global
     # shift of lam, so centrality holds for it as well
     from gztower.quantum import _centrality, _members, _nested_qdets
-    _shift_rule(monkeypatch, "ambient", 2)
+    _shift_rule(swap_rho, "ambient", 2)
     checks, witness = _centrality(2, _members(_nested_qdets(2)))
     assert witness is None and checks > 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_a_column_independent_shift_keeps_the_verdict(monkeypatch, n):
+def test_a_column_independent_shift_keeps_the_verdict(swap_rho, n):
     # adding s to every rho_c of a size-k minor shifts its lam by s, which
     # maps the lam-coefficients triangularly onto each other: they stay
     # central or not, so no such rule can pass where the nested one fails.
@@ -319,17 +330,17 @@ def test_a_column_independent_shift_keeps_the_verdict(monkeypatch, n):
                            rep.pairs_checked)
     verdicts = []
     for base in (rho_shift, skewed):
-        monkeypatch.setattr(quantum, "rho_shift", base)
+        swap_rho(base)
         want = verdict(verify_quantum_commutes(n))
         for extra in (lambda k: Fraction(1, 3), lambda k: Fraction(n - k, 2),
                       lambda k: Fraction(-k * k, 7)):
-            monkeypatch.setattr(quantum, "rho_shift", lambda k, c: base(k, c) + extra(k))
+            swap_rho(lambda k, c: base(k, c) + extra(k))
             assert verdict(verify_quantum_commutes(n)) == want
         verdicts.append(want[:2])
     assert verdicts == [("ok", "nested"), ("violation", "none")]
 
 
-def test_qdet_term_lists_are_golden(monkeypatch):
+def test_qdet_term_lists_are_golden(swap_rho):
     # pins the witness format: term order and coefficient strings
     assert qdet(2, 2).lambda_coefficients()[0].term_list() == [
         ["-1/4", "1"], ["1/2", "EL[1,1]"], ["-1/2", "EL[2,2]"],
@@ -340,16 +351,16 @@ def test_qdet_term_lists_are_golden(monkeypatch):
         ["-1", "EL[1,1]*EL[2,2]*EL[3,3]"], ["1", "EL[1,1]*EL[2,3]*EL[3,2]"],
         ["1", "EL[1,2]*EL[2,1]*EL[3,3]"], ["-1", "EL[1,2]*EL[2,3]*EL[3,1]"],
         ["-1", "EL[1,3]*EL[2,1]*EL[3,2]"], ["1", "EL[1,3]*EL[2,2]*EL[3,1]"]]
-    _shift_rule(monkeypatch, "ambient", 3)
+    _shift_rule(swap_rho, "ambient", 3)
     assert qdet(3, 2, "right").term_list() == [
         ["-1", "lam^1"], ["1", "lam^2"], ["1", "ER[1,1]"], ["-1", "lam^1*ER[1,1]"],
         ["-1", "lam^1*ER[2,2]"], ["1", "ER[1,1]*ER[2,2]"], ["-1", "ER[1,2]*ER[2,1]"]]
 
 
-def test_unshifted_determinants_are_not_central(monkeypatch):
+def test_unshifted_determinants_are_not_central(swap_rho):
     # without the row shifts the determinants are not central, so the check
     # must end in a violation that names the failing coefficient
-    _shift_rule(monkeypatch, "unshifted", 2)
+    _shift_rule(swap_rho, "unshifted", 2)
     rep = verify_quantum_commutes(2)
     assert rep.status == "violation"
     assert rep.convention == "none"
@@ -374,6 +385,47 @@ def test_size_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the nested family, built once per N in a process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_repeated_checks_give_equal_reports(n):
+    quantum._nested_qdets.cache_clear()
+    first = verify_quantum_commutes(n)
+    assert verify_quantum_commutes(n) == first
+    assert quantum._nested_qdets(n) is quantum._nested_qdets(n)
+
+
+def test_the_family_is_built_once_per_n(monkeypatch):
+    # N=4 has 4 left and 3 right minors: 7 determinants cold, none warm
+    quantum._nested_qdets.cache_clear()
+    calls = []
+    build = quantum.qdet
+    monkeypatch.setattr(quantum, "qdet", lambda *a: calls.append(a) or build(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_quantum_commutes(4).status == "ok"
+        counts.append(len(calls))
+    assert counts == [7, 0]
+
+
+def test_a_swapped_shift_after_a_cached_call_gives_the_swapped_verdict(swap_rho):
+    # the cache is warm with the nested family; the swap must not read it,
+    # and this test leaves the unshifted family in the cache for the
+    # teardown to clear (the next test checks that it did)
+    assert verify_quantum_commutes(2).status == "ok"
+    _shift_rule(swap_rho, "unshifted", 2)
+    rep = verify_quantum_commutes(2)
+    assert (rep.status, rep.convention) == ("violation", "none")
+
+
+def test_the_next_test_sees_the_nested_family_again():
+    rep = verify_quantum_commutes(2)
+    assert (rep.status, rep.convention, rep.pairs_checked) == ("ok", "nested", 6)
+
+
+# ---------------------------------------------------------------------------
 # the pairs by the Leibniz rule against the product-form commutator
 # ---------------------------------------------------------------------------
 #
@@ -385,9 +437,9 @@ def test_size_guard(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("convention", ["nested", "ambient", "unshifted"])
-def test_leibniz_pairs_equal_the_product_form(monkeypatch, n, convention):
+def test_leibniz_pairs_equal_the_product_form(swap_rho, n, convention):
     from gztower.quantum import _centrality, _members, _nested_qdets
-    _shift_rule(monkeypatch, convention, n)
+    _shift_rule(swap_rho, convention, n)
     members = _members(_nested_qdets(n))
     _, witness = _centrality(n, members)
     nonzero = sum(not a.commutator(b).is_zero()
@@ -446,10 +498,10 @@ def _kernel_commutator(c, copy, i, j):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("convention", ["nested", "ambient", "unshifted"])
-def test_letter_commutators_equal_the_product_form(monkeypatch, n, convention):
+def test_letter_commutators_equal_the_product_form(swap_rho, n, convention):
     # every member against every letter of gl_N in both copies, term for term
     from gztower.quantum import _members, _nested_qdets
-    _shift_rule(monkeypatch, convention, n)
+    _shift_rule(swap_rho, convention, n)
     members = _members(_nested_qdets(n))
     own_nonzero = 0
     for k, own, _, c in members:
