@@ -60,6 +60,11 @@ PRIME = 2 ** 61 - 31        # the rank's field; PRIME = 1 (mod 4), so -1 is a sq
 _SQRT_M1 = pow(7, (PRIME - 1) // 4, PRIME)  # 7 is a non-residue, so this squares to -1
 _NUM_RANGE = 3              # random_rational_matrix: numerators in [-3, 3],
 _DEN_RANGE = 3              # denominators in [1, 3]
+# build_family keeps the families of its last few specs.  A family's
+# polynomials keep their partial tables and {x, b} fields, hundreds of MB at
+# N = 8, and every random mf shift is a new spec, so the bound stays small:
+# room for the two GZ families and an mf family checked in turn.
+_FAMILIES_KEPT = 4
 
 
 class _SpecFields(NamedTuple):
@@ -89,6 +94,8 @@ class FamilySpec(_SpecFields):
                 raise ValueError("shift matrix has wrong shape")
             if not all(isinstance(x, Fraction) for r in self.shift for x in r):
                 raise ValueError("shift matrix entries must be exact rationals")
+            # rows as tuples, so the spec can key build_family's cache
+            self = super().__new__(cls, *self[:3], tuple(map(tuple, self.shift)))
         return self
 
     @classmethod
@@ -107,7 +114,7 @@ class FamilySpec(_SpecFields):
 
 class CommutingFamily(NamedTuple):
     spec: FamilySpec
-    generators: list[tuple[str, PoissonPoly]]
+    generators: tuple[tuple[str, PoissonPoly], ...]
 
     def labels(self) -> list[str]:
         return [lbl for lbl, _ in self.generators]
@@ -136,7 +143,7 @@ def char_minor(n: int, k: int, side: str = "left", corner: bool = False) -> Pois
     return column_det(columns, PoissonPoly.constant(n, 1))
 
 
-def _coefficient_generators(poly: PoissonPoly, label: str) -> list[tuple[str, PoissonPoly]]:
+def _coefficient_generators(poly: PoissonPoly, label: str) -> tuple[tuple[str, PoissonPoly], ...]:
     """Nonconstant (lam, mu)-coefficients of poly, canonically ordered."""
     out = []
     for (lp, mp), coeff in sorted(poly.lambda_mu_coefficients().items()):
@@ -144,11 +151,18 @@ def _coefficient_generators(poly: PoissonPoly, label: str) -> list[tuple[str, Po
             continue
         tag = f"{label} lam^{lp}" + (f" mu^{mp}" if mp else "")
         out.append((tag, coeff))
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=_FAMILIES_KEPT)
 def build_family(spec: FamilySpec) -> CommutingFamily:
-    """Assemble the labeled generators of the requested family."""
+    """Assemble the labeled generators of the requested family.
+
+    The family is shared: an equal spec gets the same family back, with the
+    partial tables and {x, b} fields its polynomials kept from earlier
+    checks, for as long as it stays among the last _FAMILIES_KEPT specs.
+    Its generators are a tuple, and its polynomials must not be changed.
+    """
     n = spec.n
     gens: list[tuple[str, PoissonPoly]] = []
     if spec.kind in ("gz-principal", "gz-corner"):
@@ -168,7 +182,7 @@ def build_family(spec: FamilySpec) -> CommutingFamily:
                     for r in range(1, n + 1)] for c in range(1, n + 1)]
         gens.extend(_coefficient_generators(column_det(columns, PoissonPoly.constant(n, 1)), "MF"))
     # trivial: rational in g, handled by verify_trivial_numeric only
-    return CommutingFamily(spec=spec, generators=gens)
+    return CommutingFamily(spec=spec, generators=tuple(gens))
 
 
 class CommutationReport(NamedTuple):

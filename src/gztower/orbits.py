@@ -101,8 +101,9 @@ class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
 
     u and spectrum are read-only copies.  The point memoizes what the checks
-    compute from u: LevelData and ChartDerivatives per convention and, in
-    tower, the TowerDescriptor per lam0.  Each entry is a pure
+    compute from u: LevelData and ChartDerivatives per convention, the
+    gradients of gamma that every convention shares, and, in tower, the
+    TowerDescriptor per lam0.  Each entry is a pure
     function of u, built on first use, with read-only arrays; the memo is
     idempotent and goes with its point.
     """
@@ -133,21 +134,39 @@ class OrbitPoint:
         return _margin(self.levels().gamma)
 
     def levels(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
-        """level_data(u, convention), once per point."""
+        """level_data(u, convention), once per point.  A_n and gamma do not
+        depend on the convention: another one shares them with the default
+        one and finds the roots of its C_n alone."""
         def build():
-            lv = level_data(self.u, convention)
+            if convention == DEFAULT_MINOR_CONVENTION:
+                lv = level_data(self.u, convention)
+            else:               # level_data(u, convention), bit for bit
+                base = self.levels()
+                c, e = _level_roots(self.u, convention, lowering=True)
+                lv = LevelData(a=list(base.a), gamma=list(base.gamma), c=c,
+                               e=[sort_points(x) for x in e])
             _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
             return lv
         return self._memoized(("levels", convention), build)
 
     def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
                     ) -> ChartDerivatives:
-        """chart_derivatives(u, convention) on the memoized level data, once per point."""
+        """chart_derivatives(u, convention) on the memoized level data, once
+        per point; the gradients of gamma are shared by every convention."""
         def build():
-            d = _chart_derivatives(self.u, self.levels(convention), convention)
+            d = _chart_derivatives(self.u, self.levels(convention), convention,
+                                   self._punctures())
             _read_only(*d.gamma, *d.e)
             return d
         return self._memoized(("derivatives", convention), build)
+
+    def _punctures(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """_puncture_gradients of the default level data, once per point."""
+        def build():
+            grads, conds = _puncture_gradients(self.u, self.levels())
+            _read_only(*grads, *conds)
+            return grads, conds
+        return self._memoized("punctures", build)
 
     @classmethod
     def create(cls, u, spectrum=None) -> "OrbitPoint":
@@ -289,16 +308,18 @@ def _level_coeffs(us: np.ndarray, convention: MinorConvention) -> tuple:
     return coeffs, ~np.isnan(coeffs[0][:, 0])
 
 
-def _level_roots(u: np.ndarray, convention: MinorConvention) -> tuple:
-    """The level-data kernel at one point u: (coeffs, roots), every minor of
-    _level_minors from _level_coeffs and its roots, unsorted, from one
-    polished_roots call.  Raises OrbitError when a minor leaves
-    floating-point range."""
+def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool = False) -> tuple:
+    """The level-data kernel at one point u: (coeffs, roots) of every minor
+    of _level_minors, or of C_1..C_(N-1) alone when lowering, the roots
+    unsorted and from one polished_roots call.  The coefficients always come
+    from the whole _level_coeffs stack: its inverse DFT rounds a minor's
+    sums by where the minor sits, so C_n alone would differ in the last
+    bit.  Raises OrbitError when a minor leaves floating-point range."""
     coeffs, finite = _level_coeffs(np.asarray(u)[None], convention)
     if not finite[0]:
         raise OrbitError("spectrum too large: the characteristic minors of u "
                          "leave floating-point range")
-    coeffs = [c[0] for c in coeffs]
+    coeffs = [c[0] for c in coeffs[u.shape[0] if lowering else 0:]]
     return coeffs, polished_roots(coeffs)
 
 
@@ -477,16 +498,29 @@ class ChartDerivatives:
 def chart_derivatives(u: np.ndarray,
                       convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ChartDerivatives:
     """Gradients of every puncture and divisor point, one SVD stack per minor."""
-    return _chart_derivatives(u, level_data(u, convention), convention)
+    lv = level_data(u, convention)
+    return _chart_derivatives(u, lv, convention, _puncture_gradients(u, lv))
 
 
-def _chart_derivatives(u: np.ndarray, lv: LevelData,
-                       convention: MinorConvention) -> ChartDerivatives:
-    """chart_derivatives from the level data lv of u."""
+def _root_gradients(u: np.ndarray, minors: tuple, roots: list[np.ndarray]) -> tuple:
+    """([gradient stack], [root conditions]) of each minor at its roots."""
+    pairs = [_minor_gradients(u, m, r, roots=True) for m, r in zip(minors, roots)]
+    return [grads for grads, _ in pairs], [conds for _, conds in pairs]
+
+
+def _puncture_gradients(u: np.ndarray, lv: LevelData) -> tuple:
+    """_root_gradients of A_1..A_N at gamma, the same in every convention."""
+    return _root_gradients(u, _level_minors(u.shape[0], True)[:u.shape[0]], lv.gamma)
+
+
+def _chart_derivatives(u: np.ndarray, lv: LevelData, convention: MinorConvention,
+                       punctures: tuple) -> ChartDerivatives:
+    """chart_derivatives from the level data lv of u and the
+    _puncture_gradients of u."""
     N = u.shape[0]
     minors = _level_minors(N, convention.rows_variant)
-    grads, conds = zip(*(_minor_gradients(u, m, r, roots=True)
-                         for m, r in zip(minors, lv.gamma + lv.e)))
+    gamma_grads, gamma_conds = punctures
+    e_grads, e_conds = _root_gradients(u, minors[N:], lv.e)
 
     def least_gap(pairs):
         gaps = np.concatenate([np.zeros(0), *(np.abs(np.subtract.outer(a, b)).ravel()
@@ -496,10 +530,10 @@ def _chart_derivatives(u: np.ndarray, lv: LevelData,
     conditioning = {
         "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
         "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
-        "max_root_condition": float(np.max(np.concatenate(conds))),
+        "max_root_condition": float(np.max(np.concatenate(gamma_conds + e_conds))),
     }
-    return ChartDerivatives(u=u, lv=lv, minors=minors, gamma=list(grads[:N]),
-                            e=list(grads[N:]), conditioning=conditioning)
+    return ChartDerivatives(u=u, lv=lv, minors=minors, gamma=list(gamma_grads),
+                            e=e_grads, conditioning=conditioning)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +600,11 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
     is the negative control: at a puncture gamma of A_n the Desnanot-Jacobi
     identity on gamma - u_(n+1) gives C^rows_n C^cols_n = -A_(n+1) A_(n-1),
     so its theta is minus the rows theta plus a function of gamma, and its
-    {theta, gamma} brackets read -1 where +1 is due.
+    {theta, gamma} brackets read -1 where +1 is due.  Raises ValueError at
+    N < 2, where the table holds no pair of chart functions.
     """
+    if pt.n < 2:
+        raise ValueError(f"N = {pt.n} has no angle to check")
     results = {}
     variants, winner = [], None
     for conv in (MinorConvention(True), MinorConvention(False)):
@@ -632,8 +669,11 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     compared against the Kirillov-Kostant value tr(u [x, y]).  Casimir-level
     contributions vanish on orbit tangents and are omitted.  Every
     directional derivative is a closed-form gradient contracted with the
-    tangent [x, u].
+    tangent [x, u].  Raises ValueError at N < 2, where the form has no term,
+    and without pairs.
     """
+    if pt.n < 2 or not pairs:
+        raise ValueError(f"N = {pt.n} and {len(pairs)} pair(s) give no tangent pair to check")
     u = pt.u
     N = pt.n
     d = pt.derivatives()

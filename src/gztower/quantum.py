@@ -398,10 +398,12 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
     members of sizes k <= l, the one of size l commutes with every letter of
     its own gl_l, so with every letter of the other member (the copies
     commute), so with the other member.  Every pair is counted, and none can
-    be nonzero.
+    be nonzero.  Raises ValueError at n < 2, where the family has one member
+    and no pair.
     """
-    if n < 1:
-        raise ValueError(f"ambient size must be >= 1, got {n}")
+    if n < 2:
+        raise ValueError(f"ambient size must be >= 2, got {n}: "
+                         "below N=2 the family has no pair to check")
     if n > 6 and not allow_large:
         raise SizeGuardError(
             f"N={n} PBW verification is expensive; pass allow_large to proceed")

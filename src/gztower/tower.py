@@ -497,8 +497,11 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     table is canonical, {h[n,k], tau[m,l]} = d(n,m) d(k,l); the status only
     grades levels n, m >= 2, and the level-one row is reported separately
     (the literal level-one angle is identically zero, so only the
-    augmentation makes it conjugate to h[1,1]).
+    augmentation makes it conjugate to h[1,1]).  Raises ValueError at N < 2,
+    where no tau exists.
     """
+    if pt.n < 2:
+        raise ValueError(f"N = {pt.n} has no angle to check")
     N = pt.n
     u = pt.u
     d = pt.derivatives()

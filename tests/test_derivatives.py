@@ -222,9 +222,18 @@ def test_battery_seed1_chart_points_are_canonical(spectrum, seed):
 
 
 def test_level_one_n1_and_n2_edges():
-    for spectrum in ([0.3 + 0.4j], [0.5, -1.0 + 0.5j]):
-        pt = sample_orbit(spectrum, seed=3)
-        assert verify_canonical_chart(pt).status == "ok"
-        assert action_angle_bracket_table(pt).status == "ok"
-        x = OrbitTangent(np.eye(pt.n) + 0.5j)
-        assert residue_form_check(pt, [(x, OrbitTangent(pt.u.copy()))]).status == "ok"
+    # N=2 has one angle and one lowering minor; at N=1 every check would
+    # pass on zero cases, so each refuses the point
+    pt = sample_orbit([0.5, -1.0 + 0.5j], seed=3)
+    assert verify_canonical_chart(pt).status == "ok"
+    assert action_angle_bracket_table(pt).status == "ok"
+    x = OrbitTangent(np.eye(pt.n) + 0.5j)
+    assert residue_form_check(pt, [(x, OrbitTangent(pt.u.copy()))]).status == "ok"
+    with pytest.raises(ValueError, match="no tangent pair"):
+        residue_form_check(pt, [])
+    pt = sample_orbit([0.3 + 0.4j], seed=3)
+    x = OrbitTangent(np.eye(1) + 0.5j)
+    for check in (verify_canonical_chart, action_angle_bracket_table,
+                  lambda pt: residue_form_check(pt, [(x, OrbitTangent(pt.u.copy()))])):
+        with pytest.raises(ValueError, match="N = 1"):
+            check(pt)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gztower import families
 from gztower.families import (
     PRIME,
     _SQRT_M1,
@@ -261,6 +262,82 @@ def test_commutation_report_shape():
     assert data["status"] == "ok"
     assert data["witness"] is None
     assert data["family"]["kind"] == "gz-principal"
+
+
+# ---------------------------------------------------------------------------
+# the family cache: one build per spec in a process
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_families():
+    """An empty build_family cache, emptied again after the test, so no
+    family built elsewhere decides what the test counts."""
+    build_family.cache_clear()
+    yield
+    build_family.cache_clear()
+
+
+_SHIFT3 = random_rational_matrix(3, random.Random(3))
+_CACHED = [FamilySpec(kind, 3, side, _SHIFT3 if kind == "mf" else None)
+           for kind in ("gz-principal", "gz-corner", "mf") for side in families.SIDES]
+
+
+@pytest.mark.parametrize("spec", _CACHED, ids=lambda spec: f"{spec.kind}-{spec.side}")
+def test_a_cached_family_gives_the_cold_reports(fresh_families, spec):
+    pts = [random_residue_point(3, random.Random(7)),
+           random_canonical_point(3, np.random.default_rng(7))]
+    cold = build_family(spec)
+    reports = [verify_commutes(cold)] + [independence_rank(cold, pt) for pt in pts]
+    warm = build_family(FamilySpec(*spec))      # an equal spec, another object
+    assert warm is cold
+    assert [verify_commutes(warm)] + [independence_rank(warm, pt) for pt in pts] == reports
+    assert build_family.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("spec", _CACHED, ids=lambda spec: f"{spec.kind}-{spec.side}")
+def test_a_family_is_built_once_per_spec(fresh_families, monkeypatch, spec):
+    calls = []
+    for name in ("char_minor", "column_det"):
+        fn = getattr(families, name)
+        monkeypatch.setattr(families, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    fam = build_family(spec)
+    # gz: minors k = 1..n-1 per side and the full one, a column_det each; mf: one
+    sides = 2 if spec.side == "both" else 1
+    minors = 0 if spec.kind == "mf" else sides * (spec.n - 1) + 1
+    assert calls.count("char_minor") == minors
+    assert calls.count("column_det") == max(minors, 1)
+    calls.clear()
+    assert build_family(FamilySpec(*spec)) is fam
+    verify_commutes(fam)
+    assert calls == []
+
+
+def test_fresh_mf_shifts_stay_within_the_bound(fresh_families):
+    rng = random.Random(11)
+    for _ in range(50):
+        spec = FamilySpec("mf", 2, "left", random_rational_matrix(2, rng))
+        assert verify_commutes(build_family(spec)).status == "ok"
+        assert build_family.cache_info().currsize <= families._FAMILIES_KEPT
+    assert build_family.cache_info().maxsize == families._FAMILIES_KEPT
+    # a spec made with list rows is the same key as one made with tuples
+    listed = FamilySpec("mf", 2, "left", [list(row) for row in spec.shift])
+    assert listed == spec and build_family(listed) is build_family(spec)
+
+
+def test_a_cached_family_cannot_be_mutated(fresh_families):
+    fam = build_family(FamilySpec("gz-principal", 2, "both"))
+    assert isinstance(fam.generators, tuple)
+    with pytest.raises(TypeError):
+        fam.generators[0] = fam.generators[1]
+    with pytest.raises(AttributeError):
+        fam.generators.append(fam.generators[0])
+    with pytest.raises(AttributeError):
+        fam.generators = ()
+    with pytest.raises(TypeError):
+        fam.generators[0][1] = P.zero(2)
+    assert build_family(FamilySpec("gz-principal", 2, "both")) is fam
+    assert len(fam.generators) == 4
 
 
 # ---------------------------------------------------------------------------

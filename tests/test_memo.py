@@ -134,11 +134,19 @@ def test_reports_do_not_share_the_memo_conditioning():
 # ---------------------------------------------------------------------------
 
 def _kernel_runs(monkeypatch, capsys, argv):
-    """(draws of sample_orbit, runs of orbits._level_roots, calls of the
-    one-minor helpers of polytools) in one report; a draw is a margin check."""
-    events = []
+    """(draws of sample_orbit, the minors whose roots each run of
+    orbits._level_roots finds, calls of the one-minor helpers of polytools)
+    in one report; a draw is a margin check."""
+    events, minors = [], []
     counted = lambda fn, name: lambda *a, **k: (events.append(name), fn(*a, **k))[1]
     sample = orbits.sample_orbit
+    kernel = orbits._level_roots
+
+    def counted_kernel(*args, **kwargs):
+        coeffs, roots = kernel(*args, **kwargs)
+        events.append("kernel")
+        minors.append(len(roots))
+        return coeffs, roots
 
     def counted_sample(*args, **kwargs):
         events.append("sample")
@@ -146,7 +154,7 @@ def _kernel_runs(monkeypatch, capsys, argv):
         events.append("sampled")
         return pt
 
-    monkeypatch.setattr(orbits, "_level_roots", counted(orbits._level_roots, "kernel"))
+    monkeypatch.setattr(orbits, "_level_roots", counted_kernel)
     monkeypatch.setattr(OrbitPoint, "margin", counted(OrbitPoint.margin, "margin"))
     monkeypatch.setattr(orbits, "sample_orbit", counted_sample)
     monkeypatch.setattr(orbits, "regularity_margin",
@@ -161,20 +169,63 @@ def _kernel_runs(monkeypatch, capsys, argv):
     # each draw is a new point, whose margin runs the kernel once
     assert draws >= 1 and sampling.count("kernel") == draws
     assert events.count("regularity_margin") == 0
-    return draws, events.count("kernel"), events.count("one-minor")
+    return draws, minors, events.count("one-minor")
 
 
 @pytest.mark.parametrize("argv, extra", [(ORBIT5, 1), (FLOW5, 0)], ids=["orbit5", "flow5"])
 def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp_path,
                                                        argv, extra):
     # the level data of the last draw is the point's; then orbit adds the
-    # level data of the cols convention (the sweep), and flow nothing: the
-    # margin, the tower and the action gradient all read the point's
+    # lowering minors of the cols convention (the sweep), whose A_n and
+    # gamma are the point's, and flow nothing: the margin, the tower and the
+    # action gradient all read the point's
     if argv[0] == "flow":
         argv = argv + ["--trajectory", str(tmp_path / "t.jsonl")]
-    draws, runs, one_minor = _kernel_runs(monkeypatch, capsys, argv)
-    assert runs == draws + extra
+    draws, minors, one_minor = _kernel_runs(monkeypatch, capsys, argv)
+    N = int(argv[argv.index("--n") + 1])
+    assert minors == [2 * N - 1] * draws + [N - 1] * extra
     assert one_minor == 0
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
+def test_the_cols_data_share_the_rows_punctures_bit_for_bit(N):
+    # the cols level data and derivatives take A_n, gamma and the gradients
+    # of gamma from the rows memo, computing the lowering minors alone, and
+    # equal a full computation in the cols convention bit for bit
+    cols = MinorConvention(False)
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
+    lv, d = pt.levels(cols), pt.derivatives(cols)
+    rows_lv, rows_d = pt.levels(), pt.derivatives()
+    assert all(x is y for x, y in zip(lv.a + lv.gamma, rows_lv.a + rows_lv.gamma))
+    assert all(x is y for x, y in zip(d.gamma, rows_d.gamma))
+    ref_lv, ref_d = orbits.level_data(pt.u, cols), orbits.chart_derivatives(pt.u, cols)
+    for got, want in ((lv, ref_lv), (d, ref_d)):
+        for name in ("a", "gamma", "c", "e") if got is lv else ("gamma", "e"):
+            assert len(getattr(got, name)) == len(getattr(want, name))
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(getattr(got, name), getattr(want, name)))
+    assert d.conditioning == ref_d.conditioning
+    assert d.lv is lv and d.minors == ref_d.minors
+
+
+def test_every_cols_array_is_read_only():
+    # the cols data first, on a fresh point: they build the rows level data
+    # and gamma gradients they share, which stay read-only as well
+    cols = MinorConvention(False)
+    pt = OrbitPoint(u=sample_orbit(_SPECTRUM, seed=4).u, spectrum=np.array(_SPECTRUM))
+    d = pt.derivatives(cols)
+    lv = pt.levels(cols)
+    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, d.u, *d.gamma, *d.e]
+    shared += [a for pair in d.c_at_gamma for a in pair]
+    rows_lv, rows_d = pt.levels(), pt.derivatives()
+    shared += [*rows_lv.a, *rows_lv.gamma, *rows_d.gamma]
+    assert any(x is y for x in lv.gamma for y in rows_lv.gamma)
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lv.c = []
+    assert pt.levels(cols) is lv and pt.derivatives(cols) is d and d.lv is lv
 
 
 def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):

@@ -582,7 +582,10 @@ def test_bracket_sums_either_side_to_the_reference():
 def test_broken_family_gives_the_reference_witness():
     fam = _family("gz-principal", 3)
     label, poly = fam.generators[1]
-    fam.generators[1] = (label, poly + P.u(3, 1, 2))
+    # the built family is shared and immutable: break a copy
+    gens = list(fam.generators)
+    gens[1] = (label, poly + P.u(3, 1, 2))
+    fam = fam._replace(generators=tuple(gens))
     rep = verify_commutes(fam)
     brackets = [(la, lb, _bracket_reference(a, b))
                 for (la, a), (lb, b) in itertools.combinations(fam.generators, 2)]

@@ -370,9 +370,11 @@ def test_unshifted_determinants_are_not_central(swap_rho):
 
 
 def test_verify_quantum_rejects_an_empty_ambient_size():
-    # N = 0 has no family: no check may pass after checking nothing
-    with pytest.raises(ValueError, match="ambient size"):
-        verify_quantum_commutes(0)
+    # N = 0 has no family and N = 1 a single member: no check may pass
+    # after checking no pair
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="ambient size"):
+            verify_quantum_commutes(n)
 
 
 def test_size_guard(monkeypatch):
