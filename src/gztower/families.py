@@ -251,9 +251,9 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     u g^{-1}; all pairwise canonical brackets must vanish to tolerance at
     points (g, p) of standard complex Gaussians from random.Random(seed)
     (g redrawn while |det g| < 1e-8).  Each point takes one central_gradient
-    of all the members in g and one in p; each pair is then bracketed as in
-    ``canonical_bracket``.  Raises ValueError when n < 2 or pt_count < 1:
-    the check would see no pair.
+    of all the members in g and one in p (_trivial_gradients); each pair is
+    then bracketed as in ``canonical_bracket``.  Raises ValueError when
+    n < 2 or pt_count < 1: the check would see no pair.
     """
     if n < 2 or pt_count < 1:
         raise ValueError(f"n = {n} and {pt_count} point(s) give no pair to check")
@@ -261,13 +261,8 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     worst = 0.0
     pairs = 0
     for _ in range(pt_count):
-        g, g_inv, p = _gaussian_point(n, rng)
-        # every g-move keeps p, and every p-move keeps g and its inverse
-        p_t = _transpose(p, n)
-        dg = list(zip(*central_gradient(
-            lambda x: _trivial_members(p_t, x, _det_and_inverse(x, n)[1], n), g, _TRIVIAL_STEP)))
-        dp = list(zip(*central_gradient(
-            lambda x: _trivial_members(_transpose(x, n), g, g_inv, n), p, _TRIVIAL_STEP)))
+        dg, dp = _trivial_gradients(*_gaussian_point(n, rng), n)
+        dg, dp = list(zip(*dg)), list(zip(*dp))
         for f, h in itertools.combinations(range(n * n), 2):
             val = sum(map(mul, dg[f], dp[h])) - sum(map(mul, dp[f], dg[h]))
             worst = max(worst, abs(val))
@@ -275,6 +270,39 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     status = "ok" if worst < tol else "violation"
     return TrivialReport(n=n, points=pt_count, pairs_checked=pairs,
                          max_abs_bracket=worst, tolerance=tol, status=status)
+
+
+def _trivial_gradients(g: list[complex], g_inv: list[complex], p: list[complex],
+                       n: int) -> tuple[list[list[complex]], list[list[complex]]]:
+    """central_gradient of _trivial_members in g, then in p, at (g, p).
+
+    A move of g[r, c] changes only column c of u = p^T g, and a move of
+    p[k, a] only row a of u and so of u g^{-1}.  Each move recomputes that
+    column or row by the same sums as _matmul and takes the rest from the
+    point's own u and members, so the gradients are those of the full
+    members bit for bit, and an unchanged member differs by exactly 0.
+    """
+    p_t = _transpose(p, n)
+    u = _matmul(p_t, g, n)
+    members = _matmul(u, g_inv, n)
+    g_cols = [g[j::n] for j in range(n)]
+    g_inv_cols = [g_inv[j::n] for j in range(n)]
+
+    def g_move(x, k):
+        c = k % n
+        moved = u[:]
+        moved[c::n] = [sum(map(mul, p_t[i:i + n], x[c::n])) for i in range(0, n * n, n)]
+        return _matmul(moved, _det_and_inverse(x, n)[1], n)
+
+    def p_move(x, k):
+        a = k % n
+        row = [sum(map(mul, x[a::n], col)) for col in g_cols]       # row a of x^T g
+        out = members[:]
+        out[a * n:(a + 1) * n] = [sum(map(mul, row, col)) for col in g_inv_cols]
+        return out
+
+    return (central_gradient(g_move, g, _TRIVIAL_STEP, indexed=True),
+            central_gradient(p_move, p, _TRIVIAL_STEP, indexed=True))
 
 
 def _gaussian_point(n: int, rng: random.Random) -> tuple[list[complex], ...]:

@@ -96,6 +96,19 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _once(build: Callable[[], object]) -> Callable[[], object]:
+    """build as a function that calls it on first use and from then on
+    returns the first result stored."""
+    memo = {}
+
+    def get():
+        try:
+            return memo[None]
+        except KeyError:
+            return memo.setdefault(None, build())
+    return get
+
+
 @dataclass(frozen=True)
 class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
@@ -103,9 +116,11 @@ class OrbitPoint:
     u and spectrum are read-only copies.  The point memoizes what the checks
     compute from u: LevelData and ChartDerivatives per convention, the
     gradients of gamma that every convention shares, and, in tower, the
-    TowerDescriptor per lam0.  Each entry is a pure
-    function of u, built on first use, with read-only arrays; the memo is
-    idempotent and goes with its point.
+    default base point and the TowerDescriptor per lam0.  Each entry is a
+    pure function of u, built on first use, with read-only arrays; the memo
+    is idempotent and goes with its point.  The derivatives of a convention
+    read its level data only when its divisor points are read, so a
+    convention whose e and C_n no check reads never finds their roots.
     """
 
     u: np.ndarray
@@ -137,28 +152,28 @@ class OrbitPoint:
         """level_data(u, convention), once per point.  A_n and gamma do not
         depend on the convention: another one shares them with the default
         one and finds the roots of its C_n alone."""
-        def build():
-            if convention == DEFAULT_MINOR_CONVENTION:
-                lv = level_data(self.u, convention)
-            else:               # level_data(u, convention), bit for bit
-                base = self.levels()
-                c, e = _level_roots(self.u, convention, lowering=True)
-                lv = LevelData(a=list(base.a), gamma=list(base.gamma), c=c,
-                               e=[sort_points(x) for x in e])
-            _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
-            return lv
-        return self._memoized(("levels", convention), build)
+        return self._level_source(convention)()
+
+    def _level_source(self, convention: MinorConvention) -> Callable[[], LevelData]:
+        """levels(convention) as a function that builds it on its first call,
+        once per point.  It holds u and the default convention's source,
+        never the point, so ChartDerivatives keep it without making the
+        memo a reference cycle."""
+        def source():
+            u, base = self.u, (None if convention == DEFAULT_MINOR_CONVENTION
+                               else self._level_source(DEFAULT_MINOR_CONVENTION))
+            return _once(lambda: _point_levels(u, convention, base))
+        return self._memoized(("levels", convention), source)
 
     def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
                     ) -> ChartDerivatives:
         """chart_derivatives(u, convention) on the memoized level data, once
-        per point; the gradients of gamma are shared by every convention."""
-        def build():
-            d = _chart_derivatives(self.u, self.levels(convention), convention,
-                                   self._punctures())
-            _read_only(*d.gamma, *d.e)
-            return d
-        return self._memoized(("derivatives", convention), build)
+        per point.  gamma and its gradients are the default level data's,
+        shared by every convention; levels(convention) runs on the first
+        read of lv, e or conditioning."""
+        return self._memoized(("derivatives", convention), lambda: _chart_derivatives(
+            self.u, convention, self.levels().gamma, self._punctures(),
+            self._level_source(convention)))
 
     def _punctures(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """_puncture_gradients of the default level data, once per point."""
@@ -323,6 +338,22 @@ def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool = Fa
     return coeffs, polished_roots(coeffs)
 
 
+def _point_levels(u: np.ndarray, convention: MinorConvention,
+                  base: Callable[[], LevelData] | None) -> LevelData:
+    """level_data(u, convention) with read-only arrays.  With base, the
+    default convention's level data, it shares their A_n and gamma and finds
+    the roots of its C_n alone, bit for bit."""
+    if base is None:
+        lv = level_data(u, convention)
+    else:
+        shared = base()
+        c, e = _level_roots(u, convention, lowering=True)
+        lv = LevelData(a=list(shared.a), gamma=list(shared.gamma), c=c,
+                       e=[sort_points(x) for x in e])
+    _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
+    return lv
+
+
 def level_data(u: np.ndarray,
                convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
     """A_1..A_N and C_1..C_{N-1} with their polished roots, sorted.  Raises
@@ -419,6 +450,15 @@ def _kk(u: np.ndarray, gf: np.ndarray, gh: np.ndarray) -> complex:
 # closed-form derivatives of the chart functions
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _minor_index(rows: tuple, cols: tuple) -> tuple[np.ndarray, tuple]:
+    """P = [rows == cols] and the np.ix_ index of the block rows x cols of a
+    minor, read-only, once per minor."""
+    P, index = np.equal.outer(rows, cols), np.ix_(rows, cols)
+    _read_only(P, *index)
+    return P, index
+
+
 def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
                      roots: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gradients [a, b] = d/du[a, b] tied to the minor det(lam P - S) at each lam.
@@ -432,9 +472,8 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
     are the right and left eigenvectors), with condition
     |y| |z| / |y^T P z| = 1 / |y^T P z|.
     """
-    rows, cols = minor
-    P = np.equal.outer(rows, cols)
-    M = lams[:, None, None] * P - u[np.ix_(rows, cols)]
+    P, index = _minor_index(*minor)
+    M = lams[:, None, None] * P - u[index]
     if roots:
         left, _, right = np.linalg.svd(M)
         y, z = left[:, :, -1].conj(), right[:, -1, :].conj()
@@ -444,7 +483,7 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
         inv = np.linalg.inv(M)
         block, extra = -inv.transpose(0, 2, 1), np.einsum("kij,ji->k", inv, P)
     grads = np.zeros((len(lams), *u.shape), dtype=complex)
-    grads[:, np.array(rows)[:, None], np.array(cols)] = block
+    grads[(slice(None), *index)] = block
     return grads, extra
 
 
@@ -452,19 +491,52 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
 class ChartDerivatives:
     """Closed-form gradients at u, [a, b] = dF/du[a, b].
 
-    gamma[n-1] (n, N, N) for the roots of A_n and e[n-1] (n-1, N, N) for
-    those of C_n, in the order of lv; minors as in _level_minors.
-    conditioning: the smallest |e - gamma| within a level, the smallest
-    |gamma_n - gamma_(n+1)| (None without terms), and the largest root
-    condition |y| |z| / |y^T P z|.
+    gamma[n-1] (n, N, N) for the roots punctures[n-1] of A_n and e[n-1]
+    (n-1, N, N) for those of C_n, in the order of lv; minors as in
+    _level_minors.  conditioning: the smallest |e - gamma| within a level,
+    the smallest |gamma_n - gamma_(n+1)| (None without terms), and the
+    largest root condition |y| |z| / |y^T P z|.  theta needs only the
+    punctures and the log-minors at them, which every convention shares or
+    computes without roots; lv (from levels()), e and conditioning are
+    computed on first read, with read-only arrays.
     """
 
     u: np.ndarray
-    lv: LevelData
     minors: tuple
+    punctures: list[np.ndarray]
     gamma: list[np.ndarray]
-    e: list[np.ndarray]
-    conditioning: dict[str, float | None]
+    gamma_conditions: list[np.ndarray]
+    levels: Callable[[], LevelData] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def lv(self) -> LevelData:
+        return self.levels()
+
+    @functools.cached_property
+    def _divisors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """_root_gradients of C_1..C_(N-1) at their roots lv.e."""
+        grads, conds = _root_gradients(self.u, self.minors[self.u.shape[0]:], self.lv.e)
+        _read_only(*grads, *conds)
+        return grads, conds
+
+    @property
+    def e(self) -> list[np.ndarray]:
+        return self._divisors[0]
+
+    @functools.cached_property
+    def conditioning(self) -> dict[str, float | None]:
+        def least_gap(pairs):
+            gaps = np.concatenate([np.zeros(0), *(np.abs(np.subtract.outer(a, b)).ravel()
+                                                   for a, b in pairs)])
+            return float(np.min(gaps)) if len(gaps) else None
+
+        lv = self.lv
+        return {
+            "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
+            "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
+            "max_root_condition": float(np.max(np.concatenate(
+                self.gamma_conditions + self._divisors[1]))),
+        }
 
     def log_minor(self, index: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d log det and d/dlam log det of minor `index` (A_1..A_N, C_1..C_(N-1))."""
@@ -475,7 +547,7 @@ class ChartDerivatives:
         """log_minor of C_n at the roots of A_n, n = 1..N-1, once per instance
         (read-only): theta and the residue form both read it."""
         N = self.u.shape[0]
-        out = [self.log_minor(N + n - 1, self.lv.gamma[n - 1]) for n in range(1, N)]
+        out = [self.log_minor(N + n - 1, self.punctures[n - 1]) for n in range(1, N)]
         _read_only(*(a for pair in out for a in pair))
         return out
 
@@ -485,7 +557,7 @@ class ChartDerivatives:
         N = self.u.shape[0]
         out = []
         for n in range(1, N):
-            g, dg = self.lv.gamma[n - 1], self.gamma[n - 1]
+            g, dg = self.punctures[n - 1], self.gamma[n - 1]
             dlog, dlam = self.c_at_gamma[n - 1]
             grad = dlog + dlam[:, None, None] * dg
             if n >= 2:
@@ -499,7 +571,7 @@ def chart_derivatives(u: np.ndarray,
                       convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ChartDerivatives:
     """Gradients of every puncture and divisor point, one SVD stack per minor."""
     lv = level_data(u, convention)
-    return _chart_derivatives(u, lv, convention, _puncture_gradients(u, lv))
+    return _chart_derivatives(u, convention, lv.gamma, _puncture_gradients(u, lv), lambda: lv)
 
 
 def _root_gradients(u: np.ndarray, minors: tuple, roots: list[np.ndarray]) -> tuple:
@@ -513,27 +585,15 @@ def _puncture_gradients(u: np.ndarray, lv: LevelData) -> tuple:
     return _root_gradients(u, _level_minors(u.shape[0], True)[:u.shape[0]], lv.gamma)
 
 
-def _chart_derivatives(u: np.ndarray, lv: LevelData, convention: MinorConvention,
-                       punctures: tuple) -> ChartDerivatives:
-    """chart_derivatives from the level data lv of u and the
-    _puncture_gradients of u."""
-    N = u.shape[0]
-    minors = _level_minors(N, convention.rows_variant)
-    gamma_grads, gamma_conds = punctures
-    e_grads, e_conds = _root_gradients(u, minors[N:], lv.e)
-
-    def least_gap(pairs):
-        gaps = np.concatenate([np.zeros(0), *(np.abs(np.subtract.outer(a, b)).ravel()
-                                               for a, b in pairs)])
-        return float(np.min(gaps)) if len(gaps) else None
-
-    conditioning = {
-        "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
-        "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
-        "max_root_condition": float(np.max(np.concatenate(gamma_conds + e_conds))),
-    }
-    return ChartDerivatives(u=u, lv=lv, minors=minors, gamma=list(gamma_grads),
-                            e=e_grads, conditioning=conditioning)
+def _chart_derivatives(u: np.ndarray, convention: MinorConvention, gamma: list[np.ndarray],
+                       punctures: tuple, levels: Callable[[], LevelData]) -> ChartDerivatives:
+    """chart_derivatives from the roots gamma of A_1..A_N, their
+    _puncture_gradients and the level data of u, read through levels() on
+    first use."""
+    grads, conds = punctures
+    return ChartDerivatives(u=u, minors=_level_minors(u.shape[0], convention.rows_variant),
+                            punctures=list(gamma), gamma=list(grads), gamma_conditions=conds,
+                            levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -568,28 +628,43 @@ class ChartCanonicityReport:
 
 
 def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
-    """Worst table deviation, worst Casimir bracket, the table, conditioning."""
+    """Worst table deviation, worst Casimir bracket, and the bracket matrix
+    kk of the chart functions, from the gradients of gamma and theta alone."""
     u, N = pt.u, pt.n
     d = pt.derivatives(convention)
-    names = [f"gamma[{n},{j}]" for n in range(1, N + 1) for j in range(1, n + 1)]
-    names += [f"theta[{n},{j}]" for n in range(1, N) for j in range(1, n + 1)]
     grads = np.concatenate(d.gamma + d.theta()).transpose(0, 2, 1)
     # {F_a, F_b} = tr(u [G_b, G_a]) = T[b, a] - T[a, b], T[a, b] = tr(u G_a G_b)
     T = np.einsum("aij,bji->ab", u @ grads, grads)
     kk = T.T - T
-    G = N * (N + 1) // 2            # names: G gammas, then G - N thetas
-    low, top = np.arange(G - N), range(G - N, G)    # gamma[n<N, j]; the Casimirs
-    chart = [i for i in range(len(names)) if i not in top]
+    G, chart, _ = _chart_layout(N)
+    low = np.arange(G - N)
     expected = np.zeros(kk.shape)
     expected[G + low, low], expected[low, G + low] = 1.0, -1.0
     dev = np.abs(kk - expected)
+    worst = float(np.max(dev[np.ix_(chart, chart)], initial=0.0))
+    casimir = float(np.max(dev[G - N:G], initial=0.0))
+    return worst, casimir, kk
+
+
+def _chart_layout(N: int) -> tuple[int, list[int], range]:
+    """G, the chart functions' indices and the Casimirs' among the names:
+    G gammas, then G - N thetas; the Casimirs are gamma[N, j]."""
+    G = N * (N + 1) // 2
+    top = range(G - N, G)
+    return G, [i for i in range(2 * G - N) if i not in top], top
+
+
+def _bracket_table(kk: np.ndarray, N: int) -> dict[str, complex]:
+    """The reported brackets of kk: every pair of chart functions, and each
+    Casimir with every function."""
+    names = [f"gamma[{n},{j}]" for n in range(1, N + 1) for j in range(1, n + 1)]
+    names += [f"theta[{n},{j}]" for n in range(1, N) for j in range(1, n + 1)]
+    _, chart, top = _chart_layout(N)
     table = {f"{names[a]}|{names[b]}": complex(kk[a, b])
              for ia, a in enumerate(chart) for b in chart[ia:]}
     table.update({f"{names[c]}|{names[b]}": complex(kk[c, b])
                   for c in top for b in range(len(names))})
-    worst = float(np.max(dev[np.ix_(chart, chart)], initial=0.0))
-    casimir = float(np.max(dev[G - N:G], initial=0.0))
-    return worst, casimir, table, dict(d.conditioning)
+    return table
 
 
 def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCanonicityReport:
@@ -600,25 +675,31 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
     is the negative control: at a puncture gamma of A_n the Desnanot-Jacobi
     identity on gamma - u_(n+1) gives C^rows_n C^cols_n = -A_(n+1) A_(n-1),
     so its theta is minus the rows theta plus a function of gamma, and its
-    {theta, gamma} brackets read -1 where +1 is due.  Raises ValueError at
-    N < 2, where the table holds no pair of chart functions.
+    {theta, gamma} brackets read -1 where +1 is due.  Each deviation needs
+    the gradients of gamma and theta alone, so a convention finds the roots
+    of its C_n (for the conditioning) only when it is reported: the winner,
+    or without one the convention of the smallest deviation, which also
+    gives the table.  Raises ValueError at N < 2, where the table holds no
+    pair of chart functions.
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
     results = {}
     variants, winner = [], None
     for conv in (MinorConvention(True), MinorConvention(False)):
-        dev, cas, _, _ = results[conv] = _canonicity_deviation(pt, conv)
+        dev, cas, _ = results[conv] = _canonicity_deviation(pt, conv)
         variants.append({"convention": conv.label(),
                          "max_deviation": dev, "casimir_deviation": cas})
         if winner is None and dev < tolerance and cas < tolerance:
             winner = conv
-    dev, cas, table, cond = results[winner or min(results, key=lambda c: results[c][0])]
+    reported = winner or min(results, key=lambda c: results[c][0])
+    dev, cas, kk = results[reported]
     return ChartCanonicityReport(
         n=pt.n, tolerance=tolerance, variants=variants,
         winner=None if winner is None else winner.label(), max_deviation=dev,
         casimir_deviation=cas, status="violation" if winner is None else "ok",
-        table=table, conditioning=cond)
+        table=_bracket_table(kk, pt.n),
+        conditioning=dict(pt.derivatives(reported).conditioning))
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +739,16 @@ class ResidueFormReport:
         }
 
 
+def _pair_values(u: np.ndarray, pairs: list[tuple[OrbitTangent, OrbitTangent]]) -> tuple:
+    """The tangents [x, u] of every pair's two directions in turn, one flat
+    row each, and each pair's Kirillov-Kostant value tr(u [x, y]): what
+    OrbitTangent.vector and _kk(u, y, x) give, from one stacked product each."""
+    xs = np.array([t.x for pair in pairs for t in pair])
+    x, y = xs[0::2], xs[1::2]
+    return ((xs @ u - u @ xs).reshape(len(xs), -1),
+            np.trace(u @ (x @ y - y @ x), axis1=1, axis2=2))
+
+
 def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTangent]],
                        tolerance: float = 1e-4) -> ResidueFormReport:
     """Evaluate the contour form of the symplectic structure on tangent pairs.
@@ -689,7 +780,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
         flat(d.gamma[:N - 2]),                                              # gamma[n-1]
         flat(d.log_minor(n - 1, lv.gamma[n - 2])[0] for n in range(2, N)),  # A_n
     ]
-    tangents = np.array([t.vector(u) for pair in pairs for t in pair]).reshape(-1, N * N)
+    tangents, kk_value = _pair_values(u, pairs)
     dx, dy = [], []
     for grads in pieces:
         vals = grads.reshape(-1, N * N) @ tangents.T
@@ -698,7 +789,6 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     wedge = lambda i, j: np.sum(-dx[i] * dy[j] + dy[i] * dx[j], axis=0)
     t1 = {"C": wedge(0, 1), "A": wedge(3, 2)}
     t2 = wedge(4, 5)
-    kk_value = np.array([_kk(u, ty.x, tx.x) for tx, ty in pairs])
 
     # sign pairs ordered so that ties (term2 vanishing at N=2) resolve to the
     # same variant that wins uniquely for N >= 3

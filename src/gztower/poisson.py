@@ -739,11 +739,14 @@ def poly_function(poly: PoissonPoly, lam: complex = 0j, mu: complex = 0j) -> Cal
     return lambda pt: evaluate(poly, pt, lam=lam, mu=mu)
 
 
-def central_gradient(func: Callable[[list[complex]], Sequence[complex]],
-                     x: Sequence[complex], step: float) -> list[list[complex]]:
+def central_gradient(func: Callable[..., Sequence[complex]],
+                     x: Sequence[complex], step: float,
+                     indexed: bool = False) -> list[list[complex]]:
     """Entry-wise central differences of func at the flat complex vector x.
 
-    func maps a list of complex entries to a sequence of complex values.
+    func maps a list of complex entries to a sequence of complex values;
+    with indexed, it also takes the index k of the one entry that moved,
+    func(y, k), so it may recompute only the values that entry changes.
     Entry k of the result lists the derivative of each value along x[k],
     with step `step` scaled by max(1, |x[k]|): the forward value less the
     backward one, over 2h.  Plain Python; raises ArithmeticError on a
@@ -753,7 +756,8 @@ def central_gradient(func: Callable[[list[complex]], Sequence[complex]],
     grad = []
     for k, z in enumerate(x):
         h = step * max(1.0, abs(z))
-        fwd, bwd = (func(x[:k] + [z + s] + x[k + 1:]) for s in (h, -h))
+        moved = (k,) if indexed else ()
+        fwd, bwd = (func(x[:k] + [z + s] + x[k + 1:], *moved) for s in (h, -h))
         row = [(complex(a) - complex(b)) / (2.0 * h) for a, b in zip(fwd, bwd)]
         if not all(map(cmath.isfinite, row)):
             raise ArithmeticError("non-finite derivative encountered")

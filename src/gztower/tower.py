@@ -242,9 +242,11 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None) -> TowerDescriptor:
     e-points or angles: the lowering minor needs row/column N+1, and the
     corresponding angles are not functions on the orbit.  The descriptor is
     memoized on pt per lam0, so callers share it: its arrays are read-only,
-    and its lists must not be changed either.
+    and its lists must not be changed either.  The default lam0 is memoized
+    on pt as well.
     """
-    lam0 = default_base_point(pt) if lam0 is None else complex(lam0)
+    lam0 = (pt._memoized("base_point", lambda: default_base_point(pt)) if lam0 is None
+            else complex(lam0))
     return pt._memoized(("tower", lam0), lambda: _build_tower(pt, lam0))
 
 

@@ -20,6 +20,7 @@ from gztower.families import (
     _gf_rows,
     _residue,
     _transpose,
+    _trivial_gradients,
     _trivial_members,
     build_family,
     char_minor,
@@ -35,6 +36,7 @@ from gztower.poisson import (
     PoissonPoly,
     _gradients,
     canonical_bracket,
+    central_gradient,
     evaluate_at,
     gradient_at,
     poly_function,
@@ -403,6 +405,34 @@ def test_trivial_check_keeps_its_worst_bracket(n, pt_count, seed, worst):
     # g is inverted once per draw, by the elimination that checks its
     # determinant: the worst bracket is the one of a second inversion, bit for bit
     assert verify_trivial_numeric(n, pt_count, seed=seed).max_abs_bracket == worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trivial_moves_equal_the_full_members_bit_for_bit(n):
+    # a move recomputes one row or column of the members and copies the
+    # rest; the gradients equal the stencil over the full members exactly
+    rng = random.Random(100 + n)
+    for _ in range(4):
+        g, g_inv, p = _gaussian_point(n, rng)
+        dg, dp = _trivial_gradients(g, g_inv, p, n)
+        p_t = _transpose(p, n)
+        assert dg == central_gradient(
+            lambda x: _trivial_members(p_t, x, _det_and_inverse(x, n)[1], n), g, 1e-6)
+        assert dp == central_gradient(
+            lambda x: _trivial_members(_transpose(x, n), g, g_inv, n), p, 1e-6)
+        # a p-move changes one row of the members: the others read exactly 0
+        for k, row in enumerate(dp):
+            assert all(v == 0 for j, v in enumerate(row) if j // n != k % n)
+
+
+@pytest.mark.parametrize("n, pt_count, seed, worst", [
+    (3, 1, 0, "1.1894137181678389e-08"),
+    (4, 3, 1, "1.3371971083624291e-09"),
+    (5, 1, 2, "1.2174545927046008e-09"),
+])
+def test_trivial_check_reports_the_full_members_worst_bracket(n, pt_count, seed, worst):
+    # the worst brackets of the oracle that recomputed every member per move
+    assert repr(verify_trivial_numeric(n, pt_count, seed=seed).max_abs_bracket) == worst
 
 
 def test_trivial_members_are_p_transposed():

@@ -121,6 +121,19 @@ def test_the_point_and_the_shared_arrays_are_read_only():
     assert pt.levels() is lv and pt.derivatives() is d and d.lv is lv
 
 
+def test_the_default_base_point_is_found_once_per_point(monkeypatch):
+    # build_tower without lam0 reads the base point (an eigvals of u) from
+    # the memo, as it reads the descriptor
+    calls = []
+    base = tower.default_base_point
+    monkeypatch.setattr(tower, "default_base_point", lambda pt: calls.append(pt) or base(pt))
+    pt = sample_orbit(_SPECTRUM, seed=4)
+    first = tower.build_tower(pt)
+    assert tower.build_tower(pt) is first
+    assert tower.build_tower(pt, lam0=first.base_point) is first
+    assert calls == [pt]
+
+
 def test_reports_do_not_share_the_memo_conditioning():
     pt = sample_orbit(_SPECTRUM, seed=4)
     report = orbits.verify_canonical_chart(pt)
@@ -172,18 +185,17 @@ def _kernel_runs(monkeypatch, capsys, argv):
     return draws, minors, events.count("one-minor")
 
 
-@pytest.mark.parametrize("argv, extra", [(ORBIT5, 1), (FLOW5, 0)], ids=["orbit5", "flow5"])
-def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp_path,
-                                                       argv, extra):
-    # the level data of the last draw is the point's; then orbit adds the
-    # lowering minors of the cols convention (the sweep), whose A_n and
-    # gamma are the point's, and flow nothing: the margin, the tower and the
-    # action gradient all read the point's
+@pytest.mark.parametrize("argv", [ORBIT5, FLOW5], ids=["orbit5", "flow5"])
+def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp_path, argv):
+    # the level data of the last draw is the point's, and neither report
+    # adds a run: the margin, the tower and the action gradient all read the
+    # point's, and the sweep's cols convention, which rows beats here, needs
+    # no roots of its lowering minors
     if argv[0] == "flow":
         argv = argv + ["--trajectory", str(tmp_path / "t.jsonl")]
     draws, minors, one_minor = _kernel_runs(monkeypatch, capsys, argv)
     N = int(argv[argv.index("--n") + 1])
-    assert minors == [2 * N - 1] * draws + [N - 1] * extra
+    assert minors == [2 * N - 1] * draws
     assert one_minor == 0
 
 

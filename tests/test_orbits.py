@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gztower import orbits
 from gztower.orbits import (
     MinorConvention,
     OrbitError,
@@ -266,6 +267,98 @@ def test_canonical_chart_n3_full_table():
     assert rep.winner == "rows"
 
 
+def _count_lowering_kernels(monkeypatch):
+    """The minors of every run of the level kernel that finds the roots of
+    the lowering minors alone."""
+    runs, kernel = [], orbits._level_roots
+
+    def counted(u, convention, lowering=False):
+        out = kernel(u, convention, lowering)
+        if lowering:
+            runs.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(orbits, "_level_roots", counted)
+    return runs
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_a_reported_cols_convention_equals_an_eager_computation(monkeypatch, N):
+    # with the two orientations swapped, the rows C_n are the transposed
+    # minors and cols wins the sweep: its level kernel runs once, and the
+    # report equals the bracket table of an eager chart_derivatives
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
+    minors = orbits._level_minors
+    monkeypatch.setattr(orbits, "_level_minors", lambda n, rows: minors(n, not rows))
+    cols = MinorConvention(False)
+    fresh = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
+    fresh.levels()
+    runs = _count_lowering_kernels(monkeypatch)
+    rep = verify_canonical_chart(fresh)
+    assert runs == [N - 1]
+    assert rep.winner == "cols" and rep.status == "ok"
+    assert abs(rep.variants[0]["max_deviation"] - 2.0) <= 1e-8
+    eager = orbits.chart_derivatives(pt.u, cols)
+    ref = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
+    ref._memo[("derivatives", cols)] = eager
+    dev, cas, kk = orbits._canonicity_deviation(ref, cols)
+    assert (rep.max_deviation, rep.casimir_deviation) == (dev, cas)
+    assert rep.table == orbits._bracket_table(kk, N)
+    assert rep.conditioning == eager.conditioning
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_a_sweep_without_winner_reports_the_rows_table(monkeypatch, N):
+    # no convention within 1e-30: the report takes the smaller deviation,
+    # rows, with the rows table and conditioning, and finds no cols roots
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(10 + N)), seed=N)
+    runs = _count_lowering_kernels(monkeypatch)
+    rep = verify_canonical_chart(pt, tolerance=1e-30)
+    assert runs == []
+    assert rep.winner is None and rep.status == "violation" and len(rep.variants) == 2
+    ok = verify_canonical_chart(OrbitPoint(u=pt.u, spectrum=pt.spectrum))
+    assert ok.winner == "rows" and rep.table and rep.table == ok.table
+    assert rep.conditioning == ok.conditioning
+    assert rep.max_deviation == ok.max_deviation == rep.variants[0]["max_deviation"]
+
+
+def _ix_minor_gradients(u, minor, lams, roots):
+    """_minor_gradients with P and the block index built on each call."""
+    rows, cols = minor
+    P = np.equal.outer(rows, cols)
+    M = lams[:, None, None] * P - u[np.ix_(rows, cols)]
+    if roots:
+        left, _, right = np.linalg.svd(M)
+        y, z = left[:, :, -1].conj(), right[:, -1, :].conj()
+        den = np.einsum("ki,ij,kj->k", y, P, z)
+        block, extra = y[:, :, None] * z[:, None, :] / den[:, None, None], 1.0 / np.abs(den)
+    else:
+        inv = np.linalg.inv(M)
+        block, extra = -inv.transpose(0, 2, 1), np.einsum("kij,ji->k", inv, P)
+    grads = np.zeros((len(lams), *u.shape), dtype=complex)
+    grads[:, np.array(rows)[:, None], np.array(cols)] = block
+    return grads, extra
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_the_cached_minor_index_equals_the_ix_formula(N):
+    rng = np.random.default_rng(N)
+    u = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    for rows_variant in (True, False):
+        for minor in orbits._level_minors(N, rows_variant):
+            P, index = orbits._minor_index(*minor)
+            assert orbits._minor_index(*minor)[0] is P
+            for array in (P, *index):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            # as many lams as the minor has roots (none for C_1), or a lam per row
+            for roots, count in ((True, int(P.sum())), (False, len(minor[0]))):
+                lams = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+                got = orbits._minor_gradients(u, minor, lams, roots=roots)
+                want = _ix_minor_gradients(u, minor, lams, roots)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+
+
 # ---------------------------------------------------------------------------
 # the contour form
 # ---------------------------------------------------------------------------
@@ -287,6 +380,25 @@ def test_residue_form_matches_kk(spectrum, seed):
     rep = residue_form_check(pt, _random_pairs(pt.n, 10, rng))
     assert rep.status == "ok"
     assert rep.winner == "contour=A term1_sign=-1 overall_sign=-1"
+
+
+def _looped_pair_values(u, pairs):
+    """_pair_values, one OrbitTangent.vector and one _kk per pair."""
+    tangents = np.array([t.vector(u) for pair in pairs for t in pair]).reshape(len(pairs) * 2, -1)
+    return tangents, np.array([orbits._kk(u, y.x, x.x) for x, y in pairs])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_the_stacked_pair_values_equal_the_per_pair_loop(monkeypatch, N):
+    rng = np.random.default_rng(20 + N)
+    pt = sample_orbit(random_spectrum(N, rng), seed=N)
+    pairs = _random_pairs(N, 7, rng)
+    for got, want in zip(orbits._pair_values(pt.u, pairs), _looped_pair_values(pt.u, pairs),
+                         strict=True):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    stacked = residue_form_check(pt, pairs).to_json()
+    monkeypatch.setattr(orbits, "_pair_values", _looped_pair_values)
+    assert residue_form_check(pt, pairs).to_json() == stacked
 
 
 def test_residue_form_degenerate_directions():
