@@ -301,8 +301,8 @@ def _trivial_gradients(g: list[complex], g_inv: list[complex], p: list[complex],
         out[a * n:(a + 1) * n] = [sum(map(mul, row, col)) for col in g_inv_cols]
         return out
 
-    return (central_gradient(g_move, g, _TRIVIAL_STEP, indexed=True),
-            central_gradient(p_move, p, _TRIVIAL_STEP, indexed=True))
+    return (central_gradient(g_move, g, _TRIVIAL_STEP),
+            central_gradient(p_move, p, _TRIVIAL_STEP))
 
 
 def _gaussian_point(n: int, rng: random.Random) -> tuple[list[complex], ...]:

@@ -28,7 +28,7 @@ symbolic algebra in :mod:`gztower.poisson`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,7 @@ from .polytools import (
 __all__ = [
     "OrbitError", "SingularChartError", "RetryExhaustedError", "TrackingError",
     "MinorConvention", "DEFAULT_MINOR_CONVENTION", "OrbitPoint", "GZChart",
-    "OrbitTangent", "LevelData", "level_data", "ChartDerivatives", "chart_derivatives",
+    "OrbitTangent", "LevelData", "level_data", "ChartDerivatives",
     "sample_orbit", "random_spectrum", "regularity_margin", "lowering_minor_coeffs",
     "gz_forward", "chart_residuals", "kk_bracket",
     "verify_canonical_chart", "ChartCanonicityReport",
@@ -96,30 +96,17 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _once(build: Callable[[], object]) -> Callable[[], object]:
-    """build as a function that calls it on first use and from then on
-    returns the first result stored."""
-    memo = {}
-
-    def get():
-        try:
-            return memo[None]
-        except KeyError:
-            return memo.setdefault(None, build())
-    return get
-
-
 @dataclass(frozen=True)
 class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
 
     u and spectrum are read-only copies.  The point memoizes what the checks
-    compute from u: LevelData and ChartDerivatives per convention, the
-    gradients of gamma that every convention shares, and, in tower, the
-    default base point and the TowerDescriptor per lam0.  Each entry is a
-    pure function of u, built on first use, with read-only arrays; the memo
-    is idempotent and goes with its point.  The derivatives of a convention
-    read its level data only when its divisor points are read, so a
+    compute from u, per convention: levels, derivatives and divisors, and,
+    in tower, the default base point and the TowerDescriptor per lam0.  Each
+    entry is a pure function of u, built by a method of the point on first
+    use, with read-only arrays, and holds no reference to the point, so the
+    memo makes no reference cycle and goes with its point.  A_n, gamma and
+    the gradients of gamma are the default convention's in every one, so a
     convention whose e and C_n no check reads never finds their roots.
     """
 
@@ -151,37 +138,63 @@ class OrbitPoint:
     def levels(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
         """level_data(u, convention), once per point.  A_n and gamma do not
         depend on the convention: another one shares them with the default
-        one and finds the roots of its C_n alone."""
-        return self._level_source(convention)()
-
-    def _level_source(self, convention: MinorConvention) -> Callable[[], LevelData]:
-        """levels(convention) as a function that builds it on its first call,
-        once per point.  It holds u and the default convention's source,
-        never the point, so ChartDerivatives keep it without making the
-        memo a reference cycle."""
-        def source():
-            u, base = self.u, (None if convention == DEFAULT_MINOR_CONVENTION
-                               else self._level_source(DEFAULT_MINOR_CONVENTION))
-            return _once(lambda: _point_levels(u, convention, base))
-        return self._memoized(("levels", convention), source)
+        one and finds the roots of its C_n alone, bit for bit."""
+        def build():
+            if convention == DEFAULT_MINOR_CONVENTION:
+                lv = level_data(self.u, convention)
+            else:
+                base = self.levels()
+                c, e = _level_roots(self.u, convention, lowering=True)
+                lv = LevelData(a=list(base.a), gamma=list(base.gamma), c=c,
+                               e=[sort_points(x) for x in e])
+            _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
+            return lv
+        return self._memoized(("levels", convention), build)
 
     def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
                     ) -> ChartDerivatives:
-        """chart_derivatives(u, convention) on the memoized level data, once
-        per point.  gamma and its gradients are the default level data's,
-        shared by every convention; levels(convention) runs on the first
-        read of lv, e or conditioning."""
-        return self._memoized(("derivatives", convention), lambda: _chart_derivatives(
-            self.u, convention, self.levels().gamma, self._punctures(),
-            self._level_source(convention)))
-
-    def _punctures(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """_puncture_gradients of the default level data, once per point."""
+        """The gradients of gamma, from the default level data and shared by
+        every convention, with the minors of the convention; once per point.
+        They need no roots of C_n."""
         def build():
-            grads, conds = _puncture_gradients(self.u, self.levels())
+            minors = _level_minors(self.n, convention.rows_variant)
+            if convention != DEFAULT_MINOR_CONVENTION:
+                return replace(self.derivatives(), minors=minors)
+            gamma = self.levels().gamma
+            grads, conds = _root_gradients(self.u, minors[:self.n], gamma)
+            _read_only(*grads, *conds)
+            return ChartDerivatives(u=self.u, minors=minors, punctures=list(gamma),
+                                    gamma=grads, gamma_conditions=conds)
+        return self._memoized(("derivatives", convention), build)
+
+    def divisors(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """_root_gradients of C_1..C_(N-1) at their roots levels(convention).e:
+        ([gradient stack (n-1, N, N)], [root conditions]), once per point."""
+        def build():
+            minors = _level_minors(self.n, convention.rows_variant)[self.n:]
+            grads, conds = _root_gradients(self.u, minors, self.levels(convention).e)
             _read_only(*grads, *conds)
             return grads, conds
-        return self._memoized("punctures", build)
+        return self._memoized(("divisors", convention), build)
+
+    def conditioning(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
+                     ) -> dict[str, float | None]:
+        """A fresh dict: the smallest |e - gamma| within a level, the smallest
+        |gamma_n - gamma_(n+1)| (None without terms), and the largest root
+        condition |y| |z| / |y^T P z| of gamma and e."""
+        def least_gap(pairs):
+            gaps = np.concatenate([np.zeros(0), *(np.abs(np.subtract.outer(a, b)).ravel()
+                                                   for a, b in pairs)])
+            return float(np.min(gaps)) if len(gaps) else None
+
+        lv = self.levels(convention)
+        return {
+            "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
+            "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
+            "max_root_condition": float(np.max(np.concatenate(
+                self.derivatives().gamma_conditions + self.divisors(convention)[1]))),
+        }
 
     @classmethod
     def create(cls, u, spectrum=None) -> "OrbitPoint":
@@ -338,22 +351,6 @@ def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool = Fa
     return coeffs, polished_roots(coeffs)
 
 
-def _point_levels(u: np.ndarray, convention: MinorConvention,
-                  base: Callable[[], LevelData] | None) -> LevelData:
-    """level_data(u, convention) with read-only arrays.  With base, the
-    default convention's level data, it shares their A_n and gamma and finds
-    the roots of its C_n alone, bit for bit."""
-    if base is None:
-        lv = level_data(u, convention)
-    else:
-        shared = base()
-        c, e = _level_roots(u, convention, lowering=True)
-        lv = LevelData(a=list(shared.a), gamma=list(shared.gamma), c=c,
-                       e=[sort_points(x) for x in e])
-    _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
-    return lv
-
-
 def level_data(u: np.ndarray,
                convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
     """A_1..A_N and C_1..C_{N-1} with their polished roots, sorted.  Raises
@@ -433,7 +430,7 @@ def kk_bracket(f: Callable[[np.ndarray], complex],
     # imported here, so orbit and flow processes never load the exact algebra
     from .poisson import central_gradient
 
-    def both(flat):
+    def both(flat, k):
         v = np.reshape(flat, u.shape)
         return f(v), h(v)
 
@@ -491,14 +488,10 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
 class ChartDerivatives:
     """Closed-form gradients at u, [a, b] = dF/du[a, b].
 
-    gamma[n-1] (n, N, N) for the roots punctures[n-1] of A_n and e[n-1]
-    (n-1, N, N) for those of C_n, in the order of lv; minors as in
-    _level_minors.  conditioning: the smallest |e - gamma| within a level,
-    the smallest |gamma_n - gamma_(n+1)| (None without terms), and the
-    largest root condition |y| |z| / |y^T P z|.  theta needs only the
-    punctures and the log-minors at them, which every convention shares or
-    computes without roots; lv (from levels()), e and conditioning are
-    computed on first read, with read-only arrays.
+    gamma[n-1] (n, N, N) for the roots punctures[n-1] of A_n, with their
+    root conditions |y| |z| / |y^T P z|; minors as in _level_minors.  theta
+    needs only the punctures and the log-minors at them, which every
+    convention shares or computes without roots.
     """
 
     u: np.ndarray
@@ -506,37 +499,6 @@ class ChartDerivatives:
     punctures: list[np.ndarray]
     gamma: list[np.ndarray]
     gamma_conditions: list[np.ndarray]
-    levels: Callable[[], LevelData] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def lv(self) -> LevelData:
-        return self.levels()
-
-    @functools.cached_property
-    def _divisors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """_root_gradients of C_1..C_(N-1) at their roots lv.e."""
-        grads, conds = _root_gradients(self.u, self.minors[self.u.shape[0]:], self.lv.e)
-        _read_only(*grads, *conds)
-        return grads, conds
-
-    @property
-    def e(self) -> list[np.ndarray]:
-        return self._divisors[0]
-
-    @functools.cached_property
-    def conditioning(self) -> dict[str, float | None]:
-        def least_gap(pairs):
-            gaps = np.concatenate([np.zeros(0), *(np.abs(np.subtract.outer(a, b)).ravel()
-                                                   for a, b in pairs)])
-            return float(np.min(gaps)) if len(gaps) else None
-
-        lv = self.lv
-        return {
-            "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
-            "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
-            "max_root_condition": float(np.max(np.concatenate(
-                self.gamma_conditions + self._divisors[1]))),
-        }
 
     def log_minor(self, index: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d log det and d/dlam log det of minor `index` (A_1..A_N, C_1..C_(N-1))."""
@@ -567,33 +529,11 @@ class ChartDerivatives:
         return out
 
 
-def chart_derivatives(u: np.ndarray,
-                      convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> ChartDerivatives:
-    """Gradients of every puncture and divisor point, one SVD stack per minor."""
-    lv = level_data(u, convention)
-    return _chart_derivatives(u, convention, lv.gamma, _puncture_gradients(u, lv), lambda: lv)
-
-
 def _root_gradients(u: np.ndarray, minors: tuple, roots: list[np.ndarray]) -> tuple:
     """([gradient stack], [root conditions]) of each minor at its roots."""
     pairs = [_minor_gradients(u, m, r, roots=True) for m, r in zip(minors, roots)]
     return [grads for grads, _ in pairs], [conds for _, conds in pairs]
 
-
-def _puncture_gradients(u: np.ndarray, lv: LevelData) -> tuple:
-    """_root_gradients of A_1..A_N at gamma, the same in every convention."""
-    return _root_gradients(u, _level_minors(u.shape[0], True)[:u.shape[0]], lv.gamma)
-
-
-def _chart_derivatives(u: np.ndarray, convention: MinorConvention, gamma: list[np.ndarray],
-                       punctures: tuple, levels: Callable[[], LevelData]) -> ChartDerivatives:
-    """chart_derivatives from the roots gamma of A_1..A_N, their
-    _puncture_gradients and the level data of u, read through levels() on
-    first use."""
-    grads, conds = punctures
-    return ChartDerivatives(u=u, minors=_level_minors(u.shape[0], convention.rows_variant),
-                            punctures=list(gamma), gamma=list(grads), gamma_conditions=conds,
-                            levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +639,7 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
         winner=None if winner is None else winner.label(), max_deviation=dev,
         casimir_deviation=cas, status="violation" if winner is None else "ok",
         table=_bracket_table(kk, pt.n),
-        conditioning=dict(pt.derivatives(reported).conditioning))
+        conditioning=pt.conditioning(reported))
 
 
 # ---------------------------------------------------------------------------
@@ -767,13 +707,12 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
         raise ValueError(f"N = {pt.n} and {len(pairs)} pair(s) give no tangent pair to check")
     u = pt.u
     N = pt.n
-    d = pt.derivatives()
-    lv = d.lv
+    d, lv = pt.derivatives(), pt.levels()
     flat = lambda grads: np.concatenate([np.zeros((0, N, N)), *grads])
     # aligned pairs of stacks over all levels: the gradients of some roots,
     # then those of a log-minor at the same roots (fixed lam)
     pieces = [
-        flat(d.e),                                                          # e[n]
+        flat(pt.divisors()[0]),                                             # e[n]
         flat(d.log_minor(n - 1, lv.e[n - 1])[0] for n in range(1, N)),     # A_n
         flat(d.gamma[:N - 1]),                                              # gamma[n]
         flat(dlog for dlog, _ in d.c_at_gamma),                             # C_n
@@ -803,4 +742,4 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     return ResidueFormReport(
         n=N, pairs=len(pairs), tolerance=tolerance, variants=variants,
         winner=winner, status="ok" if winner else "violation",
-        conditioning=dict(d.conditioning))
+        conditioning=pt.conditioning())

@@ -739,14 +739,13 @@ def poly_function(poly: PoissonPoly, lam: complex = 0j, mu: complex = 0j) -> Cal
     return lambda pt: evaluate(poly, pt, lam=lam, mu=mu)
 
 
-def central_gradient(func: Callable[..., Sequence[complex]],
-                     x: Sequence[complex], step: float,
-                     indexed: bool = False) -> list[list[complex]]:
+def central_gradient(func: Callable[[list[complex], int], Sequence[complex]],
+                     x: Sequence[complex], step: float) -> list[list[complex]]:
     """Entry-wise central differences of func at the flat complex vector x.
 
-    func maps a list of complex entries to a sequence of complex values;
-    with indexed, it also takes the index k of the one entry that moved,
-    func(y, k), so it may recompute only the values that entry changes.
+    func(y, k) maps a list y of complex entries to a sequence of complex
+    values; k is the index of the one entry of y that moved, so func may
+    recompute only the values that entry changes, or ignore it.
     Entry k of the result lists the derivative of each value along x[k],
     with step `step` scaled by max(1, |x[k]|): the forward value less the
     backward one, over 2h.  Plain Python; raises ArithmeticError on a
@@ -756,8 +755,7 @@ def central_gradient(func: Callable[..., Sequence[complex]],
     grad = []
     for k, z in enumerate(x):
         h = step * max(1.0, abs(z))
-        moved = (k,) if indexed else ()
-        fwd, bwd = (func(x[:k] + [z + s] + x[k + 1:], *moved) for s in (h, -h))
+        fwd, bwd = (func(x[:k] + [z + s] + x[k + 1:], k) for s in (h, -h))
         row = [(complex(a) - complex(b)) / (2.0 * h) for a, b in zip(fwd, bwd)]
         if not all(map(cmath.isfinite, row)):
             raise ArithmeticError("non-finite derivative encountered")
@@ -773,7 +771,7 @@ def _gradients(func: Callable[[CanonicalPoint], complex | np.ndarray], pt: Canon
     n = pt.n
 
     def along(at, x):
-        grad = central_gradient(lambda y: np.ravel(func(at(np.reshape(y, (n, n))))),
+        grad = central_gradient(lambda y, k: np.ravel(func(at(np.reshape(y, (n, n))))),
                                 x.ravel().tolist(), step)
         return np.array(grad).reshape(n, n, -1)
 

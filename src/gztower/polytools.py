@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 __all__ = [
-    "lambda_minor_det", "minor_dets", "principal_charpoly", "roots_polished",
+    "lambda_minor_det", "minor_dets", "roots_polished",
     "polished_roots", "sort_points", "match_points", "min_pairwise_gap",
     "TrackingError",
 ]
@@ -114,11 +114,6 @@ def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndar
     (lam where the global row and column agree), d+1 of them; see minor_dets."""
     assert len(cols) == len(rows) >= 1
     return minor_dets(u, ((tuple(rows), tuple(cols)),))[0]
-
-
-def principal_charpoly(u: np.ndarray, k: int) -> np.ndarray:
-    """Characteristic polynomial of the top-left k x k block, monic."""
-    return lambda_minor_det(u, range(k), range(k))
 
 
 _NEWTON_STEPS = 6           # the Newton steps that polish every companion-matrix root

@@ -506,18 +506,18 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
         raise ValueError(f"N = {pt.n} has no angle to check")
     N = pt.n
     u = pt.u
-    d = pt.derivatives()
+    d, lv, de = pt.derivatives(), pt.levels(), pt.divisors()[0]
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
     h_nabla = {}
     for n in range(1, N):
         X = np.zeros((n, N, N), dtype=complex)
-        X[:, :n, :n] = _horner_gradients(u[:n, :n], d.lv.a[n][:n])
+        X[:, :n, :n] = _horner_gradients(u[:n, :n], lv.a[n][:n])
         h_nabla.update({(n, k): X[k - 1] for k in range(1, n + 1)})
     tau_grads = [np.zeros((0, N, N))]
     for m in range(1, N):
-        e = d.lv.e[m - 1]
-        weights = np.vander(e, m).T / np.polyval(d.lv.a[m], e)    # [l-1, i]
-        grads = np.einsum("li,iab->lab", weights, d.e[m - 1])
+        e = lv.e[m - 1]
+        weights = np.vander(e, m).T / np.polyval(lv.a[m], e)      # [l-1, i]
+        grads = np.einsum("li,iab->lab", weights, de[m - 1])
         # C_m carries no lam in its last row and column, so lead C_m is
         # -u[rows[-1], cols[-1]]
         rows, cols = d.minors[N + m - 1]
@@ -539,7 +539,7 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
         n=N, tolerance=tolerance, h_tau=h_tau, h_h=h_h,
         max_deviation_upper=worst, level_one=level_one,
         status="ok" if worst <= tolerance else "violation",
-        conditioning=dict(d.conditioning))
+        conditioning=pt.conditioning())
 
 
 @dataclass

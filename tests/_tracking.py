@@ -1,12 +1,20 @@
 """Root tracking for the test oracles: the exhaustive minimal-distance match,
-level data whose roots follow those of a nearby point, and the angles of
-level data of either minor convention."""
+level data whose roots follow those of a nearby point, the angles of level
+data of either minor convention, and the chart data of a point computed
+eagerly, without the point's memo."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-from gztower.orbits import LevelData, level_data
+from gztower import orbits
+from gztower.orbits import (
+    DEFAULT_MINOR_CONVENTION,
+    ChartDerivatives,
+    LevelData,
+    level_data,
+)
 
 
 def match_loop(base, new):
@@ -36,3 +44,36 @@ def tracked_level_data(u, convention, base):
     follow = lambda refs, sets: [match_loop(ref, x) for ref, x in zip(refs, sets)]
     return LevelData(a=lv.a, gamma=follow(base.gamma, lv.gamma), c=lv.c,
                      e=follow(base.e, lv.e))
+
+
+class EagerChart(NamedTuple):
+    """What OrbitPoint memoizes per convention, computed at once."""
+
+    levels: LevelData
+    derivatives: ChartDerivatives
+    divisors: tuple
+    conditioning: dict
+
+
+def eager_derivatives(u, convention=DEFAULT_MINOR_CONVENTION):
+    """The levels, derivatives, divisors and conditioning of a point at u in
+    the convention, from scratch: the convention's own level_data, the root
+    gradients of all 2N-1 minors at their roots, and the conditioning."""
+    N = u.shape[0]
+    lv = level_data(u, convention)
+    minors = orbits._level_minors(N, convention.rows_variant)
+    grads, conds = orbits._root_gradients(u, minors, lv.gamma + lv.e)
+    d = ChartDerivatives(u=u, minors=minors, punctures=lv.gamma, gamma=grads[:N],
+                         gamma_conditions=conds[:N])
+
+    def least_gap(pairs):
+        gaps = [float(np.min(np.abs(np.subtract.outer(a, b))))
+                for a, b in pairs if a.size and b.size]
+        return min(gaps) if gaps else None
+
+    conditioning = {
+        "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
+        "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
+        "max_root_condition": float(np.max(np.concatenate(conds))),
+    }
+    return EagerChart(lv, d, (grads[N:], conds[N:]), conditioning)

@@ -9,13 +9,12 @@ take the package's one stencil, poisson.central_gradient.
 import numpy as np
 import pytest
 
-from _tracking import chart_thetas, tracked_level_data
+from _tracking import chart_thetas, eager_derivatives, tracked_level_data
 from gztower import orbits
 from gztower.orbits import (
     MinorConvention,
     OrbitPoint,
     OrbitTangent,
-    chart_derivatives,
     gz_forward,
     random_spectrum,
     residue_form_check,
@@ -35,7 +34,7 @@ CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
 def _central_gradients(f, u, step):
     """central_gradient d/du[a, b] of each value of f(u), a dict with the same
     keys in the same order at every u."""
-    grads = central_gradient(lambda v: list(f(np.reshape(v, u.shape)).values()),
+    grads = central_gradient(lambda v, k: list(f(np.reshape(v, u.shape)).values()),
                              u.ravel().tolist(), step)
     grads = np.array(grads).reshape(u.shape + (-1,))
     return {key: grads[..., i] for i, key in enumerate(f(u))}
@@ -119,7 +118,7 @@ def test_the_stencil_angles_are_the_charts(pt):
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=["rows", "cols"])
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
 def test_chart_gradients_match_the_stencil(pt, convention):
-    d = chart_derivatives(pt.u, convention)
+    d = eager_derivatives(pt.u, convention).derivatives
     oracle = _chart_gradients(pt, convention)
     for n, stack in enumerate(d.gamma, start=1):
         for j, grad in enumerate(stack, start=1):
@@ -136,15 +135,14 @@ def test_tangent_derivatives_match_the_stencil(pt, convention):
     u, N = pt.u, pt.n
     rng = np.random.default_rng(N)
     xi = OrbitTangent(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))).vector(u)
-    d = chart_derivatives(u, convention)
-    lv = d.lv
+    lv, d, (de, _), _ = eager_derivatives(u, convention)
     oracle = _tangent_chart_data(pt, xi, 1e-6, convention, lv)
     along = lambda grads: np.einsum("kab,ab->k", grads, xi)
     log_along = lambda index, lams: along(d.log_minor(index, lams)[0])
     for n in range(1, N + 1):
         assert _close(along(d.gamma[n - 1]), oracle["dgamma"][n - 1], 1e-6)
     for n in range(1, N):
-        assert _close(along(d.e[n - 1]), oracle["de"][n - 1], 1e-6)
+        assert _close(along(de[n - 1]), oracle["de"][n - 1], 1e-6)
         assert _close(log_along(n - 1, lv.e[n - 1]), oracle["la_at_e"][n - 1], 1e-6)
         assert _close(log_along(N + n - 1, lv.gamma[n - 1]), oracle["lc_at_gamma"][n - 1], 1e-6)
     for n in range(2, N):
@@ -170,8 +168,8 @@ def test_punctures_of_a_hermitian_point_are_perfectly_conditioned():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     u = q @ np.diag([1.0, 2.0, 4.0]) @ q.conj().T
-    d = chart_derivatives(u)
-    for minor, gamma in zip(d.minors, d.lv.gamma):
+    eager = eager_derivatives(u)
+    for minor, gamma in zip(eager.derivatives.minors, eager.levels.gamma):
         assert np.allclose(orbits._minor_gradients(u, minor, gamma, roots=True)[1], 1.0)
 
 

@@ -417,9 +417,9 @@ def test_trivial_moves_equal_the_full_members_bit_for_bit(n):
         dg, dp = _trivial_gradients(g, g_inv, p, n)
         p_t = _transpose(p, n)
         assert dg == central_gradient(
-            lambda x: _trivial_members(p_t, x, _det_and_inverse(x, n)[1], n), g, 1e-6)
+            lambda x, k: _trivial_members(p_t, x, _det_and_inverse(x, n)[1], n), g, 1e-6)
         assert dp == central_gradient(
-            lambda x: _trivial_members(_transpose(x, n), g, g_inv, n), p, 1e-6)
+            lambda x, k: _trivial_members(_transpose(x, n), g, g_inv, n), p, 1e-6)
         # a p-move changes one row of the members: the others read exactly 0
         for k, row in enumerate(dp):
             assert all(v == 0 for j, v in enumerate(row) if j // n != k % n)

@@ -1,17 +1,20 @@
 """The per-point memo of OrbitPoint: what it shares, and what it saves.
 
 Every check that takes a point reads the level data (and the margin from
-it), the chart derivatives and the tower from the point's memo, so the
-checks on one point compute each of them once.  The memo must not change
-any result, and what it shares with callers must be read-only."""
+it), the chart derivatives, the divisor gradients and the tower from the
+point's memo, so the checks on one point compute each of them once.  The
+memo must not change any result, what it shares with callers must be
+read-only, and it must not keep its point alive."""
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from _tracking import chart_thetas
+from _tracking import chart_thetas, eager_derivatives
 from gztower import orbits, polytools, tower
 from gztower.cli import main
 from gztower.orbits import (
@@ -108,8 +111,8 @@ def test_the_point_and_the_shared_arrays_are_read_only():
     shared = [pt.u, pt.spectrum]
     lv = pt.levels()
     shared += [*lv.a, *lv.gamma, *lv.c, *lv.e]
-    d = pt.derivatives()
-    shared += [d.u, *d.gamma, *d.e]
+    d, (de, e_conditions) = pt.derivatives(), pt.divisors()
+    shared += [d.u, *d.gamma, *d.gamma_conditions, *de, *e_conditions]
     for level in tower.build_tower(pt).levels:
         shared += [level.gamma, level.h, level.e]
     shared += orbits.gz_forward(pt).gamma
@@ -118,7 +121,7 @@ def test_the_point_and_the_shared_arrays_are_read_only():
             array[...] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         lv.gamma = []
-    assert pt.levels() is lv and pt.derivatives() is d and d.lv is lv
+    assert pt.levels() is lv and pt.derivatives() is d and pt.divisors()[0] is de
 
 
 def test_the_default_base_point_is_found_once_per_point(monkeypatch):
@@ -138,8 +141,30 @@ def test_reports_do_not_share_the_memo_conditioning():
     pt = sample_orbit(_SPECTRUM, seed=4)
     report = orbits.verify_canonical_chart(pt)
     report.conditioning["min_level_gap"] = -1.0
-    assert pt.derivatives().conditioning["min_level_gap"] > 0.0
+    assert pt.conditioning()["min_level_gap"] > 0.0
+    assert pt.conditioning() is not pt.conditioning()
     assert orbits.residue_form_check(pt, _pairs(pt.n, 1)).conditioning["min_level_gap"] > 0.0
+
+
+def test_a_filled_memo_does_not_keep_its_point_alive():
+    # no memo entry refers back to the point, so without the cyclic
+    # collector, as in a gz-tower process, the point and its memo go with
+    # the point's last reference
+    cols = MinorConvention(False)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pt = sample_orbit(_SPECTRUM, seed=4)
+        for check in CHECKS.values():
+            check(pt)
+        pt.levels(cols), pt.derivatives(cols), pt.conditioning(cols)
+        assert {("levels", cols), ("derivatives", cols), ("divisors", cols)} <= set(pt._memo)
+        ref = weakref.ref(pt)
+        del pt
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +197,8 @@ def _kernel_runs(monkeypatch, capsys, argv):
     monkeypatch.setattr(orbits, "sample_orbit", counted_sample)
     monkeypatch.setattr(orbits, "regularity_margin",
                         counted(orbits.regularity_margin, "regularity_margin"))
-    for name in ("lambda_minor_det", "principal_charpoly"):
-        monkeypatch.setattr(polytools, name, counted(getattr(polytools, name), "one-minor"))
+    monkeypatch.setattr(polytools, "lambda_minor_det",
+                        counted(polytools.lambda_minor_det, "one-minor"))
     monkeypatch.setattr(orbits, "lambda_minor_det", counted(orbits.lambda_minor_det, "one-minor"))
     assert main(argv) == 0
     capsys.readouterr()
@@ -199,25 +224,31 @@ def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp
     assert one_minor == 0
 
 
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
 def test_the_cols_data_share_the_rows_punctures_bit_for_bit(N):
     # the cols level data and derivatives take A_n, gamma and the gradients
     # of gamma from the rows memo, computing the lowering minors alone, and
-    # equal a full computation in the cols convention bit for bit
+    # equal an eager computation in the cols convention bit for bit
     cols = MinorConvention(False)
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    lv, d = pt.levels(cols), pt.derivatives(cols)
+    lv, d, (de, e_conditions) = pt.levels(cols), pt.derivatives(cols), pt.divisors(cols)
     rows_lv, rows_d = pt.levels(), pt.derivatives()
     assert all(x is y for x, y in zip(lv.a + lv.gamma, rows_lv.a + rows_lv.gamma))
     assert all(x is y for x, y in zip(d.gamma, rows_d.gamma))
-    ref_lv, ref_d = orbits.level_data(pt.u, cols), orbits.chart_derivatives(pt.u, cols)
-    for got, want in ((lv, ref_lv), (d, ref_d)):
-        for name in ("a", "gamma", "c", "e") if got is lv else ("gamma", "e"):
-            assert len(getattr(got, name)) == len(getattr(want, name))
-            assert all(np.array_equal(x, y)
-                       for x, y in zip(getattr(got, name), getattr(want, name)))
-    assert d.conditioning == ref_d.conditioning
-    assert d.lv is lv and d.minors == ref_d.minors
+    eager = eager_derivatives(pt.u, cols)
+    for name in ("a", "gamma", "c", "e"):
+        _same_arrays(getattr(lv, name), getattr(eager.levels, name))
+    for name in ("punctures", "gamma", "gamma_conditions"):
+        _same_arrays(getattr(d, name), getattr(eager.derivatives, name))
+    _same_arrays(de, eager.divisors[0])
+    _same_arrays(e_conditions, eager.divisors[1])
+    assert pt.conditioning(cols) == eager.conditioning
+    assert d.minors == eager.derivatives.minors != rows_d.minors
 
 
 def test_every_cols_array_is_read_only():
@@ -226,8 +257,8 @@ def test_every_cols_array_is_read_only():
     cols = MinorConvention(False)
     pt = OrbitPoint(u=sample_orbit(_SPECTRUM, seed=4).u, spectrum=np.array(_SPECTRUM))
     d = pt.derivatives(cols)
-    lv = pt.levels(cols)
-    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, d.u, *d.gamma, *d.e]
+    lv, (de, e_conditions) = pt.levels(cols), pt.divisors(cols)
+    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, d.u, *d.gamma, *de, *e_conditions]
     shared += [a for pair in d.c_at_gamma for a in pair]
     rows_lv, rows_d = pt.levels(), pt.derivatives()
     shared += [*rows_lv.a, *rows_lv.gamma, *rows_d.gamma]
@@ -237,7 +268,7 @@ def test_every_cols_array_is_read_only():
             array[...] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         lv.c = []
-    assert pt.levels(cols) is lv and pt.derivatives(cols) is d and d.lv is lv
+    assert pt.levels(cols) is lv and pt.derivatives(cols) is d and pt.divisors(cols)[0] is de
 
 
 def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):

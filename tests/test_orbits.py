@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _tracking import eager_derivatives
 from gztower import orbits
 from gztower.orbits import (
     MinorConvention,
@@ -24,7 +25,7 @@ from gztower.poisson import (
     random_canonical_point,
     u_as_canonical,
 )
-from gztower.polytools import principal_charpoly, roots_polished
+from gztower.polytools import lambda_minor_det, roots_polished
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +34,7 @@ from gztower.polytools import principal_charpoly, roots_polished
 
 def test_sample_orbit_matches_spectrum():
     pt = sample_orbit([1.0, 2.0], seed=0)
-    roots = np.sort_complex(roots_polished(principal_charpoly(pt.u, 2)))
+    roots = np.sort_complex(roots_polished(lambda_minor_det(pt.u, range(2), range(2))))
     assert np.max(np.abs(roots - np.array([1.0, 2.0]))) < 1e-10
 
 
@@ -126,7 +127,7 @@ def test_chart_residuals_random_orbits(n, seed):
     # the residuals are relative; on these scales the absolute ones hold too
     a_prev = np.ones(1)
     for k, (g, theta) in enumerate(zip(chart.gamma, chart.theta + [None]), start=1):
-        a_k = principal_charpoly(pt.u, k)
+        a_k = lambda_minor_det(pt.u, range(k), range(k))
         assert np.max(np.abs(np.poly(g) - a_k)) < 1e-9
         if theta is not None:
             c_k = lowering_minor_coeffs(pt.u, k)
@@ -143,7 +144,8 @@ def test_lowering_minor_matches_lagrange_interpolation():
     chart = gz_forward(pt)
     for n in (1, 2):
         gams = chart.gamma[n - 1]
-        a_prev = principal_charpoly(pt.u, n - 1) if n > 1 else np.array([1.0 + 0j])
+        a_prev = (lambda_minor_det(pt.u, range(n - 1), range(n - 1)) if n > 1
+                  else np.array([1.0 + 0j]))
         values = [-np.polyval(a_prev, g) * np.exp(chart.theta[n - 1][j])
                   for j, g in enumerate(gams)]
         interp = np.zeros(n, dtype=complex)
@@ -216,7 +218,7 @@ def test_left_family_restriction_commutes():
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
 
     def coeff(n, k):
-        return lambda u: complex(principal_charpoly(u, n)[k])
+        return lambda u: complex(lambda_minor_det(u, range(n), range(n))[k])
 
     funcs = [coeff(n, k) for n in (1, 2, 3) for k in range(1, n + 1)]
     worst = 0.0
@@ -286,7 +288,7 @@ def _count_lowering_kernels(monkeypatch):
 def test_a_reported_cols_convention_equals_an_eager_computation(monkeypatch, N):
     # with the two orientations swapped, the rows C_n are the transposed
     # minors and cols wins the sweep: its level kernel runs once, and the
-    # report equals the bracket table of an eager chart_derivatives
+    # report equals the bracket table of an eager computation
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
     minors = orbits._level_minors
     monkeypatch.setattr(orbits, "_level_minors", lambda n, rows: minors(n, not rows))
@@ -298,9 +300,9 @@ def test_a_reported_cols_convention_equals_an_eager_computation(monkeypatch, N):
     assert runs == [N - 1]
     assert rep.winner == "cols" and rep.status == "ok"
     assert abs(rep.variants[0]["max_deviation"] - 2.0) <= 1e-8
-    eager = orbits.chart_derivatives(pt.u, cols)
+    eager = eager_derivatives(pt.u, cols)
     ref = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
-    ref._memo[("derivatives", cols)] = eager
+    ref._memo[("derivatives", cols)] = eager.derivatives
     dev, cas, kk = orbits._canonicity_deviation(ref, cols)
     assert (rep.max_deviation, rep.casimir_deviation) == (dev, cas)
     assert rep.table == orbits._bracket_table(kk, N)

@@ -321,8 +321,7 @@ def test_an_indexed_stencil_is_told_which_entry_moved():
     # func(y, k) sees each entry k moved forward, then backward
     x = [1.0, 2.0 + 1.0j, -3.0]
     seen = []
-    grad = central_gradient(lambda y, k: seen.append(k) or [y[k] ** 2, sum(y)], x, 1e-6,
-                            indexed=True)
+    grad = central_gradient(lambda y, k: seen.append(k) or [y[k] ** 2, sum(y)], x, 1e-6)
     assert seen == [0, 0, 1, 1, 2, 2]
     for z, (square, total) in zip(x, grad):
         assert abs(square - 2 * z) < 1e-8 and abs(total - 1) < 1e-8
