@@ -30,10 +30,10 @@ Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their configuration errors into ConfigError where it calls them,
 so this module imports no layer.  Nor does it import numpy or dataclasses:
-RunConfig and the exact layers' records are NamedTuples, verify-classical and
-verify-quantum run without either, and orbit and flow load both with their
-layers.  An orbit or flow check that stops on a TowerError is a violation
-report whose error gives its kind and, on a flow, the failing sample's time.
+RunConfig and every layer's records are NamedTuples, so no subcommand loads
+dataclasses, and only orbit and flow load numpy, with their layers.  An orbit
+or flow check that stops on a TowerError is a violation report whose error
+gives its kind and, on a flow, the failing sample's time.
 """
 
 from __future__ import annotations

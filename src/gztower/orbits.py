@@ -28,8 +28,7 @@ symbolic algebra in :mod:`gztower.poisson`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,8 +65,7 @@ class RetryExhaustedError(OrbitError):
     """Could not sample a regular orbit point within the retry budget."""
 
 
-@dataclass(frozen=True)
-class MinorConvention:
+class MinorConvention(NamedTuple):
     """Orientation of the lowering minor C_n.
 
     rows_variant True selects rows {1..n-1, n+1} x cols {1..n}; False the
@@ -96,11 +94,21 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-@dataclass(frozen=True)
+def _pair(z: complex) -> list[float]:
+    """A complex value as its JSON [re, im] pair."""
+    return [z.real, z.imag]
+
+
+def _pairs(values) -> list[list[float]]:
+    """Complex values, a sequence or an array read in order, as [re, im] pairs."""
+    return [_pair(z) for z in np.asarray(values, dtype=complex).ravel().tolist()]
+
+
 class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
 
-    u and spectrum are read-only copies.  The point memoizes what the checks
+    u and spectrum are read-only copies, and assigning to any attribute
+    raises AttributeError.  The point memoizes what the checks
     compute from u, per convention: levels, derivatives and divisors, and,
     in tower, the default base point and the TowerDescriptor per lam0.  Each
     entry is a pure function of u, built by a method of the point on first
@@ -110,15 +118,20 @@ class OrbitPoint:
     convention whose e and C_n no check reads never finds their roots.
     """
 
-    u: np.ndarray
-    spectrum: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("u", "spectrum", "_memo", "__weakref__")
 
-    def __post_init__(self):
-        for name in ("u", "spectrum"):
-            copy = np.array(getattr(self, name))
+    def __init__(self, u: np.ndarray, spectrum: np.ndarray):
+        for name, value in (("u", u), ("spectrum", spectrum)):
+            copy = np.array(value)
             _read_only(copy)
             object.__setattr__(self, name, copy)
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
@@ -153,18 +166,22 @@ class OrbitPoint:
 
     def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
                     ) -> ChartDerivatives:
-        """The gradients of gamma, from the default level data and shared by
-        every convention, with the minors of the convention; once per point.
+        """The gradients of gamma, shared by every convention, with the
+        convention's minors and its C_n log-minors at gamma; once per point.
         They need no roots of C_n."""
         def build():
             minors = _level_minors(self.n, convention.rows_variant)
             if convention != DEFAULT_MINOR_CONVENTION:
-                return replace(self.derivatives(), minors=minors)
+                rows = self.derivatives()
+                return rows._replace(minors=minors, c_at_gamma=_log_minors(
+                    self.u, minors[self.n:], rows.punctures))
             gamma = self.levels().gamma
             grads, conds = _root_gradients(self.u, minors[:self.n], gamma)
             _read_only(*grads, *conds)
             return ChartDerivatives(u=self.u, minors=minors, punctures=list(gamma),
-                                    gamma=grads, gamma_conditions=conds)
+                                    gamma=grads, gamma_conditions=conds,
+                                    c_at_gamma=_log_minors(self.u, minors[self.n:], gamma),
+                                    a_at_gamma=[])
         return self._memoized(("derivatives", convention), build)
 
     def divisors(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
@@ -221,8 +238,7 @@ class OrbitPoint:
         return out
 
     def to_json(self) -> dict:
-        enc = lambda m: [[float(z.real), float(z.imag)] for z in np.ravel(m)]
-        return {"n": self.n, "spectrum": enc(self.spectrum), "u": enc(self.u)}
+        return {"n": self.n, "spectrum": _pairs(self.spectrum), "u": _pairs(self.u)}
 
     @classmethod
     def from_json(cls, data: dict) -> "OrbitPoint":
@@ -306,8 +322,7 @@ def lowering_minor_coeffs(u: np.ndarray, n: int,
     return lambda_minor_det(u, rows, cols)
 
 
-@dataclass(frozen=True)
-class LevelData:
+class LevelData(NamedTuple):
     """a[n] = A_n (a[0] = [1]) with roots gamma[n-1], n = 1..N; c[n-1] = C_n
     with roots e[n-1], n = 1..N-1."""
 
@@ -362,8 +377,7 @@ def level_data(u: np.ndarray,
                      c=coeffs[N:], e=roots[N:])
 
 
-@dataclass
-class GZChart:
+class GZChart(NamedTuple):
     """Triangular arrays gamma[n][j] (n = 1..N) and theta[n][j] (n = 1..N-1),
     of the default minor convention."""
 
@@ -375,13 +389,9 @@ class GZChart:
         return len(self.gamma)
 
     def to_json(self) -> dict:
-        enc = lambda level: [[float(z.real), float(z.imag)] for z in level]
-        return {
-            "n": self.n,
-            "gamma": [enc(g) for g in self.gamma],
-            "theta": [enc(t) for t in self.theta],
-            "minor_convention": DEFAULT_MINOR_CONVENTION.label(),
-        }
+        return {"n": self.n, "gamma": [_pairs(g) for g in self.gamma],
+                "theta": [_pairs(t) for t in self.theta],
+                "minor_convention": DEFAULT_MINOR_CONVENTION.label()}
 
 
 def gz_forward(pt: OrbitPoint) -> GZChart:
@@ -484,14 +494,15 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
     return grads, extra
 
 
-@dataclass(frozen=True)
-class ChartDerivatives:
+class ChartDerivatives(NamedTuple):
     """Closed-form gradients at u, [a, b] = dF/du[a, b].
 
     gamma[n-1] (n, N, N) for the roots punctures[n-1] of A_n, with their
-    root conditions |y| |z| / |y^T P z|; minors as in _level_minors.  theta
-    needs only the punctures and the log-minors at them, which every
-    convention shares or computes without roots.
+    root conditions |y| |z| / |y^T P z|; minors as in _level_minors.  The
+    log_minor of C_n at the roots of A_n, n = 1..N-1, which theta and the
+    residue form read, is c_at_gamma; that of A_(n-1), n = 2..N-1, the
+    part of theta no convention changes, is a_at_gamma: the first theta()
+    fills it, and the conventions of one point share it.  Arrays read-only.
     """
 
     u: np.ndarray
@@ -499,31 +510,26 @@ class ChartDerivatives:
     punctures: list[np.ndarray]
     gamma: list[np.ndarray]
     gamma_conditions: list[np.ndarray]
+    c_at_gamma: list[tuple[np.ndarray, np.ndarray]]
+    a_at_gamma: list[tuple[np.ndarray, np.ndarray]]
 
     def log_minor(self, index: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d log det and d/dlam log det of minor `index` (A_1..A_N, C_1..C_(N-1))."""
         return _minor_gradients(self.u, self.minors[index], lams, roots=False)
 
-    @functools.cached_property
-    def c_at_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """log_minor of C_n at the roots of A_n, n = 1..N-1, once per instance
-        (read-only): theta and the residue form both read it."""
-        N = self.u.shape[0]
-        out = [self.log_minor(N + n - 1, self.punctures[n - 1]) for n in range(1, N)]
-        _read_only(*(a for pair in out for a in pair))
-        return out
-
     def theta(self) -> list[np.ndarray]:
         """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma)):
         each log-minor at fixed lam plus its lam-derivative times d gamma."""
         N = self.u.shape[0]
+        if len(self.a_at_gamma) < N - 2:
+            self.a_at_gamma[:] = _log_minors(self.u, self.minors[:N - 2], self.punctures[1:])
         out = []
         for n in range(1, N):
-            g, dg = self.punctures[n - 1], self.gamma[n - 1]
+            dg = self.gamma[n - 1]
             dlog, dlam = self.c_at_gamma[n - 1]
             grad = dlog + dlam[:, None, None] * dg
             if n >= 2:
-                dlog, dlam = self.log_minor(n - 2, g)
+                dlog, dlam = self.a_at_gamma[n - 2]
                 grad -= dlog + dlam[:, None, None] * dg
             out.append(grad)
         return out
@@ -535,13 +541,18 @@ def _root_gradients(u: np.ndarray, minors: tuple, roots: list[np.ndarray]) -> tu
     return [grads for grads, _ in pairs], [conds for _, conds in pairs]
 
 
+def _log_minors(u: np.ndarray, minors: tuple, lams: list[np.ndarray]) -> list[tuple]:
+    """The read-only log-minor gradients (roots=False) of each minor at its lams."""
+    out = [_minor_gradients(u, m, x, roots=False) for m, x in zip(minors, lams)]
+    _read_only(*(a for pair in out for a in pair))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # chart canonicity
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChartCanonicityReport:
+class ChartCanonicityReport(NamedTuple):
     n: int
     tolerance: float
     variants: list[dict]
@@ -553,18 +564,8 @@ class ChartCanonicityReport:
     conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "tolerance": self.tolerance,
-            "derivatives": "analytic",
-            "conditioning": self.conditioning,
-            "variants": self.variants,
-            "winner": self.winner,
-            "max_deviation": self.max_deviation,
-            "casimir_deviation": self.casimir_deviation,
-            "status": self.status,
-            "table": {key: [v.real, v.imag] for key, v in sorted(self.table.items())},
-        }
+        return dict(self._asdict(), derivatives="analytic",
+                    table={key: _pair(v) for key, v in self.table.items()})
 
 
 def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
@@ -646,8 +647,7 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
 # the contour/residue representation of the symplectic form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitTangent:
+class OrbitTangent(NamedTuple):
     """Tangent direction [x, u] at an orbit point, stored through x."""
 
     x: np.ndarray
@@ -656,8 +656,7 @@ class OrbitTangent:
         return self.x @ u - u @ self.x
 
 
-@dataclass
-class ResidueFormReport:
+class ResidueFormReport(NamedTuple):
     n: int
     pairs: int
     tolerance: float
@@ -667,16 +666,7 @@ class ResidueFormReport:
     conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs": self.pairs,
-            "tolerance": self.tolerance,
-            "derivatives": "analytic",
-            "conditioning": self.conditioning,
-            "variants": self.variants,
-            "winner": self.winner,
-            "status": self.status,
-        }
+        return dict(self._asdict(), derivatives="analytic")
 
 
 def _pair_values(u: np.ndarray, pairs: list[tuple[OrbitTangent, OrbitTangent]]) -> tuple:

@@ -486,8 +486,7 @@ class DiffOpReport(NamedTuple):
     status: str
 
     def to_json(self) -> dict:
-        return {"n": self.n, "trials": self.trials, "checks": self.checks,
-                "status": self.status}
+        return self._asdict()
 
 
 _MAX_G_DEGREE = 3           # the largest degree of a term of _random_g_poly

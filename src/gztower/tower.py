@@ -32,7 +32,7 @@ straight-path values at t = 0 by the logs of C_n ratios at the punctures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,8 @@ from .orbits import (
     OrbitPoint,
     _kk,
     _level_coeffs,
+    _pair,
+    _pairs,
     _read_only,
 )
 
@@ -182,13 +184,7 @@ def _level_angles(e_sums: np.ndarray, prev_sums: np.ndarray,
 # the tower
 # ---------------------------------------------------------------------------
 
-def _pairs(values) -> list[list[float]]:
-    """Complex values as JSON [re, im] pairs."""
-    return [[complex(z).real, complex(z).imag] for z in values]
-
-
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     n: int
     gamma: np.ndarray
     h: np.ndarray                      # h[n,k], k = 1..n (h[n,0] = 1 implicit)
@@ -200,33 +196,25 @@ class TowerLevel:
     jacobian: list[complex]            # exp(tau), coordinates in (C*)^n
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "gamma": _pairs(self.gamma),
-            "h": _pairs(self.h),
-            "e": _pairs(self.e),
-            "tau": _pairs(self.tau),
-            "tau_literal": _pairs(self.tau_literal),
-            "base_point": _pairs([self.base_point])[0],
-            "leading_coeff": None if self.leading_coeff is None
-            else _pairs([self.leading_coeff])[0],
-            "jacobian": _pairs(self.jacobian),
-        }
+        data = self._asdict()
+        data.update({key: _pairs(data[key])
+                     for key in ("gamma", "h", "e", "tau", "tau_literal", "jacobian")},
+                    base_point=_pair(self.base_point),
+                    leading_coeff=None if self.leading_coeff is None
+                    else _pair(self.leading_coeff))
+        return data
 
 
-@dataclass(frozen=True)
-class TowerDescriptor:
+class TowerDescriptor(NamedTuple):
     levels: list[TowerLevel]
     zero_section: dict[int, list[complex]]
     base_point: complex
 
     def to_json(self) -> dict:
-        return {
-            "levels": [lv.to_json() for lv in self.levels],
-            "zero_section": {str(n): _pairs(v) for n, v in self.zero_section.items()},
-            "minor_convention": DEFAULT_MINOR_CONVENTION.label(),
-            "base_point": _pairs([self.base_point])[0],
-        }
+        return {"levels": [lv.to_json() for lv in self.levels],
+                "zero_section": {str(n): _pairs(v) for n, v in self.zero_section.items()},
+                "minor_convention": DEFAULT_MINOR_CONVENTION.label(),
+                "base_point": _pair(self.base_point)}
 
 
 def default_base_point(pt: OrbitPoint) -> complex:
@@ -317,9 +305,7 @@ def action_gradient(pt: OrbitPoint, selector: tuple[int, int]) -> np.ndarray:
     return out
 
 
-@dataclass
-class FlowResult:
-    selector: tuple[int, int]
+class FlowResult(NamedTuple):
     times: np.ndarray
     points: list[np.ndarray]
 
@@ -361,7 +347,7 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     lost = ~np.isfinite(us).all(axis=(1, 2))
     if lost.any():
         raise RegularityLostError(float(times[np.argmax(lost)]))
-    return FlowResult(selector=selector, times=times, points=list(us))
+    return FlowResult(times=times, points=list(us))
 
 
 def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
@@ -447,20 +433,18 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
                             sample_every=max(1, steps // samples))
     keys, taus, hs, flags = _continued_angles(pt, flow.points, flow.times, lam0)
-    h_keys = keys + [(pt.n, k) for k in range(1, pt.n + 1)]
-    pairs = lambda keys, vals: {f"{n},{k}": [v.real, v.imag]
-                                for (n, k), v in zip(keys, vals.tolist())}
+    tau_keys = [f"{n},{k}" for n, k in keys]
+    h_keys = tau_keys + [f"{pt.n},{k}" for k in range(1, pt.n + 1)]
     return [{
         "t": float(t),
-        "u": [[z.real, z.imag] for z in u.ravel().tolist()],
-        "h": pairs(h_keys, h),
-        "tau": pairs(keys, tau),
+        "u": _pairs(u),
+        "h": dict(zip(h_keys, _pairs(h))),
+        "tau": dict(zip(tau_keys, _pairs(tau))),
         "branch_flags": {str(n): bool(f) for n, f in enumerate(flag, start=1)},
     } for t, u, tau, h, flag in zip(flow.times, flow.points, taus, hs, flags)]
 
 
-@dataclass
-class ActionAngleReport:
+class ActionAngleReport(NamedTuple):
     n: int
     tolerance: float
     h_tau: dict[tuple, complex]
@@ -471,19 +455,13 @@ class ActionAngleReport:
     conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
-        fmt = lambda table: {f"{a[0]},{a[1]}|{b[0]},{b[1]}": [v.real, v.imag]
-                             for (a, b), v in sorted(table.items())}
-        return {
-            "n": self.n,
-            "tolerance": self.tolerance,
-            "derivatives": "analytic",
-            "conditioning": self.conditioning,
-            "h_tau": fmt(self.h_tau),
-            "h_h": fmt(self.h_h),
-            "max_deviation_upper_levels": self.max_deviation_upper,
-            "level_one": fmt(self.level_one),
-            "status": self.status,
-        }
+        fmt = lambda table: {f"{a[0]},{a[1]}|{b[0]},{b[1]}": _pair(v)
+                             for (a, b), v in table.items()}
+        data = self._asdict()
+        data.update(derivatives="analytic", h_tau=fmt(self.h_tau), h_h=fmt(self.h_h),
+                    level_one=fmt(self.level_one),
+                    max_deviation_upper_levels=data.pop("max_deviation_upper"))
+        return data
 
 
 def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> ActionAngleReport:
@@ -542,8 +520,7 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
         conditioning=pt.conditioning())
 
 
-@dataclass
-class LinearizationReport:
+class LinearizationReport(NamedTuple):
     selector: tuple[int, int]
     samples: int
     slopes: dict[tuple[int, int], complex]
@@ -552,15 +529,8 @@ class LinearizationReport:
     status: str
 
     def to_json(self) -> dict:
-        return {
-            "selector": list(self.selector),
-            "samples": self.samples,
-            "slopes": {f"{n},{k}": [v.real, v.imag]
-                       for (n, k), v in sorted(self.slopes.items())},
-            "tolerance": self.tolerance,
-            "max_error": self.max_error,
-            "status": self.status,
-        }
+        return dict(self._asdict(), selector=list(self.selector),
+                    slopes={f"{n},{k}": _pair(v) for (n, k), v in self.slopes.items()})
 
 
 def linearization_check(pt: OrbitPoint, selector: tuple[int, int],

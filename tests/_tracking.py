@@ -64,7 +64,9 @@ def eager_derivatives(u, convention=DEFAULT_MINOR_CONVENTION):
     minors = orbits._level_minors(N, convention.rows_variant)
     grads, conds = orbits._root_gradients(u, minors, lv.gamma + lv.e)
     d = ChartDerivatives(u=u, minors=minors, punctures=lv.gamma, gamma=grads[:N],
-                         gamma_conditions=conds[:N])
+                         gamma_conditions=conds[:N],
+                         c_at_gamma=orbits._log_minors(u, minors[N:], lv.gamma),
+                         a_at_gamma=orbits._log_minors(u, minors[:N - 2], lv.gamma[1:]))
 
     def least_gap(pairs):
         gaps = [float(np.min(np.abs(np.subtract.outer(a, b))))

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -666,13 +667,33 @@ _JSON_NATIVE = {
 }
 
 
+def _assert_no_tuple(value, path="report"):
+    """No tuple anywhere in value: json.dumps writes a tuple, a NamedTuple
+    record among them, as a list without complaint."""
+    assert not isinstance(value, tuple), f"{path} is a {type(value).__name__}"
+    items = value.items() if isinstance(value, dict) else enumerate(
+        value if isinstance(value, list) else ())
+    for key, item in items:
+        _assert_no_tuple(item, f"{path}[{key!r}]")
+
+
+def test_the_tuple_check_sees_a_nested_record():
+    _assert_no_tuple({"a": [1, {"b": [2.0, None, "c"]}]})
+    record = NamedTuple("Record", [("re", float), ("im", float)])
+    for value in ({"a": [1, {"b": (2.0,)}]}, {"z": [record(1.0, 0.0)]}):
+        with pytest.raises(AssertionError, match="tuple|Record"):
+            _assert_no_tuple(value)
+
+
 @pytest.mark.parametrize("name", _JSON_NATIVE)
 def test_reports_are_json_native(name):
-    # json.dumps without a default: every value a report holds is a JSON type
+    # json.dumps without a default: every value a report holds is a JSON
+    # type, and a list is a list, not a tuple
     argv = _JSON_NATIVE[name]
     config = cli._config_from_args(cli.build_parser().parse_args(argv))
     _, report = cli._COMMANDS[argv[0]](config)
     assert json.loads(json.dumps(report, sort_keys=True))["command"] == argv[0]
+    _assert_no_tuple(report)
 
 
 def test_trajectory_records_are_json_native():
@@ -681,6 +702,7 @@ def test_trajectory_records_are_json_native():
     assert len(records) > 1
     for record in (records[0], records[-1]):
         assert set(json.loads(json.dumps(record, sort_keys=True))) == set(record)
+    _assert_no_tuple(records, "records")
 
 
 # ---------------------------------------------------------------------------
