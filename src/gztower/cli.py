@@ -307,9 +307,9 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
         res_a, res_c = orbits.chart_residuals(chart, pt)
         report["chart"] = chart.to_json()
         report["chart_residuals"] = {
-            "minor_coefficients": res_a, "angle_relation": res_c,
+            "root_residual": res_a, "angle_relation": res_c,
             "tolerance": CHART_RESIDUAL_TOLERANCE,
-            "relative_to": "per level: max(1, max|a_n|) and max(1, max|C_n(gamma)|)",
+            "relative_to": "per puncture: |u_n|_2; per level: max(1, max|C_n(gamma)|)",
             "status": "ok" if max(res_a, res_c) < CHART_RESIDUAL_TOLERANCE else "violation"}
         statuses.append(report["chart_residuals"]["status"])
 

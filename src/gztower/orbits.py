@@ -3,20 +3,25 @@
 An orbit point is a complex matrix u with fixed simple spectrum.  The chart
 functions are built from the nested principal characteristic polynomials
 
-    A_n(lam) = det(lam - u)[1..n, 1..n],     gamma[n,j] = roots of A_n,
+    A_n(lam) = det(lam - u)[1..n, 1..n],     gamma[n,j] = eigenvalues of u_n,
 
-together with the lowering minors
+u_n the top-left n x n block, together with the lowering minors
 
     C_n(lam) = det of (lam - u) on rows {1..n-1, n+1} x columns {1..n}
 
 (the rows orientation of ``MinorConvention``; the transposed choice is the
-negative control of the canonicity sweep).  The angles are
+negative control of the canonicity sweep).  The last row and column of C_n
+carry no lam, so C_n = lead det(lam - K_n), with lead = -u[n+1, n] and K_n
+the (n-1) x (n-1) Schur complement of that entry: its zeros e[n,i] are the
+eigenvalues of K_n.  The angles are
 
     theta[n,j] = log( -C_n(gamma[n,j]) / A_{n-1}(gamma[n,j]) ),
 
-principal branch.  The checks differentiate them in closed form (root
-perturbation from null vectors, Jacobi's formula for log-minors) and pair
-the gradients in the Lie-Poisson / Kirillov-Kostant bracket
+principal branch, with C_n = lead prod(lam - e) and A_(n-1) = prod(lam -
+gamma[n-1]): no monomial coefficient enters a root or an angle.  The checks
+differentiate them in closed form (root perturbation from null vectors,
+Jacobi's formula for log-minors) and pair the gradients in the Lie-Poisson /
+Kirillov-Kostant bracket
 
     {f, h}(u) = tr( u [grad h, grad f] ),   (grad F)[i,j] = dF/du[j,i],
 
@@ -37,8 +42,6 @@ from .polytools import (
     lambda_minor_det,
     match_points,
     min_pairwise_gap,
-    minor_dets,
-    polished_roots,
     sort_points,
 )
 
@@ -158,8 +161,7 @@ class OrbitPoint:
             else:
                 base = self.levels()
                 c, e = _level_roots(self.u, convention, lowering=True)
-                lv = LevelData(a=list(base.a), gamma=list(base.gamma), c=c,
-                               e=[sort_points(x) for x in e])
+                lv = LevelData(a=list(base.a), gamma=list(base.gamma), c=c, e=e)
             _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
             return lv
         return self._memoized(("levels", convention), build)
@@ -219,11 +221,12 @@ class OrbitPoint:
         eigenvalues within _SPECTRUM_TOL.  On a regular u they lie at least
         _REGULARITY_GAP apart, so a declared spectrum that close is always a
         certified match_points match, and any other is rejected.  The point
-        keeps the level data of the regularity check."""
+        keeps the level data of the regularity check, whose roots of A_N are
+        the eigenvalues."""
         pt = cls(u=np.array(u, dtype=complex), spectrum=np.zeros(0, dtype=complex))
         if pt.margin() < _REGULARITY_GAP:
             raise OrbitError("matrix is not regular for the nested-minor chart")
-        eig = sort_points(np.linalg.eigvals(pt.u))
+        eig = pt.levels().gamma[-1]
         if spectrum is not None:
             spectrum = sort_points(np.array(spectrum, dtype=complex))
             try:
@@ -324,7 +327,8 @@ def lowering_minor_coeffs(u: np.ndarray, n: int,
 
 class LevelData(NamedTuple):
     """a[n] = A_n (a[0] = [1]) with roots gamma[n-1], n = 1..N; c[n-1] = C_n
-    with roots e[n-1], n = 1..N-1."""
+    with roots e[n-1], n = 1..N-1; coefficients highest first, each the
+    lead times poly(roots) (see _level_roots)."""
 
     a: list[np.ndarray]
     gamma: list[np.ndarray]
@@ -342,37 +346,67 @@ def _level_minors(N: int, rows_variant: bool) -> tuple:
     return tuple(out)
 
 
-def _level_coeffs(us: np.ndarray, convention: MinorConvention) -> tuple:
-    """Every minor of _level_minors at every point of a stack us (B, N, N),
-    from one minor_dets call: (coeffs, finite), each minor's coefficients
-    (B, d+1); finite[b] is False when a minor of point b leaves
-    floating-point range, and then all are NaN."""
-    coeffs = minor_dets(us, _level_minors(us.shape[-1], convention.rows_variant))
-    return coeffs, ~np.isnan(coeffs[0][:, 0])
-
-
 def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool = False) -> tuple:
-    """The level-data kernel at one point u: (coeffs, roots) of every minor
-    of _level_minors, or of C_1..C_(N-1) alone when lowering, the roots
-    unsorted and from one polished_roots call.  The coefficients always come
-    from the whole _level_coeffs stack: its inverse DFT rounds a minor's
-    sums by where the minor sits, so C_n alone would differ in the last
-    bit.  Raises OrbitError when a minor leaves floating-point range."""
-    coeffs, finite = _level_coeffs(np.asarray(u)[None], convention)
-    if not finite[0]:
+    """The level-data kernel at one point u: (coeffs, roots) of A_1..A_N,
+    then of C_1..C_(N-1), or of C_1..C_(N-1) alone when lowering, the roots
+    sorted.
+
+    gamma[n] are the eigenvalues of u_n.  The last row and column of C_n
+    carry no lam, and meet at the pivot p = u[n, n-1] (0-based; cols:
+    u[n-1, n]), so C_n = -p det(lam - K_n) with the Schur complement
+    K_n = u_(n-1) - outer(u[:n-1, n-1], u[n, :n-1]) / p (cols: outer(u[:n-1, n],
+    u[n-1, :n-1])), and e[n] are the eigenvalues of K_n.  u_s and K_(s+1)
+    share one stacked eigvals per block size s.  The coefficients are
+    A_n = _monic(gamma[n]) and C_n = -p _monic(e[n]).  A zero pivot has no K_n:
+    its e-points are NaN, and its C_n a 0 followed by NaN.  Raises
+    OrbitError when u, a root or a coefficient leaves floating-point range.
+    """
+    N = u.shape[0]
+    n = np.arange(1, N)
+    r, c = (n, n - 1) if convention.rows_variant else (n - 1, n)
+    pivot = u[r, c]
+    with np.errstate(all="ignore"):
+        K = [u[:m - 1, :m - 1] - np.outer(u[:m - 1, cm], u[rm, :m - 1]) / (p if p else 1.0)
+             for m, rm, cm, p in zip(n, r, c, pivot)]
+    _check_range([u, *K])
+    gamma, e = [], [np.zeros(0, dtype=complex)][:N - 1]      # C_1 has no e-point
+    for s in range(1, N + 1):
+        blocks = ([] if lowering else [u[:s, :s]]) + K[s:s + 1]
+        if blocks:
+            roots = np.linalg.eigvals(np.array(blocks))
+            gamma += [] if lowering else [roots[0]]
+            e += [roots[-1]] if s + 1 < N else []
+    roots = [sort_points(x) for x in gamma + e]
+    with np.errstate(all="ignore"):
+        coeffs = [_monic(x) for x in roots]
+        coeffs[len(gamma):] = [-p * x for p, x in zip(pivot, coeffs[len(gamma):])]
+    _check_range(coeffs + roots)
+    for m in np.flatnonzero(pivot == 0) + len(gamma):
+        roots[m][:], coeffs[m][1:] = np.nan, np.nan
+    return coeffs, roots
+
+
+def _monic(roots: np.ndarray) -> np.ndarray:
+    """The coefficients of prod(lam - r) over roots, highest first."""
+    c = np.zeros(len(roots) + 1, dtype=complex)
+    c[0] = 1.0
+    for k, r in enumerate(roots, start=1):
+        c[1:k + 1] = c[1:k + 1] - r * c[:k]
+    return c
+
+
+def _check_range(arrays) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
         raise OrbitError("spectrum too large: the characteristic minors of u "
                          "leave floating-point range")
-    coeffs = [c[0] for c in coeffs[u.shape[0] if lowering else 0:]]
-    return coeffs, polished_roots(coeffs)
 
 
 def level_data(u: np.ndarray,
                convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
-    """A_1..A_N and C_1..C_{N-1} with their polished roots, sorted.  Raises
-    OrbitError when a minor leaves floating-point range."""
+    """A_1..A_N and C_1..C_{N-1} with their roots, sorted, from _level_roots.
+    Raises OrbitError when u or its level data leave floating-point range."""
     N = u.shape[0]
-    coeffs, roots = _level_roots(u, convention)
-    roots = [sort_points(x) for x in roots]
+    coeffs, roots = _level_roots(np.asarray(u, dtype=complex), convention)
     return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N], gamma=roots[:N],
                      c=coeffs[N:], e=roots[N:])
 
@@ -403,31 +437,60 @@ def gz_forward(pt: OrbitPoint) -> GZChart:
     """
     lv = pt.levels()
     thetas: list[np.ndarray] = []
-    for n, (g, c) in enumerate(zip(lv.gamma, lv.c), start=1):
-        cval, aval = np.polyval(c, g), np.polyval(lv.a[n - 1], g)
-        if min(np.min(np.abs(cval)), np.min(np.abs(aval))) < _ANGLE_FLOOR:
+    for n, (cval, aval) in enumerate(zip(*_at_punctures(lv)), start=1):
+        # not >=: the NaN of a zero pivot is singular too
+        if not min(np.min(np.abs(cval)), np.min(np.abs(aval))) >= _ANGLE_FLOOR:
             raise SingularChartError(f"level {n} angle denominators below {_ANGLE_FLOOR}")
         thetas.append(np.log(-cval / aval))
     return GZChart(gamma=list(lv.gamma), theta=thetas)
 
 
-def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
-    """Self-consistency residuals of the chart against the minors of u.
+def _at_punctures(lv: LevelData) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """C_n(gamma[n]) = lead C_n prod(gamma[n] - e[n]) and A_(n-1)(gamma[n]) =
+    prod(gamma[n] - gamma[n-1]), n = 1..N-1, from the roots."""
+    prod = lambda x, roots: np.prod(np.subtract.outer(x, roots), axis=1)
+    prev = [np.zeros(0, dtype=complex)] + lv.gamma
+    return ([c[0] * prod(g, e) for g, c, e in zip(lv.gamma, lv.c, lv.e)],
+            [prod(g, p) for g, p in zip(lv.gamma, prev[:len(lv.c)])])
 
-    Returns (max |poly(gamma) - A_n| coefficientwise,
-             max |C_n(gamma) + A_{n-1}(gamma) e^theta|), each level divided
-    by max(1, max|a_n|) and max(1, max|C_n(gamma)|): the A_n coefficients
-    grow like n!, and neither scale depends on theta.
+
+def _minor_at(u: np.ndarray, minor: tuple, lams: np.ndarray) -> np.ndarray:
+    """det(lam P - S) of a minor at each lam, in one stacked det; for a stack
+    u (B, N, N), one row per point."""
+    P, index = _minor_index(*minor)
+    return np.linalg.det(lams[:, None, None] * P - u[(..., *index)][..., None, :, :])
+
+
+def _root_residuals(u: np.ndarray, gamma: list[np.ndarray]) -> list[float]:
+    """Per level n, the largest backward residual sigma_min(g - u_n) / |u_n|_2
+    (|u_n|_2 read as 1 when u_n = 0) of the punctures g = gamma[n-1]: zero
+    for exact eigenvalues of u_n, however they were found."""
+    out = []
+    for n, g in enumerate(gamma, start=1):
+        un = u[:n, :n]
+        sv = np.linalg.svd(g[:, None, None] * np.eye(n) - un, compute_uv=False)
+        out.append(float(np.max(sv[:, -1])) / (np.linalg.norm(un, 2) or 1.0))
+    return out
+
+
+def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
+    """Residuals of the chart against u, independent of its level data.
+
+    Returns (the largest backward residual of a puncture (_root_residuals),
+             max |C_n(gamma) + A_{n-1}(gamma) e^theta|, with C_n and
+             A_(n-1) direct determinants at the punctures, each level
+             divided by max(1, max|C_n(gamma)|)).
+    The second one checks theta, and with it the e-points and the lead of
+    C_n it was taken from.
     """
-    lv = pt.levels()
-    scale = lambda x: max(1.0, float(np.max(np.abs(x))))
-    res_a = max(float(np.max(np.abs(np.poly(g) - a))) / scale(a)
-                for g, a in zip(chart.gamma, lv.a[1:]))
+    N = pt.n
+    minors = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant)
     res_c = 0.0
-    for n, (g, c, theta) in enumerate(zip(chart.gamma, lv.c, chart.theta), start=1):
-        lhs, rhs = np.polyval(c, g), -np.polyval(lv.a[n - 1], g) * np.exp(theta)
-        res_c = max(res_c, float(np.max(np.abs(lhs - rhs))) / scale(lhs))
-    return res_a, res_c
+    for n, (g, theta) in enumerate(zip(chart.gamma, chart.theta), start=1):
+        lhs = _minor_at(pt.u, minors[N + n - 1], g)
+        rhs = -(_minor_at(pt.u, minors[n - 2], g) if n >= 2 else 1.0) * np.exp(theta)
+        res_c = max(res_c, float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
+    return max(_root_residuals(pt.u, chart.gamma)), res_c
 
 
 def kk_bracket(f: Callable[[np.ndarray], complex],
@@ -470,8 +533,9 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
                      roots: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gradients [a, b] = d/du[a, b] tied to the minor det(lam P - S) at each lam.
 
-    P and S as in minor_dets.  roots=False: d log det at fixed lam, by
-    Jacobi's formula d log det M = tr(M^-1 dM) with dM = -du[rows, cols],
+    P = [rows == cols] and S = u[rows, cols], as in lambda_minor_det.
+    roots=False: d log det at fixed lam, by Jacobi's formula
+    d log det M = tr(M^-1 dM) with dM = -du[rows, cols],
     and d/dlam log det = tr(M^-1 P).  roots=True: the lams are simple roots
     r; M = r P - S has right and left null vectors z, y (its smallest
     singular pair), adj M is proportional to z y^T, and det M = 0 gives
@@ -482,9 +546,11 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
     P, index = _minor_index(*minor)
     M = lams[:, None, None] * P - u[index]
     if roots:
-        left, _, right = np.linalg.svd(M)
+        # the NaN e-points of a zero pivot get NaN gradients and conditions
+        finite = np.isfinite(lams)
+        left, _, right = np.linalg.svd(np.where(finite[:, None, None], M, 0.0))
         y, z = left[:, :, -1].conj(), right[:, -1, :].conj()
-        den = np.einsum("ki,ij,kj->k", y, P, z)
+        den = np.where(finite, np.einsum("ki,ij,kj->k", y, P, z), np.nan)
         block, extra = y[:, :, None] * z[:, None, :] / den[:, None, None], 1.0 / np.abs(den)
     else:
         inv = np.linalg.inv(M)
@@ -574,8 +640,10 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
     u, N = pt.u, pt.n
     d = pt.derivatives(convention)
     grads = np.concatenate(d.gamma + d.theta()).transpose(0, 2, 1)
-    # {F_a, F_b} = tr(u [G_b, G_a]) = T[b, a] - T[a, b], T[a, b] = tr(u G_a G_b)
-    T = np.einsum("aij,bji->ab", u @ grads, grads)
+    F = len(grads)
+    # {F_a, F_b} = tr(u [G_b, G_a]) = T[b, a] - T[a, b], T[a, b] = tr(u G_a G_b),
+    # one BLAS product of the flattened u G_a and G_b^T
+    T = (u @ grads).reshape(F, -1) @ grads.transpose(0, 2, 1).reshape(F, -1).T
     kk = T.T - T
     G, chart, _ = _chart_layout(N)
     low = np.arange(G - N)

@@ -38,14 +38,19 @@ import numpy as np
 
 from .orbits import (
     DEFAULT_MINOR_CONVENTION,
+    MinorConvention,
     OrbitError,
     OrbitPoint,
+    _at_punctures,
     _kk,
-    _level_coeffs,
+    _level_minors,
+    _minor_at,
     _pair,
     _pairs,
     _read_only,
+    _root_residuals,
 )
+from .polytools import circle_coeffs
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
@@ -218,8 +223,9 @@ class TowerDescriptor(NamedTuple):
 
 
 def default_base_point(pt: OrbitPoint) -> complex:
-    """Deterministic real base point to the right of every root of A_N."""
-    chart_radius = max(abs(z) for z in np.linalg.eigvals(pt.u))
+    """Deterministic real base point to the right of every root of A_N, read
+    from the point's level data."""
+    chart_radius = float(np.max(np.abs(pt.levels().gamma[-1])))
     return complex(np.ceil(chart_radius) + 2.0)
 
 
@@ -243,12 +249,13 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
     levels: list[TowerLevel] = []
     zero_section: dict[int, list[complex]] = {}
     lv = pt.levels()
+    # the actions are poly(gamma): each puncture must be an eigenvalue of u_n
+    residuals = _root_residuals(pt.u, lv.gamma)
     for n in range(1, N + 1):
         acoeffs, gamma = lv.a[n], lv.gamma[n - 1]
-        # relative to the coefficient scale: the A_n coefficients grow like n!
-        if np.max(np.abs(np.poly(gamma) - acoeffs)) > 1e-10 * max(1.0, np.max(np.abs(acoeffs))):
-            raise TowerError(f"level {n}: actions disagree with the "
-                             "elementary symmetric functions of the punctures")
+        if not residuals[n - 1] <= 1e-10:
+            raise TowerError(f"level {n}: punctures off the spectrum of u_{n}, "
+                             f"backward residual {residuals[n - 1]:.1e}")
         if n < N:
             lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
             if abs(lead) < 1e-10:
@@ -350,6 +357,32 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     return FlowResult(times=times, points=list(us))
 
 
+def _level_coeffs(us: np.ndarray, gamma: list[np.ndarray],
+                  convention: MinorConvention) -> tuple:
+    """The tracker's level kernel on a stack us (B, N, N), at the punctures
+    gamma of A_1..A_N, which a GZ flow conserves: (a, c, finite).
+
+    a[n-1] (B, n+1) holds the coefficients of A_n, by circle_coeffs on
+    |lam| = max|gamma[n]| (or 1.0 when that is 0), and c[n-1] (B, n) the
+    values C_n(gamma[n]), n = 1..N-1, one stacked det per level.  finite[b]
+    is False when u_b or one of its values leaves floating-point range, and
+    then all of them are NaN.
+    """
+    N = us.shape[-1]
+    finite = np.isfinite(us).all(axis=(1, 2))
+    us = np.where(finite[:, None, None], us, 0.0)      # det may take a NaN for 0
+    minors = _level_minors(N, convention.rows_variant)
+    with np.errstate(all="ignore"):
+        a = [circle_coeffs(us[:, :n, :n], np.eye(n), float(np.max(np.abs(g))) or 1.0)
+             for n, g in enumerate(gamma, start=1)]
+        c = [_minor_at(us, minor, g) for minor, g in zip(minors[N:], gamma)]
+    for x in a + c:
+        finite &= np.isfinite(x).all(axis=1)
+    for x in a + c:
+        x[~finite] = np.nan
+    return a, c, finite
+
+
 def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
     """tau (and h) values of the default convention, continued in time
     through the samples us (B, N, N), or one u, at times ts; the first
@@ -360,10 +393,9 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
     e) = C_n(gamma_j) / lead C_n, and the residues of lam^(n-1) / A_n sum to
     one, so the e-point and lead logs of tau[n,k] move as sum_j
     res_j(lam^(n-k) / A_n) log C_n(gamma_j).  Each sample adds the _tau_sums
-    of the logs of the C_n(gamma_j) ratios to the sample before: Horner's
-    rule on the C_n of one _level_coeffs call for all samples, which also
-    gives h.  The values at t = 0 come from the same rule on pt's memoized
-    level data.
+    of the logs of the C_n(gamma_j) ratios to the sample before: the values
+    of one _level_coeffs call for all samples, which also gives h.  The
+    values at t = 0 are the products of pt's memoized level data.
 
     Returns the tau keys (n, k), n < N, the tau values (B, len(keys)), the
     h values (B, N(N+1)/2), keys then the Casimirs h[N,k], and the branch
@@ -384,27 +416,19 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
     lv = pt.levels()
     us = np.asarray(us, dtype=complex).reshape(-1, N, N)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    coeffs, finite = _level_coeffs(us, DEFAULT_MINOR_CONVENTION)
-    values = []                 # C_n(gamma[n,j]) (B, n) per level
-    with np.errstate(over="ignore", invalid="ignore"):
-        for gamma, c in zip(lv.gamma, coeffs[N:]):
-            v = np.zeros((len(us), len(gamma)), dtype=complex)
-            for col in c.T:
-                v = v * gamma + col[:, None]
-            finite &= np.isfinite(v).all(axis=1)
-            values.append(v)
+    coeffs, values, finite = _level_coeffs(us, lv.gamma, DEFAULT_MINOR_CONVENTION)
     limit = len(us) if finite.all() else int(np.argmin(finite))
     error = None if finite.all() else RegularityLostError(float(ts[limit]))
     incs = [np.zeros((limit, 0), dtype=complex)]
-    for n in range(1, N):
-        gamma, v = lv.gamma[n - 1], values[n - 1][:limit]
+    for n, (gamma, v, v0) in enumerate(zip(lv.gamma, values, _at_punctures(lv)[0]), start=1):
+        v = v[:limit]
         zero = v == 0
         if zero.any():              # an e-point on a puncture
             limit, j = np.argwhere(zero)[0]
             error = PathThroughPunctureError(
                 f"level {n}: C_{n} vanishes at puncture {j + 1}, {gamma[j]:.6g}")
             v = v[:limit]
-        logs = np.log(v / np.concatenate((np.polyval(lv.c[n - 1], gamma)[None], v[:-1])))
+        logs = np.log(v / np.concatenate((v0[None], v[:-1])))
         turn = np.abs(logs.imag).max(axis=1, initial=0.0)
         if (turn > np.pi / 2).any():
             limit = int(np.argmax(turn > np.pi / 2))
@@ -415,7 +439,7 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
         raise error
 
     taus = np.cumsum(np.concatenate((tau0[None], np.concatenate(incs, axis=1))), axis=0)[1:]
-    hs = np.concatenate([np.zeros((limit, 0)), *(c[:, 1:] for c in coeffs[:N])], axis=1)
+    hs = np.concatenate([np.zeros((limit, 0)), *(c[:, 1:] for c in coeffs)], axis=1)
     moved = np.abs(taus - np.concatenate((tau0[None], taus[:-1]))) > np.pi / 2
     flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
         moved[:, n * (n - 1) // 2:n * (n + 1) // 2].any(axis=1, keepdims=True)
@@ -494,7 +518,8 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     tau_grads = [np.zeros((0, N, N))]
     for m in range(1, N):
         e = lv.e[m - 1]
-        weights = np.vander(e, m).T / np.polyval(lv.a[m], e)      # [l-1, i]
+        # [l-1, i]: e_i^(m-l) / A_m(e_i), A_m(e_i) = prod(e_i - gamma[m])
+        weights = np.vander(e, m).T / np.prod(np.subtract.outer(e, lv.gamma[m - 1]), axis=1)
         grads = np.einsum("li,iab->lab", weights, de[m - 1])
         # C_m carries no lam in its last row and column, so lead C_m is
         # -u[rows[-1], cols[-1]]

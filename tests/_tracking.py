@@ -30,9 +30,13 @@ def match_loop(base, new):
 
 def chart_thetas(lv):
     """theta[n] = log(-C_n(gamma[n]) / A_(n-1)(gamma[n])), n = 1..N-1, from the
-    level data lv, as gz_forward takes them for the default convention."""
-    return [np.log(-np.polyval(c, g) / np.polyval(a, g))
-            for g, c, a in zip(lv.gamma, lv.c, lv.a)]
+    roots of the level data lv, C_n = lead prod(lam - e[n]) and A_(n-1) =
+    prod(lam - gamma[n-1]), as gz_forward takes them for the default
+    convention."""
+    prod = lambda x, roots: np.prod(np.subtract.outer(x, roots), axis=1)
+    prev = [np.zeros(0, dtype=complex)] + list(lv.gamma)
+    return [np.log(-c[0] * prod(g, e) / prod(g, p))
+            for g, c, e, p in zip(lv.gamma, lv.c, lv.e, prev)]
 
 
 def tracked_level_data(u, convention, base):

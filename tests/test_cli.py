@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from gztower import cli, families, orbits, quantum, tower
@@ -132,16 +133,40 @@ def test_orbit_n8_integer_spectrum_builds_every_level(capsys):
     assert [lv["n"] for lv in report["tower"]["levels"]] == list(range(1, 9))
 
 
-def test_orbit_n8_chart_residuals_are_relative_to_the_coefficients(capsys):
-    # np.poly(gamma) misses A_n by 2.7e-7 absolute, 2.3e-12 of coefficients
-    # of size 1e5, and the angle relation misses by 3e-8 of values near 1e8;
-    # the other sections of this report may still be violations
+def test_orbit_n8_chart_residuals_are_relative_to_their_scales(capsys):
+    # the root residual is relative to |u_n|_2, and the angle relation to
+    # the size of C_n(gamma), values near 1e8 here; the other sections of
+    # this report may still be violations
     _, out, _ = run_cli(capsys, "orbit", "--n", "8",
                         "--spectrum", "1,2,3,4,5,6,7,8", "--seed", "3")
     residuals = parse_report(out)["chart_residuals"]
     assert residuals["status"] == "ok"
     assert residuals["tolerance"] == 1e-9
-    assert max(residuals["minor_coefficients"], residuals["angle_relation"]) < 1e-9
+    assert max(residuals["root_residual"], residuals["angle_relation"]) < 1e-9
+
+
+def test_a_flipped_compression_makes_the_chart_residuals_a_violation(monkeypatch, capsys):
+    # e-points from u_(n-1) + outer(...) / p, the compression with the sign
+    # of its rank-one term flipped: the punctures keep their root residual,
+    # and the angle relation against direct determinants finds theta wrong
+    kernel = orbits._level_roots
+
+    def flipped(u, convention, lowering=False):
+        coeffs, roots = kernel(u, convention, lowering)
+        first = 0 if lowering else len(u)
+        for n in range(2, len(u)):
+            r, c = (n, n - 1) if convention.rows_variant else (n - 1, n)
+            K = u[:n - 1, :n - 1] + np.outer(u[:n - 1, c], u[r, :n - 1]) / u[r, c]
+            e = np.linalg.eigvals(K)
+            roots[first + n - 1], coeffs[first + n - 1] = e, -u[r, c] * np.poly(e)
+        return coeffs, roots
+
+    monkeypatch.setattr(orbits, "_level_roots", flipped)
+    code, out, _ = run_cli(capsys, "orbit", "--n", "5", "--seed", "3",
+                           "--spectrum=0.9+0.1j,-1.1+0.4j,0.3-1.2j,-0.5-0.6j,1.3+1.1j")
+    residuals = parse_report(out)["chart_residuals"]
+    assert code == 1 and residuals["status"] == "violation"
+    assert residuals["root_residual"] < 1e-9 < residuals["angle_relation"]
 
 
 S8 = "0.9+0.1j,-1.1+0.4j,0.3-1.2j,-0.5-0.6j,1.3+1.1j,-1.4-1.3j,0.1+0.9j,0.7-0.4j"
@@ -305,28 +330,25 @@ def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, m
 
 
 def _tracker_fault(level, fault):
-    """The tracker's level minors with fault(coeffs, us, N, level) applied
-    to sample 10 of its stack (t = 0.2 on a 100-step grid)."""
+    """The tracker's level kernel with fault(values, level) applied to the
+    C_n(gamma) values of sample 10 of its stack (t = 0.2 on a 100-step grid)."""
     kernel = tower._level_coeffs
 
-    def patched(us, convention):
-        coeffs, finite = kernel(us, convention)
+    def patched(us, gamma, convention):
+        coeffs, values, finite = kernel(us, gamma, convention)
         if len(us) > 10:
-            fault(coeffs, us, us.shape[-1], level)
-        return coeffs, finite
+            fault(values, level)
+        return coeffs, values, finite
     return patched
 
 
-def _e_point_on_a_puncture(coeffs, us, N, n):
-    # C_n = lam^(n-2) (lam - g), g the last puncture of level n at u(0):
-    # Horner's rule gives C_n(g) = 0 exactly
-    g = orbits.level_data(us[0]).gamma[n - 1][-1]
-    coeffs[N + n - 1][10] = 0.0
-    coeffs[N + n - 1][10, :2] = 1.0, -g
+def _e_point_on_a_puncture(values, n):
+    # an e-point on the last puncture g of level n: C_n(g) = 0 exactly
+    values[n - 1][10, -1] = 0.0
 
 
-def _turn_the_lead(coeffs, us, N, n):
-    coeffs[N + n - 1][10] *= complex(math.cos(2.0), math.sin(2.0))
+def _turn_the_lead(values, n):
+    values[n - 1][10] *= complex(math.cos(2.0), math.sin(2.0))
 
 
 @pytest.mark.parametrize("fault, kind", [(_e_point_on_a_puncture, "path-through-puncture"),

@@ -7,12 +7,14 @@ from gztower.orbits import (
     MinorConvention,
     OrbitError,
     OrbitPoint,
-    _level_coeffs,
+    SingularChartError,
+    gz_forward,
     level_data,
     lowering_minor_coeffs,
     random_spectrum,
     regularity_margin,
     sample_orbit,
+    verify_canonical_chart,
 )
 from gztower.polytools import (
     lambda_minor_det,
@@ -21,7 +23,7 @@ from gztower.polytools import (
     roots_polished,
     sort_points,
 )
-from gztower.tower import TowerError, build_tower
+from gztower.tower import TowerError, _level_coeffs, build_tower
 
 CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
 
@@ -88,15 +90,25 @@ def _stack(N):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_stacked_level_data_matches_per_point_calls(N):
-    # the flow tracker's stack path: every point's minors as level_data's
+    # the flow tracker's stack path, at each point's own punctures: every
+    # row is the one-point call's, and agrees with the point's level_data,
+    # A_n by determinants on a circle against poly(gamma) within the
+    # per-level oracle's bound, and C_n(gamma) by one determinant each
+    # against lead prod(gamma - e)
     us = _stack(N)
     for conv in CONVENTIONS:
-        coeffs, finite = _level_coeffs(us, conv)
-        assert finite.all() and len(coeffs) == 2 * N - 1
         for b, u in enumerate(us):
             lv = level_data(u, conv)
-            for c, ref_c in zip(coeffs, lv.a[1:] + lv.c):
-                assert np.max(np.abs(c[b] - ref_c)) <= 1e-13 * np.max(np.abs(ref_c))
+            a, c, finite = _level_coeffs(us, lv.gamma, conv)
+            one_a, one_c, _ = _level_coeffs(us[b:b + 1], lv.gamma, conv)
+            assert finite.all() and len(a) == N and len(c) == N - 1
+            for got, one, ref in zip(a, one_a, lv.a[1:]):
+                assert np.array_equal(got[b], one[0])
+                assert np.max(np.abs(got[b] - ref)) <= 1e-10 * np.max(np.abs(ref))
+            for got, one, g, lead, e in zip(c, one_c, lv.gamma, lv.c, lv.e):
+                ref = lead[0] * np.prod(np.subtract.outer(g, e), axis=1)
+                assert np.array_equal(got[b], one[0])
+                assert np.max(np.abs(got[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +157,27 @@ def test_regularity_margin_equals_the_loop(N):
 # ---------------------------------------------------------------------------
 
 def test_degenerate_lowering_minor_through_level_data():
-    # u[3,2] = u[3,0] = 0 kills the lam^2 coefficient of C_3 but not lam^1
+    # u[3,2] = u[3,0] = 0 kills the lam^2 coefficient of C_3 but not lam^1:
+    # the pivot of C_3 is 0, so C_3 has no compression, and its level data
+    # are the lead 0 and NaN; the other levels keep theirs
     rng = np.random.default_rng(3)
     u = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     u[3, 2] = u[3, 0] = 0
     pt = OrbitPoint.create(u)
     lv = level_data(pt.u)
-    assert len(lv.c[2]) == 3 and abs(lv.c[2][0]) < 1e-12 and abs(lv.c[2][1]) > 1e-3
+    assert len(lv.c[2]) == 3 and lv.c[2][0] == 0 and np.isnan(lv.c[2][1:]).all()
+    assert len(lv.e[2]) == 2 and np.isnan(lv.e[2]).all()
+    assert all(np.isfinite(x).all() for x in lv.a + lv.gamma + lv.c[:2] + lv.e[:2])
+    assert abs(lowering_minor_coeffs(pt.u, 3)[1]) > 1e-3
     with pytest.raises(TowerError, match="level 3: lowering minor degenerates"):
         build_tower(pt)
+    # the angle of that level is singular, and the sweep, which needs no
+    # e-point, still runs: its conditioning reads NaN for them
+    with pytest.raises(SingularChartError, match="level 3"):
+        gz_forward(pt)
+    with np.errstate(invalid="ignore"):
+        rep = verify_canonical_chart(pt)
+    assert rep.status == "ok" and np.isnan(rep.conditioning["max_root_condition"])
 
 
 def test_overflowing_minors_raise_orbit_error():

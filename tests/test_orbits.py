@@ -136,6 +136,29 @@ def test_chart_residuals_random_orbits(n, seed):
         a_prev = a_k
 
 
+def _r_spectrum(N):
+    """R_N: the first N draws of complex(*rng.uniform(-1.5, 1.5, 2)), rng =
+    default_rng(5), each kept when at least 0.35 from every kept one, and
+    rounded to three decimals as the command line takes them."""
+    rng, kept = np.random.default_rng(5), []
+    while len(kept) < N:
+        z = complex(*rng.uniform(-1.5, 1.5, 2))
+        if all(abs(z - k) >= 0.35 for k in kept):
+            kept.append(z)
+    return [complex(f"{z.real:.3f}{z.imag:+.3f}j") for z in kept]
+
+
+def test_chart_is_canonical_at_n20():
+    # at N=20 roots of monomial coefficients of degree up to 20 lose the
+    # chart (a sweep deviation of 108); roots from eigenvalues keep it, and
+    # the residuals against u stay near round-off
+    pt = sample_orbit(_r_spectrum(20), seed=3)
+    rep = verify_canonical_chart(pt)
+    assert rep.status == "ok" and rep.winner == "rows"
+    res_a, res_c = chart_residuals(gz_forward(pt), pt)
+    assert res_a < 1e-9 and res_c < 1e-9
+
+
 def test_lowering_minor_matches_lagrange_interpolation():
     # C_n is the degree n-1 polynomial through the points
     # (gamma[n,j], -A_{n-1}(gamma[n,j]) e^theta[n,j]); the minor from u must
@@ -260,6 +283,19 @@ def test_transposed_minor_reads_minus_the_angle(N):
         assert [v["convention"] for v in rep.variants] == ["rows", "cols"]
         assert rep.winner == "rows"
         assert abs(rep.variants[1]["max_deviation"] - 2.0) <= 1e-8
+
+
+@pytest.mark.parametrize("N", [2, 5, 8])
+def test_sweep_bracket_matrix_equals_the_einsum(N):
+    # the bracket table as one flattened matrix product is the per-pair
+    # trace tr(u G_a G_b), up to the order of its sums
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
+    for conv in (MinorConvention(True), MinorConvention(False)):
+        d = pt.derivatives(conv)
+        grads = np.concatenate(d.gamma + d.theta()).transpose(0, 2, 1)
+        T = np.einsum("aij,bji->ab", pt.u @ grads, grads)
+        kk = orbits._canonicity_deviation(pt, conv)[2]
+        assert np.max(np.abs(kk - (T.T - T))) <= 1e-13 * np.max(np.abs(T))
 
 
 def test_canonical_chart_n3_full_table():

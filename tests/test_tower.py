@@ -264,24 +264,22 @@ def test_actions_check_scales_with_the_coefficients():
 
 
 def test_actions_check_rejects_a_relative_error_of_1e_6(monkeypatch):
-    import gztower.orbits as orbits_mod
-
     # a new point: a sampled one already holds the level data of its draw
     sampled = sample_orbit([1, 2, 3, 4, 5, 6, 7, 8], seed=3)
     pt = OrbitPoint(u=sampled.u, spectrum=sampled.spectrum)
-    exact_roots = orbits_mod.polished_roots
+    kernel = orbits._level_roots
 
-    def perturbed_roots(polys):
-        # roots of A_8 with its largest coefficient moved by 1e-6 relative
-        polys = [p.copy() for p in polys]
-        for coeffs in polys:
-            if len(coeffs) == 9:
-                k = int(np.argmax(np.abs(coeffs)))
-                coeffs[k] *= 1 + 1e-6
-        return exact_roots(polys)
+    def perturbed_roots(u, convention, lowering=False):
+        # the largest puncture of level 8 moved by 1e-6 relative; A_8 is
+        # poly(gamma), so only the backward residual can see it
+        coeffs, roots = kernel(u, convention, lowering)
+        gamma = roots[7].copy()
+        gamma[np.argmax(np.abs(gamma))] *= 1 + 1e-6
+        roots[7], coeffs[7] = gamma, np.poly(gamma).astype(complex)
+        return coeffs, roots
 
-    monkeypatch.setattr(orbits_mod, "polished_roots", perturbed_roots)
-    with pytest.raises(TowerError, match="level 8: actions disagree"):
+    monkeypatch.setattr(orbits, "_level_roots", perturbed_roots)
+    with pytest.raises(TowerError, match="level 8: punctures off the spectrum of u_8"):
         build_tower(pt)
 
 
@@ -516,8 +514,9 @@ class _TrackerLoop:
     straight-path angles; tracked_level_data matches each later sample's
     roots to the sample before, and each tau continues by the logs of the
     e-point ratios, one e-point at a time, against the first sample's
-    punctures, and tau[n,1] also by the log of the lead C_n ratio.  An error carries
-    the time of its sample."""
+    punctures, and tau[n,1] also by the log of the lead C_n ratio.  The h
+    come from lambda_minor_det, determinants on a circle as the tracker's.
+    An error carries the time of its sample."""
 
     def __init__(self, convention, lam0):
         self.convention, self.lam0 = convention, lam0
@@ -549,7 +548,8 @@ class _TrackerLoop:
         if self.first is None:
             self._start(lv)
         N = len(lv.gamma)
-        hs = {(n, k): complex(lv.a[n][k]) for n in range(1, N + 1) for k in range(1, n + 1)}
+        hs = {(n, k): complex(h) for n in range(1, N + 1)
+              for k, h in enumerate(lambda_minor_det(u, range(n), range(n))[1:], start=1)}
         taus, flags = {}, {}
         for n in range(1, N):
             gamma = self.first.gamma[n - 1]
@@ -729,30 +729,43 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
     assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
 
 
-def _faulty_level_coeffs(faults, gamma):
-    """The level minors with faults injected at given points u, each (kind,
-    level n, u): 'jump' turns C_n by 2 rad; 'through' makes C_n
-    lam^(n-2) (lam - g) for the last puncture g of level n in gamma, whose
-    value at g Horner's rule gives as an exact zero (n >= 2); 'overflow'
-    makes every minor non-finite, as minor_dets does."""
-    kernel = orbits._level_coeffs
+def _faulty_kernels(faults, gamma):
+    """The one-point level kernel, which the oracle reads through level_data,
+    and the tracker's level kernel, with faults injected at given points u,
+    each (kind, level n, u): 'jump' turns C_n by 2 rad; 'through' puts the
+    last e-point of level n on the last puncture g of level n in gamma, so
+    the tracker's C_n(g) is an exact zero (n >= 2); 'overflow' takes the
+    point out of floating-point range, as either kernel reports it."""
+    one_point, stacked = orbits._level_roots, tower._level_coeffs
 
-    def patched(us, convention):
-        coeffs, finite = kernel(us, convention)
-        N = us.shape[-1]
-        for kind, n, u in faults:
-            hit = np.all(us == u, axis=(1, 2))
+    def level_roots(u, convention, lowering=False):
+        coeffs, roots = one_point(u, convention, lowering)
+        N = u.shape[-1]
+        for kind, n, v in faults:
+            if not np.array_equal(u, v):
+                continue
             if kind == "jump":
-                coeffs[N + n - 1][hit] *= np.exp(2j)
+                coeffs[N + n - 1] = coeffs[N + n - 1] * np.exp(2j)
             elif kind == "through":
-                coeffs[N + n - 1][hit] = 0.0
-                coeffs[N + n - 1][hit, :2] = 1.0, -gamma[n - 1][-1]
+                roots[N + n - 1] = np.append(roots[N + n - 1][:-1], gamma[n - 1][-1])
             else:
-                for c in coeffs:
-                    c[hit] = np.nan
+                raise OrbitError("leave floating-point range")
+        return coeffs, roots
+
+    def level_coeffs(us, punctures, convention):
+        coeffs, values, finite = stacked(us, punctures, convention)
+        for kind, n, v in faults:
+            hit = np.all(us == v, axis=(1, 2))
+            if kind == "jump":
+                values[n - 1][hit] *= np.exp(2j)
+            elif kind == "through":
+                values[n - 1][hit, -1] = 0.0
+            else:
+                for x in coeffs + values:
+                    x[hit] = np.nan
                 finite[hit] = False
-        return coeffs, finite
-    return patched
+        return coeffs, values, finite
+    return level_roots, level_coeffs
 
 
 # (kind, level, sample) faults among the first 81 samples of a flow, and the
@@ -776,9 +789,10 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
     times, points = _flow_loop(pt, (4, 3), steps=1000, sample_every=1)
     times, points = times[:81], points[:81]
     gamma = [lv.gamma for lv in build_tower(pt).levels]
-    patched = _faulty_level_coeffs([(fault, n, points[s]) for fault, n, s in faults], gamma)
-    monkeypatch.setattr(orbits, "_level_coeffs", patched)
-    monkeypatch.setattr(tower, "_level_coeffs", patched)
+    level_roots, level_coeffs = _faulty_kernels(
+        [(fault, n, points[s]) for fault, n, s in faults], gamma)
+    monkeypatch.setattr(orbits, "_level_roots", level_roots)
+    monkeypatch.setattr(tower, "_level_coeffs", level_coeffs)
     lam0 = default_base_point(pt)
 
     def outcome(run):
