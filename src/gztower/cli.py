@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", required=True,
                    help="comma-separated eigenvalues, complex allowed")
     p.add_argument("--check", action="append", default=[],
-                   choices=["chart", "residue-form", "action-angle", "all"],
+                   choices=["residue-form", "action-angle", "all"],
                    help="additional checks beyond chart+tower")
     p.add_argument("--pairs", type=int, default=20,
                    help="tangent pairs for the residue-form sweep")

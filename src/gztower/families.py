@@ -116,9 +116,6 @@ class CommutingFamily(NamedTuple):
     spec: FamilySpec
     generators: tuple[tuple[str, PoissonPoly], ...]
 
-    def labels(self) -> list[str]:
-        return [lbl for lbl, _ in self.generators]
-
 
 def _minor_indices(n: int, k: int, corner: bool) -> tuple[list[int], list[int]]:
     if corner:

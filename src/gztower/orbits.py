@@ -48,7 +48,7 @@ from .polytools import (
 __all__ = [
     "OrbitError", "SingularChartError", "RetryExhaustedError", "TrackingError",
     "MinorConvention", "DEFAULT_MINOR_CONVENTION", "OrbitPoint", "GZChart",
-    "OrbitTangent", "LevelData", "level_data", "ChartDerivatives",
+    "OrbitTangent", "LevelData", "level_data",
     "sample_orbit", "random_spectrum", "regularity_margin", "lowering_minor_coeffs",
     "gz_forward", "chart_residuals", "kk_bracket",
     "verify_canonical_chart", "ChartCanonicityReport",
@@ -111,14 +111,15 @@ class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
 
     u and spectrum are read-only copies, and assigning to any attribute
-    raises AttributeError.  The point memoizes what the checks
-    compute from u, per convention: levels, derivatives and divisors, and,
-    in tower, the default base point and the TowerDescriptor per lam0.  Each
-    entry is a pure function of u, built by a method of the point on first
-    use, with read-only arrays, and holds no reference to the point, so the
-    memo makes no reference cycle and goes with its point.  A_n, gamma and
-    the gradients of gamma are the default convention's in every one, so a
-    convention whose e and C_n no check reads never finds their roots.
+    raises AttributeError.  The point memoizes what the checks compute from
+    u: per convention levels, c_at_gamma and divisors; once punctures and
+    a_at_gamma, which no convention changes; and, in tower, the default base
+    point and the TowerDescriptor per lam0.  Each entry is a pure function
+    of u, built by a method of the point on first use, with read-only
+    arrays, never changed once stored, and holds no reference to the point,
+    so the memo makes no reference cycle and goes with its point.  A_n and
+    gamma are the default convention's in every one, so a convention whose
+    e and C_n no check reads never finds their roots.
     """
 
     __slots__ = ("u", "spectrum", "_memo", "__weakref__")
@@ -166,25 +167,31 @@ class OrbitPoint:
             return lv
         return self._memoized(("levels", convention), build)
 
-    def derivatives(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
-                    ) -> ChartDerivatives:
-        """The gradients of gamma, shared by every convention, with the
-        convention's minors and its C_n log-minors at gamma; once per point.
-        They need no roots of C_n."""
+    def punctures(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """_root_gradients of A_1..A_N at their roots levels().gamma:
+        ([gradient stack (n, N, N)], [root conditions]), once per point.  No
+        convention changes them."""
         def build():
-            minors = _level_minors(self.n, convention.rows_variant)
-            if convention != DEFAULT_MINOR_CONVENTION:
-                rows = self.derivatives()
-                return rows._replace(minors=minors, c_at_gamma=_log_minors(
-                    self.u, minors[self.n:], rows.punctures))
-            gamma = self.levels().gamma
-            grads, conds = _root_gradients(self.u, minors[:self.n], gamma)
+            minors = _level_minors(self.n, DEFAULT_MINOR_CONVENTION.rows_variant)[:self.n]
+            grads, conds = _root_gradients(self.u, minors, self.levels().gamma)
             _read_only(*grads, *conds)
-            return ChartDerivatives(u=self.u, minors=minors, punctures=list(gamma),
-                                    gamma=grads, gamma_conditions=conds,
-                                    c_at_gamma=_log_minors(self.u, minors[self.n:], gamma),
-                                    a_at_gamma=[])
-        return self._memoized(("derivatives", convention), build)
+            return grads, conds
+        return self._memoized("punctures", build)
+
+    def c_at_gamma(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """_log_minors of C_1..C_(N-1) at the roots of A_1..A_(N-1), which
+        theta and the residue form read, once per point and convention."""
+        return self._memoized(("c_at_gamma", convention), lambda: _log_minors(
+            self.u, _level_minors(self.n, convention.rows_variant)[self.n:],
+            self.levels().gamma))
+
+    def a_at_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """_log_minors of A_1..A_(N-2) at the roots of A_2..A_(N-1), the part
+        of theta no convention changes, once per point."""
+        return self._memoized("a_at_gamma", lambda: _log_minors(
+            self.u, _level_minors(self.n, DEFAULT_MINOR_CONVENTION.rows_variant)[:self.n - 2],
+            self.levels().gamma[1:]))
 
     def divisors(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -212,7 +219,7 @@ class OrbitPoint:
             "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
             "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
             "max_root_condition": float(np.max(np.concatenate(
-                self.derivatives().gamma_conditions + self.divisors(convention)[1]))),
+                self.punctures()[1] + self.divisors(convention)[1]))),
         }
 
     @classmethod
@@ -560,47 +567,6 @@ def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
     return grads, extra
 
 
-class ChartDerivatives(NamedTuple):
-    """Closed-form gradients at u, [a, b] = dF/du[a, b].
-
-    gamma[n-1] (n, N, N) for the roots punctures[n-1] of A_n, with their
-    root conditions |y| |z| / |y^T P z|; minors as in _level_minors.  The
-    log_minor of C_n at the roots of A_n, n = 1..N-1, which theta and the
-    residue form read, is c_at_gamma; that of A_(n-1), n = 2..N-1, the
-    part of theta no convention changes, is a_at_gamma: the first theta()
-    fills it, and the conventions of one point share it.  Arrays read-only.
-    """
-
-    u: np.ndarray
-    minors: tuple
-    punctures: list[np.ndarray]
-    gamma: list[np.ndarray]
-    gamma_conditions: list[np.ndarray]
-    c_at_gamma: list[tuple[np.ndarray, np.ndarray]]
-    a_at_gamma: list[tuple[np.ndarray, np.ndarray]]
-
-    def log_minor(self, index: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d log det and d/dlam log det of minor `index` (A_1..A_N, C_1..C_(N-1))."""
-        return _minor_gradients(self.u, self.minors[index], lams, roots=False)
-
-    def theta(self) -> list[np.ndarray]:
-        """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma)):
-        each log-minor at fixed lam plus its lam-derivative times d gamma."""
-        N = self.u.shape[0]
-        if len(self.a_at_gamma) < N - 2:
-            self.a_at_gamma[:] = _log_minors(self.u, self.minors[:N - 2], self.punctures[1:])
-        out = []
-        for n in range(1, N):
-            dg = self.gamma[n - 1]
-            dlog, dlam = self.c_at_gamma[n - 1]
-            grad = dlog + dlam[:, None, None] * dg
-            if n >= 2:
-                dlog, dlam = self.a_at_gamma[n - 2]
-                grad -= dlog + dlam[:, None, None] * dg
-            out.append(grad)
-        return out
-
-
 def _root_gradients(u: np.ndarray, minors: tuple, roots: list[np.ndarray]) -> tuple:
     """([gradient stack], [root conditions]) of each minor at its roots."""
     pairs = [_minor_gradients(u, m, r, roots=True) for m, r in zip(minors, roots)]
@@ -611,6 +577,23 @@ def _log_minors(u: np.ndarray, minors: tuple, lams: list[np.ndarray]) -> list[tu
     """The read-only log-minor gradients (roots=False) of each minor at its lams."""
     out = [_minor_gradients(u, m, x, roots=False) for m, x in zip(minors, lams)]
     _read_only(*(a for pair in out for a in pair))
+    return out
+
+
+def _theta_gradients(pt: OrbitPoint, convention: MinorConvention) -> list[np.ndarray]:
+    """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma)) in
+    the convention: each log-minor at fixed lam plus its lam-derivative times
+    d gamma, from the point's memo."""
+    dgamma, c, a = pt.punctures()[0], pt.c_at_gamma(convention), pt.a_at_gamma()
+    out = []
+    for n in range(1, pt.n):
+        dg = dgamma[n - 1]
+        dlog, dlam = c[n - 1]
+        grad = dlog + dlam[:, None, None] * dg
+        if n >= 2:
+            dlog, dlam = a[n - 2]
+            grad -= dlog + dlam[:, None, None] * dg
+        out.append(grad)
     return out
 
 
@@ -638,8 +621,8 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
     """Worst table deviation, worst Casimir bracket, and the bracket matrix
     kk of the chart functions, from the gradients of gamma and theta alone."""
     u, N = pt.u, pt.n
-    d = pt.derivatives(convention)
-    grads = np.concatenate(d.gamma + d.theta()).transpose(0, 2, 1)
+    grads = np.concatenate(pt.punctures()[0] + _theta_gradients(pt, convention)
+                           ).transpose(0, 2, 1)
     F = len(grads)
     # {F_a, F_b} = tr(u [G_b, G_a]) = T[b, a] - T[a, b], T[a, b] = tr(u G_a G_b),
     # one BLAS product of the flattened u G_a and G_b^T
@@ -765,17 +748,19 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
         raise ValueError(f"N = {pt.n} and {len(pairs)} pair(s) give no tangent pair to check")
     u = pt.u
     N = pt.n
-    d, lv = pt.derivatives(), pt.levels()
+    dgamma, c, lv = pt.punctures()[0], pt.c_at_gamma(), pt.levels()
+    minors = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant)
+    log_a = lambda n, lams: _minor_gradients(u, minors[n - 1], lams, roots=False)[0]
     flat = lambda grads: np.concatenate([np.zeros((0, N, N)), *grads])
     # aligned pairs of stacks over all levels: the gradients of some roots,
     # then those of a log-minor at the same roots (fixed lam)
     pieces = [
-        flat(pt.divisors()[0]),                                             # e[n]
-        flat(d.log_minor(n - 1, lv.e[n - 1])[0] for n in range(1, N)),     # A_n
-        flat(d.gamma[:N - 1]),                                              # gamma[n]
-        flat(dlog for dlog, _ in d.c_at_gamma),                             # C_n
-        flat(d.gamma[:N - 2]),                                              # gamma[n-1]
-        flat(d.log_minor(n - 1, lv.gamma[n - 2])[0] for n in range(2, N)),  # A_n
+        flat(pt.divisors()[0]),                                 # e[n]
+        flat(log_a(n, lv.e[n - 1]) for n in range(1, N)),       # A_n
+        flat(dgamma[:N - 1]),                                   # gamma[n]
+        flat(dlog for dlog, _ in c),                            # C_n
+        flat(dgamma[:N - 2]),                                   # gamma[n-1]
+        flat(log_a(n, lv.gamma[n - 2]) for n in range(2, N)),   # A_n
     ]
     tangents, kk_value = _pair_values(u, pairs)
     dx, dy = [], []

@@ -38,6 +38,7 @@ import numpy as np
 
 from .orbits import (
     DEFAULT_MINOR_CONVENTION,
+    LevelData,
     MinorConvention,
     OrbitError,
     OrbitPoint,
@@ -244,6 +245,15 @@ def build_tower(pt: OrbitPoint, lam0: complex | None = None) -> TowerDescriptor:
     return pt._memoized(("tower", lam0), lambda: _build_tower(pt, lam0))
 
 
+def _lowering_lead(lv: LevelData, n: int) -> complex:
+    """The lead of C_n, n = 1..N-1; raises TowerError when |lead| < 1e-10,
+    as for a zero pivot, which leaves C_n no compression and NaN e-points."""
+    lead = complex(lv.c[n - 1][0])
+    if abs(lead) < 1e-10:
+        raise TowerError(f"level {n}: lowering minor degenerates")
+    return lead
+
+
 def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
     N = pt.n
     levels: list[TowerLevel] = []
@@ -257,9 +267,7 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
             raise TowerError(f"level {n}: punctures off the spectrum of u_{n}, "
                              f"backward residual {residuals[n - 1]:.1e}")
         if n < N:
-            lead, e_pts = complex(lv.c[n - 1][0]), lv.e[n - 1]
-            if abs(lead) < 1e-10:
-                raise TowerError(f"level {n}: lowering minor degenerates")
+            lead, e_pts = _lowering_lead(lv, n), lv.e[n - 1]
             e_sums = _tau_sums(path_log_increments(lam0, e_pts, gamma), gamma)
         # the integrals of lam^(n-k) / A_n to the previous level's roots,
         # for both the angles and the zero section
@@ -502,13 +510,17 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     grades levels n, m >= 2, and the level-one row is reported separately
     (the literal level-one angle is identically zero, so only the
     augmentation makes it conjugate to h[1,1]).  Raises ValueError at N < 2,
-    where no tau exists.
+    where no tau exists, and TowerError on a degenerate lowering minor, as
+    build_tower does.
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
     N = pt.n
     u = pt.u
-    d, lv, de = pt.derivatives(), pt.levels(), pt.divisors()[0]
+    lv = pt.levels()
+    for m in range(1, N):
+        _lowering_lead(lv, m)       # before anything divides by the pivot of C_m
+    minors, de = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant), pt.divisors()[0]
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
     h_nabla = {}
     for n in range(1, N):
@@ -523,7 +535,7 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
         grads = np.einsum("li,iab->lab", weights, de[m - 1])
         # C_m carries no lam in its last row and column, so lead C_m is
         # -u[rows[-1], cols[-1]]
-        rows, cols = d.minors[N + m - 1]
+        rows, cols = minors[N + m - 1]
         grads[0, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
         tau_grads.append(grads)
     flows = np.array([X @ u - u @ X for X in h_nabla.values()]).reshape(len(keys), N * N)

@@ -11,8 +11,8 @@ import numpy as np
 from gztower import orbits
 from gztower.orbits import (
     DEFAULT_MINOR_CONVENTION,
-    ChartDerivatives,
     LevelData,
+    OrbitPoint,
     level_data,
 )
 
@@ -54,23 +54,22 @@ class EagerChart(NamedTuple):
     """What OrbitPoint memoizes per convention, computed at once."""
 
     levels: LevelData
-    derivatives: ChartDerivatives
+    punctures: tuple
+    c_at_gamma: list
+    a_at_gamma: list
     divisors: tuple
     conditioning: dict
 
 
 def eager_derivatives(u, convention=DEFAULT_MINOR_CONVENTION):
-    """The levels, derivatives, divisors and conditioning of a point at u in
-    the convention, from scratch: the convention's own level_data, the root
-    gradients of all 2N-1 minors at their roots, and the conditioning."""
+    """The levels, puncture gradients, log-minors at gamma, divisors and
+    conditioning of a point at u in the convention, from scratch: the
+    convention's own level_data, the root gradients of all 2N-1 minors at
+    their roots, and the conditioning."""
     N = u.shape[0]
     lv = level_data(u, convention)
     minors = orbits._level_minors(N, convention.rows_variant)
     grads, conds = orbits._root_gradients(u, minors, lv.gamma + lv.e)
-    d = ChartDerivatives(u=u, minors=minors, punctures=lv.gamma, gamma=grads[:N],
-                         gamma_conditions=conds[:N],
-                         c_at_gamma=orbits._log_minors(u, minors[N:], lv.gamma),
-                         a_at_gamma=orbits._log_minors(u, minors[:N - 2], lv.gamma[1:]))
 
     def least_gap(pairs):
         gaps = [float(np.min(np.abs(np.subtract.outer(a, b))))
@@ -82,4 +81,18 @@ def eager_derivatives(u, convention=DEFAULT_MINOR_CONVENTION):
         "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
         "max_root_condition": float(np.max(np.concatenate(conds))),
     }
-    return EagerChart(lv, d, (grads[N:], conds[N:]), conditioning)
+    return EagerChart(lv, (grads[:N], conds[:N]),
+                      orbits._log_minors(u, minors[N:], lv.gamma),
+                      orbits._log_minors(u, minors[:N - 2], lv.gamma[1:]),
+                      (grads[N:], conds[N:]), conditioning)
+
+
+def eager_point(u, convention=DEFAULT_MINOR_CONVENTION):
+    """An OrbitPoint at u whose memo holds the gradients of gamma and the
+    log-minors at gamma of eager_derivatives in the convention, so theta and
+    the sweep read what was computed at once."""
+    eager = eager_derivatives(u, convention)
+    pt = OrbitPoint(u=u, spectrum=eager.levels.gamma[-1])
+    pt._memo.update({"punctures": eager.punctures, "a_at_gamma": eager.a_at_gamma,
+                     ("c_at_gamma", convention): eager.c_at_gamma})
+    return pt

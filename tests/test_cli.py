@@ -520,6 +520,17 @@ def test_bad_values_are_config_errors(capsys, argv):
     assert "configuration error" in err
 
 
+def test_check_chart_is_an_argparse_error():
+    # chart and tower always run, so --check offers only the checks beyond
+    # them: chart ends in argparse's usage error, exit 2 and no traceback,
+    # in a fresh gz-tower process
+    proc = _fresh("-c", "from gztower import cli; cli.entry()",
+                  "orbit", "--n", "2", "--spectrum", "1,2", "--check", "chart")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # report hygiene
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ take the package's one stencil, poisson.central_gradient.
 import numpy as np
 import pytest
 
-from _tracking import chart_thetas, eager_derivatives, tracked_level_data
+from _tracking import chart_thetas, eager_derivatives, eager_point, tracked_level_data
 from gztower import orbits
 from gztower.orbits import (
     MinorConvention,
@@ -118,12 +118,12 @@ def test_the_stencil_angles_are_the_charts(pt):
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=["rows", "cols"])
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
 def test_chart_gradients_match_the_stencil(pt, convention):
-    d = eager_derivatives(pt.u, convention).derivatives
+    eager = eager_point(pt.u, convention)
     oracle = _chart_gradients(pt, convention)
-    for n, stack in enumerate(d.gamma, start=1):
+    for n, stack in enumerate(eager.punctures()[0], start=1):
         for j, grad in enumerate(stack, start=1):
             assert _close(grad, oracle[("gamma", n, j)], 1e-6), ("gamma", n, j)
-    for n, stack in enumerate(d.theta(), start=1):
+    for n, stack in enumerate(orbits._theta_gradients(eager, convention), start=1):
         for j, grad in enumerate(stack, start=1):
             assert _close(grad, oracle[("theta", n, j)], 1e-6), ("theta", n, j)
 
@@ -135,18 +135,19 @@ def test_tangent_derivatives_match_the_stencil(pt, convention):
     u, N = pt.u, pt.n
     rng = np.random.default_rng(N)
     xi = OrbitTangent(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))).vector(u)
-    lv, d, (de, _), _ = eager_derivatives(u, convention)
+    lv, (dgamma, _), c_at_gamma, _, (de, _), _ = eager_derivatives(u, convention)
     oracle = _tangent_chart_data(pt, xi, 1e-6, convention, lv)
     along = lambda grads: np.einsum("kab,ab->k", grads, xi)
-    log_along = lambda index, lams: along(d.log_minor(index, lams)[0])
+    minors = orbits._level_minors(N, convention.rows_variant)
+    log_a = lambda n, lams: along(orbits._minor_gradients(u, minors[n - 1], lams, roots=False)[0])
     for n in range(1, N + 1):
-        assert _close(along(d.gamma[n - 1]), oracle["dgamma"][n - 1], 1e-6)
+        assert _close(along(dgamma[n - 1]), oracle["dgamma"][n - 1], 1e-6)
     for n in range(1, N):
         assert _close(along(de[n - 1]), oracle["de"][n - 1], 1e-6)
-        assert _close(log_along(n - 1, lv.e[n - 1]), oracle["la_at_e"][n - 1], 1e-6)
-        assert _close(log_along(N + n - 1, lv.gamma[n - 1]), oracle["lc_at_gamma"][n - 1], 1e-6)
+        assert _close(log_a(n, lv.e[n - 1]), oracle["la_at_e"][n - 1], 1e-6)
+        assert _close(along(c_at_gamma[n - 1][0]), oracle["lc_at_gamma"][n - 1], 1e-6)
     for n in range(2, N):
-        assert _close(log_along(n - 1, lv.gamma[n - 2]), oracle["la_at_gamma_prev"][n - 2], 1e-6)
+        assert _close(log_a(n, lv.gamma[n - 2]), oracle["la_at_gamma_prev"][n - 2], 1e-6)
 
 
 @pytest.mark.parametrize("pt", POINTS[:3], ids=lambda pt: f"N{pt.n}")
@@ -168,9 +169,8 @@ def test_punctures_of_a_hermitian_point_are_perfectly_conditioned():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     u = q @ np.diag([1.0, 2.0, 4.0]) @ q.conj().T
-    eager = eager_derivatives(u)
-    for minor, gamma in zip(eager.derivatives.minors, eager.levels.gamma):
-        assert np.allclose(orbits._minor_gradients(u, minor, gamma, roots=True)[1], 1.0)
+    for conditions in eager_derivatives(u).punctures[1]:
+        assert np.allclose(conditions, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,10 @@ def test_the_point_and_the_shared_arrays_are_read_only():
     shared = [pt.u, pt.spectrum]
     lv = pt.levels()
     shared += [*lv.a, *lv.gamma, *lv.c, *lv.e]
-    d, (de, e_conditions) = pt.derivatives(), pt.divisors()
-    shared += [d.u, *d.gamma, *d.gamma_conditions, *de, *e_conditions]
+    (dg, g_conditions), (de, e_conditions) = pt.punctures(), pt.divisors()
+    c, a = pt.c_at_gamma(), pt.a_at_gamma()
+    shared += [*dg, *g_conditions, *de, *e_conditions]
+    shared += [x for pair in c + a for x in pair]
     for level in tower.build_tower(pt).levels:
         shared += [level.gamma, level.h, level.e]
     shared += orbits.gz_forward(pt).gamma
@@ -122,7 +124,8 @@ def test_the_point_and_the_shared_arrays_are_read_only():
             array[...] = 0.0
     with pytest.raises(AttributeError):
         lv.gamma = []
-    assert pt.levels() is lv and pt.derivatives() is d and pt.divisors()[0] is de
+    assert pt.levels() is lv and pt.punctures()[0] is dg and pt.divisors()[0] is de
+    assert pt.c_at_gamma() is c and pt.a_at_gamma() is a
 
 
 def test_the_default_base_point_is_found_once_per_point(monkeypatch):
@@ -158,8 +161,8 @@ def test_a_filled_memo_does_not_keep_its_point_alive():
         pt = sample_orbit(_SPECTRUM, seed=4)
         for check in CHECKS.values():
             check(pt)
-        pt.levels(cols), pt.derivatives(cols), pt.conditioning(cols)
-        assert {("levels", cols), ("derivatives", cols), ("divisors", cols)} <= set(pt._memo)
+        pt.levels(cols), pt.c_at_gamma(cols), pt.conditioning(cols)
+        assert {("levels", cols), ("c_at_gamma", cols), ("divisors", cols)} <= set(pt._memo)
         ref = weakref.ref(pt)
         del pt
         assert ref() is None
@@ -232,53 +235,63 @@ def _same_arrays(got, want):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
 def test_the_cols_data_share_the_rows_punctures_bit_for_bit(N):
-    # the cols level data and derivatives take A_n, gamma and the gradients
-    # of gamma from the rows memo, computing the lowering minors alone, and
-    # equal an eager computation in the cols convention bit for bit
+    # the cols level data take A_n and gamma from the rows memo, computing
+    # the lowering minors alone, the gradients of gamma and the log-minors
+    # of A_(n-1) are one entry for both conventions, and all equal an eager
+    # computation in the cols convention bit for bit
     cols = MinorConvention(False)
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    lv, d, (de, e_conditions) = pt.levels(cols), pt.derivatives(cols), pt.divisors(cols)
-    rows_lv, rows_d = pt.levels(), pt.derivatives()
+    lv, c, (de, e_conditions) = pt.levels(cols), pt.c_at_gamma(cols), pt.divisors(cols)
+    rows_lv = pt.levels()
     assert all(x is y for x, y in zip(lv.a + lv.gamma, rows_lv.a + rows_lv.gamma))
-    assert all(x is y for x, y in zip(d.gamma, rows_d.gamma))
     eager = eager_derivatives(pt.u, cols)
     for name in ("a", "gamma", "c", "e"):
         _same_arrays(getattr(lv, name), getattr(eager.levels, name))
-    for name in ("punctures", "gamma", "gamma_conditions"):
-        _same_arrays(getattr(d, name), getattr(eager.derivatives, name))
+    for got, want in zip(pt.punctures(), eager.punctures):
+        _same_arrays(got, want)
+    for got, want in ((c, eager.c_at_gamma), (pt.a_at_gamma(), eager.a_at_gamma)):
+        _same_arrays([x for pair in got for x in pair], [x for pair in want for x in pair])
     _same_arrays(de, eager.divisors[0])
     _same_arrays(e_conditions, eager.divisors[1])
     assert pt.conditioning(cols) == eager.conditioning
-    assert d.minors == eager.derivatives.minors != rows_d.minors
+    # the cols C_n are other minors than the rows ones
+    assert not any(np.array_equal(x, y) for (x, _), (y, _) in zip(c, pt.c_at_gamma()))
 
 
 def test_every_cols_array_is_read_only():
     # the cols data first, on a fresh point: they build the rows level data
-    # and gamma gradients they share, which stay read-only as well
+    # and the gradients of gamma they share, which stay read-only as well
     cols = MinorConvention(False)
     pt = OrbitPoint(u=sample_orbit(_SPECTRUM, seed=4).u, spectrum=np.array(_SPECTRUM))
-    d = pt.derivatives(cols)
+    c = pt.c_at_gamma(cols)
     lv, (de, e_conditions) = pt.levels(cols), pt.divisors(cols)
-    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, d.u, *d.gamma, *de, *e_conditions]
-    shared += [a for pair in d.c_at_gamma for a in pair]
-    rows_lv, rows_d = pt.levels(), pt.derivatives()
-    shared += [*rows_lv.a, *rows_lv.gamma, *rows_d.gamma]
+    (dg, g_conditions), a = pt.punctures(), pt.a_at_gamma()
+    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, *dg, *g_conditions, *de, *e_conditions]
+    shared += [x for pair in c + a for x in pair]
+    rows_lv = pt.levels()
+    shared += [*rows_lv.a, *rows_lv.gamma]
     assert any(x is y for x in lv.gamma for y in rows_lv.gamma)
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
     with pytest.raises(AttributeError):
         lv.c = []
-    assert pt.levels(cols) is lv and pt.derivatives(cols) is d and pt.divisors(cols)[0] is de
+    assert pt.levels(cols) is lv and pt.c_at_gamma(cols) is c and pt.divisors(cols)[0] is de
+
+
+def _count_minor_gradients(monkeypatch):
+    """The roots flag of every call of orbits._minor_gradients, one stack each."""
+    calls = []
+    grads = orbits._minor_gradients
+    monkeypatch.setattr(orbits, "_minor_gradients",
+                        lambda *a, roots: calls.append(roots) or grads(*a, roots=roots))
+    return calls
 
 
 def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
     # both take d log C_n at the punctures of A_n; the chart derivatives of
     # a point compute them once, whichever check runs first
-    calls = []
-    grads = orbits._minor_gradients
-    monkeypatch.setattr(orbits, "_minor_gradients",
-                        lambda *a, roots: calls.append(roots) or grads(*a, roots=roots))
+    calls = _count_minor_gradients(monkeypatch)
     pt = sample_orbit(_SPECTRUM, seed=4)
     N = pt.n
     orbits.residue_form_check(pt, _pairs(N, 3))
@@ -287,7 +300,7 @@ def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
     assert calls.count(True) == 2 * N - 1
     assert calls.count(False) == (N - 1) + (N - 1) + (N - 2)
     calls.clear()
-    pt.derivatives().theta()
+    orbits._theta_gradients(pt, DEFAULT_MINOR_CONVENTION)
     # theta adds only d log A_(n-1) at the punctures of A_n, n = 2..N-1
     assert calls == [False] * (N - 2)
     calls.clear()
@@ -297,7 +310,7 @@ def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
     orbits.residue_form_check(fresh, _pairs(N, 3))
     # the residue form, second, adds the log-minors of A_n alone
     assert calls[before:] == [False] * ((N - 1) + (N - 2))
-    shared = [a for pair in fresh.derivatives().c_at_gamma for a in pair]
+    shared = [a for pair in fresh.c_at_gamma() for a in pair]
     assert len(shared) == 2 * (N - 1)
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -308,14 +321,34 @@ def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
 def test_the_sweep_takes_each_log_minor_once(monkeypatch, N, stacks):
     # rows takes d log C_n and d log A_(n-1) at the punctures of A_n; cols
     # takes its own C_n and shares the A_(n-1) of rows: 3N - 4 stacks for
-    # 3N - 4 distinct minors at their points
-    calls = []
-    grads = orbits._minor_gradients
-    monkeypatch.setattr(orbits, "_minor_gradients",
-                        lambda *a, roots: calls.append(roots) or grads(*a, roots=roots))
+    # 3N - 4 distinct minors at their points; both conventions read the
+    # very same gradients of gamma and log-minors of A_(n-1)
+    calls = _count_minor_gradients(monkeypatch)
+    read = {"punctures": [], "a_at_gamma": []}
+    for name, got in read.items():
+        method = getattr(OrbitPoint, name)
+        monkeypatch.setattr(OrbitPoint, name,
+                            lambda self, method=method, got=got: got.append(method(self)) or got[-1])
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
     report = orbits.verify_canonical_chart(pt)
     assert report.status == "ok" and [v["convention"] for v in report.variants] == ["rows", "cols"]
     assert calls.count(False) == stacks == 3 * N - 4
-    rows, cols = pt.derivatives(), pt.derivatives(MinorConvention(False))
-    assert cols.a_at_gamma is rows.a_at_gamma and len(rows.a_at_gamma) == N - 2
+    for got in read.values():
+        assert len(got) >= 2 and all(x is got[0] for x in got)
+    assert len(pt.a_at_gamma()) == N - 2
+
+
+@pytest.mark.parametrize("check", [
+    lambda pt: pt.conditioning(), lambda pt: tower.action_angle_bracket_table(pt)],
+    ids=["conditioning", "action_angle_bracket_table"])
+def test_the_root_conditions_take_no_log_minor(monkeypatch, check):
+    # conditioning reads the root conditions of gamma and e, and the
+    # action-angle table the gradients of e: on a fresh point neither takes
+    # a log-minor at fixed lam, only the 2N - 1 root stacks
+    N = 5
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
+    fresh = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
+    calls = _count_minor_gradients(monkeypatch)
+    check(fresh)
+    assert calls.count(False) == 0
+    assert calls.count(True) == 2 * N - 1

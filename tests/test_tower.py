@@ -254,6 +254,11 @@ def test_degenerate_lowering_minor_is_rejected():
     assert len(coeffs) == 3 and abs(coeffs[0]) < 1e-12 and abs(coeffs[1]) > 1e-3
     with pytest.raises(TowerError, match="level 3: lowering minor degenerates"):
         build_tower(pt)
+    # the action-angle table divides by the pivot of each C_m: it raises the
+    # same error before any division, with no RuntimeWarning (an error under
+    # this suite's filterwarnings)
+    with pytest.raises(TowerError, match="level 3: lowering minor degenerates"):
+        action_angle_bracket_table(pt)
 
 
 def test_actions_check_scales_with_the_coefficients():
