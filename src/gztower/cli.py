@@ -33,7 +33,7 @@ so this module imports no layer.  Nor does it import numpy or dataclasses:
 RunConfig and every layer's records are NamedTuples, so no subcommand loads
 dataclasses, and only orbit and flow load numpy, with their layers.  An orbit
 or flow check that stops on a TowerError is a violation report whose error
-gives its kind and, on a flow, the failing sample's time.
+gives its kind, message, level and, on a flow, the failing sample's time.
 """
 
 from __future__ import annotations
@@ -140,9 +140,9 @@ def _error_kind(exc: Exception) -> str:
 
 def _stopped(report: dict, exc: Exception) -> tuple[int, dict]:
     """End the report of a check that stopped on the TowerError exc: a
-    violation whose error gives exc's kind and time (None off a flow)."""
+    violation whose error gives exc's kind, time (None off a flow), level and message."""
     report["status"] = "violation"
-    report["error"] = {"kind": _error_kind(exc), "time": exc.time}
+    report["error"] = dict(kind=_error_kind(exc), time=exc.time, level=exc.level, message=str(exc))
     return 1, report
 
 
@@ -366,17 +366,13 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
         traj_path = _resolve_output(config.trajectory)
         if traj_path:
             with open(traj_path, "w") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
             report["trajectory_file"] = traj_path
         report["samples"] = len(records)
 
         h0 = records[0]["h"]
-        drift = 0.0
-        for rec in records:
-            for key, val in rec["h"].items():
-                ref = h0[key]
-                drift = max(drift, abs(complex(val[0], val[1]) - complex(ref[0], ref[1])))
+        drift = max(0.0, *(abs(complex(*val) - complex(*h0[key]))
+                           for rec in records for key, val in rec["h"].items()))
         report["conservation"] = {
             "max_h_drift": drift,
             "status": "ok" if drift < CONSERVATION_TOLERANCE else "violation"}
@@ -504,10 +500,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         code, report = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -107,6 +107,23 @@ def _pairs(values) -> list[list[float]]:
     return [_pair(z) for z in np.asarray(values, dtype=complex).ravel().tolist()]
 
 
+def _entries(names: list[str], values: np.ndarray, mask: np.ndarray) -> dict:
+    """A report's bracket table: values where mask holds, {"<names[a]>|<names[b]>": [re, im]}."""
+    keys = (f"{names[a]}|{names[b]}" for a, b in zip(*np.nonzero(mask)))
+    return dict(zip(keys, _pairs(values[mask])))
+
+
+def _witness(devs: np.ndarray, **tables: dict) -> dict:
+    """Of the tables' entries, in order, the one of largest devs (or first NaN); -inf: ungraded."""
+    i = int(np.argmax(devs))            # argmax stops at the first NaN
+    worst = {"table": None, "entry": None, "deviation": max(float(devs[i]), 0.0)}
+    for key, table in tables.items() if devs[i] != -np.inf else ():
+        if i < len(table):
+            return dict(worst, table=key, entry=list(table)[i])
+        i -= len(table)
+    return worst
+
+
 class OrbitPoint:
     """Matrix on a fixed-spectrum coadjoint orbit (validation in create()).
 
@@ -609,12 +626,29 @@ class ChartCanonicityReport(NamedTuple):
     max_deviation: float
     casimir_deviation: float
     status: str
-    table: dict[str, complex]
+    table: np.ndarray                  # kk, over the chart functions of _chart_layout
     conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
-        return dict(self._asdict(), derivatives="analytic",
-                    table={key: _pair(v) for key, v in self.table.items()})
+        names, pattern, reported = _chart_layout(self.n)
+        table = _entries(names, self.table, reported)
+        return dict(self._asdict(), derivatives="analytic", table=table,
+                    worst=_witness(np.abs(self.table - pattern)[reported], table=table))
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_layout(N: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The chart functions' names (G gammas, G - N thetas), canonical brackets
+    and reported entries, read-only: each pair a <= b of chart functions (kk
+    is antisymmetric) and each Casimir gamma[N, j] with every function."""
+    G = N * (N + 1) // 2
+    names = [f"gamma[{n},{j}]" for n in range(1, N + 1) for j in range(1, n + 1)]
+    names += [f"theta[{n},{j}]" for n in range(1, N) for j in range(1, n + 1)]
+    pattern = np.eye(len(names), k=-G) - np.eye(len(names), k=G)
+    reported = np.triu(np.ones(pattern.shape, dtype=bool))
+    reported[:, G - N:G], reported[G - N:G] = False, True
+    _read_only(pattern, reported)
+    return names, pattern, reported
 
 
 def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
@@ -628,35 +662,11 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
     # one BLAS product of the flattened u G_a and G_b^T
     T = (u @ grads).reshape(F, -1) @ grads.transpose(0, 2, 1).reshape(F, -1).T
     kk = T.T - T
-    G, chart, _ = _chart_layout(N)
-    low = np.arange(G - N)
-    expected = np.zeros(kk.shape)
-    expected[G + low, low], expected[low, G + low] = 1.0, -1.0
-    dev = np.abs(kk - expected)
-    worst = float(np.max(dev[np.ix_(chart, chart)], initial=0.0))
-    casimir = float(np.max(dev[G - N:G], initial=0.0))
-    return worst, casimir, kk
-
-
-def _chart_layout(N: int) -> tuple[int, list[int], range]:
-    """G, the chart functions' indices and the Casimirs' among the names:
-    G gammas, then G - N thetas; the Casimirs are gamma[N, j]."""
-    G = N * (N + 1) // 2
-    top = range(G - N, G)
-    return G, [i for i in range(2 * G - N) if i not in top], top
-
-
-def _bracket_table(kk: np.ndarray, N: int) -> dict[str, complex]:
-    """The reported brackets of kk: every pair of chart functions, and each
-    Casimir with every function."""
-    names = [f"gamma[{n},{j}]" for n in range(1, N + 1) for j in range(1, n + 1)]
-    names += [f"theta[{n},{j}]" for n in range(1, N) for j in range(1, n + 1)]
-    _, chart, top = _chart_layout(N)
-    table = {f"{names[a]}|{names[b]}": complex(kk[a, b])
-             for ia, a in enumerate(chart) for b in chart[ia:]}
-    table.update({f"{names[c]}|{names[b]}": complex(kk[c, b])
-                  for c in top for b in range(len(names))})
-    return table
+    _, pattern, reported = _chart_layout(N)
+    dev = np.where(reported, np.abs(kk - pattern), -np.inf)
+    top = slice(N * (N - 1) // 2, N * (N + 1) // 2)     # the Casimirs' rows
+    casimir, dev[top] = float(np.max(dev[top], initial=0.0)), -np.inf
+    return float(np.max(dev, initial=0.0)), casimir, kk
 
 
 def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCanonicityReport:
@@ -676,8 +686,7 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
-    results = {}
-    variants, winner = [], None
+    results, variants, winner = {}, [], None
     for conv in (MinorConvention(True), MinorConvention(False)):
         dev, cas, _ = results[conv] = _canonicity_deviation(pt, conv)
         variants.append({"convention": conv.label(),
@@ -690,8 +699,7 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
         n=pt.n, tolerance=tolerance, variants=variants,
         winner=None if winner is None else winner.label(), max_deviation=dev,
         casimir_deviation=cas, status="violation" if winner is None else "ok",
-        table=_bracket_table(kk, pt.n),
-        conditioning=pt.conditioning(reported))
+        table=kk, conditioning=pt.conditioning(reported))
 
 
 # ---------------------------------------------------------------------------

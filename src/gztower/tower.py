@@ -43,13 +43,14 @@ from .orbits import (
     OrbitError,
     OrbitPoint,
     _at_punctures,
-    _kk,
+    _entries,
     _level_minors,
     _minor_at,
     _pair,
     _pairs,
     _read_only,
     _root_residuals,
+    _witness,
 )
 from .polytools import circle_coeffs
 
@@ -63,16 +64,20 @@ __all__ = [
 
 
 class TowerError(RuntimeError):
-    """time: on a tracked flow, the time of the sample the error holds for."""
+    """time: on a tracked flow, the failing sample's time; level: its tower level."""
 
     time: float | None = None
+
+    def __init__(self, message: str = "", level: int | None = None):
+        super().__init__(message)
+        self.level = level
 
 
 class PathThroughPunctureError(TowerError):
     """A path endpoint (row: path_log_increments) or a flow's e-point hits a puncture."""
 
-    def __init__(self, message: str = "", row: int = 0):
-        super().__init__(message)
+    def __init__(self, message: str = "", row: int = 0, level: int | None = None):
+        super().__init__(message, level)
         self.row = row
 
 
@@ -250,7 +255,7 @@ def _lowering_lead(lv: LevelData, n: int) -> complex:
     as for a zero pivot, which leaves C_n no compression and NaN e-points."""
     lead = complex(lv.c[n - 1][0])
     if abs(lead) < 1e-10:
-        raise TowerError(f"level {n}: lowering minor degenerates")
+        raise TowerError(f"level {n}: lowering minor degenerates", level=n)
     return lead
 
 
@@ -263,16 +268,20 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
     residuals = _root_residuals(pt.u, lv.gamma)
     for n in range(1, N + 1):
         acoeffs, gamma = lv.a[n], lv.gamma[n - 1]
-        if not residuals[n - 1] <= 1e-10:
-            raise TowerError(f"level {n}: punctures off the spectrum of u_{n}, "
-                             f"backward residual {residuals[n - 1]:.1e}")
-        if n < N:
-            lead, e_pts = _lowering_lead(lv, n), lv.e[n - 1]
-            e_sums = _tau_sums(path_log_increments(lam0, e_pts, gamma), gamma)
-        # the integrals of lam^(n-k) / A_n to the previous level's roots,
-        # for both the angles and the zero section
-        prev_sums = _tau_sums(path_log_increments(
-            lam0, lv.gamma[n - 2] if n >= 2 else [], gamma), gamma)
+        try:                # a TowerError of this level carries n
+            if not residuals[n - 1] <= 1e-10:
+                raise TowerError(f"level {n}: punctures off the spectrum of u_{n}, "
+                                 f"backward residual {residuals[n - 1]:.1e}")
+            if n < N:
+                lead, e_pts = _lowering_lead(lv, n), lv.e[n - 1]
+                e_sums = _tau_sums(path_log_increments(lam0, e_pts, gamma), gamma)
+            # the integrals of lam^(n-k) / A_n to the previous level's roots,
+            # for both the angles and the zero section
+            prev_sums = _tau_sums(path_log_increments(
+                lam0, lv.gamma[n - 2] if n >= 2 else [], gamma), gamma)
+        except TowerError as exc:
+            exc.level = n
+            raise
         if n < N:
             tau, tau_lit = (t.tolist() for t in _level_angles(e_sums, prev_sums, lead))
         else:
@@ -434,13 +443,13 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
         if zero.any():              # an e-point on a puncture
             limit, j = np.argwhere(zero)[0]
             error = PathThroughPunctureError(
-                f"level {n}: C_{n} vanishes at puncture {j + 1}, {gamma[j]:.6g}")
+                f"level {n}: C_{n} vanishes at puncture {j + 1}, {gamma[j]:.6g}", level=n)
             v = v[:limit]
         logs = np.log(v / np.concatenate((v0[None], v[:-1])))
         turn = np.abs(logs.imag).max(axis=1, initial=0.0)
         if (turn > np.pi / 2).any():
             limit = int(np.argmax(turn > np.pi / 2))
-            error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad")
+            error = BranchJumpError(f"level {n}: a ratio turned by {turn[limit]:.3f} rad", level=n)
         incs.append(_tau_sums(logs[:, None], gamma))
     if error is not None:
         error.time = float(ts[limit])
@@ -479,81 +488,74 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
 class ActionAngleReport(NamedTuple):
     n: int
     tolerance: float
-    h_tau: dict[tuple, complex]
-    h_h: dict[tuple, complex]
+    keys: list[tuple[int, int]]    # (n, k) of the actions h and angles tau, n < N
+    h_tau: np.ndarray              # [a, b] = {h[keys[a]], tau[keys[b]]}
+    h_h: np.ndarray                # [a, b] = {h[keys[a]], h[keys[b]]}
     max_deviation_upper: float     # levels n, m >= 2 against the delta pattern
-    level_one: dict[tuple, complex]
     status: str
     conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
-        fmt = lambda table: {f"{a[0]},{a[1]}|{b[0]},{b[1]}": _pair(v)
-                             for (a, b), v in table.items()}
         data = self._asdict()
-        data.update(derivatives="analytic", h_tau=fmt(self.h_tau), h_h=fmt(self.h_h),
-                    level_one=fmt(self.level_one),
-                    max_deviation_upper_levels=data.pop("max_deviation_upper"))
-        return data
+        names = [f"{n},{k}" for n, k in data.pop("keys")]
+        a, b = np.indices(self.h_tau.shape)
+        h_tau, h_h = _entries(names, self.h_tau, a >= 0), _entries(names, self.h_h, a < b)
+        worst = _witness(_graded(self.h_tau, self.h_h), h_tau=h_tau, h_h=h_h)
+        return dict(data, derivatives="analytic", h_tau=h_tau, h_h=h_h,
+                    level_one=_entries(names, self.h_tau, (a == 0) | (b == 0)),
+                    max_deviation_upper_levels=data.pop("max_deviation_upper"), worst=worst)
+
+
+def _graded(h_tau: np.ndarray, h_h: np.ndarray) -> np.ndarray:
+    """|bracket - delta| of every {h, tau}, then {h, h} above the diagonal,
+    row-major; -inf with level one (key 0), which is not graded.  NaN stays."""
+    a, b = np.indices(h_tau.shape)
+    devs = np.abs(np.concatenate(((h_tau - np.eye(len(a))).ravel(), h_h[a < b])))
+    return np.where(np.concatenate(((a * b).ravel(), a[a < b])) > 0, devs, -np.inf)
 
 
 def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> ActionAngleReport:
     """Oracle brackets {h[n,k], tau[m,l]} and {h, h} over levels 1..N-1.
 
-    {h, tau} is the derivative of tau along the flow u' = [grad h, u].  That
-    flow fixes every puncture, so only the divisor points e (closed-form
+    {h, tau} is the derivative of tau along the flow F = [X, u], X = grad h.
+    That flow fixes every puncture, so only the divisor points e (closed-form
     gradients) and the augmentation log(lead C_m) move:
 
         {h, tau[m,l]} = sum_i e_i^(m-l) / A_m(e_i) de_i + d(l,1) d log lead C_m,
 
-    with no angle value and no branch.  With the augmented angles the full
-    table is canonical, {h[n,k], tau[m,l]} = d(n,m) d(k,l); the status only
-    grades levels n, m >= 2, and the level-one row is reported separately
-    (the literal level-one angle is identically zero, so only the
-    augmentation makes it conjugate to h[1,1]).  Raises ValueError at N < 2,
-    where no tau exists, and TowerError on a degenerate lowering minor, as
-    build_tower does.
+    with no angle value and no branch; {h_a, h_b} = tr(u [X_b, X_a]) = tr(F_a X_b),
+    so each table is one product of the stacked flows.  With the augmented
+    angles the table is canonical, {h[n,k], tau[m,l]} = d(n,m) d(k,l); the
+    status grades levels n, m >= 2, and the level-one row is reported apart
+    (the literal level-one angle is identically zero, so only the augmentation
+    makes it conjugate to h[1,1]).  Raises ValueError at N < 2, where no tau
+    exists, and TowerError on a degenerate lowering minor, as build_tower does.
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
-    N = pt.n
-    u = pt.u
-    lv = pt.levels()
+    N, u, lv = pt.n, pt.u, pt.levels()
     for m in range(1, N):
         _lowering_lead(lv, m)       # before anything divides by the pivot of C_m
     minors, de = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant), pt.divisors()[0]
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
-    h_nabla = {}
-    for n in range(1, N):
-        X = np.zeros((n, N, N), dtype=complex)
-        X[:, :n, :n] = _horner_gradients(u[:n, :n], lv.a[n][:n])
-        h_nabla.update({(n, k): X[k - 1] for k in range(1, n + 1)})
-    tau_grads = [np.zeros((0, N, N))]
+    X, tau_grads = np.zeros((2, len(keys), N, N), dtype=complex)
     for m in range(1, N):
-        e = lv.e[m - 1]
+        e, block = lv.e[m - 1], slice(m * (m - 1) // 2, m * (m + 1) // 2)
+        X[block, :m, :m] = _horner_gradients(u[:m, :m], lv.a[m][:m])
         # [l-1, i]: e_i^(m-l) / A_m(e_i), A_m(e_i) = prod(e_i - gamma[m])
         weights = np.vander(e, m).T / np.prod(np.subtract.outer(e, lv.gamma[m - 1]), axis=1)
-        grads = np.einsum("li,iab->lab", weights, de[m - 1])
-        # C_m carries no lam in its last row and column, so lead C_m is
-        # -u[rows[-1], cols[-1]]
+        tau_grads[block] = np.einsum("li,iab->lab", weights, de[m - 1])
+        # lead C_m = -u[rows[-1], cols[-1]]: its last row and column carry no lam
         rows, cols = minors[N + m - 1]
-        grads[0, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
-        tau_grads.append(grads)
-    flows = np.array([X @ u - u @ X for X in h_nabla.values()]).reshape(len(keys), N * N)
-    brackets = flows @ np.concatenate(tau_grads).reshape(len(keys), N * N).T
-
-    h_tau = {(ka, kb): complex(brackets[ia, ib])
-             for ia, ka in enumerate(keys) for ib, kb in enumerate(keys)}
-    h_h = {(ka, kb): _kk(u, h_nabla[ka], h_nabla[kb])
-           for ia, ka in enumerate(keys) for kb in keys[ia + 1:]}
-    level_one = {(ka, kb): v for (ka, kb), v in h_tau.items() if 1 in (ka[0], kb[0])}
+        tau_grads[block.start, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
+    flows = (X @ u - u @ X).reshape(len(keys), -1)
+    h_tau = flows @ tau_grads.reshape(len(keys), -1).T
+    h_h = flows @ X.transpose(0, 2, 1).reshape(len(keys), -1).T
     # np.max keeps a NaN deviation, so a NaN bracket fails
-    devs = [abs(v - (ka == kb)) for (ka, kb), v in (*h_tau.items(), *h_h.items())
-            if ka[0] >= 2 and kb[0] >= 2]
-    worst = float(np.max(devs, initial=0.0))
+    worst = float(np.max(_graded(h_tau, h_h), initial=0.0))
     return ActionAngleReport(
-        n=N, tolerance=tolerance, h_tau=h_tau, h_h=h_h,
-        max_deviation_upper=worst, level_one=level_one,
-        status="ok" if worst <= tolerance else "violation",
+        n=N, tolerance=tolerance, keys=keys, h_tau=h_tau, h_h=h_h,
+        max_deviation_upper=worst, status="ok" if worst <= tolerance else "violation",
         conditioning=pt.conditioning())
 
 
@@ -591,14 +593,11 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
     times = np.asarray(flow.times, dtype=float)
     tbar = times - times.mean()
     denom = float(np.sum(tbar * tbar))
-    slopes = {}
-    errors = []
-    for key, ys in zip(keys, taus.T):
-        slope = complex(np.sum(tbar * (ys - ys.mean())) / denom)
-        slopes[key] = slope
-        errors.append(abs(slope - (1.0 if key == selector else 0.0)))
+    slopes = {key: complex(np.sum(tbar * (ys - ys.mean())) / denom)
+              for key, ys in zip(keys, taus.T)}
     # np.max keeps a NaN error (max() would drop it), so a NaN slope fails
-    max_err = float(np.max(errors)) if errors else 0.0
+    max_err = float(np.max([abs(s - (key == selector)) for key, s in slopes.items()],
+                           initial=0.0))
     return LinearizationReport(
         selector=selector, samples=len(times), slopes=slopes, tolerance=tol,
         max_error=max_err, status="ok" if max_err <= tol else "violation")

@@ -170,9 +170,9 @@ def test_criterion_08_action_angle_pairing():
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
     rep = action_angle_bracket_table(pt, tolerance=1e-4)
     ok = rep.status == "ok" and rep.max_deviation_upper < 1e-4
-    level_one = {f"h{a}|tau{b}": round(abs(v), 6)
-                 for (a, b), v in rep.level_one.items() if a == (1, 1) and b == (1, 1)}
-    aug_ok = abs(rep.h_tau[((1, 1), (1, 1))] - 1.0) < 1e-4
+    assert rep.keys[0] == (1, 1)
+    level_one = {"h(1, 1)|tau(1, 1)": round(abs(rep.h_tau[0, 0]), 6)}
+    aug_ok = abs(rep.h_tau[0, 0] - 1.0) < 1e-4
     _verdict(8, ok, "kk(h[n,k], tau[m,l]) = delta within 1e-4 for levels >= 2 "
                     f"(max dev {rep.max_deviation_upper:.2e}); level-1 finding: "
                     f"literal tau[1,1] is identically 0, augmented pairing "

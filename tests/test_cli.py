@@ -220,7 +220,8 @@ def test_orbit_stopped_by_the_tower_is_a_violation_report(capsys):
     assert (code, err) == (1, "orbit: violation\n")
     report = parse_report(out)
     assert report["status"] == "violation"
-    assert report["error"] == {"kind": "path-through-puncture", "time": None}
+    assert report["error"] == {"kind": "path-through-puncture", "time": None, "level": 2,
+                               "message": "integration endpoint within 1e-08 of a puncture"}
     assert report["canonical_chart"]["status"] == "ok"
     assert "tower" not in report and "action_angle" not in report
 
@@ -323,7 +324,8 @@ def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, m
     assert "check failed" not in err
     report = parse_report(out)
     assert report["status"] == "violation"
-    assert report["error"] == {"kind": "regularity-lost", "time": 0.05}
+    assert report["error"] == {"kind": "regularity-lost", "time": 0.05, "level": None,
+                               "message": "regularity lost at t = 0.05"}
     assert "linearization" not in report and "samples" not in report
     assert not (tmp_path / "t.jsonl").exists()
     assert gaps == [1e-7, 1e-7]
@@ -362,7 +364,11 @@ def test_flow_tracker_errors_are_violation_reports(tmp_path, monkeypatch, capsys
     assert "check failed" not in err
     report = parse_report(out)
     assert report["status"] == "violation"
-    assert report["error"] == {"kind": kind, "time": 0.2}
+    error = report["error"]
+    # the error names the level at which the fault stopped the flow, as its
+    # message does
+    assert error.pop("message").startswith("level 2: ")
+    assert error == {"kind": kind, "time": 0.2, "level": 2}
     assert "linearization" not in report and "samples" not in report
     assert not (tmp_path / "t.jsonl").exists()
 
@@ -392,7 +398,8 @@ def test_flow_whose_c_n_ratio_turns_reports_a_branch_jump(capsys):
     code, out, _ = run_cli(capsys, "flow", "--n", "5", "--hamiltonian", "4,3",
                            "--steps", "1000", *_SEED7_PASS1)
     assert code == 1
-    assert parse_report(out)["error"] == {"kind": "branch-jump", "time": 0.025}
+    assert parse_report(out)["error"] == {"kind": "branch-jump", "time": 0.025, "level": 4,
+                                          "message": "level 4: a ratio turned by 1.766 rad"}
 
 
 def test_flow_bad_selector(capsys):
@@ -445,13 +452,15 @@ def _overflowing_flow(capsys, tmp_path, *extra):
 def test_flow_with_overflowing_minors_is_regularity_loss(tmp_path, capsys):
     # with one step the tracker's second sample is t = 10, whose minors overflow
     error = _overflowing_flow(capsys, tmp_path, "--steps", "1")
-    assert error == {"kind": "regularity-lost", "time": 10.0}
+    assert error == {"kind": "regularity-lost", "time": 10.0, "level": None,
+                     "message": "regularity lost at t = 10.0"}
 
 
 def test_flow_toward_overflowing_minors_reports_the_first_failing_sample(tmp_path, capsys):
     # with 40 samples a ratio turns by more than pi/2 long before t = 10
     error = _overflowing_flow(capsys, tmp_path)
-    assert error == {"kind": "branch-jump", "time": 0.25}
+    assert error == {"kind": "branch-jump", "time": 0.25, "level": 4,
+                     "message": "level 4: a ratio turned by 2.413 rad"}
 
 
 @pytest.mark.parametrize("t, window", [("-1", -0.1), ("0.05", 0.05), ("5", 0.1)])

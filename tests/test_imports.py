@@ -134,7 +134,8 @@ def test_a_public_name_loads_only_its_home_layers():
     # lam0 on a puncture: build_tower raises PathThroughPunctureError, and
     # the report ends as a violation that names it
     (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"], 1, "orbit: violation\n",
-     {"kind": "path-through-puncture", "time": None}),
+     {"kind": "path-through-puncture", "time": None, "level": 2,
+      "message": "integration endpoint within 1e-08 of a puncture"}),
 ], ids=["size-guard", "orbit-error", "tower-error"])
 def test_layer_errors_keep_their_exit_code_and_message(argv, code, err, error):
     # a configuration error writes no report; a stopped check writes one

@@ -339,7 +339,7 @@ def test_a_reported_cols_convention_equals_an_eager_computation(monkeypatch, N):
     eager = eager_derivatives(pt.u, cols)
     dev, cas, kk = orbits._canonicity_deviation(eager_point(pt.u, cols), cols)
     assert (rep.max_deviation, rep.casimir_deviation) == (dev, cas)
-    assert rep.table == orbits._bracket_table(kk, N)
+    assert np.array_equal(rep.table, kk)
     assert rep.conditioning == eager.conditioning
 
 
@@ -353,9 +353,28 @@ def test_a_sweep_without_winner_reports_the_rows_table(monkeypatch, N):
     assert runs == []
     assert rep.winner is None and rep.status == "violation" and len(rep.variants) == 2
     ok = verify_canonical_chart(OrbitPoint(u=pt.u, spectrum=pt.spectrum))
-    assert ok.winner == "rows" and rep.table and rep.table == ok.table
+    assert ok.winner == "rows" and np.array_equal(rep.table, ok.table)
     assert rep.conditioning == ok.conditioning
     assert rep.max_deviation == ok.max_deviation == rep.variants[0]["max_deviation"]
+
+
+@pytest.mark.parametrize("N, tolerance", [(2, 1e-5), (4, 1e-5), (4, 1e-30), (6, 1e-30)],
+                         ids=["N2-ok", "N4-ok", "N4-violation", "N6-violation"])
+def test_the_chart_witness_is_the_graded_maximum(N, tolerance):
+    # every reported entry is graded: {gamma[n,j], theta[n,j]} against -1,
+    # n < N, and every other entry against 0
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(40 + N)), seed=N)
+    rep = verify_canonical_chart(pt, tolerance=tolerance)
+    data = rep.to_json()
+    devs = {}
+    for entry, (re, im) in data["table"].items():
+        a, b = entry.split("|")
+        canonical = a.startswith("gamma") and b == a.replace("gamma", "theta")
+        devs[entry] = float(np.abs(complex(re, im) + canonical))
+    worst = data["worst"]
+    assert rep.status == ("ok" if tolerance == 1e-5 else "violation")
+    assert worst["deviation"] == max(rep.max_deviation, rep.casimir_deviation)
+    assert worst["deviation"] == max(devs.values()) == devs[worst["entry"]]
 
 
 def _ix_minor_gradients(u, minor, lams, roots):

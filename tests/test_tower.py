@@ -15,6 +15,7 @@ from gztower.orbits import (
     OrbitPoint,
     level_data,
     lowering_minor_coeffs,
+    random_spectrum,
     regularity_margin,
     sample_orbit,
 )
@@ -252,13 +253,14 @@ def test_degenerate_lowering_minor_is_rejected():
     pt = OrbitPoint.create(u)
     coeffs = lowering_minor_coeffs(pt.u, 3)
     assert len(coeffs) == 3 and abs(coeffs[0]) < 1e-12 and abs(coeffs[1]) > 1e-3
-    with pytest.raises(TowerError, match="level 3: lowering minor degenerates"):
+    with pytest.raises(TowerError, match="level 3: lowering minor degenerates") as built:
         build_tower(pt)
     # the action-angle table divides by the pivot of each C_m: it raises the
     # same error before any division, with no RuntimeWarning (an error under
     # this suite's filterwarnings)
-    with pytest.raises(TowerError, match="level 3: lowering minor degenerates"):
+    with pytest.raises(TowerError, match="level 3: lowering minor degenerates") as table:
         action_angle_bracket_table(pt)
+    assert built.value.level == table.value.level == 3
 
 
 def test_actions_check_scales_with_the_coefficients():
@@ -284,8 +286,9 @@ def test_actions_check_rejects_a_relative_error_of_1e_6(monkeypatch):
         return coeffs, roots
 
     monkeypatch.setattr(orbits, "_level_roots", perturbed_roots)
-    with pytest.raises(TowerError, match="level 8: punctures off the spectrum of u_8"):
+    with pytest.raises(TowerError, match="level 8: punctures off the spectrum of u_8") as exc:
         build_tower(pt)
+    assert exc.value.level == 8
 
 
 def test_tower_json():
@@ -804,8 +807,8 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
         try:
             run()
         except Exception as exc:
-            return type(exc).__name__, str(exc), exc.time
-        return "ok", "", None
+            return type(exc).__name__, str(exc), exc.time, exc.level
+        return "ok", "", None, None
 
     # the e-point oracle fails at the same sample with the same error
     oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
@@ -813,7 +816,9 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
     got = outcome(lambda: tower._continued_angles(pt, points, times, lam0))
     first = min(s for _, _, s in faults)
     n = min(n for _, n, s in faults if s == first)
-    assert got[::2] == want[::2] == (kind, times[first])
+    assert got[:3:2] == want[:3:2] == (kind, times[first])
+    # the error names the level of its message, or none for lost regularity
+    assert got[3] == (None if kind == "RegularityLostError" else n)
     if kind == "BranchJumpError":
         assert got[1].startswith(f"level {n}: ") and "turned by 2.0" in got[1]
     elif kind == "PathThroughPunctureError" and first > 0:
@@ -881,12 +886,116 @@ def test_action_angle_table_is_canonical():
     assert rep.status == "ok"
     assert rep.max_deviation_upper < 1e-4
     # the augmented level-one angle is conjugate to h[1,1]
-    assert abs(rep.h_tau[((1, 1), (1, 1))] - 1.0) < 1e-4
-    for (ka, kb), val in rep.h_tau.items():
-        expected = 1.0 if ka == kb else 0.0
-        assert abs(val - expected) < 1e-4
-    for val in rep.h_h.values():
-        assert abs(val) < 1e-4
+    assert rep.keys[0] == (1, 1) and abs(rep.h_tau[0, 0] - 1.0) < 1e-4
+    assert np.abs(rep.h_tau - np.eye(len(rep.keys))).max() < 1e-4
+    assert np.abs(np.triu(rep.h_h, 1)).max() < 1e-4
+
+
+def _flows_and_gradients(pt, keys):
+    """The action gradients X of keys, one action_gradient call each, and
+    their flows [X, u], one matrix at a time."""
+    X = np.array([action_gradient(pt, key) for key in keys])
+    return np.array([x @ pt.u - pt.u @ x for x in X]), X
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_h_h_from_the_flows_matches_the_per_pair_bracket(N):
+    # {h_a, h_b} = tr(F_a X_b) = tr(u [X_b, X_a]): the product of the
+    # stacked flows against the per-pair bracket, to rounding of |F| |X|
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(20 + N)), seed=N)
+    rep = action_angle_bracket_table(pt)
+    F, X = _flows_and_gradients(pt, rep.keys)
+    bound = 1e-15 * N * N * np.abs(F).max() * np.abs(X).max()
+    for a, b in np.ndindex(rep.h_h.shape):
+        assert abs(rep.h_h[a, b] - orbits._kk(pt.u, X[a], X[b])) <= bound, (a, b)
+
+
+def _angle_gradients(pt):
+    """grad tau[m,l], m = 1..N-1, one level at a time: the e-point terms
+    sum_i e_i^(m-l) / A_m(e_i) de_i, and d log lead C_m = du[p] / u[p] at
+    the pivot p of C_m for l = 1."""
+    N, u, lv = pt.n, pt.u, pt.levels()
+    out = [np.zeros((0, N, N))]
+    for m, de in enumerate(pt.divisors()[0], start=1):
+        e = lv.e[m - 1]
+        weights = np.vander(e, m).T / np.prod(np.subtract.outer(e, lv.gamma[m - 1]), axis=1)
+        grads = np.einsum("li,iab->lab", weights, de)
+        rows, cols = orbits._level_minors(N, True)[N + m - 1]
+        grads[0, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
+        out.append(grads)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_h_tau_is_one_flow_at_a_time_against_the_angle_gradients_bit_for_bit(N):
+    # the stacked flows and gradients give {h, tau} to the bit of the
+    # formula that builds one flow and one level of gradients at a time
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(30 + N)), seed=N)
+    rep = action_angle_bracket_table(pt)
+    K = len(rep.keys)
+    F, _ = _flows_and_gradients(pt, rep.keys)
+    expected = F.reshape(K, -1) @ _angle_gradients(pt).reshape(K, -1).T
+    assert np.array_equal(rep.h_tau, expected)
+
+
+def test_the_action_angle_table_makes_no_per_pair_bracket_call(monkeypatch):
+    calls = []
+    kk = orbits._kk
+
+    def counted(*args):
+        calls.append(args)
+        return kk(*args)
+
+    monkeypatch.setattr(orbits, "_kk", counted)
+    monkeypatch.setattr(tower, "_kk", counted, raising=False)
+    rep = action_angle_bracket_table(sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5j], seed=5))
+    assert rep.status == "ok" and calls == []
+
+
+def _graded_deviations(section):
+    """Every graded entry of an action_angle report section, read from its
+    JSON tables: (table, entry) -> |bracket - delta| over levels >= 2."""
+    out = {}
+    for table in ("h_tau", "h_h"):
+        for entry, (re, im) in section[table].items():
+            a, b = entry.split("|")
+            if int(a.split(",")[0]) >= 2 and int(b.split(",")[0]) >= 2:
+                delta = table == "h_tau" and a == b
+                out[table, entry] = float(np.abs(complex(re, im) - delta))
+    return out
+
+
+@pytest.mark.parametrize("spectrum, status", [
+    ([1.0, 2.0 + 0.5j, -1.0, 0.5j], "ok"),
+    # the integer spectrum at N=8 fails the table (ROADMAP item 7)
+    ([1, 2, 3, 4, 5, 6, 7, 8], "violation"),
+], ids=["ok", "violation"])
+def test_the_action_angle_witness_is_the_graded_maximum(spectrum, status):
+    rep = action_angle_bracket_table(sample_orbit(spectrum, seed=3))
+    data = rep.to_json()
+    worst, devs = data["worst"], _graded_deviations(data)
+    assert rep.status == status
+    assert worst["deviation"] == data["max_deviation_upper_levels"] == max(devs.values())
+    assert devs[worst["table"], worst["entry"]] == worst["deviation"]
+
+
+def test_a_nan_bracket_fails_and_is_the_witness(monkeypatch):
+    # grad h[3,2] patched to NaN: its row of {h, tau} and its row and column
+    # of {h, h} are NaN; the witness is the first graded one, {h[3,2], tau[2,1]}
+    horner = tower._horner_gradients
+
+    def patched(un, coeffs):
+        grads = horner(un, coeffs)
+        if len(un) == 3:
+            grads[1] = np.nan
+        return grads
+
+    monkeypatch.setattr(tower, "_horner_gradients", patched)
+    rep = action_angle_bracket_table(sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5j], seed=5))
+    assert rep.status == "violation" and np.isnan(rep.max_deviation_upper)
+    worst = rep.to_json()["worst"]
+    assert (worst["table"], worst["entry"]) == ("h_tau", "3,2|2,1")
+    assert np.isnan(worst["deviation"])
 
 
 def test_trajectory_records_shape():
