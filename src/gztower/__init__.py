@@ -30,7 +30,7 @@ _EXPORTS = {
         "NCPoly", "diffop_realization_check", "qdet", "quantum_family",
         "verify_quantum_commutes"], "quantum"),
     **dict.fromkeys([
-        "GZChart", "MinorConvention", "OrbitPoint", "OrbitTangent", "gz_forward",
+        "GZChart", "OrbitPoint", "OrbitTangent", "gz_forward",
         "kk_bracket", "residue_form_check", "sample_orbit",
         "verify_canonical_chart"], "orbits"),
     **dict.fromkeys([

@@ -9,8 +9,8 @@ u_n the top-left n x n block, together with the lowering minors
 
     C_n(lam) = det of (lam - u) on rows {1..n-1, n+1} x columns {1..n}
 
-(the rows orientation of ``MinorConvention``; the transposed choice is the
-negative control of the canonicity sweep).  The last row and column of C_n
+(the transposed minor, on columns {1..n-1, n+1}, is only the negative
+control of the canonicity sweep).  The last row and column of C_n
 carry no lam, so C_n = lead det(lam - K_n), with lead = -u[n+1, n] and K_n
 the (n-1) x (n-1) Schur complement of that entry: its zeros e[n,i] are the
 eigenvalues of K_n.  The angles are
@@ -47,7 +47,7 @@ from .polytools import (
 
 __all__ = [
     "OrbitError", "SingularChartError", "RetryExhaustedError", "TrackingError",
-    "MinorConvention", "DEFAULT_MINOR_CONVENTION", "OrbitPoint", "GZChart",
+    "OrbitPoint", "GZChart",
     "OrbitTangent", "LevelData", "level_data",
     "sample_orbit", "random_spectrum", "regularity_margin", "lowering_minor_coeffs",
     "gz_forward", "chart_residuals", "kk_bracket",
@@ -67,21 +67,6 @@ class SingularChartError(OrbitError):
 class RetryExhaustedError(OrbitError):
     """Could not sample a regular orbit point within the retry budget."""
 
-
-class MinorConvention(NamedTuple):
-    """Orientation of the lowering minor C_n.
-
-    rows_variant True selects rows {1..n-1, n+1} x cols {1..n}; False the
-    transposed choice.
-    """
-
-    rows_variant: bool = True
-
-    def label(self) -> str:
-        return "rows" if self.rows_variant else "cols"
-
-
-DEFAULT_MINOR_CONVENTION = MinorConvention()
 
 _REGULARITY_GAP = 1e-6      # the smallest regularity margin of an orbit point
 _SPECTRUM_TOL = 1e-10       # its eigenvalues' largest distance from a declared spectrum
@@ -129,14 +114,12 @@ class OrbitPoint:
 
     u and spectrum are read-only copies, and assigning to any attribute
     raises AttributeError.  The point memoizes what the checks compute from
-    u: per convention levels, c_at_gamma and divisors; once punctures and
-    a_at_gamma, which no convention changes; and, in tower, the default base
-    point and the TowerDescriptor per lam0.  Each entry is a pure function
-    of u, built by a method of the point on first use, with read-only
-    arrays, never changed once stored, and holds no reference to the point,
-    so the memo makes no reference cycle and goes with its point.  A_n and
-    gamma are the default convention's in every one, so a convention whose
-    e and C_n no check reads never finds their roots.
+    u: levels, punctures, divisors and a_at_gamma; c_at_gamma per
+    orientation of C_n; and, in tower, the default base point and the
+    TowerDescriptor per lam0.  Each entry is a pure function of u, built by
+    a method of the point on first use, with read-only arrays, never changed
+    once stored, and holds no reference to the point, so the memo makes no
+    reference cycle and goes with its point.
     """
 
     __slots__ = ("u", "spectrum", "_memo", "__weakref__")
@@ -169,60 +152,48 @@ class OrbitPoint:
         """regularity_margin(u), from the memoized level data."""
         return _margin(self.levels().gamma)
 
-    def levels(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
-        """level_data(u, convention), once per point.  A_n and gamma do not
-        depend on the convention: another one shares them with the default
-        one and finds the roots of its C_n alone, bit for bit."""
+    def levels(self) -> LevelData:
+        """level_data(u), once per point."""
         def build():
-            if convention == DEFAULT_MINOR_CONVENTION:
-                lv = level_data(self.u, convention)
-            else:
-                base = self.levels()
-                c, e = _level_roots(self.u, convention, lowering=True)
-                lv = LevelData(a=list(base.a), gamma=list(base.gamma), c=c, e=e)
+            lv = level_data(self.u)
             _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
             return lv
-        return self._memoized(("levels", convention), build)
+        return self._memoized("levels", build)
 
     def punctures(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """_root_gradients of A_1..A_N at their roots levels().gamma:
-        ([gradient stack (n, N, N)], [root conditions]), once per point.  No
-        convention changes them."""
+        ([gradient stack (n, N, N)], [root conditions]), once per point."""
         def build():
-            minors = _level_minors(self.n, DEFAULT_MINOR_CONVENTION.rows_variant)[:self.n]
+            minors = _level_minors(self.n)[:self.n]
             grads, conds = _root_gradients(self.u, minors, self.levels().gamma)
             _read_only(*grads, *conds)
             return grads, conds
         return self._memoized("punctures", build)
 
-    def c_at_gamma(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """_log_minors of C_1..C_(N-1) at the roots of A_1..A_(N-1), which
-        theta and the residue form read, once per point and convention."""
-        return self._memoized(("c_at_gamma", convention), lambda: _log_minors(
-            self.u, _level_minors(self.n, convention.rows_variant)[self.n:],
-            self.levels().gamma))
+    def c_at_gamma(self, rows: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+        """_log_minors of C_1..C_(N-1) (rows False: the transposed minors) at
+        the roots of A_1..A_(N-1), which theta and the residue form read,
+        once per point and orientation."""
+        return self._memoized(("c_at_gamma", rows), lambda: _log_minors(
+            self.u, _level_minors(self.n, rows)[self.n:], self.levels().gamma))
 
     def a_at_gamma(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """_log_minors of A_1..A_(N-2) at the roots of A_2..A_(N-1), the part
-        of theta no convention changes, once per point."""
+        of theta that C_n's orientation does not change, once per point."""
         return self._memoized("a_at_gamma", lambda: _log_minors(
-            self.u, _level_minors(self.n, DEFAULT_MINOR_CONVENTION.rows_variant)[:self.n - 2],
-            self.levels().gamma[1:]))
+            self.u, _level_minors(self.n)[:self.n - 2], self.levels().gamma[1:]))
 
-    def divisors(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
-                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """_root_gradients of C_1..C_(N-1) at their roots levels(convention).e:
+    def divisors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """_root_gradients of C_1..C_(N-1) at their roots levels().e:
         ([gradient stack (n-1, N, N)], [root conditions]), once per point."""
         def build():
-            minors = _level_minors(self.n, convention.rows_variant)[self.n:]
-            grads, conds = _root_gradients(self.u, minors, self.levels(convention).e)
+            grads, conds = _root_gradients(self.u, _level_minors(self.n)[self.n:],
+                                           self.levels().e)
             _read_only(*grads, *conds)
             return grads, conds
-        return self._memoized(("divisors", convention), build)
+        return self._memoized("divisors", build)
 
-    def conditioning(self, convention: MinorConvention = DEFAULT_MINOR_CONVENTION
-                     ) -> dict[str, float | None]:
+    def conditioning(self) -> dict[str, float | None]:
         """A fresh dict: the smallest |e - gamma| within a level, the smallest
         |gamma_n - gamma_(n+1)| (None without terms), and the largest root
         condition |y| |z| / |y^T P z| of gamma and e."""
@@ -231,12 +202,12 @@ class OrbitPoint:
                                                    for a, b in pairs)])
             return float(np.min(gaps)) if len(gaps) else None
 
-        lv = self.levels(convention)
+        lv = self.levels()
         return {
             "min_divisor_gap": least_gap(zip(lv.e, lv.gamma)),
             "min_level_gap": least_gap(zip(lv.gamma, lv.gamma[1:])),
             "max_root_condition": float(np.max(np.concatenate(
-                self.punctures()[1] + self.divisors(convention)[1]))),
+                self.punctures()[1] + self.divisors()[1]))),
         }
 
     @classmethod
@@ -340,12 +311,11 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
 # the Gelfand-Zetlin chart
 # ---------------------------------------------------------------------------
 
-def lowering_minor_coeffs(u: np.ndarray, n: int,
-                          convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> np.ndarray:
+def lowering_minor_coeffs(u: np.ndarray, n: int) -> np.ndarray:
     """Coefficients of C_n(lam) for one level, degree n-1 in lam (0-based u)."""
     if not 1 <= n < u.shape[0]:
         raise ValueError("the lowering minor needs row/column n+1")
-    rows, cols = _level_minors(n + 1, convention.rows_variant)[-1]
+    rows, cols = _level_minors(n + 1)[-1]
     return lambda_minor_det(u, rows, cols)
 
 
@@ -361,51 +331,48 @@ class LevelData(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _level_minors(N: int, rows_variant: bool) -> tuple:
-    """(rows, cols) of A_1..A_N, then of C_1..C_{N-1}."""
+def _level_minors(N: int, rows: bool = True) -> tuple:
+    """(rows, cols) of A_1..A_N, then of C_1..C_{N-1}; rows False: the
+    transposed C_n, on rows {1..n} x cols {1..n-1, n+1}."""
     out = [(tuple(range(n)),) * 2 for n in range(1, N + 1)]
     for n in range(1, N):
         shifted, plain = tuple(range(n - 1)) + (n,), tuple(range(n))
-        out.append((shifted, plain) if rows_variant else (plain, shifted))
+        out.append((shifted, plain) if rows else (plain, shifted))
     return tuple(out)
 
 
-def _level_roots(u: np.ndarray, convention: MinorConvention, lowering: bool = False) -> tuple:
+def _level_roots(u: np.ndarray) -> tuple:
     """The level-data kernel at one point u: (coeffs, roots) of A_1..A_N,
-    then of C_1..C_(N-1), or of C_1..C_(N-1) alone when lowering, the roots
-    sorted.
+    then of C_1..C_(N-1), the roots sorted.
 
     gamma[n] are the eigenvalues of u_n.  The last row and column of C_n
-    carry no lam, and meet at the pivot p = u[n, n-1] (0-based; cols:
-    u[n-1, n]), so C_n = -p det(lam - K_n) with the Schur complement
-    K_n = u_(n-1) - outer(u[:n-1, n-1], u[n, :n-1]) / p (cols: outer(u[:n-1, n],
-    u[n-1, :n-1])), and e[n] are the eigenvalues of K_n.  u_s and K_(s+1)
-    share one stacked eigvals per block size s.  The coefficients are
-    A_n = _monic(gamma[n]) and C_n = -p _monic(e[n]).  A zero pivot has no K_n:
-    its e-points are NaN, and its C_n a 0 followed by NaN.  Raises
-    OrbitError when u, a root or a coefficient leaves floating-point range.
+    carry no lam, and meet at the pivot p = u[n, n-1] (0-based), so
+    C_n = -p det(lam - K_n) with the Schur complement
+    K_n = u_(n-1) - outer(u[:n-1, n-1], u[n, :n-1]) / p, and e[n] are the
+    eigenvalues of K_n.  u_s and K_(s+1) share one stacked eigvals per block
+    size s.  The coefficients are A_n = _monic(gamma[n]) and
+    C_n = -p _monic(e[n]).  A zero pivot has no K_n: its e-points are NaN,
+    and its C_n a 0 followed by NaN.  Raises OrbitError when u, a root or a
+    coefficient leaves floating-point range.
     """
     N = u.shape[0]
     n = np.arange(1, N)
-    r, c = (n, n - 1) if convention.rows_variant else (n - 1, n)
-    pivot = u[r, c]
+    pivot = u[n, n - 1]
     with np.errstate(all="ignore"):
-        K = [u[:m - 1, :m - 1] - np.outer(u[:m - 1, cm], u[rm, :m - 1]) / (p if p else 1.0)
-             for m, rm, cm, p in zip(n, r, c, pivot)]
+        K = [u[:m - 1, :m - 1] - np.outer(u[:m - 1, m - 1], u[m, :m - 1]) / (p if p else 1.0)
+             for m, p in zip(n, pivot)]
     _check_range([u, *K])
     gamma, e = [], [np.zeros(0, dtype=complex)][:N - 1]      # C_1 has no e-point
     for s in range(1, N + 1):
-        blocks = ([] if lowering else [u[:s, :s]]) + K[s:s + 1]
-        if blocks:
-            roots = np.linalg.eigvals(np.array(blocks))
-            gamma += [] if lowering else [roots[0]]
-            e += [roots[-1]] if s + 1 < N else []
+        roots = np.linalg.eigvals(np.array([u[:s, :s]] + K[s:s + 1]))
+        gamma.append(roots[0])
+        e += [roots[-1]] if s + 1 < N else []
     roots = [sort_points(x) for x in gamma + e]
     with np.errstate(all="ignore"):
         coeffs = [_monic(x) for x in roots]
-        coeffs[len(gamma):] = [-p * x for p, x in zip(pivot, coeffs[len(gamma):])]
+        coeffs[N:] = [-p * x for p, x in zip(pivot, coeffs[N:])]
     _check_range(coeffs + roots)
-    for m in np.flatnonzero(pivot == 0) + len(gamma):
+    for m in np.flatnonzero(pivot == 0) + N:
         roots[m][:], coeffs[m][1:] = np.nan, np.nan
     return coeffs, roots
 
@@ -425,19 +392,17 @@ def _check_range(arrays) -> None:
                          "leave floating-point range")
 
 
-def level_data(u: np.ndarray,
-               convention: MinorConvention = DEFAULT_MINOR_CONVENTION) -> LevelData:
+def level_data(u: np.ndarray) -> LevelData:
     """A_1..A_N and C_1..C_{N-1} with their roots, sorted, from _level_roots.
     Raises OrbitError when u or its level data leave floating-point range."""
     N = u.shape[0]
-    coeffs, roots = _level_roots(np.asarray(u, dtype=complex), convention)
+    coeffs, roots = _level_roots(np.asarray(u, dtype=complex))
     return LevelData(a=[np.ones(1, dtype=complex)] + coeffs[:N], gamma=roots[:N],
                      c=coeffs[N:], e=roots[N:])
 
 
 class GZChart(NamedTuple):
-    """Triangular arrays gamma[n][j] (n = 1..N) and theta[n][j] (n = 1..N-1),
-    of the default minor convention."""
+    """Triangular arrays gamma[n][j] (n = 1..N) and theta[n][j] (n = 1..N-1)."""
 
     gamma: list[np.ndarray]
     theta: list[np.ndarray]
@@ -449,7 +414,7 @@ class GZChart(NamedTuple):
     def to_json(self) -> dict:
         return {"n": self.n, "gamma": [_pairs(g) for g in self.gamma],
                 "theta": [_pairs(t) for t in self.theta],
-                "minor_convention": DEFAULT_MINOR_CONVENTION.label()}
+                "minor_convention": "rows"}
 
 
 def gz_forward(pt: OrbitPoint) -> GZChart:
@@ -508,7 +473,7 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
     C_n it was taken from.
     """
     N = pt.n
-    minors = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant)
+    minors = _level_minors(N)
     res_c = 0.0
     for n, (g, theta) in enumerate(zip(chart.gamma, chart.theta), start=1):
         lhs = _minor_at(pt.u, minors[N + n - 1], g)
@@ -597,11 +562,11 @@ def _log_minors(u: np.ndarray, minors: tuple, lams: list[np.ndarray]) -> list[tu
     return out
 
 
-def _theta_gradients(pt: OrbitPoint, convention: MinorConvention) -> list[np.ndarray]:
-    """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma)) in
-    the convention: each log-minor at fixed lam plus its lam-derivative times
-    d gamma, from the point's memo."""
-    dgamma, c, a = pt.punctures()[0], pt.c_at_gamma(convention), pt.a_at_gamma()
+def _theta_gradients(pt: OrbitPoint, rows: bool = True) -> list[np.ndarray]:
+    """d theta[n, j], n = 1..N-1, theta = log(-C_n(gamma) / A_(n-1)(gamma))
+    (rows False: with the transposed C_n): each log-minor at fixed lam plus
+    its lam-derivative times d gamma, from the point's memo."""
+    dgamma, c, a = pt.punctures()[0], pt.c_at_gamma(rows), pt.a_at_gamma()
     out = []
     for n in range(1, pt.n):
         dg = dgamma[n - 1]
@@ -651,11 +616,12 @@ def _chart_layout(N: int) -> tuple[list[str], np.ndarray, np.ndarray]:
     return names, pattern, reported
 
 
-def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
+def _canonicity_deviation(pt: OrbitPoint, rows: bool):
     """Worst table deviation, worst Casimir bracket, and the bracket matrix
-    kk of the chart functions, from the gradients of gamma and theta alone."""
+    kk of the chart functions, from the gradients of gamma and theta alone
+    (rows False: the theta of the transposed C_n)."""
     u, N = pt.u, pt.n
-    grads = np.concatenate(pt.punctures()[0] + _theta_gradients(pt, convention)
+    grads = np.concatenate(pt.punctures()[0] + _theta_gradients(pt, rows)
                            ).transpose(0, 2, 1)
     F = len(grads)
     # {F_a, F_b} = tr(u [G_b, G_a]) = T[b, a] - T[a, b], T[a, b] = tr(u G_a G_b),
@@ -670,36 +636,30 @@ def _canonicity_deviation(pt: OrbitPoint, convention: MinorConvention):
 
 
 def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCanonicityReport:
-    """Check {theta, gamma} = delta etc. in the oracle; sweep the minor convention.
+    """Check {theta, gamma} = delta etc. in the oracle, with a negative control.
 
-    Both orientations are tried, rows first; the first one whose full
-    bracket table is canonical within tolerance wins.  The cols orientation
-    is the negative control: at a puncture gamma of A_n the Desnanot-Jacobi
-    identity on gamma - u_(n+1) gives C^rows_n C^cols_n = -A_(n+1) A_(n-1),
-    so its theta is minus the rows theta plus a function of gamma, and its
-    {theta, gamma} brackets read -1 where +1 is due.  Each deviation needs
-    the gradients of gamma and theta alone, so a convention finds the roots
-    of its C_n (for the conditioning) only when it is reported: the winner,
-    or without one the convention of the smallest deviation, which also
-    gives the table.  Raises ValueError at N < 2, where the table holds no
-    pair of chart functions.
+    The chart's rows orientation of C_n is graded: the report is ok, with
+    winner "rows", exactly when its full bracket table is canonical within
+    tolerance, and its table and conditioning are reported either way.  The
+    transposed (cols) orientation is only reported, as the control: at a
+    puncture gamma of A_n the Desnanot-Jacobi identity on gamma - u_(n+1)
+    gives C^rows_n C^cols_n = -A_(n+1) A_(n-1), so its theta is minus the
+    rows theta plus a function of gamma, and its {theta, gamma} brackets
+    read -1 where +1 is due.  Each deviation needs the gradients of gamma
+    and theta alone, so the sweep finds no root of a cols C_n.  Raises
+    ValueError at N < 2, where the table holds no pair of chart functions.
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
-    results, variants, winner = {}, [], None
-    for conv in (MinorConvention(True), MinorConvention(False)):
-        dev, cas, _ = results[conv] = _canonicity_deviation(pt, conv)
-        variants.append({"convention": conv.label(),
-                         "max_deviation": dev, "casimir_deviation": cas})
-        if winner is None and dev < tolerance and cas < tolerance:
-            winner = conv
-    reported = winner or min(results, key=lambda c: results[c][0])
-    dev, cas, kk = results[reported]
+    results = {label: _canonicity_deviation(pt, label == "rows") for label in ("rows", "cols")}
+    variants = [{"convention": label, "max_deviation": dev, "casimir_deviation": cas}
+                for label, (dev, cas, _) in results.items()]
+    dev, cas, kk = results["rows"]
+    ok = dev < tolerance and cas < tolerance
     return ChartCanonicityReport(
-        n=pt.n, tolerance=tolerance, variants=variants,
-        winner=None if winner is None else winner.label(), max_deviation=dev,
-        casimir_deviation=cas, status="violation" if winner is None else "ok",
-        table=kk, conditioning=pt.conditioning(reported))
+        n=pt.n, tolerance=tolerance, variants=variants, winner="rows" if ok else None,
+        max_deviation=dev, casimir_deviation=cas, status="ok" if ok else "violation",
+        table=kk, conditioning=pt.conditioning())
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +717,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     u = pt.u
     N = pt.n
     dgamma, c, lv = pt.punctures()[0], pt.c_at_gamma(), pt.levels()
-    minors = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant)
+    minors = _level_minors(N)
     log_a = lambda n, lams: _minor_gradients(u, minors[n - 1], lams, roots=False)[0]
     flat = lambda grads: np.concatenate([np.zeros((0, N, N)), *grads])
     # aligned pairs of stacks over all levels: the gradients of some roots,

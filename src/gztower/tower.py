@@ -37,9 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .orbits import (
-    DEFAULT_MINOR_CONVENTION,
     LevelData,
-    MinorConvention,
     OrbitError,
     OrbitPoint,
     _at_punctures,
@@ -135,17 +133,21 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
     on the segment gives +i*pi, the increment of a path that steps around it
     to the right: adding 0j turns the -0.0 imaginary part of a negative real
     ratio into +0.0.  a and b may be arrays of endpoints: the result has
-    their shape plus a last axis over the punctures.  The error's row is the
-    first index along the result's leading axis with an endpoint within
-    _PUNCTURE_FLOOR of a puncture.
+    their shape plus a last axis over the punctures.  The error names the
+    first endpoint within _PUNCTURE_FLOOR of a puncture, in the result's
+    order, and that puncture; its row is the endpoint's index along the
+    result's leading axis.
     """
     g = np.asarray(punctures, dtype=complex)
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
-    near = (np.abs(a - g) < _PUNCTURE_FLOOR) | (np.abs(b - g) < _PUNCTURE_FLOOR)
+    near_a = np.abs(a - g) < _PUNCTURE_FLOOR
+    near = near_a | (np.abs(b - g) < _PUNCTURE_FLOOR)
     if near.any():
+        first = np.unravel_index(np.argmax(near), near.shape)
+        end, j = np.where(near_a, a, b)[first], first[-1]
         raise PathThroughPunctureError(
-            f"integration endpoint within {_PUNCTURE_FLOOR} of a puncture",
-            row=int(np.argmax(near.reshape(len(near), -1).any(axis=1))))
+            f"integration endpoint {complex(end):.6g} within {_PUNCTURE_FLOOR} of puncture "
+            f"{j + 1}, {g[j]:.6g}", row=int(first[0]))
     return np.log((b - g) / (a - g) + 0j)
 
 
@@ -224,7 +226,7 @@ class TowerDescriptor(NamedTuple):
     def to_json(self) -> dict:
         return {"levels": [lv.to_json() for lv in self.levels],
                 "zero_section": {str(n): _pairs(v) for n, v in self.zero_section.items()},
-                "minor_convention": DEFAULT_MINOR_CONVENTION.label(),
+                "minor_convention": "rows",
                 "base_point": _pair(self.base_point)}
 
 
@@ -374,8 +376,7 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     return FlowResult(times=times, points=list(us))
 
 
-def _level_coeffs(us: np.ndarray, gamma: list[np.ndarray],
-                  convention: MinorConvention) -> tuple:
+def _level_coeffs(us: np.ndarray, gamma: list[np.ndarray]) -> tuple:
     """The tracker's level kernel on a stack us (B, N, N), at the punctures
     gamma of A_1..A_N, which a GZ flow conserves: (a, c, finite).
 
@@ -388,7 +389,7 @@ def _level_coeffs(us: np.ndarray, gamma: list[np.ndarray],
     N = us.shape[-1]
     finite = np.isfinite(us).all(axis=(1, 2))
     us = np.where(finite[:, None, None], us, 0.0)      # det may take a NaN for 0
-    minors = _level_minors(N, convention.rows_variant)
+    minors = _level_minors(N)
     with np.errstate(all="ignore"):
         a = [circle_coeffs(us[:, :n, :n], np.eye(n), float(np.max(np.abs(g))) or 1.0)
              for n, g in enumerate(gamma, start=1)]
@@ -401,7 +402,7 @@ def _level_coeffs(us: np.ndarray, gamma: list[np.ndarray],
 
 
 def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
-    """tau (and h) values of the default convention, continued in time
+    """tau (and h) values, continued in time
     through the samples us (B, N, N), or one u, at times ts; the first
     sample is usually pt itself.
 
@@ -433,7 +434,7 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
     lv = pt.levels()
     us = np.asarray(us, dtype=complex).reshape(-1, N, N)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    coeffs, values, finite = _level_coeffs(us, lv.gamma, DEFAULT_MINOR_CONVENTION)
+    coeffs, values, finite = _level_coeffs(us, lv.gamma)
     limit = len(us) if finite.all() else int(np.argmin(finite))
     error = None if finite.all() else RegularityLostError(float(ts[limit]))
     incs = [np.zeros((limit, 0), dtype=complex)]
@@ -536,7 +537,7 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     N, u, lv = pt.n, pt.u, pt.levels()
     for m in range(1, N):
         _lowering_lead(lv, m)       # before anything divides by the pivot of C_m
-    minors, de = _level_minors(N, DEFAULT_MINOR_CONVENTION.rows_variant), pt.divisors()[0]
+    minors, de = _level_minors(N), pt.divisors()[0]
     keys = [(n, k) for n in range(1, N) for k in range(1, n + 1)]
     X, tau_grads = np.zeros((2, len(keys), N, N), dtype=complex)
     for m in range(1, N):

@@ -1,7 +1,7 @@
 """Root tracking for the test oracles: the exhaustive minimal-distance match,
 level data whose roots follow those of a nearby point, the angles of level
-data of either minor convention, and the chart data of a point computed
-eagerly, without the point's memo."""
+data with either orientation of the lowering minors, and the chart data of a
+point computed eagerly, without the point's memo."""
 
 import itertools
 from typing import NamedTuple
@@ -9,12 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from gztower import orbits
-from gztower.orbits import (
-    DEFAULT_MINOR_CONVENTION,
-    LevelData,
-    OrbitPoint,
-    level_data,
-)
+from gztower.orbits import LevelData, OrbitPoint, level_data
 
 
 def match_loop(base, new):
@@ -28,21 +23,27 @@ def match_loop(base, new):
     return new[list(best)]
 
 
-def chart_thetas(lv):
+def chart_thetas(lv, cols_of=None):
     """theta[n] = log(-C_n(gamma[n]) / A_(n-1)(gamma[n])), n = 1..N-1, from the
     roots of the level data lv, C_n = lead prod(lam - e[n]) and A_(n-1) =
-    prod(lam - gamma[n-1]), as gz_forward takes them for the default
-    convention."""
+    prod(lam - gamma[n-1]), as gz_forward takes them.  With a matrix cols_of,
+    C_n(gamma[n]) is instead the transposed lowering minor of cols_of, as a
+    direct determinant at each puncture."""
     prod = lambda x, roots: np.prod(np.subtract.outer(x, roots), axis=1)
     prev = [np.zeros(0, dtype=complex)] + list(lv.gamma)
-    return [np.log(-c[0] * prod(g, e) / prod(g, p))
-            for g, c, e, p in zip(lv.gamma, lv.c, lv.e, prev)]
+    if cols_of is None:
+        c = [c[0] * prod(g, e) for g, c, e in zip(lv.gamma, lv.c, lv.e)]
+    else:
+        N = len(cols_of)
+        c = [orbits._minor_at(cols_of, minor, g)
+             for minor, g in zip(orbits._level_minors(N, False)[N:], lv.gamma)]
+    return [np.log(-cg / prod(g, p)) for cg, g, p in zip(c, lv.gamma, prev)]
 
 
-def tracked_level_data(u, convention, base):
+def tracked_level_data(u, base):
     """level_data at u, each root set reordered by match_loop to follow the
     matching one of base, a LevelData; sorted when base is None."""
-    lv = level_data(u, convention)
+    lv = level_data(u)
     if base is None:
         return lv
     follow = lambda refs, sets: [match_loop(ref, x) for ref, x in zip(refs, sets)]
@@ -51,7 +52,7 @@ def tracked_level_data(u, convention, base):
 
 
 class EagerChart(NamedTuple):
-    """What OrbitPoint memoizes per convention, computed at once."""
+    """What OrbitPoint memoizes, computed at once."""
 
     levels: LevelData
     punctures: tuple
@@ -61,14 +62,13 @@ class EagerChart(NamedTuple):
     conditioning: dict
 
 
-def eager_derivatives(u, convention=DEFAULT_MINOR_CONVENTION):
+def eager_derivatives(u):
     """The levels, puncture gradients, log-minors at gamma, divisors and
-    conditioning of a point at u in the convention, from scratch: the
-    convention's own level_data, the root gradients of all 2N-1 minors at
-    their roots, and the conditioning."""
+    conditioning of a point at u, from scratch: level_data, the root
+    gradients of all 2N-1 minors at their roots, and the conditioning."""
     N = u.shape[0]
-    lv = level_data(u, convention)
-    minors = orbits._level_minors(N, convention.rows_variant)
+    lv = level_data(u)
+    minors = orbits._level_minors(N)
     grads, conds = orbits._root_gradients(u, minors, lv.gamma + lv.e)
 
     def least_gap(pairs):
@@ -87,12 +87,15 @@ def eager_derivatives(u, convention=DEFAULT_MINOR_CONVENTION):
                       (grads[N:], conds[N:]), conditioning)
 
 
-def eager_point(u, convention=DEFAULT_MINOR_CONVENTION):
+def eager_point(u, rows=True):
     """An OrbitPoint at u whose memo holds the gradients of gamma and the
-    log-minors at gamma of eager_derivatives in the convention, so theta and
-    the sweep read what was computed at once."""
-    eager = eager_derivatives(u, convention)
+    log-minors at gamma of eager_derivatives, those of C_n with rows False
+    of the transposed minors, so theta and the sweep read what was computed
+    at once."""
+    eager, N = eager_derivatives(u), u.shape[0]
+    c = eager.c_at_gamma if rows else orbits._log_minors(
+        u, orbits._level_minors(N, False)[N:], eager.levels.gamma)
     pt = OrbitPoint(u=u, spectrum=eager.levels.gamma[-1])
     pt._memo.update({"punctures": eager.punctures, "a_at_gamma": eager.a_at_gamma,
-                     ("c_at_gamma", convention): eager.c_at_gamma})
+                     ("c_at_gamma", rows): c})
     return pt

@@ -151,14 +151,12 @@ def test_a_flipped_compression_makes_the_chart_residuals_a_violation(monkeypatch
     # and the angle relation against direct determinants finds theta wrong
     kernel = orbits._level_roots
 
-    def flipped(u, convention, lowering=False):
-        coeffs, roots = kernel(u, convention, lowering)
-        first = 0 if lowering else len(u)
+    def flipped(u):
+        coeffs, roots = kernel(u)
         for n in range(2, len(u)):
-            r, c = (n, n - 1) if convention.rows_variant else (n - 1, n)
-            K = u[:n - 1, :n - 1] + np.outer(u[:n - 1, c], u[r, :n - 1]) / u[r, c]
+            K = u[:n - 1, :n - 1] + np.outer(u[:n - 1, n - 1], u[n, :n - 1]) / u[n, n - 1]
             e = np.linalg.eigvals(K)
-            roots[first + n - 1], coeffs[first + n - 1] = e, -u[r, c] * np.poly(e)
+            roots[len(u) + n - 1], coeffs[len(u) + n - 1] = e, -u[n, n - 1] * np.poly(e)
         return coeffs, roots
 
     monkeypatch.setattr(orbits, "_level_roots", flipped)
@@ -167,6 +165,23 @@ def test_a_flipped_compression_makes_the_chart_residuals_a_violation(monkeypatch
     residuals = parse_report(out)["chart_residuals"]
     assert code == 1 and residuals["status"] == "violation"
     assert residuals["root_residual"] < 1e-9 < residuals["angle_relation"]
+
+
+def test_a_flipped_bracket_sign_makes_the_sweep_a_violation(monkeypatch, capsys):
+    # every theta gradient negated flips each {gamma, theta}, as a sweep
+    # taking kk = T - T^T would flip the whole table: the graded rows misses
+    # by 2, and the cols control, negated too, reads canonical but does not
+    # make the report ok
+    theta = orbits._theta_gradients
+    monkeypatch.setattr(orbits, "_theta_gradients",
+                        lambda pt, rows=True: [-g for g in theta(pt, rows)])
+    code, out, _ = run_cli(capsys, "orbit", "--n", "4", "--check", "all", "--seed", "2",
+                           "--spectrum=0.9+0.1j,-1.1+0.4j,0.3-1.2j,-0.5-0.6j")
+    chart = parse_report(out)["canonical_chart"]
+    assert code == 1 and chart["status"] == "violation" and chart["winner"] is None
+    rows, cols = chart["variants"]
+    assert abs(rows["max_deviation"] - 2.0) < 1e-6 and cols["max_deviation"] < 1e-10
+    assert chart["max_deviation"] == rows["max_deviation"]
 
 
 S8 = "0.9+0.1j,-1.1+0.4j,0.3-1.2j,-0.5-0.6j,1.3+1.1j,-1.4-1.3j,0.1+0.9j,0.7-0.4j"
@@ -220,8 +235,9 @@ def test_orbit_stopped_by_the_tower_is_a_violation_report(capsys):
     assert (code, err) == (1, "orbit: violation\n")
     report = parse_report(out)
     assert report["status"] == "violation"
-    assert report["error"] == {"kind": "path-through-puncture", "time": None, "level": 2,
-                               "message": "integration endpoint within 1e-08 of a puncture"}
+    assert report["error"] == {
+        "kind": "path-through-puncture", "time": None, "level": 2,
+        "message": "integration endpoint 1+0j within 1e-08 of puncture 1, 1+9.36861e-17j"}
     assert report["canonical_chart"]["status"] == "ok"
     assert "tower" not in report and "action_angle" not in report
 
@@ -336,8 +352,8 @@ def _tracker_fault(level, fault):
     C_n(gamma) values of sample 10 of its stack (t = 0.2 on a 100-step grid)."""
     kernel = tower._level_coeffs
 
-    def patched(us, gamma, convention):
-        coeffs, values, finite = kernel(us, gamma, convention)
+    def patched(us, gamma):
+        coeffs, values, finite = kernel(us, gamma)
         if len(us) > 10:
             fault(values, level)
         return coeffs, values, finite

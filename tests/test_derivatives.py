@@ -14,7 +14,6 @@ import pytest
 from _tracking import chart_thetas, eager_derivatives, eager_point, tracked_level_data
 from gztower import orbits
 from gztower.orbits import (
-    MinorConvention,
     OrbitPoint,
     OrbitTangent,
     gz_forward,
@@ -26,7 +25,7 @@ from gztower.orbits import (
 from gztower.poisson import central_gradient
 from gztower.tower import action_angle_bracket_table, action_gradient, build_tower
 
-CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
+ORIENTATIONS = pytest.mark.parametrize("rows", [True, False], ids=["rows", "cols"])
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +41,16 @@ def _central_gradients(f, u, step):
     return {key: grads[..., i] for i, key in enumerate(f(u))}
 
 
-def _matched_chart_values(u, base, base_theta, convention):
-    """Chart functions at a nearby u, tracked against the base level data."""
-    lv = tracked_level_data(u, convention, base)
+def _matched_chart_values(u, base, base_theta, rows):
+    """Chart functions at a nearby u, tracked against the base level data;
+    rows False: the angles of the transposed lowering minors."""
+    lv = tracked_level_data(u, base)
     out = {}
     for n, roots in enumerate(lv.gamma, start=1):
         for j, g in enumerate(roots):
             out[("gamma", n, j + 1)] = g
-    for n, (val, ref) in enumerate(zip(chart_thetas(lv), base_theta), start=1):
+    thetas = chart_thetas(lv, None if rows else u)
+    for n, (val, ref) in enumerate(zip(thetas, base_theta), start=1):
         # branch continuity: shift by the multiple of 2*pi*i nearest the base
         val = val + 2j * np.pi * np.round((ref - val).imag / (2.0 * np.pi))
         for j, v in enumerate(val):
@@ -57,12 +58,12 @@ def _matched_chart_values(u, base, base_theta, convention):
     return out
 
 
-def _chart_gradients(pt, convention, step=1e-5):
+def _chart_gradients(pt, rows, step=1e-5):
     """Stencil gradients of every chart function, [a, b] = dF/du[a, b]."""
-    base = pt.levels(convention)
-    theta = chart_thetas(base)
+    base = pt.levels()
+    theta = chart_thetas(base, None if rows else pt.u)
     return _central_gradients(
-        lambda u: _matched_chart_values(u, base, theta, convention), pt.u, step)
+        lambda u: _matched_chart_values(u, base, theta, rows), pt.u, step)
 
 
 def _tower_angles(u, spectrum):
@@ -72,22 +73,28 @@ def _tower_angles(u, spectrum):
     return {(lv.n, k): tau for lv in levels for k, tau in enumerate(lv.tau, start=1)}
 
 
-def _tangent_chart_data(pt, xi, step, convention, base):
-    """Directional derivatives of roots and log-minors along one tangent."""
+def _tangent_chart_data(pt, xi, step, rows, base):
+    """Directional derivatives of roots and log-minors along one tangent;
+    those of C_n at gamma by direct determinants of its rows or transposed
+    (cols) minors."""
     u = pt.u
     N = pt.n
     h = step * max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(xi)))
-    p, m = (tracked_level_data(u + sgn * h * xi, convention, base) for sgn in (1.0, -1.0))
+    p, m = (tracked_level_data(u + sgn * h * xi, base) for sgn in (1.0, -1.0))
 
     def dlog(plus, minus, at, z):
         return (np.polyval(plus, z) - np.polyval(minus, z)) / (2 * h * np.polyval(at, z))
+
+    def dlog_c(n):
+        minor, g = orbits._level_minors(N, rows)[N + n - 1], base.gamma[n - 1]
+        at = lambda v: orbits._minor_at(v, minor, g)
+        return (at(u + h * xi) - at(u - h * xi)) / (2 * h * at(u))
 
     return {
         "dgamma": [(gp - gm) / (2 * h) for gp, gm in zip(p.gamma, m.gamma)],
         "de": [(ep - em) / (2 * h) for ep, em in zip(p.e, m.e)],
         "la_at_e": [dlog(p.a[n], m.a[n], base.a[n], base.e[n - 1]) for n in range(1, N)],
-        "lc_at_gamma": [dlog(p.c[n - 1], m.c[n - 1], base.c[n - 1], base.gamma[n - 1])
-                        for n in range(1, N)],
+        "lc_at_gamma": [dlog_c(n) for n in range(1, N)],
         "la_at_gamma_prev": [dlog(p.a[n], m.a[n], base.a[n], base.gamma[n - 2])
                              for n in range(2, N)],
     }
@@ -112,35 +119,38 @@ POINTS = _points()
 
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
 def test_the_stencil_angles_are_the_charts(pt):
-    # in the default convention the oracle's angles are gz_forward's, bit for bit
+    # the oracle's rows angles are gz_forward's, bit for bit
     for oracle, chart in zip(chart_thetas(pt.levels()), gz_forward(pt).theta, strict=True):
         assert np.array_equal(oracle, chart)
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS, ids=["rows", "cols"])
+@ORIENTATIONS
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
-def test_chart_gradients_match_the_stencil(pt, convention):
-    eager = eager_point(pt.u, convention)
-    oracle = _chart_gradients(pt, convention)
+def test_chart_gradients_match_the_stencil(pt, rows):
+    # cols: the theta gradients of the sweep's negative control
+    eager = eager_point(pt.u, rows)
+    oracle = _chart_gradients(pt, rows)
     for n, stack in enumerate(eager.punctures()[0], start=1):
         for j, grad in enumerate(stack, start=1):
             assert _close(grad, oracle[("gamma", n, j)], 1e-6), ("gamma", n, j)
-    for n, stack in enumerate(orbits._theta_gradients(eager, convention), start=1):
+    for n, stack in enumerate(orbits._theta_gradients(eager, rows), start=1):
         for j, grad in enumerate(stack, start=1):
             assert _close(grad, oracle[("theta", n, j)], 1e-6), ("theta", n, j)
 
 
-@pytest.mark.parametrize("convention", CONVENTIONS, ids=["rows", "cols"])
+@ORIENTATIONS
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
-def test_tangent_derivatives_match_the_stencil(pt, convention):
-    # every piece of the residue form, along one random tangent [x, u]
+def test_tangent_derivatives_match_the_stencil(pt, rows):
+    # every piece of the residue form, along one random tangent [x, u], and
+    # the log-minors of C_n at gamma in either orientation
     u, N = pt.u, pt.n
     rng = np.random.default_rng(N)
     xi = OrbitTangent(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))).vector(u)
-    lv, (dgamma, _), c_at_gamma, _, (de, _), _ = eager_derivatives(u, convention)
-    oracle = _tangent_chart_data(pt, xi, 1e-6, convention, lv)
+    lv, (dgamma, _), _, _, (de, _), _ = eager_derivatives(u)
+    c_at_gamma = eager_point(u, rows).c_at_gamma(rows)
+    oracle = _tangent_chart_data(pt, xi, 1e-6, rows, lv)
     along = lambda grads: np.einsum("kab,ab->k", grads, xi)
-    minors = orbits._level_minors(N, convention.rows_variant)
+    minors = orbits._level_minors(N)
     log_a = lambda n, lams: along(orbits._minor_gradients(u, minors[n - 1], lams, roots=False)[0])
     for n in range(1, N + 1):
         assert _close(along(dgamma[n - 1]), oracle["dgamma"][n - 1], 1e-6)
@@ -179,16 +189,21 @@ def test_punctures_of_a_hermitian_point_are_perfectly_conditioned():
 # the three checks
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")
-def test_canonical_table_is_exact_to_rounding(pt):
-    rep = verify_canonical_chart(pt)
-    assert rep.winner == "rows"
-    assert rep.max_deviation <= 1e-10
-    assert rep.casimir_deviation <= 1e-10
-    # the transposed minors read about 2, so the sweep still tells them apart
-    devs = {v["convention"]: v["max_deviation"] for v in rep.variants}
-    assert abs(devs["cols"] - 2.0) < 1e-6
-    assert rep.to_json()["derivatives"] == "analytic"
+@pytest.mark.parametrize("N", range(2, 9), ids=lambda N: f"N{N}")
+def test_canonical_table_is_exact_to_rounding(N):
+    # the point of POINTS at N, if any, and six more sampled at N
+    rng = np.random.default_rng(300 + N)
+    sampled = [sample_orbit(random_spectrum(N, rng), seed=rng) for _ in range(6)]
+    for pt in [pt for pt in POINTS if pt.n == N] + sampled:
+        rep = verify_canonical_chart(pt)
+        assert rep.winner == "rows"
+        assert rep.max_deviation <= 1e-10
+        assert rep.casimir_deviation <= 1e-10
+        # the negative control fails on every point: the transposed minors
+        # read about 2, so the sweep still tells them apart
+        devs = {v["convention"]: v["max_deviation"] for v in rep.variants}
+        assert abs(devs["cols"] - 2.0) < 1e-6
+        assert rep.to_json()["derivatives"] == "analytic"
 
 
 @pytest.mark.parametrize("pt", POINTS, ids=lambda pt: f"N{pt.n}")

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from gztower import orbits
 from gztower.orbits import (
-    MinorConvention,
     OrbitError,
     OrbitPoint,
     SingularChartError,
@@ -24,8 +24,6 @@ from gztower.polytools import (
     sort_points,
 )
 from gztower.tower import TowerError, _level_coeffs, build_tower
-
-CONVENTIONS = [MinorConvention(True), MinorConvention(False)]
 
 
 def _close_roots(got, ref):
@@ -51,33 +49,34 @@ def test_level_data_matches_the_per_level_minors_and_roots(N, scale):
     for seed in range(2):
         pt = sample_orbit(random_spectrum(N, np.random.default_rng(seed)), seed=seed)
         u = scale * pt.u
-        for conv in CONVENTIONS:
-            lv = level_data(u, conv)
-            assert len(lv.a) == N + 1 and np.array_equal(lv.a[0], [1.0])
-            assert len(lv.gamma) == N and len(lv.c) == len(lv.e) == N - 1
-            for n in range(1, N + 1):
-                ref = lambda_minor_det(u, range(n), range(n))
-                _close_coeffs(lv.a[n], ref)
-                assert np.array_equal(lv.gamma[n - 1], sort_points(lv.gamma[n - 1]))
-                _close_roots(lv.gamma[n - 1], sort_points(roots_polished(ref)))
-            for n in range(1, N):
-                ref = lowering_minor_coeffs(u, n, conv)
-                _close_coeffs(lv.c[n - 1], ref)
-                assert np.array_equal(lv.e[n - 1], sort_points(lv.e[n - 1]))
-                _close_roots(lv.e[n - 1], sort_points(roots_polished(ref)))
+        lv = level_data(u)
+        assert len(lv.a) == N + 1 and np.array_equal(lv.a[0], [1.0])
+        assert len(lv.gamma) == N and len(lv.c) == len(lv.e) == N - 1
+        for n in range(1, N + 1):
+            ref = lambda_minor_det(u, range(n), range(n))
+            _close_coeffs(lv.a[n], ref)
+            assert np.array_equal(lv.gamma[n - 1], sort_points(lv.gamma[n - 1]))
+            _close_roots(lv.gamma[n - 1], sort_points(roots_polished(ref)))
+        for n in range(1, N):
+            ref = lowering_minor_coeffs(u, n)
+            _close_coeffs(lv.c[n - 1], ref)
+            assert np.array_equal(lv.e[n - 1], sort_points(lv.e[n - 1]))
+            _close_roots(lv.e[n - 1], sort_points(roots_polished(ref)))
 
 
 @pytest.mark.parametrize("N", [1, 4, 8])
 def test_level_data_actions_do_not_depend_on_the_convention(N):
-    # the margin reads the A_n and gamma of the default convention alone
+    # the margin reads A_n and gamma alone, which the transposed lowering
+    # minors share: the level data of u^T, whose C_n are the transposed C_n
+    # of u, have the same A_n and gamma, and their C_n are those minors
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    default = pt.levels()
-    for conv in CONVENTIONS[1:]:
-        other = level_data(pt.u, conv)
-        for a, b in zip(default.a, other.a):
-            _close_coeffs(b, a)
-        for g, h in zip(default.gamma, other.gamma):
-            _close_roots(h, g)
+    default, other = pt.levels(), level_data(pt.u.T)
+    for a, b in zip(default.a, other.a):
+        _close_coeffs(b, a)
+    for g, h in zip(default.gamma, other.gamma):
+        _close_roots(h, g)
+    for c, (rows, cols) in zip(other.c, orbits._level_minors(N, False)[N:]):
+        _close_coeffs(c, lambda_minor_det(pt.u, rows, cols))
 
 
 def _stack(N):
@@ -96,19 +95,18 @@ def test_stacked_level_data_matches_per_point_calls(N):
     # per-level oracle's bound, and C_n(gamma) by one determinant each
     # against lead prod(gamma - e)
     us = _stack(N)
-    for conv in CONVENTIONS:
-        for b, u in enumerate(us):
-            lv = level_data(u, conv)
-            a, c, finite = _level_coeffs(us, lv.gamma, conv)
-            one_a, one_c, _ = _level_coeffs(us[b:b + 1], lv.gamma, conv)
-            assert finite.all() and len(a) == N and len(c) == N - 1
-            for got, one, ref in zip(a, one_a, lv.a[1:]):
-                assert np.array_equal(got[b], one[0])
-                assert np.max(np.abs(got[b] - ref)) <= 1e-10 * np.max(np.abs(ref))
-            for got, one, g, lead, e in zip(c, one_c, lv.gamma, lv.c, lv.e):
-                ref = lead[0] * np.prod(np.subtract.outer(g, e), axis=1)
-                assert np.array_equal(got[b], one[0])
-                assert np.max(np.abs(got[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for b, u in enumerate(us):
+        lv = level_data(u)
+        a, c, finite = _level_coeffs(us, lv.gamma)
+        one_a, one_c, _ = _level_coeffs(us[b:b + 1], lv.gamma)
+        assert finite.all() and len(a) == N and len(c) == N - 1
+        for got, one, ref in zip(a, one_a, lv.a[1:]):
+            assert np.array_equal(got[b], one[0])
+            assert np.max(np.abs(got[b] - ref)) <= 1e-10 * np.max(np.abs(ref))
+        for got, one, g, lead, e in zip(c, one_c, lv.gamma, lv.c, lv.e):
+            ref = lead[0] * np.prod(np.subtract.outer(g, e), axis=1)
+            assert np.array_equal(got[b], one[0])
+            assert np.max(np.abs(got[b] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,10 @@ import weakref
 import numpy as np
 import pytest
 
-from _tracking import chart_thetas, eager_derivatives
+from _tracking import chart_thetas, eager_point
 from gztower import orbits, polytools, tower
 from gztower.cli import main
 from gztower.orbits import (
-    DEFAULT_MINOR_CONVENTION,
-    MinorConvention,
     OrbitPoint,
     OrbitTangent,
     random_spectrum,
@@ -44,8 +42,7 @@ def _chart(pt):
 # each check that takes a point, as JSON-ready output
 CHECKS = {
     "gz_forward": _chart,
-    "gz_forward_cols": lambda pt: [t.tolist() for t in chart_thetas(
-        pt.levels(MinorConvention(False)))],
+    "gz_forward_cols": lambda pt: [t.tolist() for t in chart_thetas(pt.levels(), pt.u)],
     "gamma_only": lambda pt: [g.tolist() for g in pt.levels().gamma],
     "margin": lambda pt: pt.margin(),
     "verify_canonical_chart": lambda pt: orbits.verify_canonical_chart(pt).to_json(),
@@ -74,7 +71,7 @@ def test_a_filled_memo_gives_the_fresh_result(name):
     assert _dump(CHECKS[name](warm)) == _dump(CHECKS[name](fresh))
 
 
-_LEVELS = ("levels", DEFAULT_MINOR_CONVENTION)
+_LEVELS = "levels"
 
 
 def test_the_memo_is_per_instance_and_from_json_starts_empty():
@@ -154,15 +151,13 @@ def test_a_filled_memo_does_not_keep_its_point_alive():
     # no memo entry refers back to the point, so without the cyclic
     # collector, as in a gz-tower process, the point and its memo go with
     # the point's last reference
-    cols = MinorConvention(False)
     enabled = gc.isenabled()
     gc.disable()
     try:
         pt = sample_orbit(_SPECTRUM, seed=4)
         for check in CHECKS.values():
             check(pt)
-        pt.levels(cols), pt.c_at_gamma(cols), pt.conditioning(cols)
-        assert {("levels", cols), ("c_at_gamma", cols), ("divisors", cols)} <= set(pt._memo)
+        assert {"levels", ("c_at_gamma", False), "divisors"} <= set(pt._memo)
         ref = weakref.ref(pt)
         del pt
         assert ref() is None
@@ -218,8 +213,7 @@ def _kernel_runs(monkeypatch, capsys, argv):
 def test_one_report_runs_the_level_kernel_once_per_data(monkeypatch, capsys, tmp_path, argv):
     # the level data of the last draw is the point's, and neither report
     # adds a run: the margin, the tower and the action gradient all read the
-    # point's, and the sweep's cols convention, which rows beats here, needs
-    # no roots of its lowering minors
+    # point's, and the sweep's cols control needs no roots of its minors
     if argv[0] == "flow":
         argv = argv + ["--trajectory", str(tmp_path / "t.jsonl")]
     draws, minors, one_minor = _kernel_runs(monkeypatch, capsys, argv)
@@ -235,48 +229,34 @@ def _same_arrays(got, want):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7])
 def test_the_cols_data_share_the_rows_punctures_bit_for_bit(N):
-    # the cols level data take A_n and gamma from the rows memo, computing
-    # the lowering minors alone, the gradients of gamma and the log-minors
-    # of A_(n-1) are one entry for both conventions, and all equal an eager
-    # computation in the cols convention bit for bit
-    cols = MinorConvention(False)
+    # the sweep's cols control adds the log-minors of its C_n at the rows
+    # punctures alone: the gradients of gamma and the log-minors of A_(n-1)
+    # are one entry for both orientations, and all equal an eager
+    # computation bit for bit
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    lv, c, (de, e_conditions) = pt.levels(cols), pt.c_at_gamma(cols), pt.divisors(cols)
-    rows_lv = pt.levels()
-    assert all(x is y for x, y in zip(lv.a + lv.gamma, rows_lv.a + rows_lv.gamma))
-    eager = eager_derivatives(pt.u, cols)
-    for name in ("a", "gamma", "c", "e"):
-        _same_arrays(getattr(lv, name), getattr(eager.levels, name))
-    for got, want in zip(pt.punctures(), eager.punctures):
+    c = pt.c_at_gamma(False)
+    eager = eager_point(pt.u, False)
+    for got, want in zip(pt.punctures(), eager.punctures()):
         _same_arrays(got, want)
-    for got, want in ((c, eager.c_at_gamma), (pt.a_at_gamma(), eager.a_at_gamma)):
+    for got, want in ((c, eager.c_at_gamma(False)), (pt.a_at_gamma(), eager.a_at_gamma())):
         _same_arrays([x for pair in got for x in pair], [x for pair in want for x in pair])
-    _same_arrays(de, eager.divisors[0])
-    _same_arrays(e_conditions, eager.divisors[1])
-    assert pt.conditioning(cols) == eager.conditioning
     # the cols C_n are other minors than the rows ones
     assert not any(np.array_equal(x, y) for (x, _), (y, _) in zip(c, pt.c_at_gamma()))
+    assert "levels" in pt._memo and ("c_at_gamma", True) in pt._memo
 
 
 def test_every_cols_array_is_read_only():
-    # the cols data first, on a fresh point: they build the rows level data
-    # and the gradients of gamma they share, which stay read-only as well
-    cols = MinorConvention(False)
+    # the cols log-minors first, on a fresh point: they build the level data
+    # they are taken at, which stay read-only as well
     pt = OrbitPoint(u=sample_orbit(_SPECTRUM, seed=4).u, spectrum=np.array(_SPECTRUM))
-    c = pt.c_at_gamma(cols)
-    lv, (de, e_conditions) = pt.levels(cols), pt.divisors(cols)
-    (dg, g_conditions), a = pt.punctures(), pt.a_at_gamma()
-    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, *dg, *g_conditions, *de, *e_conditions]
+    c = pt.c_at_gamma(False)
+    lv, (dg, g_conditions), a = pt.levels(), pt.punctures(), pt.a_at_gamma()
+    shared = [*lv.a, *lv.gamma, *lv.c, *lv.e, *dg, *g_conditions]
     shared += [x for pair in c + a for x in pair]
-    rows_lv = pt.levels()
-    shared += [*rows_lv.a, *rows_lv.gamma]
-    assert any(x is y for x in lv.gamma for y in rows_lv.gamma)
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
-    with pytest.raises(AttributeError):
-        lv.c = []
-    assert pt.levels(cols) is lv and pt.c_at_gamma(cols) is c and pt.divisors(cols)[0] is de
+    assert pt.c_at_gamma(False) is c
 
 
 def _count_minor_gradients(monkeypatch):
@@ -300,7 +280,7 @@ def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
     assert calls.count(True) == 2 * N - 1
     assert calls.count(False) == (N - 1) + (N - 1) + (N - 2)
     calls.clear()
-    orbits._theta_gradients(pt, DEFAULT_MINOR_CONVENTION)
+    orbits._theta_gradients(pt)
     # theta adds only d log A_(n-1) at the punctures of A_n, n = 2..N-1
     assert calls == [False] * (N - 2)
     calls.clear()
@@ -321,7 +301,7 @@ def test_theta_and_the_residue_form_share_the_c_log_minors(monkeypatch):
 def test_the_sweep_takes_each_log_minor_once(monkeypatch, N, stacks):
     # rows takes d log C_n and d log A_(n-1) at the punctures of A_n; cols
     # takes its own C_n and shares the A_(n-1) of rows: 3N - 4 stacks for
-    # 3N - 4 distinct minors at their points; both conventions read the
+    # 3N - 4 distinct minors at their points; both orientations read the
     # very same gradients of gamma and log-minors of A_(n-1)
     calls = _count_minor_gradients(monkeypatch)
     read = {"punctures": [], "a_at_gamma": []}

@@ -4,7 +4,6 @@ import pytest
 from _tracking import eager_derivatives, eager_point
 from gztower import orbits
 from gztower.orbits import (
-    MinorConvention,
     OrbitError,
     OrbitPoint,
     OrbitTangent,
@@ -273,10 +272,10 @@ def test_transposed_minor_reads_minus_the_angle(N):
     rng = np.random.default_rng(100 + N)
     for _ in range(8):
         pt = sample_orbit(random_spectrum(N, rng), seed=rng)
-        rows, cols = pt.levels(MinorConvention(True)), pt.levels(MinorConvention(False))
+        rows, cols = pt.levels(), orbits._level_minors(N, False)
         for n in range(1, N):
             g = rows.gamma[n - 1]
-            lhs = np.polyval(rows.c[n - 1], g) * np.polyval(cols.c[n - 1], g)
+            lhs = np.polyval(rows.c[n - 1], g) * orbits._minor_at(pt.u, cols[N + n - 1], g)
             rhs = -np.polyval(rows.a[n + 1], g) * np.polyval(rows.a[n - 1], g)
             assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) <= 1e-10
         rep = verify_canonical_chart(pt)
@@ -290,11 +289,11 @@ def test_sweep_bracket_matrix_equals_the_einsum(N):
     # the bracket table as one flattened matrix product is the per-pair
     # trace tr(u G_a G_b), up to the order of its sums
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    for conv in (MinorConvention(True), MinorConvention(False)):
-        grads = np.concatenate(pt.punctures()[0] + orbits._theta_gradients(pt, conv)
+    for rows in (True, False):
+        grads = np.concatenate(pt.punctures()[0] + orbits._theta_gradients(pt, rows)
                                ).transpose(0, 2, 1)
         T = np.einsum("aij,bji->ab", pt.u @ grads, grads)
-        kk = orbits._canonicity_deviation(pt, conv)[2]
+        kk = orbits._canonicity_deviation(pt, rows)[2]
         assert np.max(np.abs(kk - (T.T - T))) <= 1e-13 * np.max(np.abs(T))
 
 
@@ -305,52 +304,32 @@ def test_canonical_chart_n3_full_table():
     assert rep.winner == "rows"
 
 
-def _count_lowering_kernels(monkeypatch):
-    """The minors of every run of the level kernel that finds the roots of
-    the lowering minors alone."""
-    runs, kernel = [], orbits._level_roots
-
-    def counted(u, convention, lowering=False):
-        out = kernel(u, convention, lowering)
-        if lowering:
-            runs.append(len(out[1]))
-        return out
-
-    monkeypatch.setattr(orbits, "_level_roots", counted)
-    return runs
-
-
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_a_reported_cols_convention_equals_an_eager_computation(monkeypatch, N):
-    # with the two orientations swapped, the rows C_n are the transposed
-    # minors and cols wins the sweep: its level kernel runs once, and the
-    # report equals the bracket table of an eager computation
+def test_a_canonical_cols_does_not_rescue_a_failing_rows(monkeypatch, N):
+    # with the two orientations of theta swapped, the graded rows reads the
+    # transposed minors and misses by 2 while the control is canonical: the
+    # report is a violation without winner, with the graded table, which an
+    # eager computation of the transposed minors gives, and the conditioning
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(N)), seed=N)
-    minors = orbits._level_minors
-    monkeypatch.setattr(orbits, "_level_minors", lambda n, rows: minors(n, not rows))
-    cols = MinorConvention(False)
-    fresh = OrbitPoint(u=pt.u, spectrum=pt.spectrum)
-    fresh.levels()
-    runs = _count_lowering_kernels(monkeypatch)
-    rep = verify_canonical_chart(fresh)
-    assert runs == [N - 1]
-    assert rep.winner == "cols" and rep.status == "ok"
-    assert abs(rep.variants[0]["max_deviation"] - 2.0) <= 1e-8
-    eager = eager_derivatives(pt.u, cols)
-    dev, cas, kk = orbits._canonicity_deviation(eager_point(pt.u, cols), cols)
+    theta = orbits._theta_gradients
+    monkeypatch.setattr(orbits, "_theta_gradients", lambda pt, rows=True: theta(pt, not rows))
+    rep = verify_canonical_chart(OrbitPoint(u=pt.u, spectrum=pt.spectrum))
+    assert rep.winner is None and rep.status == "violation"
+    devs = [v["max_deviation"] for v in rep.variants]
+    assert abs(devs[0] - 2.0) <= 1e-8 and devs[1] < 1e-10 and rep.max_deviation == devs[0]
+    monkeypatch.setattr(orbits, "_theta_gradients", theta)
+    dev, cas, kk = orbits._canonicity_deviation(eager_point(pt.u, False), False)
     assert (rep.max_deviation, rep.casimir_deviation) == (dev, cas)
     assert np.array_equal(rep.table, kk)
-    assert rep.conditioning == eager.conditioning
+    assert rep.conditioning == eager_derivatives(pt.u).conditioning
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_a_sweep_without_winner_reports_the_rows_table(monkeypatch, N):
-    # no convention within 1e-30: the report takes the smaller deviation,
-    # rows, with the rows table and conditioning, and finds no cols roots
+def test_a_sweep_without_winner_reports_the_rows_table(N):
+    # nothing within 1e-30: the report is a violation with the rows table
+    # and conditioning
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(10 + N)), seed=N)
-    runs = _count_lowering_kernels(monkeypatch)
     rep = verify_canonical_chart(pt, tolerance=1e-30)
-    assert runs == []
     assert rep.winner is None and rep.status == "violation" and len(rep.variants) == 2
     ok = verify_canonical_chart(OrbitPoint(u=pt.u, spectrum=pt.spectrum))
     assert ok.winner == "rows" and np.array_equal(rep.table, ok.table)
@@ -399,8 +378,8 @@ def _ix_minor_gradients(u, minor, lams, roots):
 def test_the_cached_minor_index_equals_the_ix_formula(N):
     rng = np.random.default_rng(N)
     u = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    for rows_variant in (True, False):
-        for minor in orbits._level_minors(N, rows_variant):
+    for rows in (True, False):
+        for minor in orbits._level_minors(N, rows):
             P, index = orbits._minor_index(*minor)
             assert orbits._minor_index(*minor)[0] is P
             for array in (P, *index):

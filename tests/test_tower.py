@@ -9,8 +9,6 @@ from _tracking import tracked_level_data
 from gztower.families import char_minor
 from gztower import orbits, tower
 from gztower.orbits import (
-    DEFAULT_MINOR_CONVENTION,
-    MinorConvention,
     OrbitError,
     OrbitPoint,
     level_data,
@@ -238,9 +236,10 @@ def test_tower_takes_each_path_log_once(monkeypatch):
 
 @pytest.mark.parametrize("rows_variant", [True, False])
 def test_lowering_minor_has_one_coefficient_per_degree(rows_variant):
+    # the transposed lowering minors of u are the lowering minors of u^T
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5j], seed=5)
     for n in range(1, 4):
-        assert len(lowering_minor_coeffs(pt.u, n, MinorConvention(rows_variant))) == n
+        assert len(lowering_minor_coeffs(pt.u if rows_variant else pt.u.T, n)) == n
 
 
 def test_degenerate_lowering_minor_is_rejected():
@@ -276,10 +275,10 @@ def test_actions_check_rejects_a_relative_error_of_1e_6(monkeypatch):
     pt = OrbitPoint(u=sampled.u, spectrum=sampled.spectrum)
     kernel = orbits._level_roots
 
-    def perturbed_roots(u, convention, lowering=False):
+    def perturbed_roots(u):
         # the largest puncture of level 8 moved by 1e-6 relative; A_8 is
         # poly(gamma), so only the backward residual can see it
-        coeffs, roots = kernel(u, convention, lowering)
+        coeffs, roots = kernel(u)
         gamma = roots[7].copy()
         gamma[np.argmax(np.abs(gamma))] *= 1 + 1e-6
         roots[7], coeffs[7] = gamma, np.poly(gamma).astype(complex)
@@ -445,7 +444,7 @@ def test_flow_checks_regularity_once_whatever_the_steps(monkeypatch):
     calls = []
     kernel = orbits._level_roots
     monkeypatch.setattr(orbits, "_level_roots",
-                        lambda u, conv: (calls.append(u), kernel(u, conv))[1])
+                        lambda u: (calls.append(u), kernel(u))[1])
     sampled = sample_orbit(_SPECTRA[5], seed=5)
     draws = len(calls)
     flow = hamiltonian_flow(sampled, (4, 3), t_final=1.0, steps=10**6, sample_every=25000)
@@ -526,8 +525,8 @@ class _TrackerLoop:
     come from lambda_minor_det, determinants on a circle as the tracker's.
     An error carries the time of its sample."""
 
-    def __init__(self, convention, lam0):
-        self.convention, self.lam0 = convention, lam0
+    def __init__(self, lam0):
+        self.lam0 = lam0
         self.first = self.state = None
 
     def step(self, u, t):
@@ -550,7 +549,7 @@ class _TrackerLoop:
 
     def _step(self, u, t):
         try:
-            lv = tracked_level_data(u, self.convention, self.state)
+            lv = tracked_level_data(u, self.state)
         except OrbitError:
             raise RegularityLostError(t) from None
         if self.first is None:
@@ -581,7 +580,7 @@ class _TrackerLoop:
 def _tracked_loop(pt, selector, steps, sample_every, lam0=None):
     lam0 = default_base_point(pt) if lam0 is None else lam0
     times, points = _flow_loop(pt, selector, steps=steps, sample_every=sample_every)
-    tracker = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
+    tracker = _TrackerLoop(lam0)
     return times, points, [tracker.step(u, t) for t, u in zip(times, points)]
 
 
@@ -731,7 +730,7 @@ def test_tracker_raises_the_oracle_error_at_an_overflowing_sample():
     times[80], points[80] = 10.0, _flow_loop(pt, (4, 3), t_final=10.0, steps=1)[1][-1]
     assert np.isfinite(points[80]).all()
     lam0 = default_base_point(pt)
-    oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
+    oracle = _TrackerLoop(lam0)
     want = _outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
     got = _outcome(lambda: tower._continued_angles(pt, points, times, lam0))
     assert want == got == ("regularity", (10.0, "regularity lost at t = 10.0"))
@@ -746,8 +745,8 @@ def _faulty_kernels(faults, gamma):
     point out of floating-point range, as either kernel reports it."""
     one_point, stacked = orbits._level_roots, tower._level_coeffs
 
-    def level_roots(u, convention, lowering=False):
-        coeffs, roots = one_point(u, convention, lowering)
+    def level_roots(u):
+        coeffs, roots = one_point(u)
         N = u.shape[-1]
         for kind, n, v in faults:
             if not np.array_equal(u, v):
@@ -760,8 +759,8 @@ def _faulty_kernels(faults, gamma):
                 raise OrbitError("leave floating-point range")
         return coeffs, roots
 
-    def level_coeffs(us, punctures, convention):
-        coeffs, values, finite = stacked(us, punctures, convention)
+    def level_coeffs(us, punctures):
+        coeffs, values, finite = stacked(us, punctures)
         for kind, n, v in faults:
             hit = np.all(us == v, axis=(1, 2))
             if kind == "jump":
@@ -811,7 +810,7 @@ def test_tracker_raises_the_error_of_the_first_failing_sample(monkeypatch, case)
         return "ok", "", None, None
 
     # the e-point oracle fails at the same sample with the same error
-    oracle = _TrackerLoop(DEFAULT_MINOR_CONVENTION, lam0)
+    oracle = _TrackerLoop(lam0)
     want = outcome(lambda: [oracle.step(u, t) for t, u in zip(times, points)])
     got = outcome(lambda: tower._continued_angles(pt, points, times, lam0))
     first = min(s for _, _, s in faults)
@@ -920,7 +919,7 @@ def _angle_gradients(pt):
         e = lv.e[m - 1]
         weights = np.vander(e, m).T / np.prod(np.subtract.outer(e, lv.gamma[m - 1]), axis=1)
         grads = np.einsum("li,iab->lab", weights, de)
-        rows, cols = orbits._level_minors(N, True)[N + m - 1]
+        rows, cols = orbits._level_minors(N)[N + m - 1]
         grads[0, rows[-1], cols[-1]] += 1.0 / u[rows[-1], cols[-1]]
         out.append(grads)
     return np.concatenate(out)
