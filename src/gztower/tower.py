@@ -22,9 +22,10 @@ coefficient of C_n restores the full canonical pairing
 are the default and the literal ones are kept alongside for reporting.
 
 The flow of an action h[n,k] solves the Lax equation u' = [X, u] with
-X = grad h.  X is a polynomial in the top-left block u_n, embedded in that
-block, so it commutes with u_n; u_n and X therefore stay fixed and the flow
-is exactly u(t) = exp(tX) u exp(-tX) (Kostant-Wallach).  The conjugate tau
+X = grad h = sum_j (dh/dgamma_j) grad gamma_j, read in the eigenbasis of the
+top-left block u_n and embedded in that block: X commutes with u_n, so u_n
+and X stay fixed and the flow is exactly u(t) = exp(tX) u exp(-tX)
+(Kostant-Wallach).  The conjugate tau
 moves with unit speed while every action and the spectrum stay fixed.  So
 do the punctures, and along a flow the angles are continued from their
 straight-path values at t = 0 by the logs of C_n ratios at the punctures.
@@ -303,31 +304,28 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
 # Hamiltonian flows
 # ---------------------------------------------------------------------------
 
-def _horner_gradients(un: np.ndarray, coeffs) -> np.ndarray:
-    """grad h[n,k] on the n x n block, k = 1..len(coeffs), from charpoly(u_n).
-
-    Jacobi's formula and the Faddeev-LeVerrier expansion of adj(lam - u_n)
-    give grad h[n,k] = -(c_0 u_n^(k-1) + ... + c_(k-1)), c = charpoly(u_n):
-    the Horner accumulator after k steps.
-    """
-    n = un.shape[0]
-    acc = np.zeros((n, n), dtype=complex)
-    out = []
-    for ci in coeffs:
-        acc = acc @ un + ci * np.eye(n)
-        out.append(-acc)
-    return np.array(out)
+def _eigen_actions(u: np.ndarray, n: int) -> tuple:
+    """(V, V^-1, D): u_n = V_n diag(w) V_n^-1 with V_n placed in the identity
+    of u's size as V, and D[j, k-1] = dh[n,k]/dw_j = -q_(j,k), q_j = A_n /
+    (lam - w_j) = sum_k q_(j,k) lam^(n-k), zero past row n.  grad w_j is the
+    projector V e_j e_j^T V^-1, so grad h[n,k] = V diag(D[:, k-1]) V^-1."""
+    N, (w, Vn) = len(u), np.linalg.eig(u[:n, :n])
+    V, Vinv, D = np.eye(N, dtype=complex), np.eye(N, dtype=complex), np.zeros((N, n), dtype=complex)
+    V[:n, :n], Vinv[:n, :n], D[:n, 0] = Vn, np.linalg.inv(Vn), -1.0
+    for ws in (w * (1 - np.eye(n))).T:      # D[j] *= lam - w_s, but not at s = j
+        D[:n, 1:] -= ws[:, None] * D[:n, :-1]
+    return V, Vinv, D
 
 
 def action_gradient(pt: OrbitPoint, selector: tuple[int, int]) -> np.ndarray:
     """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at pt, embedded
-    in the top-left n x n block; A_n from the point's memoized level data."""
-    N = pt.n
+    in the top-left n x n block, from the eigenbasis of u_n."""
     n, k = selector
-    if not (1 <= n <= N and 1 <= k <= n):
-        raise ValueError(f"no action h[{n},{k}] at ambient size {N}")
-    out = np.zeros((N, N), dtype=complex)
-    out[:n, :n] = _horner_gradients(pt.u[:n, :n], pt.levels().a[n][:k])[-1]
+    if not (1 <= n <= pt.n and 1 <= k <= n):
+        raise ValueError(f"no action h[{n},{k}] at ambient size {pt.n}")
+    out = np.zeros((pt.n, pt.n), dtype=complex)
+    V, Vinv, D = _eigen_actions(pt.u[:n, :n], n)
+    out[:n, :n] = (V * D[:, k - 1]) @ Vinv
     return out
 
 
@@ -341,28 +339,26 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
                      reg_gap: float = 1e-6, sample_every: int = 1) -> FlowResult:
     """The exact flow u(t) = e^(tX) u e^(-tX), X = grad h, on a grid of `steps`.
 
-    V, the eigenbasis of u_n extended by the identity, diagonalizes X to D,
-    so u(t) = V (e^(t(d_i - d_j)) (V^-1 u V)[i,j]) V^-1.  Level-N actions are
-    Casimirs and conserve u.  Every A_m is conserved, and so is the
-    regularity margin: it is checked once, at t = 0.  Points are kept every
+    V of _eigen_actions diagonalizes X to diag(d), d = D[:, k-1], so u(t) =
+    V (e^(t(d_i - d_j)) (V^-1 u V)[i,j]) V^-1.  Level-N actions are Casimirs
+    and conserve u.  Every A_m is conserved, and so is the regularity
+    margin: it is checked once, at t = 0.  Points are kept every
     sample_every-th step and at the end, all in one expression, so the cost
     does not grow with `steps`.  RegularityLostError carries 0.0 for an
     irregular start, else the first kept time at which u(t) leaves
     floating-point range.
     """
+    n, k = selector
+    if not (1 <= n <= pt.n and 1 <= k <= n):
+        raise ValueError(f"no action h[{n},{k}] at ambient size {pt.n}")
     try:
-        X = action_gradient(pt, selector)
         regular = pt.margin() >= reg_gap
     except OrbitError:          # the minors of u leave floating-point range
         regular = False
     if not regular:
         raise RegularityLostError(0.0)
-    n = selector[0]
-    V = np.eye(pt.n, dtype=complex)
-    V[:n, :n] = np.linalg.eig(pt.u[:n, :n])[1]
-    Vinv = np.linalg.inv(V)
-    d = np.diag(Vinv @ X @ V)
-    rates, M = d[:, None] - d[None, :], Vinv @ pt.u @ V
+    V, Vinv, D = _eigen_actions(pt.u, n)
+    rates, M = D[:, k - 1, None] - D[None, :, k - 1], Vinv @ pt.u @ V
     idx = np.arange(0, steps + 1, sample_every)
     if idx[-1] != steps:
         idx = np.append(idx, steps)
@@ -542,7 +538,8 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     X, tau_grads = np.zeros((2, len(keys), N, N), dtype=complex)
     for m in range(1, N):
         e, block = lv.e[m - 1], slice(m * (m - 1) // 2, m * (m + 1) // 2)
-        X[block, :m, :m] = _horner_gradients(u[:m, :m], lv.a[m][:m])
+        V, Vinv, D = _eigen_actions(u[:m, :m], m)
+        X[block, :m, :m] = (V * D.T[:, None, :]) @ Vinv
         # [l-1, i]: e_i^(m-l) / A_m(e_i), A_m(e_i) = prod(e_i - gamma[m])
         weights = np.vander(e, m).T / np.prod(np.subtract.outer(e, lv.gamma[m - 1]), axis=1)
         tau_grads[block] = np.einsum("li,iab->lab", weights, de[m - 1])

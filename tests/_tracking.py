@@ -1,7 +1,8 @@
 """Root tracking for the test oracles: the exhaustive minimal-distance match,
-level data whose roots follow those of a nearby point, the angles of level
-data with either orientation of the lowering minors, and the chart data of a
-point computed eagerly, without the point's memo."""
+the R_N spectra, level data whose roots follow those of a nearby point,
+e-points refined in long double, the angles of level data with either
+orientation of the lowering minors, and the chart data of a point computed
+eagerly, without the point's memo."""
 
 import itertools
 from typing import NamedTuple
@@ -40,6 +41,18 @@ def chart_thetas(lv, cols_of=None):
     return [np.log(-cg / prod(g, p)) for cg, g, p in zip(c, lv.gamma, prev)]
 
 
+def r_spectrum(N):
+    """R_N: the first N draws of complex(*rng.uniform(-1.5, 1.5, 2)), rng =
+    default_rng(5), each kept when at least 0.35 from every kept one, and
+    rounded to three decimals as the command line takes them."""
+    rng, kept = np.random.default_rng(5), []
+    while len(kept) < N:
+        z = complex(*rng.uniform(-1.5, 1.5, 2))
+        if all(abs(z - k) >= 0.35 for k in kept):
+            kept.append(z)
+    return [complex(f"{z.real:.3f}{z.imag:+.3f}j") for z in kept]
+
+
 def tracked_level_data(u, base):
     """level_data at u, each root set reordered by match_loop to follow the
     matching one of base, a LevelData; sorted when base is None."""
@@ -49,6 +62,41 @@ def tracked_level_data(u, base):
     follow = lambda refs, sets: [match_loop(ref, x) for ref, x in zip(refs, sets)]
     return LevelData(a=lv.a, gamma=follow(base.gamma, lv.gamma), c=lv.c,
                      e=follow(base.e, lv.e))
+
+
+def _inverse(m):
+    """Gauss-Jordan inverse with partial pivoting in m's own dtype: numpy's
+    linalg takes no long double."""
+    n = len(m)
+    a = np.concatenate([m, np.eye(n, dtype=m.dtype)], axis=1)
+    for c in range(n):
+        p = c + int(np.argmax(np.abs(a[c:, c])))
+        a[[c, p]] = a[[p, c]]
+        a[c] /= a[c, c]
+        for r in range(n):
+            if r != c:
+                a[r] -= a[r, c] * a[c]
+    return a[:, n:]
+
+
+def polished_e_points(u, lv):
+    """lv with each e-point after one Newton step on det(lam - K_n) in long
+    double, K_n = u_(n-1) - outer(u[:n-1, n-1], u[n, :n-1]) / u[n, n-1] the
+    Schur complement whose eigenvalues level_data takes.  Near a puncture
+    the log of e - gamma amplifies the float64 error of e, about
+    eps |K_n| cond(e); on x86 the step leaves about eps |e|."""
+    ul = u.astype(np.clongdouble)
+    out = []
+    for n, e in enumerate(lv.e, start=1):
+        e = e.astype(np.clongdouble)
+        K = ul[:n - 1, :n - 1] - np.outer(ul[:n - 1, n - 1], ul[n, :n - 1]) / ul[n, n - 1]
+        for i in range(len(e)):
+            with np.errstate(all="ignore"):
+                step = 1 / np.trace(_inverse(e[i] * np.eye(n - 1) - K))
+            if np.isfinite(step):
+                e[i] -= step
+        out.append(e.astype(complex))
+    return lv._replace(e=out)
 
 
 class EagerChart(NamedTuple):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _tracking import eager_derivatives, eager_point
+from _tracking import eager_derivatives, eager_point, r_spectrum
 from gztower import orbits
 from gztower.orbits import (
     OrbitError,
@@ -135,23 +135,11 @@ def test_chart_residuals_random_orbits(n, seed):
         a_prev = a_k
 
 
-def _r_spectrum(N):
-    """R_N: the first N draws of complex(*rng.uniform(-1.5, 1.5, 2)), rng =
-    default_rng(5), each kept when at least 0.35 from every kept one, and
-    rounded to three decimals as the command line takes them."""
-    rng, kept = np.random.default_rng(5), []
-    while len(kept) < N:
-        z = complex(*rng.uniform(-1.5, 1.5, 2))
-        if all(abs(z - k) >= 0.35 for k in kept):
-            kept.append(z)
-    return [complex(f"{z.real:.3f}{z.imag:+.3f}j") for z in kept]
-
-
 def test_chart_is_canonical_at_n20():
     # at N=20 roots of monomial coefficients of degree up to 20 lose the
     # chart (a sweep deviation of 108); roots from eigenvalues keep it, and
     # the residuals against u stay near round-off
-    pt = sample_orbit(_r_spectrum(20), seed=3)
+    pt = sample_orbit(r_spectrum(20), seed=3)
     rep = verify_canonical_chart(pt)
     assert rep.status == "ok" and rep.winner == "rows"
     res_a, res_c = chart_residuals(gz_forward(pt), pt)

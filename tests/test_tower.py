@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from _tracking import tracked_level_data
+from _tracking import polished_e_points, r_spectrum, tracked_level_data
 from gztower.families import char_minor
 from gztower import orbits, tower
 from gztower.orbits import (
@@ -353,6 +353,19 @@ def test_action_gradient_matches_symbolic(N):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_eigen_action_rates_match_the_symbolic_gradient(N):
+    # in the eigenbasis V of u_n the symbolic grad h[n,k] is diagonal, and
+    # its diagonal holds the flow's rates D[:, k-1] = -q_(j,k)
+    pt = sample_orbit(_SPECTRA[N], seed=N)
+    for n in range(1, N + 1):
+        V, Vinv, D = tower._eigen_actions(pt.u, n)
+        assert D.shape == (N, n) and not D[n:].any()
+        for k in range(1, n + 1):
+            want = np.diag(Vinv @ _gradient_matrix(_gradient_polys(N, (n, k)), pt.u) @ V)
+            assert np.max(np.abs(D[:, k - 1] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("N, selector", [(3, (2, 1)), (4, (3, 2)), (5, (4, 3))])
 def test_closed_form_flow_matches_rk4(N, selector):
     pt = sample_orbit(_SPECTRA[N], seed=N)
@@ -490,16 +503,13 @@ def test_invalid_selector_rejected():
 
 def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every=1):
     """Oracle: the flow one kept grid time at a time, regularity checked at
-    the start alone."""
-    X = action_gradient(pt, selector)
+    the start alone, on the rates of the eigenbasis that hamiltonian_flow
+    reads (this oracle checks the stacking of the kept times)."""
     u = pt.u.copy()
     if orbits.regularity_margin(u) < reg_gap:
         raise RegularityLostError(0.0)
-    n = selector[0]
-    V = np.eye(pt.n, dtype=complex)
-    V[:n, :n] = np.linalg.eig(u[:n, :n])[1]
-    Vinv = np.linalg.inv(V)
-    d = np.diag(Vinv @ X @ V)
+    V, Vinv, D = tower._eigen_actions(u, selector[0])
+    d = D[:, selector[1] - 1]
     rates, M = d[:, None] - d[None, :], Vinv @ u @ V
     dt = t_final / steps
     times, points = [0.0], [u]
@@ -519,14 +529,16 @@ def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every
 class _TrackerLoop:
     """Oracle: the tracker one sample at a time.  The first sample gets the
     straight-path angles; tracked_level_data matches each later sample's
-    roots to the sample before, and each tau continues by the logs of the
+    roots to the sample before (with refine, polished_e_points then refines
+    its e-points, so that near a puncture this oracle is no noisier than the
+    stacked tracker), and each tau continues by the logs of the
     e-point ratios, one e-point at a time, against the first sample's
     punctures, and tau[n,1] also by the log of the lead C_n ratio.  The h
     come from lambda_minor_det, determinants on a circle as the tracker's.
     An error carries the time of its sample."""
 
-    def __init__(self, lam0):
-        self.lam0 = lam0
+    def __init__(self, lam0, refine=False):
+        self.lam0, self.refine = lam0, refine
         self.first = self.state = None
 
     def step(self, u, t):
@@ -552,6 +564,8 @@ class _TrackerLoop:
             lv = tracked_level_data(u, self.state)
         except OrbitError:
             raise RegularityLostError(t) from None
+        if self.refine:
+            lv = polished_e_points(u, lv)
         if self.first is None:
             self._start(lv)
         N = len(lv.gamma)
@@ -580,7 +594,7 @@ class _TrackerLoop:
 def _tracked_loop(pt, selector, steps, sample_every, lam0=None):
     lam0 = default_base_point(pt) if lam0 is None else lam0
     times, points = _flow_loop(pt, selector, steps=steps, sample_every=sample_every)
-    tracker = _TrackerLoop(lam0)
+    tracker = _TrackerLoop(lam0, refine=True)
     return times, points, [tracker.step(u, t) for t, u in zip(times, points)]
 
 
@@ -870,6 +884,15 @@ def test_linearization_n3(selector):
         assert abs(slope - expected) < 1e-3
 
 
+def test_linearization_at_n24_follows_the_eigenbasis_rates():
+    # on R24 the rates diag(V^-1 X V) of a Horner-rule gradient X missed
+    # -q_(j,k) by 0.64 at h[23,20], and the slopes missed by 0.43; from
+    # the eigenbasis of u_23 they miss by about 3e-8
+    pt = sample_orbit(r_spectrum(24), seed=3)
+    rep = linearization_check(pt, (23, 20), t_final=0.01)
+    assert rep.status == "ok" and rep.max_error <= rep.tolerance
+
+
 def test_casimir_flow_all_slopes_zero():
     pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
     rep = linearization_check(pt, (3, 1))
@@ -964,13 +987,14 @@ def _graded_deviations(section):
     return out
 
 
-@pytest.mark.parametrize("spectrum, status", [
-    ([1.0, 2.0 + 0.5j, -1.0, 0.5j], "ok"),
-    # the integer spectrum at N=8 fails the table (ROADMAP item 7)
-    ([1, 2, 3, 4, 5, 6, 7, 8], "violation"),
+@pytest.mark.parametrize("spectrum, tolerance, status", [
+    ([1.0, 2.0 + 0.5j, -1.0, 0.5j], 1e-4, "ok"),
+    # the integer spectrum at N=8 deviates by about 1e-5, under the default
+    # 1e-4: a tolerance below that fails the table
+    ([1, 2, 3, 4, 5, 6, 7, 8], 1e-8, "violation"),
 ], ids=["ok", "violation"])
-def test_the_action_angle_witness_is_the_graded_maximum(spectrum, status):
-    rep = action_angle_bracket_table(sample_orbit(spectrum, seed=3))
+def test_the_action_angle_witness_is_the_graded_maximum(spectrum, tolerance, status):
+    rep = action_angle_bracket_table(sample_orbit(spectrum, seed=3), tolerance=tolerance)
     data = rep.to_json()
     worst, devs = data["worst"], _graded_deviations(data)
     assert rep.status == status
@@ -979,17 +1003,18 @@ def test_the_action_angle_witness_is_the_graded_maximum(spectrum, status):
 
 
 def test_a_nan_bracket_fails_and_is_the_witness(monkeypatch):
-    # grad h[3,2] patched to NaN: its row of {h, tau} and its row and column
-    # of {h, h} are NaN; the witness is the first graded one, {h[3,2], tau[2,1]}
-    horner = tower._horner_gradients
+    # dh[3,2]/dgamma patched to NaN, so grad h[3,2] is NaN: its row of
+    # {h, tau} and its row and column of {h, h} are NaN; the witness is the
+    # first graded one, {h[3,2], tau[2,1]}
+    eigen_actions = tower._eigen_actions
 
-    def patched(un, coeffs):
-        grads = horner(un, coeffs)
-        if len(un) == 3:
-            grads[1] = np.nan
-        return grads
+    def patched(u, n):
+        V, Vinv, D = eigen_actions(u, n)
+        if n == 3:
+            D[:, 1] = np.nan
+        return V, Vinv, D
 
-    monkeypatch.setattr(tower, "_horner_gradients", patched)
+    monkeypatch.setattr(tower, "_eigen_actions", patched)
     rep = action_angle_bracket_table(sample_orbit([1.0, 2.0 + 0.5j, -1.0, 0.5j], seed=5))
     assert rep.status == "violation" and np.isnan(rep.max_deviation_upper)
     worst = rep.to_json()["worst"]
