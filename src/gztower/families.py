@@ -9,7 +9,8 @@ Four families are supported:
 * ``mf``           -- the shift-of-argument family: coefficients of
   det(u - mu*A - lam) in both formal variables, for a fixed rational A.
 * ``trivial``      -- the coordinate-adapted family u g^{-1}, which is
-  rational in g and therefore only checked through the numerical oracle.
+  rational in g, so it has no FamilySpec and is only checked through the
+  numerical oracle verify_trivial_numeric.
 
 Commutativity of the polynomial families is verified exactly with the
 symbolic bracket.  Functional independence is the rank of the Jacobian with
@@ -53,7 +54,7 @@ __all__ = [
     "PRIME",
 ]
 
-KINDS = ("gz-principal", "gz-corner", "mf", "trivial")
+KINDS = ("gz-principal", "gz-corner", "mf")
 SIDES = ("left", "right", "both")
 _TRIVIAL_STEP = 1e-6        # the relative step of the trivial family's differences
 PRIME = 2 ** 61 - 31        # the rank's field; PRIME = 1 (mod 4), so -1 is a square
@@ -178,7 +179,6 @@ def build_family(spec: FamilySpec) -> CommutingFamily:
         columns = [[PoissonPoly.u(n, r, c) - mu * spec.shift[r - 1][c - 1] - (lam if r == c else 0)
                     for r in range(1, n + 1)] for c in range(1, n + 1)]
         gens.extend(_coefficient_generators(column_det(columns, PoissonPoly.constant(n, 1)), "MF"))
-    # trivial: rational in g, handled by verify_trivial_numeric only
     return CommutingFamily(spec=spec, generators=tuple(gens))
 
 
@@ -206,9 +206,6 @@ def verify_commutes(fam: CommutingFamily) -> CommutationReport:
     not raised as an error.  Fewer than two generators (N = 1) raise
     ValueError: the check would see no pair.
     """
-    if fam.spec.kind == "trivial":
-        raise ValueError("the trivial family is rational in g; "
-                         "use verify_trivial_numeric")
     if len(fam.generators) < 2:
         raise ValueError(f"{len(fam.generators)} generator(s) give no pair to check")
     pairs, worst, witness = scan_pairs(fam.generators, bracket)

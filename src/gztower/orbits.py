@@ -245,15 +245,6 @@ class OrbitPoint:
         return cls(u=dec(data["u"]).reshape(n, n), spectrum=dec(data["spectrum"]))
 
 
-@functools.lru_cache(maxsize=None)
-def _margin_pairs(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of the roots of A_1..A_N, in level order, one level apart at most."""
-    level = np.repeat(np.arange(N), np.arange(1, N + 1))
-    i, j = np.triu_indices(len(level), 1)
-    near = level[j] - level[i] <= 1
-    return i[near], j[near]
-
-
 def regularity_margin(u: np.ndarray) -> float:
     """Smallest root separation within and between consecutive A_n, from
     level_data; raises OrbitError if the minors of u leave floating-point
@@ -262,11 +253,10 @@ def regularity_margin(u: np.ndarray) -> float:
 
 
 def _margin(gamma: list[np.ndarray]) -> float:
-    """regularity_margin from the roots gamma of A_1..A_N."""
-    roots = np.concatenate(gamma)
-    i, j = _margin_pairs(len(gamma))
-    diff = roots[i] - roots[j]
-    return float(np.min(np.hypot(diff.real, diff.imag), initial=np.inf))
+    """regularity_margin from the roots gamma of A_1..A_N: the smallest
+    min_pairwise_gap of two consecutive levels' roots together."""
+    pairs = list(zip(gamma, gamma[1:])) or [gamma]
+    return float(min(min_pairwise_gap(np.concatenate(pair)) for pair in pairs))
 
 
 def random_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -378,11 +368,12 @@ def _level_roots(u: np.ndarray) -> tuple:
 
 
 def _monic(roots: np.ndarray) -> np.ndarray:
-    """The coefficients of prod(lam - r) over roots, highest first."""
-    c = np.zeros(len(roots) + 1, dtype=complex)
-    c[0] = 1.0
-    for k, r in enumerate(roots, start=1):
-        c[1:k + 1] = c[1:k + 1] - r * c[:k]
+    """The coefficients of prod(lam - r) over the roots on the last axis,
+    highest first, one row per leading index."""
+    c = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    c[..., 0] = 1.0
+    for k in range(1, roots.shape[-1] + 1):
+        c[..., 1:k + 1] = c[..., 1:k + 1] - roots[..., k - 1, None] * c[..., :k]
     return c
 
 
@@ -703,14 +694,15 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     """Evaluate the contour form of the symplectic structure on tangent pairs.
 
     The two-form is assembled from residues of dlog C_n ^ dlog A_n (first
-    term) and dlog A_{n-1} ^ dlog A_n (second term).  The contour of the
-    first term is swept over {zeros of C_n, zeros of A_n} together with
-    both signs of the term and of the whole form, and each variant is
-    compared against the Kirillov-Kostant value tr(u [x, y]).  Casimir-level
-    contributions vanish on orbit tangents and are omitted.  Every
-    directional derivative is a closed-form gradient contracted with the
-    tangent [x, u].  Raises ValueError at N < 2, where the form has no term,
-    and without pairs.
+    term) and dlog A_{n-1} ^ dlog A_n (second term).  The paper's form takes
+    the first term around the zeros of A_n, omega = term1_A + term2, and is
+    graded: the report is ok, with that variant the winner, exactly when it
+    matches the Kirillov-Kostant value tr(u [x, y]) within tolerance on every
+    pair.  The same form taken around the zeros of C_n is only reported, as
+    the control.  Casimir-level contributions vanish on orbit tangents and
+    are omitted.  Every directional derivative is a closed-form gradient
+    contracted with the tangent [x, u].  Raises ValueError at N < 2, where
+    the form has no term, and without pairs.
     """
     if pt.n < 2 or not pairs:
         raise ValueError(f"N = {pt.n} and {len(pairs)} pair(s) give no tangent pair to check")
@@ -737,20 +729,13 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
         dx.append(vals[:, 0::2])
         dy.append(vals[:, 1::2])
     wedge = lambda i, j: np.sum(-dx[i] * dy[j] + dy[i] * dx[j], axis=0)
-    t1 = {"C": wedge(0, 1), "A": wedge(3, 2)}
     t2 = wedge(4, 5)
-
-    # sign pairs ordered so that ties (term2 vanishing at N=2) resolve to the
-    # same variant that wins uniquely for N >= 3
-    variants = []
-    for contour in ("A", "C"):
-        for s1, s_all in ((-1, -1), (1, 1), (-1, 1), (1, -1)):
-            omega = s_all * (s1 * t1[contour] - t2)
-            variants.append({
-                "variant": f"contour={contour} term1_sign={s1:+d} overall_sign={s_all:+d}",
-                "max_deviation": float(np.max(np.abs(omega - kk_value), initial=0.0))})
-    winner = next((v["variant"] for v in variants if v["max_deviation"] < tolerance), None)
+    variants = [{
+        "variant": f"contour={contour} term1_sign=-1 overall_sign=-1",
+        "max_deviation": float(np.max(np.abs(t1 + t2 - kk_value), initial=0.0))}
+        for contour, t1 in (("A", wedge(3, 2)), ("C", wedge(0, 1)))]
+    ok = variants[0]["max_deviation"] < tolerance
     return ResidueFormReport(
         n=N, pairs=len(pairs), tolerance=tolerance, variants=variants,
-        winner=winner, status="ok" if winner else "violation",
+        winner=variants[0]["variant"] if ok else None, status="ok" if ok else "violation",
         conditioning=pt.conditioning())

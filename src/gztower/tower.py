@@ -45,6 +45,7 @@ from .orbits import (
     _entries,
     _level_minors,
     _minor_at,
+    _monic,
     _pair,
     _pairs,
     _read_only,
@@ -307,13 +308,13 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
 def _eigen_actions(u: np.ndarray, n: int) -> tuple:
     """(V, V^-1, D): u_n = V_n diag(w) V_n^-1 with V_n placed in the identity
     of u's size as V, and D[j, k-1] = dh[n,k]/dw_j = -q_(j,k), q_j = A_n /
-    (lam - w_j) = sum_k q_(j,k) lam^(n-k), zero past row n.  grad w_j is the
-    projector V e_j e_j^T V^-1, so grad h[n,k] = V diag(D[:, k-1]) V^-1."""
+    (lam - w_j) = sum_k q_(j,k) lam^(n-k), the _monic of w without w_j, zero
+    past row n.  grad w_j is the projector V e_j e_j^T V^-1, so grad h[n,k]
+    = V diag(D[:, k-1]) V^-1."""
     N, (w, Vn) = len(u), np.linalg.eig(u[:n, :n])
     V, Vinv, D = np.eye(N, dtype=complex), np.eye(N, dtype=complex), np.zeros((N, n), dtype=complex)
-    V[:n, :n], Vinv[:n, :n], D[:n, 0] = Vn, np.linalg.inv(Vn), -1.0
-    for ws in (w * (1 - np.eye(n))).T:      # D[j] *= lam - w_s, but not at s = j
-        D[:n, 1:] -= ws[:, None] * D[:n, :-1]
+    V[:n, :n], Vinv[:n, :n] = Vn, np.linalg.inv(Vn)
+    D[:n] = -_monic(np.broadcast_to(w, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1))
     return V, Vinv, D
 
 

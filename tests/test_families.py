@@ -247,9 +247,10 @@ def test_mf_family_commutes_for_random_shifts(seed):
     assert verify_commutes(build_family(spec)).status == "ok"
 
 
-def test_verify_commutes_rejects_trivial_family():
-    with pytest.raises(ValueError):
-        verify_commutes(build_family(FamilySpec("trivial", 2, "left")))
+def test_family_spec_rejects_the_trivial_kind():
+    # the trivial family is rational in g: verify_trivial_numeric checks it
+    with pytest.raises(ValueError, match="unknown family kind"):
+        FamilySpec("trivial", 2, "left")
 
 
 def test_verify_commutes_refuses_a_family_without_pairs():

@@ -404,6 +404,42 @@ def test_residue_form_matches_kk(spectrum, seed):
     assert rep.winner == "contour=A term1_sign=-1 overall_sign=-1"
 
 
+S4 = [0.9 + 0.1j, -1.1 + 0.4j, 0.3 - 1.2j, -0.5 - 0.6j]
+
+
+def _s4_residue_form():
+    """The residue form at a fresh sample_orbit(S4, seed=2), on 20 pairs."""
+    return residue_form_check(sample_orbit(S4, seed=2),
+                              _random_pairs(4, 20, np.random.default_rng(3)))
+
+
+def test_the_graded_form_has_the_c_contour_as_its_control():
+    rep = _s4_residue_form()
+    assert rep.status == "ok" and rep.winner == "contour=A term1_sign=-1 overall_sign=-1"
+    assert [v["variant"] for v in rep.variants] == [
+        "contour=A term1_sign=-1 overall_sign=-1", "contour=C term1_sign=-1 overall_sign=-1"]
+    assert rep.variants[0]["max_deviation"] < rep.tolerance <= rep.variants[1]["max_deviation"]
+
+
+def test_a_negated_kk_value_is_a_violation(monkeypatch):
+    # -tr(u [x, y]) is the form with the other overall sign: no variant of
+    # the form may stand in for the graded one
+    pair_values = orbits._pair_values
+    monkeypatch.setattr(orbits, "_pair_values",
+                        lambda u, pairs: (lambda t, kk: (t, -kk))(*pair_values(u, pairs)))
+    rep = _s4_residue_form()
+    assert rep.status == "violation" and rep.winner is None
+
+
+def test_negated_log_minor_gradients_of_c_are_a_violation(monkeypatch):
+    # -dlog C_n flips the first term's sign on the graded contour
+    c_at_gamma = OrbitPoint.c_at_gamma
+    monkeypatch.setattr(OrbitPoint, "c_at_gamma", lambda self, rows=True: [
+        (-dlog, dlam) for dlog, dlam in c_at_gamma(self, rows)])
+    rep = _s4_residue_form()
+    assert rep.status == "violation" and rep.winner is None
+
+
 def _looped_pair_values(u, pairs):
     """_pair_values, one OrbitTangent.vector and one _kk per pair."""
     tangents = np.array([t.vector(u) for pair in pairs for t in pair]).reshape(len(pairs) * 2, -1)
