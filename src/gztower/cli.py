@@ -31,7 +31,15 @@ and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their configuration errors into ConfigError where it calls them,
 so this module imports no layer.  Nor does it import numpy or dataclasses:
 RunConfig and every layer's records are NamedTuples, so no subcommand loads
-dataclasses, and only orbit and flow load numpy, with their layers.  An orbit
+dataclasses, and only orbit and flow load numpy, with their layers.  Of the
+standard library it imports at module level only what every subcommand
+needs: argparse, gc, json, math, os, re, sys and time, and names from
+collections.abc, contextlib, types and typing.  The timestamp comes from
+time.time_ns() rather than datetime, finiteness tests use math rather than
+cmath, and fractions (which loads decimal and numbers) and random are
+imported where verify-classical uses them, so orbit and flow load no
+fractions, decimal or cmath, and no subcommand loads datetime or cmath
+unless numpy does.  An orbit
 or flow check that stops on a TowerError is a violation report whose error
 gives its kind, message, level and, on a flow, the failing sample's time.
 """
@@ -39,18 +47,15 @@ gives its kind, message, level and, on a flow, the failing sample's time.
 from __future__ import annotations
 
 import argparse
-import cmath
 import gc
 import json
 import math
 import os
-import random
 import re
 import sys
+import time
 from collections.abc import Mapping
 from contextlib import contextmanager
-from datetime import datetime, timezone
-from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -111,12 +116,21 @@ def _emit(report: dict, output: str | None, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _utc_timestamp() -> str:
+    """Now in UTC, as datetime.now(timezone.utc).isoformat() writes it
+    (no fraction on a whole second), without importing datetime."""
+    seconds, ns = divmod(time.time_ns(), 10**9)
+    us = ns // 1000
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
+
+
 def _base_report(config: RunConfig) -> dict:
     return {
         "schema": SCHEMA,
         "command": config.command,
         "config": config.to_json(),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(),
     }
 
 
@@ -165,7 +179,7 @@ def _parse_complex(text: str, what: str) -> complex:
         value = complex(text.strip().replace("i", "j"))
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {text!r}") from exc
-    if not cmath.isfinite(value):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ConfigError(f"{what} {text!r} is not finite")
     return value
 
@@ -184,6 +198,8 @@ def _at_least_one(name: str, value: int) -> int:
 
 
 def _parse_shift(text: str, n: int, rng):
+    from fractions import Fraction      # here, so orbit and flow never load decimal
+
     if text == "random-rational":
         from .families import random_rational_matrix
         return random_rational_matrix(n, rng)
@@ -224,6 +240,8 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
+    import random
+
     from . import families
 
     rng = random.Random(config.seed)
@@ -443,9 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _output_path(option: str, path: str | None) -> str | None:
-    """path, after checking that the directory it resolves into exists, so a
-    bad path ends the run before any check instead of after all of them."""
-    folder = os.path.dirname(_resolve_output(path) or "")
+    """path, after checking that it resolves to a file name in an existing
+    directory, so a bad path ends the run before any check instead of after
+    all of them."""
+    resolved = _resolve_output(path) or ""
+    if os.path.isdir(resolved):
+        raise ConfigError(f"{option} {resolved!r} is a directory")
+    folder = os.path.dirname(resolved)
     if folder and not os.path.isdir(folder):
         raise ConfigError(f"{option} directory {folder!r} does not exist")
     return path
@@ -484,6 +506,10 @@ def _config_from_args(args) -> RunConfig:
             fields.update(hamiltonian=(level, k), t_final=args.t_final,
                           trajectory=_output_path("--trajectory", args.trajectory),
                           steps=_at_least_one("steps", args.steps))
+            # else the report would overwrite the trajectory it names
+            out, traj = (_resolve_output(fields[f]) for f in ("output", "trajectory"))
+            if out and traj and os.path.realpath(out) == os.path.realpath(traj):
+                raise ConfigError(f"--output and --trajectory name the same file {out!r}")
     return RunConfig(**fields)
 
 

@@ -39,12 +39,11 @@ which is the convention adopted throughout the package.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import mul, or_
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -757,7 +756,7 @@ def central_gradient(func: Callable[[list[complex], int], Sequence[complex]],
         h = step * max(1.0, abs(z))
         fwd, bwd = (func(x[:k] + [z + s] + x[k + 1:], k) for s in (h, -h))
         row = [(complex(a) - complex(b)) / (2.0 * h) for a, b in zip(fwd, bwd)]
-        if not all(map(cmath.isfinite, row)):
+        if not all(isfinite(c.real) and isfinite(c.imag) for c in row):
             raise ArithmeticError("non-finite derivative encountered")
         grad.append(row)
     return grad

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -574,6 +575,20 @@ def test_check_chart_is_an_argparse_error():
 # report hygiene
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("ns", [1_790_000_000_123_456_789, 1_790_000_000_000_000_999],
+                         ids=["microseconds", "whole-second"])
+def test_the_timestamp_reads_as_datetimes_isoformat(capsys, monkeypatch, ns):
+    from datetime import datetime, timezone
+
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    code, out, _ = run_cli(capsys, "verify-quantum", "--n", "2", "--trials", "1")
+    assert code == 0
+    seconds, us = ns // 10**9, ns % 10**9 // 1000
+    stamp = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=us)
+    assert parse_report(out)["timestamp"] == stamp.isoformat()
+    assert datetime.fromisoformat(parse_report(out)["timestamp"]) == stamp
+
+
 def _strip_timestamp(text):
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
 
@@ -717,6 +732,39 @@ def test_a_missing_output_directory_is_a_config_error_before_any_check(
     assert (code, out) == (2, "")
     assert f"configuration error: {option} directory 'missing' does not exist" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify-quantum", "--n", "2", "--output", "."], "--output"),
+    ([*_FLOW2, "--trajectory", "sub"], "--trajectory"),
+], ids=["quantum-output", "flow-trajectory"])
+def test_an_output_path_that_is_a_directory_is_a_config_error_before_any_check(
+        tmp_path, capsys, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GZTOWER_OUTPUT_DIR", raising=False)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda config: pytest.fail("a check ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"configuration error: {option} {argv[-1]!r} is a directory" in err
+
+
+@pytest.mark.parametrize("output, trajectory", [
+    ("same.json", "same.json"),
+    ("same.json", "sub/../same.json"),
+    ("same.json", "{dir}/same.json"),
+], ids=["equal", "dot-dot", "absolute"])
+def test_output_and_trajectory_naming_one_file_is_a_config_error_before_any_check(
+        tmp_path, capsys, monkeypatch, output, trajectory):
+    # the paths are compared after GZTOWER_OUTPUT_DIR applies to the relative ones
+    monkeypatch.setenv("GZTOWER_OUTPUT_DIR", str(tmp_path))
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setitem(cli._COMMANDS, "flow", lambda config: pytest.fail("a check ran"))
+    code, out, err = run_cli(capsys, *_FLOW2, "--output", output,
+                             "--trajectory", trajectory.format(dir=tmp_path))
+    assert (code, out) == (2, "")
+    assert "configuration error: --output and --trajectory name the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 def test_a_missing_output_env_dir_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,9 @@ its CLI loads no layer, each subcommand loads only the layers it runs, the
 exact algebra (poisson, families, quantum), verify-classical and
 verify-quantum load neither numpy nor dataclasses (nor inspect, which
 dataclasses imports), orbit and flow load numpy but not dataclasses, since
-every record of the package is a NamedTuple, and the public names resolve
-lazily to their home modules' objects."""
+every record of the package is a NamedTuple, no process loads datetime,
+fractions, decimal or cmath that its work does not need, and the public
+names resolve lazily to their home modules' objects."""
 
 import ast
 import importlib
@@ -53,8 +54,6 @@ def test_the_check_sees_an_undeclared_import(tmp_path):
 
 LAYERS = {"poisson", "families", "quantum", "polytools", "orbits", "tower"}
 WATCHED = ("numpy", "dataclasses", "inspect")
-LOADED = ("print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
-          f" if m.startswith('gztower.')), [m for m in {WATCHED!r} if m in sys.modules]]))")
 NUMPY = {"numpy", "inspect"}    # numpy imports inspect, and no layer imports dataclasses
 
 
@@ -65,13 +64,21 @@ def _fresh(code, *argv):
                           capture_output=True, text=True, timeout=300)
 
 
-def _loaded(code):
-    """The layers a fresh interpreter holds after code, and which WATCHED
-    modules it holds."""
-    proc = _fresh(f"import json, sys\n{code}\n{LOADED}")
+def _loaded(code, watched=WATCHED):
+    """The layers a fresh interpreter holds after code, and which of the
+    watched modules it holds."""
+    loaded = ("print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
+              f" if m.startswith('gztower.')), [m for m in {watched!r} if m in sys.modules]]))")
+    proc = _fresh(f"import json, sys\n{code}\n{loaded}")
     assert proc.returncode == 0, proc.stderr
-    layers, watched = json.loads(proc.stdout.splitlines()[-1])
-    return set(layers) & LAYERS, set(watched)
+    layers, held = json.loads(proc.stdout.splitlines()[-1])
+    return set(layers) & LAYERS, set(held)
+
+
+def _run_main(argv):
+    return ("import contextlib, io\nfrom gztower import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({argv!r}) == 0\n")
 
 
 def test_the_check_sees_dataclasses_and_inspect():
@@ -104,19 +111,47 @@ def test_the_exact_algebra_loads_no_numpy(code, layers):
       "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}, NUMPY),
 ], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
 def test_each_subcommand_loads_exactly_its_layers(argv, layers, watched):
-    code = ("import contextlib, io\nfrom gztower import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
-    assert _loaded(code) == (layers, watched)
+    assert _loaded(_run_main(argv)) == (layers, watched)
 
 
-@pytest.mark.parametrize("family", ["gz", "gz-corner", "mf", "trivial"])
+CLASSICAL = {family: ["verify-classical", "--n", "3", "--points", "2", "--family", family]
+             for family in ("gz", "gz-corner", "mf", "trivial")}
+
+
+@pytest.mark.parametrize("family", CLASSICAL)
 def test_verify_classical_loads_no_numpy(family):
-    argv = ["verify-classical", "--n", "3", "--points", "2", "--family", family]
-    code = ("import contextlib, io\nfrom gztower import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({argv!r}) == 0\n")
-    assert _loaded(code) == ({"families", "poisson"}, set())
+    assert _loaded(_run_main(CLASSICAL[family])) == ({"families", "poisson"}, set())
+
+
+# the standard library a check needs: no gztower module imports datetime or
+# cmath, and only the exact layers and the mf shift parser import fractions
+# (which imports decimal); numpy imports datetime itself
+
+LEAN = ("datetime", "fractions", "decimal", "cmath")
+
+
+def test_the_check_sees_fractions_and_decimal():
+    assert _loaded("import fractions", LEAN) == (set(), {"fractions", "decimal"})
+
+
+@pytest.mark.parametrize("code", ["import gztower", "import gztower.cli"])
+def test_importing_the_package_or_cli_loads_no_datetime_fractions_or_cmath(code):
+    assert _loaded(code, LEAN)[1] == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--n", "2", "--spectrum", "1,2", "--check", "all"],
+    ["flow", "--n", "2", "--spectrum", "0.5,-1+0.5j", "--hamiltonian", "1,1",
+     "--t", "0.1", "--steps", "100"],
+], ids=["orbit", "flow"])
+def test_orbit_and_flow_load_no_fractions_decimal_or_cmath(argv):
+    assert _loaded(_run_main(argv), ("fractions", "decimal", "cmath"))[1] == set()
+
+
+@pytest.mark.parametrize("argv", [*CLASSICAL.values(), ["verify-quantum", "--n", "2", "--trials", "1"]],
+                         ids=[f"verify-classical-{f}" for f in CLASSICAL] + ["verify-quantum"])
+def test_the_exact_checks_load_no_datetime_or_cmath(argv):
+    assert _loaded(_run_main(argv), ("datetime", "cmath"))[1] == set()
 
 
 def test_a_public_name_loads_only_its_home_layers():
