@@ -41,6 +41,7 @@ from .orbits import (
     LevelData,
     OrbitError,
     OrbitPoint,
+    _REGULARITY_GAP,
     _at_punctures,
     _entries,
     _level_minors,
@@ -74,11 +75,7 @@ class TowerError(RuntimeError):
 
 
 class PathThroughPunctureError(TowerError):
-    """A path endpoint (row: path_log_increments) or a flow's e-point hits a puncture."""
-
-    def __init__(self, message: str = "", row: int = 0, level: int | None = None):
-        super().__init__(message, level)
-        self.row = row
+    """A path endpoint or a flow's e-point hits a puncture."""
 
 
 class CoincidentPuncturesError(TowerError, ValueError):
@@ -137,8 +134,7 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
     ratio into +0.0.  a and b may be arrays of endpoints: the result has
     their shape plus a last axis over the punctures.  The error names the
     first endpoint within _PUNCTURE_FLOOR of a puncture, in the result's
-    order, and that puncture; its row is the endpoint's index along the
-    result's leading axis.
+    order, and that puncture.
     """
     g = np.asarray(punctures, dtype=complex)
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
@@ -149,7 +145,7 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
         end, j = np.where(near_a, a, b)[first], first[-1]
         raise PathThroughPunctureError(
             f"integration endpoint {complex(end):.6g} within {_PUNCTURE_FLOOR} of puncture "
-            f"{j + 1}, {g[j]:.6g}", row=int(first[0]))
+            f"{j + 1}, {g[j]:.6g}")
     return np.log((b - g) / (a - g) + 0j)
 
 
@@ -337,13 +333,14 @@ class FlowResult(NamedTuple):
 
 def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
                      t_final: float = 1.0, steps: int = 1000,
-                     reg_gap: float = 1e-6, sample_every: int = 1) -> FlowResult:
+                     sample_every: int = 1) -> FlowResult:
     """The exact flow u(t) = e^(tX) u e^(-tX), X = grad h, on a grid of `steps`.
 
     V of _eigen_actions diagonalizes X to diag(d), d = D[:, k-1], so u(t) =
     V (e^(t(d_i - d_j)) (V^-1 u V)[i,j]) V^-1.  Level-N actions are Casimirs
     and conserve u.  Every A_m is conserved, and so is the regularity
-    margin: it is checked once, at t = 0.  Points are kept every
+    margin: it is checked once, at t = 0, against the _REGULARITY_GAP that
+    sample_orbit and OrbitPoint.create demand.  Points are kept every
     sample_every-th step and at the end, all in one expression, so the cost
     does not grow with `steps`.  RegularityLostError carries 0.0 for an
     irregular start, else the first kept time at which u(t) leaves
@@ -353,7 +350,7 @@ def hamiltonian_flow(pt: OrbitPoint, selector: tuple[int, int],
     if not (1 <= n <= pt.n and 1 <= k <= n):
         raise ValueError(f"no action h[{n},{k}] at ambient size {pt.n}")
     try:
-        regular = pt.margin() >= reg_gap
+        regular = pt.margin() >= _REGULARITY_GAP
     except OrbitError:          # the minors of u leave floating-point range
         regular = False
     if not regular:
@@ -464,12 +461,11 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
 
 def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
                        t_final: float = 1.0, steps: int = 1000,
-                       samples: int = 40, lam0: complex | None = None,
-                       reg_gap: float = 1e-6) -> list[dict]:
+                       samples: int = 40, lam0: complex | None = None) -> list[dict]:
     """Sampled trajectory with continued h and tau values, JSON-ready; an
     error of the flow or of _continued_angles carries the time of its failing
     sample."""
-    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
+    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
                             sample_every=max(1, steps // samples))
     keys, taus, hs, flags = _continued_angles(pt, flow.points, flow.times, lam0)
     tau_keys = [f"{n},{k}" for n, k in keys]
@@ -574,19 +570,17 @@ class LinearizationReport(NamedTuple):
 def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
                         t_final: float = 0.1, steps: int = 200,
                         samples: int = 25, tol: float = 1e-3,
-                        lam0: complex | None = None,
-                        reg_gap: float = 1e-6) -> LinearizationReport:
+                        lam0: complex | None = None) -> LinearizationReport:
     """Least-squares slopes of every tau along the selected action's flow.
 
     The conjugate tau must move with slope one, every other tau with slope
     zero (Casimir-level selectors expect all zeros).  The taus are continued
-    from sample to sample, as in trajectory_records, and raise its errors;
-    the flow checks regularity against reg_gap, as in hamiltonian_flow.
+    from sample to sample, as in trajectory_records, and raise its errors.
     Raises ValueError at N < 2, where no tau exists.
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
-    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps, reg_gap=reg_gap,
+    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
                             sample_every=max(1, steps // samples))
     keys, taus, _, _ = _continued_angles(pt, flow.points, flow.times, lam0)
     times = np.asarray(flow.times, dtype=float)

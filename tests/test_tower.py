@@ -423,13 +423,6 @@ def test_casimir_flow_is_stationary():
     assert max(np.max(np.abs(u - pt.u)) for u in flow.points) < 1e-10
 
 
-def test_flow_regularity_guard_reports_time():
-    pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
-    with pytest.raises(RegularityLostError) as err:
-        hamiltonian_flow(pt, (2, 1), t_final=0.1, steps=10, reg_gap=1e6)
-    assert err.value.time == 0.0
-
-
 _FLOW_SELECTORS = [(N, (n, k)) for N in (3, 4, 5) for n in range(1, N) for k in range(1, n + 1)]
 
 
@@ -473,7 +466,7 @@ def test_flow_checks_regularity_once_whatever_the_steps(monkeypatch):
 
 @pytest.mark.parametrize("start", ["below-gap", "overflowing-minors"])
 def test_irregular_start_loses_regularity_at_zero(start):
-    # the start margin decides for the whole flow: below reg_gap (a
+    # the start margin decides for the whole flow: below 1e-6 (a
     # triangular point of the same orbit, whose nested minors share roots),
     # or (u(10) of the h[4,3] flow taken as the start) not computable at all
     pt = sample_orbit([1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
@@ -501,12 +494,13 @@ def test_invalid_selector_rejected():
 # the stacked flow and tracker against their per-point loops
 # ---------------------------------------------------------------------------
 
-def _flow_loop(pt, selector, t_final=1.0, steps=1000, reg_gap=1e-6, sample_every=1):
+def _flow_loop(pt, selector, t_final=1.0, steps=1000, sample_every=1):
     """Oracle: the flow one kept grid time at a time, regularity checked at
-    the start alone, on the rates of the eigenbasis that hamiltonian_flow
-    reads (this oracle checks the stacking of the kept times)."""
+    the start alone against the 1e-6 gap of sample_orbit, on the rates of the
+    eigenbasis that hamiltonian_flow reads (this oracle checks the stacking
+    of the kept times)."""
     u = pt.u.copy()
-    if orbits.regularity_margin(u) < reg_gap:
+    if orbits.regularity_margin(u) < 1e-6:
         raise RegularityLostError(0.0)
     V, Vinv, D = tower._eigen_actions(u, selector[0])
     d = D[:, selector[1] - 1]
@@ -849,12 +843,13 @@ def test_stacked_path_logs_match_one_row_calls():
     for row in range(6):
         assert np.array_equal(logs[row], path_log_increments(a[row], b[row], gamma))
     b[4, 1], a[3, 2] = gamma[0], gamma[2]
+    message = "integration endpoint {0:.6g} within 1e-08 of puncture {1}, {0:.6g}"
     with pytest.raises(PathThroughPunctureError) as err:
         path_log_increments(a, b, gamma)
-    assert err.value.row == 3
+    assert str(err.value) == message.format(gamma[2], 3)
     with pytest.raises(PathThroughPunctureError) as err:
         path_log_increments(a[4:], b[4:], gamma)
-    assert err.value.row == 0
+    assert str(err.value) == message.format(gamma[0], 1)
 
 
 # ---------------------------------------------------------------------------
