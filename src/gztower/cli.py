@@ -172,6 +172,9 @@ TOLERANCES = {
 # action along a flow.
 CHART_RESIDUAL_TOLERANCE = 1e-9
 CONSERVATION_TOLERANCE = 1e-8
+# The smallest |--t|: the linearization fit divides by a sum of squared
+# sample times, and below it their squares leave the normal float range.
+MIN_ABS_T = math.sqrt(sys.float_info.min)
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -247,14 +250,8 @@ def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
     rng = random.Random(config.seed)
     report = _base_report(config)
     statuses = []
-    trivial_tol = config.tolerances["trivial"]
 
-    if config.family == "trivial":
-        triv = families.verify_trivial_numeric(config.n, pt_count=config.points,
-                                               seed=config.seed, tol=trivial_tol)
-        report["trivial"] = triv.to_json()
-        statuses.append(triv.status)
-    else:
+    if config.family != "trivial":
         kind = {"gz": "gz-principal", "gz-corner": "gz-corner", "mf": "mf"}[config.family]
         shift = None
         if kind == "mf":
@@ -282,10 +279,11 @@ def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
         }
         statuses.append(report["independence"]["status"])
 
-        triv = families.verify_trivial_numeric(config.n, pt_count=min(config.points, 5),
-                                               seed=config.seed, tol=trivial_tol)
-        report["trivial"] = triv.to_json()
-        statuses.append(triv.status)
+    points = config.points if config.family == "trivial" else min(config.points, 5)
+    triv = families.verify_trivial_numeric(config.n, pt_count=points, seed=config.seed,
+                                           tol=config.tolerances["trivial"])
+    report["trivial"] = triv.to_json()
+    statuses.append(triv.status)
 
     ok = all(s == "ok" for s in statuses)
     report["status"] = "ok" if ok else "violation"
@@ -499,8 +497,9 @@ def _config_from_args(args) -> RunConfig:
                                   f"got {args.hamiltonian!r}") from exc
             if not 1 <= k <= level <= args.n:
                 raise ConfigError(f"no action h[{args.hamiltonian}] at N={args.n}")
-            if args.t_final == 0 or not math.isfinite(args.t_final):
-                raise ConfigError(f"--t must be finite and nonzero, got {args.t_final}")
+            if not (math.isfinite(args.t_final) and abs(args.t_final) >= MIN_ABS_T):
+                raise ConfigError(f"--t must be finite with |t| >= {MIN_ABS_T:.3g}, "
+                                  f"got {args.t_final}")
             fields.update(hamiltonian=(level, k), t_final=args.t_final,
                           trajectory=_output_path("--trajectory", args.trajectory),
                           steps=_at_least_one("steps", args.steps))

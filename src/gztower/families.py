@@ -104,13 +104,10 @@ class FamilySpec(_SpecFields):
         return cls(*iterable)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "side": self.side,
-            "shift": None if self.shift is None
-            else [[str(x) for x in row] for row in self.shift],
-        }
+        data = self._asdict()
+        if self.shift is not None:
+            data["shift"] = [[str(x) for x in row] for row in self.shift]
+        return data
 
 
 class CommutingFamily(NamedTuple):
@@ -190,13 +187,9 @@ class CommutationReport(NamedTuple):
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "pairs": self.pairs_checked,
-            "max_nonzero_terms": self.max_nonzero_terms,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        data = self._asdict()
+        data["pairs"] = data.pop("pairs_checked")
+        return data
 
 
 def verify_commutes(fam: CommutingFamily) -> CommutationReport:
@@ -227,14 +220,10 @@ class TrivialReport(NamedTuple):
     status: str
 
     def to_json(self) -> dict:
-        return {
-            "family": {"kind": "trivial", "n": self.n, "side": "left", "shift": None},
-            "points": self.points,
-            "pairs": self.pairs_checked,
-            "max_abs_bracket": self.max_abs_bracket,
-            "tolerance": self.tolerance,
-            "status": self.status,
-        }
+        data = self._asdict()
+        data.update(family={"kind": "trivial", "n": data.pop("n"), "side": "left", "shift": None},
+                    pairs=data.pop("pairs_checked"))
+        return data
 
 
 def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,

@@ -403,9 +403,8 @@ class GZChart(NamedTuple):
         return len(self.gamma)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "gamma": [_pairs(g) for g in self.gamma],
-                "theta": [_pairs(t) for t in self.theta],
-                "minor_convention": "rows"}
+        data = {key: [_pairs(a) for a in arrays] for key, arrays in self._asdict().items()}
+        return dict(data, n=self.n, minor_convention="rows")
 
 
 def gz_forward(pt: OrbitPoint) -> GZChart:

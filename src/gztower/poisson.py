@@ -40,7 +40,7 @@ which is the convention adopted throughout the package.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isfinite, lcm
@@ -189,44 +189,43 @@ def _check_size(n: int) -> None:
         raise ValueError(f"ambient size must be >= 1, got {n}")
 
 
-class _TermView(Mapping):
-    """Read-only view of a PoissonPoly as {canonical monomial: Fraction}."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: "PoissonPoly"):
-        self._poly = poly
-
-    def __len__(self) -> int:
-        return len(self._poly._num)
-
-    def __iter__(self):
-        return map(_slot_layout(self._poly.n).unpack, self._poly._num)
-
-    def __getitem__(self, mono: Monomial) -> Fraction:
-        poly = self._poly
-        try:
-            key = _slot_layout(poly.n).pack(mono)
-        except (ValueError, TypeError, ArithmeticError):
-            raise KeyError(mono) from None
-        return Fraction(poly._num[key], poly._den)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 class ExactPoly:
     """An element of an exact algebra over gl_n, in lowest terms.
 
     Stored as a dict from an int-coded basis key to integer numerator over
     one positive common denominator, in lowest terms and without zero
     numerators, so equality of the stored data is equality of elements.
-    Subclasses choose the keys, the product ``_product`` and
-    ``term_list``; instances are immutable.
+    The constructor takes, and ``terms`` gives, the same element as a dict
+    from readable key to Fraction.  Subclasses supply the product
+    ``_product`` and four pieces of the key protocol: ``_pack`` writes a
+    readable key as a stored one, ``_unpack`` reads it back, ``_key_str``
+    renders a readable key and ``_key_order`` sorts readable keys
+    canonically.  Instances are immutable.
     """
 
     __slots__ = ("n", "_num", "_den")
-    _ONE: object                     # the key of the unit
+    _ONE: object                     # the readable key of the unit
+
+    def __init__(self, n: int, terms: dict | None = None):
+        _check_size(n)
+        terms = {} if terms is None else terms
+        den = lcm(*(Fraction(c).denominator for c in terms.values()))
+        num: dict = {}
+        for readable, c in terms.items():
+            key = self._pack(n, readable)
+            num[key] = num.get(key, 0) + int(Fraction(c) * den)
+        self._set(n, num, den)
+
+    @property
+    def terms(self) -> dict:
+        """A fresh dict from readable key to Fraction."""
+        n, den = self.n, self._den
+        return {self._unpack(n, key): Fraction(c, den) for key, c in self._num.items()}
+
+    def term_list(self) -> list[list[str]]:
+        """Terms as [coefficient, key] string pairs, canonically ordered."""
+        ordered = sorted(self.terms.items(), key=lambda kv: self._key_order(kv[0]))
+        return [[str(c), self._key_str(key)] for key, c in ordered]
 
     def _set(self, n: int, num: dict, den: int) -> None:
         if not all(num.values()):
@@ -248,14 +247,11 @@ class ExactPoly:
 
     @classmethod
     def zero(cls, n: int):
-        _check_size(n)
-        return cls._make(n, {}, 1)
+        return cls(n)
 
     @classmethod
     def constant(cls, n: int, value):
-        _check_size(n)
-        c = Fraction(value)
-        return cls._make(n, {cls._ONE: c.numerator}, c.denominator)
+        return cls(n, {cls._ONE: value})
 
     def is_zero(self) -> bool:
         return not self._num
@@ -320,34 +316,33 @@ class ExactPoly:
 class PoissonPoly(ExactPoly):
     """Polynomial over the generator alphabet with exact rational coefficients.
 
-    Keys are packed monomials.  ``terms`` is a read-only view of the same
-    polynomial as a dict from canonical monomials -- sorted tuples of
-    ((kind, row, col), power) pairs -- to Fractions, and the constructor
-    takes such a dict.  The table of partial derivatives that ``bracket``
-    reads is built on first use and kept.
+    Keys are packed monomials; the readable keys of ``terms`` and the
+    constructor are canonical monomials, sorted tuples of ((kind, row, col),
+    power) pairs, ordered by total degree, then monomial.  The table of
+    partial derivatives that ``bracket`` reads is built on first use and
+    kept.
     """
 
     __slots__ = ("_table", "_fields")
-    _ONE = 0                         # the empty monomial
-
-    def __init__(self, n: int, terms: dict[Monomial, Fraction] | None = None):
-        _check_size(n)
-        terms = {} if terms is None else terms
-        pack = _slot_layout(n).pack
-        den = lcm(*(Fraction(c).denominator for c in terms.values()))
-        num: dict[int, int] = {}
-        for mono, c in terms.items():
-            key = pack(mono)
-            num[key] = num.get(key, 0) + int(Fraction(c) * den)
-        self._set(n, num, den)
+    _ONE = ()                        # the empty monomial
 
     def _set(self, n: int, num: dict[int, int], den: int) -> None:
         super()._set(n, num, den)
         self._table = self._fields = None
 
-    @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        return _TermView(self)
+    @staticmethod
+    def _pack(n: int, mono: Monomial) -> int:
+        return _slot_layout(n).pack(mono)
+
+    @staticmethod
+    def _unpack(n: int, key: int) -> Monomial:
+        return _slot_layout(n).unpack(key)
+
+    _key_str = staticmethod(_mono_str)
+
+    @staticmethod
+    def _key_order(mono: Monomial) -> tuple:
+        return sum(e for _, e in mono), mono
 
     # -- constructors -------------------------------------------------
 
@@ -510,13 +505,6 @@ class PoissonPoly(ExactPoly):
         shift = _slot_layout(self.n).lam_shift
         out = {m - (k << shift): c for m, c in self._num.items() if m >> shift & _MASK == k}
         return PoissonPoly._make(self.n, out, self._den)
-
-    # -- rendering ----------------------------------------------------
-
-    def term_list(self) -> list[list[str]]:
-        """Terms as [coefficient, monomial] string pairs, canonically ordered."""
-        ordered = sorted(self.terms.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]))
-        return [[str(c), _mono_str(m)] for m, c in ordered]
 
 
 # ---------------------------------------------------------------------------

@@ -216,27 +216,36 @@ def _letter_commutator(member: "NCPoly", x: int) -> dict[tuple[int, tuple[int, .
 class NCPoly(ExactPoly):
     """PBW-normal-ordered element of U(gl_N) (x) U(gl_N) with lam coefficients.
 
-    Keys are (lam power, PBW word) pairs; every stored word is in normal
-    form, so equality of the stored data is equality in the algebra.
-    ``terms`` gives the same element as a dict (lam power, PBW word) ->
-    Fraction.
+    Keys are (lam power, PBW word) pairs, the word a tuple of letter codes;
+    every stored word is in normal form, so equality of the stored data is
+    equality in the algebra.  The readable keys of ``terms`` and the
+    constructor spell the word as (copy, i, j) generators, and are ordered
+    by word length, then (lam power, word).
     """
 
     __slots__ = ()
     _ONE = (0, ())
 
-    def __init__(self, n: int, terms: dict[Key, Fraction] | None = None):
-        terms = {} if terms is None else terms
-        den = lcm(*(Fraction(c).denominator for c in terms.values()))
-        num = {(lp, tuple(_code(*g) for g in w)): int(Fraction(c) * den)
-               for (lp, w), c in terms.items()}
-        self._set(n, num, den)
+    @staticmethod
+    def _pack(n: int, key: Key) -> tuple[int, tuple[int, ...]]:
+        lp, word = key
+        return lp, tuple(_code(*g) for g in word)
 
-    @property
-    def terms(self) -> dict[Key, Fraction]:
-        den = self._den
-        return {(lp, tuple(map(_decode, w))): Fraction(c, den)
-                for (lp, w), c in self._num.items()}
+    @staticmethod
+    def _unpack(n: int, key: tuple[int, tuple[int, ...]]) -> Key:
+        lp, word = key
+        return lp, tuple(map(_decode, word))
+
+    @staticmethod
+    def _key_str(key: Key) -> str:
+        lp, word = key
+        parts = [f"lam^{lp}"] if lp else []
+        parts += [f"E{'LR'[copy]}[{i},{j}]" for copy, i, j in word]
+        return "*".join(parts) or "1"
+
+    @staticmethod
+    def _key_order(key: Key) -> tuple:
+        return len(key[1]), key
 
     # -- constructors -------------------------------------------------
 
@@ -282,14 +291,6 @@ class NCPoly(ExactPoly):
             buckets.setdefault(lp, {})[(0, w)] = c
         return {lp: NCPoly._make(self.n, buckets[lp], self._den)
                 for lp in sorted(buckets)}
-
-    def term_list(self) -> list[list[str]]:
-        def word_str(lp, w):
-            parts = [f"lam^{lp}"] if lp else []
-            parts += [f"E{'LR'[copy]}[{i},{j}]" for copy, i, j in map(_decode, w)]
-            return "*".join(parts) if parts else "1"
-        items = sorted(self._num.items(), key=lambda kv: (len(kv[0][1]), kv[0]))
-        return [[str(Fraction(c, self._den)), word_str(lp, w)] for (lp, w), c in items]
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +352,10 @@ class QuantumReport(NamedTuple):
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "family": {"kind": "quantum-gz", "n": self.n},
-            "convention": self.convention,
-            "centrality_checks": self.centrality_checks,
-            "pairs": self.pairs_checked,
-            "max_nonzero_terms": self.max_nonzero_terms,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        data = self._asdict()
+        data.update(family={"kind": "quantum-gz", "n": data.pop("n")},
+                    pairs=data.pop("pairs_checked"))
+        return data
 
 
 def _centrality(n: int, members: list[_Member]) -> tuple[int, dict | None]:

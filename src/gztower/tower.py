@@ -134,7 +134,8 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
     ratio into +0.0.  a and b may be arrays of endpoints: the result has
     their shape plus a last axis over the punctures.  The error names the
     first endpoint within _PUNCTURE_FLOOR of a puncture, in the result's
-    order, and that puncture.
+    order, and that puncture.  Logs that are not finite (from a far-off or
+    a NaN endpoint) raise TowerError.
     """
     g = np.asarray(punctures, dtype=complex)
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
@@ -146,7 +147,11 @@ def path_log_increments(a, b, punctures) -> np.ndarray:
         raise PathThroughPunctureError(
             f"integration endpoint {complex(end):.6g} within {_PUNCTURE_FLOOR} of puncture "
             f"{j + 1}, {g[j]:.6g}")
-    return np.log((b - g) / (a - g) + 0j)
+    with np.errstate(all="ignore"):
+        logs = np.log((b - g) / (a - g) + 0j)
+    if not np.isfinite(logs).all():
+        raise TowerError("straight-path logs are not finite")
+    return logs
 
 
 def _tau_sums(logs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -222,10 +227,9 @@ class TowerDescriptor(NamedTuple):
     base_point: complex
 
     def to_json(self) -> dict:
-        return {"levels": [lv.to_json() for lv in self.levels],
-                "zero_section": {str(n): _pairs(v) for n, v in self.zero_section.items()},
-                "minor_convention": "rows",
-                "base_point": _pair(self.base_point)}
+        return dict(self._asdict(), levels=[lv.to_json() for lv in self.levels],
+                    zero_section={str(n): _pairs(v) for n, v in self.zero_section.items()},
+                    minor_convention="rows", base_point=_pair(self.base_point))
 
 
 def default_base_point(pt: OrbitPoint) -> complex:

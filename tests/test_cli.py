@@ -79,6 +79,39 @@ def test_classical_trivial_only(capsys):
     assert parse_report(out)["trivial"]["status"] == "ok"
 
 
+_TRIVIAL_N2 = {"family": {"kind": "trivial", "n": 2, "shift": None, "side": "left"},
+               "max_abs_bracket": float, "pairs": 30, "points": 5, "status": "ok",
+               "tolerance": 1e-5}
+
+
+@pytest.mark.parametrize("argv, sections", [
+    (["verify-classical", "--family", "gz"], {
+        "commutation": {"family": {"kind": "gz-principal", "n": 2, "shift": None, "side": "both"},
+                        "max_nonzero_terms": 0, "pairs": 6, "status": "ok", "witness": None},
+        "trivial": _TRIVIAL_N2}),
+    (["verify-classical", "--family", "mf", "--shift-matrix", "diag:1,2"], {
+        "commutation": {"family": {"kind": "mf", "n": 2, "shift": [["1", "0"], ["0", "2"]],
+                                   "side": "left"},
+                        "max_nonzero_terms": 0, "pairs": 3, "status": "ok", "witness": None},
+        "trivial": _TRIVIAL_N2}),
+    (["verify-classical", "--family", "trivial"], {"trivial": _TRIVIAL_N2}),
+    (["verify-quantum"], {
+        "quantum": {"centrality_checks": 10, "convention": "nested",
+                    "family": {"kind": "quantum-gz", "n": 2}, "max_nonzero_terms": 0,
+                    "pairs": 6, "status": "ok", "witness": None}}),
+], ids=["gz", "mf", "trivial", "quantum"])
+def test_the_exact_sections_keep_their_schema(capsys, argv, sections):
+    # every key of the exact sections, and every value but the measured
+    # max_abs_bracket, whose type alone is pinned
+    code, out, _ = run_cli(capsys, *argv, "--n", "2")
+    assert code == 0
+    report = parse_report(out)
+    assert {"commutation", "trivial", "quantum"} & report.keys() == sections.keys()
+    for name, expected in sections.items():
+        assert {key: type(value) if key == "max_abs_bracket" else value
+                for key, value in report[name].items()} == expected
+
+
 def test_invalid_ambient_size_is_config_error(capsys):
     code, _, err = run_cli(capsys, "verify-classical", "--n", "0")
     assert code == 2
@@ -298,6 +331,24 @@ def test_orbit_stopped_by_the_tower_is_a_violation_report(capsys):
         "message": "integration endpoint 1+0j within 1e-08 of puncture 1, 1+9.36861e-17j"}
     assert report["canonical_chart"]["status"] == "ok"
     assert "tower" not in report and "action_angle" not in report
+
+
+@pytest.mark.parametrize("lam0", ["9e307+9e307j", "-1e308+1e308j"])
+@pytest.mark.parametrize("command, extra", [("orbit", ("--check", "all")),
+                                            ("flow", ("--hamiltonian", "2,1"))],
+                         ids=["orbit", "flow"])
+def test_a_far_base_point_stops_the_tower_at_its_first_angles(capsys, command, extra, lam0):
+    # the straight-path logs from lam0 leave floating-point range at level
+    # 2, the first with angle integrals: the tower stops there with no
+    # RuntimeWarning (an error in this suite) instead of writing NaN angles
+    code, out, err = run_cli(capsys, command, "--n", "3", "--spectrum", "1,2,3",
+                             f"--lam0={lam0}", *extra)
+    assert (code, err) == (1, f"{command}: violation\n")
+    report = parse_report(out)
+    assert report["error"] == {
+        "kind": "tower", "time": None if command == "orbit" else 0.0, "level": 2,
+        "message": "straight-path logs are not finite"}
+    assert not {"tower", "linearization", "samples"} & report.keys()
 
 
 def test_orbit_residue_form_check(capsys):
@@ -549,6 +600,9 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "0"),
     ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "nan"),
     ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "inf"),
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "1e-160"),
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t=-1e-170"),
+    ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--t", "5e-324"),
     ("flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1", "--steps", "0"),
     ("orbit", "--n", "3", "--spectrum", "1,2,nan"),
     ("verify-classical", "--n", "2", "--points", "0"),
@@ -575,7 +629,7 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1", "--seed", "-1"),
     ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1/0,1"),
     ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1e400,1"),
-], ids=["t-zero", "t-nan", "t-inf", "steps-zero", "spectrum-nan", "points-zero",
+], ids=["t-zero", "t-nan", "t-inf", "t-tiny", "t-tiny-negative", "t-subnormal", "steps-zero", "spectrum-nan", "points-zero",
         "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow",
         "tolerance-not-a-number", "lam0-not-a-number", "lam0-nan", "tolerance-unknown-name",
         "tolerance-nan", "tolerance-negative", "tolerance-zero", "tolerance-no-value",
@@ -588,6 +642,8 @@ def test_bad_values_are_config_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "configuration error" in err
+    if any(arg == "--t" or arg.startswith("--t=") for arg in argv):
+        assert "--t must be" in err
 
 
 def test_check_chart_is_an_argparse_error():

@@ -633,6 +633,10 @@ def test_shared_exact_core_invariants(elements):
     assert zero.is_zero() and zero._den == 1 and zero == type(a).zero(3)
     for x in (a, b, c, s):
         assert (x - x).is_zero() and (x - x)._den == 1
+        # the term dict is a fresh dict that builds the element back
+        assert type(x)(3, x.terms) == x and x.terms is not x.terms
+    with pytest.raises(ValueError, match="ambient size"):
+        type(a)(0)
     left = (a + b * 3) + c * Fraction(1, 5)
     right = c * Fraction(2, 10) + (3 * b + a)
     assert left == right and hash(left) == hash(right)
