@@ -12,10 +12,13 @@ flow               Hamiltonian flow, its linearization report and, with
                    --trajectory, a JSON-lines trajectory
 
 Reports are JSON on stdout (or --output), human summaries go to stderr.
-Exit codes: 0 all checks passed, 1 a check found a violation, 2 the
-configuration was invalid, 3 a check crashed (a traceback on stderr and no
-report).  Identical configurations produce byte-identical reports apart from
-the timestamp field.
+Each subcommand fills its report's sections, and one function, _conclude,
+reads the report's status from them: ok when at least one section is graded
+(a top-level dict with a status), every graded section is ok and no check
+stopped with an error; else violation.  Exit codes: 0 the status is ok, 1 it
+is a violation, 2 the configuration was invalid, 3 a check crashed (a
+traceback on stderr and no report).  Identical configurations produce
+byte-identical reports apart from the timestamp field.
 
 A gz-tower process (``entry``, behind the console script and
 ``python -m gztower.cli``) runs without the cyclic collector: it disables it
@@ -152,12 +155,23 @@ def _error_kind(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__.removesuffix("Error")).lower()
 
 
-def _stopped(report: dict, exc: Exception) -> tuple[int, dict]:
-    """End the report of a check that stopped on the TowerError exc: a
-    violation whose error gives exc's kind, time (None off a flow), level and message."""
-    report["status"] = "violation"
+def _stopped(report: dict, exc: Exception) -> dict:
+    """End the report of a check that stopped on the TowerError exc with an
+    error that gives exc's kind, time (None off a flow), level and message."""
     report["error"] = dict(kind=_error_kind(exc), time=exc.time, level=exc.level, message=str(exc))
-    return 1, report
+    return report
+
+
+def _conclude(report: dict) -> int:
+    """Set the report's status from its graded sections, the top-level dicts
+    with a status, and return the exit code: ok (0) when at least one
+    section is graded, every graded section is ok and no check stopped with
+    an error, so no report passes on zero checks; else violation (1)."""
+    grades = [section["status"] for section in report.values()
+              if isinstance(section, dict) and "status" in section]
+    ok = bool(grades) and all(g == "ok" for g in grades) and "error" not in report
+    report["status"] = "ok" if ok else "violation"
+    return 0 if ok else 1
 
 
 # the tolerances each subcommand reads, with their defaults; --tolerance
@@ -242,14 +256,13 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
+def cmd_verify_classical(config: RunConfig) -> dict:
     import random
 
     from . import families
 
     rng = random.Random(config.seed)
     report = _base_report(config)
-    statuses = []
 
     if config.family != "trivial":
         kind = {"gz": "gz-principal", "gz-corner": "gz-corner", "mf": "mf"}[config.family]
@@ -261,36 +274,27 @@ def cmd_verify_classical(config: RunConfig) -> tuple[int, dict]:
                                    side="left" if kind == "mf" else config.side,
                                    shift=shift)
         fam = families.build_family(spec)
-        commutes = families.verify_commutes(fam)
-        report["commutation"] = commutes.to_json()
-        statuses.append(commutes.status)
+        report["commutation"] = families.verify_commutes(fam).to_json()
 
         ranks = []
         for _ in range(config.points):
             pt = families.random_residue_point(config.n, rng)
             ranks.append(families.independence_rank(fam, pt))
         expected = config.n ** 2 if (kind == "gz-principal" and spec.side == "both") else None
-        rank_ok = expected is None or max(ranks) == expected
         report["independence"] = {
             "ranks": ranks,
             "prime": families.PRIME,
             "expected": expected,
-            "status": "ok" if rank_ok else "violation",
+            "status": "ok" if expected is None or max(ranks) == expected else "violation",
         }
-        statuses.append(report["independence"]["status"])
 
     points = config.points if config.family == "trivial" else min(config.points, 5)
-    triv = families.verify_trivial_numeric(config.n, pt_count=points, seed=config.seed,
-                                           tol=config.tolerances["trivial"])
-    report["trivial"] = triv.to_json()
-    statuses.append(triv.status)
-
-    ok = all(s == "ok" for s in statuses)
-    report["status"] = "ok" if ok else "violation"
-    return (0 if ok else 1), report
+    report["trivial"] = families.verify_trivial_numeric(
+        config.n, pt_count=points, seed=config.seed, tol=config.tolerances["trivial"]).to_json()
+    return report
 
 
-def cmd_verify_quantum(config: RunConfig) -> tuple[int, dict]:
+def cmd_verify_quantum(config: RunConfig) -> dict:
     from . import quantum
 
     report = _base_report(config)
@@ -301,33 +305,27 @@ def cmd_verify_quantum(config: RunConfig) -> tuple[int, dict]:
     report["quantum"] = qrep.to_json()
     report["diffop_realization"] = drep.to_json()
     report["convention"] = qrep.convention
-    ok = qrep.status == "ok" and drep.status == "ok"
-    report["status"] = "ok" if ok else "violation"
-    return (0 if ok else 1), report
+    return report
 
 
-def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
+def cmd_orbit(config: RunConfig) -> dict:
     from . import orbits, tower
 
     with _layer_errors(config=orbits.OrbitError):
         report = _base_report(config)
         pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
         report["orbit"] = pt.to_json()
-        statuses = []
-
-        canon = orbits.verify_canonical_chart(pt, tolerance=config.tolerances["chart"])
-        report["canonical_chart"] = canon.to_json()
-        statuses.append(canon.status)
+        report["canonical_chart"] = orbits.verify_canonical_chart(
+            pt, tolerance=config.tolerances["chart"]).to_json()
 
         chart = orbits.gz_forward(pt)
         res_a, res_c = orbits.chart_residuals(chart, pt)
         report["chart"] = chart.to_json()
+        tol = CHART_RESIDUAL_TOLERANCE
         report["chart_residuals"] = {
-            "root_residual": res_a, "angle_relation": res_c,
-            "tolerance": CHART_RESIDUAL_TOLERANCE,
+            "root_residual": res_a, "angle_relation": res_c, "tolerance": tol,
             "relative_to": "per puncture: |u_n|_2; per level: max(1, max|C_n(gamma)|)",
-            "status": "ok" if max(res_a, res_c) < CHART_RESIDUAL_TOLERANCE else "violation"}
-        statuses.append(report["chart_residuals"]["status"])
+            "status": "ok" if res_a <= tol and res_c <= tol else "violation"}
 
         try:
             desc = tower.build_tower(pt, lam0=config.lam0)
@@ -340,32 +338,25 @@ def cmd_orbit(config: RunConfig) -> tuple[int, dict]:
             rng = np.random.default_rng(config.seed + 1)
             draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
                                                + 1j * rng.standard_normal((pt.n, pt.n)))
-            rrep = orbits.residue_form_check(
+            report["residue_form"] = orbits.residue_form_check(
                 pt, [(draw(), draw()) for _ in range(config.pairs)],
-                tolerance=config.tolerances["residue"])
-            report["residue_form"] = rrep.to_json()
-            statuses.append(rrep.status)
+                tolerance=config.tolerances["residue"]).to_json()
 
         if any(c in config.checks for c in ("action-angle", "all")):
-            arep = tower.action_angle_bracket_table(
-                pt, tolerance=config.tolerances["action_angle"])
-            report["action_angle"] = arep.to_json()
-            statuses.append(arep.status)
-
-        ok = all(s == "ok" for s in statuses)
-        report["status"] = "ok" if ok else "violation"
-        return (0 if ok else 1), report
+            report["action_angle"] = tower.action_angle_bracket_table(
+                pt, tolerance=config.tolerances["action_angle"]).to_json()
+        return report
 
 
-def cmd_flow(config: RunConfig) -> tuple[int, dict]:
+def cmd_flow(config: RunConfig) -> dict:
     from . import orbits, tower
 
     with _layer_errors(config=orbits.OrbitError):
         report = _base_report(config)
         pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
         report["orbit"] = pt.to_json()
-        # an error in either flow, at the time of its failing sample, is a
-        # violation
+        # an error in either flow stops the check at the time of its
+        # failing sample
         try:
             records = tower.trajectory_records(
                 pt, config.hamiltonian, t_final=config.t_final, steps=config.steps,
@@ -388,13 +379,10 @@ def cmd_flow(config: RunConfig) -> tuple[int, dict]:
         drift = max(0.0, *(abs(complex(*val) - complex(*h0[key]))
                            for rec in records for key, val in rec["h"].items()))
         report["conservation"] = {
-            "max_h_drift": drift,
-            "status": "ok" if drift < CONSERVATION_TOLERANCE else "violation"}
-
+            "max_h_drift": drift, "tolerance": CONSERVATION_TOLERANCE,
+            "status": "ok" if drift <= CONSERVATION_TOLERANCE else "violation"}
         report["linearization"] = lin.to_json()
-        ok = report["conservation"]["status"] == "ok" and lin.status == "ok"
-        report["status"] = "ok" if ok else "violation"
-        return (0 if ok else 1), report
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +511,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        code, report = _COMMANDS[args.command](config)
+        report = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    summary = f"{args.command}: {report.get('status', 'done')}"
-    _emit(report, config.output, summary)
+    code = _conclude(report)
+    _emit(report, config.output, f"{args.command}: {report['status']}")
     return code
 
 

@@ -250,7 +250,7 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
             val = sum(map(mul, dg[f], dp[h])) - sum(map(mul, dp[f], dg[h]))
             worst = max(worst, abs(val))
             pairs += 1
-    status = "ok" if worst < tol else "violation"
+    status = "ok" if worst <= tol else "violation"
     return TrivialReport(n=n, points=pt_count, pairs_checked=pairs,
                          max_abs_bracket=worst, tolerance=tol, status=status)
 

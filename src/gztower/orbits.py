@@ -464,12 +464,13 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
     """
     N = pt.n
     minors = _level_minors(N)
-    res_c = 0.0
+    res_c = []
     for n, (g, theta) in enumerate(zip(chart.gamma, chart.theta), start=1):
         lhs = _minor_at(pt.u, minors[N + n - 1], g)
         rhs = -(_minor_at(pt.u, minors[n - 2], g) if n >= 2 else 1.0) * np.exp(theta)
-        res_c = max(res_c, float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
-    return max(_root_residuals(pt.u, chart.gamma)), res_c
+        res_c.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
+    # np.max keeps a NaN residual (max() would drop it), so a NaN angle fails
+    return max(_root_residuals(pt.u, chart.gamma)), float(np.max(res_c, initial=0.0))
 
 
 def kk_bracket(f: Callable[[np.ndarray], complex],
@@ -645,7 +646,7 @@ def verify_canonical_chart(pt: OrbitPoint, tolerance: float = 1e-5) -> ChartCano
     variants = [{"convention": label, "max_deviation": dev, "casimir_deviation": cas}
                 for label, (dev, cas, _) in results.items()]
     dev, cas, kk = results["rows"]
-    ok = dev < tolerance and cas < tolerance
+    ok = dev <= tolerance and cas <= tolerance
     return ChartCanonicityReport(
         n=pt.n, tolerance=tolerance, variants=variants, winner="rows" if ok else None,
         max_deviation=dev, casimir_deviation=cas, status="ok" if ok else "violation",
@@ -733,7 +734,7 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
         "variant": f"contour={contour} term1_sign=-1 overall_sign=-1",
         "max_deviation": float(np.max(np.abs(t1 + t2 - kk_value), initial=0.0))}
         for contour, t1 in (("A", wedge(3, 2)), ("C", wedge(0, 1)))]
-    ok = variants[0]["max_deviation"] < tolerance
+    ok = variants[0]["max_deviation"] <= tolerance
     return ResidueFormReport(
         n=N, pairs=len(pairs), tolerance=tolerance, variants=variants,
         winner=variants[0]["variant"] if ok else None, status="ok" if ok else "violation",

@@ -220,6 +220,23 @@ def test_a_flipped_compression_makes_the_chart_residuals_a_violation(monkeypatch
     assert residuals["root_residual"] < 1e-9 < residuals["angle_relation"]
 
 
+def test_a_nan_angle_makes_the_chart_residuals_a_violation(monkeypatch, capsys):
+    # a NaN theta at level 2 of 3, which a running maximum by max() would
+    # drop behind level 1's finite residual
+    forward = orbits.gz_forward
+
+    def nan_angle(pt):
+        chart = forward(pt)
+        theta = [np.array(t) for t in chart.theta]
+        theta[1][0] = np.nan
+        return chart._replace(theta=theta)
+
+    monkeypatch.setattr(orbits, "gz_forward", nan_angle)
+    code, out, _ = run_cli(capsys, "orbit", "--n", "3", "--spectrum", "1,2,3")
+    assert code == 1
+    assert parse_report(out)["chart_residuals"]["status"] == "violation"
+
+
 def test_a_flipped_bracket_sign_makes_the_sweep_a_violation(monkeypatch, capsys):
     # every theta gradient negated flips each {gamma, theta}, as a sweep
     # taking kk = T - T^T would flip the whole table: the graded rows misses
@@ -382,7 +399,9 @@ def test_flow_ok_and_trajectory(tmp_path, capsys):
     report = parse_report(out)
     assert report["status"] == "ok"
     assert report["linearization"]["status"] == "ok"
-    assert report["conservation"]["status"] == "ok"
+    conservation = report["conservation"]
+    assert set(conservation) == {"max_h_drift", "tolerance", "status"}
+    assert (conservation["tolerance"], conservation["status"]) == (1e-8, "ok")
     lines = traj.read_text().strip().splitlines()
     assert len(lines) == report["samples"]
     record = json.loads(lines[0])
@@ -943,7 +962,7 @@ def test_reports_are_json_native(name):
     # type, and a list is a list, not a tuple
     argv = _JSON_NATIVE[name]
     config = cli._config_from_args(cli.build_parser().parse_args(argv))
-    _, report = cli._COMMANDS[argv[0]](config)
+    report = cli._COMMANDS[argv[0]](config)
     assert json.loads(json.dumps(report, sort_keys=True))["command"] == argv[0]
     _assert_no_tuple(report)
 
@@ -1095,3 +1114,85 @@ def test_exit_codes_of_a_fresh_process(tmp_path, argv, code, status):
     else:
         assert json.loads(proc.stdout)["status"] == status
 
+
+# ---------------------------------------------------------------------------
+# the verdict: one rule reads a report's status and exit code from its
+# graded sections, the top-level dicts with a status
+# ---------------------------------------------------------------------------
+
+_OK, _VIOLATION = {"status": "ok"}, {"status": "violation"}
+
+
+@pytest.mark.parametrize("sections, code", [
+    ({"config": {"n": 3}, "samples": 41}, 1),
+    ({"a": _OK, "b": _VIOLATION, "c": _OK}, 1),
+    ({"a": _OK, "b": _OK, "error": {"kind": "branch-jump", "level": 2}}, 1),
+    ({"a": _OK, "b": _OK, "config": {"n": 3}, "convention": "nested"}, 0),
+], ids=["no-graded-section", "one-violation", "error", "all-ok"])
+def test_conclude_reads_the_status_from_the_graded_sections(sections, code):
+    # no graded section is a violation: no report passes on zero checks
+    report = dict(sections)
+    assert cli._conclude(report) == code
+    assert report == {**sections, "status": "ok" if code == 0 else "violation"}
+
+
+_ORBIT3 = ["orbit", "--n", "3", "--spectrum", "1,2,3"]
+_FLOW3 = ["flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1"]
+
+
+@pytest.mark.parametrize("argv, graded", [
+    (["verify-classical", "--n", "2"], {"commutation", "independence", "trivial"}),
+    (["verify-classical", "--n", "2", "--family", "trivial"], {"trivial"}),
+    (["verify-quantum", "--n", "2"], {"quantum", "diffop_realization"}),
+    (_ORBIT3, {"canonical_chart", "chart_residuals"}),
+    ([*_ORBIT3, "--check", "all"],
+     {"canonical_chart", "chart_residuals", "residue_form", "action_angle"}),
+    (["orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "1"],
+     {"canonical_chart", "chart_residuals"}),
+    (_FLOW3, {"conservation", "linearization"}),
+    ([*_FLOW3, "--lam0=9e307+9e307j"], set()),
+], ids=["classical", "trivial", "quantum", "orbit", "orbit-all", "orbit-stopped", "flow",
+        "flow-stopped"])
+def test_each_subcommand_grades_exactly_these_sections(argv, graded):
+    # a later dict with a status field cannot join the verdict unnoticed
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    report = cli._COMMANDS[argv[0]](config)
+    assert {key for key, value in report.items()
+            if isinstance(value, dict) and "status" in value} == graded
+    assert ("error" in report) == any(arg.startswith("--lam0") for arg in argv)
+
+
+# each graded numeric section: the run that grades it, its deviation, and its
+# tolerance, a --tolerance name or a fixed bound of cli
+_DEVIATIONS = {
+    "trivial": (["verify-classical", "--n", "3", "--family", "trivial", "--points", "1"],
+                lambda sec: sec["max_abs_bracket"], "trivial"),
+    "canonical_chart": ([*_ORBIT3, "--check", "all"],
+                        lambda sec: max(sec["max_deviation"], sec["casimir_deviation"]), "chart"),
+    "chart_residuals": ([*_ORBIT3, "--check", "all"],
+                        lambda sec: max(sec["root_residual"], sec["angle_relation"]),
+                        "CHART_RESIDUAL_TOLERANCE"),
+    "residue_form": ([*_ORBIT3, "--check", "all"],
+                     lambda sec: sec["variants"][0]["max_deviation"], "residue"),
+    "action_angle": ([*_ORBIT3, "--check", "all"],
+                     lambda sec: sec["max_deviation_upper_levels"], "action_angle"),
+    "conservation": (_FLOW3, lambda sec: sec["max_h_drift"], "CONSERVATION_TOLERANCE"),
+    "linearization": (_FLOW3, lambda sec: sec["max_error"], "linearization"),
+}
+
+
+@pytest.mark.parametrize("section", _DEVIATIONS)
+def test_a_deviation_equal_to_its_tolerance_is_ok(monkeypatch, capsys, section):
+    # every numeric grade is ok exactly when deviation <= tolerance
+    argv, deviation, tolerance = _DEVIATIONS[section]
+    _, out, _ = run_cli(capsys, *argv)
+    dev = deviation(parse_report(out)[section])
+    assert dev > 0
+    if tolerance.isupper():
+        monkeypatch.setattr(cli, tolerance, dev)
+    else:
+        argv = [*argv, "--tolerance", f"{tolerance}={dev!r}"]
+    code, out, _ = run_cli(capsys, *argv)
+    graded = parse_report(out)[section]
+    assert deviation(graded) == graded["tolerance"] == dev
+    assert (code, graded["status"]) == (0, "ok")
