@@ -20,6 +20,10 @@ is a violation, 2 the configuration was invalid, 3 a check crashed (a
 traceback on stderr and no report).  Identical configurations produce
 byte-identical reports apart from the timestamp field.
 
+build_parser alone declares each subcommand's options and their defaults;
+a report's config is the namespace that _config_from_args checked and
+normalised, so it lists exactly the subcommand's own options.
+
 A gz-tower process (``entry``, behind the console script and
 ``python -m gztower.cli``) runs without the cyclic collector: it disables it
 before main() and freezes every object after, so neither the run nor the
@@ -33,18 +37,17 @@ Each subcommand imports only the layers it runs (verify-classical: families
 and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their configuration errors into ConfigError where it calls them,
 so this module imports no layer.  Nor does it import numpy or dataclasses:
-RunConfig and every layer's records are NamedTuples, so no subcommand loads
-dataclasses, and only orbit and flow load numpy, with their layers.  Of the
-standard library it imports at module level only what every subcommand
-needs: argparse, gc, json, math, os, re, sys and time, and names from
-collections.abc, contextlib, types and typing.  The timestamp comes from
-time.time_ns() rather than datetime, finiteness tests use math rather than
-cmath, and fractions (which loads decimal and numbers) and random are
-imported where verify-classical uses them, so orbit and flow load no
-fractions, decimal or cmath, and no subcommand loads datetime or cmath
-unless numpy does.  An orbit
-or flow check that stops on a TowerError is a violation report whose error
-gives its kind, message, level and, on a flow, the failing sample's time.
+every layer's records are NamedTuples, so no subcommand loads dataclasses,
+and only orbit and flow load numpy, with their layers.  Of the standard
+library it imports at module level only what every subcommand needs:
+argparse, gc, json, math, os, re, sys and time, and contextmanager from
+contextlib.  The timestamp comes from time.time_ns() rather than datetime,
+finiteness tests use math rather than cmath, and fractions (which loads
+decimal and numbers) and random are imported where verify-classical uses
+them, so orbit and flow load no fractions, decimal or cmath, and no
+subcommand loads datetime or cmath unless numpy does.  An orbit or flow
+check that stops on a TowerError is a violation report whose error gives its
+kind, message, level and, on a flow, the failing sample's time.
 """
 
 from __future__ import annotations
@@ -57,46 +60,10 @@ import os
 import re
 import sys
 import time
-from collections.abc import Mapping
 from contextlib import contextmanager
-from types import MappingProxyType
-from typing import NamedTuple
 
 SCHEMA = "gz-tower/1"
 OUTPUT_DIR_ENV = "GZTOWER_OUTPUT_DIR"
-
-
-class RunConfig(NamedTuple):
-    command: str
-    n: int
-    seed: int = 0
-    family: str | None = None
-    side: str = "both"
-    shift_matrix: str | None = None
-    points: int = 5
-    trials: int = 12
-    allow_large: bool = False
-    spectrum: list[complex] | None = None
-    checks: tuple[str, ...] = ()
-    pairs: int = 20
-    hamiltonian: tuple[int, int] | None = None
-    t_final: float = 1.0
-    steps: int = 1000
-    lam0: complex | None = None
-    tolerances: Mapping[str, float] = MappingProxyType({})
-    output: str | None = None
-    trajectory: str | None = None
-
-    def to_json(self) -> dict:
-        data = self._asdict()
-        data.update(checks=list(self.checks), tolerances=dict(self.tolerances))
-        if self.spectrum is not None:
-            data["spectrum"] = [[z.real, z.imag] for z in self.spectrum]
-        if self.lam0 is not None:
-            data["lam0"] = [self.lam0.real, self.lam0.imag]
-        if self.hamiltonian is not None:
-            data["hamiltonian"] = list(self.hamiltonian)
-        return data
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -128,11 +95,24 @@ def _utc_timestamp() -> str:
     return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
 
 
-def _base_report(config: RunConfig) -> dict:
+def _json_option(value):
+    """An option's value as JSON: a complex number as [re, im], a sequence
+    as a list."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (list, tuple)):
+        return [_json_option(item) for item in value]
+    return value
+
+
+def _base_report(config: argparse.Namespace) -> dict:
+    """The report's head; its config is the subcommand's own options, as
+    _config_from_args normalised them."""
     return {
         "schema": SCHEMA,
         "command": config.command,
-        "config": config.to_json(),
+        "config": {key: _json_option(value) for key, value in vars(config).items()
+                   if key != "command"},
         "timestamp": _utc_timestamp(),
     }
 
@@ -182,6 +162,8 @@ TOLERANCES = {
     "orbit": {"chart": 1e-5, "residue": 1e-4, "action_angle": 1e-4},
     "flow": {"linearization": 1e-3},
 }
+# the --shift-matrix default, a random rational shift drawn from --seed
+RANDOM_SHIFT = "random-rational"
 # Fixed bounds: relative chart residuals (orbit) and the drift of every
 # action along a flow.
 CHART_RESIDUAL_TOLERANCE = 1e-9
@@ -208,16 +190,15 @@ def _parse_spectrum(text: str, n: int) -> list[complex]:
     return values
 
 
-def _at_least_one(name: str, value: int) -> int:
+def _at_least_one(name: str, value: int) -> None:
     if value < 1:
         raise ConfigError(f"--{name} must be >= 1, got {value}")
-    return value
 
 
 def _parse_shift(text: str, n: int, rng):
     from fractions import Fraction      # here, so orbit and flow never load decimal
 
-    if text == "random-rational":
+    if text == RANDOM_SHIFT:
         from .families import random_rational_matrix
         return random_rational_matrix(n, rng)
     if text == "identity":
@@ -256,7 +237,7 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_verify_classical(config: RunConfig) -> dict:
+def cmd_verify_classical(config: argparse.Namespace) -> dict:
     import random
 
     from . import families
@@ -268,8 +249,7 @@ def cmd_verify_classical(config: RunConfig) -> dict:
         kind = {"gz": "gz-principal", "gz-corner": "gz-corner", "mf": "mf"}[config.family]
         shift = None
         if kind == "mf":
-            shift = _parse_shift(config.shift_matrix or "random-rational",
-                                 config.n, rng)
+            shift = _parse_shift(config.shift_matrix, config.n, rng)
         spec = families.FamilySpec(kind=kind, n=config.n,
                                    side="left" if kind == "mf" else config.side,
                                    shift=shift)
@@ -294,7 +274,7 @@ def cmd_verify_classical(config: RunConfig) -> dict:
     return report
 
 
-def cmd_verify_quantum(config: RunConfig) -> dict:
+def cmd_verify_quantum(config: argparse.Namespace) -> dict:
     from . import quantum
 
     report = _base_report(config)
@@ -304,11 +284,10 @@ def cmd_verify_quantum(config: RunConfig) -> dict:
                                             seed=config.seed)
     report["quantum"] = qrep.to_json()
     report["diffop_realization"] = drep.to_json()
-    report["convention"] = qrep.convention
     return report
 
 
-def cmd_orbit(config: RunConfig) -> dict:
+def cmd_orbit(config: argparse.Namespace) -> dict:
     from . import orbits, tower
 
     with _layer_errors(config=orbits.OrbitError):
@@ -348,13 +327,14 @@ def cmd_orbit(config: RunConfig) -> dict:
         return report
 
 
-def cmd_flow(config: RunConfig) -> dict:
+def cmd_flow(config: argparse.Namespace) -> dict:
     from . import orbits, tower
 
     with _layer_errors(config=orbits.OrbitError):
         report = _base_report(config)
         pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
         report["orbit"] = pt.to_json()
+        traj_path = _resolve_output(config.trajectory)
         # an error in either flow stops the check at the time of its
         # failing sample
         try:
@@ -366,9 +346,11 @@ def cmd_flow(config: RunConfig) -> dict:
                 t_final=max(-0.1, min(config.t_final, 0.1)),
                 tol=config.tolerances["linearization"], lam0=config.lam0)
         except tower.TowerError as exc:
+            # empty what an earlier run left at the path config names; make no file
+            if traj_path and os.path.exists(traj_path):
+                open(traj_path, "w").close()
             return _stopped(report, exc)
 
-        traj_path = _resolve_output(config.trajectory)
         if traj_path:
             with open(traj_path, "w") as fh:
                 fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
@@ -400,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="ambient size N >= 2")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the JSON report to this file")
-        p.add_argument("--tolerance", action="append", default=[],
+        p.add_argument("--tolerance", action="append", default=[], dest="tolerances",
                        metavar="NAME=VALUE", help="override a named tolerance")
 
     p = sub.add_parser("verify-classical", help="exact classical commutativity")
@@ -408,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["gz", "gz-corner", "mf", "trivial"],
                    default="gz")
     p.add_argument("--side", choices=["left", "right", "both"], default="both")
-    p.add_argument("--shift-matrix", default="random-rational",
+    p.add_argument("--shift-matrix", default=RANDOM_SHIFT,
                    help="mf only: random-rational | identity | diag:a,b,...")
     p.add_argument("--points", type=int, default=5,
                    help="random points for rank and numeric checks")
@@ -424,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--spectrum", required=True,
                    help="comma-separated eigenvalues, complex allowed")
-    p.add_argument("--check", action="append", default=[],
+    p.add_argument("--check", action="append", default=[], dest="checks",
                    choices=["residue-form", "action-angle", "all"],
                    help="additional checks beyond chart+tower")
     p.add_argument("--pairs", type=int, default=20,
@@ -444,39 +426,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_path(option: str, path: str | None) -> str | None:
-    """path, after checking that it resolves to a file name in an existing
-    directory, so a bad path ends the run before any check instead of after
-    all of them."""
+def _check_output_path(option: str, path: str | None) -> None:
+    """Check that path resolves to a file name in an existing directory, so a
+    bad path ends the run before any check instead of after all of them."""
     resolved = _resolve_output(path) or ""
     if os.path.isdir(resolved):
         raise ConfigError(f"{option} {resolved!r} is a directory")
     folder = os.path.dirname(resolved)
     if folder and not os.path.isdir(folder):
         raise ConfigError(f"{option} directory {folder!r} does not exist")
-    return path
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed options and normalise them in place (complex numbers,
+    the action selector, every tolerance the subcommand reads); return args."""
     if args.n < 2:
         raise ConfigError(f"ambient size must be >= 2, got {args.n}: "
                           "below N=2 every check would pass on zero cases")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    fields = dict(command=args.command, n=args.n, seed=args.seed,
-                  output=_output_path("--output", args.output),
-                  tolerances=_parse_tolerances(args.tolerance, args.command))
+    _check_output_path("--output", args.output)
+    args.tolerances = _parse_tolerances(args.tolerances, args.command)
     if args.command == "verify-classical":
-        fields.update(family=args.family, side=args.side, shift_matrix=args.shift_matrix,
-                      points=_at_least_one("points", args.points))
+        _at_least_one("points", args.points)
+        if args.side == "right" and args.family in ("mf", "trivial"):
+            raise ConfigError(f"--side right: {args.family} is one-sided")
+        if args.family != "mf" and args.shift_matrix != RANDOM_SHIFT:
+            raise ConfigError(f"--shift-matrix is read by mf only, not {args.family}")
     elif args.command == "verify-quantum":
-        fields.update(allow_large=args.allow_large, trials=_at_least_one("trials", args.trials))
-    elif args.command in ("orbit", "flow"):
-        fields["spectrum"] = _parse_spectrum(args.spectrum, args.n)
+        _at_least_one("trials", args.trials)
+    else:
+        args.spectrum = _parse_spectrum(args.spectrum, args.n)
         if args.lam0 is not None:
-            fields["lam0"] = _parse_complex(args.lam0, "--lam0")
+            args.lam0 = _parse_complex(args.lam0, "--lam0")
         if args.command == "orbit":
-            fields.update(checks=tuple(args.check), pairs=_at_least_one("pairs", args.pairs))
+            _at_least_one("pairs", args.pairs)
         else:
             try:
                 level, k = map(int, args.hamiltonian.split(","))
@@ -488,14 +472,14 @@ def _config_from_args(args) -> RunConfig:
             if not (math.isfinite(args.t_final) and abs(args.t_final) >= MIN_ABS_T):
                 raise ConfigError(f"--t must be finite with |t| >= {MIN_ABS_T:.3g}, "
                                   f"got {args.t_final}")
-            fields.update(hamiltonian=(level, k), t_final=args.t_final,
-                          trajectory=_output_path("--trajectory", args.trajectory),
-                          steps=_at_least_one("steps", args.steps))
+            args.hamiltonian = (level, k)
+            _check_output_path("--trajectory", args.trajectory)
+            _at_least_one("steps", args.steps)
             # else the report would overwrite the trajectory it names
-            out, traj = (_resolve_output(fields[f]) for f in ("output", "trajectory"))
+            out, traj = map(_resolve_output, (args.output, args.trajectory))
             if out and traj and os.path.realpath(out) == os.path.realpath(traj):
                 raise ConfigError(f"--output and --trajectory name the same file {out!r}")
-    return RunConfig(**fields)
+    return args
 
 
 _COMMANDS = {

@@ -207,7 +207,6 @@ class TowerLevel(NamedTuple):
     e: np.ndarray                      # zeros of C_n (empty at the top level)
     tau: list[complex]                 # augmented angles (empty at the top level)
     tau_literal: list[complex]
-    base_point: complex
     leading_coeff: complex | None
     jacobian: list[complex]            # exp(tau), coordinates in (C*)^n
 
@@ -215,7 +214,6 @@ class TowerLevel(NamedTuple):
         data = self._asdict()
         data.update({key: _pairs(data[key])
                      for key in ("gamma", "h", "e", "tau", "tau_literal", "jacobian")},
-                    base_point=_pair(self.base_point),
                     leading_coeff=None if self.leading_coeff is None
                     else _pair(self.leading_coeff))
         return data
@@ -293,8 +291,8 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
             _read_only(e_pts)
         levels.append(TowerLevel(
             n=n, gamma=gamma, h=acoeffs[1:], e=np.asarray(e_pts, dtype=complex),
-            tau=tau, tau_literal=tau_lit, base_point=lam0,
-            leading_coeff=lead, jacobian=[complex(np.exp(t)) for t in tau]))
+            tau=tau, tau_literal=tau_lit, leading_coeff=lead,
+            jacobian=[complex(np.exp(t)) for t in tau]))
         if n >= 2:
             # the integrals of lam^p / A_n, p = 0..n-1, in power order
             zero_section[n] = prev_sums[::-1].tolist()
@@ -500,7 +498,6 @@ class ActionAngleReport(NamedTuple):
         h_tau, h_h = _entries(names, self.h_tau, a >= 0), _entries(names, self.h_h, a < b)
         worst = _witness(_graded(self.h_tau, self.h_h), h_tau=h_tau, h_h=h_h)
         return dict(data, derivatives="analytic", h_tau=h_tau, h_h=h_h,
-                    level_one=_entries(names, self.h_tau, (a == 0) | (b == 0)),
                     max_deviation_upper_levels=data.pop("max_deviation_upper"), worst=worst)
 
 
@@ -524,7 +521,7 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     with no angle value and no branch; {h_a, h_b} = tr(u [X_b, X_a]) = tr(F_a X_b),
     so each table is one product of the stacked flows.  With the augmented
     angles the table is canonical, {h[n,k], tau[m,l]} = d(n,m) d(k,l); the
-    status grades levels n, m >= 2, and the level-one row is reported apart
+    status grades levels n, m >= 2 only, though h_tau reports level one too
     (the literal level-one angle is identically zero, so only the augmentation
     makes it conjugate to h[1,1]).  Raises ValueError at N < 2, where no tau
     exists, and TowerError on a degenerate lowering minor, as build_tower does.

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 
 from _tracking import r_spectrum
 from gztower import cli, families, orbits, quantum, tower
-from gztower.cli import RunConfig, main
+from gztower.cli import main
 from gztower.families import PRIME
 
 
@@ -136,7 +137,8 @@ def test_quantum_ok_and_convention(capsys):
     code, out, _ = run_cli(capsys, "verify-quantum", "--n", "2")
     assert code == 0
     report = parse_report(out)
-    assert report["convention"] == "nested"
+    # the convention is reported once, in its section
+    assert report["quantum"]["convention"] == "nested" and "convention" not in report
     assert report["quantum"]["status"] == "ok"
     assert report["diffop_realization"]["status"] == "ok"
 
@@ -459,6 +461,20 @@ def test_flow_regularity_loss_in_the_linearization_only_reports_time(tmp_path, m
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_a_stopped_flow_empties_its_trajectory_file(tmp_path, capsys):
+    # a trajectory from an earlier run must not stand under the name that the
+    # stopped run's config gives
+    traj = tmp_path / "t.jsonl"
+    traj.write_text("stale\n" * 41)
+    code, out, _ = run_cli(capsys, "flow", "--n", "2", "--spectrum", "1,2",
+                           "--hamiltonian", "1,1", "--lam0", "1", "--trajectory", str(traj))
+    assert code == 1
+    report = parse_report(out)
+    assert report["error"]["kind"] == "path-through-puncture"
+    assert report["config"]["trajectory"] == str(traj) and "trajectory_file" not in report
+    assert traj.read_text() == ""
+
+
 def _tracker_fault(level, fault):
     """The tracker's level kernel with fault(values, level) applied to the
     C_n(gamma) values of sample 10 of its stack (t = 0.2 on a 100-step grid)."""
@@ -648,6 +664,12 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1", "--seed", "-1"),
     ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1/0,1"),
     ("verify-classical", "--n", "2", "--family", "mf", "--shift-matrix", "diag:1e400,1"),
+    ("verify-classical", "--n", "3", "--family", "mf", "--side", "right",
+     "--shift-matrix", "diag:1,2,3"),
+    ("verify-classical", "--n", "3", "--family", "trivial", "--side", "right"),
+    ("verify-classical", "--n", "3", "--family", "gz", "--shift-matrix", "diag:1,2"),
+    ("verify-classical", "--n", "3", "--family", "gz-corner", "--shift-matrix", "identity"),
+    ("verify-classical", "--n", "3", "--family", "trivial", "--shift-matrix", "identity"),
 ], ids=["t-zero", "t-nan", "t-inf", "t-tiny", "t-tiny-negative", "t-subnormal", "steps-zero", "spectrum-nan", "points-zero",
         "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow",
         "tolerance-not-a-number", "lam0-not-a-number", "lam0-nan", "tolerance-unknown-name",
@@ -655,7 +677,8 @@ def test_linearization_with_nan_slopes_is_a_violation():
         "tolerance-not-read-by-command", "tolerance-inf", "tolerance-regularity",
         "classical-seed-negative",
         "quantum-seed-negative", "orbit-seed-negative", "flow-seed-negative",
-        "shift-zero-denominator", "shift-float-overflow"])
+        "shift-zero-denominator", "shift-float-overflow", "mf-side-right",
+        "trivial-side-right", "gz-shift", "gz-corner-shift", "trivial-shift"])
 def test_bad_values_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -791,52 +814,67 @@ def test_reports_are_the_same_across_hash_seeds(tmp_path, argv):
     assert outs[0] == outs[1]
 
 
-# every RunConfig field with its default; each pinned config below differs
-# from it only where its argv sets a value
-DEFAULT_CONFIG = {
-    "allow_large": False, "checks": [], "family": None, "hamiltonian": None, "lam0": None,
-    "output": None, "pairs": 20, "points": 5, "seed": 0, "shift_matrix": None,
-    "side": "both", "spectrum": None, "steps": 1000, "t_final": 1.0, "tolerances": {},
-    "trajectory": None, "trials": 12,
-}
-
-
 def test_report_embeds_full_config(capsys):
     _, out, _ = run_cli(capsys, "verify-classical", "--n", "2", "--family", "gz",
                         "--seed", "9")
     assert parse_report(out)["config"] == {
-        **DEFAULT_CONFIG, "command": "verify-classical", "n": 2, "seed": 9, "family": "gz",
-        "shift_matrix": "random-rational", "tolerances": {"trivial": 1e-05}}
+        "n": 2, "seed": 9, "output": None, "tolerances": {"trivial": 1e-05},
+        "family": "gz", "side": "both", "shift_matrix": "random-rational", "points": 5}
 
 
 @pytest.mark.parametrize("argv, config", [
     (["flow", "--n", "2", "--spectrum", "1,2+0.5j", "--hamiltonian", "2,1", "--t", "0.5",
       "--steps", "10", "--lam0", "0.3+0.1j", "--tolerance", "linearization=0.002",
       "--seed", "4", "--trajectory", "traj.jsonl"],
-     {"command": "flow", "n": 2, "seed": 4, "hamiltonian": [2, 1], "lam0": [0.3, 0.1],
-      "spectrum": [[1.0, 0.0], [2.0, 0.5]], "steps": 10, "t_final": 0.5,
-      "tolerances": {"linearization": 0.002},
-      "trajectory": "traj.jsonl"}),
+     {"n": 2, "seed": 4, "output": None, "tolerances": {"linearization": 0.002},
+      "spectrum": [[1.0, 0.0], [2.0, 0.5]], "hamiltonian": [2, 1], "t_final": 0.5,
+      "steps": 10, "trajectory": "traj.jsonl", "lam0": [0.3, 0.1]}),
     (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "residue-form",
       "--check", "action-angle", "--pairs", "3", "--tolerance", "chart=2e-5", "--seed", "5"],
-     {"command": "orbit", "n": 2, "seed": 5, "checks": ["residue-form", "action-angle"],
-      "pairs": 3, "spectrum": [[1.0, 0.0], [2.0, 0.0]],
-      "tolerances": {"action_angle": 0.0001, "chart": 2e-05, "residue": 0.0001}}),
+     {"n": 2, "seed": 5, "output": None,
+      "tolerances": {"action_angle": 0.0001, "chart": 2e-05, "residue": 0.0001},
+      "spectrum": [[1.0, 0.0], [2.0, 0.0]], "checks": ["residue-form", "action-angle"],
+      "pairs": 3, "lam0": None}),
 ], ids=["flow", "orbit"])
 def test_geometry_reports_embed_full_config(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.setenv("GZTOWER_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert parse_report(out)["config"] == {**DEFAULT_CONFIG, **config}
+    assert parse_report(out)["config"] == config
 
 
-def test_a_default_config_reads_empty_checks_and_tolerances():
-    assert RunConfig("verify-quantum", 3).to_json() == {
-        **DEFAULT_CONFIG, "command": "verify-quantum", "n": 3}
+def test_quantum_report_embeds_full_config(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GZTOWER_OUTPUT_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "verify-quantum", "--n", "2", "--trials", "3",
+                           "--seed", "2", "--allow-large", "--output", "q.json")
+    assert (code, out) == (0, "")
+    assert parse_report((tmp_path / "q.json").read_text())["config"] == {
+        "n": 2, "seed": 2, "output": "q.json", "tolerances": {}, "allow_large": True,
+        "trials": 3}
+
+
+def _option_dests() -> dict[str, set[str]]:
+    """Each subcommand's option dests, as build_parser declares them."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {command: {action.dest for action in parser._actions if action.dest != "help"}
+            for command, parser in sub.choices.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-classical", "--n", "2", "--family", "trivial", "--points", "1"],
+    ["verify-quantum", "--n", "2", "--trials", "1"],
+    ["orbit", "--n", "2", "--spectrum", "1,2"],
+    ["flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1", "--steps", "10"],
+], ids=lambda argv: argv[0])
+def test_config_holds_exactly_the_subcommands_options(capsys, argv):
+    # an option of another subcommand, or the command itself, is not part of
+    # the config, and no option of this one is missing from it
+    _, out, _ = run_cli(capsys, *argv)
+    assert set(parse_report(out)["config"]) == _option_dests()[argv[0]]
 
 
 RECORDS = {
-    "RunConfig": lambda: RunConfig("verify-quantum", 3),
     "FamilySpec": lambda: families.FamilySpec("gz-principal", 2),
     "CommutingFamily": lambda: families.build_family(families.FamilySpec("gz-principal", 2)),
     "CommutationReport": lambda: families.verify_commutes(
