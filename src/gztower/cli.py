@@ -155,10 +155,10 @@ def _conclude(report: dict) -> int:
 
 
 # the tolerances each subcommand reads, with their defaults; --tolerance
-# overrides them by name, and the report's config holds the values used
+# overrides them by name, and the report's config holds the values used.
+# verify-quantum reads none, and has no --tolerance.
 TOLERANCES = {
     "verify-classical": {"trivial": 1e-5},
-    "verify-quantum": {},
     "orbit": {"chart": 1e-5, "residue": 1e-4, "action_angle": 1e-4},
     "flow": {"linearization": 1e-3},
 }
@@ -223,7 +223,7 @@ def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
         name, _, text = (part.strip() for part in item.partition("="))
         if name not in out:
             raise ConfigError(f"{command} reads no tolerance {name!r} "
-                              f"(it reads: {', '.join(out) or 'none'})")
+                              f"(it reads: {', '.join(out)})")
         try:
             out[name] = float(text)
         except ValueError as exc:
@@ -250,9 +250,7 @@ def cmd_verify_classical(config: argparse.Namespace) -> dict:
         shift = None
         if kind == "mf":
             shift = _parse_shift(config.shift_matrix, config.n, rng)
-        spec = families.FamilySpec(kind=kind, n=config.n,
-                                   side="left" if kind == "mf" else config.side,
-                                   shift=shift)
+        spec = families.FamilySpec(kind=kind, n=config.n, side=config.side, shift=shift)
         fam = families.build_family(spec)
         report["commutation"] = families.verify_commutes(fam).to_json()
 
@@ -382,14 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="ambient size N >= 2")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the JSON report to this file")
-        p.add_argument("--tolerance", action="append", default=[], dest="tolerances",
-                       metavar="NAME=VALUE", help="override a named tolerance")
 
     p = sub.add_parser("verify-classical", help="exact classical commutativity")
     common(p)
     p.add_argument("--family", choices=["gz", "gz-corner", "mf", "trivial"],
                    default="gz")
-    p.add_argument("--side", choices=["left", "right", "both"], default="both")
+    p.add_argument("--side", choices=["left", "right", "both"],
+                   help="default: both for gz and gz-corner; mf and trivial are left only")
     p.add_argument("--shift-matrix", default=RANDOM_SHIFT,
                    help="mf only: random-rational | identity | diag:a,b,...")
     p.add_argument("--points", type=int, default=5,
@@ -423,6 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory",
                    help="JSON-lines trajectory output path (none written without it)")
     p.add_argument("--lam0")
+
+    for command in TOLERANCES:      # the subcommands that read a tolerance
+        sub.choices[command].add_argument(
+            "--tolerance", action="append", default=[], dest="tolerances",
+            metavar="NAME=VALUE", help="override a named tolerance")
     return parser
 
 
@@ -446,11 +448,14 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     _check_output_path("--output", args.output)
-    args.tolerances = _parse_tolerances(args.tolerances, args.command)
+    if args.command in TOLERANCES:
+        args.tolerances = _parse_tolerances(args.tolerances, args.command)
     if args.command == "verify-classical":
         _at_least_one("points", args.points)
-        if args.side == "right" and args.family in ("mf", "trivial"):
-            raise ConfigError(f"--side right: {args.family} is one-sided")
+        one_sided = args.family in ("mf", "trivial")
+        if one_sided and args.side not in (None, "left"):
+            raise ConfigError(f"--side {args.side}: {args.family} is one-sided (left)")
+        args.side = args.side or ("left" if one_sided else "both")
         if args.family != "mf" and args.shift_matrix != RANDOM_SHIFT:
             raise ConfigError(f"--shift-matrix is read by mf only, not {args.family}")
     elif args.command == "verify-quantum":

@@ -28,6 +28,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import isnan, nan
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -235,7 +236,8 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     points (g, p) of standard complex Gaussians from random.Random(seed)
     (g redrawn while |det g| < 1e-8).  Each point takes one central_gradient
     of all the members in g and one in p (_trivial_gradients); each pair is
-    then bracketed as in ``canonical_bracket``.  Raises ValueError when
+    then bracketed as in ``canonical_bracket``.  A NaN bracket makes the
+    largest one NaN and the status a violation.  Raises ValueError when
     n < 2 or pt_count < 1: the check would see no pair.
     """
     if n < 2 or pt_count < 1:
@@ -246,10 +248,11 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     for _ in range(pt_count):
         dg, dp = _trivial_gradients(*_gaussian_point(n, rng), n)
         dg, dp = list(zip(*dg)), list(zip(*dp))
-        for f, h in itertools.combinations(range(n * n), 2):
-            val = sum(map(mul, dg[f], dp[h])) - sum(map(mul, dp[f], dg[h]))
-            worst = max(worst, abs(val))
-            pairs += 1
+        devs = [abs(sum(map(mul, dg[f], dp[h])) - sum(map(mul, dp[f], dg[h])))
+                for f, h in itertools.combinations(range(n * n), 2)]
+        pairs += len(devs)
+        # max() drops a NaN that is not its first argument; their sum keeps it
+        worst = nan if isnan(worst + sum(devs)) else max(worst, max(devs))
     status = "ok" if worst <= tol else "violation"
     return TrivialReport(n=n, points=pt_count, pairs_checked=pairs,
                          max_abs_bracket=worst, tolerance=tol, status=status)

@@ -238,12 +238,6 @@ class OrbitPoint:
     def to_json(self) -> dict:
         return {"n": self.n, "spectrum": _pairs(self.spectrum), "u": _pairs(self.u)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "OrbitPoint":
-        n = data["n"]
-        dec = lambda flat: np.array([complex(re, im) for re, im in flat])
-        return cls(u=dec(data["u"]).reshape(n, n), spectrum=dec(data["spectrum"]))
-
 
 def regularity_margin(u: np.ndarray) -> float:
     """Smallest root separation within and between consecutive A_n, from
@@ -673,7 +667,6 @@ class ResidueFormReport(NamedTuple):
     variants: list[dict]
     winner: str | None
     status: str
-    conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
         return dict(self._asdict(), derivatives="analytic")
@@ -737,5 +730,4 @@ def residue_form_check(pt: OrbitPoint, pairs: list[tuple[OrbitTangent, OrbitTang
     ok = variants[0]["max_deviation"] <= tolerance
     return ResidueFormReport(
         n=N, pairs=len(pairs), tolerance=tolerance, variants=variants,
-        winner=variants[0]["variant"] if ok else None, status="ok" if ok else "violation",
-        conditioning=pt.conditioning())
+        winner=variants[0]["variant"] if ok else None, status="ok" if ok else "violation")

@@ -637,17 +637,6 @@ class CanonicalPoint:
     def n(self) -> int:
         return self.g.shape[0]
 
-    def to_json(self) -> dict:
-        enc = lambda m: [[float(z.real), float(z.imag)] for z in m.ravel()]
-        return {"n": self.n, "g": enc(self.g), "p": enc(self.p)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CanonicalPoint":
-        import numpy as np
-        n = data["n"]
-        dec = lambda flat: np.array([complex(re, im) for re, im in flat]).reshape(n, n)
-        return cls(dec(data["g"]), dec(data["p"]))
-
 
 def random_canonical_point(n: int, rng: np.random.Generator) -> CanonicalPoint:
     """Sample (g, p) with standard complex Gaussian entries, g invertible."""

@@ -411,13 +411,12 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
     of one _level_coeffs call for all samples, which also gives h.  The
     values at t = 0 are the products of pt's memoized level data.
 
-    Returns the tau keys (n, k), n < N, the tau values (B, len(keys)), the
-    h values (B, N(N+1)/2), keys then the Casimirs h[N,k], and the branch
-    flags (B, N-1): some tau of that level moved by more than pi/2 since the
-    sample before.  Raises the error of the first failing sample, with that
-    sample's time.  Per sample the checks run in this order: lost
-    regularity, then level by level a C_n that vanishes at a puncture and a
-    C_n ratio turned by more than pi/2.
+    Returns the tau keys (n, k), n < N, the tau values (B, len(keys)) and
+    the h values (B, N(N+1)/2), keys then the Casimirs h[N,k].  Raises the
+    error of the first failing sample, with that sample's time.  Per sample
+    the checks run in this order: lost regularity, then level by level a
+    C_n that vanishes at a puncture and a C_n ratio turned by more than
+    pi/2.
     """
     try:
         levels = build_tower(pt, lam0).levels[:-1]
@@ -454,11 +453,7 @@ def _continued_angles(pt: OrbitPoint, us, ts, lam0: complex | None) -> tuple:
 
     taus = np.cumsum(np.concatenate((tau0[None], np.concatenate(incs, axis=1))), axis=0)[1:]
     hs = np.concatenate([np.zeros((limit, 0)), *(c[:, 1:] for c in coeffs)], axis=1)
-    moved = np.abs(taus - np.concatenate((tau0[None], taus[:-1]))) > np.pi / 2
-    flags = np.concatenate([np.zeros((limit, 0), dtype=bool), *(
-        moved[:, n * (n - 1) // 2:n * (n + 1) // 2].any(axis=1, keepdims=True)
-        for n in range(1, N))], axis=1)
-    return keys, taus, hs, flags
+    return keys, taus, hs
 
 
 def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
@@ -469,7 +464,7 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
     sample."""
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
                             sample_every=max(1, steps // samples))
-    keys, taus, hs, flags = _continued_angles(pt, flow.points, flow.times, lam0)
+    keys, taus, hs = _continued_angles(pt, flow.points, flow.times, lam0)
     tau_keys = [f"{n},{k}" for n, k in keys]
     h_keys = tau_keys + [f"{pt.n},{k}" for k in range(1, pt.n + 1)]
     return [{
@@ -477,8 +472,7 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
         "u": _pairs(u),
         "h": dict(zip(h_keys, _pairs(h))),
         "tau": dict(zip(tau_keys, _pairs(tau))),
-        "branch_flags": {str(n): bool(f) for n, f in enumerate(flag, start=1)},
-    } for t, u, tau, h, flag in zip(flow.times, flow.points, taus, hs, flags)]
+    } for t, u, tau, h in zip(flow.times, flow.points, taus, hs)]
 
 
 class ActionAngleReport(NamedTuple):
@@ -489,7 +483,6 @@ class ActionAngleReport(NamedTuple):
     h_h: np.ndarray                # [a, b] = {h[keys[a]], h[keys[b]]}
     max_deviation_upper: float     # levels n, m >= 2 against the delta pattern
     status: str
-    conditioning: dict[str, float | None]
 
     def to_json(self) -> dict:
         data = self._asdict()
@@ -551,8 +544,7 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     worst = float(np.max(_graded(h_tau, h_h), initial=0.0))
     return ActionAngleReport(
         n=N, tolerance=tolerance, keys=keys, h_tau=h_tau, h_h=h_h,
-        max_deviation_upper=worst, status="ok" if worst <= tolerance else "violation",
-        conditioning=pt.conditioning())
+        max_deviation_upper=worst, status="ok" if worst <= tolerance else "violation")
 
 
 class LinearizationReport(NamedTuple):
@@ -568,9 +560,13 @@ class LinearizationReport(NamedTuple):
                     slopes={f"{n},{k}": _pair(v) for (n, k), v in self.slopes.items()})
 
 
+# linearization_check's flow: 200 steps, every 200 // 25 = 8th kept, so 26 samples
+_LINEARIZATION_STEPS = 200
+_LINEARIZATION_SAMPLES = 25
+
+
 def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
-                        t_final: float = 0.1, steps: int = 200,
-                        samples: int = 25, tol: float = 1e-3,
+                        t_final: float = 0.1, tol: float = 1e-3,
                         lam0: complex | None = None) -> LinearizationReport:
     """Least-squares slopes of every tau along the selected action's flow.
 
@@ -581,9 +577,9 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
-    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=steps,
-                            sample_every=max(1, steps // samples))
-    keys, taus, _, _ = _continued_angles(pt, flow.points, flow.times, lam0)
+    flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=_LINEARIZATION_STEPS,
+                            sample_every=_LINEARIZATION_STEPS // _LINEARIZATION_SAMPLES)
+    keys, taus, _ = _continued_angles(pt, flow.points, flow.times, lam0)
     times = np.asarray(flow.times, dtype=float)
     tbar = times - times.mean()
     denom = float(np.sum(tbar * tbar))

@@ -297,17 +297,18 @@ def test_orbit_n8_integer_spectrum_is_ok_and_reports_its_conditioning(capsys):
     # the conditioning figures put this point close to the singular locus of
     # the chart: a level-7 divisor point 0.0062 from a puncture, and gamma[7]
     # 0.019 from gamma[8]; yet with action gradients from the eigenbasis of
-    # u_n every section passes, the action-angle table at about 1e-5
+    # u_n every section passes, the action-angle table at about 1e-5.  The
+    # chart section states the figures, once: the other sections carry no copy
     code, out, _ = run_cli(capsys, "orbit", "--n", "8", "--spectrum", "1,2,3,4,5,6,7,8",
                            "--seed", "3", "--check", "all")
     report = parse_report(out)
     assert code == 0 and report["status"] == "ok"
     assert report["action_angle"]["status"] == "ok"
-    for section in ("canonical_chart", "residue_form", "action_angle"):
-        figures = report[section]["conditioning"]
-        assert figures["min_divisor_gap"] < 0.01
-        assert figures["min_level_gap"] < 0.02
-        assert figures["max_root_condition"] > 1.0
+    figures = report["canonical_chart"]["conditioning"]
+    assert figures["min_divisor_gap"] < 0.01
+    assert figures["min_level_gap"] < 0.02
+    assert figures["max_root_condition"] > 1.0
+    assert all("conditioning" not in report[section] for section in ("residue_form", "action_angle"))
 
 
 @pytest.mark.parametrize("N, check", [(16, "action-angle"), (20, "action-angle"), (24, "all")],
@@ -407,7 +408,7 @@ def test_flow_ok_and_trajectory(tmp_path, capsys):
     lines = traj.read_text().strip().splitlines()
     assert len(lines) == report["samples"]
     record = json.loads(lines[0])
-    assert set(record) == {"t", "u", "h", "tau", "branch_flags"}
+    assert set(record) == {"t", "u", "h", "tau"}
 
 
 def test_flow_without_trajectory_writes_no_file(tmp_path, monkeypatch, capsys):
@@ -667,6 +668,9 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("verify-classical", "--n", "3", "--family", "mf", "--side", "right",
      "--shift-matrix", "diag:1,2,3"),
     ("verify-classical", "--n", "3", "--family", "trivial", "--side", "right"),
+    ("verify-classical", "--n", "3", "--family", "mf", "--side", "both",
+     "--shift-matrix", "diag:1,2,3"),
+    ("verify-classical", "--n", "3", "--family", "trivial", "--side", "both"),
     ("verify-classical", "--n", "3", "--family", "gz", "--shift-matrix", "diag:1,2"),
     ("verify-classical", "--n", "3", "--family", "gz-corner", "--shift-matrix", "identity"),
     ("verify-classical", "--n", "3", "--family", "trivial", "--shift-matrix", "identity"),
@@ -678,7 +682,8 @@ def test_linearization_with_nan_slopes_is_a_violation():
         "classical-seed-negative",
         "quantum-seed-negative", "orbit-seed-negative", "flow-seed-negative",
         "shift-zero-denominator", "shift-float-overflow", "mf-side-right",
-        "trivial-side-right", "gz-shift", "gz-corner-shift", "trivial-shift"])
+        "trivial-side-right", "mf-side-both", "trivial-side-both", "gz-shift",
+        "gz-corner-shift", "trivial-shift"])
 def test_bad_values_are_config_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -697,6 +702,18 @@ def test_check_chart_is_an_argparse_error():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_quantum_tolerance_is_an_argparse_error():
+    # verify-quantum reads no tolerance, so it declares no --tolerance:
+    # passing one ends in argparse's usage error, exit 2 and no traceback,
+    # in a fresh gz-tower process
+    proc = _fresh("-c", "from gztower import cli; cli.entry()",
+                  "verify-quantum", "--n", "2", "--tolerance", "trivial=1e-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --tolerance" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -843,14 +860,27 @@ def test_geometry_reports_embed_full_config(tmp_path, monkeypatch, capsys, argv,
     assert parse_report(out)["config"] == config
 
 
+@pytest.mark.parametrize("family, side", [("mf", []), ("trivial", []), ("mf", ["--side", "left"])],
+                         ids=["mf", "trivial", "mf-side-left"])
+def test_a_one_sided_familys_config_states_the_side_it_checks(capsys, family, side):
+    # mf and trivial are left only: config.side resolves to left, the side
+    # that every family record of the report states
+    code, out, _ = run_cli(capsys, "verify-classical", "--n", "2", "--family", family,
+                           "--points", "1", *side)
+    report = parse_report(out)
+    assert code == 0 and report["config"]["side"] == "left"
+    sections = [report[name] for name in ("commutation", "trivial") if name in report]
+    assert len(sections) == (2 if family == "mf" else 1)
+    assert all(section["family"]["side"] == "left" for section in sections)
+
+
 def test_quantum_report_embeds_full_config(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GZTOWER_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "verify-quantum", "--n", "2", "--trials", "3",
                            "--seed", "2", "--allow-large", "--output", "q.json")
     assert (code, out) == (0, "")
     assert parse_report((tmp_path / "q.json").read_text())["config"] == {
-        "n": 2, "seed": 2, "output": "q.json", "tolerances": {}, "allow_large": True,
-        "trials": 3}
+        "n": 2, "seed": 2, "output": "q.json", "allow_large": True, "trials": 3}
 
 
 def _option_dests() -> dict[str, set[str]]:

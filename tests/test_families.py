@@ -436,6 +436,26 @@ def test_trivial_check_reports_the_full_members_worst_bracket(n, pt_count, seed,
     assert repr(verify_trivial_numeric(n, pt_count, seed=seed).max_abs_bracket) == worst
 
 
+@pytest.mark.parametrize("nan_point", [0, 1], ids=["first-point", "last-point"])
+def test_a_nan_bracket_fails_the_trivial_check(monkeypatch, nan_point):
+    # a NaN derivative of member 0 at one of two points makes that point's
+    # brackets of member 0 NaN: max() would keep the finite worst of the
+    # other pairs and read ok, and a later finite point must not hide it
+    gradients, calls = families._trivial_gradients, []
+
+    def patched(*args):
+        dg, dp = gradients(*args)
+        if len(calls) == nan_point:
+            dg[0][0] = float("nan")
+        calls.append(args)
+        return dg, dp
+
+    monkeypatch.setattr(families, "_trivial_gradients", patched)
+    rep = verify_trivial_numeric(3, pt_count=2, seed=0)
+    assert len(calls) == 2 and rep.pairs_checked == 72
+    assert np.isnan(rep.max_abs_bracket) and rep.status == "violation"
+
+
 def test_trivial_members_are_p_transposed():
     # u g^{-1} = p^T, so the plain-Python members match numpy to rounding
     rng = random.Random(8)

@@ -72,13 +72,6 @@ def test_orbit_point_create_checks_regularity_first():
         OrbitPoint.create(u, spectrum=[5.0, 6.0])
 
 
-def test_orbit_point_json_roundtrip():
-    pt = sample_orbit([1.0, -1.0, 2.0 + 1j], seed=5)
-    back = OrbitPoint.from_json(pt.to_json())
-    assert np.allclose(back.u, pt.u)
-    assert np.allclose(back.spectrum, pt.spectrum)
-
-
 def test_triangular_matrix_is_not_regular():
     # nested minors of a triangular matrix share roots, so the chart is
     # undefined there; the regularity margin sees the collision

@@ -299,13 +299,6 @@ def test_singular_g_rejected():
         CanonicalPoint(np.zeros((2, 2)), np.eye(2))
 
 
-def test_canonical_point_json_roundtrip():
-    rng = np.random.default_rng(2)
-    pt = random_canonical_point(2, rng)
-    back = CanonicalPoint.from_json(pt.to_json())
-    assert np.allclose(back.g, pt.g) and np.allclose(back.p, pt.p)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------

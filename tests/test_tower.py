@@ -537,12 +537,12 @@ class _TrackerLoop:
 
     def step(self, u, t):
         try:
-            taus, hs, flags, lv = self._step(u, t)
+            taus, hs, lv = self._step(u, t)
         except TowerError as exc:
             exc.time = t
             raise
         self.state, self.tau = lv, taus
-        return taus, hs, flags
+        return taus, hs
 
     def _start(self, lv):
         self.first = self.state = lv
@@ -565,7 +565,7 @@ class _TrackerLoop:
         N = len(lv.gamma)
         hs = {(n, k): complex(h) for n in range(1, N + 1)
               for k, h in enumerate(lambda_minor_det(u, range(n), range(n))[1:], start=1)}
-        taus, flags = {}, {}
+        taus = {}
         for n in range(1, N):
             gamma = self.first.gamma[n - 1]
             lead_log = complex(np.log(complex(lv.c[n - 1][0]) / complex(self.state.c[n - 1][0])))
@@ -580,9 +580,7 @@ class _TrackerLoop:
             inc[0] += lead_log
             for k in range(1, n + 1):
                 taus[(n, k)] = self.tau[(n, k)] + inc[k - 1]
-            flags[n] = any(abs(taus[(n, k)] - self.tau[(n, k)]) > np.pi / 2
-                           for k in range(1, n + 1))
-        return taus, hs, flags, lv
+        return taus, hs, lv
 
 
 def _tracked_loop(pt, selector, steps, sample_every, lam0=None):
@@ -631,14 +629,13 @@ def test_stacked_tracker_matches_the_sample_loop(case):
     spectrum, seed, selector, steps, every = _FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     times, points, want = _tracked_loop(pt, selector, steps, every)
-    keys, taus, hs, flags = tower._continued_angles(pt, points, times, None)
+    keys, taus, hs = tower._continued_angles(pt, points, times, None)
     h_keys = keys + [(pt.n, k) for k in range(1, pt.n + 1)]
     assert taus.shape == (len(times), len(keys)) and len(times) > 10
-    for tau, h, flag, (tau_ref, h_ref, flag_ref) in zip(taus, hs, flags, want):
+    for tau, h, (tau_ref, h_ref) in zip(taus, hs, want):
         assert list(tau_ref) == keys and list(h_ref) == h_keys
         assert np.max(np.abs(tau - list(tau_ref.values()))) <= 1e-12
         assert np.max(np.abs(h - list(h_ref.values()))) <= 1e-12 * np.max(np.abs(h))
-        assert flag.tolist() == list(flag_ref.values())
     # the first sample is u0 itself: its taus are the tower's angles
     tower_taus = [t for lv in build_tower(pt).levels for t in lv.tau]
     assert np.max(np.abs(taus[0] - tower_taus)) <= 1e-12
@@ -676,7 +673,7 @@ def test_branch_jump_reports_the_oracle_key_and_magnitude(samples):
     _, _, want = _tracked_loop(pt, (4, 3), 1000, every)
     records = trajectory_records(pt, (4, 3), samples=samples)
     assert len(records) == len(want) == samples + 1
-    for rec, (tau_ref, _, _) in zip(records, want):
+    for rec, (tau_ref, _) in zip(records, want):
         assert max(abs(complex(*rec["tau"]["%d,%d" % key]) - val)
                    for key, val in tau_ref.items()) <= 1e-12
     assert _line_error(pt, (4, 3), records) <= 1e-8
@@ -716,7 +713,7 @@ def test_continued_angles_differ_from_straight_paths_by_periods(case):
     spectrum, seed, selector, steps, every = _PERIOD_FLOWS[case]
     pt = sample_orbit(spectrum, seed=seed)
     flow = hamiltonian_flow(pt, selector, steps=steps, sample_every=every)
-    _, taus, _, _ = tower._continued_angles(pt, flow.points, flow.times, None)
+    _, taus, _ = tower._continued_angles(pt, flow.points, flow.times, None)
     lam0 = default_base_point(pt)
     straight = np.array([[t for lv in build_tower(OrbitPoint(u, pt.spectrum), lam0).levels
                           for t in lv.tau] for u in flow.points])
@@ -1022,6 +1019,6 @@ def test_trajectory_records_shape():
     records = trajectory_records(pt, (2, 1), t_final=0.05, steps=50, samples=5)
     assert len(records) >= 5
     rec = records[0]
-    assert set(rec) == {"t", "u", "h", "tau", "branch_flags"}
+    assert set(rec) == {"t", "u", "h", "tau"}
     assert set(rec["tau"]) == {"1,1", "2,1", "2,2"}
     assert set(rec["h"]) == {"1,1", "2,1", "2,2", "3,1", "3,2", "3,3"}
