@@ -32,6 +32,7 @@ symbolic algebra in :mod:`gztower.poisson`.
 
 from __future__ import annotations
 
+import collections
 import functools
 from typing import Callable, NamedTuple
 
@@ -92,21 +93,49 @@ def _pairs(values) -> list[list[float]]:
     return [_pair(z) for z in np.asarray(values, dtype=complex).ravel().tolist()]
 
 
-def _entries(names: list[str], values: np.ndarray, mask: np.ndarray) -> dict:
-    """A report's bracket table: values where mask holds, {"<names[a]>|<names[b]>": [re, im]}."""
-    keys = (f"{names[a]}|{names[b]}" for a, b in zip(*np.nonzero(mask)))
-    return dict(zip(keys, _pairs(values[mask])))
+_LARGEST = 5                # the entries a report's table summary lists
 
 
-def _witness(devs: np.ndarray, **tables: dict) -> dict:
-    """Of the tables' entries, in order, the one of largest devs (or first NaN); -inf: ungraded."""
-    i = int(np.argmax(devs))            # argmax stops at the first NaN
-    worst = {"table": None, "entry": None, "deviation": max(float(devs[i]), 0.0)}
-    for key, table in tables.items() if devs[i] != -np.inf else ():
-        if i < len(table):
-            return dict(worst, table=key, entry=list(table)[i])
-        i -= len(table)
-    return worst
+def _summary(names: list[str], values: np.ndarray, devs: np.ndarray,
+             reported: np.ndarray, graded: np.ndarray) -> dict:
+    """A report's bracket table values[reported] in fixed size, its entry
+    values[a, b] named "<names[a]>|<names[b]>" and graded by devs where
+    graded (a part of reported) holds: {"size", "graded"} counts;
+    "largest", the _LARGEST graded entries {"entry", "value": [re, im],
+    "deviation"} of largest devs, NaN first, ties in table (row-major)
+    order; and "decades", the graded devs counted by floor(log10(d)) in
+    increasing order ("inf" for an infinite d), then "zero" and "nan"
+    counts, which are always there."""
+    flat = np.flatnonzero(graded)
+    d = devs.ravel()[flat]
+    nan = np.isnan(d)
+    n = len(names)
+    # lexsort is stable, and sorts the NaNs of -d last among the NaN rows
+    largest = [{"entry": f"{names[i // n]}|{names[i % n]}", "value": _pair(values.item(i)),
+                "deviation": devs.item(i)}
+               for i in flat[np.lexsort((-d, ~nan))[:_LARGEST]].tolist()]
+    positive = d[d > 0]
+    counts = collections.Counter(np.floor(np.log10(positive)).tolist())
+    decades = {"inf" if x == np.inf else str(int(x)): counts[x] for x in sorted(counts)}
+    nans = int(np.count_nonzero(nan))
+    # a deviation is positive, zero or NaN
+    decades.update(zero=len(d) - len(positive) - nans, nan=nans)
+    return {"size": int(np.count_nonzero(reported)), "graded": len(d), "largest": largest,
+            "decades": decades}
+
+
+def _worst(**summaries: dict) -> dict:
+    """A section's witness {"table", "entry", "deviation"}: of the tables'
+    largest entries, in order, the first NaN one, else the first of largest
+    deviation; with no graded entry, no table and deviation 0.0."""
+    def rank(item):
+        d = item[1]["deviation"]
+        return (0, 0.0) if d != d else (1, -d)      # NaN first
+
+    tops = [(key, s["largest"][0]) for key, s in summaries.items() if s["largest"]]
+    # min keeps the first of equal ranks
+    key, top = min(tops, key=rank, default=(None, {"entry": None, "deviation": 0.0}))
+    return {"table": key, "entry": top["entry"], "deviation": top["deviation"]}
 
 
 class OrbitPoint:
@@ -581,9 +610,8 @@ class ChartCanonicityReport(NamedTuple):
 
     def to_json(self) -> dict:
         names, pattern, reported = _chart_layout(self.n)
-        table = _entries(names, self.table, reported)
-        return dict(self._asdict(), derivatives="analytic", table=table,
-                    worst=_witness(np.abs(self.table - pattern)[reported], table=table))
+        table = _summary(names, self.table, np.abs(self.table - pattern), reported, reported)
+        return dict(self._asdict(), derivatives="analytic", table=table, worst=_worst(table=table))
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,10 +3,14 @@
 Polynomials are numpy coefficient arrays, highest degree first (the
 numpy.roots convention).  Matrix indices here are 0-based.  Level data come
 from eigenvalues (orbits); the one-minor routines here are the tests' oracles,
-and circle_coeffs gives the flow tracker its actions.
+and circle_coeffs gives the flow tracker its actions.  circle_coeffs
+interpolates by a direct DFT against a cached matrix of roots of unity, so
+no process of the package loads numpy.fft.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,12 +31,24 @@ def circle_coeffs(S: np.ndarray, P: np.ndarray, r: float) -> np.ndarray:
     determinant is taken at the d+1 points r*w**j, w = exp(2*pi*i/(d+1)),
     in one stacked det, and interpolated by an inverse DFT; r > 0 should
     follow the size of the roots.  The leading coefficient is 0 up to
-    round-off when the degree drops below d.
+    round-off when the degree drops below d.  The DFT is a broadcast
+    product with _dft_matrix summed over the sample axis, not a BLAS
+    product, so each row of a stack is bit for bit the one-block call's.
     """
     d = int(np.sum(P))
     lams = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
     dets = np.linalg.det(lams[:, None, None] * P - np.asarray(S)[..., None, :, :])
-    return (np.fft.fft(dets, axis=-1) / ((d + 1) * r ** np.arange(d + 1)))[..., ::-1]
+    spectrum = (dets[..., :, None] * _dft_matrix(d + 1)).sum(axis=-2)
+    return (spectrum / ((d + 1) * r ** np.arange(d + 1)))[..., ::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_matrix(m: int) -> np.ndarray:
+    """W[j, k] = exp(-2 pi i jk / m), read-only, once per size m; jk is
+    reduced mod m first, so every entry is a root of unity to round-off."""
+    W = np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(m)) % m) / m)
+    W.flags.writeable = False
+    return W
 
 
 def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:

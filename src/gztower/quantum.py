@@ -480,6 +480,7 @@ class DiffOpReport(NamedTuple):
     trials: int
     checks: int
     status: str
+    witness: dict | None = None
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -512,10 +513,10 @@ def _random_g_poly(n: int, rng: random.Random) -> PoissonPoly:
 _Applied = tuple[PolyDiffOp, PoissonPoly]    # (op, op(f))
 
 
-def _relation_holds(f: PoissonPoly, a_f: _Applied, b_f: _Applied,
-                    rhs: list[tuple[int, PolyDiffOp]]) -> bool:
-    """a(b f) - b(a f) == sum coef * op(f) over rhs, from a(f) and b(f): the
-    residual is summed into one dict over a common denominator."""
+def _residual(f: PoissonPoly, a_f: _Applied, b_f: _Applied,
+              rhs: list[tuple[int, PolyDiffOp]]) -> PoissonPoly | None:
+    """a(b f) - b(a f) - sum coef * op(f) over rhs, from a(f) and b(f),
+    summed into one dict over a common denominator; None when it is zero."""
     (a, af), (b, bf) = a_f, b_f
     den = lcm(bf._den * a.den, af._den * b.den, *(f._den * op.den for _, op in rhs))
     out: dict[int, int] = {}
@@ -523,7 +524,7 @@ def _relation_holds(f: PoissonPoly, a_f: _Applied, b_f: _Applied,
     b.add_to(out, af, den, -1)
     for coef, op in rhs:
         op.add_to(out, f, den, -coef)
-    return not any(out.values())
+    return PoissonPoly._make(f.n, out, den) if any(out.values()) else None
 
 
 def diffop_realization_check(n: int, trials: int = 12, seed: int = 0) -> DiffOpReport:
@@ -533,10 +534,13 @@ def diffop_realization_check(n: int, trials: int = 12, seed: int = 0) -> DiffOpR
     [nabla(ij), nabla(kl)] f - (d(j,k) nabla(il) - d(l,i) nabla(kj)) f within
     one chirality, with the structure constants of the PBW engine, and
     [nabla_L, nabla_R] f across chiralities must be the zero polynomial.
+    The first nonzero residual stops the check, and the report's witness
+    names it: {"trial" (from 1), "relation" (its two operators, as in
+    "L(1,2),R(2,1)"), "f", "residual"}, with f and the residual term_list()s.
     """
     rng = random.Random(seed)
     checks = 0
-    for _ in range(trials):
+    for trial in range(1, trials + 1):
         f = _random_g_poly(n, rng)
         i, j, k, l = (rng.randrange(1, n + 1) for _ in range(4))
         structure = [(coef, _decode(z)[1:])
@@ -544,14 +548,19 @@ def diffop_realization_check(n: int, trials: int = 12, seed: int = 0) -> DiffOpR
         lij, lkl, rij, rkl = ((op, op(f)) for op in (
             nabla_left(n, i, j), nabla_left(n, k, l), nabla_right(n, i, j), nabla_right(n, k, l)))
         relations = (
-            (lij, lkl, [(c, nabla_left(n, *z)) for c, z in structure]),
-            (rij, rkl, [(c, nabla_right(n, *z)) for c, z in structure]),
-            (lij, rkl, []),
+            ("L,L", lij, lkl, [(c, nabla_left(n, *z)) for c, z in structure]),
+            ("R,R", rij, rkl, [(c, nabla_right(n, *z)) for c, z in structure]),
+            ("L,R", lij, rkl, []),
         )
-        for a_f, b_f, rhs in relations:
+        for sides, a_f, b_f, rhs in relations:
             checks += 1
-            if not _relation_holds(f, a_f, b_f, rhs):
-                return DiffOpReport(n=n, trials=trials, checks=checks, status="violation")
+            residual = _residual(f, a_f, b_f, rhs)
+            if residual is not None:
+                x, y = sides.split(",")
+                witness = {"trial": trial, "relation": f"{x}({i},{j}),{y}({k},{l})",
+                           "f": f.term_list(), "residual": residual.term_list()}
+                return DiffOpReport(n=n, trials=trials, checks=checks, status="violation",
+                                    witness=witness)
     return DiffOpReport(n=n, trials=trials, checks=checks, status="ok")
 
 

@@ -33,6 +33,7 @@ straight-path values at t = 0 by the logs of C_n ratios at the punctures.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,6 @@ from .orbits import (
     OrbitPoint,
     _REGULARITY_GAP,
     _at_punctures,
-    _entries,
     _level_minors,
     _minor_at,
     _monic,
@@ -51,7 +51,8 @@ from .orbits import (
     _pairs,
     _read_only,
     _root_residuals,
-    _witness,
+    _summary,
+    _worst,
 )
 from .polytools import circle_coeffs
 
@@ -486,20 +487,30 @@ class ActionAngleReport(NamedTuple):
 
     def to_json(self) -> dict:
         data = self._asdict()
-        names = [f"{n},{k}" for n, k in data.pop("keys")]
-        a, b = np.indices(self.h_tau.shape)
-        h_tau, h_h = _entries(names, self.h_tau, a >= 0), _entries(names, self.h_h, a < b)
-        worst = _witness(_graded(self.h_tau, self.h_h), h_tau=h_tau, h_h=h_h)
-        return dict(data, derivatives="analytic", h_tau=h_tau, h_h=h_h,
-                    max_deviation_upper_levels=data.pop("max_deviation_upper"), worst=worst)
+        del data["keys"]
+        names, delta, reported, graded = _action_angle_layout(self.n)
+        devs = np.abs(np.array([self.h_tau, self.h_h]) - delta)
+        tables = {key: _summary(names, data[key], *args)
+                  for key, *args in zip(("h_tau", "h_h"), devs, reported, graded)}
+        return dict(data, derivatives="analytic", **tables,
+                    max_deviation_upper_levels=data.pop("max_deviation_upper"),
+                    worst=_worst(**tables))
 
 
-def _graded(h_tau: np.ndarray, h_h: np.ndarray) -> np.ndarray:
-    """|bracket - delta| of every {h, tau}, then {h, h} above the diagonal,
-    row-major; -inf with level one (key 0), which is not graded.  NaN stays."""
-    a, b = np.indices(h_tau.shape)
-    devs = np.abs(np.concatenate(((h_tau - np.eye(len(a))).ravel(), h_h[a < b])))
-    return np.where(np.concatenate(((a * b).ravel(), a[a < b])) > 0, devs, -np.inf)
+@functools.lru_cache(maxsize=None)
+def _action_angle_layout(N: int) -> tuple:
+    """The names "n,k" of the K = N(N-1)/2 keys (n, k), n < N, and, stacked
+    for h_tau and h_h and read-only, their delta patterns and their reported
+    and graded entries: every {h, tau} and the {h, h} above the diagonal
+    are reported, and those between levels n, m >= 2 graded (key 0 is
+    level one's)."""
+    names = [f"{n},{k}" for n in range(1, N) for k in range(1, n + 1)]
+    a, b = np.indices((len(names),) * 2)
+    delta = np.array([np.eye(len(names)), np.zeros(a.shape)])
+    reported = np.array([a >= 0, a < b])
+    graded = reported & (a * b > 0)
+    _read_only(delta, reported, graded)
+    return names, delta, reported, graded
 
 
 def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> ActionAngleReport:
@@ -541,7 +552,8 @@ def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> Actio
     h_tau = flows @ tau_grads.reshape(len(keys), -1).T
     h_h = flows @ X.transpose(0, 2, 1).reshape(len(keys), -1).T
     # np.max keeps a NaN deviation, so a NaN bracket fails
-    worst = float(np.max(_graded(h_tau, h_h), initial=0.0))
+    _, delta, _, graded = _action_angle_layout(N)
+    worst = float(np.max(np.abs(np.array([h_tau, h_h]) - delta), where=graded, initial=0.0))
     return ActionAngleReport(
         n=N, tolerance=tolerance, keys=keys, h_tau=h_tau, h_h=h_h,
         max_deviation_upper=worst, status="ok" if worst <= tolerance else "violation")

@@ -111,7 +111,8 @@ def test_the_exact_algebra_loads_no_numpy(code, layers):
       "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}, NUMPY),
 ], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
 def test_each_subcommand_loads_exactly_its_layers(argv, layers, watched):
-    assert _loaded(_run_main(argv)) == (layers, watched)
+    # no subcommand loads numpy.fft: circle_coeffs interpolates by a direct DFT
+    assert _loaded(_run_main(argv), WATCHED + ("numpy.fft",)) == (layers, watched)
 
 
 CLASSICAL = {family: ["verify-classical", "--n", "3", "--points", "2", "--family", family]

@@ -74,7 +74,7 @@ def test_a_filled_memo_gives_the_fresh_result(name):
 _LEVELS = "levels"
 
 
-def test_the_memo_is_per_instance_and_from_json_starts_empty():
+def test_the_memo_is_per_instance():
     pt = sample_orbit(_SPECTRUM, seed=4)
     assert set(pt._memo) == {_LEVELS}
     for check in CHECKS.values():

@@ -326,12 +326,13 @@ def test_the_chart_witness_is_the_graded_maximum(N, tolerance):
     pt = sample_orbit(random_spectrum(N, np.random.default_rng(40 + N)), seed=N)
     rep = verify_canonical_chart(pt, tolerance=tolerance)
     data = rep.to_json()
+    names, _, reported = orbits._chart_layout(N)
     devs = {}
-    for entry, (re, im) in data["table"].items():
-        a, b = entry.split("|")
-        canonical = a.startswith("gamma") and b == a.replace("gamma", "theta")
-        devs[entry] = float(np.abs(complex(re, im) + canonical))
+    for a, b in zip(*np.nonzero(reported)):
+        canonical = names[a].startswith("gamma") and names[b] == names[a].replace("gamma", "theta")
+        devs[f"{names[a]}|{names[b]}"] = float(np.abs(rep.table[a, b] + canonical))
     worst = data["worst"]
+    assert worst["table"] == "table" and len(devs) == data["table"]["graded"]
     assert rep.status == ("ok" if tolerance == 1e-5 else "violation")
     assert worst["deviation"] == max(rep.max_deviation, rep.casimir_deviation)
     assert worst["deviation"] == max(devs.values()) == devs[worst["entry"]]

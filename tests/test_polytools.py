@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 
 from _tracking import match_loop
+from gztower import polytools
 from gztower.orbits import random_spectrum, sample_orbit
 from gztower.polytools import (
     TrackingError,
+    circle_coeffs,
     lambda_minor_det,
     match_points,
     roots_polished,
@@ -96,6 +98,23 @@ def test_minor_roots_match_cofactor_reference(N, scale):
             got_roots = match_points(ref_roots, roots_polished(got))
             root_scale = np.max(np.abs(ref_roots))
             assert np.max(np.abs(got_roots - ref_roots)) <= 1e-10 * root_scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_circle_coeffs_is_the_fft_interpolation_it_replaced(d):
+    # the direct DFT sums the d+1 terms numpy.fft sums, in another order:
+    # scaled back by (d+1) r^k, each coefficient agrees with the FFT within
+    # 8 (d+1)^2 ulps of the largest det.  Its matrix is built once, read-only
+    rng = np.random.default_rng(d)
+    S = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    P, r = np.eye(d), 0.7
+    lams = r * np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    dets = np.linalg.det(lams[:, None, None] * P - S[:, None])
+    got = circle_coeffs(S, P, r)[..., ::-1] * ((d + 1) * r ** np.arange(d + 1))
+    bound = 8 * (d + 1) ** 2 * np.finfo(float).eps * np.max(np.abs(dets))
+    assert np.max(np.abs(got - np.fft.fft(dets, axis=-1))) <= bound
+    W = polytools._dft_matrix(d + 1)
+    assert W is polytools._dft_matrix(d + 1) and not W.flags.writeable
 
 
 def test_minor_is_exact_on_sparse_integer_matrices():

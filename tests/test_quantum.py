@@ -666,6 +666,36 @@ def _sign_flipped_right(n, i, j):
     return PolyDiffOp(n, [(PoissonPoly.g(n, j, k), (i, k)) for k in range(1, n + 1)])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_a_realization_violation_carries_its_witness(monkeypatch, n, seed):
+    # nabla_R without its minus sign (mutant M4) still commutes with
+    # nabla_L and keeps the L,L relations, so the first failing relation is
+    # an R,R one; the witness names its trial, operators, f and residual,
+    # which the product form recomputes.  An ok report carries none
+    ok = diffop_realization_check(n, seed=seed)
+    assert ok.status == "ok" and ok.witness is None and ok.to_json()["witness"] is None
+    monkeypatch.setattr(quantum, "nabla_right", _sign_flipped_right)
+    rep = diffop_realization_check(n, seed=seed)
+    assert rep.status == "violation" and rep.to_json()["witness"] == rep.witness
+    witness = rep.witness
+    assert set(witness) == {"trial", "relation", "f", "residual"}
+    rng = random.Random(seed)
+    for _ in range(witness["trial"]):
+        f = _oracle_random_g_poly(n, rng)
+        i, j, k, l = (rng.randrange(1, n + 1) for _ in range(4))
+    assert witness["relation"] == f"R({i},{j}),R({k},{l})"
+    assert witness["f"] == f.term_list()
+    right = quantum.nabla_right
+    residual = right(n, i, j).commutator_apply(right(n, k, l), f)
+    if j == k:
+        residual = residual - right(n, i, l)(f)
+    if l == i:
+        residual = residual + right(n, k, j)(f)
+    assert witness["residual"] == residual.term_list() != []
+    assert rep.checks == 3 * (witness["trial"] - 1) + 2
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("operators", ["real", "sign-flipped"])
 def test_realization_check_equals_the_product_form(monkeypatch, n, operators):

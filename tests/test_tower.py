@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from gztower.orbits import (
     random_spectrum,
     regularity_margin,
     sample_orbit,
+    verify_canonical_chart,
 )
 from gztower.poisson import U, evaluate_at
 from gztower.polytools import lambda_minor_det
@@ -966,19 +969,6 @@ def test_the_action_angle_table_makes_no_per_pair_bracket_call(monkeypatch):
     assert rep.status == "ok" and calls == []
 
 
-def _graded_deviations(section):
-    """Every graded entry of an action_angle report section, read from its
-    JSON tables: (table, entry) -> |bracket - delta| over levels >= 2."""
-    out = {}
-    for table in ("h_tau", "h_h"):
-        for entry, (re, im) in section[table].items():
-            a, b = entry.split("|")
-            if int(a.split(",")[0]) >= 2 and int(b.split(",")[0]) >= 2:
-                delta = table == "h_tau" and a == b
-                out[table, entry] = float(np.abs(complex(re, im) - delta))
-    return out
-
-
 @pytest.mark.parametrize("spectrum, tolerance, status", [
     ([1.0, 2.0 + 0.5j, -1.0, 0.5j], 1e-4, "ok"),
     # the integer spectrum at N=8 deviates by about 1e-5, under the default
@@ -988,7 +978,9 @@ def _graded_deviations(section):
 def test_the_action_angle_witness_is_the_graded_maximum(spectrum, tolerance, status):
     rep = action_angle_bracket_table(sample_orbit(spectrum, seed=3), tolerance=tolerance)
     data = rep.to_json()
-    worst, devs = data["worst"], _graded_deviations(data)
+    worst = data["worst"]
+    devs = {(table, name): d for table in ("h_tau", "h_h")
+            for name, _, d in _action_angle_entries(rep, table)[1]}
     assert rep.status == status
     assert worst["deviation"] == data["max_deviation_upper_levels"] == max(devs.values())
     assert devs[worst["table"], worst["entry"]] == worst["deviation"]
@@ -1012,6 +1004,120 @@ def test_a_nan_bracket_fails_and_is_the_witness(monkeypatch):
     worst = rep.to_json()["worst"]
     assert (worst["table"], worst["entry"]) == ("h_tau", "3,2|2,1")
     assert np.isnan(worst["deviation"])
+
+
+# ---------------------------------------------------------------------------
+# the reports' table summaries against the records' arrays
+# ---------------------------------------------------------------------------
+
+def _assert_summarizes(summary, size, entries):
+    """summary against entries, every graded (name, value, deviation) of its
+    table in row-major order, read from the record's array."""
+    assert (summary["size"], summary["graded"]) == (size, len(entries))
+    nan = lambda d: d != d
+    # NaN first, then by decreasing deviation; sorted keeps table order on ties
+    ranked = sorted(entries, key=lambda e: (not nan(e[2]), 0.0 if nan(e[2]) else -e[2]))[:5]
+    assert [e["entry"] for e in summary["largest"]] == [name for name, _, _ in ranked]
+    for got, (_, value, dev) in zip(summary["largest"], ranked):
+        assert np.array_equal(got["value"], [value.real, value.imag], equal_nan=True)
+        assert got["deviation"] == dev or nan(got["deviation"]) and nan(dev)
+    devs = [d for _, _, d in entries]
+    if devs:    # the largest deviation is the maximum over the array's graded entries
+        top = summary["largest"][0]["deviation"]
+        assert nan(top) if any(map(nan, devs)) else top == max(devs)
+    counts = {}
+    for d in devs:
+        key = "nan" if nan(d) else "zero" if d == 0 else str(math.floor(math.log10(d)))
+        counts[key] = counts.get(key, 0) + 1
+    assert {key: c for key, c in summary["decades"].items() if c} == counts
+    assert sum(summary["decades"].values()) == summary["graded"]
+    assert {"zero", "nan"} <= summary["decades"].keys()
+
+
+def _chart_entries(rep):
+    """The graded entries of a chart record's table: every reported one."""
+    names, _, reported = orbits._chart_layout(rep.n)
+    out = []
+    for a, b in zip(*np.nonzero(reported)):
+        canonical = names[a].startswith("gamma") and names[b] == names[a].replace("gamma", "theta")
+        value = complex(rep.table[a, b])
+        out.append((f"{names[a]}|{names[b]}", value, float(np.abs(value + canonical))))
+    return int(np.sum(reported)), out
+
+
+def _action_angle_entries(rep, table):
+    """The graded entries of an action-angle record's h_tau or h_h: levels
+    >= 2, {h, h} above the diagonal, which alone it reports."""
+    values, out = getattr(rep, table), []
+    for (a, ka), (b, kb) in itertools.product(enumerate(rep.keys), repeat=2):
+        if ka[0] >= 2 and kb[0] >= 2 and (table == "h_tau" or a < b):
+            value = complex(values[a, b])
+            out.append((f"{ka[0]},{ka[1]}|{kb[0]},{kb[1]}", value,
+                        float(np.abs(value - (table == "h_tau" and a == b)))))
+    K = len(rep.keys)
+    return (K * K if table == "h_tau" else K * (K - 1) // 2), out
+
+
+_THETA, _EIGEN_ACTIONS = orbits._theta_gradients, tower._eigen_actions
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("case", ["ok", "violation", "nan"])
+def test_each_table_summary_matches_the_records_array(monkeypatch, N, case):
+    # violation: every theta gradient negated flips each {gamma, theta} of
+    # the chart, and a tolerance of 1e-30 fails the action-angle table; nan:
+    # the theta gradients of level N-1 NaN, and so is the gradient of
+    # h[N-1,N-1], which at N=2 is the ungraded level one
+    def nan_theta(pt, rows=True):
+        grads = _THETA(pt, rows)
+        return grads[:-1] + [np.full_like(grads[-1], np.nan)]
+
+    def nan_action(u, n):
+        V, Vinv, D = _EIGEN_ACTIONS(u, n)
+        if n == N - 1:
+            D[:, -1] = np.nan
+        return V, Vinv, D
+
+    if case == "violation":
+        monkeypatch.setattr(orbits, "_theta_gradients",
+                            lambda pt, rows=True: [-g for g in _THETA(pt, rows)])
+    if case == "nan":
+        monkeypatch.setattr(orbits, "_theta_gradients", nan_theta)
+        monkeypatch.setattr(tower, "_eigen_actions", nan_action)
+    pt = sample_orbit(random_spectrum(N, np.random.default_rng(60 + N)), seed=N)
+    chart = verify_canonical_chart(pt)
+    actions = action_angle_bracket_table(pt, tolerance=1e-30 if case == "violation" else 1e-4)
+    failing = case != "ok"
+    assert chart.status == ("violation" if failing else "ok")
+    assert actions.status == ("violation" if failing and N > 2 else "ok")
+    sections = [(chart.to_json(), {"table": _chart_entries(chart)}),
+                (actions.to_json(), {t: _action_angle_entries(actions, t) for t in ("h_tau", "h_h")})]
+    for data, tables in sections:
+        for key, (size, entries) in tables.items():
+            _assert_summarizes(data[key], size, entries)
+        worst = data["worst"]
+        if worst["table"] is None:      # N=2: the action-angle tables grade nothing
+            assert not any(entries for _, entries in tables.values())
+            assert (worst["entry"], worst["deviation"]) == (None, 0.0)
+            continue
+        top = data[worst["table"]]["largest"][0]
+        assert worst["entry"] == top["entry"]
+        if case == "nan":
+            assert np.isnan(worst["deviation"]) and np.isnan(top["deviation"])
+            assert data[worst["table"]]["decades"]["nan"] > 0
+        else:
+            assert worst["deviation"] == top["deviation"]
+
+
+def test_the_witness_is_the_first_nan_then_the_first_largest_of_its_tables():
+    # a NaN ranks first whichever table holds it, and equal deviations go
+    # to the first table
+    nan = float("nan")
+    top = lambda entry, d: {"largest": [{"entry": entry, "deviation": d}]}
+    assert orbits._worst(h_tau=top("1|1", 2.0), h_h=top("2|2", nan)) == {
+        "table": "h_h", "entry": "2|2", "deviation": nan}
+    assert orbits._worst(h_tau=top("1|1", 2.0), h_h=top("2|2", 2.0))["table"] == "h_tau"
+    assert orbits._worst(h_tau=top("1|1", 1.0), h_h=top("2|2", 2.0))["table"] == "h_h"
 
 
 def test_trajectory_records_shape():
