@@ -154,14 +154,6 @@ def _conclude(report: dict) -> int:
     return 0 if ok else 1
 
 
-# the tolerances each subcommand reads, with their defaults; --tolerance
-# overrides them by name, and the report's config holds the values used.
-# verify-quantum reads none, and has no --tolerance.
-TOLERANCES = {
-    "verify-classical": {"trivial": 1e-5},
-    "orbit": {"chart": 1e-5, "residue": 1e-4, "action_angle": 1e-4},
-    "flow": {"linearization": 1e-3},
-}
 # the --shift-matrix default, a random rational shift drawn from --seed
 RANDOM_SHIFT = "random-rational"
 # Fixed bounds: relative chart residuals (orbit) and the drift of every
@@ -217,22 +209,6 @@ def _parse_shift(text: str, n: int, rng):
     raise ConfigError(f"unknown shift matrix spec {text!r}")
 
 
-def _parse_tolerances(items: list[str], command: str) -> dict[str, float]:
-    out = dict(TOLERANCES[command])
-    for item in items:
-        name, _, text = (part.strip() for part in item.partition("="))
-        if name not in out:
-            raise ConfigError(f"{command} reads no tolerance {name!r} "
-                              f"(it reads: {', '.join(out)})")
-        try:
-            out[name] = float(text)
-        except ValueError as exc:
-            raise ConfigError(f"tolerance must be name=number, got {item!r}") from exc
-        if not (math.isfinite(out[name]) and out[name] > 0):
-            raise ConfigError(f"tolerance {name} must be finite and > 0, got {text!r}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -242,23 +218,21 @@ def cmd_verify_classical(config: argparse.Namespace) -> dict:
 
     from . import families
 
-    rng = random.Random(config.seed)
+    n, rng = config.n, random.Random(config.seed)
     report = _base_report(config)
 
     if config.family != "trivial":
         kind = {"gz": "gz-principal", "gz-corner": "gz-corner", "mf": "mf"}[config.family]
-        shift = None
-        if kind == "mf":
-            shift = _parse_shift(config.shift_matrix, config.n, rng)
-        spec = families.FamilySpec(kind=kind, n=config.n, side=config.side, shift=shift)
-        fam = families.build_family(spec)
+        shift = _parse_shift(config.shift_matrix, n, rng) if kind == "mf" else None
+        fam = families.build_family(
+            families.FamilySpec(kind=kind, n=n, side=config.side, shift=shift))
         report["commutation"] = families.verify_commutes(fam).to_json()
 
-        ranks = []
-        for _ in range(config.points):
-            pt = families.random_residue_point(config.n, rng)
-            ranks.append(families.independence_rank(fam, pt))
-        expected = config.n ** 2 if (kind == "gz-principal" and spec.side == "both") else None
+        ranks = [families.independence_rank(fam, families.random_residue_point(n, rng))
+                 for _ in range(config.points)]
+        # the principal family's rank: N^2 on both sides, N(N+1)/2 on one
+        expected = ((n * n if config.side == "both" else n * (n + 1) // 2)
+                    if kind == "gz-principal" else None)
         report["independence"] = {
             "ranks": ranks,
             "prime": families.PRIME,
@@ -268,7 +242,7 @@ def cmd_verify_classical(config: argparse.Namespace) -> dict:
 
     points = config.points if config.family == "trivial" else min(config.points, 5)
     report["trivial"] = families.verify_trivial_numeric(
-        config.n, pt_count=points, seed=config.seed, tol=config.tolerances["trivial"]).to_json()
+        n, pt_count=points, seed=config.seed).to_json()
     return report
 
 
@@ -292,8 +266,7 @@ def cmd_orbit(config: argparse.Namespace) -> dict:
         report = _base_report(config)
         pt = orbits.sample_orbit(config.spectrum, seed=config.seed)
         report["orbit"] = pt.to_json()
-        report["canonical_chart"] = orbits.verify_canonical_chart(
-            pt, tolerance=config.tolerances["chart"]).to_json()
+        report["canonical_chart"] = orbits.verify_canonical_chart(pt).to_json()
 
         chart = orbits.gz_forward(pt)
         res_a, res_c = orbits.chart_residuals(chart, pt)
@@ -316,12 +289,10 @@ def cmd_orbit(config: argparse.Namespace) -> dict:
             draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
                                                + 1j * rng.standard_normal((pt.n, pt.n)))
             report["residue_form"] = orbits.residue_form_check(
-                pt, [(draw(), draw()) for _ in range(config.pairs)],
-                tolerance=config.tolerances["residue"]).to_json()
+                pt, [(draw(), draw()) for _ in range(config.pairs)]).to_json()
 
         if any(c in config.checks for c in ("action-angle", "all")):
-            report["action_angle"] = tower.action_angle_bracket_table(
-                pt, tolerance=config.tolerances["action_angle"]).to_json()
+            report["action_angle"] = tower.action_angle_bracket_table(pt).to_json()
         return report
 
 
@@ -341,8 +312,7 @@ def cmd_flow(config: argparse.Namespace) -> dict:
                 lam0=config.lam0)
             lin = tower.linearization_check(
                 pt, config.hamiltonian,
-                t_final=max(-0.1, min(config.t_final, 0.1)),
-                tol=config.tolerances["linearization"], lam0=config.lam0)
+                t_final=max(-0.1, min(config.t_final, 0.1)), lam0=config.lam0)
         except tower.TowerError as exc:
             # empty what an earlier run left at the path config names; make no file
             if traj_path and os.path.exists(traj_path):
@@ -390,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-matrix", default=RANDOM_SHIFT,
                    help="mf only: random-rational | identity | diag:a,b,...")
     p.add_argument("--points", type=int, default=5,
-                   help="random points for rank and numeric checks")
+                   help="random points for the rank check; the numeric check "
+                        "takes min(POINTS, 5), or all POINTS with --family trivial")
 
     p = sub.add_parser("verify-quantum", help="quantum centrality and commutativity")
     common(p)
@@ -420,11 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory",
                    help="JSON-lines trajectory output path (none written without it)")
     p.add_argument("--lam0")
-
-    for command in TOLERANCES:      # the subcommands that read a tolerance
-        sub.choices[command].add_argument(
-            "--tolerance", action="append", default=[], dest="tolerances",
-            metavar="NAME=VALUE", help="override a named tolerance")
     return parser
 
 
@@ -441,15 +407,13 @@ def _check_output_path(option: str, path: str | None) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed options and normalise them in place (complex numbers,
-    the action selector, every tolerance the subcommand reads); return args."""
+    the action selector, the side); return args."""
     if args.n < 2:
         raise ConfigError(f"ambient size must be >= 2, got {args.n}: "
                           "below N=2 every check would pass on zero cases")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     _check_output_path("--output", args.output)
-    if args.command in TOLERANCES:
-        args.tolerances = _parse_tolerances(args.tolerances, args.command)
     if args.command == "verify-classical":
         _at_least_one("points", args.points)
         one_sided = args.family in ("mf", "trivial")

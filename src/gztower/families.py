@@ -7,7 +7,8 @@ Four families are supported:
   full characteristic polynomial; the Gelfand-Zetlin family.
 * ``gz-corner``    -- the same construction from lower-left corner minors.
 * ``mf``           -- the shift-of-argument family: coefficients of
-  det(u - mu*A - lam) in both formal variables, for a fixed rational A.
+  det(u - mu*A - lam) in both formal variables, for a fixed rational A;
+  built from u alone, so its spec's side must be left.
 * ``trivial``      -- the coordinate-adapted family u g^{-1}, which is
   rational in g, so it has no FamilySpec and is only checked through the
   numerical oracle verify_trivial_numeric.
@@ -91,6 +92,8 @@ class FamilySpec(_SpecFields):
             raise ValueError("ambient size must be >= 1")
         if (self.shift is not None) != (self.kind == "mf"):
             raise ValueError("shift matrix is required exactly for the mf family")
+        if self.kind == "mf" and self.side != "left":
+            raise ValueError(f"side {self.side!r}: the mf family is one-sided (left)")
         if self.shift is not None:
             if len(self.shift) != self.n or any(len(r) != self.n for r in self.shift):
                 raise ValueError("shift matrix has wrong shape")

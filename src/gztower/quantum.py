@@ -402,7 +402,7 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
                          "below N=2 the family has no pair to check")
     if n > 6 and not allow_large:
         raise SizeGuardError(
-            f"N={n} PBW verification is expensive; pass allow_large to proceed")
+            f"N={n} PBW verification is expensive; pass --allow-large to proceed")
     members = _members(_nested_qdets(n))
     checks, witness = _centrality(n, members)
     if witness is None:

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import gc
 import json
 import math
@@ -71,6 +72,46 @@ def test_classical_gz_n3(capsys):
     code, out, _ = run_cli(capsys, "verify-classical", "--n", "3", "--family", "gz")
     assert code == 0
     assert parse_report(out)["status"] == "ok"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_one_sided_gz_family_is_graded_at_rank_n_n_plus_1_over_2(capsys, side, n):
+    code, out, _ = run_cli(capsys, "verify-classical", "--n", str(n), "--family", "gz",
+                           "--side", side, "--points", "1")
+    rank = n * (n + 1) // 2
+    assert code == 0
+    assert parse_report(out)["independence"] == {
+        "ranks": [rank], "prime": PRIME, "expected": rank, "status": "ok"}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_one_sided_gz_family_short_of_a_member_is_a_violation(monkeypatch, capsys, side):
+    # without its last member, the full determinant, the family's rank
+    # falls one short of N(N+1)/2
+    build = families.build_family
+
+    def short(spec):
+        fam = build(spec)
+        return fam._replace(generators=fam.generators[:-1])
+
+    monkeypatch.setattr(families, "build_family", short)
+    code, out, _ = run_cli(capsys, "verify-classical", "--n", "3", "--family", "gz",
+                           "--side", side, "--points", "1")
+    report = parse_report(out)
+    assert report["independence"] == {
+        "ranks": [5], "prime": PRIME, "expected": 6, "status": "violation"}
+    assert (code, report["status"], report["commutation"]["status"]) == (1, "violation", "ok")
+
+
+@pytest.mark.parametrize("family", [["gz-corner", "--side", "left"],
+                                    ["mf", "--shift-matrix", "diag:1,2,3"]],
+                         ids=["gz-corner", "mf"])
+def test_a_family_without_a_known_rank_is_not_graded_on_it(capsys, family):
+    code, out, _ = run_cli(capsys, "verify-classical", "--n", "3", "--family", *family,
+                           "--points", "1")
+    independence = parse_report(out)["independence"]
+    assert (code, independence["expected"], independence["status"]) == (0, None, "ok")
 
 
 def test_classical_trivial_only(capsys):
@@ -662,19 +703,8 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("verify-quantum", "--n", "2", "--trials", "0"),
     ("orbit", "--n", "3", "--spectrum", "1,2,1e300"),
     ("flow", "--n", "3", "--spectrum", "1,2,1e300", "--hamiltonian", "2,1"),
-    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=abc"),
     ("orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "xyz"),
     ("orbit", "--n", "2", "--spectrum", "1,2", "--lam0", "nan"),
-    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chrat=1"),
-    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=nan"),
-    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=-1"),
-    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart=0"),
-    ("orbit", "--n", "2", "--spectrum", "1,2", "--tolerance", "chart"),
-    ("verify-classical", "--n", "2", "--tolerance", "chart=1e-3"),
-    ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1",
-     "--tolerance", "linearization=inf"),
-    ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1",
-     "--tolerance", "regularity=1e-6"),
     ("verify-classical", "--n", "2", "--seed", "-1"),
     ("verify-quantum", "--n", "2", "--seed", "-1"),
     ("orbit", "--n", "2", "--spectrum", "1,2", "--seed", "-1"),
@@ -692,10 +722,7 @@ def test_linearization_with_nan_slopes_is_a_violation():
     ("verify-classical", "--n", "3", "--family", "trivial", "--shift-matrix", "identity"),
 ], ids=["t-zero", "t-nan", "t-inf", "t-tiny", "t-tiny-negative", "t-subnormal", "steps-zero", "spectrum-nan", "points-zero",
         "pairs-zero", "trials-zero", "orbit-spectrum-overflow", "flow-spectrum-overflow",
-        "tolerance-not-a-number", "lam0-not-a-number", "lam0-nan", "tolerance-unknown-name",
-        "tolerance-nan", "tolerance-negative", "tolerance-zero", "tolerance-no-value",
-        "tolerance-not-read-by-command", "tolerance-inf", "tolerance-regularity",
-        "classical-seed-negative",
+        "lam0-not-a-number", "lam0-nan", "classical-seed-negative",
         "quantum-seed-negative", "orbit-seed-negative", "flow-seed-negative",
         "shift-zero-denominator", "shift-float-overflow", "mf-side-right",
         "trivial-side-right", "mf-side-both", "trivial-side-both", "gz-shift",
@@ -720,12 +747,18 @@ def test_check_chart_is_an_argparse_error():
     assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_verify_quantum_tolerance_is_an_argparse_error():
-    # verify-quantum reads no tolerance, so it declares no --tolerance:
-    # passing one ends in argparse's usage error, exit 2 and no traceback,
-    # in a fresh gz-tower process
-    proc = _fresh("-c", "from gztower import cli; cli.entry()",
-                  "verify-quantum", "--n", "2", "--tolerance", "trivial=1e-3")
+@pytest.mark.parametrize("argv", [
+    ("verify-classical", "--n", "2", "--tolerance", "trivial=1e-3"),
+    ("verify-quantum", "--n", "2", "--tolerance", "trivial=1e-3"),
+    ("orbit", "--n", "3", "--spectrum", "1,2,3", "--tolerance", "chart=1"),
+    ("flow", "--n", "2", "--spectrum", "1,2", "--hamiltonian", "1,1",
+     "--tolerance", "linearization=1"),
+], ids=lambda argv: argv[0])
+def test_tolerance_is_an_argparse_error(argv):
+    # every bound is fixed in the layer that grades it, so no subcommand
+    # declares --tolerance: passing one ends in argparse's usage error, exit
+    # 2 and no traceback, in a fresh gz-tower process
+    proc = _fresh("-c", "from gztower import cli; cli.entry()", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "unrecognized arguments: --tolerance" in proc.stderr
@@ -851,21 +884,19 @@ def test_report_embeds_full_config(capsys):
     _, out, _ = run_cli(capsys, "verify-classical", "--n", "2", "--family", "gz",
                         "--seed", "9")
     assert parse_report(out)["config"] == {
-        "n": 2, "seed": 9, "output": None, "tolerances": {"trivial": 1e-05},
+        "n": 2, "seed": 9, "output": None,
         "family": "gz", "side": "both", "shift_matrix": "random-rational", "points": 5}
 
 
 @pytest.mark.parametrize("argv, config", [
     (["flow", "--n", "2", "--spectrum", "1,2+0.5j", "--hamiltonian", "2,1", "--t", "0.5",
-      "--steps", "10", "--lam0", "0.3+0.1j", "--tolerance", "linearization=0.002",
-      "--seed", "4", "--trajectory", "traj.jsonl"],
-     {"n": 2, "seed": 4, "output": None, "tolerances": {"linearization": 0.002},
+      "--steps", "10", "--lam0", "0.3+0.1j", "--seed", "4", "--trajectory", "traj.jsonl"],
+     {"n": 2, "seed": 4, "output": None,
       "spectrum": [[1.0, 0.0], [2.0, 0.5]], "hamiltonian": [2, 1], "t_final": 0.5,
       "steps": 10, "trajectory": "traj.jsonl", "lam0": [0.3, 0.1]}),
     (["orbit", "--n", "2", "--spectrum", "1,2", "--check", "residue-form",
-      "--check", "action-angle", "--pairs", "3", "--tolerance", "chart=2e-5", "--seed", "5"],
+      "--check", "action-angle", "--pairs", "3", "--seed", "5"],
      {"n": 2, "seed": 5, "output": None,
-      "tolerances": {"action_angle": 0.0001, "chart": 2e-05, "residue": 0.0001},
       "spectrum": [[1.0, 0.0], [2.0, 0.0]], "checks": ["residue-form", "action-angle"],
       "pairs": 3, "lam0": None}),
 ], ids=["flow", "orbit"])
@@ -1246,36 +1277,43 @@ def test_each_subcommand_grades_exactly_these_sections(argv, graded):
     assert ("error" in report) == any(arg.startswith("--lam0") for arg in argv)
 
 
-# each graded numeric section: the run that grades it, its deviation, and its
-# tolerance, a --tolerance name or a fixed bound of cli
+# each graded numeric section: the run that grades it, its deviation, and
+# where its bound is written: a constant of cli, or the keyword of the layer
+# function that grades it
 _DEVIATIONS = {
     "trivial": (["verify-classical", "--n", "3", "--family", "trivial", "--points", "1"],
-                lambda sec: sec["max_abs_bracket"], "trivial"),
+                lambda sec: sec["max_abs_bracket"], (families, "verify_trivial_numeric", "tol")),
     "canonical_chart": ([*_ORBIT3, "--check", "all"],
-                        lambda sec: max(sec["max_deviation"], sec["casimir_deviation"]), "chart"),
+                        lambda sec: max(sec["max_deviation"], sec["casimir_deviation"]),
+                        (orbits, "verify_canonical_chart", "tolerance")),
     "chart_residuals": ([*_ORBIT3, "--check", "all"],
                         lambda sec: max(sec["root_residual"], sec["angle_relation"]),
-                        "CHART_RESIDUAL_TOLERANCE"),
+                        (cli, "CHART_RESIDUAL_TOLERANCE", None)),
     "residue_form": ([*_ORBIT3, "--check", "all"],
-                     lambda sec: sec["variants"][0]["max_deviation"], "residue"),
+                     lambda sec: sec["variants"][0]["max_deviation"],
+                     (orbits, "residue_form_check", "tolerance")),
     "action_angle": ([*_ORBIT3, "--check", "all"],
-                     lambda sec: sec["max_deviation_upper_levels"], "action_angle"),
-    "conservation": (_FLOW3, lambda sec: sec["max_h_drift"], "CONSERVATION_TOLERANCE"),
-    "linearization": (_FLOW3, lambda sec: sec["max_error"], "linearization"),
+                     lambda sec: sec["max_deviation_upper_levels"],
+                     (tower, "action_angle_bracket_table", "tolerance")),
+    "conservation": (_FLOW3, lambda sec: sec["max_h_drift"],
+                     (cli, "CONSERVATION_TOLERANCE", None)),
+    "linearization": (_FLOW3, lambda sec: sec["max_error"],
+                      (tower, "linearization_check", "tol")),
 }
 
 
 @pytest.mark.parametrize("section", _DEVIATIONS)
 def test_a_deviation_equal_to_its_tolerance_is_ok(monkeypatch, capsys, section):
     # every numeric grade is ok exactly when deviation <= tolerance
-    argv, deviation, tolerance = _DEVIATIONS[section]
+    argv, deviation, (module, name, keyword) = _DEVIATIONS[section]
     _, out, _ = run_cli(capsys, *argv)
     dev = deviation(parse_report(out)[section])
     assert dev > 0
-    if tolerance.isupper():
-        monkeypatch.setattr(cli, tolerance, dev)
+    if keyword is None:
+        monkeypatch.setattr(module, name, dev)
     else:
-        argv = [*argv, "--tolerance", f"{tolerance}={dev!r}"]
+        layer_function = functools.partial(getattr(module, name), **{keyword: dev})
+        monkeypatch.setattr(module, name, layer_function)
     code, out, _ = run_cli(capsys, *argv)
     graded = parse_report(out)[section]
     assert deviation(graded) == graded["tolerance"] == dev

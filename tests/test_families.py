@@ -151,6 +151,17 @@ def test_family_spec_validation():
         FamilySpec("gz-principal", 2, shift=((Fraction(1),),))
 
 
+@pytest.mark.parametrize("side", ["right", "both"])
+def test_an_mf_spec_on_another_side_than_left_is_refused(side):
+    # mf is built from u alone: a spec that states another side would
+    # report a side it never checked
+    shift = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2)))
+    with pytest.raises(ValueError, match="one-sided"):
+        FamilySpec("mf", 2, side, shift)
+    with pytest.raises(ValueError, match="one-sided"):
+        FamilySpec("mf", 2, "left", shift)._replace(side=side)
+
+
 def test_family_spec_validates_a_replaced_or_made_spec():
     spec = FamilySpec("gz-principal", 2)
     with pytest.raises(ValueError, match="unknown side"):
@@ -281,8 +292,8 @@ def fresh_families():
 
 
 _SHIFT3 = random_rational_matrix(3, random.Random(3))
-_CACHED = [FamilySpec(kind, 3, side, _SHIFT3 if kind == "mf" else None)
-           for kind in ("gz-principal", "gz-corner", "mf") for side in families.SIDES]
+_CACHED = [*(FamilySpec(kind, 3, side) for kind in ("gz-principal", "gz-corner")
+             for side in families.SIDES), FamilySpec("mf", 3, "left", _SHIFT3)]
 
 
 @pytest.mark.parametrize("spec", _CACHED, ids=lambda spec: f"{spec.kind}-{spec.side}")

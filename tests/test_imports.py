@@ -162,7 +162,7 @@ def test_a_public_name_loads_only_its_home_layers():
 
 @pytest.mark.parametrize("argv, code, err, error", [
     (["verify-quantum", "--n", "7"], 2,
-     "configuration error: N=7 PBW verification is expensive; pass allow_large to proceed\n",
+     "configuration error: N=7 PBW verification is expensive; pass --allow-large to proceed\n",
      None),
     (["orbit", "--n", "3", "--spectrum=1,2,1e300"], 2,
      "configuration error: spectrum too large: the characteristic minors of u "
