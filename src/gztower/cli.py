@@ -38,7 +38,10 @@ and poisson; verify-quantum: quantum; orbit and flow: orbits and tower), and
 translates their configuration errors into ConfigError where it calls them,
 so this module imports no layer.  Nor does it import numpy or dataclasses:
 every layer's records are NamedTuples, so no subcommand loads dataclasses,
-and only orbit and flow load numpy, with their layers.  Of the standard
+and only orbit and flow load numpy, with their layers, but neither loads
+numpy.random or numpy.fft: their points and the residue-form tangents draw
+from gztower._pcg64, numpy's default normal stream in plain Python, bit for
+bit the draws of numpy.random.default_rng.  Of the standard
 library it imports at module level only what every subcommand needs:
 argparse, gc, json, math, os, re, sys and time, and contextmanager from
 contextlib.  The timestamp comes from time.time_ns() rather than datetime,
@@ -284,8 +287,8 @@ def cmd_orbit(config: argparse.Namespace) -> dict:
         report["tower"] = desc.to_json()
 
         if any(c in config.checks for c in ("residue-form", "all")):
-            import numpy as np
-            rng = np.random.default_rng(config.seed + 1)
+            from ._pcg64 import standard_normal_stream
+            rng = standard_normal_stream(config.seed + 1)
             draw = lambda: orbits.OrbitTangent(rng.standard_normal((pt.n, pt.n))
                                                + 1j * rng.standard_normal((pt.n, pt.n)))
             report["residue_form"] = orbits.residue_form_check(

@@ -185,6 +185,7 @@ def build_family(spec: FamilySpec) -> CommutingFamily:
 
 class CommutationReport(NamedTuple):
     family: dict
+    members: int
     pairs_checked: int
     max_nonzero_terms: int
     status: str
@@ -200,14 +201,21 @@ def verify_commutes(fam: CommutingFamily) -> CommutationReport:
     """Bracket all unordered generator pairs; exact zero means 'ok'.
 
     A nonzero bracket is reported as a finding (with a rendered witness),
-    not raised as an error.  Fewer than two generators (N = 1) raise
-    ValueError: the check would see no pair.
+    not raised as an error.  The m members make m(m-1)/2 pairs, and a scan
+    that saw another count is a violation with the witness {expected,
+    seen}.  Fewer than two generators (N = 1) raise ValueError: the check
+    would see no pair.
     """
-    if len(fam.generators) < 2:
-        raise ValueError(f"{len(fam.generators)} generator(s) give no pair to check")
+    members = len(fam.generators)
+    if members < 2:
+        raise ValueError(f"{members} generator(s) give no pair to check")
     pairs, worst, witness = scan_pairs(fam.generators, bracket)
+    expected = members * (members - 1) // 2
+    if pairs != expected:
+        witness = {"expected": expected, "seen": pairs}
     return CommutationReport(
         family=fam.spec.to_json(),
+        members=members,
         pairs_checked=pairs,
         max_nonzero_terms=worst,
         status="ok" if witness is None else "violation",

@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._pcg64 import standard_normal_stream
 from .polytools import (
     TrackingError,
     lambda_minor_det,
@@ -292,8 +293,14 @@ def random_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
     raise RetryExhaustedError("could not sample a separated spectrum")
 
 
-def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
+def sample_orbit(spectrum, seed=0) -> OrbitPoint:
     """Sample u = h diag(spectrum) h^{-1} with h a random well-conditioned matrix.
+
+    h draws from seed: an integer >= 0 (numpy's integers included) draws
+    from standard_normal_stream(seed), numpy.random.default_rng(seed)'s
+    normal stream bit for bit without loading numpy.random, and any object
+    with a standard_normal(shape), such as a numpy Generator, is drawn from
+    as it is.
 
     Resamples h until the regularity margin of u clears _REGULARITY_GAP, so
     the point keeps the level data of its last draw; raises
@@ -305,7 +312,7 @@ def sample_orbit(spectrum, seed: int | np.random.Generator = 0) -> OrbitPoint:
     n = len(spectrum)
     if min_pairwise_gap(spectrum) < _REGULARITY_GAP:
         raise OrbitError("spectrum entries are not separated")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if hasattr(seed, "standard_normal") else standard_normal_stream(seed)
     for _ in range(_DRAWS):
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if n > 1 and np.linalg.cond(h) > _COND_CAP:

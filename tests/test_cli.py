@@ -1,6 +1,7 @@
 import argparse
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -51,6 +52,23 @@ def test_classical_mf_ok(capsys):
                            "--shift-matrix", "random-rational", "--seed", "3")
     assert code == 0
     assert parse_report(out)["commutation"]["status"] == "ok"
+
+
+def test_a_scan_that_skips_a_pair_reads_violation(capsys, monkeypatch):
+    # scan_pairs leaving out its last pair: the 9 members of the N=3 family
+    # make 36 pairs, and a scan that saw 35 is not ok, although every
+    # bracket it took was zero
+    def skip_last_pair(members, op):
+        pairs = list(itertools.combinations(members, 2))[:-1]
+        assert all(op(a, b).is_zero() for (_, a), (_, b) in pairs)
+        return len(pairs), 0, None
+
+    monkeypatch.setattr(families, "scan_pairs", skip_last_pair)
+    code, out, _ = run_cli(capsys, "verify-classical", "--n", "3", "--points", "1")
+    commutation = parse_report(out)["commutation"]
+    assert code == 1
+    assert commutation == {**commutation, "status": "violation", "members": 9, "pairs": 35,
+                           "witness": {"expected": 36, "seen": 35}}
 
 
 @pytest.mark.parametrize("diag", [f"{PRIME}/{PRIME},1,2", f"{PRIME},1/{PRIME},2"],
@@ -129,12 +147,12 @@ _TRIVIAL_N2 = {"family": {"kind": "trivial", "n": 2, "shift": None, "side": "lef
 @pytest.mark.parametrize("argv, sections", [
     (["verify-classical", "--family", "gz"], {
         "commutation": {"family": {"kind": "gz-principal", "n": 2, "shift": None, "side": "both"},
-                        "max_nonzero_terms": 0, "pairs": 6, "status": "ok", "witness": None},
+                        "max_nonzero_terms": 0, "members": 4, "pairs": 6, "status": "ok", "witness": None},
         "trivial": _TRIVIAL_N2}),
     (["verify-classical", "--family", "mf", "--shift-matrix", "diag:1,2"], {
         "commutation": {"family": {"kind": "mf", "n": 2, "shift": [["1", "0"], ["0", "2"]],
                                    "side": "left"},
-                        "max_nonzero_terms": 0, "pairs": 3, "status": "ok", "witness": None},
+                        "max_nonzero_terms": 0, "members": 3, "pairs": 3, "status": "ok", "witness": None},
         "trivial": _TRIVIAL_N2}),
     (["verify-classical", "--family", "trivial"], {"trivial": _TRIVIAL_N2}),
     (["verify-quantum"], {

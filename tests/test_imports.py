@@ -6,9 +6,10 @@ machine, such as scipy, is not there for users.  Importing the package or
 its CLI loads no layer, each subcommand loads only the layers it runs, the
 exact algebra (poisson, families, quantum), verify-classical and
 verify-quantum load neither numpy nor dataclasses (nor inspect, which
-dataclasses imports), orbit and flow load numpy but not dataclasses, since
-every record of the package is a NamedTuple, no process loads datetime,
-fractions, decimal or cmath that its work does not need, and the public
+dataclasses imports), orbit and flow load numpy but neither dataclasses,
+since every record of the package is a NamedTuple, nor numpy.random or
+numpy.fft, no process loads datetime, fractions, decimal or cmath that its
+work does not need, and the public
 names resolve lazily to their home modules' objects."""
 
 import ast
@@ -111,8 +112,10 @@ def test_the_exact_algebra_loads_no_numpy(code, layers):
       "--t", "0.1", "--steps", "100"], {"orbits", "polytools", "tower"}, NUMPY),
 ], ids=["verify-classical", "verify-quantum", "orbit", "flow"])
 def test_each_subcommand_loads_exactly_its_layers(argv, layers, watched):
-    # no subcommand loads numpy.fft: circle_coeffs interpolates by a direct DFT
-    assert _loaded(_run_main(argv), WATCHED + ("numpy.fft",)) == (layers, watched)
+    # no subcommand loads numpy.fft, since circle_coeffs interpolates by a
+    # direct DFT, nor numpy.random, since orbit (the residue-form tangents
+    # of --check all among them) and flow draw from gztower._pcg64
+    assert _loaded(_run_main(argv), WATCHED + ("numpy.fft", "numpy.random")) == (layers, watched)
 
 
 CLASSICAL = {family: ["verify-classical", "--n", "3", "--points", "2", "--family", family]
