@@ -27,8 +27,8 @@ _EXPORTS = {
         "CommutingFamily", "FamilySpec", "build_family", "char_minor",
         "independence_rank", "verify_commutes", "verify_trivial_numeric"], "families"),
     **dict.fromkeys([
-        "NCPoly", "diffop_realization_check", "qdet", "quantum_family",
-        "verify_quantum_commutes"], "quantum"),
+        "NCPoly", "diffop_realization_check", "qdet", "verify_quantum_commutes"],
+        "quantum"),
     **dict.fromkeys([
         "GZChart", "OrbitPoint", "OrbitTangent", "gz_forward",
         "kk_bracket", "residue_form_check", "sample_orbit",

@@ -51,9 +51,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FamilySpec", "CommutingFamily", "CommutationReport", "TrivialReport",
-    "char_minor", "build_family", "verify_commutes", "verify_trivial_numeric",
-    "independence_rank", "random_rational_matrix", "ResiduePoint", "random_residue_point",
-    "PRIME",
+    "IndependenceReport", "char_minor", "build_family", "verify_commutes",
+    "verify_trivial_numeric", "independence_rank", "verify_independence",
+    "random_rational_matrix", "ResiduePoint", "random_residue_point", "PRIME",
 ]
 
 KINDS = ("gz-principal", "gz-corner", "mf")
@@ -239,7 +239,7 @@ class TrivialReport(NamedTuple):
 
 
 def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
-                           tol: float = 1e-5) -> TrivialReport:
+                           tolerance: float = 1e-5) -> TrivialReport:
     """Check the N^2 functions (u g^{-1})[i,j] pairwise in the oracle.
 
     With the package's momentum conventions the commuting combination is
@@ -264,9 +264,9 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
         pairs += len(devs)
         # max() drops a NaN that is not its first argument; their sum keeps it
         worst = nan if isnan(worst + sum(devs)) else max(worst, max(devs))
-    status = "ok" if worst <= tol else "violation"
+    status = "ok" if worst <= tolerance else "violation"
     return TrivialReport(n=n, points=pt_count, pairs_checked=pairs,
-                         max_abs_bracket=worst, tolerance=tol, status=status)
+                         max_abs_bracket=worst, tolerance=tolerance, status=status)
 
 
 def _trivial_gradients(g: list[complex], g_inv: list[complex], p: list[complex],
@@ -466,6 +466,30 @@ def independence_rank(fam: CommutingFamily, pt: ResiduePoint | CanonicalPoint) -
     if len(pt.g) != fam.spec.n:
         raise AmbientSizeError(f"ambient sizes differ: {fam.spec.n} != {len(pt.g)}")
     return _rank_mod_prime(_gf_rows([poly for _, poly in fam.generators], pt))
+
+
+class IndependenceReport(NamedTuple):
+    ranks: list[int]
+    prime: int
+    expected: int | None
+    status: str
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
+def verify_independence(fam: CommutingFamily,
+                        points: list[ResiduePoint | CanonicalPoint]) -> IndependenceReport:
+    """The independence_rank at each point; ok when the largest reaches the
+    principal family's generic rank, N^2 on both sides and N(N+1)/2 on one.
+    gz-corner and mf have no expected rank.  Raises ValueError without points."""
+    ranks = [independence_rank(fam, pt) for pt in points]
+    n, side = fam.spec.n, fam.spec.side
+    expected = ((n * n if side == "both" else n * (n + 1) // 2)
+                if fam.spec.kind == "gz-principal" else None)
+    return IndependenceReport(
+        ranks=ranks, prime=PRIME, expected=expected,
+        status="ok" if expected in (None, max(ranks)) else "violation")
 
 
 def random_rational_matrix(n: int, rng: random.Random) -> tuple[tuple[Fraction, ...], ...]:

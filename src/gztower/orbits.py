@@ -41,7 +41,6 @@ import numpy as np
 from ._pcg64 import standard_normal_stream
 from .polytools import (
     TrackingError,
-    lambda_minor_det,
     match_points,
     min_pairwise_gap,
     sort_points,
@@ -51,8 +50,8 @@ __all__ = [
     "OrbitError", "SingularChartError", "RetryExhaustedError", "TrackingError",
     "OrbitPoint", "GZChart",
     "OrbitTangent", "LevelData", "level_data",
-    "sample_orbit", "random_spectrum", "regularity_margin", "lowering_minor_coeffs",
-    "gz_forward", "chart_residuals", "kk_bracket",
+    "sample_orbit", "random_spectrum", "regularity_margin",
+    "gz_forward", "chart_residuals", "ChartResidualsReport", "kk_bracket",
     "verify_canonical_chart", "ChartCanonicityReport",
     "residue_form_check", "ResidueFormReport",
 ]
@@ -331,14 +330,6 @@ def sample_orbit(spectrum, seed=0) -> OrbitPoint:
 # the Gelfand-Zetlin chart
 # ---------------------------------------------------------------------------
 
-def lowering_minor_coeffs(u: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of C_n(lam) for one level, degree n-1 in lam (0-based u)."""
-    if not 1 <= n < u.shape[0]:
-        raise ValueError("the lowering minor needs row/column n+1")
-    rows, cols = _level_minors(n + 1)[-1]
-    return lambda_minor_det(u, rows, cols)
-
-
 class LevelData(NamedTuple):
     """a[n] = A_n (a[0] = [1]) with roots gamma[n-1], n = 1..N; c[n-1] = C_n
     with roots e[n-1], n = 1..N-1; coefficients highest first, each the
@@ -482,15 +473,27 @@ def _root_residuals(u: np.ndarray, gamma: list[np.ndarray]) -> list[float]:
     return out
 
 
-def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
+class ChartResidualsReport(NamedTuple):
+    root_residual: float
+    angle_relation: float
+    tolerance: float
+    relative_to: str
+    status: str
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
+def chart_residuals(chart: GZChart, pt: OrbitPoint,
+                    tolerance: float = 1e-9) -> ChartResidualsReport:
     """Residuals of the chart against u, independent of its level data.
 
-    Returns (the largest backward residual of a puncture (_root_residuals),
-             max |C_n(gamma) + A_{n-1}(gamma) e^theta|, with C_n and
-             A_(n-1) direct determinants at the punctures, each level
-             divided by max(1, max|C_n(gamma)|)).
-    The second one checks theta, and with it the e-points and the lead of
-    C_n it was taken from.
+    root_residual is the largest backward residual of a puncture
+    (_root_residuals), and angle_relation max |C_n(gamma) + A_(n-1)(gamma)
+    e^theta|, C_n and A_(n-1) direct determinants at the punctures, each
+    level divided by max(1, max|C_n(gamma)|); ok when both are within
+    tolerance.  The second checks theta, and with it the e-points and the
+    lead of C_n it was taken from.
     """
     N = pt.n
     minors = _level_minors(N)
@@ -500,7 +503,11 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint) -> tuple[float, float]:
         rhs = -(_minor_at(pt.u, minors[n - 2], g) if n >= 2 else 1.0) * np.exp(theta)
         res_c.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
     # np.max keeps a NaN residual (max() would drop it), so a NaN angle fails
-    return max(_root_residuals(pt.u, chart.gamma)), float(np.max(res_c, initial=0.0))
+    res_a, res_c = max(_root_residuals(pt.u, chart.gamma)), float(np.max(res_c, initial=0.0))
+    return ChartResidualsReport(
+        root_residual=res_a, angle_relation=res_c, tolerance=tolerance,
+        relative_to="per puncture: |u_n|_2; per level: max(1, max|C_n(gamma)|)",
+        status="ok" if res_a <= tolerance and res_c <= tolerance else "violation")
 
 
 def kk_bracket(f: Callable[[np.ndarray], complex],

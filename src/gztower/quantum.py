@@ -54,7 +54,7 @@ from .poisson import (G, U, UTILDE, AmbientSizeError, ExactPoly, PoissonPoly, _s
                       column_det)
 
 __all__ = [
-    "LEFT", "RIGHT", "NCPoly", "rho_shift", "qdet", "quantum_family",
+    "LEFT", "RIGHT", "NCPoly", "rho_shift", "qdet",
     "verify_quantum_commutes", "QuantumReport", "SizeGuardError",
     "PolyDiffOp", "nabla_left", "nabla_right", "apply_nc_as_diffop",
     "diffop_realization_check", "classical_limit",
@@ -279,9 +279,6 @@ class NCPoly(ExactPoly):
                     out[key] = get(key, 0) + scale * c
         return NCPoly._make(self.n, out, self._den * other._den)
 
-    def commutator(self, other: "NCPoly") -> "NCPoly":
-        return self * other - other * self
-
     # -- coefficient handling ------------------------------------------
 
     def lambda_coefficients(self) -> dict[int, "NCPoly"]:
@@ -330,16 +327,6 @@ def _members(dets: tuple[tuple[int, int, NCPoly], ...]) -> list[_Member]:
     """Every nonconstant lam-coefficient of the determinants, in order."""
     return [(k, copy, lp, coeff) for k, copy, det in dets
             for lp, coeff in det.lambda_coefficients().items() if not coeff.is_constant()]
-
-
-def _family(n: int, members: list[_Member]) -> list[tuple[str, NCPoly]]:
-    return [(f"{'I' if k == n else 'LR'[copy]}[k={k}] lam^{lp}", coeff)
-            for k, copy, lp, coeff in members]
-
-
-def quantum_family(n: int) -> list[tuple[str, NCPoly]]:
-    """Nonconstant lam-coefficients of the nested quantum determinants."""
-    return _family(n, _members(_nested_qdets(n)))
 
 
 class QuantumReport(NamedTuple):
@@ -438,9 +425,6 @@ class PolyDiffOp:
         """Add sign * self(f) to out as numerators over den, a multiple of
         f._den * self.den."""
         f._add_derivative(self._field, out, den, sign)
-
-    def commutator_apply(self, other: "PolyDiffOp", f: PoissonPoly) -> PoissonPoly:
-        return self(other(f)) - other(self(f))
 
 
 @lru_cache(maxsize=None)

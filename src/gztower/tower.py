@@ -60,8 +60,8 @@ __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
     "RegularityLostError", "differentials", "path_log_increments", "angle_variables",
     "TowerLevel", "TowerDescriptor", "build_tower",
-    "action_gradient", "FlowResult", "hamiltonian_flow", "trajectory_records",
-    "LinearizationReport", "linearization_check", "default_base_point",
+    "FlowResult", "hamiltonian_flow", "trajectory_records", "ConservationReport",
+    "conservation_check", "LinearizationReport", "linearization_check", "default_base_point",
 ]
 
 
@@ -317,18 +317,6 @@ def _eigen_actions(u: np.ndarray, n: int) -> tuple:
     return V, Vinv, D
 
 
-def action_gradient(pt: OrbitPoint, selector: tuple[int, int]) -> np.ndarray:
-    """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at pt, embedded
-    in the top-left n x n block, from the eigenbasis of u_n."""
-    n, k = selector
-    if not (1 <= n <= pt.n and 1 <= k <= n):
-        raise ValueError(f"no action h[{n},{k}] at ambient size {pt.n}")
-    out = np.zeros((pt.n, pt.n), dtype=complex)
-    V, Vinv, D = _eigen_actions(pt.u[:n, :n], n)
-    out[:n, :n] = (V * D[:, k - 1]) @ Vinv
-    return out
-
-
 class FlowResult(NamedTuple):
     times: np.ndarray
     points: list[np.ndarray]
@@ -476,6 +464,26 @@ def trajectory_records(pt: OrbitPoint, selector: tuple[int, int],
     } for t, u, tau, h in zip(flow.times, flow.points, taus, hs)]
 
 
+class ConservationReport(NamedTuple):
+    max_h_drift: float
+    tolerance: float
+    status: str
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
+def conservation_check(records: list[dict], tolerance: float = 1e-8) -> ConservationReport:
+    """The largest drift |h(t) - h(0)| of any action, an [re, im] pair, over
+    the trajectory_records of a flow, which conserves every action.  np.max
+    keeps a NaN drift (max() would drop it), so it fails."""
+    h0 = records[0]["h"]
+    drift = float(np.max([abs(complex(*val) - complex(*h0[key]))
+                          for rec in records for key, val in rec["h"].items()], initial=0.0))
+    return ConservationReport(max_h_drift=drift, tolerance=tolerance,
+                              status="ok" if drift <= tolerance else "violation")
+
+
 class ActionAngleReport(NamedTuple):
     n: int
     tolerance: float
@@ -578,17 +586,19 @@ _LINEARIZATION_SAMPLES = 25
 
 
 def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
-                        t_final: float = 0.1, tol: float = 1e-3,
+                        t_final: float = 0.1, tolerance: float = 1e-3,
                         lam0: complex | None = None) -> LinearizationReport:
     """Least-squares slopes of every tau along the selected action's flow.
 
     The conjugate tau must move with slope one, every other tau with slope
-    zero (Casimir-level selectors expect all zeros).  The taus are continued
-    from sample to sample, as in trajectory_records, and raise its errors.
-    Raises ValueError at N < 2, where no tau exists.
+    zero (Casimir-level selectors expect all zeros), over a window of
+    t_final clipped to [-0.1, 0.1].  The taus are continued from sample to
+    sample, as in trajectory_records, and raise its errors.  Raises
+    ValueError at N < 2, where no tau exists.
     """
     if pt.n < 2:
         raise ValueError(f"N = {pt.n} has no angle to check")
+    t_final = max(-0.1, min(t_final, 0.1))
     flow = hamiltonian_flow(pt, selector, t_final=t_final, steps=_LINEARIZATION_STEPS,
                             sample_every=_LINEARIZATION_STEPS // _LINEARIZATION_SAMPLES)
     keys, taus, _ = _continued_angles(pt, flow.points, flow.times, lam0)
@@ -601,5 +611,5 @@ def linearization_check(pt: OrbitPoint, selector: tuple[int, int],
     max_err = float(np.max([abs(s - (key == selector)) for key, s in slopes.items()],
                            initial=0.0))
     return LinearizationReport(
-        selector=selector, samples=len(times), slopes=slopes, tolerance=tol,
-        max_error=max_err, status="ok" if max_err <= tol else "violation")
+        selector=selector, samples=len(times), slopes=slopes, tolerance=tolerance,
+        max_error=max_err, status="ok" if max_err <= tolerance else "violation")

@@ -1,16 +1,18 @@
 """Root tracking for the test oracles: the exhaustive minimal-distance match,
 the R_N spectra, level data whose roots follow those of a nearby point,
 e-points refined in long double, the angles of level data with either
-orientation of the lowering minors, and the chart data of a point computed
-eagerly, without the point's memo."""
+orientation of the lowering minors, the coefficients of one lowering minor,
+the gradient of one action, and the chart data of a point computed eagerly,
+without the point's memo."""
 
 import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from gztower import orbits
+from gztower import orbits, tower
 from gztower.orbits import LevelData, OrbitPoint, level_data
+from gztower.polytools import lambda_minor_det
 
 
 def match_loop(base, new):
@@ -39,6 +41,23 @@ def chart_thetas(lv, cols_of=None):
         c = [orbits._minor_at(cols_of, minor, g)
              for minor, g in zip(orbits._level_minors(N, False)[N:], lv.gamma)]
     return [np.log(-cg / prod(g, p)) for cg, g, p in zip(c, lv.gamma, prev)]
+
+
+def lowering_minor_coeffs(u, n):
+    """Coefficients of C_n(lam), highest first, degree n-1 in lam (0-based u):
+    one lambda_minor_det on the rows and columns that level data take."""
+    return lambda_minor_det(u, *orbits._level_minors(n + 1)[-1])
+
+
+def action_gradient(pt, selector):
+    """(grad h)[i,j] = dh/du[j,i] for the action h = h[n,k] at pt: V diag(D[:,
+    k-1]) V^-1 from the eigenbasis of u_n, embedded in the top-left n x n
+    block, as action_angle_bracket_table takes it."""
+    n, k = selector
+    out = np.zeros((pt.n, pt.n), dtype=complex)
+    V, Vinv, D = tower._eigen_actions(pt.u[:n, :n], n)
+    out[:n, :n] = (V * D[:, k - 1]) @ Vinv
+    return out
 
 
 def r_spectrum(N):

@@ -196,7 +196,7 @@ def test_criterion_09_flows():
                 block = range(n)
                 drift = max(drift, float(np.max(np.abs(
                     lambda_minor_det(u, block, block) - lambda_minor_det(pt.u, block, block)))))
-        lin = linearization_check(pt, selector, t_final=0.1, tol=1e-3)
+        lin = linearization_check(pt, selector, t_final=0.1, tolerance=1e-3)
         ok = ok and drift < 1e-8 and lin.status == "ok"
         details.append(f"h{selector}: drift {drift:.1e}, slope err {lin.max_error:.1e}")
     _verdict(9, ok, "spectrum and family conserved to 1e-8 over t in [0,1] and "

@@ -1,10 +1,12 @@
 import argparse
 import functools
 import gc
+import inspect
 import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -685,17 +687,20 @@ def test_flow_toward_overflowing_minors_reports_the_first_failing_sample(tmp_pat
 
 @pytest.mark.parametrize("t, window", [("-1", -0.1), ("0.05", 0.05), ("5", 0.1)])
 def test_linearization_window_is_at_most_a_tenth_either_way(capsys, monkeypatch, t, window):
-    real_check = tower.linearization_check
+    # the linearization's flow, the one of _LINEARIZATION_STEPS steps, runs
+    # to --t clipped to [-0.1, 0.1]; the trajectory's runs to --t
+    real_flow = tower.hamiltonian_flow
     seen = []
 
-    def check(pt, selector, t_final=0.1, **kwargs):
-        seen.append(t_final)
-        return real_check(pt, selector, t_final=t_final, **kwargs)
+    def flow(pt, selector, t_final=1.0, steps=1000, **kwargs):
+        seen.append((steps, t_final))
+        return real_flow(pt, selector, t_final=t_final, steps=steps, **kwargs)
 
-    monkeypatch.setattr(tower, "linearization_check", check)
-    run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3", "--hamiltonian", "2,1",
-            "--t", t, "--steps", "100")
-    assert seen == [window]
+    monkeypatch.setattr(tower, "hamiltonian_flow", flow)
+    code, _, _ = run_cli(capsys, "flow", "--n", "3", "--spectrum", "1,2,3",
+                         "--hamiltonian", "2,1", "--t", t, "--steps", "100")
+    assert seen == [(100, float(t)), (tower._LINEARIZATION_STEPS, window)]
+    assert code == 0
 
 
 def test_linearization_with_nan_slopes_is_a_violation():
@@ -975,6 +980,9 @@ RECORDS = {
     "CommutationReport": lambda: families.verify_commutes(
         families.build_family(families.FamilySpec("gz-principal", 2))),
     "TrivialReport": lambda: families.verify_trivial_numeric(2, 1),
+    "IndependenceReport": lambda: families.verify_independence(
+        families.build_family(families.FamilySpec("gz-principal", 2)),
+        [families.random_residue_point(2, random.Random(0))]),
     "QuantumReport": lambda: quantum.verify_quantum_commutes(2),
     "DiffOpReport": lambda: quantum.diffop_realization_check(2, trials=1),
 }
@@ -1296,42 +1304,51 @@ def test_each_subcommand_grades_exactly_these_sections(argv, graded):
 
 
 # each graded numeric section: the run that grades it, its deviation, and
-# where its bound is written: a constant of cli, or the keyword of the layer
-# function that grades it
+# the layer function that grades it, whose tolerance keyword is its bound
 _DEVIATIONS = {
     "trivial": (["verify-classical", "--n", "3", "--family", "trivial", "--points", "1"],
-                lambda sec: sec["max_abs_bracket"], (families, "verify_trivial_numeric", "tol")),
+                lambda sec: sec["max_abs_bracket"], (families, "verify_trivial_numeric")),
     "canonical_chart": ([*_ORBIT3, "--check", "all"],
                         lambda sec: max(sec["max_deviation"], sec["casimir_deviation"]),
-                        (orbits, "verify_canonical_chart", "tolerance")),
+                        (orbits, "verify_canonical_chart")),
     "chart_residuals": ([*_ORBIT3, "--check", "all"],
                         lambda sec: max(sec["root_residual"], sec["angle_relation"]),
-                        (cli, "CHART_RESIDUAL_TOLERANCE", None)),
+                        (orbits, "chart_residuals")),
     "residue_form": ([*_ORBIT3, "--check", "all"],
                      lambda sec: sec["variants"][0]["max_deviation"],
-                     (orbits, "residue_form_check", "tolerance")),
+                     (orbits, "residue_form_check")),
     "action_angle": ([*_ORBIT3, "--check", "all"],
                      lambda sec: sec["max_deviation_upper_levels"],
-                     (tower, "action_angle_bracket_table", "tolerance")),
-    "conservation": (_FLOW3, lambda sec: sec["max_h_drift"],
-                     (cli, "CONSERVATION_TOLERANCE", None)),
-    "linearization": (_FLOW3, lambda sec: sec["max_error"],
-                      (tower, "linearization_check", "tol")),
+                     (tower, "action_angle_bracket_table")),
+    "conservation": (_FLOW3, lambda sec: sec["max_h_drift"], (tower, "conservation_check")),
+    "linearization": (_FLOW3, lambda sec: sec["max_error"], (tower, "linearization_check")),
 }
+
+
+@pytest.mark.parametrize("section", _DEVIATIONS)
+def test_each_bound_is_the_tolerance_default_of_its_layer_function(capsys, section):
+    # the report states the bound that the grading function keeps as its
+    # default, so the bound is written once, in the layer
+    argv, _, (module, name) = _DEVIATIONS[section]
+    _, out, _ = run_cli(capsys, *argv)
+    default = inspect.signature(getattr(module, name)).parameters["tolerance"].default
+    assert parse_report(out)[section]["tolerance"] == default
+
+
+def test_cli_holds_no_bound():
+    # every float of cli is the smallest |--t|, a limit on the configuration
+    assert [name for name, value in vars(cli).items()
+            if isinstance(value, float)] == ["MIN_ABS_T"]
 
 
 @pytest.mark.parametrize("section", _DEVIATIONS)
 def test_a_deviation_equal_to_its_tolerance_is_ok(monkeypatch, capsys, section):
     # every numeric grade is ok exactly when deviation <= tolerance
-    argv, deviation, (module, name, keyword) = _DEVIATIONS[section]
+    argv, deviation, (module, name) = _DEVIATIONS[section]
     _, out, _ = run_cli(capsys, *argv)
     dev = deviation(parse_report(out)[section])
     assert dev > 0
-    if keyword is None:
-        monkeypatch.setattr(module, name, dev)
-    else:
-        layer_function = functools.partial(getattr(module, name), **{keyword: dev})
-        monkeypatch.setattr(module, name, layer_function)
+    monkeypatch.setattr(module, name, functools.partial(getattr(module, name), tolerance=dev))
     code, out, _ = run_cli(capsys, *argv)
     graded = parse_report(out)[section]
     assert deviation(graded) == graded["tolerance"] == dev

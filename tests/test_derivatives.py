@@ -11,7 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
-from _tracking import chart_thetas, eager_derivatives, eager_point, tracked_level_data
+from _tracking import (
+    action_gradient,
+    chart_thetas,
+    eager_derivatives,
+    eager_point,
+    tracked_level_data,
+)
 from gztower import orbits
 from gztower.orbits import (
     OrbitPoint,
@@ -23,7 +29,7 @@ from gztower.orbits import (
     verify_canonical_chart,
 )
 from gztower.poisson import central_gradient
-from gztower.tower import action_angle_bracket_table, action_gradient, build_tower
+from gztower.tower import action_angle_bracket_table, build_tower
 
 ORIENTATIONS = pytest.mark.parametrize("rows", [True, False], ids=["rows", "cols"])
 

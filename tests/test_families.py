@@ -28,6 +28,7 @@ from gztower.families import (
     random_rational_matrix,
     random_residue_point,
     verify_commutes,
+    verify_independence,
     verify_trivial_numeric,
 )
 from gztower.poisson import (
@@ -560,3 +561,34 @@ def test_independence_rank_checks_the_ambient_size():
     fam = build_family(FamilySpec("gz-principal", 3, "both"))
     with pytest.raises(AmbientSizeError):
         independence_rank(fam, random_residue_point(2, random.Random(0)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("side", ["both", "left", "right"])
+def test_verify_independence_grades_the_principal_generic_rank(n, side):
+    # N^2 on both sides, N(N+1)/2 on one
+    expected = n * n if side == "both" else n * (n + 1) // 2
+    rng = random.Random(n)
+    rep = verify_independence(build_family(FamilySpec("gz-principal", n, side)),
+                              [random_residue_point(n, rng) for _ in range(2)])
+    assert rep.to_json() == {"ranks": [expected] * 2, "prime": PRIME,
+                             "expected": expected, "status": "ok"}
+
+
+def test_a_principal_family_short_of_a_member_fails_verify_independence():
+    n = 3
+    full = build_family(FamilySpec("gz-principal", n, "both"))
+    fam = CommutingFamily(full.spec, full.generators[:-1])
+    rep = verify_independence(fam, [random_residue_point(n, random.Random(1))])
+    assert (rep.ranks, rep.expected, rep.status) == ([n * n - 1], n * n, "violation")
+
+
+def test_verify_independence_leaves_mf_ungraded_but_not_unchecked():
+    # mf's generic rank is not known, so its ranks are reported ungraded;
+    # no points is an error, not a pass on zero ranks
+    n = 3
+    fam = build_family(FamilySpec("mf", n, "left", random_rational_matrix(n, random.Random(n))))
+    rep = verify_independence(fam, [random_residue_point(n, random.Random(0))])
+    assert rep.expected is None and rep.status == "ok" and len(rep.ranks) == 1
+    with pytest.raises(ValueError):
+        verify_independence(fam, [])

@@ -193,8 +193,7 @@ EXPORTS = {
                 "utilde_as_canonical"],
     "families": ["CommutingFamily", "FamilySpec", "build_family", "char_minor",
                  "independence_rank", "verify_commutes", "verify_trivial_numeric"],
-    "quantum": ["NCPoly", "diffop_realization_check", "qdet", "quantum_family",
-                "verify_quantum_commutes"],
+    "quantum": ["NCPoly", "diffop_realization_check", "qdet", "verify_quantum_commutes"],
     "orbits": ["GZChart", "OrbitPoint", "OrbitTangent", "gz_forward",
                "kk_bracket", "residue_form_check", "sample_orbit",
                "verify_canonical_chart"],

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _tracking import lowering_minor_coeffs
 from gztower import orbits
 from gztower.orbits import (
     OrbitError,
@@ -10,7 +11,6 @@ from gztower.orbits import (
     SingularChartError,
     gz_forward,
     level_data,
-    lowering_minor_coeffs,
     random_spectrum,
     regularity_margin,
     sample_orbit,

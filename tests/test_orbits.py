@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _tracking import eager_derivatives, eager_point, r_spectrum
+from _tracking import eager_derivatives, eager_point, lowering_minor_coeffs, r_spectrum
 from gztower import orbits
 from gztower.orbits import (
     OrbitError,
@@ -11,7 +11,6 @@ from gztower.orbits import (
     chart_residuals,
     gz_forward,
     kk_bracket,
-    lowering_minor_coeffs,
     random_spectrum,
     regularity_margin,
     residue_form_check,
@@ -113,9 +112,10 @@ def test_chart_residuals_random_orbits(n, seed):
     rng = np.random.default_rng(seed)
     pt = sample_orbit(random_spectrum(n, rng), seed=rng)
     chart = gz_forward(pt)
-    res_a, res_c = chart_residuals(chart, pt)
-    assert res_a < 1e-9
-    assert res_c < 1e-9
+    rep = chart_residuals(chart, pt)
+    assert rep.root_residual < 1e-9
+    assert rep.angle_relation < 1e-9
+    assert rep.status == "ok" and rep.tolerance == 1e-9
     # the residuals are relative; on these scales the absolute ones hold too
     a_prev = np.ones(1)
     for k, (g, theta) in enumerate(zip(chart.gamma, chart.theta + [None]), start=1):
@@ -135,8 +135,8 @@ def test_chart_is_canonical_at_n20():
     pt = sample_orbit(r_spectrum(20), seed=3)
     rep = verify_canonical_chart(pt)
     assert rep.status == "ok" and rep.winner == "rows"
-    res_a, res_c = chart_residuals(gz_forward(pt), pt)
-    assert res_a < 1e-9 and res_c < 1e-9
+    rep = chart_residuals(gz_forward(pt), pt)
+    assert rep.root_residual < 1e-9 and rep.angle_relation < 1e-9
 
 
 def test_lowering_minor_matches_lagrange_interpolation():

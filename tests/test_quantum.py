@@ -21,7 +21,6 @@ from gztower.quantum import (
     nabla_left,
     nabla_right,
     qdet,
-    quantum_family,
     rho_shift,
     verify_quantum_commutes,
 )
@@ -32,6 +31,16 @@ Q = NCPoly
 
 def E(i, j, copy=LEFT, n=2):
     return Q.e(n, i, j, copy)
+
+
+def commutator(a, b):
+    """[a, b] in the product form."""
+    return a * b - b * a
+
+
+def op_commutator(a, b, f):
+    """[a, b] f of two PolyDiffOps, by composition."""
+    return a(b(f)) - b(a(f))
 
 
 @st.composite
@@ -148,7 +157,7 @@ def test_products_match_the_rewriting_oracle(data):
     # stored in lowest terms, so equal elements compare and hash equal
     assert a * b == Q(n, _oracle_mul(ta, tb))
     assert hash(a * b) == hash(Q(n, _oracle_mul(ta, tb)))
-    assert a.commutator(b).terms == _oracle_add(_oracle_mul(ta, tb), _oracle_mul(tb, ta), -1)
+    assert commutator(a, b).terms == _oracle_add(_oracle_mul(ta, tb), _oracle_mul(tb, ta), -1)
 
 
 @pytest.fixture
@@ -222,7 +231,7 @@ def test_left_right_words_commute(a, b):
             out = out + term
         return out
 
-    assert onto(a, LEFT).commutator(onto(b, RIGHT)).is_zero()
+    assert commutator(onto(a, LEFT), onto(b, RIGHT)).is_zero()
 
 
 def test_pbw_product_matches_operator_composition():
@@ -265,23 +274,23 @@ def test_qdet_casimir_is_central():
     cas = qdet(2, 2).lambda_coefficients()[0]
     for i in (1, 2):
         for j in (1, 2):
-            assert cas.commutator(E(i, j)).is_zero()
+            assert commutator(cas, E(i, j)).is_zero()
 
 
 def test_casimir_centrality_via_diffop_oracle():
     rng = random.Random(1)
     from gztower.quantum import _random_g_poly
     cas = qdet(2, 2).lambda_coefficients()[0]
-    com = cas.commutator(E(1, 2))
+    com = commutator(cas, E(1, 2))
     assert com.is_zero()
     for _ in range(5):
         f = _random_g_poly(2, rng)
-        assert apply_nc_as_diffop(cas.commutator(E(2, 1)), f).is_zero()
+        assert apply_nc_as_diffop(commutator(cas, E(2, 1)), f).is_zero()
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 4), (3, 9)])
 def test_quantum_family_counts(n, count):
-    assert len(quantum_family(n)) == count
+    assert len(quantum._members(quantum._nested_qdets(n))) == count
 
 
 def test_verify_quantum_n2():
@@ -444,7 +453,7 @@ def test_leibniz_pairs_equal_the_product_form(swap_rho, n, convention):
     _shift_rule(swap_rho, convention, n)
     members = _members(_nested_qdets(n))
     _, witness = _centrality(n, members)
-    nonzero = sum(not a.commutator(b).is_zero()
+    nonzero = sum(not commutator(a, b).is_zero()
                   for (_, _, _, a), (_, _, _, b) in itertools.combinations(members, 2))
     # central families commute pairwise; unshifted, the centrality pass
     # fails at every n, and 1 pair fails at N=3 and 9 at N=4
@@ -456,13 +465,15 @@ def test_leibniz_pairs_equal_the_product_form(swap_rho, n, convention):
 def test_leibniz_scan_takes_the_other_copy_as_zero(monkeypatch, n):
     # on a passing family the centrality pass decides every pair, so each
     # commutator the check computes is one of its centrality checks, and
-    # none is a product-form commutator
+    # none is a product-form commutator: once the family is built, the
+    # check multiplies no two elements
     pairs, checks = {4: (120, 136), 5: (300, 325)}[n]
     calls = []
     kernel = quantum._letter_commutator
     monkeypatch.setattr(quantum, "_letter_commutator",
                         lambda c, x: calls.append(x) or kernel(c, x))
-    monkeypatch.setattr(NCPoly, "commutator", lambda a, b: pytest.fail("product form"))
+    quantum._nested_qdets(n)
+    monkeypatch.setattr(NCPoly, "__mul__", lambda a, b: pytest.fail("product form"))
     rep = verify_quantum_commutes(n)
     assert (rep.status, rep.pairs_checked, rep.centrality_checks) == ("ok", pairs, checks)
     assert len(calls) == checks
@@ -474,13 +485,14 @@ def test_leibniz_scan_reports_a_broken_family_like_the_product_form(monkeypatch,
     # product form finds a nonzero pair, and the check, which computes no
     # pair, fails it in the centrality pass, naming the extra member
     from gztower.poisson import scan_pairs
-    from gztower.quantum import _family, _members
+    from gztower.quantum import _members
     n = 3
     extra = (2, LEFT, 0, E(1, 2, n=n))
     with_extra = lambda dets: [extra] + _members(dets) if at_front else _members(dets) + [extra]
     monkeypatch.setattr(quantum, "_members", with_extra)
     members = with_extra(quantum._nested_qdets(n))
-    _, worst, witness = scan_pairs(_family(n, members), NCPoly.commutator)
+    _, worst, witness = scan_pairs([(str(m), c) for m, (*_, c) in enumerate(members)],
+                                   commutator)
     assert witness is not None and worst > 0
     rep = verify_quantum_commutes(n)
     assert (rep.status, rep.convention, rep.pairs_checked) == ("violation", "none", 0)
@@ -509,7 +521,7 @@ def test_letter_commutators_equal_the_product_form(swap_rho, n, convention):
     for k, own, _, c in members:
         for copy, i, j in itertools.product((LEFT, RIGHT), range(1, n + 1), range(1, n + 1)):
             kernel = _kernel_commutator(c, copy, i, j)
-            product_form = c.commutator(Q.e(n, i, j, copy))
+            product_form = commutator(c, Q.e(n, i, j, copy))
             assert kernel == product_form
             assert kernel.term_list() == product_form.term_list()
             if copy == own and max(i, j) <= k:
@@ -528,7 +540,7 @@ def test_letter_commutators_of_mixed_elements_match_the_oracle(data):
                                      st.integers(1, n), st.integers(1, n)))
     c, e = Q(n, tc), Q.e(n, i, j, copy)
     kernel = _kernel_commutator(c, copy, i, j)
-    assert kernel == c.commutator(e)
+    assert kernel == commutator(c, e)
     assert kernel.terms == _oracle_add(_oracle_mul(tc, e.terms), _oracle_mul(e.terms, tc), -1)
 
 
@@ -559,14 +571,14 @@ def test_classical_limit_top_degree():
 
 def test_nabla_left_commutator_example():
     g11 = P.g(2, 1, 1)
-    lhs = nabla_left(2, 1, 2).commutator_apply(nabla_left(2, 2, 1), g11)
+    lhs = op_commutator(nabla_left(2, 1, 2), nabla_left(2, 2, 1), g11)
     rhs = nabla_left(2, 1, 1)(g11) - nabla_left(2, 2, 2)(g11)
     assert lhs == rhs
 
 
 def test_nabla_cross_chirality_commutes():
     f = P.g(2, 1, 2) * P.g(2, 2, 1) + P.g(2, 1, 1)
-    assert nabla_left(2, 1, 1).commutator_apply(nabla_right(2, 2, 2), f).is_zero()
+    assert op_commutator(nabla_left(2, 1, 1), nabla_right(2, 2, 2), f).is_zero()
 
 
 def test_nabla_kills_constants():
@@ -636,7 +648,7 @@ def _oracle_realization(n, trials=12, seed=0, with_jk=True):
         f = _oracle_random_g_poly(n, rng)
         i, j, k, l = (rng.randrange(1, n + 1) for _ in range(4))
         for maker in (quantum.nabla_left, quantum.nabla_right):
-            lhs = maker(n, i, j).commutator_apply(maker(n, k, l), f)
+            lhs = op_commutator(maker(n, i, j), maker(n, k, l), f)
             rhs = P.zero(n)
             if j == k and with_jk:
                 rhs = rhs + maker(n, i, l)(f)
@@ -645,7 +657,7 @@ def _oracle_realization(n, trials=12, seed=0, with_jk=True):
             checks += 1
             if not (lhs - rhs).is_zero():
                 return checks, "violation"
-        cross = quantum.nabla_left(n, i, j).commutator_apply(quantum.nabla_right(n, k, l), f)
+        cross = op_commutator(quantum.nabla_left(n, i, j), quantum.nabla_right(n, k, l), f)
         checks += 1
         if not cross.is_zero():
             return checks, "violation"
@@ -687,7 +699,7 @@ def test_a_realization_violation_carries_its_witness(monkeypatch, n, seed):
     assert witness["relation"] == f"R({i},{j}),R({k},{l})"
     assert witness["f"] == f.term_list()
     right = quantum.nabla_right
-    residual = right(n, i, j).commutator_apply(right(n, k, l), f)
+    residual = op_commutator(right(n, i, j), right(n, k, l), f)
     if j == k:
         residual = residual - right(n, i, l)(f)
     if l == i:

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from _tracking import polished_e_points, r_spectrum, tracked_level_data
+from _tracking import (
+    action_gradient,
+    lowering_minor_coeffs,
+    polished_e_points,
+    r_spectrum,
+    tracked_level_data,
+)
 from gztower.families import char_minor
 from gztower import orbits, tower
 from gztower.orbits import (
     OrbitError,
     OrbitPoint,
     level_data,
-    lowering_minor_coeffs,
     random_spectrum,
     regularity_margin,
     sample_orbit,
@@ -28,9 +33,9 @@ from gztower.tower import (
     RegularityLostError,
     TowerError,
     action_angle_bracket_table,
-    action_gradient,
     angle_variables,
     build_tower,
+    conservation_check,
     default_base_point,
     differentials,
     hamiltonian_flow,
@@ -855,6 +860,26 @@ def test_stacked_path_logs_match_one_row_calls():
 # ---------------------------------------------------------------------------
 # linearization and the canonical pairing
 # ---------------------------------------------------------------------------
+
+def test_conservation_check_reads_the_drift_of_every_action():
+    pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
+    records = trajectory_records(pt, (2, 1), steps=20, samples=4)
+    rep = conservation_check(records)
+    assert rep.status == "ok" and rep.max_h_drift <= rep.tolerance == 1e-8
+    re, im = records[-1]["h"]["2,1"]
+    records[-1]["h"]["2,1"] = [re + 1e-6, im]
+    rep = conservation_check(records)
+    assert rep.status == "violation" and abs(rep.max_h_drift - 1e-6) < 1e-9
+
+
+def test_a_nan_drift_fails_conservation():
+    # max() drops a NaN that is not its first argument; np.max keeps it
+    pt = sample_orbit([1.0, 2.0 + 0.5j, -1.0], seed=11)
+    records = trajectory_records(pt, (2, 1), steps=20, samples=4)
+    records[2]["h"]["1,1"] = [math.nan, 0.0]
+    rep = conservation_check(records)
+    assert math.isnan(rep.max_h_drift) and rep.status == "violation"
+
 
 def test_linearization_n2():
     pt = sample_orbit([0.5, -1.0 + 0.5j], seed=3)
