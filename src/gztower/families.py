@@ -226,10 +226,12 @@ def verify_commutes(fam: CommutingFamily) -> CommutationReport:
 class TrivialReport(NamedTuple):
     n: int
     points: int
+    members: int
     pairs_checked: int
     max_abs_bracket: float
     tolerance: float
     status: str
+    witness: dict | None = None
 
     def to_json(self) -> dict:
         data = self._asdict()
@@ -248,8 +250,9 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
     (g redrawn while |det g| < 1e-8).  Each point takes one central_gradient
     of all the members in g and one in p (_trivial_gradients); each pair is
     then bracketed as in ``canonical_bracket``.  A NaN bracket makes the
-    largest one NaN and the status a violation.  Raises ValueError when
-    n < 2 or pt_count < 1: the check would see no pair.
+    largest one NaN and the status a violation, as is a scan that saw
+    other than points N^2(N^2-1)/2 pairs (witness {expected, seen}).
+    Raises ValueError when n < 2 or pt_count < 1: no pair to check.
     """
     if n < 2 or pt_count < 1:
         raise ValueError(f"n = {n} and {pt_count} point(s) give no pair to check")
@@ -264,9 +267,13 @@ def verify_trivial_numeric(n: int, pt_count: int = 10, seed: int = 0,
         pairs += len(devs)
         # max() drops a NaN that is not its first argument; their sum keeps it
         worst = nan if isnan(worst + sum(devs)) else max(worst, max(devs))
-    status = "ok" if worst <= tolerance else "violation"
-    return TrivialReport(n=n, points=pt_count, pairs_checked=pairs,
-                         max_abs_bracket=worst, tolerance=tolerance, status=status)
+    members = n * n
+    expected = pt_count * members * (members - 1) // 2
+    witness = None if pairs == expected else {"expected": expected, "seen": pairs}
+    status = "ok" if worst <= tolerance and witness is None else "violation"
+    return TrivialReport(n=n, points=pt_count, members=members, pairs_checked=pairs,
+                         max_abs_bracket=worst, tolerance=tolerance, status=status,
+                         witness=witness)
 
 
 def _trivial_gradients(g: list[complex], g_inv: list[complex], p: list[complex],

@@ -41,6 +41,7 @@ import numpy as np
 from ._pcg64 import standard_normal_stream
 from .polytools import (
     TrackingError,
+    _frozen,
     match_points,
     min_pairwise_gap,
     sort_points,
@@ -76,11 +77,6 @@ _SPECTRUM_GAP = 0.35        # random_spectrum: the smallest pairwise gap,
 _SPECTRUM_BOX = 1.5         # and the box [-b, b]^2 of the values
 _COND_CAP = 1e6             # sample_orbit: the largest condition number of h,
 _DRAWS = 100                # and the draws of h before it gives up
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 def _pair(z: complex) -> list[float]:
@@ -146,8 +142,8 @@ class OrbitPoint:
     u: levels, punctures, divisors and a_at_gamma; c_at_gamma per
     orientation of C_n; and, in tower, the default base point and the
     TowerDescriptor per lam0.  Each entry is a pure function of u, built by
-    a method of the point on first use, with read-only arrays, never changed
-    once stored, and holds no reference to the point, so the memo makes no
+    a method of the point on first use, stored _frozen, never changed once
+    stored, and holds no reference to the point, so the memo makes no
     reference cycle and goes with its point.
     """
 
@@ -155,9 +151,7 @@ class OrbitPoint:
 
     def __init__(self, u: np.ndarray, spectrum: np.ndarray):
         for name, value in (("u", u), ("spectrum", spectrum)):
-            copy = np.array(value)
-            _read_only(copy)
-            object.__setattr__(self, name, copy)
+            object.__setattr__(self, name, _frozen(np.array(value)))
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -171,11 +165,11 @@ class OrbitPoint:
         return self.u.shape[0]
 
     def _memoized(self, key, build: Callable):
-        """The memo entry for key, from build() on first use."""
+        """The memo entry for key, _frozen(build()) on first use."""
         try:
             return self._memo[key]
         except KeyError:
-            return self._memo.setdefault(key, build())
+            return self._memo.setdefault(key, _frozen(build()))
 
     def margin(self) -> float:
         """regularity_margin(u), from the memoized level data."""
@@ -183,21 +177,13 @@ class OrbitPoint:
 
     def levels(self) -> LevelData:
         """level_data(u), once per point."""
-        def build():
-            lv = level_data(self.u)
-            _read_only(*lv.a, *lv.gamma, *lv.c, *lv.e)
-            return lv
-        return self._memoized("levels", build)
+        return self._memoized("levels", lambda: level_data(self.u))
 
     def punctures(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """_root_gradients of A_1..A_N at their roots levels().gamma:
         ([gradient stack (n, N, N)], [root conditions]), once per point."""
-        def build():
-            minors = _level_minors(self.n)[:self.n]
-            grads, conds = _root_gradients(self.u, minors, self.levels().gamma)
-            _read_only(*grads, *conds)
-            return grads, conds
-        return self._memoized("punctures", build)
+        return self._memoized("punctures", lambda: _root_gradients(
+            self.u, _level_minors(self.n)[:self.n], self.levels().gamma))
 
     def c_at_gamma(self, rows: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
         """_log_minors of C_1..C_(N-1) (rows False: the transposed minors) at
@@ -215,12 +201,8 @@ class OrbitPoint:
     def divisors(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """_root_gradients of C_1..C_(N-1) at their roots levels().e:
         ([gradient stack (n-1, N, N)], [root conditions]), once per point."""
-        def build():
-            grads, conds = _root_gradients(self.u, _level_minors(self.n)[self.n:],
-                                           self.levels().e)
-            _read_only(*grads, *conds)
-            return grads, conds
-        return self._memoized("divisors", build)
+        return self._memoized("divisors", lambda: _root_gradients(
+            self.u, _level_minors(self.n)[self.n:], self.levels().e))
 
     def conditioning(self) -> dict[str, float | None]:
         """A fresh dict: the smallest |e - gamma| within a level, the smallest
@@ -464,12 +446,15 @@ def _minor_at(u: np.ndarray, minor: tuple, lams: np.ndarray) -> np.ndarray:
 def _root_residuals(u: np.ndarray, gamma: list[np.ndarray]) -> list[float]:
     """Per level n, the largest backward residual sigma_min(g - u_n) / |u_n|_2
     (|u_n|_2 read as 1 when u_n = 0) of the punctures g = gamma[n-1]: zero
-    for exact eigenvalues of u_n, however they were found."""
+    for exact eigenvalues of u_n, however they were found; NaN for a
+    non-finite puncture, whose SVD is taken at 0."""
     out = []
     for n, g in enumerate(gamma, start=1):
-        un = u[:n, :n]
-        sv = np.linalg.svd(g[:, None, None] * np.eye(n) - un, compute_uv=False)
-        out.append(float(np.max(sv[:, -1])) / (np.linalg.norm(un, 2) or 1.0))
+        un, finite = u[:n, :n], np.isfinite(g)
+        sv = np.linalg.svd(np.where(finite, g, 0)[:, None, None] * np.eye(n) - un,
+                           compute_uv=False)
+        out.append(float(np.max(np.where(finite, sv[:, -1], np.nan)))
+                   / (np.linalg.norm(un, 2) or 1.0))
     return out
 
 
@@ -498,12 +483,14 @@ def chart_residuals(chart: GZChart, pt: OrbitPoint,
     N = pt.n
     minors = _level_minors(N)
     res_c = []
-    for n, (g, theta) in enumerate(zip(chart.gamma, chart.theta), start=1):
-        lhs = _minor_at(pt.u, minors[N + n - 1], g)
-        rhs = -(_minor_at(pt.u, minors[n - 2], g) if n >= 2 else 1.0) * np.exp(theta)
-        res_c.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
-    # np.max keeps a NaN residual (max() would drop it), so a NaN angle fails
-    res_a, res_c = max(_root_residuals(pt.u, chart.gamma)), float(np.max(res_c, initial=0.0))
+    with np.errstate(invalid="ignore"):         # det warns on a NaN puncture
+        for n, (g, theta) in enumerate(zip(chart.gamma, chart.theta), start=1):
+            lhs = _minor_at(pt.u, minors[N + n - 1], g)
+            rhs = -(_minor_at(pt.u, minors[n - 2], g) if n >= 2 else 1.0) * np.exp(theta)
+            res_c.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
+    # np.max keeps a NaN residual (max() would drop it), so a NaN angle or puncture fails
+    res_a, res_c = (float(np.max(r, initial=0.0))
+                    for r in (_root_residuals(pt.u, chart.gamma), res_c))
     return ChartResidualsReport(
         root_residual=res_a, angle_relation=res_c, tolerance=tolerance,
         relative_to="per puncture: |u_n|_2; per level: max(1, max|C_n(gamma)|)",
@@ -541,9 +528,7 @@ def _kk(u: np.ndarray, gf: np.ndarray, gh: np.ndarray) -> complex:
 def _minor_index(rows: tuple, cols: tuple) -> tuple[np.ndarray, tuple]:
     """P = [rows == cols] and the np.ix_ index of the block rows x cols of a
     minor, read-only, once per minor."""
-    P, index = np.equal.outer(rows, cols), np.ix_(rows, cols)
-    _read_only(P, *index)
-    return P, index
+    return _frozen((np.equal.outer(rows, cols), np.ix_(rows, cols)))
 
 
 def _minor_gradients(u: np.ndarray, minor: tuple, lams: np.ndarray,
@@ -584,10 +569,8 @@ def _root_gradients(u: np.ndarray, minors: tuple, roots: list[np.ndarray]) -> tu
 
 
 def _log_minors(u: np.ndarray, minors: tuple, lams: list[np.ndarray]) -> list[tuple]:
-    """The read-only log-minor gradients (roots=False) of each minor at its lams."""
-    out = [_minor_gradients(u, m, x, roots=False) for m, x in zip(minors, lams)]
-    _read_only(*(a for pair in out for a in pair))
-    return out
+    """The log-minor gradients (roots=False) of each minor at its lams."""
+    return [_minor_gradients(u, m, x, roots=False) for m, x in zip(minors, lams)]
 
 
 def _theta_gradients(pt: OrbitPoint, rows: bool = True) -> list[np.ndarray]:
@@ -639,8 +622,7 @@ def _chart_layout(N: int) -> tuple[list[str], np.ndarray, np.ndarray]:
     pattern = np.eye(len(names), k=-G) - np.eye(len(names), k=G)
     reported = np.triu(np.ones(pattern.shape, dtype=bool))
     reported[:, G - N:G], reported[G - N:G] = False, True
-    _read_only(pattern, reported)
-    return names, pattern, reported
+    return _frozen((names, pattern, reported))
 
 
 def _canonicity_deviation(pt: OrbitPoint, rows: bool):

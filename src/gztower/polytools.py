@@ -42,13 +42,21 @@ def circle_coeffs(S: np.ndarray, P: np.ndarray, r: float) -> np.ndarray:
     return (spectrum / ((d + 1) * r ** np.arange(d + 1)))[..., ::-1]
 
 
+def _frozen(value):
+    """value, each ndarray in it through tuples and lists set read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _frozen(item)
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _dft_matrix(m: int) -> np.ndarray:
     """W[j, k] = exp(-2 pi i jk / m), read-only, once per size m; jk is
     reduced mod m first, so every entry is a root of unity to round-off."""
-    W = np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(m)) % m) / m)
-    W.flags.writeable = False
-    return W
+    return _frozen(np.exp(-2j * np.pi * (np.outer(np.arange(m), np.arange(m)) % m) / m))
 
 
 def lambda_minor_det(u: np.ndarray, rows: list[int], cols: list[int]) -> np.ndarray:

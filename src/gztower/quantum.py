@@ -332,6 +332,7 @@ def _members(dets: tuple[tuple[int, int, NCPoly], ...]) -> list[_Member]:
 class QuantumReport(NamedTuple):
     n: int
     convention: str
+    members: int
     centrality_checks: int
     pairs_checked: int
     max_nonzero_terms: int
@@ -381,8 +382,9 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
     members of sizes k <= l, the one of size l commutes with every letter of
     its own gl_l, so with every letter of the other member (the copies
     commute), so with the other member.  Every pair is counted, and none can
-    be nonzero.  Raises ValueError at n < 2, where the family has one member
-    and no pair.
+    be nonzero.  A pass that saw other than k^2 checks per member of size k
+    is a violation (witness {expected, seen}).  Raises ValueError at n < 2,
+    where the family has one member and no pair.
     """
     if n < 2:
         raise ValueError(f"ambient size must be >= 2, got {n}: "
@@ -392,13 +394,13 @@ def verify_quantum_commutes(n: int, allow_large: bool = False) -> QuantumReport:
             f"N={n} PBW verification is expensive; pass --allow-large to proceed")
     members = _members(_nested_qdets(n))
     checks, witness = _centrality(n, members)
-    if witness is None:
-        return QuantumReport(n=n, convention="nested", centrality_checks=checks,
-                             pairs_checked=len(members) * (len(members) - 1) // 2,
-                             max_nonzero_terms=0, status="ok")
-    return QuantumReport(n=n, convention="none", centrality_checks=checks,
-                         pairs_checked=0, max_nonzero_terms=0,
-                         status="violation", witness=witness)
+    expected = sum(k * k for k, *_ in members)
+    if witness is None and checks != expected:
+        witness = {"expected": expected, "seen": checks}
+    m, ok = len(members), witness is None
+    return QuantumReport(n=n, convention="nested" if ok else "none", members=m,
+                         centrality_checks=checks, pairs_checked=m * (m - 1) // 2 if ok else 0,
+                         max_nonzero_terms=0, status="ok" if ok else "violation", witness=witness)
 
 
 # ---------------------------------------------------------------------------

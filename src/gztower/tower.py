@@ -49,12 +49,11 @@ from .orbits import (
     _monic,
     _pair,
     _pairs,
-    _read_only,
     _root_residuals,
     _summary,
     _worst,
 )
-from .polytools import circle_coeffs
+from .polytools import _frozen, circle_coeffs
 
 __all__ = [
     "TowerError", "PathThroughPunctureError", "CoincidentPuncturesError", "BranchJumpError",
@@ -289,7 +288,6 @@ def _build_tower(pt: OrbitPoint, lam0: complex) -> TowerDescriptor:
             tau, tau_lit = (t.tolist() for t in _level_angles(e_sums, prev_sums, lead))
         else:
             e_pts, lead, tau, tau_lit = np.zeros(0, dtype=complex), None, [], []
-            _read_only(e_pts)
         levels.append(TowerLevel(
             n=n, gamma=gamma, h=acoeffs[1:], e=np.asarray(e_pts, dtype=complex),
             tau=tau, tau_literal=tau_lit, leading_coeff=lead,
@@ -517,8 +515,7 @@ def _action_angle_layout(N: int) -> tuple:
     delta = np.array([np.eye(len(names)), np.zeros(a.shape)])
     reported = np.array([a >= 0, a < b])
     graded = reported & (a * b > 0)
-    _read_only(delta, reported, graded)
-    return names, delta, reported, graded
+    return _frozen((names, delta, reported, graded))
 
 
 def action_angle_bracket_table(pt: OrbitPoint, tolerance: float = 1e-4) -> ActionAngleReport:

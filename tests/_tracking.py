@@ -163,6 +163,8 @@ def eager_point(u, rows=True):
     c = eager.c_at_gamma if rows else orbits._log_minors(
         u, orbits._level_minors(N, False)[N:], eager.levels.gamma)
     pt = OrbitPoint(u=u, spectrum=eager.levels.gamma[-1])
-    pt._memo.update({"punctures": eager.punctures, "a_at_gamma": eager.a_at_gamma,
-                     ("c_at_gamma", rows): c})
+    # through _memoized, so the entries are frozen like any other
+    for key, value in {"punctures": eager.punctures, "a_at_gamma": eager.a_at_gamma,
+                       ("c_at_gamma", rows): c}.items():
+        pt._memoized(key, lambda value=value: value)
     return pt

@@ -142,8 +142,8 @@ def test_classical_trivial_only(capsys):
 
 
 _TRIVIAL_N2 = {"family": {"kind": "trivial", "n": 2, "shift": None, "side": "left"},
-               "max_abs_bracket": float, "pairs": 30, "points": 5, "status": "ok",
-               "tolerance": 1e-5}
+               "max_abs_bracket": float, "members": 4, "pairs": 30, "points": 5,
+               "status": "ok", "tolerance": 1e-5, "witness": None}
 
 
 @pytest.mark.parametrize("argv, sections", [
@@ -160,7 +160,7 @@ _TRIVIAL_N2 = {"family": {"kind": "trivial", "n": 2, "shift": None, "side": "lef
     (["verify-quantum"], {
         "quantum": {"centrality_checks": 10, "convention": "nested",
                     "family": {"kind": "quantum-gz", "n": 2}, "max_nonzero_terms": 0,
-                    "pairs": 6, "status": "ok", "witness": None}}),
+                    "members": 4, "pairs": 6, "status": "ok", "witness": None}}),
 ], ids=["gz", "mf", "trivial", "quantum"])
 def test_the_exact_sections_keep_their_schema(capsys, argv, sections):
     # every key of the exact sections, and every value but the measured
@@ -295,6 +295,23 @@ def test_a_nan_angle_makes_the_chart_residuals_a_violation(monkeypatch, capsys):
         return chart._replace(theta=theta)
 
     monkeypatch.setattr(orbits, "gz_forward", nan_angle)
+    code, out, _ = run_cli(capsys, "orbit", "--n", "3", "--spectrum", "1,2,3")
+    assert code == 1
+    assert parse_report(out)["chart_residuals"]["status"] == "violation"
+
+
+def test_a_nan_puncture_makes_the_chart_residuals_a_violation(monkeypatch, capsys):
+    # a NaN gamma at level 2 of 3: the root residual's SVD and the angle
+    # relation's determinants must read NaN there, not raise or warn
+    forward = orbits.gz_forward
+
+    def nan_puncture(pt):
+        chart = forward(pt)
+        gamma = [np.array(g) for g in chart.gamma]
+        gamma[1][0] = np.nan
+        return chart._replace(gamma=gamma)
+
+    monkeypatch.setattr(orbits, "gz_forward", nan_puncture)
     code, out, _ = run_cli(capsys, "orbit", "--n", "3", "--spectrum", "1,2,3")
     assert code == 1
     assert parse_report(out)["chart_residuals"]["status"] == "violation"

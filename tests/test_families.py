@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -466,6 +467,19 @@ def test_a_nan_bracket_fails_the_trivial_check(monkeypatch, nan_point):
     rep = verify_trivial_numeric(3, pt_count=2, seed=0)
     assert len(calls) == 2 and rep.pairs_checked == 72
     assert np.isnan(rep.max_abs_bracket) and rep.status == "violation"
+
+
+def test_a_trivial_scan_that_skips_a_pair_reads_violation(monkeypatch):
+    # combinations leaving out its last pair: the 9 members at N=3 make 36
+    # pairs per point, and a scan that saw 35 is not ok, although every
+    # bracket it took was within tolerance
+    short = lambda items, r: list(itertools.combinations(items, r))[:-1]
+    monkeypatch.setattr(families, "itertools",
+                        types.SimpleNamespace(combinations=short, product=itertools.product))
+    rep = verify_trivial_numeric(3, pt_count=1)
+    assert rep.max_abs_bracket <= rep.tolerance
+    assert (rep.status, rep.members, rep.pairs_checked) == ("violation", 9, 35)
+    assert rep.witness == {"expected": 36, "seen": 35}
 
 
 def test_trivial_members_are_p_transposed():

@@ -94,6 +94,15 @@ def test_the_margin_of_a_point_is_the_margin_of_its_matrix(N):
         assert regularity_margin(pt.u) == pt.margin() >= 1e-6
 
 
+def _arrays(value):
+    """Every ndarray in value, through tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
 def test_the_point_and_the_shared_arrays_are_read_only():
     u = sample_orbit(_SPECTRUM, seed=4).u.copy()
     pt = OrbitPoint(u=u, spectrum=np.array(_SPECTRUM))
@@ -103,15 +112,29 @@ def test_the_point_and_the_shared_arrays_are_read_only():
         pt.u = u
     with pytest.raises(AttributeError):
         del pt._memo
-    shared = [pt.u, pt.spectrum]
     lv = pt.levels()
-    shared += [*lv.a, *lv.gamma, *lv.c, *lv.e]
-    (dg, g_conditions), (de, e_conditions) = pt.punctures(), pt.divisors()
+    (dg, _), (de, _) = pt.punctures(), pt.divisors()
     c, a = pt.c_at_gamma(), pt.a_at_gamma()
-    shared += [*dg, *g_conditions, *de, *e_conditions]
-    shared += [x for pair in c + a for x in pair]
-    for level in tower.build_tower(pt).levels:
-        shared += [level.gamma, level.h, level.e]
+    orbits.verify_canonical_chart(pt)
+    orbits.residue_form_check(pt, _pairs(pt.n, 3))
+    tower.action_angle_bracket_table(pt)
+    tower.linearization_check(pt, (3, 1))
+    # the whole memo, whichever check added an entry: each entry but the
+    # base point holds arrays, and every array it holds is read-only
+    tower_keys = [key for key in pt._memo if isinstance(key, tuple) and key[0] == "tower"]
+    assert len(tower_keys) == 1 and {
+        "levels", "punctures", "divisors", ("c_at_gamma", True), ("c_at_gamma", False),
+        "a_at_gamma", "base_point"} | set(tower_keys) == set(pt._memo)
+    shared = [pt.u, pt.spectrum]
+    for key, entry in pt._memo.items():
+        arrays = list(_arrays(entry))
+        assert arrays or key == "base_point"
+        shared += arrays
+    # and the layouts that every point of a size shares
+    for layout in (orbits._chart_layout(pt.n), tower._action_angle_layout(pt.n)):
+        arrays = list(_arrays(layout))
+        assert len(arrays) == len(layout) - 1
+        shared += arrays
     shared += orbits.gz_forward(pt).gamma
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):

@@ -378,6 +378,22 @@ def test_unshifted_determinants_are_not_central(swap_rho):
                            "terms": [["1", "EL[1,2]"]]}
 
 
+def test_a_centrality_pass_one_check_short_reads_violation(monkeypatch):
+    # each member of size k is checked against the k^2 letters of its gl_k:
+    # 45 checks over the 9 members at N=3, and a pass that saw 44 is not ok,
+    # although every commutator it took was zero
+    centrality = quantum._centrality
+
+    def one_short(n, members):
+        checks, witness = centrality(n, members)
+        return checks - 1, witness
+
+    monkeypatch.setattr(quantum, "_centrality", one_short)
+    rep = verify_quantum_commutes(3)
+    assert (rep.status, rep.members, rep.centrality_checks) == ("violation", 9, 44)
+    assert rep.witness == {"expected": 45, "seen": 44}
+
+
 def test_verify_quantum_rejects_an_empty_ambient_size():
     # N = 0 has no family and N = 1 a single member: no check may pass
     # after checking no pair
